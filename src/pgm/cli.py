@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Partial matrices travel in a small text format: a first line ``n <dim>``
-followed by ``<dim>`` rows of whitespace-separated tokens, each a decimal
-number or ``?`` for a missing entry; ``#`` starts a comment line.  Files
-written by the tool carry 17 significant digits so that parsing them back
-is exact; human-readable reports use 6.
+followed by ``<dim>`` rows of whitespace-separated tokens, each a finite
+decimal number or ``?`` for a missing entry; ``#`` starts a comment
+line.  Files written by the tool carry 17 significant digits so that
+parsing them back is exact; human-readable reports use 6.
 
 Subcommands: ``check``, ``complete``, ``geomean``, ``karcher``,
 ``entropy``, ``sweep``.  Exit status is 0 on success, 1 on domain errors
@@ -16,6 +16,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -91,9 +92,12 @@ def _parse_lines(lines):
                 row.append(None)
             else:
                 try:
-                    row.append(float(tok))
+                    value = float(tok)
                 except ValueError:
                     raise ParseError(f"bad entry {tok!r}", line=lineno, column=col) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite entry {tok!r}", line=lineno, column=col)
+                row.append(value)
         rows.append((lineno, row))
     if not header_seen:
         raise ParseError("empty input: missing 'n <dim>' header")

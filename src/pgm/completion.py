@@ -1,7 +1,28 @@
 """Maximum-determinant positive definite completion.
 
-The single-entry subproblem has a closed form: permuting a symmetric
-matrix so the free position lands at the corner,
+The maximum-determinant completion of a partial positive definite matrix
+``A`` is the unique completion whose inverse vanishes at every
+unspecified position.  It is reached by block coordinate ascent on the
+covariance over the maximal cliques of the pattern (iterative
+proportional scaling, Speed and Kiiveri 1986): starting from
+``M = diag(A)``, each clique ``C`` in turn gets
+
+    M <- M + M[:, C] M_CC^{-1} (A_CC - M_CC) M_CC^{-1} M[C, :],
+
+which sets ``M_CC = A_CC``, keeps ``M`` positive definite and adds
+``A_CC^{-1} - M_CC^{-1}`` to ``M^{-1}`` on the clique block, so the
+inverse stays supported on the pattern.  On a chordal pattern one sweep
+over the cliques in perfect-sequence order is the closed form of Grone,
+Johnson, Sa and Wolkowicz (1984).
+
+Two certificates end the iteration: the inverse-zero residual of the
+completion (it is the maximum-determinant one), or a positive definite
+``K = M^{-1}`` supported on the pattern with ``sum_E K_ij A_ij <= 0``
+(no positive definite completion exists, since ``tr(K X) > 0`` for every
+``X > 0``).
+
+The single-entry subproblem also has a closed form: permuting a
+symmetric matrix so the free position lands at the corner,
 
     H(x) = [[a, v^T, x],
             [v, C,   w],
@@ -9,10 +30,7 @@ matrix so the free position lands at the corner,
 
 the completions H(x) > 0 are exactly |x - v^T C^{-1} w| <
 sqrt(det A det B) / det C with A, B the leading/trailing principal
-blocks, and x = v^T C^{-1} w maximizes the determinant.  Cycling this
-step over all missing positions converges to the unique global
-maximum-determinant completion, which is certified by its inverse
-vanishing at every unspecified position.
+blocks, and x = v^T C^{-1} w maximizes the determinant.
 """
 
 from __future__ import annotations
@@ -29,11 +47,11 @@ from .errors import (
     PatternMismatch,
 )
 from .linalg import DEFAULT_TOL, det, is_pd, op_norm, sym
-from .partial import is_partial_pd, restrict
+from .partial import restrict
 from .pattern import (
     Pattern,
+    _clique_sequence,
     connected_components,
-    is_chordal,
     maximal_cliques,
     missing_positions,
 )
@@ -71,7 +89,9 @@ class CompletionReport:
     ``residual`` is the largest absolute inverse entry over unspecified
     positions (zero there certifies the maximum-determinant completion);
     ``converged`` records whether the residual dropped below tolerance
-    relative to ``||M^{-1}||`` within the cycle budget.
+    relative to ``||M^{-1}||`` within the cycle budget; ``iterations``
+    counts sweeps over the maximal cliques (0 for a complete pattern, 1
+    for a chordal one).
     """
 
     matrix: np.ndarray
@@ -125,103 +145,18 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
     return FeasibilityInterval(position=(min(i, j), max(i, j)), center=center, half_width=half)
 
 
-def _conditional_center(m, i, j):
-    """v^T C^{-1} w for position (i, j); assumes the blocks are PD."""
-    n = m.shape[0]
-    idx = [k for k in range(n) if k != i - 1 and k != j - 1]
-    if not idx:
-        return 0.0
-    c_blk = m[np.ix_(idx, idx)]
-    v = m[idx, i - 1]
-    w = m[idx, j - 1]
-    try:
-        return float(v @ np.linalg.solve(c_blk, w))
-    except np.linalg.LinAlgError as exc:
-        raise NotCompletable(
-            f"singular conditioning block at position ({i}, {j})"
-        ) from exc
-
-
-def _junction_forest(cliques):
-    """Maximum-weight spanning tree of the clique graph (Kruskal).
-
-    Weights are intersection sizes; zero-weight edges are allowed so the
-    result spans disconnected patterns as well.  For a chordal graph the
-    positive-weight edges form a junction tree per component.
-    """
-    k = len(cliques)
-    sets = [set(c) for c in cliques]
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = sorted(
-        ((len(sets[a] & sets[b]), a, b) for a in range(k) for b in range(a + 1, k)),
-        key=lambda e: (-e[0], e[1], e[2]),
-    )
-    tree = []
-    for _, a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append((a, b))
-    return tree
-
-
-def _feasible_fill(pm, tol):
-    """One-pass feasible completion of a chordal partial PD matrix.
-
-    Adds one missing entry at a time.  Each step picks an edge of the
-    current junction forest, joins a vertex from each side across their
-    separator S, and fills the new position with the conditional center
-    of the principal submatrix on S plus the two vertices.  The graph
-    stays chordal and the partial matrix stays partial PD throughout, so
-    the final full matrix is positive definite.
-    """
-    n = pm.n
-    m = pm.to_dense(0.0)
-    edges = set(pm.pattern.edges)
-    total = n * (n + 1) // 2
-    while len(edges) < total:
-        g = Pattern(n=n, edges=frozenset(edges))
-        cliques = maximal_cliques(g)
-        tree = _junction_forest(cliques)
-        if not tree:
-            raise InternalNumerics("no junction edge available during feasible fill")
-        a, b = tree[0]
-        sep = set(cliques[a]) & set(cliques[b])
-        i = min(set(cliques[a]) - sep)
-        j = min(set(cliques[b]) - sep)
-        if i > j:
-            i, j = j, i
-        verts = sorted(sep | {i, j})
-        idx = [v - 1 for v in verts]
-        sub = m[np.ix_(idx, idx)]
-        try:
-            iv = single_entry_interval(sub, verts.index(i) + 1, verts.index(j) + 1, tol)
-        except NotPartialPD as exc:
-            raise InternalNumerics(
-                f"feasible fill hit an infeasible subproblem at ({i}, {j})"
-            ) from exc
-        m[i - 1, j - 1] = m[j - 1, i - 1] = iv.center
-        edges.add((i, j))
-    return m
-
-
 def max_det_completion(pm, tol=1e-10, max_cycles=500, pd_tol=DEFAULT_TOL):
     """Maximum-determinant positive definite completion.
 
-    Sweeps the missing positions in row-major order, setting each to its
-    conditional center, until the inverse of the current completion
-    vanishes (relative to ``||M^{-1}||``) at every unspecified position
-    or the cycle budget runs out.  The initial fill is zero; when that is
-    not positive definite and the pattern is chordal, a one-pass feasible
-    fill is used instead.  Non-chordal patterns are attempted best-effort
-    and raise :class:`NotCompletable` if a subproblem becomes infeasible.
+    Sweeps the clique update of the module docstring over the maximal
+    cliques, in perfect-sequence order when the pattern is chordal, so
+    that chordal patterns finish after one sweep.  After each sweep the
+    specified entries are written back into a copy of the iterate, which
+    is returned once its inverse vanishes (relative to ``||M^{-1}||``) at
+    every unspecified position and it is positive definite.  When the
+    iterate's inverse ``K`` instead certifies that no positive definite
+    completion exists (``sum_E K_ij A_ij <= 0``), :class:`NotCompletable`
+    is raised.
 
     Parameters
     ----------
@@ -229,47 +164,46 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500, pd_tol=DEFAULT_TOL):
     tol : float
         Convergence tolerance on the inverse-zero certificate.
     max_cycles : int
-        Sweep budget; exceeding it returns the best iterate with
-        ``converged=False``.
+        Sweep budget; exceeding it returns the last iterate, with the
+        specified entries written back, and ``converged=False``.
+    pd_tol : float
+        Tolerance of the positive definiteness tests.
     """
-    if not is_partial_pd(pm, pd_tol):
+    cliques = [list(c) for c in _clique_sequence(pm.pattern)]
+    a = pm.to_dense(np.nan)
+    spec = np.isfinite(a)
+    a[~spec] = 0.0
+    blocks = [a[np.ix_(c, c)] for c in cliques]
+    if not all(is_pd(block, pd_tol) for block in blocks):
         raise NotPartialPD("input is not partial positive definite")
-    missing = missing_positions(pm.pattern)
-    m = pm.to_dense(0.0)
-    if not missing:
+    if pm.pattern.is_complete:
         return CompletionReport(
-            matrix=sym(m), determinant=det(m), iterations=0, residual=0.0, converged=True
+            matrix=sym(a), determinant=det(a), iterations=0, residual=0.0, converged=True
         )
-    m_is_pd = is_pd(m, pd_tol)
-    if not m_is_pd and is_chordal(pm.pattern).chordal:
-        m = _feasible_fill(pm, pd_tol)
-        m_is_pd = True
-    miss_idx = [(i - 1, j - 1) for i, j in missing]
-    residual = np.inf
-    converged = False
-    cycles = 0
+    m = np.diag(np.diag(a))
+    x, residual, converged, cycles = a, np.inf, False, 0
     for cycles in range(1, max_cycles + 1):
-        for i, j in missing:
-            if m_is_pd:
-                center = _conditional_center(m, i, j)
-            else:
-                try:
-                    center = single_entry_interval(m, i, j, pd_tol).center
-                except NotPartialPD as exc:
-                    raise NotCompletable(
-                        f"completion became infeasible at position ({i}, {j})"
-                    ) from exc
-            m[i - 1, j - 1] = m[j - 1, i - 1] = center
-        if not m_is_pd:
-            m_is_pd = is_pd(m, pd_tol)
-        inv = np.linalg.inv(m)
-        residual = max(abs(inv[i, j]) for i, j in miss_idx)
-        if residual <= tol * op_norm(inv):
+        for c, block in zip(cliques, blocks):
+            m_cc = m[np.ix_(c, c)]
+            w = np.linalg.solve(m_cc, m[c])
+            m += w.T @ (block - m_cc) @ w
+        x = np.where(spec, a, sym(m))
+        inv = np.linalg.inv(x)
+        residual = np.abs(inv[~spec]).max()
+        if residual <= tol * op_norm(inv) and is_pd(x, pd_tol):
             converged = True
             break
+        k = np.where(spec, np.linalg.inv(m), 0.0)
+        trace_ka = float(np.sum(k * a))
+        if trace_ka <= 0.0 and is_pd(k, pd_tol):
+            raise NotCompletable(
+                "no positive definite completion exists: K = M^-1 is positive definite "
+                f"and supported on the pattern, yet sum_E K_ij A_ij = {trace_ka:.3g} <= 0, "
+                "while tr(K X) > 0 for every positive definite X"
+            )
     return CompletionReport(
-        matrix=sym(m),
-        determinant=det(m),
+        matrix=x,
+        determinant=det(x),
         iterations=cycles,
         residual=float(residual),
         converged=converged,

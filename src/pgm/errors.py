@@ -22,8 +22,9 @@ class NotPartialPD(PgmError):
 
 
 class NotCompletable(PgmError):
-    """No positive definite completion exists; a single-entry subproblem
-    became infeasible during the completion iteration."""
+    """No positive definite completion exists: the completion iteration
+    found a positive definite matrix supported on the pattern whose
+    trace inner product with every completion is non-positive."""
 
 
 class OutOfRange(PgmError):

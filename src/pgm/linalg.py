@@ -122,8 +122,10 @@ def mat_fn(a, f, domain=None, tol=DEFAULT_TOL):
     -------
     ndarray, ``Q f(L) Q^T`` re-symmetrized.
     """
-    m = np.asarray(a, dtype=float)
-    w, q = np.linalg.eigh(m)
+    try:
+        w, q = np.linalg.eigh(np.asarray(a, dtype=float))
+    except np.linalg.LinAlgError as exc:
+        raise InternalNumerics(f"symmetric eigensolver failed: {exc}") from exc
     if domain is not None:
         scale = max(1.0, float(np.abs(w).max()))
         if domain == "pd":

@@ -9,6 +9,7 @@ algebra, projection of full matrices, and the partial Loewner order.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,8 @@ from .pattern import Pattern, _normalize_edge, maximal_cliques
 class PartialMatrix:
     """Values on the specified positions of a pattern.
 
-    ``values`` maps ``(i, j)`` with ``i <= j`` (1-based) to floats and
-    covers exactly ``pattern.edges``.
+    ``values`` maps ``(i, j)`` with ``i <= j`` (1-based) to finite floats
+    and covers exactly ``pattern.edges``.
     """
 
     pattern: Pattern
@@ -34,6 +35,8 @@ class PartialMatrix:
         for (i, j), v in dict(self.values).items():
             key = _normalize_edge(i, j)
             v = float(v)
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite value {v} at position {key}")
             if key in vals and vals[key] != v:
                 raise ValueError(f"conflicting values for position {key}")
             vals[key] = v

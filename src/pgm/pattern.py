@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InternalNumerics
 
 
@@ -102,20 +104,18 @@ def _adjacency(g):
 
 
 def _mcs_order(adj, n):
-    """Maximum-cardinality search; returns a candidate elimination order."""
-    weight = [0] * n
-    picked = [False] * n
+    """Maximum-cardinality search; returns a candidate elimination order.
+
+    Each step visits the unvisited vertex with the most visited
+    neighbors, the smallest one on ties (``argmax`` returns the first).
+    """
+    weight = np.zeros(n)
     picks = []
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if not picked[u]),
-            key=lambda u: (weight[u], -u),
-        )
-        picked[v] = True
+        v = int(np.argmax(weight))
+        weight[v] = -np.inf
+        weight[list(adj[v])] += 1.0
         picks.append(v)
-        for u in adj[v]:
-            if not picked[u]:
-                weight[u] += 1
     picks.reverse()
     return picks
 
@@ -226,30 +226,34 @@ def _bron_kerbosch(adj, n):
     return cliques
 
 
-def maximal_cliques(g):
-    """All maximal cliques, each sorted, listed lexicographically.
+def _clique_sequence(g):
+    """Maximal cliques of ``g`` from one maximum-cardinality search.
 
-    Chordal patterns use the elimination-order route (each vertex with its
-    later neighbors, filtered for maximality); general patterns fall back
-    to Bron-Kerbosch with pivoting.
+    Each clique is a sorted tuple of 0-based vertices.  For a chordal
+    pattern the cliques come in MCS visit order, which is a perfect
+    sequence: each clique meets the union of the ones before it inside a
+    single earlier clique.  Visiting ``v`` with its already-visited
+    neighbors gives a candidate clique, and a candidate is maximal
+    exactly when the next vertex has no more visited neighbors than ``v``
+    (Blair and Peyton).  Non-chordal patterns fall back to Bron-Kerbosch
+    with pivoting.
     """
     adj = _adjacency(g)
     order = _mcs_order(adj, g.n)
-    if _is_peo(adj, order):
-        pos = {v: k for k, v in enumerate(order)}
-        candidates = []
-        for v in order:
-            c = frozenset({v} | {u for u in adj[v] if pos[u] > pos[v]})
-            candidates.append(c)
-        kept = [
-            c
-            for c in set(candidates)
-            if not any(c < other for other in candidates)
-        ]
-        cliques = [tuple(sorted(c)) for c in kept]
-    else:
-        cliques = _bron_kerbosch(adj, g.n)
-    return sorted(tuple(v + 1 for v in c) for c in cliques)
+    if not _is_peo(adj, order):
+        return _bron_kerbosch(adj, g.n)
+    pos = {v: k for k, v in enumerate(order)}
+    candidates = [(v, *(u for u in adj[v] if pos[u] > pos[v])) for v in reversed(order)]
+    return [
+        tuple(sorted(c))
+        for c, after in zip(candidates, candidates[1:] + [()])
+        if len(after) <= len(c)
+    ]
+
+
+def maximal_cliques(g):
+    """All maximal cliques, each sorted, listed lexicographically."""
+    return sorted(tuple(v + 1 for v in c) for c in _clique_sequence(g))
 
 
 def connected_components(g):

@@ -103,6 +103,22 @@ def brute_force_maximal_cliques(pattern):
     return sorted(tuple(sorted(c)) for c in maximal)
 
 
+def reference_mcs_order(pattern):
+    """Maximum-cardinality search as a plain loop: visit the unvisited
+    vertex with the most visited neighbors, the smallest on ties, and
+    return the reversed visit order."""
+    weight = {v: 0 for v in range(1, pattern.n + 1)}
+    visited = []
+    while weight:
+        v = max(weight, key=lambda u: (weight[u], -u))
+        del weight[v]
+        visited.append(v)
+        for u in pattern.neighbors(v):
+            if u in weight:
+                weight[u] += 1
+    return tuple(reversed(visited))
+
+
 def is_valid_chordless_cycle(pattern, cycle):
     k = len(cycle)
     if k < 4 or len(set(cycle)) != k:
@@ -163,12 +179,34 @@ def chordal_example_pattern():
     return Pattern.from_pairs(4, [(1, 3), (1, 4), (2, 3), (3, 4)])
 
 
-def matrix_n_noncompletable():
+def matrix_n_four_cycle():
+    """Matrix N: partial PD on the 4-cycle with a zero fill that is not PD.
+
+    It is completable, for instance with (1, 3) = -0.8 and (2, 4) = 0.5:
+    its edge angles 135, 35.3, 54.7 and 90 degrees meet the cycle
+    condition of Barrett, Johnson and Loewy.
+    """
     return PartialMatrix(
         pattern=four_cycle_pattern(),
         values={
             (1, 1): 1.0, (2, 2): 2.0, (3, 3): 3.0, (4, 4): 1.0,
             (1, 2): -1.0, (1, 4): 0.0, (2, 3): 2.0, (3, 4): 1.0,
+        },
+    )
+
+
+def frustrated_four_cycle():
+    """Partial PD 4-cycle with no PD completion.
+
+    Unit diagonal, 0.99 on (1, 2), (2, 3), (3, 4) and -0.99 on (1, 4):
+    the edge angles (8.1 degrees three times, 171.9 once) violate the
+    cycle condition by 147.6 degrees.
+    """
+    return PartialMatrix(
+        pattern=four_cycle_pattern(),
+        values={
+            (1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0, (4, 4): 1.0,
+            (1, 2): 0.99, (2, 3): 0.99, (3, 4): 0.99, (1, 4): -0.99,
         },
     )
 

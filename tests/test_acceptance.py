@@ -47,9 +47,9 @@ from conftest import (
     ex1_partial_b,
     ex2_partial_a,
     ex2_partial_b,
+    frustrated_four_cycle,
     golden_pair_completions,
     identity_ring_partial,
-    matrix_n_noncompletable,
     rand_chordal_pattern,
     rand_invertible,
     rand_partial_pd,
@@ -63,7 +63,7 @@ def _report(num, text, started):
 
 def test_criterion_01_non_completability():
     started = time.perf_counter()
-    pm = matrix_n_noncompletable()
+    pm = frustrated_four_cycle()
     assert is_partial_pd(pm)
     assert not is_chordal(pm.pattern).chordal
     with pytest.raises(NotCompletable):

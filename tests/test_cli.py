@@ -16,7 +16,7 @@ from pgm.errors import AsymmetricPattern, MissingDiagonal, ParseError
 from conftest import (
     ex1_partial_a,
     ex1_partial_b,
-    matrix_n_noncompletable,
+    frustrated_four_cycle,
     rand_chordal_pattern,
     rand_partial_pd,
 )
@@ -61,6 +61,13 @@ class TestParsing:
         assert err.value.line == 2
         assert err.value.column == 2
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan", "Infinity"])
+    def test_non_finite_token(self, tmp_path, token):
+        with pytest.raises(ParseError, match=f"non-finite entry '{token}'") as err:
+            parse_partial(write(tmp_path, "f.txt", f"n 2\n1 {token}\n{token} 1\n"))
+        assert err.value.line == 2
+        assert err.value.column == 2
+
     def test_missing_header(self, tmp_path):
         with pytest.raises(ParseError):
             parse_partial(write(tmp_path, "h.txt", "1 0\n0 1\n"))
@@ -98,14 +105,14 @@ class TestExitCodes:
         assert "completable: yes" in out
 
     def test_check_non_chordal(self, tmp_path, capsys):
-        rc = main(["check", write(tmp_path, "n.txt", format_partial(matrix_n_noncompletable()))])
+        rc = main(["check", write(tmp_path, "n.txt", format_partial(frustrated_four_cycle()))])
         out = capsys.readouterr().out
         assert rc == 0
         assert "chordal: no (chordless cycle:" in out
         assert "completable: no" in out
 
     def test_complete_domain_error(self, tmp_path, capsys):
-        rc = main(["complete", write(tmp_path, "n.txt", format_partial(matrix_n_noncompletable()))])
+        rc = main(["complete", write(tmp_path, "n.txt", format_partial(frustrated_four_cycle()))])
         err = capsys.readouterr().err
         assert rc == 1
         assert "error" in err

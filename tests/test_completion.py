@@ -31,8 +31,9 @@ from conftest import (
     ex1_partial_b,
     ex2_partial_a,
     ex2_partial_b,
+    frustrated_four_cycle,
     identity_ring_partial,
-    matrix_n_noncompletable,
+    matrix_n_four_cycle,
     maxdet_oracle,
     rand_chordal_pattern,
     rand_partial_pd,
@@ -138,7 +139,36 @@ class TestMaxDetCompletion:
 
     def test_noncompletable_fails_feasibility(self):
         with pytest.raises(NotCompletable):
-            max_det_completion(matrix_n_noncompletable())
+            max_det_completion(frustrated_four_cycle())
+
+    @pytest.mark.parametrize(
+        "make",
+        [matrix_n_four_cycle]
+        + [lambda n=n: project(_circulant(n, 0.8), _ring(n)) for n in (8, 16, 24)],
+        ids=["matrix_n", "ring8", "ring16", "ring24"],
+    )
+    def test_completes_without_pd_zero_fill(self, make):
+        # non-chordal inputs whose zero fill is not PD, yet PD completions
+        # exist: Matrix N, and rho = 0.8 rings projected from an SPD circulant
+        pm = make()
+        assert not is_pd(pm.to_dense())
+        rep = max_det_completion(pm)
+        assert rep.converged
+        assert is_pd(rep.matrix)
+        assert agrees(rep.matrix, pm, tol=1e-12)
+        inv = np.linalg.inv(rep.matrix)
+        for i, j in missing_positions(pm.pattern):
+            assert abs(inv[i - 1, j - 1]) <= 1e-8 * op_norm(inv)
+
+    @pytest.mark.parametrize("n", range(4, 22))
+    def test_frustrated_ring_not_completable(self, n):
+        # 0.99 on every ring edge but (1, n), which carries -0.99: partial
+        # PD, but the cycle condition fails for n <= 22
+        full = np.eye(n) + 0.99 * (np.eye(n, k=1) + np.eye(n, k=-1))
+        full[0, n - 1] = full[n - 1, 0] = -0.99
+        pm = project(full, _ring(n))
+        with pytest.raises(NotCompletable, match="sum_E K_ij A_ij"):
+            max_det_completion(pm)
 
     def test_rejects_not_partial_pd(self):
         pm = PartialMatrix(
@@ -166,19 +196,20 @@ class TestMaxDetCompletion:
         pm = rand_partial_pd(rng, g)
         rep = max_det_completion(pm)
         assert rep.converged
+        # chordal patterns are exact after one sweep in perfect-sequence order
+        assert rep.iterations == (1 if missing_positions(g) else 0)
         assert agrees(rep.matrix, pm, tol=1e-12)
         assert is_pd(rep.matrix)
         inv = np.linalg.inv(rep.matrix)
         for i, j in missing_positions(g):
             assert abs(inv[i - 1, j - 1]) <= 1e-8 * op_norm(inv)
         expected = maxdet_oracle(pm)
-        assert fro_norm(rep.matrix - expected) <= 1e-7 * max(1.0, fro_norm(expected))
+        assert fro_norm(rep.matrix - expected) <= 1e-10 * max(1.0, fro_norm(expected))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_feasible_start_on_tight_correlations(self, seed):
-        # AR(1) values near rho = 1 make the zero fill indefinite, forcing
-        # the junction-tree feasible start; the result must still match
-        # the closed-form oracle
+        # AR(1) values near rho = 1 make the zero fill indefinite; one
+        # sweep must still reach the closed-form oracle
         rng = np.random.default_rng(500 + seed)
         n = int(rng.integers(4, 12))
         g = rand_chordal_pattern(rng, n, fill=0.7)
@@ -190,9 +221,29 @@ class TestMaxDetCompletion:
         pm = project(full, g)
         rep = max_det_completion(pm)
         assert rep.converged
+        assert rep.iterations == 1
         assert agrees(rep.matrix, pm, tol=1e-9)
         expected = maxdet_oracle(pm)
-        assert fro_norm(rep.matrix - expected) <= 1e-6 * max(1.0, fro_norm(expected))
+        assert fro_norm(rep.matrix - expected) <= 1e-10 * max(1.0, fro_norm(expected))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_one_sweep_on_relabelled_two_trees(self, seed):
+        # the cliques of a chordal pattern are swept in MCS visit order, a
+        # perfect sequence; lexicographic order needs a second sweep on
+        # some of these patterns
+        rng = np.random.default_rng(900 + seed)
+        n = 20
+        edges = [(0, 1)]
+        for v in range(2, n):
+            a, b = edges[rng.integers(len(edges))]
+            edges += [(a, v), (b, v)]
+        relabel = rng.permutation(n) + 1
+        g = Pattern.from_pairs(n, [(int(relabel[a]), int(relabel[b])) for a, b in edges])
+        pm = rand_partial_pd(rng, g)
+        rep = max_det_completion(pm)
+        assert rep.converged
+        assert rep.iterations == 1
+        assert agrees(rep.matrix, pm, tol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_determinant_monotone_over_steps(self, seed):
@@ -357,6 +408,16 @@ class TestPartialEntryBounds:
     def test_specified_position_rejected(self):
         with pytest.raises(ValueError):
             partial_entry_bounds(ex1_partial_a(), (1, 2))
+
+
+def _ring(n):
+    return Pattern.from_pairs(n, [(i, i % n + 1) for i in range(1, n + 1)])
+
+
+def _circulant(n, rho):
+    idx = np.arange(n)
+    d = np.abs(idx[:, None] - idx[None, :])
+    return rho ** np.minimum(d, n - d)
 
 
 def _scalar_partial(x):

@@ -7,6 +7,7 @@ import pytest
 
 from pgm import (
     DimensionMismatch,
+    InternalNumerics,
     NotPositiveDefinite,
     as_sym_matrix,
     det,
@@ -73,6 +74,11 @@ class TestDefiniteness:
 
 
 class TestMatFn:
+    def test_eigensolver_failure_wrapped(self):
+        # LAPACK does not converge on NaN input
+        with pytest.raises(InternalNumerics):
+            mat_fn(np.full((3, 3), np.nan), np.exp)
+
     def test_sqrt_diagonal(self):
         np.testing.assert_allclose(sqrtm(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
 

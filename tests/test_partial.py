@@ -27,10 +27,10 @@ from pgm import (
 )
 from conftest import (
     chordal_example_pattern,
+    frustrated_four_cycle,
     golden_pair_completions,
     matrix_a_chordal_example,
     matrix_b_chordal_example,
-    matrix_n_noncompletable,
     order_example_a,
     rand_chordal_pattern,
     rand_partial_pd,
@@ -41,7 +41,7 @@ from conftest import (
 class TestPartialDefiniteness:
     def test_noncompletable_matrix_is_partial_pd(self):
         # every specified 2x2 block is PD even though no PSD completion exists
-        assert is_partial_pd(matrix_n_noncompletable())
+        assert is_partial_pd(frustrated_four_cycle())
 
     def test_chordal_examples_partial_pd(self):
         assert is_partial_pd(matrix_a_chordal_example())
@@ -148,6 +148,14 @@ class TestPartialOrder:
 
 
 class TestProjectAgrees:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite value"):
+            PartialMatrix(
+                pattern=Pattern.from_pairs(2, [(1, 2)]),
+                values={(1, 1): 1.0, (2, 2): 1.0, (1, 2): value},
+            )
+
     def test_known_completion_agrees(self):
         a1, _ = golden_pair_completions()
         assert agrees(a1, matrix_a_chordal_example())

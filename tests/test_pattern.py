@@ -19,6 +19,7 @@ from conftest import (
     four_cycle_pattern,
     is_valid_chordless_cycle,
     rand_chordal_pattern,
+    reference_mcs_order,
 )
 
 
@@ -92,7 +93,9 @@ class TestChordality:
     def test_random_chordal_generator(self, seed):
         rng = __import__("numpy").random.default_rng(seed)
         g = rand_chordal_pattern(rng, int(rng.integers(3, 12)))
-        assert is_chordal(g).chordal
+        res = is_chordal(g)
+        assert res.chordal
+        assert res.elimination_order == reference_mcs_order(g)
 
 
 def _assert_perfect_elimination(g, order):
