@@ -2,10 +2,12 @@
 """Multi-matrix means: Karcher mean and the arithmetic-harmonic squeeze.
 
 The Karcher mean minimizes the weighted sum of squared Riemannian
-distances.  It is approximated by weighted inductive means (walking the
-geodesic toward each matrix in turn with shrinking steps) and certified
-by the norm of the Riemannian gradient.  For two matrices the
-arithmetic-harmonic iteration squeezes both sequences onto A # B.
+distances.  One pass of the weighted inductive mean (walking the
+geodesic toward each matrix in turn with shrinking steps) gives the
+start point; a fixed-point iteration with the Bini-Iannazzo step size
+then drives the Riemannian gradient to zero, and its norm certifies the
+result.  For two matrices the arithmetic-harmonic iteration squeezes
+both sequences onto A # B.
 """
 
 import numpy as np

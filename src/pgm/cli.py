@@ -31,7 +31,7 @@ from .errors import (
     PgmError,
     TooManyMissing,
 )
-from .linalg import det, is_pd
+from .linalg import is_pd
 from .means import (
     WeightVector,
     entropy_identities,
@@ -302,67 +302,41 @@ def _sweep_table(pa, pb, grid, t, tol):
 
     Either each input carries one missing entry (x sweeps the first, y
     the second), or one input carries both and the other is complete.
-    Cells are laid out x-major; infeasible cells hold NaNs.
+    Cells are laid out x-major.  A cell whose filled pair is not
+    positive definite holds NaNs.  Each x-row of cells is one stack, so
+    a row costs one PD check, one geomean, one det and one eigvalsh.
     """
     if grid < 2:
         raise PgmError(f"grid must be at least 2, got {grid}")
     if pa.n != pb.n:
         raise DimensionMismatch(f"dimension mismatch: {pa.n} vs {pb.n}")
-    miss_a = missing_positions(pa.pattern)
-    miss_b = missing_positions(pb.pattern)
-    total = len(miss_a) + len(miss_b)
-    if total > 2:
-        raise TooManyMissing(f"sweep supports at most 2 missing entries, found {total}")
-    if total < 2:
+    pms = (pa, pb)
+    slots = [(k, pos) for k, pm in enumerate(pms) for pos in missing_positions(pm.pattern)]
+    if len(slots) > 2:
+        raise TooManyMissing(f"sweep supports at most 2 missing entries, found {len(slots)}")
+    if len(slots) < 2:
         raise PgmError("sweep needs exactly two missing entries across the inputs")
-    for pm in (pa, pb):
+    for pm in pms:
         if not is_partial_pd(pm, tol):
             raise PgmError("sweep inputs must be partial positive definite")
 
-    dense_a = pa.to_dense(0.0)
-    dense_b = pb.to_dense(0.0)
-
-    def filled(dense, assignments):
-        m = dense.copy()
-        for (i, j), val in assignments:
-            m[i - 1, j - 1] = m[j - 1, i - 1] = val
-        return m
-
-    if len(miss_a) == 1 and len(miss_b) == 1:
-        pos_x, pos_y = miss_a[0], miss_b[0]
-        x_bounds = partial_entry_bounds(pa, pos_x, tol)
-        y_bounds = partial_entry_bounds(pb, pos_y, tol)
-
-        def cell(x, y):
-            return filled(dense_a, [(pos_x, x)]), filled(dense_b, [(pos_y, y)])
-
-    else:
-        swept, fixed, swap = (pa, pb, False) if len(miss_a) == 2 else (pb, pa, True)
-        pos_x, pos_y = missing_positions(swept.pattern)
-        x_bounds = partial_entry_bounds(swept, pos_x, tol)
-        y_bounds = partial_entry_bounds(swept, pos_y, tol)
-        dense_swept = swept.to_dense(0.0)
-        dense_fixed = fixed.to_dense(0.0)
-
-        def cell(x, y):
-            m = filled(dense_swept, [(pos_x, x), (pos_y, y)])
-            if not is_pd(m, tol):
-                return None
-            return (dense_fixed, m) if swap else (m, dense_fixed)
-
-    xs = np.linspace(*_shrunk_axis(x_bounds), grid)
-    ys = np.linspace(*_shrunk_axis(y_bounds), grid)
-    n = pa.n
+    (kx, pos_x), (ky, pos_y) = slots
+    xs = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[kx], pos_x, tol)), grid)
+    ys = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[ky], pos_y, tol)), grid)
+    # cells[k, c] is input k filled for cell c of the current row
+    cells = np.repeat(np.stack([pm.to_dense(0.0) for pm in pms])[:, None], grid, axis=1)
     rows = []
     for x in xs:
-        for y in ys:
-            pair = cell(float(x), float(y))
-            if pair is None:
-                rows.append((float(x), float(y)) + (float("nan"),) * (n + 1))
-                continue
-            m = geomean(pair[0], pair[1], t)
-            eigs = np.linalg.eigvalsh(m)[::-1]
-            rows.append((float(x), float(y), det(m)) + tuple(float(e) for e in eigs))
+        for k, (i, j), value in ((kx, pos_x, x), (ky, pos_y, ys)):
+            cells[k, :, i - 1, j - 1] = cells[k, :, j - 1, i - 1] = value
+        ok = is_pd(cells, tol).all(axis=0)
+        m = geomean(cells[0, ok], cells[1, ok], t, tol)
+        table = np.full((grid, pa.n + 3), np.nan)
+        table[:, 0] = x
+        table[:, 1] = ys
+        table[ok, 2] = np.linalg.det(m)
+        table[ok, 3:] = np.linalg.eigvalsh(m)[:, ::-1]
+        rows.extend(map(tuple, table.tolist()))
     return rows
 
 

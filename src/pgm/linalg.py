@@ -6,7 +6,8 @@ trace metric on the cone of symmetric positive definite matrices.
 
 All functions take and return plain ``numpy`` arrays.  Outputs of spectral
 functions are explicitly re-symmetrized so that downstream symmetry checks
-can be exact.
+can be exact.  Spectral functions and PD tests also take stacks
+``(..., n, n)``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ DEFAULT_TOL = 1e-10
 
 
 def sym(a):
-    """Symmetric part ``(a + a.T) / 2``."""
-    return 0.5 * (a + a.T)
+    """Symmetric part ``(a + a^T) / 2`` of a matrix or a stack of matrices."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def as_sym_matrix(a, symmetrize=False):
@@ -34,7 +35,7 @@ def as_sym_matrix(a, symmetrize=False):
     Parameters
     ----------
     a : array_like, shape (n, n)
-        Square matrix with real entries.
+        Square matrix with finite real entries.
     symmetrize : bool
         If True, asymmetric input is averaged with its transpose instead
         of being rejected.
@@ -46,6 +47,8 @@ def as_sym_matrix(a, symmetrize=False):
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
     if symmetrize:
         return sym(m)
     if not np.array_equal(m, m.T):
@@ -72,34 +75,58 @@ def eig(a):
     order.  Raises :class:`InternalNumerics` in the (practically
     unreachable) event that the symmetric eigensolver fails to converge.
     """
-    m = np.asarray(a, dtype=float)
-    try:
-        w, q = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise InternalNumerics(f"symmetric eigensolver failed: {exc}") from exc
+    w, q = _eigh(a)
     return EigenDecomp(values=w[::-1].copy(), vectors=q[:, ::-1].copy())
 
 
-def _spectrum(a):
-    """Ascending eigenvalues of a symmetric matrix."""
+def _eigh(a, vectors=True):
+    """Ascending eigenvalues (and eigenvectors) of a symmetric matrix or
+    a stack ``(..., n, n)``; a solver failure raises InternalNumerics."""
+    m = np.asarray(a, dtype=float)
     try:
-        return np.linalg.eigvalsh(np.asarray(a, dtype=float))
+        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise InternalNumerics(f"symmetric eigensolver failed: {exc}") from exc
 
 
+def _definite(w, tol, semi=False):
+    """The PD (or, if ``semi``, PSD) test per ascending spectrum in ``w``."""
+    scale = np.abs(w).max(axis=-1, initial=1.0)
+    lam_min = w[..., 0]
+    return lam_min >= -tol * scale if semi else lam_min > tol * scale
+
+
+def _require(w, domain, tol):
+    """Spectra ``w`` checked against ``domain`` ("pd" or "psd").
+
+    Raises :class:`NotPositiveDefinite` naming the smallest failing
+    lambda_min; PSD spectra come back with round-off negatives clipped.
+    """
+    if domain not in ("pd", "psd"):
+        raise ValueError(f"unknown domain {domain!r}")
+    ok = _definite(w, tol, semi=domain == "psd")
+    if not ok.all():
+        kind = "definite" if domain == "pd" else "semidefinite"
+        lam_min = float(w[..., 0][~ok].min())
+        raise NotPositiveDefinite(f"matrix is not positive {kind} (lambda_min = {lam_min:.3e})")
+    return w if domain == "pd" else np.clip(w, 0.0, None)
+
+
+def _from_spectrum(w, q):
+    """``Q diag(w) Q^T`` re-symmetrized, for one matrix or a stack."""
+    return sym((q * w[..., None, :]) @ q.swapaxes(-1, -2))
+
+
 def is_pd(a, tol=DEFAULT_TOL):
-    """True iff lambda_min(a) > tol * max(1, ||a||)."""
-    w = _spectrum(a)
-    scale = max(1.0, float(np.abs(w).max()))
-    return bool(w[0] > tol * scale)
+    """True iff lambda_min(a) > tol * max(1, ||a||); per matrix on a stack."""
+    ok = _definite(_eigh(a, vectors=False), tol)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def is_psd(a, tol=DEFAULT_TOL):
-    """True iff lambda_min(a) >= -tol * max(1, ||a||)."""
-    w = _spectrum(a)
-    scale = max(1.0, float(np.abs(w).max()))
-    return bool(w[0] >= -tol * scale)
+    """True iff lambda_min(a) >= -tol * max(1, ||a||); per matrix on a stack."""
+    ok = _definite(_eigh(a, vectors=False), tol, semi=True)
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def mat_fn(a, f, domain=None, tol=DEFAULT_TOL):
@@ -107,41 +134,26 @@ def mat_fn(a, f, domain=None, tol=DEFAULT_TOL):
 
     Parameters
     ----------
-    a : array_like, symmetric.
+    a : array_like, symmetric, shape (n, n) or a stack (..., n, n).
     f : callable
         Vectorized scalar function applied to the eigenvalues.
     domain : {None, "pd", "psd"}
         Spectrum requirement.  ``"pd"`` demands strictly positive
         eigenvalues (log, inverse, negative powers); ``"psd"`` allows a
         zero boundary and clips round-off negatives (square root,
-        nonnegative powers); ``None`` imposes nothing (exp).
+        nonnegative powers); ``None`` imposes nothing (exp).  On a stack
+        every matrix must meet it.
     tol : float
         Relative tolerance of the spectrum check.
 
     Returns
     -------
-    ndarray, ``Q f(L) Q^T`` re-symmetrized.
+    ndarray, ``Q f(L) Q^T`` re-symmetrized, of the shape of ``a``.
     """
-    try:
-        w, q = np.linalg.eigh(np.asarray(a, dtype=float))
-    except np.linalg.LinAlgError as exc:
-        raise InternalNumerics(f"symmetric eigensolver failed: {exc}") from exc
+    w, q = _eigh(a)
     if domain is not None:
-        scale = max(1.0, float(np.abs(w).max()))
-        if domain == "pd":
-            if w[0] <= tol * scale:
-                raise NotPositiveDefinite(
-                    f"matrix is not positive definite (lambda_min = {w[0]:.3e})"
-                )
-        elif domain == "psd":
-            if w[0] < -tol * scale:
-                raise NotPositiveDefinite(
-                    f"matrix is not positive semidefinite (lambda_min = {w[0]:.3e})"
-                )
-            w = np.clip(w, 0.0, None)
-        else:
-            raise ValueError(f"unknown domain {domain!r}")
-    return sym((q * f(w)) @ q.T)
+        w = _require(w, domain, tol)
+    return _from_spectrum(f(w), q)
 
 
 def sqrtm(a, tol=DEFAULT_TOL):
@@ -182,12 +194,7 @@ def det(a):
 
 def log_det(a, tol=DEFAULT_TOL):
     """Sum of eigenvalue logs of a positive definite matrix."""
-    w = _spectrum(a)
-    scale = max(1.0, float(np.abs(w).max()))
-    if w[0] <= tol * scale:
-        raise NotPositiveDefinite(
-            f"log_det requires a positive definite matrix (lambda_min = {w[0]:.3e})"
-        )
+    w = _require(_eigh(a, vectors=False), "pd", tol)
     return float(np.log(w).sum())
 
 
@@ -203,8 +210,7 @@ def fro_norm(a):
 
 def op_norm(a):
     """Spectral norm; for symmetric input this is max |eigenvalue|."""
-    w = _spectrum(a)
-    return float(np.abs(w).max())
+    return float(np.abs(_eigh(a, vectors=False)).max())
 
 
 def riemannian_dist(a, b, tol=DEFAULT_TOL):

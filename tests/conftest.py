@@ -3,16 +3,28 @@
 The oracles here deliberately avoid the library's own code paths: the
 chordality oracle enumerates induced cycles, the clique oracle enumerates
 subsets, and the max-det oracle uses the closed-form clique/separator
-inverse formula with a scipy spanning tree.
+inverse formula with a scipy spanning tree.  The sweep reference
+computes the table one cell at a time, against the row-batched sweep.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
-from pgm import Pattern, PartialMatrix, project
+from pgm import (
+    Pattern,
+    PartialMatrix,
+    det,
+    geomean,
+    is_pd,
+    missing_positions,
+    partial_entry_bounds,
+    project,
+)
+from pgm.cli import _shrunk_axis
 
 
 def rand_spd(rng, n, spread=1.0):
@@ -321,3 +333,57 @@ GOLDEN_MEAN_DISPLAYED = np.array(
         [0.8750, -0.0769, 1.0, 1.8750],
     ]
 )
+
+
+def sweep_region_pair():
+    """A 3x3 with both (1, 3) and (2, 3) missing, and a complete 3x3.
+
+    The swept matrix ``[[2, 1, x], [1, 2, y], [x, y, 2]]`` is PD exactly
+    where ``6 + 2xy - 2x^2 - 2y^2 > 0``, so part of the box is NaN.
+    """
+    swept = PartialMatrix(
+        pattern=Pattern.from_pairs(3, [(1, 2)]),
+        values={(1, 1): 2.0, (2, 2): 2.0, (3, 3): 2.0, (1, 2): 1.0},
+    )
+    fixed_vals = np.array([[4.0, 3.0, 0.0], [3.0, 5.0, -1.0], [0.0, -1.0, 2.0]])
+    fixed = PartialMatrix(
+        pattern=Pattern.complete(3),
+        values={(i, j): fixed_vals[i - 1, j - 1] for i in range(1, 4) for j in range(i, 4)},
+    )
+    return swept, fixed
+
+
+def sweep_n8_pair(seed=8):
+    """Two random 8x8 partial matrices, missing (2, 7) and (1, 5)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for hole in ((2, 7), (1, 5)):
+        pattern = Pattern.from_pairs(
+            8, [(i, j) for i in range(1, 9) for j in range(i + 1, 9) if (i, j) != hole]
+        )
+        out.append(project(rand_spd(rng, 8), pattern))
+    return tuple(out)
+
+
+def reference_sweep_rows(pa, pb, grid, t, tol):
+    """The sweep table computed cell by cell: fill the missing entries,
+    test both matrices with ``is_pd`` (NaN row if either fails), then
+    ``geomean``, ``det`` and ``eigvalsh`` on the one pair."""
+    pms = (pa, pb)
+    slots = [(k, pos) for k, pm in enumerate(pms) for pos in missing_positions(pm.pattern)]
+    (kx, pos_x), (ky, pos_y) = slots
+    xs = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[kx], pos_x, tol)), grid)
+    ys = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[ky], pos_y, tol)), grid)
+    rows = []
+    for x in xs:
+        for y in ys:
+            pair = [pa.to_dense(0.0), pb.to_dense(0.0)]
+            for k, (i, j), value in ((kx, pos_x, x), (ky, pos_y, y)):
+                pair[k][i - 1, j - 1] = pair[k][j - 1, i - 1] = value
+            if not (is_pd(pair[0], tol) and is_pd(pair[1], tol)):
+                rows.append((float(x), float(y)) + (math.nan,) * (pa.n + 1))
+                continue
+            m = geomean(pair[0], pair[1], t, tol)
+            eigs = np.linalg.eigvalsh(m)[::-1]
+            rows.append((float(x), float(y), det(m)) + tuple(float(e) for e in eigs))
+    return rows

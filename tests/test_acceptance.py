@@ -226,7 +226,7 @@ def test_criterion_08_karcher_mean():
         grad = sum(w * logm(sym(ris @ m @ ris)) for w, m in zip(weights, mats))
         assert fro_norm(grad) <= 1e-6
     elapsed = time.perf_counter() - started
-    assert elapsed < 60.0
+    assert elapsed < 1.0
     _report(8, "Karcher midpoint, commuting oracle, gradient certificate", started)
 
 

@@ -10,6 +10,7 @@ from pgm.cli import (
     format_partial,
     main,
     parse_partial,
+    _sweep_table,
     sweep_csv,
 )
 from pgm.errors import AsymmetricPattern, MissingDiagonal, ParseError
@@ -19,6 +20,9 @@ from conftest import (
     frustrated_four_cycle,
     rand_chordal_pattern,
     rand_partial_pd,
+    reference_sweep_rows,
+    sweep_n8_pair,
+    sweep_region_pair,
 )
 
 
@@ -216,7 +220,23 @@ class TestCommands:
         assert "entropy identities" in out
 
 
+SWEEP_PAIRS = {
+    "ex1": lambda: (ex1_partial_a(), ex1_partial_b()),
+    "region": sweep_region_pair,
+    "region_swapped": lambda: sweep_region_pair()[::-1],
+    "n8": sweep_n8_pair,
+}
+
+
 class TestSweep:
+    @pytest.mark.parametrize("case", sorted(SWEEP_PAIRS))
+    def test_matches_per_cell_reference(self, case):
+        pa, pb = SWEEP_PAIRS[case]()
+        tol = default_tol()
+        table = np.array(_sweep_table(pa, pb, 31, 0.5, tol))
+        np.testing.assert_array_equal(table, np.array(reference_sweep_rows(pa, pb, 31, 0.5, tol)))
+        assert np.isnan(table).any() == case.startswith("region")
+
     def test_csv_deterministic(self):
         a, b = ex1_partial_a(), ex1_partial_b()
         first = sweep_csv(a, b, grid=11, t=0.5, tol=default_tol())

@@ -9,6 +9,7 @@ from pgm import (
     DimensionMismatch,
     InternalNumerics,
     NotPositiveDefinite,
+    Pattern,
     as_sym_matrix,
     det,
     eig,
@@ -22,6 +23,7 @@ from pgm import (
     mat_fn,
     op_norm,
     powm,
+    project,
     riemannian_dist,
     sqrtm,
     trace,
@@ -72,6 +74,21 @@ class TestDefiniteness:
         assert not is_pd(z)
         assert is_psd(z)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-10])
+    def test_stack_matches_loop(self, tol):
+        rng = np.random.default_rng(3)
+        singles = [
+            np.array([[1.0, 2.0], [2.0, 1.0]]),
+            np.eye(2),
+            np.ones((2, 2)),
+            np.zeros((2, 2)),
+        ] + [rand_spd(rng, 2) - rand_spd(rng, 2) for _ in range(8)]
+        stack = np.array(singles).reshape(3, 4, 2, 2)
+        for test in (is_pd, is_psd):
+            loop = np.array([test(m, tol) for m in singles]).reshape(3, 4)
+            np.testing.assert_array_equal(test(stack, tol), loop)
+            assert type(test(singles[1], tol)) is bool
+
 
 class TestMatFn:
     def test_eigensolver_failure_wrapped(self):
@@ -119,6 +136,22 @@ class TestMatFn:
         rng = np.random.default_rng(seed)
         a = rand_spd(rng, 6)
         assert fro_norm(expm(logm(a)) - a) <= 1e-10 * fro_norm(a)
+
+    @pytest.mark.parametrize("f, domain", [(np.sqrt, "psd"), (np.log, "pd"), (np.exp, None)])
+    def test_stack_matches_loop(self, f, domain):
+        rng = np.random.default_rng(4)
+        stack = np.array([[rand_spd(rng, 4) for _ in range(3)] for _ in range(2)])
+        out = mat_fn(stack, f, domain)
+        assert out.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            np.testing.assert_array_equal(out[idx], mat_fn(stack[idx], f, domain))
+
+    @pytest.mark.parametrize("domain", ["pd", "psd"])
+    def test_stack_with_one_bad_member(self, domain):
+        # the indefinite member has eigenvalues 3 and -1
+        stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], 2.0 * np.eye(2)])
+        with pytest.raises(NotPositiveDefinite, match=r"lambda_min = -1\.000e\+00"):
+            mat_fn(stack, np.sqrt, domain)
 
     def test_custom_function(self):
         a = np.diag([1.0, 4.0])
@@ -190,3 +223,11 @@ class TestValidation:
     def test_as_sym_matrix_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             as_sym_matrix(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_as_sym_matrix_rejects_non_finite(self, bad):
+        # nan != nan, so a symmetry test alone calls a NaN pair asymmetric
+        m = np.array([[1.0, bad], [bad, 1.0]])
+        for call in (as_sym_matrix, lambda a: project(a, Pattern.complete(2))):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(m)
