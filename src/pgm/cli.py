@@ -202,7 +202,8 @@ def cmd_check(args):
         verdict = "not positive definite" if clique in bad else "positive definite"
         print(f"clique {{{', '.join(str(v) for v in clique)}}}: {verdict}")
     print(f"partial positive definite: {'yes' if not bad else 'no'}")
-    print(f"completable: {'yes' if chord.chordal else 'no'}")
+    note = "" if chord.chordal else "; these values may still complete, run 'pgm complete'"
+    print(f"completable: {'yes' if chord.chordal else 'no'} (verdict on the pattern{note})")
     return 0
 
 
@@ -298,13 +299,15 @@ def _shrunk_axis(bounds, margin=1e-6):
 
 
 def _sweep_table(pa, pb, grid, t, tol):
-    """Rows ``(x, y, det, eig_1..eig_n)`` over the feasibility box.
+    """Rows ``(x, y, det, eig_1..eig_n)`` over the feasibility box, x-major,
+    as one ``(grid**2, n + 3)`` array; a cell whose pair is not PD holds NaNs.
 
     Either each input carries one missing entry (x sweeps the first, y
     the second), or one input carries both and the other is complete.
-    Cells are laid out x-major.  A cell whose filled pair is not
-    positive definite holds NaNs.  Each x-row of cells is one stack, so
-    a row costs one PD check, one geomean, one det and one eigvalsh.
+    Each distinct filled matrix is PD-tested once: the input without x
+    once for the grid, the input with x once per x-row, each held as a
+    stack along y if it holds y.  An x-row then costs one geomean (a
+    stack of one broadcasts), one det and one eigvalsh.
     """
     if grid < 2:
         raise PgmError(f"grid must be at least 2, got {grid}")
@@ -323,32 +326,32 @@ def _sweep_table(pa, pb, grid, t, tol):
     (kx, pos_x), (ky, pos_y) = slots
     xs = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[kx], pos_x, tol)), grid)
     ys = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[ky], pos_y, tol)), grid)
-    # cells[k, c] is input k filled for cell c of the current row
-    cells = np.repeat(np.stack([pm.to_dense(0.0) for pm in pms])[:, None], grid, axis=1)
-    rows = []
-    for x in xs:
-        for k, (i, j), value in ((kx, pos_x, x), (ky, pos_y, ys)):
-            cells[k, :, i - 1, j - 1] = cells[k, :, j - 1, i - 1] = value
-        ok = is_pd(cells, tol).all(axis=0)
-        m = geomean(cells[0, ok], cells[1, ok], t, tol)
-        table = np.full((grid, pa.n + 3), np.nan)
-        table[:, 0] = x
-        table[:, 1] = ys
-        table[ok, 2] = np.linalg.det(m)
-        table[ok, 3:] = np.linalg.eigvalsh(m)[:, ::-1]
-        rows.extend(map(tuple, table.tolist()))
-    return rows
+    # ops[k] is input k on the current x-row: a stack along y if it holds y, else a stack of one
+    ops = [np.tile(pm.to_dense(0.0), (grid if ky == k else 1, 1, 1)) for k, pm in enumerate(pms)]
+    (i, j), (p, q) = pos_x, pos_y
+    ops[ky][:, p - 1, q - 1] = ops[ky][:, q - 1, p - 1] = ys
+    ok = [is_pd(ops[1 - kx], tol)] * 2  # the input without x is the same on every row
+    table = np.full((grid, grid, pa.n + 3), np.nan)
+    table[..., 0] = xs[:, None]
+    table[..., 1] = ys
+    for r, x in enumerate(xs):
+        ops[kx][:, i - 1, j - 1] = ops[kx][:, j - 1, i - 1] = x
+        ok[kx] = is_pd(ops[kx], tol)
+        keep = ok[0] & ok[1]
+        if keep.any():
+            m = geomean(*(op[0] if len(op) == 1 else op[keep] for op in ops), t, tol)
+            table[r, keep, 2] = np.linalg.det(m)
+            table[r, keep, 3:] = np.linalg.eigvalsh(m)[:, ::-1]
+    return table.reshape(grid * grid, -1)
 
 
 def sweep_csv(pa, pb, grid, t, tol):
-    """Deterministic CSV text for a determinant/eigenvalue sweep."""
-    rows = _sweep_table(pa, pb, grid, t, tol)
-    n = pa.n
-    header = "x,y,det," + ",".join(f"eig_{k}" for k in range(1, n + 1))
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(f"{v:.{FILE_DIGITS}g}" for v in row))
-    return "\n".join(lines) + "\n"
+    """Deterministic CSV text for a determinant/eigenvalue sweep, written by
+    one ``%`` call (``%.17g`` prints nan, inf and -0 as ``f"{v:.17g}"`` does)."""
+    table = _sweep_table(pa, pb, grid, t, tol)
+    header = "x,y,det," + ",".join(f"eig_{k}" for k in range(1, pa.n + 1)) + "\n"
+    row = ",".join([f"%.{FILE_DIGITS}g"] * table.shape[1]) + "\n"
+    return header + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def cmd_sweep(args):

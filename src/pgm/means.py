@@ -52,7 +52,9 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     geodesic midpoint.  Values of ``t`` outside [0, 1] extend the
     geodesic and are computed with a warning; the property guarantees
     hold only on [0, 1].  On stacks ``(..., n, n)`` the means are taken
-    pairwise.  One ``eigh(A)`` gives A's PD check and ``A^{+-1/2}``.
+    pairwise, with the leading dimensions broadcast (one A against a
+    stack of B, or the reverse).  One ``eigh(A)`` gives A's PD check and
+    ``A^{+-1/2}``.
     """
     if not 0.0 <= t <= 1.0:
         warnings.warn(
@@ -61,7 +63,8 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
         )
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
+    lead = zip(a.shape[-3::-1], b.shape[-3::-1])
+    if a.shape[-2:] != b.shape[-2:] or any(p != q and 1 not in (p, q) for p, q in lead):
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     w, q = _eigh(a)
     if not (_definite(w, tol).all() and _definite(_eigh(b, vectors=False), tol).all()):

@@ -9,6 +9,7 @@ three feasibility region boundary is 6 + 2xy - 2x^2 - 2y^2 (the direct
 determinant expansion).
 """
 
+import bisect
 import math
 import time
 
@@ -284,11 +285,15 @@ def test_criterion_10_sweep_surfaces():
     for (x, y), d in table.items():
         assert abs(d - table[(y, x)]) <= 1e-9
     xs = sorted({r[0] for r in rows})
+
+    def mirror(v):
+        # the grid point nearest -v: only the two neighbours of -v compete
+        k = bisect.bisect_left(xs, -v)
+        return min(xs[max(k - 1, 0) : k + 1], key=lambda u: abs(u + v))
+
     for (x, y), d in table.items():
         # the grid is symmetric under negation up to float spacing error
-        nx = min(xs, key=lambda v: abs(v + x))
-        ny = min(xs, key=lambda v: abs(v + y))
-        assert abs(d - table[(nx, ny)]) <= 1e-9
+        assert abs(d - table[(mirror(x), mirror(y))]) <= 1e-9
 
     swept = PartialMatrix(
         pattern=Pattern.from_pairs(3, [(1, 2)]),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pgm import Pattern, PartialMatrix, missing_positions
+from pgm import Pattern, PartialMatrix, linalg, means, missing_positions
 from pgm.cli import (
     default_tol,
     format_matrix,
@@ -113,7 +113,8 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert rc == 0
         assert "chordal: no (chordless cycle:" in out
-        assert "completable: no" in out
+        assert "completable: no (verdict on the pattern;" in out
+        assert "these values may still complete, run 'pgm complete'" in out
 
     def test_complete_domain_error(self, tmp_path, capsys):
         rc = main(["complete", write(tmp_path, "n.txt", format_partial(frustrated_four_cycle()))])
@@ -236,6 +237,41 @@ class TestSweep:
         table = np.array(_sweep_table(pa, pb, 31, 0.5, tol))
         np.testing.assert_array_equal(table, np.array(reference_sweep_rows(pa, pb, 31, 0.5, tol)))
         assert np.isnan(table).any() == case.startswith("region")
+
+    def test_rows_without_a_pd_cell(self):
+        # at tol = 1e-3 the first input fails the PD test on whole x-rows
+        pa, pb = ex1_partial_a(), ex1_partial_b()
+        table = _sweep_table(pa, pb, 31, 0.5, 1e-3)
+        np.testing.assert_array_equal(table, np.array(reference_sweep_rows(pa, pb, 31, 0.5, 1e-3)))
+        assert np.isnan(table[:, 2]).reshape(31, 31).all(axis=1).any()
+
+    @pytest.mark.parametrize("case", ["region", "n8"])
+    def test_csv_bytes_match_reference(self, case):
+        pa, pb = SWEEP_PAIRS[case]()
+        tol = default_tol()
+        header = "x,y,det," + ",".join(f"eig_{k}" for k in range(1, pa.n + 1))
+        rows = reference_sweep_rows(pa, pb, 31, 0.5, tol)
+        lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
+        text = sweep_csv(pa, pb, 31, 0.5, tol)
+        assert text == "\n".join([header] + lines) + "\n"
+        assert ("nan" in text) == (case == "region")
+
+    def test_eigensolve_work(self, monkeypatch):
+        # matrices decomposed: ~2 per cell (B's check and the inner power in
+        # geomean) plus a few per row; a per-cell fill of both inputs needs ~5
+        seen = []
+        real = linalg._eigh
+
+        def counting(a, vectors=True):
+            m = np.asarray(a)
+            seen.append(m.size // m.shape[-1] ** 2)
+            return real(a, vectors)
+
+        monkeypatch.setattr(linalg, "_eigh", counting)
+        monkeypatch.setattr(means, "_eigh", counting)
+        grid = 31
+        _sweep_table(ex1_partial_a(), ex1_partial_b(), grid, 0.5, default_tol())
+        assert sum(seen) <= 3 * grid**2 + 4 * grid
 
     def test_csv_deterministic(self):
         a, b = ex1_partial_a(), ex1_partial_b()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pgm import (
+    DimensionMismatch,
     NotPositiveDefinite,
     SampleSet,
     WeightVector,
@@ -90,6 +91,46 @@ class TestGeomean:
     def test_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
             geomean(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2), 0.5)
+
+    @pytest.mark.parametrize("single", ["a", "b"])
+    def test_broadcast_matches_loop(self, single):
+        rng = np.random.default_rng(3)
+        one = rand_spd(rng, 4)
+        stack = np.stack([rand_spd(rng, 4) for _ in range(5)])
+        pair = (lambda m: (one, m)) if single == "a" else (lambda m: (m, one))
+        expected = np.stack([geomean(*pair(m), 0.3) for m in stack])
+        np.testing.assert_array_equal(geomean(*pair(stack), 0.3), expected)
+
+    def test_broadcast_outer_matches_loop(self):
+        rng = np.random.default_rng(4)
+        a = np.stack([rand_spd(rng, 3) for _ in range(2)])
+        b = np.stack([rand_spd(rng, 3) for _ in range(3)])
+        expected = np.array([[geomean(x, y, 0.5) for y in b] for x in a])
+        np.testing.assert_array_equal(geomean(a[:, None], b[None], 0.5), expected)
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [
+            ((2, 4, 4), (3, 4, 4)),
+            ((4, 4), (3, 3)),
+            ((2, 3, 3), (2, 4, 4)),
+            ((5, 2, 3, 3), (4, 3, 3)),
+        ],
+    )
+    def test_broadcast_shape_mismatch(self, shape_a, shape_b):
+        a = np.broadcast_to(np.eye(shape_a[-1]), shape_a)
+        b = np.broadcast_to(np.eye(shape_b[-1]), shape_b)
+        with pytest.raises(DimensionMismatch):
+            geomean(a, b, 0.5)
+
+    @pytest.mark.parametrize("bad", ["a", "b"])
+    def test_broadcast_with_one_indefinite_member(self, bad):
+        rng = np.random.default_rng(5)
+        stack = np.stack([rand_spd(rng, 3) for _ in range(4)])
+        stack[2] = np.diag([1.0, -1.0, 2.0])
+        one = rand_spd(rng, 3)
+        with pytest.raises(NotPositiveDefinite):
+            geomean(*((stack, one) if bad == "a" else (one, stack)), 0.5)
 
 
 class TestPropertySuite:
