@@ -31,7 +31,7 @@ from .errors import (
     PgmError,
     TooManyMissing,
 )
-from .linalg import is_pd
+from .linalg import _eigh, is_pd
 from .means import (
     WeightVector,
     entropy_identities,
@@ -54,21 +54,53 @@ def default_tol():
     if raw is None or raw == "":
         return 1e-10
     try:
-        return float(raw)
+        return _tolerance(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"PGM_TOL: {exc}") from None
+
+
+def _finite(text, least=-math.inf, strict=False):
+    """``text`` as a finite float ``>= least`` (``> least`` if ``strict``): the
+    ``type`` of the numeric options, so argparse names the option on failure."""
+    try:
+        value = float(text)
     except ValueError:
-        raise ValueError(f"PGM_TOL must be a number, got {raw!r}") from None
+        value = math.nan
+    if not (math.isfinite(value) and (value > least if strict else value >= least)):
+        bound = f" {'>' if strict else '>='} {least:g}" if least > -math.inf else ""
+        raise argparse.ArgumentTypeError(f"expected a finite number{bound}, got {text!r}")
+    return value
+
+
+def _tolerance(text):
+    return _finite(text, 0.0)
+
+
+def _weights(text):
+    return [_finite(x, 0.0, strict=True) for x in text.split(",") if x.strip()]
+
+
+def _scan_row(tokens, lineno):
+    """Raise the ParseError of a row's leftmost bad or non-finite token."""
+    for col, tok in enumerate(tokens, start=1):
+        if tok == "?":
+            continue
+        try:
+            value = float(tok)
+        except ValueError:
+            raise ParseError(f"bad entry {tok!r}", line=lineno, column=col) from None
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite entry {tok!r}", line=lineno, column=col)
 
 
 def _parse_lines(lines):
-    rows = []
+    rows, linenos = [], []
     dim = None
-    header_seen = False
     for lineno, raw in lines:
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = stripped.split()
-        if not header_seen:
+        if dim is None:
             if len(tokens) != 2 or tokens[0] != "n":
                 raise ParseError("expected header line 'n <dim>'", line=lineno)
             try:
@@ -77,7 +109,6 @@ def _parse_lines(lines):
                 raise ParseError(f"bad dimension {tokens[1]!r}", line=lineno, column=2) from None
             if dim < 1:
                 raise ParseError(f"dimension must be >= 1, got {dim}", line=lineno)
-            header_seen = True
             continue
         if len(rows) == dim:
             raise ParseError(f"more than {dim} matrix rows", line=lineno)
@@ -86,24 +117,40 @@ def _parse_lines(lines):
                 f"expected {dim} entries in row {len(rows) + 1}, got {len(tokens)}",
                 line=lineno,
             )
-        row = []
-        for col, tok in enumerate(tokens, start=1):
-            if tok == "?":
-                row.append(None)
+        # {column: value}, 0-based; only a row whose sum is not finite is scanned
+        try:
+            if "?" in tokens:
+                row = {col: float(tok) for col, tok in enumerate(tokens) if tok != "?"}
             else:
-                try:
-                    value = float(tok)
-                except ValueError:
-                    raise ParseError(f"bad entry {tok!r}", line=lineno, column=col) from None
-                if not math.isfinite(value):
-                    raise ParseError(f"non-finite entry {tok!r}", line=lineno, column=col)
-                row.append(value)
-        rows.append((lineno, row))
-    if not header_seen:
+                row = dict(enumerate(map(float, tokens)))
+            finite = math.isfinite(sum(row.values()))
+        except ValueError:
+            finite = False
+        if not finite:
+            _scan_row(tokens, lineno)
+        rows.append(row)
+        linenos.append(lineno)
+    if dim is None:
         raise ParseError("empty input: missing 'n <dim>' header")
     if len(rows) != dim:
         raise ParseError(f"expected {dim} matrix rows, found {len(rows)}")
-    return dim, rows
+    return dim, rows, linenos
+
+
+def _raise_first_fault(rows, linenos):
+    """Raise the error of the first position ``(i, j)``, ``i <= j``, row-major,
+    given on one side only, a missing diagonal, or unequal to its mirror."""
+    for i, (line, row) in enumerate(zip(linenos, rows), start=1):
+        for j in range(i, len(rows) + 1):
+            here, mirror = row.get(j - 1), rows[j - 1].get(i - 1)
+            if (here is None) != (mirror is None):
+                message = f"entry ({i}, {j}) is specified on one side of the diagonal only"
+                raise AsymmetricPattern(message, line=line, column=j)
+            if here is None and i == j:
+                raise MissingDiagonal(f"diagonal entry ({i}, {i}) is missing", line=line, column=j)
+            if here != mirror:
+                message = f"entries ({i}, {j}) and ({j}, {i}) disagree"
+                raise AsymmetricPattern(message, line=line, column=j)
 
 
 def parse_partial(path):
@@ -111,56 +158,25 @@ def parse_partial(path):
 
     Rejects asymmetric specification (an entry given on one side of the
     diagonal but missing or different on the other) and missing diagonal
-    entries.
+    entries, with a count and a mirror lookup per given entry; only a file
+    that fails them is scanned position by position for its first fault.
     """
     with open(path, encoding="utf-8") as handle:
-        dim, rows = _parse_lines(enumerate(handle, start=1))
-    values = {}
-    pairs = []
-    for i in range(dim):
-        lineno, row = rows[i]
-        for j in range(i, dim):
-            here = row[j]
-            mirror = rows[j][1][i]
-            if (here is None) != (mirror is None):
-                raise AsymmetricPattern(
-                    f"entry ({i + 1}, {j + 1}) is specified on one side of the "
-                    "diagonal only",
-                    line=lineno,
-                    column=j + 1,
-                )
-            if here is None:
-                if i == j:
-                    raise MissingDiagonal(
-                        f"diagonal entry ({i + 1}, {i + 1}) is missing",
-                        line=lineno,
-                        column=j + 1,
-                    )
-                continue
-            if here != mirror:
-                raise AsymmetricPattern(
-                    f"entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) disagree",
-                    line=lineno,
-                    column=j + 1,
-                )
-            values[(i + 1, j + 1)] = here
-            if i != j:
-                pairs.append((i + 1, j + 1))
-    pattern = Pattern.from_pairs(dim, pairs)
-    return PartialMatrix(pattern=pattern, values=values)
+        dim, rows, linenos = _parse_lines(enumerate(handle, start=1))
+    values = {(i + 1, j + 1): v for i, row in enumerate(rows) for j, v in row.items() if j >= i}
+    if sum(map(len, rows)) != 2 * len(values) - dim or any(
+        rows[j - 1].get(i - 1) != v for (i, j), v in values.items()
+    ):
+        _raise_first_fault(rows, linenos)
+    return PartialMatrix(pattern=Pattern(n=dim, edges=frozenset(values)), values=values)
 
 
 def format_partial(pm, digits=FILE_DIGITS):
     """Render a partial matrix in the text format (``?`` for missing)."""
     lines = [f"n {pm.n}"]
     for i in range(1, pm.n + 1):
-        tokens = []
-        for j in range(1, pm.n + 1):
-            if pm.pattern.has_edge(i, j):
-                tokens.append(f"{pm.entry(i, j):.{digits}g}")
-            else:
-                tokens.append("?")
-        lines.append(" ".join(tokens))
+        row = (pm.values.get((min(i, j), max(i, j))) for j in range(1, pm.n + 1))
+        lines.append(" ".join("?" if v is None else f"{v:.{digits}g}" for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -189,8 +205,8 @@ def cmd_check(args):
     pm = parse_partial(args.file)
     tol = args.tol
     chord = is_chordal(pm.pattern)
-    missing = missing_positions(pm.pattern)
-    print(f"pattern: {pm.n} vertices, {len(missing)} missing entries")
+    missing = pm.n * (pm.n + 1) // 2 - len(pm.pattern.edges)
+    print(f"pattern: {pm.n} vertices, {missing} missing entries")
     if chord.chordal:
         order = " ".join(str(v) for v in chord.elimination_order)
         print(f"chordal: yes (elimination order: {order})")
@@ -243,13 +259,10 @@ def cmd_geomean(args):
 
 
 def cmd_karcher(args):
-    raw = [float(x) for x in args.weights.split(",") if x.strip() != ""]
-    if len(raw) != len(args.files):
-        raise PgmError(f"{len(raw)} weights given for {len(args.files)} files")
-    total = sum(raw)
-    if total <= 0:
-        raise PgmError("weights must be positive")
-    weights = WeightVector(weights=tuple(x / total for x in raw))
+    if len(args.weights) != len(args.files):
+        raise PgmError(f"{len(args.weights)} weights given for {len(args.files)} files")
+    total = sum(args.weights)
+    weights = WeightVector(weights=tuple(x / total for x in args.weights))
     mats = []
     for path in args.files:
         pm = parse_partial(path)
@@ -341,7 +354,7 @@ def _sweep_table(pa, pb, grid, t, tol):
         if keep.any():
             m = geomean(*(op[0] if len(op) == 1 else op[keep] for op in ops), t, tol)
             table[r, keep, 2] = np.linalg.det(m)
-            table[r, keep, 3:] = np.linalg.eigvalsh(m)[:, ::-1]
+            table[r, keep, 3:] = _eigh(m, vectors=False)[:, ::-1]
     return table.reshape(grid * grid, -1)
 
 
@@ -374,12 +387,12 @@ def build_parser():
 
     p = sub.add_parser("check", help="chordality, partial PD, and completability report")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=tol, help="PD tolerance")
+    p.add_argument("--tol", type=_tolerance, default=tol, help="PD tolerance")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("complete", help="maximum-determinant completion")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=tol, help="convergence tolerance")
+    p.add_argument("--tol", type=_tolerance, default=tol, help="convergence tolerance")
     p.add_argument("--max-cycles", type=int, default=500)
     p.add_argument("--out", help="write the completion to a file")
     p.set_defaults(func=cmd_complete)
@@ -387,26 +400,28 @@ def build_parser():
     p = sub.add_parser("geomean", help="weighted geometric mean of max-det completions")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--t", type=float, default=0.5)
+    p.add_argument("--t", type=_finite, default=0.5)
     p.add_argument("--out", help="write the mean to a file")
     p.set_defaults(func=cmd_geomean)
 
     p = sub.add_parser("karcher", help="weighted Karcher mean of completions")
-    p.add_argument("--weights", required=True, help="comma-separated, normalized to sum 1")
+    p.add_argument(
+        "--weights", type=_weights, required=True, help="comma-separated, normalized to sum 1"
+    )
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_karcher)
 
     p = sub.add_parser("entropy", help="Gaussian entropy of completions")
     p.add_argument("files", nargs="+")
-    p.add_argument("--t", type=float, default=0.5)
+    p.add_argument("--t", type=_finite, default=0.5)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("sweep", help="determinant/eigenvalue sweep over missing entries")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--grid", type=int, default=101, help="points per axis")
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=tol, help="PD tolerance")
+    p.add_argument("--t", type=_finite, default=0.5)
+    p.add_argument("--tol", type=_tolerance, default=tol, help="PD tolerance")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(func=cmd_sweep)
 
@@ -422,10 +437,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PgmError as exc:

@@ -50,7 +50,6 @@ from .linalg import DEFAULT_TOL, det, is_pd, op_norm, sym
 from .partial import restrict
 from .pattern import (
     Pattern,
-    _clique_sequence,
     connected_components,
     maximal_cliques,
     missing_positions,
@@ -169,7 +168,7 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500, pd_tol=DEFAULT_TOL):
     pd_tol : float
         Tolerance of the positive definiteness tests.
     """
-    cliques = [list(c) for c in _clique_sequence(pm.pattern)]
+    cliques = [list(c) for c in pm.pattern._clique_sequence]
     a = pm.to_dense(np.nan)
     spec = np.isfinite(a)
     a[~spec] = 0.0

@@ -91,29 +91,36 @@ def agrees(m, pm, tol=1e-8):
     )
 
 
-def _clique_blocks(pm):
+def _clique_tests(pm, test, tol):
+    """Maximal cliques and the ``test`` verdict on each one's principal
+    submatrix, with one stacked ``test`` call per clique size."""
+    cliques = maximal_cliques(pm.pattern)
     dense = pm.to_dense()
-    for clique in maximal_cliques(pm.pattern):
-        idx = [v - 1 for v in clique]
-        yield clique, dense[np.ix_(idx, idx)]
+    sizes = np.array([len(c) for c in cliques])
+    ok = np.empty(len(cliques), dtype=bool)
+    for size in np.unique(sizes):
+        idx = np.array([c for c in cliques if len(c) == size]) - 1
+        ok[sizes == size] = test(dense[idx[:, :, None], idx[:, None, :]], tol)
+    return cliques, ok
 
 
 def is_partial_pd(pm, tol=DEFAULT_TOL):
     """True iff every maximal-clique principal submatrix is positive
     definite.  Checking maximal cliques suffices because cliques nest."""
-    return all(is_pd(block, tol) for _, block in _clique_blocks(pm))
+    return bool(_clique_tests(pm, is_pd, tol)[1].all())
 
 
 def is_partial_psd(pm, tol=DEFAULT_TOL):
     """True iff every maximal-clique principal submatrix is positive
     semidefinite."""
-    return all(is_psd(block, tol) for _, block in _clique_blocks(pm))
+    return bool(_clique_tests(pm, is_psd, tol)[1].all())
 
 
 def offending_cliques(pm, tol=DEFAULT_TOL):
     """Maximal cliques whose principal submatrix fails to be positive
     definite (diagnostic companion to :func:`is_partial_pd`)."""
-    return [clique for clique, block in _clique_blocks(pm) if not is_pd(block, tol)]
+    cliques, ok = _clique_tests(pm, is_pd, tol)
+    return [clique for clique, good in zip(cliques, ok) if not good]
 
 
 def _require_same_pattern(a, b):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,37 @@ class Pattern:
     @property
     def is_complete(self):
         return len(self.edges) == self.n * (self.n + 1) // 2
+
+    @cached_property
+    def _mcs(self):
+        """0-based adjacency sets, MCS order and its PEO verdict, once per pattern."""
+        adj = _adjacency(self)
+        order = _mcs_order(adj, self.n)
+        return adj, order, _is_peo(adj, order)
+
+    @cached_property
+    def _clique_sequence(self):
+        """Maximal cliques from the one maximum-cardinality search.
+
+        Each clique is a sorted tuple of 0-based vertices.  For a chordal
+        pattern the cliques come in MCS visit order, which is a perfect
+        sequence: each clique meets the union of the ones before it inside
+        a single earlier clique.  Visiting ``v`` with its already-visited
+        neighbors gives a candidate clique, and a candidate is maximal
+        exactly when the next vertex has no more visited neighbors than
+        ``v`` (Blair and Peyton).  Non-chordal patterns fall back to
+        Bron-Kerbosch with pivoting.
+        """
+        adj, order, chordal = self._mcs
+        if not chordal:
+            return tuple(_bron_kerbosch(adj, self.n))
+        pos = {v: k for k, v in enumerate(order)}
+        candidates = [(v, *(u for u in adj[v] if pos[u] > pos[v])) for v in reversed(order)]
+        return tuple(
+            tuple(sorted(c))
+            for c, after in zip(candidates, candidates[1:] + [()])
+            if len(after) <= len(c)
+        )
 
 
 def missing_positions(g):
@@ -185,9 +217,8 @@ def is_chordal(g):
     when the graph is chordal.  On failure a chordless cycle of length
     >= 4 is extracted as counter-witness.
     """
-    adj = _adjacency(g)
-    order = _mcs_order(adj, g.n)
-    if _is_peo(adj, order):
+    adj, order, chordal = g._mcs
+    if chordal:
         return ChordalityResult(
             chordal=True,
             elimination_order=tuple(v + 1 for v in order),
@@ -226,34 +257,9 @@ def _bron_kerbosch(adj, n):
     return cliques
 
 
-def _clique_sequence(g):
-    """Maximal cliques of ``g`` from one maximum-cardinality search.
-
-    Each clique is a sorted tuple of 0-based vertices.  For a chordal
-    pattern the cliques come in MCS visit order, which is a perfect
-    sequence: each clique meets the union of the ones before it inside a
-    single earlier clique.  Visiting ``v`` with its already-visited
-    neighbors gives a candidate clique, and a candidate is maximal
-    exactly when the next vertex has no more visited neighbors than ``v``
-    (Blair and Peyton).  Non-chordal patterns fall back to Bron-Kerbosch
-    with pivoting.
-    """
-    adj = _adjacency(g)
-    order = _mcs_order(adj, g.n)
-    if not _is_peo(adj, order):
-        return _bron_kerbosch(adj, g.n)
-    pos = {v: k for k, v in enumerate(order)}
-    candidates = [(v, *(u for u in adj[v] if pos[u] > pos[v])) for v in reversed(order)]
-    return [
-        tuple(sorted(c))
-        for c, after in zip(candidates, candidates[1:] + [()])
-        if len(after) <= len(c)
-    ]
-
-
 def maximal_cliques(g):
     """All maximal cliques, each sorted, listed lexicographically."""
-    return sorted(tuple(v + 1 for v in c) for c in _clique_sequence(g))
+    return sorted(tuple(v + 1 for v in c) for c in g._clique_sequence)
 
 
 def connected_components(g):

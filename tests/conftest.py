@@ -4,7 +4,13 @@ The oracles here deliberately avoid the library's own code paths: the
 chordality oracle enumerates induced cycles, the clique oracle enumerates
 subsets, and the max-det oracle uses the closed-form clique/separator
 inverse formula with a scipy spanning tree.  The sweep reference
-computes the table one cell at a time, against the row-batched sweep.
+computes the table one cell at a time, against the row-batched sweep,
+and the reference parser checks every cell of a file, against the
+parser that looks at the given entries only.
+
+Property tests run under the ``pgm`` hypothesis profile: derandomized,
+so every run draws the same examples, with no deadline and a bounded
+example count.
 """
 
 import math
@@ -13,6 +19,14 @@ from itertools import combinations
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
+
+try:
+    from hypothesis import settings
+except ImportError:  # only the property tests need it
+    pass
+else:
+    settings.register_profile("pgm", derandomize=True, deadline=None, max_examples=60)
+    settings.load_profile("pgm")
 
 from pgm import (
     Pattern,
@@ -25,6 +39,7 @@ from pgm import (
     project,
 )
 from pgm.cli import _shrunk_axis
+from pgm.errors import AsymmetricPattern, MissingDiagonal, ParseError
 
 
 def rand_spd(rng, n, spread=1.0):
@@ -387,3 +402,81 @@ def reference_sweep_rows(pa, pb, grid, t, tol):
             eigs = np.linalg.eigvalsh(m)[::-1]
             rows.append((float(x), float(y), det(m)) + tuple(float(e) for e in eigs))
     return rows
+
+
+# --- reference parser ----------------------------------------------------
+
+def reference_parse(path):
+    """Parse a partial-matrix file one cell at a time.
+
+    Each token is converted and checked in row order (the leftmost bad
+    or non-finite token of the first faulty row raises), then every
+    upper position ``(i, j)``, ``i <= j``, is compared with its mirror
+    in row-major order.  Raises the same errors, with the same messages,
+    lines and columns, as :func:`pgm.cli.parse_partial`.
+    """
+    rows = []
+    dim = None
+    with open(path, encoding="utf-8") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            stripped = raw.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            tokens = stripped.split()
+            if dim is None:
+                if len(tokens) != 2 or tokens[0] != "n":
+                    raise ParseError("expected header line 'n <dim>'", line=lineno)
+                try:
+                    dim = int(tokens[1])
+                except ValueError:
+                    message = f"bad dimension {tokens[1]!r}"
+                    raise ParseError(message, line=lineno, column=2) from None
+                if dim < 1:
+                    raise ParseError(f"dimension must be >= 1, got {dim}", line=lineno)
+                continue
+            if len(rows) == dim:
+                raise ParseError(f"more than {dim} matrix rows", line=lineno)
+            if len(tokens) != dim:
+                raise ParseError(
+                    f"expected {dim} entries in row {len(rows) + 1}, got {len(tokens)}",
+                    line=lineno,
+                )
+            row = []
+            for col, tok in enumerate(tokens, start=1):
+                if tok == "?":
+                    row.append(None)
+                    continue
+                try:
+                    value = float(tok)
+                except ValueError:
+                    raise ParseError(f"bad entry {tok!r}", line=lineno, column=col) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"non-finite entry {tok!r}", line=lineno, column=col)
+                row.append(value)
+            rows.append((lineno, row))
+    if dim is None:
+        raise ParseError("empty input: missing 'n <dim>' header")
+    if len(rows) != dim:
+        raise ParseError(f"expected {dim} matrix rows, found {len(rows)}")
+    values = {}
+    for i in range(dim):
+        lineno, row = rows[i]
+        for j in range(i, dim):
+            here, mirror = row[j], rows[j][1][i]
+            where = {"line": lineno, "column": j + 1}
+            if (here is None) != (mirror is None):
+                raise AsymmetricPattern(
+                    f"entry ({i + 1}, {j + 1}) is specified on one side of the diagonal only",
+                    **where,
+                )
+            if here is None:
+                if i == j:
+                    raise MissingDiagonal(f"diagonal entry ({i + 1}, {i + 1}) is missing", **where)
+                continue
+            if here != mirror:
+                raise AsymmetricPattern(
+                    f"entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) disagree", **where
+                )
+            values[(i + 1, j + 1)] = here
+    pairs = [(i, j) for i, j in values if i != j]
+    return PartialMatrix(pattern=Pattern.from_pairs(dim, pairs), values=values)

@@ -1,9 +1,11 @@
 """CLI: file format, subcommands, exit codes, CSV determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
-from pgm import Pattern, PartialMatrix, linalg, means, missing_positions
+from pgm import Pattern, PartialMatrix, linalg, maximal_cliques, means, missing_positions, pattern
 from pgm.cli import (
     default_tol,
     format_matrix,
@@ -13,7 +15,7 @@ from pgm.cli import (
     _sweep_table,
     sweep_csv,
 )
-from pgm.errors import AsymmetricPattern, MissingDiagonal, ParseError
+from pgm.errors import AsymmetricPattern, InternalNumerics, MissingDiagonal, ParseError
 from conftest import (
     ex1_partial_a,
     ex1_partial_b,
@@ -362,3 +364,104 @@ class TestTolEnv:
         monkeypatch.setenv("PGM_TOL", "abc")
         rc = main(["check", write(tmp_path, "a.txt", EX1_A_TEXT)])
         assert rc == 2
+
+
+class TestOptionValidation:
+    """Malformed numeric options exit 2 with the option and the token named."""
+
+    @pytest.mark.parametrize(
+        "command, option, token, bad",
+        [
+            ("karcher", "--weights", "0.5,abc", "abc"),
+            ("karcher", "--weights", "0.7,-0.2", "-0.2"),
+            ("karcher", "--weights", "nan,0.5", "nan"),
+            ("geomean", "--t", "nan", "nan"),
+            ("sweep", "--t", "nan", "nan"),
+            ("check", "--tol", "nan", "nan"),
+        ],
+    )
+    def test_rejected_with_exit_two(self, tmp_path, capsys, command, option, token, bad):
+        a = write(tmp_path, "a.txt", EX1_A_TEXT)
+        b = write(tmp_path, "b.txt", EX1_B_TEXT)
+        argv = {
+            "karcher": ["karcher", option, token, a, b],
+            "geomean": ["geomean", a, b, option, token],
+            "sweep": ["sweep", a, b, option, token, "--out", str(tmp_path / "o.csv")],
+            "check": ["check", a, option, token],
+        }[command]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert f"argument {option}: expected a finite number" in message
+        assert f"got {bad!r}" in message
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_tol_env_nan_exits_two(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("PGM_TOL", "nan")
+        rc = main(["check", write(tmp_path, "a.txt", EX1_A_TEXT)])
+        assert rc == 2
+        assert "PGM_TOL: expected a finite number >= 0, got 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, token", [("--tol", "0"), ("--tol", "1e-3"), ("--t", "0.25")])
+    def test_accepted(self, tmp_path, capsys, option, token):
+        a = write(tmp_path, "a.txt", EX1_A_TEXT)
+        b = write(tmp_path, "b.txt", EX1_B_TEXT)
+        argv = ["check", a] if option == "--tol" else ["geomean", a, b]
+        assert main(argv + [option, token]) == 0
+
+    @pytest.mark.filterwarnings("ignore")
+    def test_sweep_eigensolver_failure_wrapped(self):
+        # a NaN geodesic parameter makes the eigensolver fail on the means
+        with pytest.raises(InternalNumerics, match="symmetric eigensolver failed"):
+            _sweep_table(ex1_partial_a(), ex1_partial_b(), 5, math.nan, default_tol())
+
+
+def _banded(n, width):
+    return Pattern.from_pairs(
+        n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, min(n, i + width) + 1)]
+    )
+
+
+def _grid(side):
+    pairs = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c + 1
+            if c + 1 < side:
+                pairs.append((v, v + 1))
+            if r + 1 < side:
+                pairs.append((v, v + side))
+    return Pattern.from_pairs(side * side, pairs)
+
+
+class TestCheckWork:
+    """``check`` runs one clique analysis and one PD test per clique size."""
+
+    @pytest.mark.parametrize("case", ["band2", "grid"])
+    def test_one_search_and_one_eigensolve_per_size(self, tmp_path, monkeypatch, capsys, case):
+        g = _banded(400, 2) if case == "band2" else _grid(20)
+        rng = np.random.default_rng(5)
+        values = {
+            (i, j): 4.0 if i == j else float(rng.uniform(-0.5, 0.5)) for i, j in g.edges
+        }
+        path = write(tmp_path, "w.txt", format_partial(PartialMatrix(pattern=g, values=values)))
+        sizes = {len(c) for c in maximal_cliques(g)}
+        calls = {"mcs": 0, "eigh": 0}
+        real_mcs, real_eigh = pattern._mcs_order, linalg._eigh
+
+        def mcs(*args):
+            calls["mcs"] += 1
+            return real_mcs(*args)
+
+        def eigh(*args, **kwargs):
+            calls["eigh"] += 1
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(pattern, "_mcs_order", mcs)
+        monkeypatch.setattr(linalg, "_eigh", eigh)
+        assert main(["check", path]) == 0
+        out = capsys.readouterr().out
+        assert "partial positive definite: yes" in out
+        assert calls["mcs"] <= 1
+        assert calls["eigh"] <= len(sizes)

@@ -15,7 +15,10 @@ from pgm import (
     geomean,
     is_partial_pd,
     is_partial_psd,
+    is_pd,
+    is_psd,
     max_det_completion,
+    maximal_cliques,
     missing_positions,
     offending_cliques,
     partial_order,
@@ -61,6 +64,38 @@ class TestPartialDefiniteness:
         )
         assert offending_cliques(pm) == [(1, 2)]
         assert not is_partial_pd(pm)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("tol", [1e-10, 0.05])
+    def test_stacked_tests_match_per_clique_loop(self, seed, tol):
+        # mixed clique sizes, some blocks indefinite and some singular; the
+        # stacked tests (one call per clique size) must give the verdicts of
+        # one is_pd / is_psd call per clique, in the same clique order
+        rng = np.random.default_rng([17, seed])
+        n = int(rng.integers(8, 30))
+        if seed % 2:
+            g = rand_chordal_pattern(rng, n, fill=0.8)
+        else:
+            upper = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+            g = Pattern.from_pairs(n, [e for e in upper if rng.random() < 0.3])
+        m = rand_spd(rng, n) + rng.normal(scale=0.25, size=(n, n))
+        m = 0.5 * (m + m.T)
+        i, j = sorted(next(e for e in g.edges if e[0] != e[1]))
+        m[i - 1, j - 1] = m[j - 1, i - 1] = np.sqrt(m[i - 1, i - 1] * m[j - 1, j - 1])
+        pm = project(m, g)
+        cliques = maximal_cliques(g)
+        dense = pm.to_dense()
+        blocks = [dense[np.ix_([v - 1 for v in c], [v - 1 for v in c])] for c in cliques]
+        bad = [c for c, b in zip(cliques, blocks) if not is_pd(b, tol)]
+        assert len({len(c) for c in cliques}) > 1
+        assert 0 < len(bad) < len(cliques)
+        assert offending_cliques(pm, tol) == bad
+        assert is_partial_pd(pm, tol) is False
+        assert is_partial_psd(pm, tol) is all(is_psd(b, tol) for b in blocks)
+        good = project(rand_spd(rng, n), g)
+        assert offending_cliques(good, tol) == []
+        assert is_partial_pd(good, tol) is True
+        assert is_partial_psd(good, tol) is True
 
 
 class TestAlgebra:
