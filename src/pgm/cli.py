@@ -40,8 +40,8 @@ from .means import (
     karcher_mean,
     partial_geomean_maxdet,
 )
-from .partial import PartialMatrix, is_partial_pd, offending_cliques
-from .pattern import Pattern, is_chordal, maximal_cliques, missing_positions
+from .partial import PartialMatrix, clique_verdicts, is_partial_pd
+from .pattern import Pattern, is_chordal, missing_positions
 
 #: File precision: enough digits to round-trip any float64 exactly.
 FILE_DIGITS = 17
@@ -77,7 +77,16 @@ def _tolerance(text):
 
 
 def _weights(text):
-    return [_finite(x, 0.0, strict=True) for x in text.split(",") if x.strip()]
+    """Positive weights normalized to sum 1.  They are first scaled by the
+    power of two at the largest, which is exact and keeps the sum finite."""
+    raw = [_finite(x, 0.0, strict=True) for x in text.split(",") if x.strip()]
+    top = math.frexp(max(raw, default=1.0))[1]
+    scaled = [math.ldexp(x, -top) for x in raw]
+    total = sum(scaled)
+    weights = [x / total for x in scaled]
+    if not all(weights):
+        raise argparse.ArgumentTypeError(f"a weight underflows to 0 beside the largest: {text!r}")
+    return weights
 
 
 def _scan_row(tokens, lineno):
@@ -161,8 +170,11 @@ def parse_partial(path):
     entries, with a count and a mirror lookup per given entry; only a file
     that fails them is scanned position by position for its first fault.
     """
-    with open(path, encoding="utf-8") as handle:
-        dim, rows, linenos = _parse_lines(enumerate(handle, start=1))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            dim, rows, linenos = _parse_lines(enumerate(handle, start=1))
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text") from None
     values = {(i + 1, j + 1): v for i, row in enumerate(rows) for j, v in row.items() if j >= i}
     if sum(map(len, rows)) != 2 * len(values) - dim or any(
         rows[j - 1].get(i - 1) != v for (i, j), v in values.items()
@@ -213,11 +225,11 @@ def cmd_check(args):
     else:
         cycle = " ".join(str(v) for v in chord.chordless_cycle)
         print(f"chordal: no (chordless cycle: {cycle})")
-    bad = set(offending_cliques(pm, tol))
-    for clique in maximal_cliques(pm.pattern):
-        verdict = "not positive definite" if clique in bad else "positive definite"
+    cliques, ok = clique_verdicts(pm, tol)
+    for clique, good in zip(cliques, ok):
+        verdict = "positive definite" if good else "not positive definite"
         print(f"clique {{{', '.join(str(v) for v in clique)}}}: {verdict}")
-    print(f"partial positive definite: {'yes' if not bad else 'no'}")
+    print(f"partial positive definite: {'yes' if ok.all() else 'no'}")
     note = "" if chord.chordal else "; these values may still complete, run 'pgm complete'"
     print(f"completable: {'yes' if chord.chordal else 'no'} (verdict on the pattern{note})")
     return 0
@@ -261,8 +273,7 @@ def cmd_geomean(args):
 def cmd_karcher(args):
     if len(args.weights) != len(args.files):
         raise PgmError(f"{len(args.weights)} weights given for {len(args.files)} files")
-    total = sum(args.weights)
-    weights = WeightVector(weights=tuple(x / total for x in args.weights))
+    weights = WeightVector(weights=tuple(args.weights))
     mats = []
     for path in args.files:
         pm = parse_partial(path)

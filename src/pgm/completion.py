@@ -28,9 +28,10 @@ symmetric matrix so the free position lands at the corner,
             [v, C,   w],
             [x, w^T, b]],
 
-the completions H(x) > 0 are exactly |x - v^T C^{-1} w| <
-sqrt(det A det B) / det C with A, B the leading/trailing principal
-blocks, and x = v^T C^{-1} w maximizes the determinant.
+with A, B the leading/trailing principal blocks, the determinant is the
+parabola det H(x) = d_max (1 - ((x - c) / h)^2) with c = v^T C^{-1} w,
+h = sqrt(det A det B) / det C and d_max = h^2 det C.  So H(x) > 0 exactly
+for |x - c| < h, and x = c + h sqrt(1 - k / d_max) has determinant k.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .errors import (
     OutOfRange,
     PatternMismatch,
 )
-from .linalg import DEFAULT_TOL, det, is_pd, op_norm, sym
-from .partial import restrict
+from .linalg import DEFAULT_TOL, _definite, det, is_pd, op_norm, sym
+from .partial import clique_extremes, restrict
 from .pattern import (
     Pattern,
     connected_components,
@@ -100,14 +101,6 @@ class CompletionReport:
     converged: bool
 
 
-def _corner_permutation(n, i0, j0):
-    """Permutation matrix sending row/col i0 -> 0 and j0 -> n-1."""
-    order = [i0] + [k for k in range(n) if k != i0 and k != j0] + [j0]
-    p = np.zeros((n, n))
-    p[np.arange(n), order] = 1.0
-    return p
-
-
 def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
     """Feasibility interval for one free position of a full matrix.
 
@@ -120,11 +113,10 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
     i0, j0 = i - 1, j - 1
     if not (0 <= i0 < n and 0 <= j0 < n) or i0 == j0:
         raise ValueError(f"position ({i}, {j}) is not an off-diagonal position")
-    p = _corner_permutation(n, i0, j0)
-    mp = p @ m @ p.T
-    a_blk = mp[:-1, :-1]
-    b_blk = mp[1:, 1:]
-    if not is_pd(a_blk, tol) or not is_pd(b_blk, tol):
+    order = [i0] + [k for k in range(n) if k != i0 and k != j0] + [j0]
+    mp = m[np.ix_(order, order)]
+    bordered = np.stack([mp[:-1, :-1], mp[1:, 1:]])
+    if not is_pd(bordered, tol).all():
         raise NotPartialPD(
             f"no positive definite completion in position ({i}, {j}): "
             "a bordered principal block is not positive definite"
@@ -138,8 +130,7 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
     else:
         center = float(v @ np.linalg.solve(c_blk, w))
         ld_c = np.linalg.slogdet(c_blk)[1]
-    ld_a = np.linalg.slogdet(a_blk)[1]
-    ld_b = np.linalg.slogdet(b_blk)[1]
+    ld_a, ld_b = np.linalg.slogdet(bordered)[1]
     half = float(np.exp(0.5 * (ld_a + ld_b) - ld_c))
     return FeasibilityInterval(position=(min(i, j), max(i, j)), center=center, half_width=half)
 
@@ -172,13 +163,13 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500, pd_tol=DEFAULT_TOL):
     a = pm.to_dense(np.nan)
     spec = np.isfinite(a)
     a[~spec] = 0.0
-    blocks = [a[np.ix_(c, c)] for c in cliques]
-    if not all(is_pd(block, pd_tol) for block in blocks):
+    if not _definite(clique_extremes(a, cliques), pd_tol).all():
         raise NotPartialPD("input is not partial positive definite")
     if pm.pattern.is_complete:
         return CompletionReport(
             matrix=sym(a), determinant=det(a), iterations=0, residual=0.0, converged=True
         )
+    blocks = [a[np.ix_(c, c)] for c in cliques]
     m = np.diag(np.diag(a))
     x, residual, converged, cycles = a, np.inf, False, 0
     for cycles in range(1, max_cycles + 1):
@@ -257,10 +248,11 @@ def partial_entry_bounds(pm, pos, tol=DEFAULT_TOL):
 def completion_with_det(pm, k, rel_tol=1e-8, tol=1e-10):
     """A positive definite completion with determinant ``k``.
 
-    Valid targets are ``0 < k < det(max-det completion)``.  The matrix is
-    found by bisecting the segment from the maximum-determinant
-    completion toward a singular boundary completion; the determinant is
-    monotone along it, and the result satisfies ``|det - k| <= rel_tol*k``.
+    Valid targets are ``0 < k < d_max = det(Ahat)``, ``Ahat`` the max-det
+    completion.  The result is ``Ahat`` with its first missing entry set on
+    the parabola of the module docstring, checked to satisfy
+    ``|det - k| <= rel_tol * k`` (else :class:`InternalNumerics`), which
+    double precision certifies down to about ``k / d_max = 1e-7``.
     """
     report = max_det_completion(pm, tol=tol)
     d_max = report.determinant
@@ -269,23 +261,14 @@ def completion_with_det(pm, k, rel_tol=1e-8, tol=1e-10):
     missing = missing_positions(pm.pattern)
     if not missing:
         raise OutOfRange("a complete matrix admits only its own determinant")
-    ahat = report.matrix
+    m = report.matrix.copy()
     i, j = missing[0]
-    iv = single_entry_interval(ahat, i, j)
-    boundary = ahat.copy()
-    boundary[i - 1, j - 1] = boundary[j - 1, i - 1] = iv.upper
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        m = (1.0 - mid) * ahat + mid * boundary
-        d = det(m)
-        if abs(d - k) <= rel_tol * k:
-            return sym(m)
-        if d > k:
-            lo = mid
-        else:
-            hi = mid
-    raise InternalNumerics("determinant bisection did not reach the requested target")
+    iv = single_entry_interval(m, i, j)
+    m[i - 1, j - 1] = m[j - 1, i - 1] = iv.center + iv.half_width * np.sqrt(1.0 - k / d_max)
+    d = det(m)
+    if abs(d - k) > rel_tol * k:
+        raise InternalNumerics(f"completion determinant {d:.6g} misses the target {k:.6g}")
+    return m
 
 
 def fischer_bound(pm, tol=1e-10):

@@ -36,6 +36,7 @@ from .linalg import (
     fro_norm,
     invm,
     is_pd,
+    is_psd,
     log_det,
     mat_fn,
     op_norm,
@@ -263,15 +264,10 @@ def block_max_property(a, b, tol=1e-8, probe=1e-6):
     once ``X`` is pushed by ``probe * ||X||`` along the identity.
     """
     x = geomean(a, b, 0.5)
-    n = a.shape[0]
-    block = np.block([[a, x], [x, b]])
-    at_mean = float(np.linalg.eigvalsh(sym(block))[0]) >= -tol * max(1.0, op_norm(block))
-    bumped = x + probe * op_norm(x) * np.eye(n)
-    block_bumped = sym(np.block([[a, bumped], [bumped, b]]))
-    beyond = float(np.linalg.eigvalsh(block_bumped)[0]) < -tol * max(
-        1.0, op_norm(block_bumped)
+    bumped = x + probe * op_norm(x) * np.eye(a.shape[0])
+    return is_psd(sym(np.block([[a, x], [x, b]])), tol) and not is_psd(
+        sym(np.block([[a, bumped], [bumped, b]])), tol
     )
-    return at_mean and beyond
 
 
 @dataclass

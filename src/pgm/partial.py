@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionMismatch, PatternMismatch
-from .linalg import DEFAULT_TOL, as_sym_matrix, is_pd, is_psd
+from .linalg import DEFAULT_TOL, _definite, as_sym_matrix
 from .pattern import Pattern, _normalize_edge, maximal_cliques
 
 
@@ -91,35 +92,45 @@ def agrees(m, pm, tol=1e-8):
     )
 
 
-def _clique_tests(pm, test, tol):
-    """Maximal cliques and the ``test`` verdict on each one's principal
-    submatrix, with one stacked ``test`` call per clique size."""
+def clique_extremes(a, cliques):
+    """``[lambda_min, lambda_max]`` of each clique block of the dense ``a``
+    (cliques 0-based), one stacked eigensolve per clique size.  ``_definite``
+    gives a pair the verdict of its full spectrum; ``-ext[:, ::-1]`` negates."""
+    rows_of_size = {}
+    for row, c in enumerate(cliques):
+        rows_of_size.setdefault(len(c), []).append(row)
+    ext = np.empty((len(cliques), 2))
+    for rows in rows_of_size.values():
+        idx = np.array([cliques[row] for row in rows])
+        w = linalg._eigh(a[idx[:, :, None], idx[:, None, :]], vectors=False)
+        ext[rows] = w[:, [0, -1]]
+    return ext
+
+
+def clique_verdicts(pm, tol=DEFAULT_TOL, semi=False):
+    """Maximal cliques and whether each one's principal submatrix is
+    positive definite (semidefinite if ``semi``)."""
     cliques = maximal_cliques(pm.pattern)
-    dense = pm.to_dense()
-    sizes = np.array([len(c) for c in cliques])
-    ok = np.empty(len(cliques), dtype=bool)
-    for size in np.unique(sizes):
-        idx = np.array([c for c in cliques if len(c) == size]) - 1
-        ok[sizes == size] = test(dense[idx[:, :, None], idx[:, None, :]], tol)
-    return cliques, ok
+    ext = clique_extremes(pm.to_dense(), [[v - 1 for v in c] for c in cliques])
+    return cliques, _definite(ext, tol, semi)
 
 
 def is_partial_pd(pm, tol=DEFAULT_TOL):
     """True iff every maximal-clique principal submatrix is positive
     definite.  Checking maximal cliques suffices because cliques nest."""
-    return bool(_clique_tests(pm, is_pd, tol)[1].all())
+    return bool(clique_verdicts(pm, tol)[1].all())
 
 
 def is_partial_psd(pm, tol=DEFAULT_TOL):
     """True iff every maximal-clique principal submatrix is positive
     semidefinite."""
-    return bool(_clique_tests(pm, is_psd, tol)[1].all())
+    return bool(clique_verdicts(pm, tol, semi=True)[1].all())
 
 
 def offending_cliques(pm, tol=DEFAULT_TOL):
     """Maximal cliques whose principal submatrix fails to be positive
     definite (diagnostic companion to :func:`is_partial_pd`)."""
-    cliques, ok = _clique_tests(pm, is_pd, tol)
+    cliques, ok = clique_verdicts(pm, tol)
     return [clique for clique, good in zip(cliques, ok) if not good]
 
 
@@ -168,17 +179,18 @@ def partial_order(a, b, tol=DEFAULT_TOL):
     strict verdicts are reported when the strict test passes.
     """
     _require_same_pattern(a, b)
-    diff = sub(a, b)
-    if all(v == 0.0 for v in diff.values.values()):
+    diff = a.to_dense() - b.to_dense()
+    if not diff.any():
         return Comparison.EQ
-    neg = scale(-1.0, diff)
-    if is_partial_pd(diff, tol):
+    ext = clique_extremes(diff, a.pattern._clique_sequence)
+    neg = -ext[:, ::-1]  # the pairs of -diff
+    if _definite(ext, tol).all():
         return Comparison.GT
-    if is_partial_pd(neg, tol):
+    if _definite(neg, tol).all():
         return Comparison.LT
-    if is_partial_psd(diff, tol):
+    if _definite(ext, tol, semi=True).all():
         return Comparison.GE
-    if is_partial_psd(neg, tol):
+    if _definite(neg, tol, semi=True).all():
         return Comparison.LE
     return Comparison.INCOMPARABLE
 

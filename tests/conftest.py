@@ -6,7 +6,9 @@ subsets, and the max-det oracle uses the closed-form clique/separator
 inverse formula with a scipy spanning tree.  The sweep reference
 computes the table one cell at a time, against the row-batched sweep,
 and the reference parser checks every cell of a file, against the
-parser that looks at the given entries only.
+parser that looks at the given entries only.  The partial-order
+reference runs four clique passes, one full spectrum per clique, over
+the difference and its negated copy, against the one-pass order.
 
 Property tests run under the ``pgm`` hypothesis profile: derandomized,
 so every run draws the same examples, with no deadline and a bounded
@@ -29,6 +31,7 @@ else:
     settings.load_profile("pgm")
 
 from pgm import (
+    Comparison,
     Pattern,
     PartialMatrix,
     det,
@@ -37,6 +40,8 @@ from pgm import (
     missing_positions,
     partial_entry_bounds,
     project,
+    scale,
+    sub,
 )
 from pgm.cli import _shrunk_axis
 from pgm.errors import AsymmetricPattern, MissingDiagonal, ParseError
@@ -194,6 +199,40 @@ def maxdet_oracle(pm):
                 kmat[np.ix_(idx, idx)] -= np.linalg.inv(dense[np.ix_(idx, idx)])
     out = np.linalg.inv(kmat)
     return 0.5 * (out + out.T)
+
+
+# --- partial Loewner order reference ----------------------------------
+
+def _reference_clique_test(pm, tol, semi):
+    """Every maximal-clique block passes the PD (or PSD) rule of
+    ``linalg.is_pd``, one full ``eigvalsh`` per clique."""
+    dense = pm.to_dense()
+    for clique in brute_force_maximal_cliques(pm.pattern):
+        idx = [v - 1 for v in clique]
+        w = np.linalg.eigvalsh(dense[np.ix_(idx, idx)])
+        bound = tol * max(1.0, float(np.abs(w).max()))
+        if not (w[0] >= -bound if semi else w[0] > bound):
+            return False
+    return True
+
+
+def reference_partial_order(a, b, tol=1e-10):
+    """The partial Loewner order in four clique passes, over ``a - b`` and
+    over its negated copy (the earlier implementation, kept as the
+    reference for the one-pass ``partial_order``)."""
+    diff = sub(a, b)
+    if all(v == 0.0 for v in diff.values.values()):
+        return Comparison.EQ
+    neg = scale(-1.0, diff)
+    if _reference_clique_test(diff, tol, semi=False):
+        return Comparison.GT
+    if _reference_clique_test(neg, tol, semi=False):
+        return Comparison.LT
+    if _reference_clique_test(diff, tol, semi=True):
+        return Comparison.GE
+    if _reference_clique_test(neg, tol, semi=True):
+        return Comparison.LE
+    return Comparison.INCOMPARABLE
 
 
 # --- paper example instances -------------------------------------------

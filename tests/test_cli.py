@@ -128,6 +128,20 @@ class TestExitCodes:
         rc = main(["check", write(tmp_path, "bad.txt", "nonsense\n")])
         assert rc == 2
 
+    def test_non_utf8_file_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"n 2\n1 0\n0 \xff1\n")
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            parse_partial(str(path))
+        assert main(["check", str(path)]) == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_endings(self, tmp_path, newline):
+        path = tmp_path / "ends.txt"
+        path.write_bytes(EX1_A_TEXT.replace("\n", newline).encode())
+        assert parse_partial(str(path)) == parse_partial(write(tmp_path, "lf.txt", EX1_A_TEXT))
+
     def test_missing_file_exit_two(self, capsys):
         rc = main(["check", "/nonexistent/path.txt"])
         assert rc == 2
@@ -195,6 +209,21 @@ class TestCommands:
         assert rc == 0
         assert "gradient norm" in out
         assert "converged: yes" in out
+
+    def test_karcher_weights_sum_overflow(self, tmp_path, capsys):
+        # 1e308 + 1e308 overflows; normalized, the weights are one half each
+        files = [write(tmp_path, "a.txt", EX1_A_TEXT), write(tmp_path, "b.txt", EX1_B_TEXT)]
+        assert main(["karcher", "--weights", "1,1", *files]) == 0
+        expected = capsys.readouterr().out
+        assert main(["karcher", "--weights", "1e308,1e308", *files]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_karcher_weight_underflow_exit_two(self, tmp_path, capsys):
+        files = [write(tmp_path, "a.txt", EX1_A_TEXT), write(tmp_path, "b.txt", EX1_B_TEXT)]
+        with pytest.raises(SystemExit) as err:
+            main(["karcher", "--weights", "1e-320,1e10", *files])
+        assert err.value.code == 2
+        assert "argument --weights: a weight underflows to 0" in capsys.readouterr().err
 
     def test_karcher_weight_count_mismatch(self, tmp_path, capsys):
         rc = main(
@@ -464,4 +493,4 @@ class TestCheckWork:
         out = capsys.readouterr().out
         assert "partial positive definite: yes" in out
         assert calls["mcs"] <= 1
-        assert calls["eigh"] <= len(sizes)
+        assert 0 < calls["eigh"] <= len(sizes)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from pgm import (
     NotCompletable,
@@ -19,6 +21,7 @@ from pgm import (
     fischer_bound,
     fro_norm,
     is_pd,
+    linalg,
     max_det_completion,
     missing_positions,
     op_norm,
@@ -177,6 +180,28 @@ class TestMaxDetCompletion:
         )
         with pytest.raises(NotPartialPD):
             max_det_completion(pm)
+
+    def test_partial_pd_check_one_eigensolve_per_size(self, monkeypatch):
+        # band-2, n = 40: 38 cliques of size 3, the last one in the sweep
+        # order indefinite, so the check fails after testing every block
+        n = 40
+        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, min(n, i + 2) + 1)]
+        g = Pattern.from_pairs(n, pairs)
+        rng = np.random.default_rng(3)
+        values = {(i, j): 4.0 if i == j else float(rng.uniform(-0.5, 0.5)) for i, j in g.edges}
+        values[(n - 1, n)] = 5.0
+        pm = PartialMatrix(pattern=g, values=values)
+        calls = {"eigh": 0}
+        real = linalg._eigh
+
+        def counting(*args, **kwargs):
+            calls["eigh"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_eigh", counting)
+        with pytest.raises(NotPartialPD):
+            max_det_completion(pm)
+        assert 0 < calls["eigh"] <= 1
 
     def test_infeasible_zero_fill_uses_feasible_start(self):
         # strong chain correlations make the zero fill indefinite
@@ -357,6 +382,48 @@ class TestCompletionWithDet:
         )
         with pytest.raises(OutOfRange):
             completion_with_det(pm, 1.0)
+
+
+
+@st.composite
+def partial_pd_matrices(draw):
+    """A partial PD matrix with a missing entry on a random chordal
+    pattern, or on a ring with random chords (mostly non-chordal)."""
+    n = draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = rand_chordal_pattern(rng, n)
+    else:
+        pairs = [(i, i % n + 1) for i in range(1, n + 1)]
+        pairs += [(i, j) for i in range(1, n) for j in range(i + 2, n + 1) if rng.random() < 0.2]
+        g = Pattern.from_pairs(n, pairs)
+    assume(missing_positions(g))
+    return rand_partial_pd(rng, g)
+
+
+@given(pm=partial_pd_matrices(), ratio=st.floats(1e-6, 1.0, exclude_max=True))
+def test_completion_with_det_on_the_parabola(pm, ratio):
+    ahat = max_det_completion(pm).matrix
+    d_max = det(ahat)
+    k = ratio * d_max
+    assume(k < d_max)
+    m = completion_with_det(pm, k)
+    assert det(m) == pytest.approx(k, rel=1e-8)
+    assert agrees(m, pm, tol=0.0)
+    assert is_pd(m)
+    # only the first missing entry and its mirror move off ahat
+    i, j = missing_positions(pm.pattern)[0]
+    expected = ahat.copy()
+    expected[i - 1, j - 1] = expected[j - 1, i - 1] = m[i - 1, j - 1]
+    assert np.array_equal(m, expected)
+    # the determinant falls monotonically from the max-det value to k
+    iv = single_entry_interval(ahat, i, j)
+    dets = []
+    for x in np.linspace(iv.center, m[i - 1, j - 1], 6):
+        probe = ahat.copy()
+        probe[i - 1, j - 1] = probe[j - 1, i - 1] = x
+        dets.append(det(probe))
+    assert all(later <= earlier + 1e-12 * d_max for earlier, later in zip(dets, dets[1:]))
 
 
 class TestFischerBound:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pgm import (
     Comparison,
@@ -17,6 +19,7 @@ from pgm import (
     is_partial_psd,
     is_pd,
     is_psd,
+    linalg,
     max_det_completion,
     maximal_cliques,
     missing_positions,
@@ -38,6 +41,7 @@ from conftest import (
     rand_chordal_pattern,
     rand_partial_pd,
     rand_spd,
+    reference_partial_order,
 )
 
 
@@ -180,6 +184,68 @@ class TestPartialOrder:
         assert partial_order(z, x) is Comparison.GT
         # antisymmetric: mutual domination collapses to equality
         assert partial_order(x, scale(1.0, x)) is Comparison.EQ
+
+
+    def test_one_eigensolve_per_clique_size(self, monkeypatch):
+        # cliques {1, 2, 3} and {3, 4}; the difference is indefinite on the
+        # first, so every verdict up to INCOMPARABLE is tested
+        g = Pattern.from_pairs(4, [(1, 2), (1, 3), (2, 3), (3, 4)])
+        a = project(np.diag([2.0, 1.0, 2.0, 2.0]), g)
+        b = project(np.diag([1.0, 2.0, 1.5, 1.5]), g)
+        calls = {"eigh": 0}
+        real = linalg._eigh
+
+        def counting(*args, **kwargs):
+            calls["eigh"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_eigh", counting)
+        assert partial_order(a, b) is Comparison.INCOMPARABLE
+        assert 0 < calls["eigh"] <= 2
+
+
+@st.composite
+def order_pairs(draw):
+    """Two partial matrices on a random pattern whose difference is zero,
+    random, definite, rank one or semidefinite with a null direction."""
+    n = draw(st.integers(2, 7))
+    upper = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    g = Pattern.from_pairs(n, [p for p in upper if draw(st.booleans())])
+    kind = draw(st.sampled_from(["random", "definite", "rank_one", "semidefinite", "zero"]))
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    if kind == "zero":
+        d = np.zeros((n, n))
+    elif kind == "random":
+        d = rng.standard_normal((n, n))
+    elif kind == "definite":
+        d = q @ np.diag(rng.uniform(0.1, 1.0, n)) @ q.T
+    elif kind == "rank_one":
+        v = rng.standard_normal(n)
+        d = np.outer(v, v)
+    else:
+        d = q @ np.diag(np.r_[0.0, rng.uniform(0.0, 1.0, n - 1)]) @ q.T
+    a = rand_spd(rng, n)
+    return project(a, g), project(a - sign * 0.5 * (d + d.T), g)
+
+
+FLIPPED = {
+    Comparison.GT: Comparison.LT,
+    Comparison.LT: Comparison.GT,
+    Comparison.GE: Comparison.LE,
+    Comparison.LE: Comparison.GE,
+    Comparison.EQ: Comparison.EQ,
+    Comparison.INCOMPARABLE: Comparison.INCOMPARABLE,
+}
+
+
+@given(pair=order_pairs())
+def test_partial_order_matches_four_pass_reference(pair):
+    a, b = pair
+    verdict = partial_order(a, b)
+    assert verdict is reference_partial_order(a, b)
+    assert partial_order(b, a) is reference_partial_order(b, a) is FLIPPED[verdict]
 
 
 class TestProjectAgrees:
