@@ -31,7 +31,7 @@ from .errors import (
     PgmError,
     TooManyMissing,
 )
-from .linalg import _eigh, is_pd
+from .linalg import _definite, _eigh, is_pd
 from .means import (
     WeightVector,
     entropy_identities,
@@ -40,8 +40,8 @@ from .means import (
     karcher_mean,
     partial_geomean_maxdet,
 )
-from .partial import PartialMatrix, clique_verdicts, is_partial_pd
-from .pattern import Pattern, is_chordal, missing_positions
+from .partial import PartialMatrix, clique_extremes, is_partial_pd
+from .pattern import Pattern, is_chordal, maximal_cliques, missing_positions
 
 #: File precision: enough digits to round-trip any float64 exactly.
 FILE_DIGITS = 17
@@ -225,7 +225,8 @@ def cmd_check(args):
     else:
         cycle = " ".join(str(v) for v in chord.chordless_cycle)
         print(f"chordal: no (chordless cycle: {cycle})")
-    cliques, ok = clique_verdicts(pm, tol)
+    cliques = maximal_cliques(pm.pattern)
+    ok = _definite(clique_extremes(pm.to_dense(), [[v - 1 for v in c] for c in cliques]), tol)
     for clique, good in zip(cliques, ok):
         verdict = "positive definite" if good else "not positive definite"
         print(f"clique {{{', '.join(str(v) for v in clique)}}}: {verdict}")

@@ -122,14 +122,8 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
             "a bordered principal block is not positive definite"
         )
     c_blk = mp[1:-1, 1:-1]
-    v = mp[1:-1, 0]
-    w = mp[1:-1, -1]
-    if c_blk.size == 0:
-        center = 0.0
-        ld_c = 0.0
-    else:
-        center = float(v @ np.linalg.solve(c_blk, w))
-        ld_c = np.linalg.slogdet(c_blk)[1]
+    center = float(mp[1:-1, 0] @ np.linalg.solve(c_blk, mp[1:-1, -1]))
+    ld_c = np.linalg.slogdet(c_blk)[1]
     ld_a, ld_b = np.linalg.slogdet(bordered)[1]
     half = float(np.exp(0.5 * (ld_a + ld_b) - ld_c))
     return FeasibilityInterval(position=(min(i, j), max(i, j)), center=center, half_width=half)
@@ -250,9 +244,12 @@ def completion_with_det(pm, k, rel_tol=1e-8, tol=1e-10):
 
     Valid targets are ``0 < k < d_max = det(Ahat)``, ``Ahat`` the max-det
     completion.  The result is ``Ahat`` with its first missing entry set on
-    the parabola of the module docstring, checked to satisfy
-    ``|det - k| <= rel_tol * k`` (else :class:`InternalNumerics`), which
-    double precision certifies down to about ``k / d_max = 1e-7``.
+    the parabola of the module docstring.  While the measured determinant
+    ``d`` misses ``|d - k| <= rel_tol * k``, the height is rescaled by
+    ``d / k`` (the parabola with the same roots through the measured point)
+    and the entry set again, three times at most; then
+    :class:`InternalNumerics` is raised.  Double precision certifies the
+    target down to about ``k / d_max = 1e-7``.
     """
     report = max_det_completion(pm, tol=tol)
     d_max = report.determinant
@@ -264,11 +261,16 @@ def completion_with_det(pm, k, rel_tol=1e-8, tol=1e-10):
     m = report.matrix.copy()
     i, j = missing[0]
     iv = single_entry_interval(m, i, j)
-    m[i - 1, j - 1] = m[j - 1, i - 1] = iv.center + iv.half_width * np.sqrt(1.0 - k / d_max)
-    d = det(m)
-    if abs(d - k) > rel_tol * k:
-        raise InternalNumerics(f"completion determinant {d:.6g} misses the target {k:.6g}")
-    return m
+    height = d_max
+    for _ in range(4):
+        m[i - 1, j - 1] = m[j - 1, i - 1] = iv.center + iv.half_width * np.sqrt(1.0 - k / height)
+        d = det(m)
+        if abs(d - k) <= rel_tol * k:
+            return m
+        if d <= 0.0:
+            break
+        height *= d / k  # the parabola through (x, d) with the same roots
+    raise InternalNumerics(f"completion determinant {d:.6g} misses the target {k:.6g}")
 
 
 def fischer_bound(pm, tol=1e-10):

@@ -17,7 +17,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, PatternMismatch
 from .linalg import DEFAULT_TOL, _definite, as_sym_matrix
-from .pattern import Pattern, _normalize_edge, maximal_cliques
+from .pattern import Pattern, _normalize_edge
 
 
 @dataclass(frozen=True)
@@ -96,42 +96,36 @@ def clique_extremes(a, cliques):
     """``[lambda_min, lambda_max]`` of each clique block of the dense ``a``
     (cliques 0-based), one stacked eigensolve per clique size.  ``_definite``
     gives a pair the verdict of its full spectrum; ``-ext[:, ::-1]`` negates."""
-    rows_of_size = {}
-    for row, c in enumerate(cliques):
-        rows_of_size.setdefault(len(c), []).append(row)
+    sizes = np.array([len(c) for c in cliques])
     ext = np.empty((len(cliques), 2))
-    for rows in rows_of_size.values():
-        idx = np.array([cliques[row] for row in rows])
-        w = linalg._eigh(a[idx[:, :, None], idx[:, None, :]], vectors=False)
-        ext[rows] = w[:, [0, -1]]
+    for size in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == size)
+        idx = np.array([cliques[r] for r in rows])
+        ext[rows] = linalg._eigh(a[idx[:, :, None], idx[:, None, :]], vectors=False)[:, [0, -1]]
     return ext
-
-
-def clique_verdicts(pm, tol=DEFAULT_TOL, semi=False):
-    """Maximal cliques and whether each one's principal submatrix is
-    positive definite (semidefinite if ``semi``)."""
-    cliques = maximal_cliques(pm.pattern)
-    ext = clique_extremes(pm.to_dense(), [[v - 1 for v in c] for c in cliques])
-    return cliques, _definite(ext, tol, semi)
 
 
 def is_partial_pd(pm, tol=DEFAULT_TOL):
     """True iff every maximal-clique principal submatrix is positive
     definite.  Checking maximal cliques suffices because cliques nest."""
-    return bool(clique_verdicts(pm, tol)[1].all())
+    ext = clique_extremes(pm.to_dense(), pm.pattern._clique_sequence)
+    return bool(_definite(ext, tol).all())
 
 
 def is_partial_psd(pm, tol=DEFAULT_TOL):
     """True iff every maximal-clique principal submatrix is positive
     semidefinite."""
-    return bool(clique_verdicts(pm, tol, semi=True)[1].all())
+    ext = clique_extremes(pm.to_dense(), pm.pattern._clique_sequence)
+    return bool(_definite(ext, tol, semi=True).all())
 
 
 def offending_cliques(pm, tol=DEFAULT_TOL):
     """Maximal cliques whose principal submatrix fails to be positive
-    definite (diagnostic companion to :func:`is_partial_pd`)."""
-    cliques, ok = clique_verdicts(pm, tol)
-    return [clique for clique, good in zip(cliques, ok) if not good]
+    definite (diagnostic companion to :func:`is_partial_pd`), in the
+    order of :func:`maximal_cliques`."""
+    cliques = pm.pattern._clique_sequence
+    ok = _definite(clique_extremes(pm.to_dense(), cliques), tol)
+    return sorted(tuple(v + 1 for v in c) for c, good in zip(cliques, ok) if not good)
 
 
 def _require_same_pattern(a, b):
@@ -178,8 +172,7 @@ def partial_order(a, b, tol=DEFAULT_TOL):
     semidefinite.  ``EQ`` requires the difference to be identically zero;
     strict verdicts are reported when the strict test passes.
     """
-    _require_same_pattern(a, b)
-    diff = a.to_dense() - b.to_dense()
+    diff = sub(a, b).to_dense()  # sub rejects another pattern and an overflow
     if not diff.any():
         return Comparison.EQ
     ext = clique_extremes(diff, a.pattern._clique_sequence)

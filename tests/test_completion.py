@@ -4,10 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
-from hypothesis import strategies as st
 
 from pgm import (
+    InternalNumerics,
     NotCompletable,
     NotPartialPD,
     OutOfRange,
@@ -15,6 +14,7 @@ from pgm import (
     PartialMatrix,
     PatternMismatch,
     agrees,
+    completion,
     completion_with_det,
     det,
     feasibility_range,
@@ -367,6 +367,25 @@ class TestCompletionWithDet:
         full[0, 2] = full[2, 0] = 0.5 * (lo + hi)
         assert det(full) == pytest.approx(k, rel=1e-6)
 
+    def test_unconverged_max_det_start(self, monkeypatch):
+        # one sweep on the 4-cycle stops short of the max-det completion,
+        # so det(Ahat) sits below the top of the parabola in (1, 3)
+        pm = matrix_n_four_cycle()
+        one_sweep = max_det_completion(pm, max_cycles=1)
+        assert not one_sweep.converged
+        monkeypatch.setattr(completion, "max_det_completion", lambda pm, tol: one_sweep)
+        for ratio in (0.5, 1e-3, 1e-6):
+            k = ratio * one_sweep.determinant
+            m = completion_with_det(pm, k)
+            assert det(m) == pytest.approx(k, rel=1e-8)
+            assert agrees(m, pm, tol=0.0)
+            assert is_pd(m)
+
+    def test_singular_boundary_raises_internal_numerics(self):
+        # x = 0 + 1 * sqrt(1 - 1e-300) rounds to 1: the matrix is exactly singular
+        with pytest.raises(InternalNumerics):
+            completion_with_det(identity_ring_partial(2), 1e-300)
+
     def test_out_of_range(self):
         pm = ex1_partial_a()
         d_max = max_det_completion(pm).determinant
@@ -382,48 +401,6 @@ class TestCompletionWithDet:
         )
         with pytest.raises(OutOfRange):
             completion_with_det(pm, 1.0)
-
-
-
-@st.composite
-def partial_pd_matrices(draw):
-    """A partial PD matrix with a missing entry on a random chordal
-    pattern, or on a ring with random chords (mostly non-chordal)."""
-    n = draw(st.integers(3, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        g = rand_chordal_pattern(rng, n)
-    else:
-        pairs = [(i, i % n + 1) for i in range(1, n + 1)]
-        pairs += [(i, j) for i in range(1, n) for j in range(i + 2, n + 1) if rng.random() < 0.2]
-        g = Pattern.from_pairs(n, pairs)
-    assume(missing_positions(g))
-    return rand_partial_pd(rng, g)
-
-
-@given(pm=partial_pd_matrices(), ratio=st.floats(1e-6, 1.0, exclude_max=True))
-def test_completion_with_det_on_the_parabola(pm, ratio):
-    ahat = max_det_completion(pm).matrix
-    d_max = det(ahat)
-    k = ratio * d_max
-    assume(k < d_max)
-    m = completion_with_det(pm, k)
-    assert det(m) == pytest.approx(k, rel=1e-8)
-    assert agrees(m, pm, tol=0.0)
-    assert is_pd(m)
-    # only the first missing entry and its mirror move off ahat
-    i, j = missing_positions(pm.pattern)[0]
-    expected = ahat.copy()
-    expected[i - 1, j - 1] = expected[j - 1, i - 1] = m[i - 1, j - 1]
-    assert np.array_equal(m, expected)
-    # the determinant falls monotonically from the max-det value to k
-    iv = single_entry_interval(ahat, i, j)
-    dets = []
-    for x in np.linspace(iv.center, m[i - 1, j - 1], 6):
-        probe = ahat.copy()
-        probe[i - 1, j - 1] = probe[j - 1, i - 1] = x
-        dets.append(det(probe))
-    assert all(later <= earlier + 1e-12 * d_max for earlier, later in zip(dets, dets[1:]))
 
 
 class TestFischerBound:
