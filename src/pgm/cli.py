@@ -16,6 +16,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -76,10 +77,23 @@ def _tolerance(text):
     return _finite(text, 0.0)
 
 
+def _count(text, least):
+    """``text`` as an integer ``>= least``: the ``type`` of ``--max-cycles`` and ``--grid``."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {text!r}")
+    return value
+
+
 def _weights(text):
     """Positive weights normalized to sum 1.  They are first scaled by the
     power of two at the largest, which is exact and keeps the sum finite."""
     raw = [_finite(x, 0.0, strict=True) for x in text.split(",") if x.strip()]
+    if not raw:
+        raise argparse.ArgumentTypeError(f"expected comma-separated weights, got {text!r}")
     top = math.frexp(max(raw, default=1.0))[1]
     scaled = [math.ldexp(x, -top) for x in raw]
     total = sum(scaled)
@@ -273,7 +287,9 @@ def cmd_geomean(args):
 
 def cmd_karcher(args):
     if len(args.weights) != len(args.files):
-        raise PgmError(f"{len(args.weights)} weights given for {len(args.files)} files")
+        counts = f"{len(args.weights)} weights given for {len(args.files)} files"
+        print(f"error: {counts}", file=sys.stderr)
+        return 2
     weights = WeightVector(weights=tuple(args.weights))
     mats = []
     for path in args.files:
@@ -388,8 +404,9 @@ def cmd_sweep(args):
     return 0
 
 
-def build_parser():
-    tol = default_tol()
+@functools.cache
+def build_parser(tol):
+    """The argument parser with ``tol`` as the default ``--tol``, built once per value."""
     parser = argparse.ArgumentParser(
         prog="pgm",
         description="Partial positive definite matrices: completability, "
@@ -400,55 +417,54 @@ def build_parser():
     p = sub.add_parser("check", help="chordality, partial PD, and completability report")
     p.add_argument("file")
     p.add_argument("--tol", type=_tolerance, default=tol, help="PD tolerance")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("complete", help="maximum-determinant completion")
     p.add_argument("file")
     p.add_argument("--tol", type=_tolerance, default=tol, help="convergence tolerance")
-    p.add_argument("--max-cycles", type=int, default=500)
+    p.add_argument("--max-cycles", type=functools.partial(_count, least=1), default=500)
     p.add_argument("--out", help="write the completion to a file")
-    p.set_defaults(func=cmd_complete)
 
     p = sub.add_parser("geomean", help="weighted geometric mean of max-det completions")
     p.add_argument("file_a")
     p.add_argument("file_b")
     p.add_argument("--t", type=_finite, default=0.5)
     p.add_argument("--out", help="write the mean to a file")
-    p.set_defaults(func=cmd_geomean)
 
     p = sub.add_parser("karcher", help="weighted Karcher mean of completions")
     p.add_argument(
-        "--weights", type=_weights, required=True, help="comma-separated, normalized to sum 1"
+        "--weights", type=_weights, required=True,
+        help="comma-separated, one per file, normalized to sum 1",
     )
     p.add_argument("files", nargs="+")
-    p.set_defaults(func=cmd_karcher)
 
     p = sub.add_parser("entropy", help="Gaussian entropy of completions")
     p.add_argument("files", nargs="+")
     p.add_argument("--t", type=_finite, default=0.5)
-    p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("sweep", help="determinant/eigenvalue sweep over missing entries")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--grid", type=int, default=101, help="points per axis")
+    p.add_argument(
+        "--grid", type=functools.partial(_count, least=2), default=101,
+        help="points per axis, at least 2",
+    )
     p.add_argument("--t", type=_finite, default=0.5)
     p.add_argument("--tol", type=_tolerance, default=tol, help="PD tolerance")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None):
     try:
-        parser = build_parser()
+        parser = build_parser(default_tol())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up per call, not bound into the cached parser, so a replaced cmd_* runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

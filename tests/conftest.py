@@ -8,7 +8,10 @@ computes the table one cell at a time, against the row-batched sweep,
 and the reference parser checks every cell of a file, against the
 parser that looks at the given entries only.  The partial-order
 reference runs four clique passes, one full spectrum per clique, over
-the difference and its negated copy, against the one-pass order.
+the difference and its negated copy, against the one-pass order.  The
+trace-quadrature reference solves at every Simpson node and integrates
+with ``scipy.integrate``, against the rule that reads every node off
+one spectrum.
 
 Property tests run under the ``pgm`` hypothesis profile: derandomized,
 so every run draws the same examples, with no deadline and a bounded
@@ -19,6 +22,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+from scipy.integrate import simpson
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
@@ -233,6 +237,21 @@ def reference_partial_order(a, b, tol=1e-10):
     if _reference_clique_test(neg, tol, semi=True):
         return Comparison.LE
     return Comparison.INCOMPARABLE
+
+
+# --- trace-quadrature reference -----------------------------------------
+
+def reference_trace_quadrature(a0, a1, quad_points):
+    """Simpson quadrature of lambda -> tr(A(lambda)^{-1} (A1 - A0)) with one
+    dense solve per node (the earlier implementation, kept as the reference
+    for the spectral rule)."""
+    lam = np.linspace(0.0, 1.0, quad_points)
+    diff = a1 - a0
+    vals = np.empty(quad_points)
+    for idx, t in enumerate(lam):
+        m = (1.0 - t) * a0 + t * a1
+        vals[idx] = float(np.trace(np.linalg.solve(m, diff)))
+    return float(simpson(vals, x=lam))
 
 
 # --- paper example instances -------------------------------------------

@@ -1,12 +1,18 @@
 """CLI: file format, subcommands, exit codes, CSV determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pgm
 from pgm import Pattern, PartialMatrix, linalg, maximal_cliques, means, missing_positions, pattern
 from pgm.cli import (
+    build_parser,
     default_tol,
     format_matrix,
     format_partial,
@@ -229,7 +235,8 @@ class TestCommands:
         rc = main(
             ["karcher", "--weights", "1,1,1", write(tmp_path, "a.txt", EX1_A_TEXT)]
         )
-        assert rc == 1
+        assert rc == 2
+        assert "error: 3 weights given for 1 files" in capsys.readouterr().err
 
     def test_entropy_single(self, tmp_path, capsys):
         rc = main(["entropy", write(tmp_path, "a.txt", EX1_A_TEXT)])
@@ -250,6 +257,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "entropy identities" in out
+
+    def test_entropy_pair_dimension_mismatch(self, tmp_path, capsys):
+        four = "n 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+        files = [write(tmp_path, "a.txt", EX1_A_TEXT), write(tmp_path, "c.txt", four)]
+        rc = main(["entropy", *files])
+        assert rc == 1
+        assert "error: shape mismatch: (3, 3) vs (4, 4)" in capsys.readouterr().err
 
 
 SWEEP_PAIRS = {
@@ -394,6 +408,37 @@ class TestTolEnv:
         rc = main(["check", write(tmp_path, "a.txt", EX1_A_TEXT)])
         assert rc == 2
 
+    def test_two_calls_build_one_parser(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.delenv("PGM_TOL", raising=False)
+        build_parser.cache_clear()
+        path = write(tmp_path, "a.txt", EX1_A_TEXT)
+        assert main(["check", path]) == main(["check", path]) == 0
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_changed_env_changes_verdict(self, monkeypatch, tmp_path, capsys):
+        # clique {1, 2} has lambda_min = 1e-5: PD under 1e-10, not under 1e-3
+        path = write(tmp_path, "near.txt", "n 3\n1 0.99999 ?\n0.99999 1 0\n? 0 1\n")
+        verdicts = []
+        for tol in ("1e-10", "1e-3", "1e-10"):
+            monkeypatch.setenv("PGM_TOL", tol)
+            assert main(["check", path]) == 0
+            verdicts.append("clique {1, 2}: positive definite" in capsys.readouterr().out)
+        assert verdicts == [True, False, True]
+
+
+def _option_argv(tmp_path, command, option, token):
+    """``command`` on the ex1 pair (or its first file) with ``option token``."""
+    a = write(tmp_path, "a.txt", EX1_A_TEXT)
+    b = write(tmp_path, "b.txt", EX1_B_TEXT)
+    return {
+        "karcher": ["karcher", option, token, a, b],
+        "geomean": ["geomean", a, b, option, token],
+        "sweep": ["sweep", a, b, option, token, "--out", str(tmp_path / "o.csv")],
+        "check": ["check", a, option, token],
+        "complete": ["complete", a, option, token],
+    }[command]
+
 
 class TestOptionValidation:
     """Malformed numeric options exit 2 with the option and the token named."""
@@ -410,20 +455,28 @@ class TestOptionValidation:
         ],
     )
     def test_rejected_with_exit_two(self, tmp_path, capsys, command, option, token, bad):
-        a = write(tmp_path, "a.txt", EX1_A_TEXT)
-        b = write(tmp_path, "b.txt", EX1_B_TEXT)
-        argv = {
-            "karcher": ["karcher", option, token, a, b],
-            "geomean": ["geomean", a, b, option, token],
-            "sweep": ["sweep", a, b, option, token, "--out", str(tmp_path / "o.csv")],
-            "check": ["check", a, option, token],
-        }[command]
         with pytest.raises(SystemExit) as err:
-            main(argv)
+            main(_option_argv(tmp_path, command, option, token))
         assert err.value.code == 2
         message = capsys.readouterr().err
         assert f"argument {option}: expected a finite number" in message
         assert f"got {bad!r}" in message
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, option, token, expected",
+        [
+            ("complete", "--max-cycles", "-3", "an integer >= 1, got '-3'"),
+            ("complete", "--max-cycles", "abc", "an integer >= 1, got 'abc'"),
+            ("sweep", "--grid", "1", "an integer >= 2, got '1'"),
+            ("karcher", "--weights", ",", "comma-separated weights, got ','"),
+        ],
+    )
+    def test_usage_rejected_with_exit_two(self, tmp_path, capsys, command, option, token, expected):
+        with pytest.raises(SystemExit) as err:
+            main(_option_argv(tmp_path, command, option, token))
+        assert err.value.code == 2
+        assert f"argument {option}: expected {expected}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
     def test_tol_env_nan_exits_two(self, monkeypatch, tmp_path, capsys):
@@ -494,3 +547,12 @@ class TestCheckWork:
         assert "partial positive definite: yes" in out
         assert calls["mcs"] <= 1
         assert 0 < calls["eigh"] <= len(sizes)
+
+
+def test_import_leaves_scipy_integrate_out():
+    code = "import sys, pgm.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(pgm.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "False"

@@ -23,6 +23,7 @@ from pgm import (
     karcher_mean,
     logm,
     max_det_completion,
+    means,
     op_norm,
     partial_geomean_maxdet,
     riemannian_dist,
@@ -37,6 +38,7 @@ from conftest import (
     matrix_a_chordal_example,
     rand_invertible,
     rand_spd,
+    reference_trace_quadrature,
 )
 
 
@@ -433,6 +435,39 @@ class TestDetIntegralIdentity:
     def test_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
             det_integral_identity(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
+
+    @pytest.mark.parametrize("quad_points", [1, 4])
+    def test_quad_points_odd_and_at_least_three(self, quad_points):
+        with pytest.raises(ValueError, match=f"odd and >= 3, got {quad_points}"):
+            det_integral_identity(np.eye(2), np.diag([4.0, 1.0]), quad_points=quad_points)
+
+
+class TestTraceQuadrature:
+    """The spectral Simpson rule against the per-node solve loop it replaced."""
+
+    @pytest.mark.parametrize("quad_points", [3, 201, 2001])
+    @pytest.mark.parametrize("spread", [0.8, 3.0])
+    def test_matches_per_node_loop(self, spread, quad_points):
+        rng = np.random.default_rng([quad_points, int(10 * spread)])
+        for _ in range(8):
+            n = int(rng.integers(2, 61))
+            a0, a1 = rand_spd(rng, n, spread), rand_spd(rng, n, spread)
+            ref = reference_trace_quadrature(a0, a1, quad_points)
+            got = means._trace_quadrature(a0, a1, quad_points)
+            assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
+
+    def test_two_eigensolves_and_no_solve(self, monkeypatch):
+        # means imports _eigh by name, so the numpy kernels are what is counted
+        calls = {"solve": 0, "eig": 0}
+        for name, key in (("solve", "solve"), ("eigh", "eig"), ("eigvalsh", "eig")):
+            def counted(*args, _real=getattr(np.linalg, name), _key=key, **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(2)
+        means._trace_quadrature(rand_spd(rng, 10), rand_spd(rng, 10), 201)
+        assert calls == {"solve": 0, "eig": 2}
 
 
 class TestEntropy:
