@@ -32,7 +32,7 @@ from .errors import (
     PgmError,
     TooManyMissing,
 )
-from .linalg import _definite, _eigh, is_pd
+from .linalg import _eigh, is_pd
 from .means import (
     WeightVector,
     entropy_identities,
@@ -41,7 +41,7 @@ from .means import (
     karcher_mean,
     partial_geomean_maxdet,
 )
-from .partial import PartialMatrix, clique_extremes, is_partial_pd
+from .partial import PartialMatrix, _require_partial_pd, offending_cliques
 from .pattern import Pattern, is_chordal, maximal_cliques, missing_positions
 
 #: File precision: enough digits to round-trip any float64 exactly.
@@ -197,21 +197,21 @@ def parse_partial(path):
     return PartialMatrix(pattern=Pattern(n=dim, edges=frozenset(values)), values=values)
 
 
-def format_partial(pm, digits=FILE_DIGITS):
+def format_partial(pm):
     """Render a partial matrix in the text format (``?`` for missing)."""
     lines = [f"n {pm.n}"]
     for i in range(1, pm.n + 1):
         row = (pm.values.get((min(i, j), max(i, j))) for j in range(1, pm.n + 1))
-        lines.append(" ".join("?" if v is None else f"{v:.{digits}g}" for v in row))
+        lines.append(" ".join("?" if v is None else f"{v:.{FILE_DIGITS}g}" for v in row))
     return "\n".join(lines) + "\n"
 
 
-def format_matrix(m, digits=FILE_DIGITS):
+def format_matrix(m):
     """Render a full matrix in the text format."""
     m = np.asarray(m, dtype=float)
     lines = [f"n {m.shape[0]}"]
     for row in m:
-        lines.append(" ".join(f"{x:.{digits}g}" for x in row))
+        lines.append(" ".join(f"{x:.{FILE_DIGITS}g}" for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -229,7 +229,6 @@ def _write_out(path, text):
 
 def cmd_check(args):
     pm = parse_partial(args.file)
-    tol = args.tol
     chord = is_chordal(pm.pattern)
     missing = pm.n * (pm.n + 1) // 2 - len(pm.pattern.edges)
     print(f"pattern: {pm.n} vertices, {missing} missing entries")
@@ -239,12 +238,11 @@ def cmd_check(args):
     else:
         cycle = " ".join(str(v) for v in chord.chordless_cycle)
         print(f"chordal: no (chordless cycle: {cycle})")
-    cliques = maximal_cliques(pm.pattern)
-    ok = _definite(clique_extremes(pm.to_dense(), [[v - 1 for v in c] for c in cliques]), tol)
-    for clique, good in zip(cliques, ok):
-        verdict = "positive definite" if good else "not positive definite"
+    bad = set(offending_cliques(pm, args.tol))
+    for clique in maximal_cliques(pm.pattern):
+        verdict = "not positive definite" if clique in bad else "positive definite"
         print(f"clique {{{', '.join(str(v) for v in clique)}}}: {verdict}")
-    print(f"partial positive definite: {'yes' if ok.all() else 'no'}")
+    print(f"partial positive definite: {'no' if bad else 'yes'}")
     note = "" if chord.chordal else "; these values may still complete, run 'pgm complete'"
     print(f"completable: {'yes' if chord.chordal else 'no'} (verdict on the pattern{note})")
     return 0
@@ -361,8 +359,7 @@ def _sweep_table(pa, pb, grid, t, tol):
     if len(slots) < 2:
         raise PgmError("sweep needs exactly two missing entries across the inputs")
     for pm in pms:
-        if not is_partial_pd(pm, tol):
-            raise PgmError("sweep inputs must be partial positive definite")
+        _require_partial_pd(pm.to_dense(), pm.pattern._clique_sequence, tol)
 
     (kx, pos_x), (ky, pos_y) = slots
     xs = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[kx], pos_x, tol)), grid)

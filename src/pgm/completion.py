@@ -47,8 +47,8 @@ from .errors import (
     OutOfRange,
     PatternMismatch,
 )
-from .linalg import DEFAULT_TOL, _definite, det, is_pd, op_norm, sym
-from .partial import clique_extremes, restrict
+from .linalg import DEFAULT_TOL, _definite, _eigh, det, is_pd, sym
+from .partial import _require_partial_pd, restrict
 from .pattern import (
     Pattern,
     connected_components,
@@ -129,36 +129,35 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
     return FeasibilityInterval(position=(min(i, j), max(i, j)), center=center, half_width=half)
 
 
-def max_det_completion(pm, tol=1e-10, max_cycles=500, pd_tol=DEFAULT_TOL):
+def max_det_completion(pm, tol=1e-10, max_cycles=500):
     """Maximum-determinant positive definite completion.
 
     Sweeps the clique update of the module docstring over the maximal
     cliques, in perfect-sequence order when the pattern is chordal, so
     that chordal patterns finish after one sweep.  After each sweep the
     specified entries are written back into a copy of the iterate, which
-    is returned once its inverse vanishes (relative to ``||M^{-1}||``) at
-    every unspecified position and it is positive definite.  When the
+    is returned once it is positive definite and its inverse vanishes
+    (relative to ``||M^{-1}|| = 1 / lambda_min``) at every unspecified
+    position; one spectrum of the iterate gives both tests.  When the
     iterate's inverse ``K`` instead certifies that no positive definite
     completion exists (``sum_E K_ij A_ij <= 0``), :class:`NotCompletable`
     is raised.
 
     Parameters
     ----------
-    pm : PartialMatrix, partial positive definite.
+    pm : PartialMatrix, partial positive definite, else :class:`NotPartialPD`
+        names the first offending maximal clique and its lambda_min.
     tol : float
         Convergence tolerance on the inverse-zero certificate.
     max_cycles : int
         Sweep budget; exceeding it returns the last iterate, with the
         specified entries written back, and ``converged=False``.
-    pd_tol : float
-        Tolerance of the positive definiteness tests.
     """
     cliques = [list(c) for c in pm.pattern._clique_sequence]
     a = pm.to_dense(np.nan)
     spec = np.isfinite(a)
     a[~spec] = 0.0
-    if not _definite(clique_extremes(a, cliques), pd_tol).all():
-        raise NotPartialPD("input is not partial positive definite")
+    _require_partial_pd(a, cliques, DEFAULT_TOL)
     if pm.pattern.is_complete:
         return CompletionReport(
             matrix=sym(a), determinant=det(a), iterations=0, residual=0.0, converged=True
@@ -172,14 +171,14 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500, pd_tol=DEFAULT_TOL):
             w = np.linalg.solve(m_cc, m[c])
             m += w.T @ (block - m_cc) @ w
         x = np.where(spec, a, sym(m))
-        inv = np.linalg.inv(x)
-        residual = np.abs(inv[~spec]).max()
-        if residual <= tol * op_norm(inv) and is_pd(x, pd_tol):
+        residual = np.abs(np.linalg.inv(x)[~spec]).max()
+        lam = _eigh(x, vectors=False)
+        if _definite(lam, DEFAULT_TOL) and residual * lam[0] <= tol:
             converged = True
             break
         k = np.where(spec, np.linalg.inv(m), 0.0)
         trace_ka = float(np.sum(k * a))
-        if trace_ka <= 0.0 and is_pd(k, pd_tol):
+        if trace_ka <= 0.0 and is_pd(k):
             raise NotCompletable(
                 "no positive definite completion exists: K = M^-1 is positive definite "
                 f"and supported on the pattern, yet sum_E K_ij A_ij = {trace_ka:.3g} <= 0, "
@@ -194,7 +193,7 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500, pd_tol=DEFAULT_TOL):
     )
 
 
-def feasibility_range(pm, pos=None, tol=DEFAULT_TOL):
+def feasibility_range(pm, tol=DEFAULT_TOL):
     """Feasibility interval of the unique missing entry.
 
     The endpoints give singular positive semidefinite completions; the
@@ -205,8 +204,6 @@ def feasibility_range(pm, pos=None, tol=DEFAULT_TOL):
         raise ValueError(
             f"feasibility_range needs exactly one missing entry, found {len(missing)}"
         )
-    if pos is not None and tuple(sorted(pos)) != missing[0]:
-        raise ValueError(f"position {pos} is not the missing entry {missing[0]}")
     i, j = missing[0]
     return single_entry_interval(pm.to_dense(0.0), i, j, tol)
 
@@ -239,13 +236,13 @@ def partial_entry_bounds(pm, pos, tol=DEFAULT_TOL):
     return float(lo), float(hi)
 
 
-def completion_with_det(pm, k, rel_tol=1e-8, tol=1e-10):
+def completion_with_det(pm, k, tol=1e-10):
     """A positive definite completion with determinant ``k``.
 
     Valid targets are ``0 < k < d_max = det(Ahat)``, ``Ahat`` the max-det
     completion.  The result is ``Ahat`` with its first missing entry set on
     the parabola of the module docstring.  While the measured determinant
-    ``d`` misses ``|d - k| <= rel_tol * k``, the height is rescaled by
+    ``d`` misses ``|d - k| <= 1e-8 * k``, the height is rescaled by
     ``d / k`` (the parabola with the same roots through the measured point)
     and the entry set again, three times at most; then
     :class:`InternalNumerics` is raised.  Double precision certifies the
@@ -265,7 +262,7 @@ def completion_with_det(pm, k, rel_tol=1e-8, tol=1e-10):
     for _ in range(4):
         m[i - 1, j - 1] = m[j - 1, i - 1] = iv.center + iv.half_width * np.sqrt(1.0 - k / height)
         d = det(m)
-        if abs(d - k) <= rel_tol * k:
+        if abs(d - k) <= 1e-8 * k:
             return m
         if d <= 0.0:
             break

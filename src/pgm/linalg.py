@@ -29,6 +29,16 @@ def sym(a):
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
+def _square_finite(a):
+    """``a`` as a float array, checked to be one square matrix with finite entries."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    return m
+
+
 def as_sym_matrix(a, symmetrize=False):
     """Validate a dense real symmetric matrix.
 
@@ -44,11 +54,7 @@ def as_sym_matrix(a, symmetrize=False):
     -------
     ndarray of float, exactly symmetric.
     """
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
+    m = _square_finite(a)
     if symmetrize:
         return sym(m)
     if not np.array_equal(m, m.T):
@@ -110,6 +116,19 @@ def _require(w, domain, tol):
         lam_min = float(w[..., 0][~ok].min())
         raise NotPositiveDefinite(f"matrix is not positive {kind} (lambda_min = {lam_min:.3e})")
     return w if domain == "pd" else np.clip(w, 0.0, None)
+
+
+def _pd_stack(mats, tol=DEFAULT_TOL):
+    """The ``k >= 1`` matrices ``mats`` as one ``(k, n, n)`` float stack, checked
+    square, finite, of one shape and positive definite by one eigensolve."""
+    stack = [_square_finite(m) for m in mats]
+    if not stack:
+        raise ValueError("expected at least one matrix")
+    if len({m.shape for m in stack}) > 1:
+        raise DimensionMismatch(f"shape mismatch: {' vs '.join(str(m.shape) for m in stack)}")
+    stack = np.stack(stack)
+    _require(_eigh(stack, vectors=False), "pd", tol)
+    return stack
 
 
 def _from_spectrum(w, q):
@@ -220,12 +239,6 @@ def riemannian_dist(a, b, tol=DEFAULT_TOL):
     generalized symmetric eigenproblem ``B x = lambda A x`` whose
     eigenvalues equal those of A^{-1/2} B A^{-1/2}.
     """
-    ma = np.asarray(a, dtype=float)
-    mb = np.asarray(b, dtype=float)
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    for m in (ma, mb):
-        if not is_pd(m, tol):
-            raise NotPositiveDefinite("riemannian_dist requires positive definite arguments")
+    ma, mb = _pd_stack((a, b), tol)
     w = scipy.linalg.eigh(mb, ma, eigvals_only=True)
     return float(np.sqrt(np.sum(np.log(w) ** 2)))

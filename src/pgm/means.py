@@ -24,17 +24,16 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .completion import CompletionReport, max_det_completion
-from .errors import DimensionMismatch, NotPositiveDefinite
+from .errors import DimensionMismatch
 from .linalg import (
     DEFAULT_TOL,
-    _definite,
     _eigh,
     _from_spectrum,
+    _pd_stack,
     _require,
     det,
     fro_norm,
     invm,
-    is_pd,
     is_psd,
     log_det,
     mat_fn,
@@ -53,8 +52,8 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     geodesic and are computed with a warning; the property guarantees
     hold only on [0, 1].  On stacks ``(..., n, n)`` the means are taken
     pairwise, with the leading dimensions broadcast (one A against a
-    stack of B, or the reverse).  One ``eigh(A)`` gives A's PD check and
-    ``A^{+-1/2}``.
+    stack of B, or the reverse).  Non-square, non-finite or non-PD input
+    is rejected; one ``eigh(A)`` gives A's PD check and ``A^{+-1/2}``.
     """
     if not 0.0 <= t <= 1.0:
         warnings.warn(
@@ -63,13 +62,16 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
         )
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     lead = zip(a.shape[-3::-1], b.shape[-3::-1])
     if a.shape[-2:] != b.shape[-2:] or any(p != q and 1 not in (p, q) for p, q in lead):
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("matrix has non-finite entries")
     w, q = _eigh(a)
-    if not (_definite(w, tol).all() and _definite(_eigh(b, vectors=False), tol).all()):
-        raise NotPositiveDefinite("geomean requires positive definite arguments")
-    rs, ris = _sqrt_pair(w, q)
+    rs, ris = _sqrt_pair(_require(w, "pd", tol), q)
+    _require(_eigh(b, vectors=False), "pd", tol)
     inner = mat_fn(sym(ris @ b @ ris), lambda v: v**t)
     return sym(rs @ inner @ rs)
 
@@ -140,6 +142,7 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
         9.  ``det(A #_t B) = (det A)^{1-t} (det B)^t``
         10. harmonic/arithmetic sandwich
     """
+    a, b, c, d = _pd_stack((a, b, c, d))
     g_ab = geomean(a, b, t)
 
     commuting_partner = sym(a @ a) + np.eye(a.shape[0])
@@ -206,21 +209,12 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Finite set of positive definite matrices of one dimension."""
+    """Non-empty finite set of positive definite matrices of one shape, checked as one stack."""
 
     members: tuple
 
     def __post_init__(self):
-        members = tuple(np.asarray(m, dtype=float) for m in self.members)
-        if not members:
-            raise ValueError("sample set must be non-empty")
-        n = members[0].shape[0]
-        for m in members:
-            if m.shape != (n, n):
-                raise DimensionMismatch("sample set members must share one dimension")
-            if not is_pd(m, DEFAULT_TOL):
-                raise NotPositiveDefinite("sample set members must be positive definite")
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "members", tuple(_pd_stack(self.members)))
 
     def __len__(self):
         return len(self.members)
@@ -240,17 +234,17 @@ class SampleSet:
         return SampleSet(tuple(invm(m) for m in self.members))
 
 
-def set_geomean(s, t_set, t=0.5, dedup_tol=1e-12):
+def set_geomean(s, t_set, t=0.5):
     """All pairwise weighted geometric means of two sample sets.
 
-    Duplicates (Frobenius distance <= ``dedup_tol``) are removed, so the
-    result has at most ``len(s) * len(t_set)`` members.
+    Duplicates (Frobenius distance <= 1e-12) are removed, so the result
+    has at most ``len(s) * len(t_set)`` members.
     """
     out = []
     for x in s.members:
         for y in t_set.members:
             g = geomean(x, y, t)
-            if all(fro_norm(g - kept) > dedup_tol for kept in out):
+            if all(fro_norm(g - kept) > 1e-12 for kept in out):
                 out.append(g)
     return SampleSet(tuple(out))
 
@@ -362,25 +356,22 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     w_i (c_i + 1)/(c_i - 1) log c_i`` with ``c_i = cond(M_i)`` (a term is
     2 at ``c_i = 1``); a unit step can diverge on widely spread inputs.
 
-    Returns a :class:`KarcherResult`; ``converged`` is False when the
-    step budget was exhausted first.
+    The inputs are checked by one stacked eigensolve, and the iteration
+    runs on that stack.  Returns a :class:`KarcherResult`; ``converged``
+    is False when the step budget was exhausted first.
     """
     if not isinstance(weights, WeightVector):
         weights = WeightVector(weights=tuple(weights))
-    mats = [np.asarray(m, dtype=float) for m in mats]
-    if len(weights) != len(mats):
-        raise ValueError(f"{len(weights)} weights for {len(mats)} matrices")
-    for m in mats:
-        if not is_pd(m, DEFAULT_TOL):
-            raise NotPositiveDefinite("karcher_mean requires positive definite matrices")
+    stack = _pd_stack(mats)
+    if len(weights) != len(stack):
+        raise ValueError(f"{len(weights)} weights for {len(stack)} matrices")
     w = np.asarray(weights.weights)
 
     partial_sums = np.cumsum(w)
-    x = mats[0]
-    for j in range(1, len(mats)):
-        x = geomean(mats[j], x, partial_sums[j - 1] / partial_sums[j])
+    x = stack[0]
+    for j in range(1, len(stack)):
+        x = geomean(stack[j], x, partial_sums[j - 1] / partial_sums[j])
 
-    stack = np.stack(mats)
     for steps in range(max_steps + 1):
         x_w, x_q = _eigh(x)
         rs, ris = _sqrt_pair(_require(x_w, "pd", DEFAULT_TOL), x_q)
@@ -396,7 +387,7 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
         x = sym(rs @ mat_fn(theta * grad, np.exp) @ rs)
     return KarcherResult(
         matrix=x,
-        steps=len(mats) - 1 + steps,
+        steps=len(stack) - 1 + steps,
         gradient_norm=gnorm,
         converged=bool(gnorm <= tol),
     )
@@ -429,11 +420,7 @@ def agm_iteration(a, b, tol=1e-12, max_steps=100):
     iteration stops when ``||A_k - B_k||_F <= tol * ||B_k||_F`` and
     returns the arithmetic midpoint of the final pair.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not is_pd(a, DEFAULT_TOL) or not is_pd(b, DEFAULT_TOL):
-        raise NotPositiveDefinite("agm_iteration requires positive definite arguments")
-    lower, upper = a, b
+    lower, upper = _pd_stack((a, b))
     lowers, uppers = [], []
     converged = False
     iterations = 0
@@ -482,10 +469,7 @@ def det_integral_identity(a0, a1, quad_points=201):
     composite Simpson quadrature on ``quad_points`` nodes, an odd number
     >= 3; the integrand at every node comes from one spectrum).
     """
-    a0 = np.asarray(a0, dtype=float)
-    a1 = np.asarray(a1, dtype=float)
-    if not is_pd(a0, DEFAULT_TOL) or not is_pd(a1, DEFAULT_TOL):
-        raise NotPositiveDefinite("det_integral_identity requires positive definite arguments")
+    a0, a1 = _pd_stack((a0, a1))
     lhs = det(a1)
     rhs = det(a0) * math.exp(_trace_quadrature(a0, a1, quad_points))
     return lhs, rhs

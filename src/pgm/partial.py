@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, PatternMismatch
+from .errors import DimensionMismatch, NotPartialPD, PatternMismatch
 from .linalg import DEFAULT_TOL, _definite, as_sym_matrix
 from .pattern import Pattern, _normalize_edge
 
@@ -123,9 +123,23 @@ def offending_cliques(pm, tol=DEFAULT_TOL):
     """Maximal cliques whose principal submatrix fails to be positive
     definite (diagnostic companion to :func:`is_partial_pd`), in the
     order of :func:`maximal_cliques`."""
-    cliques = pm.pattern._clique_sequence
-    ok = _definite(clique_extremes(pm.to_dense(), cliques), tol)
-    return sorted(tuple(v + 1 for v in c) for c, good in zip(cliques, ok) if not good)
+    return [c for c, _ in _offenders(pm.to_dense(), pm.pattern._clique_sequence, tol)]
+
+
+def _offenders(a, cliques, tol):
+    """Sorted 1-based ``(clique, lambda_min)`` of the non-PD clique blocks of the dense ``a``."""
+    ext = clique_extremes(a, cliques)
+    rows = np.flatnonzero(~_definite(ext, tol))
+    return sorted((tuple(v + 1 for v in cliques[r]), ext[r, 0]) for r in rows)
+
+
+def _require_partial_pd(a, cliques, tol):
+    """Raise :class:`NotPartialPD` naming the first of :func:`_offenders`."""
+    bad = _offenders(a, cliques, tol)
+    if bad:
+        clique, lam_min = bad[0]
+        names = ", ".join(map(str, clique))
+        raise NotPartialPD(f"not partial PD: clique {{{names}}} has lambda_min = {lam_min:.3e}")
 
 
 def _require_same_pattern(a, b):

@@ -170,6 +170,15 @@ class TestExitCodes:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["complete", "sweep"])
+    def test_non_pd_clique_named_on_stderr(self, tmp_path, capsys, command):
+        # the clique {2, 3} holds [[1, 2], [2, 1]]; the clique {1, 2} is PD
+        bad = write(tmp_path, "bad.txt", "n 3\n3 -1 ?\n-1 1 2\n? 2 1\n")
+        other = [write(tmp_path, "b.txt", EX1_B_TEXT), "--out", str(tmp_path / "o.csv")]
+        assert main([command, bad, *(other if command == "sweep" else [])]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: not partial PD: clique {2, 3} has lambda_min = -1.000e+00\n"
+
 
 class TestCommands:
     def test_complete_writes_parseable_output(self, tmp_path, capsys):

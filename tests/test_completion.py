@@ -178,8 +178,21 @@ class TestMaxDetCompletion:
             pattern=Pattern.from_pairs(3, [(1, 2)]),
             values={(1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0, (1, 2): 2.0},
         )
-        with pytest.raises(NotPartialPD):
+        with pytest.raises(NotPartialPD, match=r"clique \{1, 2\} has lambda_min = -1\.000e\+00"):
             max_det_completion(pm)
+
+    def test_chordal_convergence_reads_one_spectrum(self, monkeypatch):
+        # cliques of one size: one eigensolve checks the input, and one
+        # spectrum of the iterate gives both convergence tests
+        calls = {"eig": 0}
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _real=getattr(np.linalg, name), **kwargs):
+                calls["eig"] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rep = max_det_completion(ex1_partial_a())
+        assert (rep.iterations, rep.converged, calls["eig"]) == (1, True, 2)
 
     def test_partial_pd_check_one_eigensolve_per_size(self, monkeypatch):
         # band-2, n = 40: 38 cliques of size 3, the last one in the sweep

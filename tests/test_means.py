@@ -515,3 +515,52 @@ class TestPerturbationSensitivity:
 
         g = geomean(self._matrix(1.0 / 3.0 + 1e-6), np.eye(3), 0.5)
         assert np.isfinite(g).all()
+
+
+INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+PD_ENTRY_POINTS = {
+    "geomean": lambda a, b: geomean(a, b, 0.5),
+    "karcher_mean": lambda a, b: karcher_mean(WeightVector.uniform(2), [a, b]),
+    "agm_iteration": agm_iteration,
+    "det_integral_identity": det_integral_identity,
+    "riemannian_dist": riemannian_dist,
+    "SampleSet": lambda a, b: SampleSet((a, b)),
+}
+MALFORMED_PAIRS = {
+    "unequal": (np.eye(2), np.eye(3), DimensionMismatch, "shape mismatch"),
+    "non-square": (np.ones((2, 3)), np.ones((2, 3)), DimensionMismatch, "square matrix"),
+    "nan": (np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError, "non-finite"),
+    "indefinite": (np.eye(2), INDEFINITE, NotPositiveDefinite, r"lambda_min = -1\.000e\+00"),
+}
+
+
+class TestPdPrecondition:
+    """Every dense entry point names the cause of a malformed argument."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_PAIRS))
+    @pytest.mark.parametrize("entry", sorted(PD_ENTRY_POINTS))
+    def test_malformed_pair_names_the_cause(self, entry, case):
+        a, b, error, message = MALFORMED_PAIRS[case]
+        with pytest.raises(error, match=message):
+            PD_ENTRY_POINTS[entry](a, b)
+
+    def test_karcher_checks_all_inputs_with_one_eigensolve(self, monkeypatch):
+        # with the warm start stubbed out and no fixed-point step, every
+        # eigvalsh call left is the precondition
+        shapes = []
+
+        def counted(a, *args, _real=np.linalg.eigvalsh, **kwargs):
+            shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(means, "geomean", lambda a, b, t: b)
+        rng = np.random.default_rng(8)
+        karcher_mean(WeightVector.uniform(6), [rand_spd(rng, 4) for _ in range(6)], max_steps=0)
+        assert shapes == [(6, 4, 4)]
+
+    def test_property_check_rejects_mixed_sizes(self):
+        rng = np.random.default_rng(9)
+        a, b, d = (rand_spd(rng, 3) for _ in range(3))
+        with pytest.raises(DimensionMismatch):
+            geomean_properties_check(a, b, rand_spd(rng, 2), d, 0.5, 0.5, np.eye(3))
