@@ -32,7 +32,7 @@ from .errors import (
     PgmError,
     TooManyMissing,
 )
-from .linalg import _eigh, is_pd
+from .linalg import DEFAULT_TOL, _eigh, is_pd
 from .means import (
     WeightVector,
     entropy_identities,
@@ -53,7 +53,7 @@ def default_tol():
     """Default tolerance, overridable through the PGM_TOL variable."""
     raw = os.environ.get("PGM_TOL")
     if raw is None or raw == "":
-        return 1e-10
+        return DEFAULT_TOL
     try:
         return _tolerance(raw)
     except argparse.ArgumentTypeError as exc:
@@ -331,10 +331,10 @@ def cmd_entropy(args):
     return 0
 
 
-def _shrunk_axis(bounds, margin=1e-6):
+def _shrunk_axis(bounds):
     lo, hi = bounds
     width = hi - lo
-    return lo + margin * width, hi - margin * width
+    return lo + 1e-6 * width, hi - 1e-6 * width
 
 
 def _sweep_table(pa, pb, grid, t, tol):

@@ -78,9 +78,6 @@ class FeasibilityInterval:
     def upper(self):
         return self.center + self.half_width
 
-    def contains(self, x):
-        return self.lower < x < self.upper
-
 
 @dataclass
 class CompletionReport:
@@ -178,7 +175,7 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
             break
         k = np.where(spec, np.linalg.inv(m), 0.0)
         trace_ka = float(np.sum(k * a))
-        if trace_ka <= 0.0 and is_pd(k):
+        if trace_ka <= 0.0 and _definite(_eigh(k, vectors=False), DEFAULT_TOL):
             raise NotCompletable(
                 "no positive definite completion exists: K = M^-1 is positive definite "
                 f"and supported on the pattern, yet sum_E K_ij A_ij = {trace_ka:.3g} <= 0, "
@@ -193,7 +190,7 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
     )
 
 
-def feasibility_range(pm, tol=DEFAULT_TOL):
+def feasibility_range(pm):
     """Feasibility interval of the unique missing entry.
 
     The endpoints give singular positive semidefinite completions; the
@@ -205,7 +202,7 @@ def feasibility_range(pm, tol=DEFAULT_TOL):
             f"feasibility_range needs exactly one missing entry, found {len(missing)}"
         )
     i, j = missing[0]
-    return single_entry_interval(pm.to_dense(0.0), i, j, tol)
+    return single_entry_interval(pm.to_dense(0.0), i, j)
 
 
 def partial_entry_bounds(pm, pos, tol=DEFAULT_TOL):
@@ -236,7 +233,7 @@ def partial_entry_bounds(pm, pos, tol=DEFAULT_TOL):
     return float(lo), float(hi)
 
 
-def completion_with_det(pm, k, tol=1e-10):
+def completion_with_det(pm, k):
     """A positive definite completion with determinant ``k``.
 
     Valid targets are ``0 < k < d_max = det(Ahat)``, ``Ahat`` the max-det
@@ -248,7 +245,7 @@ def completion_with_det(pm, k, tol=1e-10):
     :class:`InternalNumerics` is raised.  Double precision certifies the
     target down to about ``k / d_max = 1e-7``.
     """
-    report = max_det_completion(pm, tol=tol)
+    report = max_det_completion(pm)
     d_max = report.determinant
     if not 0.0 < k < d_max:
         raise OutOfRange(f"target determinant must lie in (0, {d_max:.6g}), got {k:.6g}")
@@ -270,7 +267,7 @@ def completion_with_det(pm, k, tol=1e-10):
     raise InternalNumerics(f"completion determinant {d:.6g} misses the target {k:.6g}")
 
 
-def fischer_bound(pm, tol=1e-10):
+def fischer_bound(pm):
     """Determinant bound for block-decomposable patterns.
 
     For a pattern splitting into components with every cross entry
@@ -285,5 +282,5 @@ def fischer_bound(pm, tol=1e-10):
         )
     bound = 1.0
     for comp in comps:
-        bound *= max_det_completion(restrict(pm, comp), tol=tol).determinant
+        bound *= max_det_completion(restrict(pm, comp)).determinant
     return bound

@@ -29,14 +29,30 @@ def sym(a):
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _square_finite(a):
-    """``a`` as a float array, checked to be one square matrix with finite entries."""
+def _square(a):
+    """``a`` as a float array, checked to be one square matrix."""
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix has non-finite entries")
     return m
+
+
+def _finite(x):
+    """``x`` (entries or a spectrum), checked to hold no NaN or inf."""
+    if not np.isfinite(x).all():
+        raise ValueError("matrix has non-finite entries")
+    return x
+
+
+def _symmetric(m):
+    """The float matrix or stack ``m``, checked finite: as it is if exactly symmetric,
+    its :func:`sym` if ``max |a - a^T| <= DEFAULT_TOL * max(1, max |a|)`` per matrix."""
+    if (_finite(m) == m.swapaxes(-1, -2)).all():
+        return m
+    skew = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
+    if (skew > DEFAULT_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))).any():
+        raise ValueError(f"matrix is not symmetric (max |a - a^T| = {skew.max():.3e})")
+    return sym(m)
 
 
 def as_sym_matrix(a, symmetrize=False):
@@ -47,19 +63,15 @@ def as_sym_matrix(a, symmetrize=False):
     a : array_like, shape (n, n)
         Square matrix with finite real entries.
     symmetrize : bool
-        If True, asymmetric input is averaged with its transpose instead
-        of being rejected.
+        If True, any asymmetric input is averaged with its transpose; if
+        False, only round-off asymmetry is, and more raises ValueError.
 
     Returns
     -------
-    ndarray of float, exactly symmetric.
+    ndarray of float, exactly symmetric, never ``a`` itself.
     """
-    m = _square_finite(a)
-    if symmetrize:
-        return sym(m)
-    if not np.array_equal(m, m.T):
-        raise ValueError("matrix is not symmetric; pass symmetrize=True to average")
-    return m.copy()
+    m = _square(a)
+    return sym(_finite(m)) if symmetrize else _symmetric(m).copy()
 
 
 @dataclass(frozen=True)
@@ -105,12 +117,12 @@ def _definite(w, tol, semi=False):
 def _require(w, domain, tol):
     """Spectra ``w`` checked against ``domain`` ("pd" or "psd").
 
-    Raises :class:`NotPositiveDefinite` naming the smallest failing
-    lambda_min; PSD spectra come back with round-off negatives clipped.
+    Raises :class:`NotPositiveDefinite` naming the smallest failing lambda_min
+    (ValueError if not finite); PSD spectra come back with negatives clipped.
     """
     if domain not in ("pd", "psd"):
         raise ValueError(f"unknown domain {domain!r}")
-    ok = _definite(w, tol, semi=domain == "psd")
+    ok = _definite(_finite(w), tol, semi=domain == "psd")
     if not ok.all():
         kind = "definite" if domain == "pd" else "semidefinite"
         lam_min = float(w[..., 0][~ok].min())
@@ -118,16 +130,16 @@ def _require(w, domain, tol):
     return w if domain == "pd" else np.clip(w, 0.0, None)
 
 
-def _pd_stack(mats, tol=DEFAULT_TOL):
+def _pd_stack(mats):
     """The ``k >= 1`` matrices ``mats`` as one ``(k, n, n)`` float stack, checked
-    square, finite, of one shape and positive definite by one eigensolve."""
-    stack = [_square_finite(m) for m in mats]
+    square, finite, symmetric (:func:`_symmetric`), of one shape and PD by one eigensolve."""
+    stack = [_symmetric(_square(m)) for m in mats]
     if not stack:
         raise ValueError("expected at least one matrix")
     if len({m.shape for m in stack}) > 1:
         raise DimensionMismatch(f"shape mismatch: {' vs '.join(str(m.shape) for m in stack)}")
     stack = np.stack(stack)
-    _require(_eigh(stack, vectors=False), "pd", tol)
+    _require(_eigh(stack, vectors=False), "pd", DEFAULT_TOL)
     return stack
 
 
@@ -137,18 +149,18 @@ def _from_spectrum(w, q):
 
 
 def is_pd(a, tol=DEFAULT_TOL):
-    """True iff lambda_min(a) > tol * max(1, ||a||); per matrix on a stack."""
-    ok = _definite(_eigh(a, vectors=False), tol)
+    """True iff lambda_min(a) > tol * max(1, ||a||); per matrix on a stack; NaN raises."""
+    ok = _definite(_finite(_eigh(a, vectors=False)), tol)
     return bool(ok) if ok.ndim == 0 else ok
 
 
 def is_psd(a, tol=DEFAULT_TOL):
-    """True iff lambda_min(a) >= -tol * max(1, ||a||); per matrix on a stack."""
-    ok = _definite(_eigh(a, vectors=False), tol, semi=True)
+    """True iff lambda_min(a) >= -tol * max(1, ||a||); per matrix on a stack; NaN raises."""
+    ok = _definite(_finite(_eigh(a, vectors=False)), tol, semi=True)
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def mat_fn(a, f, domain=None, tol=DEFAULT_TOL):
+def mat_fn(a, f, domain=None):
     """Apply a scalar function to a symmetric matrix through its spectrum.
 
     Parameters
@@ -157,13 +169,11 @@ def mat_fn(a, f, domain=None, tol=DEFAULT_TOL):
     f : callable
         Vectorized scalar function applied to the eigenvalues.
     domain : {None, "pd", "psd"}
-        Spectrum requirement.  ``"pd"`` demands strictly positive
-        eigenvalues (log, inverse, negative powers); ``"psd"`` allows a
-        zero boundary and clips round-off negatives (square root,
-        nonnegative powers); ``None`` imposes nothing (exp).  On a stack
-        every matrix must meet it.
-    tol : float
-        Relative tolerance of the spectrum check.
+        Spectrum requirement, met at relative tolerance ``DEFAULT_TOL`` by
+        every matrix of a stack; a NaN or inf fails it with ValueError.
+        ``"pd"`` demands strictly positive eigenvalues (log, inverse, negative
+        powers); ``"psd"`` allows a zero boundary and clips round-off negatives
+        (square root, nonnegative powers); ``None`` imposes nothing (exp).
 
     Returns
     -------
@@ -171,29 +181,29 @@ def mat_fn(a, f, domain=None, tol=DEFAULT_TOL):
     """
     w, q = _eigh(a)
     if domain is not None:
-        w = _require(w, domain, tol)
+        w = _require(w, domain, DEFAULT_TOL)
     return _from_spectrum(f(w), q)
 
 
-def sqrtm(a, tol=DEFAULT_TOL):
+def sqrtm(a):
     """Principal square root of a positive semidefinite matrix."""
-    return mat_fn(a, np.sqrt, domain="psd", tol=tol)
+    return mat_fn(a, np.sqrt, domain="psd")
 
 
-def invsqrtm(a, tol=DEFAULT_TOL):
+def invsqrtm(a):
     """Inverse square root of a positive definite matrix."""
-    return mat_fn(a, lambda w: 1.0 / np.sqrt(w), domain="pd", tol=tol)
+    return mat_fn(a, lambda w: 1.0 / np.sqrt(w), domain="pd")
 
 
-def powm(a, t, tol=DEFAULT_TOL):
+def powm(a, t):
     """Matrix power ``a**t``; negative exponents require a PD argument."""
     domain = "pd" if t < 0 else "psd"
-    return mat_fn(a, lambda w: w**t, domain=domain, tol=tol)
+    return mat_fn(a, lambda w: w**t, domain=domain)
 
 
-def logm(a, tol=DEFAULT_TOL):
+def logm(a):
     """Matrix logarithm of a positive definite matrix."""
-    return mat_fn(a, np.log, domain="pd", tol=tol)
+    return mat_fn(a, np.log, domain="pd")
 
 
 def expm(a):
@@ -201,9 +211,9 @@ def expm(a):
     return mat_fn(a, np.exp)
 
 
-def invm(a, tol=DEFAULT_TOL):
+def invm(a):
     """Inverse of a positive definite matrix."""
-    return mat_fn(a, lambda w: 1.0 / w, domain="pd", tol=tol)
+    return mat_fn(a, lambda w: 1.0 / w, domain="pd")
 
 
 def det(a):
@@ -211,9 +221,9 @@ def det(a):
     return float(np.linalg.det(np.asarray(a, dtype=float)))
 
 
-def log_det(a, tol=DEFAULT_TOL):
+def log_det(a):
     """Sum of eigenvalue logs of a positive definite matrix."""
-    w = _require(_eigh(a, vectors=False), "pd", tol)
+    w = _require(_eigh(a, vectors=False), "pd", DEFAULT_TOL)
     return float(np.log(w).sum())
 
 
@@ -232,13 +242,13 @@ def op_norm(a):
     return float(np.abs(_eigh(a, vectors=False)).max())
 
 
-def riemannian_dist(a, b, tol=DEFAULT_TOL):
+def riemannian_dist(a, b):
     """Riemannian trace metric between positive definite matrices.
 
     delta(A, B) = || log(A^{-1/2} B A^{-1/2}) ||_F, evaluated through the
     generalized symmetric eigenproblem ``B x = lambda A x`` whose
     eigenvalues equal those of A^{-1/2} B A^{-1/2}.
     """
-    ma, mb = _pd_stack((a, b), tol)
+    ma, mb = _pd_stack((a, b))
     w = scipy.linalg.eigh(mb, ma, eigvals_only=True)
     return float(np.sqrt(np.sum(np.log(w) ** 2)))

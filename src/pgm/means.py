@@ -31,6 +31,7 @@ from .linalg import (
     _from_spectrum,
     _pd_stack,
     _require,
+    _symmetric,
     det,
     fro_norm,
     invm,
@@ -52,8 +53,8 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     geodesic and are computed with a warning; the property guarantees
     hold only on [0, 1].  On stacks ``(..., n, n)`` the means are taken
     pairwise, with the leading dimensions broadcast (one A against a
-    stack of B, or the reverse).  Non-square, non-finite or non-PD input
-    is rejected; one ``eigh(A)`` gives A's PD check and ``A^{+-1/2}``.
+    stack of B, or the reverse).  Non-square, non-finite, asymmetric (past
+    round-off) or non-PD input is rejected; one ``eigh(A)`` gives A's PD check and ``A^{+-1/2}``.
     """
     if not 0.0 <= t <= 1.0:
         warnings.warn(
@@ -67,8 +68,7 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     lead = zip(a.shape[-3::-1], b.shape[-3::-1])
     if a.shape[-2:] != b.shape[-2:] or any(p != q and 1 not in (p, q) for p, q in lead):
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("matrix has non-finite entries")
+    a, b = _symmetric(a), _symmetric(b)
     w, q = _eigh(a)
     rs, ris = _sqrt_pair(_require(w, "pd", tol), q)
     _require(_eigh(b, vectors=False), "pd", tol)
@@ -219,10 +219,6 @@ class SampleSet:
     def __len__(self):
         return len(self.members)
 
-    @property
-    def dim(self):
-        return self.members[0].shape[0]
-
     def scale(self, alpha):
         """Memberwise positive scalar multiple."""
         if alpha <= 0:
@@ -249,17 +245,17 @@ def set_geomean(s, t_set, t=0.5):
     return SampleSet(tuple(out))
 
 
-def block_max_property(a, b, tol=1e-8, probe=1e-6):
+def block_max_property(a, b):
     """Check that ``A # B`` is the largest symmetric block completing
     ``[[A, X], [X, B]]`` to a positive semidefinite matrix.
 
-    Verifies the block matrix is PSD at ``X = A # B`` and stops being PSD
-    once ``X`` is pushed by ``probe * ||X||`` along the identity.
+    Verifies the block matrix is PSD (relative tolerance 1e-8) at ``X = A # B``
+    and stops being PSD once ``X`` is pushed by ``1e-6 ||X||`` along the identity.
     """
     x = geomean(a, b, 0.5)
-    bumped = x + probe * op_norm(x) * np.eye(a.shape[0])
-    return is_psd(sym(np.block([[a, x], [x, b]])), tol) and not is_psd(
-        sym(np.block([[a, bumped], [bumped, b]])), tol
+    bumped = x + 1e-6 * op_norm(x) * np.eye(a.shape[0])
+    return is_psd(sym(np.block([[a, x], [x, b]])), 1e-8) and not is_psd(
+        sym(np.block([[a, bumped], [bumped, b]])), 1e-8
     )
 
 
@@ -275,7 +271,7 @@ class PartialGeomeanResult:
     completion_b: CompletionReport
 
 
-def partial_geomean_maxdet(pa, pb, t=0.5, tol=1e-10):
+def partial_geomean_maxdet(pa, pb, t=0.5):
     """Mean of two partial PD matrices through their max-det completions.
 
     Among all pairwise means of completions, the mean of the two
@@ -284,8 +280,8 @@ def partial_geomean_maxdet(pa, pb, t=0.5, tol=1e-10):
     """
     if pa.n != pb.n:
         raise DimensionMismatch(f"dimension mismatch: {pa.n} vs {pb.n}")
-    rep_a = max_det_completion(pa, tol=tol)
-    rep_b = max_det_completion(pb, tol=tol)
+    rep_a = max_det_completion(pa)
+    rep_b = max_det_completion(pb)
     m = geomean(rep_a.matrix, rep_b.matrix, t)
     return PartialGeomeanResult(
         matrix=m,
@@ -410,27 +406,26 @@ class AgmResult:
     upper_iterates: list
 
 
-def agm_iteration(a, b, tol=1e-12, max_steps=100):
+def agm_iteration(a, b):
     """Arithmetic-harmonic mean iteration converging to ``A # B``.
 
         A_{k+1} = ((A_k^{-1} + B_k^{-1}) / 2)^{-1},
         B_{k+1} = (A_k + B_k) / 2.
 
     Both sequences converge monotonically to the geometric mean; the
-    iteration stops when ``||A_k - B_k||_F <= tol * ||B_k||_F`` and
-    returns the arithmetic midpoint of the final pair.
+    iteration stops when ``||A_k - B_k||_F <= 1e-12 ||B_k||_F``, or after
+    100 steps unconverged, and returns the arithmetic midpoint of the final pair.
     """
     lower, upper = _pd_stack((a, b))
     lowers, uppers = [], []
     converged = False
-    iterations = 0
-    for iterations in range(1, max_steps + 1):
+    for iterations in range(1, 101):
         harmonic = invm(0.5 * (invm(lower) + invm(upper)))
         arithmetic = sym(0.5 * (lower + upper))
         lower, upper = harmonic, arithmetic
         lowers.append(lower)
         uppers.append(upper)
-        if fro_norm(lower - upper) <= tol * fro_norm(upper):
+        if fro_norm(lower - upper) <= 1e-12 * fro_norm(upper):
             converged = True
             break
     mid = sym(0.5 * (lower + upper))
@@ -475,12 +470,12 @@ def det_integral_identity(a0, a1, quad_points=201):
     return lhs, rhs
 
 
-def gaussian_entropy(sigma, tol=DEFAULT_TOL):
+def gaussian_entropy(sigma):
     """Shannon entropy of a zero-mean Gaussian with covariance ``sigma``:
     ``log(det sigma)/2 + n (1 + log 2 pi)/2``."""
     sigma = np.asarray(sigma, dtype=float)
     n = sigma.shape[0]
-    return 0.5 * log_det(sigma, tol) + 0.5 * n * (1.0 + math.log(2.0 * math.pi))
+    return 0.5 * log_det(sigma) + 0.5 * n * (1.0 + math.log(2.0 * math.pi))
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,6 @@ class PartialMatrix:
             m[j - 1, i - 1] = v
         return m
 
-    @classmethod
-    def from_dense(cls, m, pattern):
-        return project(m, pattern)
-
 
 def project(m, pattern):
     """Keep the entries of a full symmetric matrix at a pattern's
@@ -178,26 +174,26 @@ class Comparison(enum.Enum):
     INCOMPARABLE = "INCOMPARABLE"
 
 
-def partial_order(a, b, tol=DEFAULT_TOL):
+def partial_order(a, b):
     """Classify ``a`` against ``b`` in the partial Loewner order.
 
     The order is defined through the difference: ``a > b`` iff ``a - b``
     is partial positive definite, ``a >= b`` iff it is partial positive
-    semidefinite.  ``EQ`` requires the difference to be identically zero;
-    strict verdicts are reported when the strict test passes.
+    semidefinite, both at tolerance ``DEFAULT_TOL``.  ``EQ`` requires the
+    difference to be identically zero; strict verdicts take precedence.
     """
     diff = sub(a, b).to_dense()  # sub rejects another pattern and an overflow
     if not diff.any():
         return Comparison.EQ
     ext = clique_extremes(diff, a.pattern._clique_sequence)
     neg = -ext[:, ::-1]  # the pairs of -diff
-    if _definite(ext, tol).all():
+    if _definite(ext, DEFAULT_TOL).all():
         return Comparison.GT
-    if _definite(neg, tol).all():
+    if _definite(neg, DEFAULT_TOL).all():
         return Comparison.LT
-    if _definite(ext, tol, semi=True).all():
+    if _definite(ext, DEFAULT_TOL, semi=True).all():
         return Comparison.GE
-    if _definite(neg, tol, semi=True).all():
+    if _definite(neg, DEFAULT_TOL, semi=True).all():
         return Comparison.LE
     return Comparison.INCOMPARABLE
 

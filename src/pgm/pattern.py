@@ -90,6 +90,8 @@ class Pattern:
         ``v`` (Blair and Peyton).  Non-chordal patterns fall back to
         Bron-Kerbosch with pivoting.
         """
+        if self.is_complete:  # its one clique, without a search
+            return (tuple(range(self.n)),)
         adj, order, chordal = self._mcs
         if not chordal:
             return tuple(_bron_kerbosch(adj, self.n))

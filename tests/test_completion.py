@@ -386,7 +386,7 @@ class TestCompletionWithDet:
         pm = matrix_n_four_cycle()
         one_sweep = max_det_completion(pm, max_cycles=1)
         assert not one_sweep.converged
-        monkeypatch.setattr(completion, "max_det_completion", lambda pm, tol: one_sweep)
+        monkeypatch.setattr(completion, "max_det_completion", lambda pm: one_sweep)
         for ratio in (0.5, 1e-3, 1e-6):
             k = ratio * one_sweep.determinant
             m = completion_with_det(pm, k)

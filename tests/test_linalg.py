@@ -15,6 +15,7 @@ from pgm import (
     eig,
     expm,
     fro_norm,
+    gaussian_entropy,
     invm,
     is_pd,
     is_psd,
@@ -26,6 +27,7 @@ from pgm import (
     project,
     riemannian_dist,
     sqrtm,
+    sym,
     trace,
 )
 from conftest import rand_invertible, rand_spd
@@ -212,6 +214,23 @@ class TestRiemannianDist:
 
 
 class TestValidation:
+    @pytest.mark.parametrize(
+        "call",
+        [sqrtm, invm, logm, lambda a: powm(a, -0.5), log_det, gaussian_entropy, is_pd, is_psd],
+        ids=["sqrtm", "invm", "logm", "powm", "log_det", "gaussian_entropy", "is_pd", "is_psd"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_named(self, call, bad):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            call(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_round_off_asymmetry_symmetrized(self):
+        m = np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]])
+        np.testing.assert_array_equal(as_sym_matrix(m), sym(m))
+        exact = np.array([[1e308, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(as_sym_matrix(exact), exact)  # sym() would overflow
+        assert as_sym_matrix(exact) is not exact
+
     def test_as_sym_matrix_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             as_sym_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -531,6 +531,12 @@ MALFORMED_PAIRS = {
     "non-square": (np.ones((2, 3)), np.ones((2, 3)), DimensionMismatch, "square matrix"),
     "nan": (np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError, "non-finite"),
     "indefinite": (np.eye(2), INDEFINITE, NotPositiveDefinite, r"lambda_min = -1\.000e\+00"),
+    "asymmetric": (
+        np.eye(2),
+        np.array([[2.0, 1.0], [0.0, 2.0]]),
+        ValueError,
+        r"not symmetric \(max \|a - a\^T\| = 1\.000e\+00\)",
+    ),
 }
 
 
@@ -543,6 +549,27 @@ class TestPdPrecondition:
         a, b, error, message = MALFORMED_PAIRS[case]
         with pytest.raises(error, match=message):
             PD_ENTRY_POINTS[entry](a, b)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda a, b: geomean(a, b, 0.3),
+            lambda a, b: karcher_mean(WeightVector((0.3, 0.7)), [a, b]).matrix,
+            lambda a, b: agm_iteration(a, b).matrix,
+            riemannian_dist,
+            lambda a, b: SampleSet((a, b)).members,
+        ],
+        ids=["geomean", "karcher_mean", "agm_iteration", "riemannian_dist", "SampleSet"],
+    )
+    def test_round_off_asymmetry_is_symmetrized(self, entry):
+        # q diag(w) q^T is symmetric only up to round-off, as in the demos
+        rng = np.random.default_rng(10)
+        q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        a = q @ np.diag(rng.uniform(0.5, 4.0, 5)) @ q.T
+        b = rand_spd(rng, 5)
+        assert not np.array_equal(a, a.T)
+        np.testing.assert_array_equal(entry(a, b), entry(sym(a), b))
+        np.testing.assert_array_equal(entry(b, a), entry(b, sym(a)))
 
     def test_karcher_checks_all_inputs_with_one_eigensolve(self, monkeypatch):
         # with the warm start stubbed out and no fixed-point step, every

@@ -5,12 +5,15 @@ from itertools import combinations
 import pytest
 
 from pgm import (
+    PartialMatrix,
     Pattern,
     connected_components,
     is_chordal,
     is_completable,
+    max_det_completion,
     maximal_cliques,
     missing_positions,
+    pattern,
 )
 from conftest import (
     brute_force_has_hole,
@@ -129,6 +132,23 @@ class TestMaximalCliques:
             assert all(g.has_edge(i, j) for i, j in combinations(c, 2))
         for i, j in g.edges:
             assert any(i in c and j in c for c in got)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_complete_pattern_skips_the_search(self, n):
+        class Searched(Pattern):
+            is_complete = False  # takes the maximum-cardinality search
+
+        g = Pattern.complete(n)
+        assert g._clique_sequence == Searched(n=n, edges=g.edges)._clique_sequence
+        assert "_mcs" not in vars(g)
+
+    def test_complete_matrix_completes_without_search(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pattern, "_mcs_order", lambda *args: calls.append(args))
+        g = Pattern.complete(4)
+        values = {(i, j): 1.0 if i == j else 0.1 for i, j in g.edges}
+        assert max_det_completion(PartialMatrix(pattern=g, values=values)).converged
+        assert calls == []
 
 
 class TestMissingPositions:
