@@ -47,8 +47,8 @@ from .errors import (
     OutOfRange,
     PatternMismatch,
 )
-from .linalg import DEFAULT_TOL, _definite, _eigh, det, is_pd, sym
-from .partial import _require_partial_pd, restrict
+from .linalg import DEFAULT_TOL, _definite, _dense, _eigh, det, is_pd, sym
+from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
     connected_components,
@@ -101,11 +101,11 @@ class CompletionReport:
 def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
     """Feasibility interval for one free position of a full matrix.
 
-    All entries of ``m`` except position ``(i, j)`` are taken as fixed.
-    Raises :class:`NotPartialPD` when either bordered principal block is
-    not positive definite (no PD completion exists in that coordinate).
+    All entries of ``m`` (admitted by ``linalg._dense``) but position ``(i, j)``
+    are fixed.  Raises :class:`NotPartialPD` when either bordered principal
+    block is not positive definite (no PD completion exists in that coordinate).
     """
-    m = np.asarray(m, dtype=float)
+    m = _dense(m)
     n = m.shape[0]
     i0, j0 = i - 1, j - 1
     if not (0 <= i0 < n and 0 <= j0 < n) or i0 == j0:
@@ -273,14 +273,11 @@ def fischer_bound(pm):
     For a pattern splitting into components with every cross entry
     missing, no completion determinant exceeds the product of the
     components' maximum completion determinants, with equality exactly
-    at zero cross blocks.  Returns that product.
+    at zero cross blocks.  Returns that product as the determinant of the
+    max-det completion, whose iteration from ``diag(A)`` never fills a cross block.
     """
-    comps = connected_components(pm.pattern)
-    if len(comps) < 2:
+    if len(connected_components(pm.pattern)) < 2:
         raise PatternMismatch(
             "pattern has no fully-missing off-diagonal block to split on"
         )
-    bound = 1.0
-    for comp in comps:
-        bound *= max_det_completion(restrict(pm, comp)).determinant
-    return bound
+    return max_det_completion(pm).determinant

@@ -4,10 +4,10 @@ Eigendecompositions, spectral matrix functions (square root, log, exp,
 fractional powers, inverse), determinants and norms, plus the Riemannian
 trace metric on the cone of symmetric positive definite matrices.
 
-All functions take and return plain ``numpy`` arrays.  Outputs of spectral
-functions are explicitly re-symmetrized so that downstream symmetry checks
-can be exact.  Spectral functions and PD tests also take stacks
-``(..., n, n)``.
+All functions take and return plain ``numpy`` arrays.  Each one that runs a
+symmetric eigensolve on its argument admits it through :func:`_dense`.  Outputs
+of spectral functions are explicitly re-symmetrized so that downstream symmetry
+checks can be exact.  Spectral functions and PD tests also take stacks ``(..., n, n)``.
 """
 
 from __future__ import annotations
@@ -29,14 +29,6 @@ def sym(a):
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _square(a):
-    """``a`` as a float array, checked to be one square matrix."""
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 def _finite(x):
     """``x`` (entries or a spectrum), checked to hold no NaN or inf."""
     if not np.isfinite(x).all():
@@ -44,9 +36,12 @@ def _finite(x):
     return x
 
 
-def _symmetric(m):
-    """The float matrix or stack ``m``, checked finite: as it is if exactly symmetric,
+def _dense(a):
+    """``a`` as a float ``(..., n, n)`` array, checked finite: as it is if exactly symmetric,
     its :func:`sym` if ``max |a - a^T| <= DEFAULT_TOL * max(1, max |a|)`` per matrix."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if (_finite(m) == m.swapaxes(-1, -2)).all():
         return m
     skew = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
@@ -70,8 +65,10 @@ def as_sym_matrix(a, symmetrize=False):
     -------
     ndarray of float, exactly symmetric, never ``a`` itself.
     """
-    m = _square(a)
-    return sym(_finite(m)) if symmetrize else _symmetric(m).copy()
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    return _dense(sym(m) if symmetrize and m.shape[0] == m.shape[1] else m).copy()
 
 
 @dataclass(frozen=True)
@@ -87,13 +84,13 @@ class EigenDecomp:
 
 
 def eig(a):
-    """Full eigendecomposition of a symmetric matrix.
+    """Full eigendecomposition of a symmetric matrix admitted by :func:`_dense`.
 
     Returns an :class:`EigenDecomp` with eigenvalues in non-increasing
     order.  Raises :class:`InternalNumerics` in the (practically
     unreachable) event that the symmetric eigensolver fails to converge.
     """
-    w, q = _eigh(a)
+    w, q = _eigh(_dense(a))
     return EigenDecomp(values=w[::-1].copy(), vectors=q[:, ::-1].copy())
 
 
@@ -131,14 +128,16 @@ def _require(w, domain, tol):
 
 
 def _pd_stack(mats):
-    """The ``k >= 1`` matrices ``mats`` as one ``(k, n, n)`` float stack, checked
-    square, finite, symmetric (:func:`_symmetric`), of one shape and PD by one eigensolve."""
-    stack = [_symmetric(_square(m)) for m in mats]
+    """The ``k >= 1`` matrices ``mats``, each admitted by :func:`_dense`, as one
+    ``(k, n, n)`` stack, checked 2-D, of one shape and PD by one eigensolve."""
+    stack = [_dense(m) for m in mats]
     if not stack:
         raise ValueError("expected at least one matrix")
     if len({m.shape for m in stack}) > 1:
         raise DimensionMismatch(f"shape mismatch: {' vs '.join(str(m.shape) for m in stack)}")
     stack = np.stack(stack)
+    if stack.ndim != 3:
+        raise DimensionMismatch(f"expected 2-D matrices, got shape {stack.shape[1:]}")
     _require(_eigh(stack, vectors=False), "pd", DEFAULT_TOL)
     return stack
 
@@ -149,14 +148,14 @@ def _from_spectrum(w, q):
 
 
 def is_pd(a, tol=DEFAULT_TOL):
-    """True iff lambda_min(a) > tol * max(1, ||a||); per matrix on a stack; NaN raises."""
-    ok = _definite(_finite(_eigh(a, vectors=False)), tol)
+    """True iff lambda_min(a) > tol * max(1, ||a||), per matrix of a stack; via :func:`_dense`."""
+    ok = _definite(_eigh(_dense(a), vectors=False), tol)
     return bool(ok) if ok.ndim == 0 else ok
 
 
 def is_psd(a, tol=DEFAULT_TOL):
-    """True iff lambda_min(a) >= -tol * max(1, ||a||); per matrix on a stack; NaN raises."""
-    ok = _definite(_finite(_eigh(a, vectors=False)), tol, semi=True)
+    """True iff lambda_min(a) >= -tol * max(1, ||a||), per matrix of a stack; via :func:`_dense`."""
+    ok = _definite(_eigh(_dense(a), vectors=False), tol, semi=True)
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -165,12 +164,12 @@ def mat_fn(a, f, domain=None):
 
     Parameters
     ----------
-    a : array_like, symmetric, shape (n, n) or a stack (..., n, n).
+    a : array_like, shape (n, n) or a stack (..., n, n), admitted by :func:`_dense`.
     f : callable
         Vectorized scalar function applied to the eigenvalues.
     domain : {None, "pd", "psd"}
         Spectrum requirement, met at relative tolerance ``DEFAULT_TOL`` by
-        every matrix of a stack; a NaN or inf fails it with ValueError.
+        every matrix of a stack.
         ``"pd"`` demands strictly positive eigenvalues (log, inverse, negative
         powers); ``"psd"`` allows a zero boundary and clips round-off negatives
         (square root, nonnegative powers); ``None`` imposes nothing (exp).
@@ -179,7 +178,7 @@ def mat_fn(a, f, domain=None):
     -------
     ndarray, ``Q f(L) Q^T`` re-symmetrized, of the shape of ``a``.
     """
-    w, q = _eigh(a)
+    w, q = _eigh(_dense(a))
     if domain is not None:
         w = _require(w, domain, DEFAULT_TOL)
     return _from_spectrum(f(w), q)
@@ -222,8 +221,8 @@ def det(a):
 
 
 def log_det(a):
-    """Sum of eigenvalue logs of a positive definite matrix."""
-    w = _require(_eigh(a, vectors=False), "pd", DEFAULT_TOL)
+    """Sum of eigenvalue logs of a positive definite matrix admitted by :func:`_dense`."""
+    w = _require(_eigh(_dense(a), vectors=False), "pd", DEFAULT_TOL)
     return float(np.log(w).sum())
 
 
@@ -238,8 +237,8 @@ def fro_norm(a):
 
 
 def op_norm(a):
-    """Spectral norm; for symmetric input this is max |eigenvalue|."""
-    return float(np.abs(_eigh(a, vectors=False)).max())
+    """Spectral norm of a symmetric matrix admitted by :func:`_dense`: max |eigenvalue|."""
+    return float(np.abs(_eigh(_dense(a), vectors=False)).max())
 
 
 def riemannian_dist(a, b):

@@ -27,11 +27,11 @@ from .completion import CompletionReport, max_det_completion
 from .errors import DimensionMismatch
 from .linalg import (
     DEFAULT_TOL,
+    _dense,
     _eigh,
     _from_spectrum,
     _pd_stack,
     _require,
-    _symmetric,
     det,
     fro_norm,
     invm,
@@ -53,27 +53,23 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     geodesic and are computed with a warning; the property guarantees
     hold only on [0, 1].  On stacks ``(..., n, n)`` the means are taken
     pairwise, with the leading dimensions broadcast (one A against a
-    stack of B, or the reverse).  Non-square, non-finite, asymmetric (past
-    round-off) or non-PD input is rejected; one ``eigh(A)`` gives A's PD check and ``A^{+-1/2}``.
+    stack of B, or the reverse).  Both pass :func:`~pgm.linalg._dense`, then a PD
+    check; one ``eigh(A)`` gives A's PD check and ``A^{+-1/2}``.
     """
     if not 0.0 <= t <= 1.0:
         warnings.warn(
             f"geomean parameter t = {t} lies outside [0, 1]; extending the geodesic",
             stacklevel=2,
         )
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] < 1:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    a, b = _dense(a), _dense(b)
     lead = zip(a.shape[-3::-1], b.shape[-3::-1])
     if a.shape[-2:] != b.shape[-2:] or any(p != q and 1 not in (p, q) for p, q in lead):
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-    a, b = _symmetric(a), _symmetric(b)
     w, q = _eigh(a)
     rs, ris = _sqrt_pair(_require(w, "pd", tol), q)
     _require(_eigh(b, vectors=False), "pd", tol)
-    inner = mat_fn(sym(ris @ b @ ris), lambda v: v**t)
-    return sym(rs @ inner @ rs)
+    v, u = _eigh(sym(ris @ b @ ris))
+    return sym(rs @ _from_spectrum(v**t, u) @ rs)
 
 
 def _sqrt_pair(w, q):
@@ -471,11 +467,9 @@ def det_integral_identity(a0, a1, quad_points=201):
 
 
 def gaussian_entropy(sigma):
-    """Shannon entropy of a zero-mean Gaussian with covariance ``sigma``:
-    ``log(det sigma)/2 + n (1 + log 2 pi)/2``."""
-    sigma = np.asarray(sigma, dtype=float)
-    n = sigma.shape[0]
-    return 0.5 * log_det(sigma) + 0.5 * n * (1.0 + math.log(2.0 * math.pi))
+    """Shannon entropy of a zero-mean Gaussian with covariance ``sigma``, admitted by
+    ``linalg._dense`` through ``log_det``: ``log(det sigma)/2 + n (1 + log 2 pi)/2``."""
+    return 0.5 * log_det(sigma) + 0.5 * len(sigma) * (1.0 + math.log(2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -494,7 +488,8 @@ class EntropyIdentities:
 
 
 def entropy_identities(sigma0, sigma1, t=0.5, quad_points=201):
-    """Evaluate both Gaussian entropy identities for a covariance pair."""
+    """Evaluate both Gaussian entropy identities for a covariance pair, as ``_dense`` admits it."""
+    sigma0, sigma1 = _dense(sigma0), _dense(sigma1)
     h0 = gaussian_entropy(sigma0)
     h1 = gaussian_entropy(sigma1)
     h_mean = gaussian_entropy(geomean(sigma0, sigma1, t))  # geomean rejects unequal shapes

@@ -265,23 +265,14 @@ def maximal_cliques(g):
 
 
 def connected_components(g):
-    """Vertex sets of the connected components (loops ignored), each
-    sorted, listed by smallest vertex."""
-    adj = _adjacency(g)
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = []
-        queue = deque([s])
-        seen[s] = True
-        while queue:
-            v = queue.popleft()
-            comp.append(v)
-            for u in sorted(adj[v]):
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
-        comps.append(tuple(v + 1 for v in sorted(comp)))
-    return comps
+    """Vertex sets of the connected components (loops ignored), each sorted, listed
+    by smallest vertex, read off the one MCS visit order: a vertex with no visited neighbor
+    opens a component, which MCS visits whole; ties go to the smallest unvisited vertex."""
+    adj, order, _ = g._mcs
+    comps, seen = [], set()
+    for v in reversed(order):
+        if not adj[v] & seen:
+            comps.append([])
+        comps[-1].append(v + 1)
+        seen.add(v)
+    return [tuple(sorted(c)) for c in comps]

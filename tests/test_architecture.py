@@ -52,6 +52,31 @@ def test_not_positive_definite_raised_only_in_linalg():
     assert modules == {"linalg"}
 
 
+def test_public_eigensolves_admit_their_argument_through_the_dense_door():
+    """In ``linalg`` and ``means``, a public function that calls ``_eigh`` also
+    calls ``_dense``, or ``_pd_stack``, which admits each member through it."""
+    calls, _ = _calls_and_raises()
+    callees = defaultdict(set)
+    for module, func, callee in calls:
+        if module in ("linalg", "means") and func and not func.startswith("_"):
+            callees[module, func].add(callee)
+    eigensolving = {key for key, called in callees.items() if "_eigh" in called}
+    assert {("linalg", "mat_fn"), ("linalg", "is_pd"), ("means", "geomean")} <= eigensolving
+    door = {"_dense", "_pd_stack"}
+    bare = sorted(f"{m}.{f}" for m, f in eigensolving if not callees[m, f] & door)
+    assert bare == []
+
+
+def test_one_dense_door():
+    defined = {
+        node.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert "_dense" in defined
+    assert defined & {"_square", "_symmetric"} == set()
+
 
 def _defaults(func):
     """``(parameter, position)`` of each parameter of ``func`` with a default;

@@ -445,6 +445,33 @@ class TestFischerBound:
         with pytest.raises(PatternMismatch):
             fischer_bound(ex1_partial_a())
 
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_equals_product_over_components(self, blocks):
+        # the product of the restricted completions, the definition of the bound
+        rng = np.random.default_rng(blocks)
+        for _ in range(20):
+            parts = [
+                rand_partial_pd(rng, rand_chordal_pattern(rng, int(rng.integers(1, 6))), 1.0)
+                for _ in range(blocks)
+            ]
+            pm = parts[0]
+            for part in parts[1:]:
+                pm = _block_diag_partial(pm, part)
+            product = math.prod(max_det_completion(part).determinant for part in parts)
+            assert fischer_bound(pm) == pytest.approx(product, rel=1e-13)
+
+    def test_one_completion(self, monkeypatch):
+        calls = []
+
+        def counted(pm, _real=completion.max_det_completion):
+            calls.append(pm)
+            return _real(pm)
+
+        monkeypatch.setattr(completion, "max_det_completion", counted)
+        pm = _block_diag_partial(ex1_partial_a(), ex1_partial_b())
+        fischer_bound(pm)
+        assert calls == [pm]
+
 
 class TestPartialEntryBounds:
     def test_matches_feasibility_range_for_single_missing(self):

@@ -1,5 +1,6 @@
 """Symmetric matrix core: decompositions, spectral functions, metric."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from pgm import (
     fro_norm,
     gaussian_entropy,
     invm,
+    invsqrtm,
     is_pd,
     is_psd,
     log_det,
@@ -26,6 +28,7 @@ from pgm import (
     powm,
     project,
     riemannian_dist,
+    single_entry_interval,
     sqrtm,
     sym,
     trace,
@@ -93,10 +96,14 @@ class TestDefiniteness:
 
 
 class TestMatFn:
-    def test_eigensolver_failure_wrapped(self):
-        # LAPACK does not converge on NaN input
+    def test_eigensolver_failure_wrapped(self, monkeypatch):
+        # NaN input stops at the input check, so the solver failure is staged
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(InternalNumerics):
-            mat_fn(np.full((3, 3), np.nan), np.exp)
+            mat_fn(np.eye(3), np.exp)
 
     def test_sqrt_diagonal(self):
         np.testing.assert_allclose(sqrtm(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
@@ -250,3 +257,59 @@ class TestValidation:
         for call in (as_sym_matrix, lambda a: project(a, Pattern.complete(2))):
             with pytest.raises(ValueError, match="non-finite"):
                 call(m)
+
+
+DENSE_ENTRY_POINTS = {
+    "sqrtm": sqrtm,
+    "invsqrtm": invsqrtm,
+    "powm": lambda a: powm(a, -0.5),
+    "logm": logm,
+    "expm": expm,
+    "invm": invm,
+    "is_pd": is_pd,
+    "is_psd": is_psd,
+    "log_det": log_det,
+    "op_norm": op_norm,
+    "eig": eig,
+    "gaussian_entropy": gaussian_entropy,
+    "single_entry_interval": lambda a: single_entry_interval(a, 1, 2),
+    "as_sym_matrix": as_sym_matrix,
+}
+MALFORMED_DENSE = {
+    "2x3": (np.ones((2, 3)), DimensionMismatch, r"expected a square matrix, got shape \(2, 3\)"),
+    "1-D": (np.ones(2), DimensionMismatch, r"expected a square matrix, got shape \(2,\)"),
+    "nan": (np.array([[1.0, np.nan], [np.nan, 1.0]]), ValueError, "matrix has non-finite entries"),
+    "inf": (np.array([[1.0, np.inf], [np.inf, 1.0]]), ValueError, "matrix has non-finite entries"),
+    "asymmetric": (
+        np.array([[2.0, 1.0], [0.0, 2.0]]),
+        ValueError,
+        r"matrix is not symmetric \(max \|a - a\^T\| = 1\.000e\+00\)",
+    ),
+}
+
+
+class TestDenseDoor:
+    """Every public function that eigensolves a caller's matrix admits it the same way."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DENSE))
+    @pytest.mark.parametrize("entry", sorted(DENSE_ENTRY_POINTS))
+    def test_malformed_input_names_the_cause(self, entry, case):
+        a, error, message = MALFORMED_DENSE[case]
+        with pytest.raises(error, match=message):
+            DENSE_ENTRY_POINTS[entry](a)
+
+    @pytest.mark.parametrize("entry", sorted(DENSE_ENTRY_POINTS))
+    def test_round_off_asymmetry_is_symmetrized(self, entry):
+        # q diag(w) q^T is symmetric only up to round-off
+        rng = np.random.default_rng(12)
+        q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        a = q @ np.diag(rng.uniform(0.5, 4.0, 5)) @ q.T
+        assert not np.array_equal(a, a.T)
+        got, want = (_fields(DENSE_ENTRY_POINTS[entry](m)) for m in (a, sym(a)))
+        for x, y in zip(got, want, strict=True):
+            np.testing.assert_array_equal(x, y)
+
+
+def _fields(result):
+    """The arrays and numbers of a result: a dataclass's fields, else the result itself."""
+    return dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)

@@ -490,6 +490,16 @@ class TestEntropy:
         assert ids.entropy_diff == pytest.approx(ids.entropy_diff_integral, abs=1e-8)
         assert ids.entropy_geomean == pytest.approx(ids.entropy_interpolated, abs=1e-8)
 
+    def test_identities_see_the_admitted_pair(self):
+        # the entropies and the trace integral all read sym(a), not a's raw entries
+        rng = np.random.default_rng(11)
+        q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        a = q @ np.diag(rng.uniform(0.5, 4.0, 5)) @ q.T
+        b = rand_spd(rng, 5)
+        assert not np.array_equal(a, a.T)
+        assert entropy_identities(a, b, t=0.3) == entropy_identities(sym(a), b, t=0.3)
+        assert entropy_identities(b, a, t=0.3) == entropy_identities(b, sym(a), t=0.3)
+
 
 class TestPerturbationSensitivity:
     """Tiny perturbations near the cone boundary flip definiteness."""
@@ -585,6 +595,12 @@ class TestPdPrecondition:
         rng = np.random.default_rng(8)
         karcher_mean(WeightVector.uniform(6), [rand_spd(rng, 4) for _ in range(6)], max_steps=0)
         assert shapes == [(6, 4, 4)]
+
+    def test_members_must_be_two_dimensional(self):
+        stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        message = r"expected 2-D matrices, got shape \(2, 2, 2\)"
+        with pytest.raises(DimensionMismatch, match=message):
+            SampleSet((stack, stack))
 
     def test_property_check_rejects_mixed_sizes(self):
         rng = np.random.default_rng(9)

@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from pgm import (
@@ -173,3 +174,35 @@ class TestComponents:
     def test_split(self):
         g = Pattern.from_pairs(5, [(1, 2), (4, 5)])
         assert connected_components(g) == [(1, 2), (3,), (4, 5)]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_breadth_first_search(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(60):
+            g = random_pattern(rng, int(rng.integers(1, 14)), p=rng.uniform(0.0, 0.4))
+            assert connected_components(g) == reference_components(g)
+
+    def test_reads_the_one_search(self, monkeypatch):
+        def second_search(*args):
+            raise AssertionError("the pattern's graph was searched a second time")
+
+        g = Pattern.from_pairs(7, [(1, 4), (2, 5), (4, 6), (3, 7)])
+        assert is_chordal(g).chordal  # runs the search once and caches it
+        monkeypatch.setattr(pattern, "_adjacency", second_search)
+        monkeypatch.setattr(pattern, "_mcs_order", second_search)
+        assert connected_components(g) == [(1, 4, 6), (2, 5), (3, 7)]
+
+
+def reference_components(g):
+    """Components by breadth-first search, each sorted, listed by smallest vertex."""
+    comps, seen = [], set()
+    for s in range(1, g.n + 1):
+        if s in seen:
+            continue
+        comp, frontier = {s}, [s]
+        while frontier:
+            frontier = [u for v in frontier for u in g.neighbors(v) if u not in comp]
+            comp.update(frontier)
+        seen |= comp
+        comps.append(tuple(sorted(comp)))
+    return comps
