@@ -32,10 +32,8 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    EigenDecomp,
     as_sym_matrix,
     det,
-    eig,
     expm,
     fro_norm,
     invm,

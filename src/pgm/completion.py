@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     InternalNumerics,
     NotCompletable,
     NotPartialPD,
@@ -101,11 +102,13 @@ class CompletionReport:
 def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
     """Feasibility interval for one free position of a full matrix.
 
-    All entries of ``m`` (admitted by ``linalg._dense``) but position ``(i, j)``
-    are fixed.  Raises :class:`NotPartialPD` when either bordered principal
+    All entries of ``m`` (admitted by ``linalg._dense``, 2-D only) but position
+    ``(i, j)`` are fixed.  Raises :class:`NotPartialPD` when either bordered principal
     block is not positive definite (no PD completion exists in that coordinate).
     """
     m = _dense(m)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     n = m.shape[0]
     i0, j0 = i - 1, j - 1
     if not (0 <= i0 < n and 0 <= j0 < n) or i0 == j0:

@@ -7,12 +7,11 @@ trace metric on the cone of symmetric positive definite matrices.
 All functions take and return plain ``numpy`` arrays.  Each one that runs a
 symmetric eigensolve on its argument admits it through :func:`_dense`.  Outputs
 of spectral functions are explicitly re-symmetrized so that downstream symmetry
-checks can be exact.  Spectral functions and PD tests also take stacks ``(..., n, n)``.
+checks can be exact.  Spectral functions, PD tests, ``log_det`` and ``op_norm``
+also take stacks ``(..., n, n)``, with one result per matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -69,29 +68,6 @@ def as_sym_matrix(a, symmetrize=False):
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     return _dense(sym(m) if symmetrize and m.shape[0] == m.shape[1] else m).copy()
-
-
-@dataclass(frozen=True)
-class EigenDecomp:
-    """Spectral decomposition A = Q diag(values) Q^T.
-
-    ``values`` are sorted in non-increasing order; ``vectors`` holds the
-    matching orthonormal eigenvectors as columns.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def eig(a):
-    """Full eigendecomposition of a symmetric matrix admitted by :func:`_dense`.
-
-    Returns an :class:`EigenDecomp` with eigenvalues in non-increasing
-    order.  Raises :class:`InternalNumerics` in the (practically
-    unreachable) event that the symmetric eigensolver fails to converge.
-    """
-    w, q = _eigh(_dense(a))
-    return EigenDecomp(values=w[::-1].copy(), vectors=q[:, ::-1].copy())
 
 
 def _eigh(a, vectors=True):
@@ -221,9 +197,11 @@ def det(a):
 
 
 def log_det(a):
-    """Sum of eigenvalue logs of a positive definite matrix admitted by :func:`_dense`."""
+    """Sum of eigenvalue logs of a positive definite matrix admitted by :func:`_dense`,
+    per matrix of a stack."""
     w = _require(_eigh(_dense(a), vectors=False), "pd", DEFAULT_TOL)
-    return float(np.log(w).sum())
+    ld = np.log(w).sum(axis=-1)
+    return float(ld) if ld.ndim == 0 else ld
 
 
 def trace(a):
@@ -237,8 +215,10 @@ def fro_norm(a):
 
 
 def op_norm(a):
-    """Spectral norm of a symmetric matrix admitted by :func:`_dense`: max |eigenvalue|."""
-    return float(np.abs(_eigh(_dense(a), vectors=False)).max())
+    """Spectral norm of a symmetric matrix admitted by :func:`_dense`: max |eigenvalue|,
+    per matrix of a stack."""
+    norm = np.abs(_eigh(_dense(a), vectors=False)).max(axis=-1)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def riemannian_dist(a, b):

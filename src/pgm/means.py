@@ -11,8 +11,8 @@ sample sets, the maximum-determinant representative of means of partial
 matrices, the Karcher mean (one period of the weighted inductive mean as
 the start point, then a fixed-point iteration with the Bini-Iannazzo
 step size until the gradient certificate holds), the
-arithmetic-harmonic iteration, and determinant/entropy integral
-identities for Gaussian covariances.
+arithmetic-harmonic iteration, and the log-determinant and entropy
+identities for Gaussian covariances, with the trace integral in closed form.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
         joint concavity.
     s : invertible matrix for the congruence check.
     rtol : relative tolerance of every comparison; semidefiniteness
-        checks allow an eigenvalue slack of ``rtol * scale``.
+        checks allow an eigenvalue slack of ``rtol * scale``, and the
+        log-determinants an absolute gap of ``rtol``.
 
     Returns
     -------
@@ -135,7 +136,7 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
         6.  congruence invariance ``S^T (A #_t B) S``
         7.  joint concavity
         8.  inversion ``(A #_t B)^{-1} = A^{-1} #_t B^{-1}``
-        9.  ``det(A #_t B) = (det A)^{1-t} (det B)^t``
+        9.  ``log det(A #_t B) = (1-t) log det A + t log det B``
         10. harmonic/arithmetic sandwich
     """
     a, b, c, d = _pd_stack((a, b, c, d))
@@ -181,9 +182,8 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
 
     p8 = _close(invm(g_ab), geomean(invm(a), invm(b), t), rtol)
 
-    lhs_det = det(g_ab)
-    rhs_det = det(a) ** (1.0 - t) * det(b) ** t
-    p9 = abs(lhs_det - rhs_det) <= rtol * max(1.0, abs(lhs_det), abs(rhs_det))
+    ld_g, ld_a, ld_b = log_det(np.stack((g_ab, a, b)))
+    p9 = bool(abs(ld_g - ((1.0 - t) * ld_a + t * ld_b)) <= rtol)
 
     harmonic = invm((1.0 - t) * invm(a) + t * invm(b))
     arithmetic = (1.0 - t) * a + t * b
@@ -434,42 +434,38 @@ def agm_iteration(a, b):
     )
 
 
-def _trace_quadrature(a0, a1, quad_points):
-    """Composite Simpson rule on ``quad_points`` nodes (odd, >= 3) for the integral
-    over [0, 1] of tr(A(lambda)^{-1} (A1 - A0)), which is sum_i nu_i / (1 + (lambda -
-    1/2) nu_i) with nu in (-2, 2) the spectrum of M^{-1/2} (A1 - A0) M^{-1/2}, M = A(1/2)."""
-    if quad_points < 3 or quad_points % 2 == 0:
-        raise ValueError(f"quad_points must be odd and >= 3, got {quad_points}")
+def _trace_integral(a0, a1):
+    """The integral over [0, 1] of tr(A(lambda)^{-1} (A1 - A0)), A(lambda) = (1 - lambda) A0 +
+    lambda A1, in closed form: with nu in (-2, 2) the spectrum of M^{-1/2} (A1 - A0) M^{-1/2},
+    M = A(1/2), the integrand is sum_i nu_i / (1 + (lambda - 1/2) nu_i), whose integral is
+    sum_i log1p(nu_i / 2) - log1p(-nu_i / 2); per pair of a stack."""
     ris = _sqrt_pair(*_eigh(np.add(a0, a1) / 2.0))[1]
     nu = _eigh(sym(ris @ np.subtract(a1, a0) @ ris), vectors=False)
-    lam = np.linspace(-0.5, 0.5, quad_points)[:, None]
-    weights = np.ones(quad_points)
-    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
-    return float(weights @ (nu / (1.0 + lam * nu)).sum(axis=-1)) / (3.0 * (quad_points - 1))
+    integral = (np.log1p(nu / 2.0) - np.log1p(-nu / 2.0)).sum(axis=-1)
+    return float(integral) if integral.ndim == 0 else integral
 
 
-def det_integral_identity(a0, a1, quad_points=201):
-    """Integral representation of a determinant ratio.
+def det_integral_identity(a0, a1):
+    """Integral representation of a determinant ratio, in the log domain.
 
     Along the segment ``A(lambda) = (1-lambda) A0 + lambda A1`` (inside
     the PD cone by convexity),
 
-        det(A1) = det(A0) exp( integral_0^1 tr(A(lambda)^{-1} (A1-A0)) dlambda ).
+        log det(A1) - log det(A0) = integral_0^1 tr(A(lambda)^{-1} (A1-A0)) dlambda.
 
-    Returns ``(lhs, rhs)`` = (det of A1, the right-hand side evaluated by
-    composite Simpson quadrature on ``quad_points`` nodes, an odd number
-    >= 3; the integrand at every node comes from one spectrum).
+    Returns ``(lhs, rhs)`` = (the log-determinant difference, from one stacked
+    eigensolve of the pair, and the integral, in closed form from one spectrum).
     """
-    a0, a1 = _pd_stack((a0, a1))
-    lhs = det(a1)
-    rhs = det(a0) * math.exp(_trace_quadrature(a0, a1, quad_points))
-    return lhs, rhs
+    pair = _pd_stack((a0, a1))
+    ld0, ld1 = log_det(pair)
+    return float(ld1 - ld0), _trace_integral(*pair)
 
 
 def gaussian_entropy(sigma):
     """Shannon entropy of a zero-mean Gaussian with covariance ``sigma``, admitted by
-    ``linalg._dense`` through ``log_det``: ``log(det sigma)/2 + n (1 + log 2 pi)/2``."""
-    return 0.5 * log_det(sigma) + 0.5 * len(sigma) * (1.0 + math.log(2.0 * math.pi))
+    ``linalg._dense`` through ``log_det``: ``log(det sigma)/2 + n (1 + log 2 pi)/2``,
+    per matrix of a stack."""
+    return 0.5 * log_det(sigma) + 0.5 * np.shape(sigma)[-1] * (1.0 + math.log(2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -487,13 +483,13 @@ class EntropyIdentities:
     entropy_interpolated: float
 
 
-def entropy_identities(sigma0, sigma1, t=0.5, quad_points=201):
+def entropy_identities(sigma0, sigma1, t=0.5):
     """Evaluate both Gaussian entropy identities for a covariance pair, as ``_dense`` admits it."""
     sigma0, sigma1 = _dense(sigma0), _dense(sigma1)
     h0 = gaussian_entropy(sigma0)
     h1 = gaussian_entropy(sigma1)
     h_mean = gaussian_entropy(geomean(sigma0, sigma1, t))  # geomean rejects unequal shapes
-    integral = 0.5 * _trace_quadrature(sigma0, sigma1, quad_points)
+    integral = 0.5 * _trace_integral(sigma0, sigma1)
     return EntropyIdentities(
         entropy_diff=h1 - h0,
         entropy_diff_integral=integral,

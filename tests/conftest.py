@@ -10,8 +10,8 @@ parser that looks at the given entries only.  The partial-order
 reference runs four clique passes, one full spectrum per clique, over
 the difference and its negated copy, against the one-pass order.  The
 trace-quadrature reference solves at every Simpson node and integrates
-with ``scipy.integrate``, against the rule that reads every node off
-one spectrum.
+with ``scipy.integrate``, against the closed form read off one
+spectrum.
 
 Property tests run under the ``pgm`` hypothesis profile: derandomized,
 so every run draws the same examples, with no deadline and a bounded
@@ -243,8 +243,8 @@ def reference_partial_order(a, b, tol=1e-10):
 
 def reference_trace_quadrature(a0, a1, quad_points):
     """Simpson quadrature of lambda -> tr(A(lambda)^{-1} (A1 - A0)) with one
-    dense solve per node (the earlier implementation, kept as the reference
-    for the spectral rule)."""
+    dense solve per node: an oracle for the closed-form trace integral that
+    shares none of its algebra."""
     lam = np.linspace(0.0, 1.0, quad_points)
     diff = a1 - a0
     vals = np.empty(quad_points)

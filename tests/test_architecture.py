@@ -154,3 +154,20 @@ def test_every_optional_parameter_is_set_by_some_call():
                 grew = True
     unset = [f"{m}.{func}({name})" for m, func, name, _ in options if (func, name) not in is_set]
     assert unset == []
+
+
+def test_trace_integral_has_no_quadrature():
+    """The trace integral is in closed form: no function in ``means`` builds a
+    node grid, and no function in ``src/pgm`` takes a node count."""
+    calls, _ = _calls_and_raises()
+    grids = {(module, func) for module, func, callee in calls if callee == "np.linspace"}
+    assert ("cli", "_sweep_table") in grids
+    assert {module for module, _ in grids} == {"cli"}
+    params = {
+        arg.arg
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+    }
+    assert "quad_points" not in params

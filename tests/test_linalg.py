@@ -13,7 +13,6 @@ from pgm import (
     Pattern,
     as_sym_matrix,
     det,
-    eig,
     expm,
     fro_norm,
     gaussian_entropy,
@@ -33,33 +32,35 @@ from pgm import (
     sym,
     trace,
 )
+from pgm.linalg import _eigh, _from_spectrum
 from conftest import rand_invertible, rand_spd
 
 
 class TestEig:
+    """The one spectral kernel: ``_eigh`` (ascending) and its inverse ``_from_spectrum``."""
+
     def test_identity(self):
-        d = eig(np.eye(3))
-        np.testing.assert_allclose(d.values, [1, 1, 1], atol=1e-14)
+        w, _ = _eigh(np.eye(3))
+        np.testing.assert_allclose(w, [1, 1, 1], atol=1e-14)
 
     def test_diagonal(self):
-        d = eig(np.diag([4.0, 1.0]))
-        np.testing.assert_allclose(d.values, [4, 1], atol=1e-14)
+        w, _ = _eigh(np.diag([4.0, 1.0]))
+        np.testing.assert_allclose(w, [1, 4], atol=1e-14)
 
     def test_two_by_two(self):
-        # characteristic polynomial x^2 - 4x + 3 has roots 3 and 1
-        d = eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(d.values, [3, 1], atol=1e-12)
+        # characteristic polynomial x^2 - 4x + 3 has roots 1 and 3
+        w = _eigh(np.array([[2.0, 1.0], [1.0, 2.0]]), vectors=False)
+        np.testing.assert_allclose(w, [1, 3], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_decomposition_invariants(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 9))
         a = rand_spd(rng, n) - rand_spd(rng, n)
-        d = eig(a)
-        assert all(x >= y for x, y in zip(d.values, d.values[1:]))
-        recon = d.vectors @ np.diag(d.values) @ d.vectors.T
-        assert op_norm(recon - a) <= 1e-12 * max(1.0, op_norm(a))
-        assert op_norm(d.vectors.T @ d.vectors - np.eye(n)) <= 1e-12 * n
+        w, q = _eigh(a)
+        assert all(x <= y for x, y in zip(w, w[1:]))
+        assert op_norm(_from_spectrum(w, q) - a) <= 1e-12 * max(1.0, op_norm(a))
+        assert op_norm(q.T @ q - np.eye(n)) <= 1e-12 * n
 
 
 class TestDefiniteness:
@@ -188,6 +189,16 @@ class TestScalars:
         with pytest.raises(NotPositiveDefinite):
             log_det(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_stack_gives_one_value_per_matrix(self):
+        eyes = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        np.testing.assert_allclose(log_det(eyes), [0.0, 2.0 * math.log(2.0)], atol=1e-15)
+        diags = np.stack([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
+        np.testing.assert_array_equal(op_norm(diags), [2.0, 4.0])
+        one = gaussian_entropy(np.eye(2))
+        assert one == pytest.approx(2.838, abs=5e-4)
+        np.testing.assert_allclose(gaussian_entropy(np.stack([np.eye(2)] * 3)), [one] * 3, rtol=1e-15)
+        assert type(log_det(np.eye(2))) is float and type(op_norm(np.eye(2))) is float
+
 
 class TestRiemannianDist:
     def test_same_point(self):
@@ -270,7 +281,6 @@ DENSE_ENTRY_POINTS = {
     "is_psd": is_psd,
     "log_det": log_det,
     "op_norm": op_norm,
-    "eig": eig,
     "gaussian_entropy": gaussian_entropy,
     "single_entry_interval": lambda a: single_entry_interval(a, 1, 2),
     "as_sym_matrix": as_sym_matrix,
@@ -308,6 +318,13 @@ class TestDenseDoor:
         got, want = (_fields(DENSE_ENTRY_POINTS[entry](m)) for m in (a, sym(a)))
         for x, y in zip(got, want, strict=True):
             np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("entry", ["as_sym_matrix", "single_entry_interval"])
+    def test_two_d_entry_points_name_a_stack_shape(self, entry):
+        stack = np.stack([np.eye(3), 2.0 * np.eye(3)])
+        message = r"expected a square matrix, got shape \(2, 3, 3\)"
+        with pytest.raises(DimensionMismatch, match=message):
+            DENSE_ENTRY_POINTS[entry](stack)
 
 
 def _fields(result):

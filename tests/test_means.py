@@ -1,5 +1,6 @@
 """Geometric means, Karcher mean, AGM iteration, entropy identities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -147,6 +148,14 @@ class TestPropertySuite:
             lam=float(rng.uniform(0, 1)),
             s=rand_invertible(rng, n),
         )
+        assert report.all_hold, report
+
+    def test_all_properties_hold_at_n_400(self):
+        # log det of each member is about 400 log 10 > 709, so det overflows
+        rng = np.random.default_rng(400)
+        a, b, c, d = (10.0 * rand_spd(rng, 400) for _ in range(4))
+        report = geomean_properties_check(a, b, c, d, t=0.3, lam=0.6, s=rand_spd(rng, 400))
+        assert report.determinant_identity is True
         assert report.all_hold, report
 
     def test_determinant_identity_on_completions(self):
@@ -404,25 +413,21 @@ class TestAgmIteration:
 class TestDetIntegralIdentity:
     def test_equal_endpoints(self):
         a = np.diag([2.0, 3.0])
-        lhs, rhs = det_integral_identity(a, a)
-        assert rhs == pytest.approx(det(a), rel=1e-14)
-        assert lhs == pytest.approx(det(a), rel=1e-14)
+        assert det_integral_identity(a, a) == (0.0, 0.0)
 
     def test_identity_to_diagonal(self):
         # the trace integral reduces to int_0^1 3/(1+3t) dt = ln 4
         lhs, rhs = det_integral_identity(np.eye(2), np.diag([4.0, 1.0]))
-        assert lhs == pytest.approx(4.0)
-        assert rhs == pytest.approx(4.0, rel=1e-8)
+        assert lhs == pytest.approx(math.log(4.0), abs=1e-14)
+        assert rhs == pytest.approx(math.log(4.0), abs=1e-14)
 
-    def test_completion_pair_with_node_doubling(self):
+    def test_completion_pair(self):
         pm = ex1_partial_a()
         ahat = max_det_completion(pm).matrix
         other = ahat.copy()
         other[0, 2] = other[2, 0] = 0.5  # still inside the feasibility interval
-        lhs, rhs = det_integral_identity(ahat, other, quad_points=201)
-        assert lhs == pytest.approx(rhs, rel=1e-8)
-        _, rhs_fine = det_integral_identity(ahat, other, quad_points=2001)
-        assert rhs == pytest.approx(rhs_fine, rel=1e-9)
+        lhs, rhs = det_integral_identity(ahat, other)
+        assert abs(lhs - rhs) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_pairs(self, seed):
@@ -430,30 +435,42 @@ class TestDetIntegralIdentity:
         n = int(rng.integers(2, 7))
         a0, a1 = rand_spd(rng, n), rand_spd(rng, n)
         lhs, rhs = det_integral_identity(a0, a1)
-        assert lhs == pytest.approx(rhs, rel=1e-8)
+        assert abs(lhs - rhs) <= 1e-8
+
+    def test_finite_where_det_overflows(self):
+        # det(10 I_400) = 1e400 overflows; both sides are 400 log 1.2
+        lhs, rhs = det_integral_identity(10.0 * np.eye(400), 12.0 * np.eye(400))
+        assert lhs == pytest.approx(400.0 * math.log(1.2), rel=1e-12)
+        assert rhs == pytest.approx(400.0 * math.log(1.2), rel=1e-12)
 
     def test_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
             det_integral_identity(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
 
-    @pytest.mark.parametrize("quad_points", [1, 4])
-    def test_quad_points_odd_and_at_least_three(self, quad_points):
-        with pytest.raises(ValueError, match=f"odd and >= 3, got {quad_points}"):
-            det_integral_identity(np.eye(2), np.diag([4.0, 1.0]), quad_points=quad_points)
-
 
 class TestTraceQuadrature:
-    """The spectral Simpson rule against the per-node solve loop it replaced."""
+    """The closed-form trace integral against slogdet and against a per-node
+    Simpson rule with one solve per node."""
 
-    @pytest.mark.parametrize("quad_points", [3, 201, 2001])
-    @pytest.mark.parametrize("spread", [0.8, 3.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_slogdet_on_spread_spectra(self, seed):
+        rng = np.random.default_rng([seed, 50])
+        for _ in range(25):
+            n = int(rng.integers(2, 61))
+            a0, a1 = rand_spd(rng, n, 5.0), rand_spd(rng, n, 5.0)
+            exact = np.linalg.slogdet(a1)[1] - np.linalg.slogdet(a0)[1]
+            got = means._trace_integral(a0, a1)
+            assert abs(got - exact) <= 1e-10 * abs(exact)
+
+    @pytest.mark.parametrize("quad_points", [2001])
+    @pytest.mark.parametrize("spread", [0.8])
     def test_matches_per_node_loop(self, spread, quad_points):
         rng = np.random.default_rng([quad_points, int(10 * spread)])
         for _ in range(8):
             n = int(rng.integers(2, 61))
             a0, a1 = rand_spd(rng, n, spread), rand_spd(rng, n, spread)
             ref = reference_trace_quadrature(a0, a1, quad_points)
-            got = means._trace_quadrature(a0, a1, quad_points)
+            got = means._trace_integral(a0, a1)
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
     def test_two_eigensolves_and_no_solve(self, monkeypatch):
@@ -466,7 +483,7 @@ class TestTraceQuadrature:
 
             monkeypatch.setattr(np.linalg, name, counted)
         rng = np.random.default_rng(2)
-        means._trace_quadrature(rand_spd(rng, 10), rand_spd(rng, 10), 201)
+        means._trace_integral(rand_spd(rng, 10), rand_spd(rng, 10))
         assert calls == {"solve": 0, "eig": 2}
 
 
@@ -499,6 +516,16 @@ class TestEntropy:
         assert not np.array_equal(a, a.T)
         assert entropy_identities(a, b, t=0.3) == entropy_identities(sym(a), b, t=0.3)
         assert entropy_identities(b, a, t=0.3) == entropy_identities(b, sym(a), t=0.3)
+
+    def test_stack_gives_identities_per_pair(self):
+        rng = np.random.default_rng(12)
+        s0 = np.stack([rand_spd(rng, 3) for _ in range(2)])
+        s1 = np.stack([rand_spd(rng, 3) for _ in range(2)])
+        stacked = entropy_identities(s0, s1, t=0.3)
+        for k in range(2):
+            single = entropy_identities(s0[k], s1[k], t=0.3)
+            for got, want in zip(dataclasses.astuple(stacked), dataclasses.astuple(single)):
+                assert got[k] == pytest.approx(want, rel=1e-12)
 
 
 class TestPerturbationSensitivity:
