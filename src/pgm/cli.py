@@ -4,7 +4,9 @@ Partial matrices travel in a small text format: a first line ``n <dim>``
 followed by ``<dim>`` rows of whitespace-separated tokens, each a finite
 decimal number or ``?`` for a missing entry; ``#`` starts a comment
 line.  Files written by the tool carry 17 significant digits so that
-parsing them back is exact; human-readable reports use 6.
+parsing them back is exact; human-readable reports use 6.  A file is
+parsed straight into the array of a :class:`PartialMatrix`, and every
+matrix is printed by one ``%`` over its flat values.
 
 Subcommands: ``check``, ``complete``, ``geomean``, ``karcher``,
 ``entropy``, ``sweep``.  Exit status is 0 on success, 1 on domain errors
@@ -140,13 +142,13 @@ def _parse_lines(lines):
                 f"expected {dim} entries in row {len(rows) + 1}, got {len(tokens)}",
                 line=lineno,
             )
-        # {column: value}, 0-based; only a row whose sum is not finite is scanned
+        # values, or {column: value} (0-based) for a row with a "?"; a non-finite sum is scanned
         try:
             if "?" in tokens:
                 row = {col: float(tok) for col, tok in enumerate(tokens) if tok != "?"}
             else:
-                row = dict(enumerate(map(float, tokens)))
-            finite = math.isfinite(sum(row.values()))
+                row = list(map(float, tokens))
+            finite = math.isfinite(sum(row.values() if isinstance(row, dict) else row))
         except ValueError:
             finite = False
         if not finite:
@@ -179,47 +181,56 @@ def _raise_first_fault(rows, linenos):
 def parse_partial(path):
     """Parse a partial-matrix file into a :class:`PartialMatrix`.
 
-    Rejects asymmetric specification (an entry given on one side of the
-    diagonal but missing or different on the other) and missing diagonal
-    entries, with a count and a mirror lookup per given entry; only a file
-    that fails them is scanned position by position for its first fault.
+    The given entries fill one value array and its mask in one flat
+    assignment.  Asymmetric specification (an entry given on one side of
+    the diagonal but missing or different on the other) and missing
+    diagonal entries are rejected with a mirror lookup per given entry;
+    only a file that fails it is scanned position by position for its
+    first fault.  Each pair keeps its upper entry, a ``-0.0`` included.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             dim, rows, linenos = _parse_lines(enumerate(handle, start=1))
     except UnicodeDecodeError:
         raise ParseError(f"{path} is not UTF-8 text") from None
-    values = {(i + 1, j + 1): v for i, row in enumerate(rows) for j, v in row.items() if j >= i}
-    if sum(map(len, rows)) != 2 * len(values) - dim or any(
-        rows[j - 1].get(i - 1) != v for (i, j), v in values.items()
-    ):
-        _raise_first_fault(rows, linenos)
-    return PartialMatrix(pattern=Pattern(n=dim, edges=frozenset(values)), values=values)
+    flat, vals = [], []
+    for i, row in enumerate(rows):
+        dense = isinstance(row, list)
+        flat.extend(range(i * dim, i * dim + dim) if dense else [i * dim + j for j in row])
+        vals.extend(row if dense else row.values())
+    given = np.array(flat, dtype=np.intp)
+    r, c = np.divmod(given, dim)
+    mirror = c * dim + r
+    a, mask = np.zeros(dim * dim), np.zeros(dim * dim, dtype=bool)
+    a[given], mask[given] = vals, True
+    if not (mask[:: dim + 1].all() and mask[mirror].all() and np.array_equal(a[mirror], a[given])):
+        dicts = [dict(enumerate(row)) if isinstance(row, list) else row for row in rows]
+        _raise_first_fault(dicts, linenos)
+    a[given[r > c]] = a[mirror[r > c]]
+    pattern = Pattern._from_mask(mask.reshape(dim, dim))
+    return PartialMatrix._from_array(pattern, a.reshape(dim, dim))
 
 
 def format_partial(pm):
-    """Render a partial matrix in the text format (``?`` for missing)."""
-    lines = [f"n {pm.n}"]
-    for i in range(1, pm.n + 1):
-        row = (pm.values.get((min(i, j), max(i, j))) for j in range(1, pm.n + 1))
-        lines.append(" ".join("?" if v is None else f"{v:.{FILE_DIGITS}g}" for v in row))
-    return "\n".join(lines) + "\n"
+    """Render a partial matrix in the text format (``?`` for missing) with one ``%`` call."""
+    mask = pm.pattern._mask
+    rows = map(" ".join, np.where(mask, f"%.{FILE_DIGITS}g", "?").tolist())
+    return f"n {pm.n}\n" + ("\n".join(rows) + "\n") % tuple(pm._a[mask].tolist())
 
 
 def format_matrix(m):
-    """Render a full matrix in the text format."""
+    """Render a full matrix in the text format with one ``%`` call."""
     m = np.asarray(m, dtype=float)
-    lines = [f"n {m.shape[0]}"]
-    for row in m:
-        lines.append(" ".join(f"{x:.{FILE_DIGITS}g}" for x in row))
-    return "\n".join(lines) + "\n"
+    line = " ".join([f"%.{FILE_DIGITS}g"] * m.shape[1]) + "\n"
+    return f"n {m.shape[0]}\n" + line * m.shape[0] % tuple(m.ravel().tolist())
 
 
 def _human_matrix(m):
+    """Report cells, written by one ``%`` call and right-aligned to the widest by one more."""
     m = np.asarray(m, dtype=float)
-    cells = [[f"{x:.{REPORT_DIGITS}g}" for x in row] for row in m]
-    width = max(len(c) for row in cells for c in row)
-    return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
+    cells = (f"%.{REPORT_DIGITS}g " * m.size % tuple(m.ravel().tolist())).split()
+    line = "  ".join([f"%{max(map(len, cells))}s"] * m.shape[1])
+    return "\n".join([line] * m.shape[0]) % tuple(cells)
 
 
 def _write_out(path, text):
@@ -230,7 +241,7 @@ def _write_out(path, text):
 def cmd_check(args):
     pm = parse_partial(args.file)
     chord = is_chordal(pm.pattern)
-    missing = pm.n * (pm.n + 1) // 2 - len(pm.pattern.edges)
+    missing = (pm.n**2 - np.count_nonzero(pm.pattern._mask)) // 2
     print(f"pattern: {pm.n} vertices, {missing} missing entries")
     if chord.chordal:
         order = " ".join(str(v) for v in chord.elimination_order)

@@ -89,11 +89,13 @@ class CompletionReport:
     ``converged`` records whether the residual dropped below tolerance
     relative to ``||M^{-1}||`` within the cycle budget; ``iterations``
     counts sweeps over the maximal cliques (0 for a complete pattern, 1
-    for a chordal one).
+    for a chordal one).  ``log_determinant`` is finite where ``determinant``
+    overflows or underflows; it is NaN if ``matrix`` is not positive definite.
     """
 
     matrix: np.ndarray
     determinant: float
+    log_determinant: float
     iterations: int
     residual: float
     converged: bool
@@ -160,7 +162,8 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
     _require_partial_pd(a, cliques, DEFAULT_TOL)
     if pm.pattern.is_complete:
         return CompletionReport(
-            matrix=sym(a), determinant=det(a), iterations=0, residual=0.0, converged=True
+            matrix=sym(a), determinant=det(a), log_determinant=float(np.linalg.slogdet(a)[1]),
+            iterations=0, residual=0.0, converged=True,
         )
     blocks = [a[np.ix_(c, c)] for c in cliques]
     m = np.diag(np.diag(a))
@@ -187,6 +190,7 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
     return CompletionReport(
         matrix=x,
         determinant=det(x),
+        log_determinant=float(np.log(lam).sum()) if lam[0] > 0 else np.nan,  # lam: spectrum of x
         iterations=cycles,
         residual=float(residual),
         converged=converged,

@@ -258,10 +258,12 @@ def block_max_property(a, b):
 @dataclass
 class PartialGeomeanResult:
     """Maximum-determinant representative of the mean of two partial
-    matrices: the weighted mean of their max-det completions."""
+    matrices: the weighted mean of their max-det completions.
+    ``log_determinant`` stays finite where ``determinant`` overflows."""
 
     matrix: np.ndarray
     determinant: float
+    log_determinant: float
     t: float
     completion_a: CompletionReport
     completion_b: CompletionReport
@@ -282,6 +284,7 @@ def partial_geomean_maxdet(pa, pb, t=0.5):
     return PartialGeomeanResult(
         matrix=m,
         determinant=det(m),
+        log_determinant=float(np.linalg.slogdet(m)[1]),
         t=t,
         completion_a=rep_a,
         completion_b=rep_b,

@@ -1,7 +1,9 @@
 """Partial matrices over a pattern.
 
 A partial matrix assigns real values exactly to the positions specified by
-its pattern (one value per unordered pair, so symmetry is structural).
+its pattern (one value per unordered pair, so symmetry is structural).  It
+is stored as one symmetric float array, zero off the pattern; the
+``values`` dict is a read-only view derived from it on first use.
 This module provides partial positive (semi)definiteness, entrywise
 algebra, projection of full matrices, and the partial Loewner order.
 """
@@ -11,13 +13,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, NotPartialPD, PatternMismatch
 from .linalg import DEFAULT_TOL, _definite, as_sym_matrix
-from .pattern import Pattern, _normalize_edge
+from .pattern import Pattern, _normalize_edge, _upper
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,8 @@ class PartialMatrix:
     """Values on the specified positions of a pattern.
 
     ``values`` maps ``(i, j)`` with ``i <= j`` (1-based) to finite floats
-    and covers exactly ``pattern.edges``.
+    and covers exactly ``pattern.edges``.  The matrix is stored as the
+    symmetric ``(n, n)`` array ``_a``; equal matrices hash alike.
     """
 
     pattern: Pattern
@@ -43,7 +47,30 @@ class PartialMatrix:
             vals[key] = v
         if set(vals) != set(self.pattern.edges):
             raise ValueError("values must cover exactly the specified positions")
-        object.__setattr__(self, "values", vals)
+        rows, cols = np.array(list(vals)).T - 1
+        self.__dict__.update(values=MappingProxyType(vals), _a=np.zeros((self.n, self.n)))
+        self._a[rows, cols] = self._a[cols, rows] = list(vals.values())
+
+    @classmethod
+    def _from_array(cls, pattern, a):
+        """The partial matrix of a finite symmetric array, zero off ``pattern``, unchecked."""
+        pm = object.__new__(cls)
+        pm.__dict__.update(pattern=pattern, _a=a)
+        return pm
+
+    def __getattr__(self, name):
+        """``values`` of a matrix built from an array, derived once."""
+        if name != "values":
+            raise AttributeError(name)
+        flat, keys = _upper(self.pattern._mask)
+        self.__dict__["values"] = MappingProxyType(dict(zip(keys, self._a.ravel()[flat].tolist())))
+        return self.values
+
+    def __hash__(self):
+        return hash((self.pattern, (self._a + 0.0).tobytes()))  # + 0.0 turns -0.0 into 0.0
+
+    def __getstate__(self):  # the read-only ``values`` view does not pickle; it is derived again
+        return {"pattern": self.pattern, "_a": self._a}
 
     @property
     def n(self):
@@ -54,23 +81,30 @@ class PartialMatrix:
 
     def to_dense(self, fill=0.0):
         """Dense symmetric array with ``fill`` at unspecified positions."""
-        m = np.full((self.n, self.n), float(fill))
-        for (i, j), v in self.values.items():
-            m[i - 1, j - 1] = v
-            m[j - 1, i - 1] = v
-        return m
+        return np.where(self.pattern._mask, self._a, fill)
+
+
+def _entrywise(pattern, op, *args):
+    """The partial matrix of ``op(*args)`` on ``pattern``, which rejects an
+    overflow as the dict constructor rejects a non-finite value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.where(pattern._mask, op(*args), 0.0)
+    if not np.isfinite(a).all():  # the first in row-major order lies in the upper triangle
+        i, j = np.argwhere(~np.isfinite(a))[0].tolist()
+        raise ValueError(f"non-finite value {a[i, j]} at position {(i + 1, j + 1)}")
+    return PartialMatrix._from_array(pattern, a)
 
 
 def project(m, pattern):
     """Keep the entries of a full symmetric matrix at a pattern's
-    specified positions."""
+    specified positions (the upper triangle's, signed zeros included)."""
     m = as_sym_matrix(m)
     if m.shape[0] != pattern.n:
         raise DimensionMismatch(
             f"matrix of dimension {m.shape[0]} vs pattern on {pattern.n} vertices"
         )
-    values = {(i, j): float(m[i - 1, j - 1]) for i, j in pattern.edges}
-    return PartialMatrix(pattern=pattern, values=values)
+    m = np.where(np.tri(pattern.n, k=-1, dtype=bool), m.T, m)
+    return PartialMatrix._from_array(pattern, np.where(pattern._mask, m, 0.0))
 
 
 def agrees(m, pm, tol=1e-8):
@@ -83,9 +117,8 @@ def agrees(m, pm, tol=1e-8):
         raise DimensionMismatch(f"matrix of dimension {m.shape[0]} vs partial matrix of {pm.n}")
     if not np.array_equal(m, m.T):
         return False
-    return all(
-        abs(m[i - 1, j - 1] - v) <= tol for (i, j), v in pm.values.items()
-    )
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.abs(m - pm._a)[pm.pattern._mask] <= tol))
 
 
 def clique_extremes(a, cliques):
@@ -146,16 +179,12 @@ def _require_same_pattern(a, b):
 def add(a, b):
     """Entrywise sum on the shared pattern."""
     _require_same_pattern(a, b)
-    values = {pos: v + b.values[pos] for pos, v in a.values.items()}
-    return PartialMatrix(pattern=a.pattern, values=values)
+    return _entrywise(a.pattern, np.add, a._a, b._a)
 
 
 def scale(alpha, a):
     """Entrywise scalar multiple; the pattern is unchanged."""
-    alpha = float(alpha)
-    return PartialMatrix(
-        pattern=a.pattern, values={pos: alpha * v for pos, v in a.values.items()}
-    )
+    return _entrywise(a.pattern, np.multiply, float(alpha), a._a)
 
 
 def sub(a, b):
@@ -201,16 +230,9 @@ def partial_order(a, b):
 def restrict(pm, vertices):
     """Partial matrix induced on a subset of vertices, relabeled 1..k in
     the given (sorted) order."""
-    verts = sorted(vertices)
-    index = {v: k + 1 for k, v in enumerate(verts)}
-    pairs = [
-        (index[i], index[j])
-        for i, j in pm.pattern.edges
-        if i in index and j in index and i != j
-    ]
-    sub_pattern = Pattern.from_pairs(len(verts), pairs)
-    values = {}
-    for (i, j), v in pm.values.items():
-        if i in index and j in index:
-            values[_normalize_edge(index[i], index[j])] = v
-    return PartialMatrix(pattern=sub_pattern, values=values)
+    verts = sorted(set(vertices))
+    if not verts or verts[0] < 1 or verts[-1] > pm.n:
+        raise ValueError(f"vertices must be a nonempty subset of 1..{pm.n}, got {verts}")
+    idx = np.array(verts) - 1
+    block = np.ix_(idx, idx)
+    return PartialMatrix._from_array(Pattern._from_mask(pm.pattern._mask[block]), pm._a[block])

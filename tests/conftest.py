@@ -11,7 +11,9 @@ reference runs four clique passes, one full spectrum per clique, over
 the difference and its negated copy, against the one-pass order.  The
 trace-quadrature reference solves at every Simpson node and integrates
 with ``scipy.integrate``, against the closed form read off one
-spectrum.
+spectrum.  The storage and text references build a dense view one
+specified entry at a time and print one float at a time, against the
+array-backed partial matrix and the one-``%`` formatters.
 
 Property tests run under the ``pgm`` hypothesis profile: derandomized,
 so every run draws the same examples, with no deadline and a bounded
@@ -538,3 +540,40 @@ def reference_parse(path):
             values[(i + 1, j + 1)] = here
     pairs = [(i, j) for i, j in values if i != j]
     return PartialMatrix(pattern=Pattern.from_pairs(dim, pairs), values=values)
+
+
+# --- per-entry storage and text references --------------------------------
+
+def reference_to_dense(pm, fill=0.0):
+    """``PartialMatrix.to_dense`` written one specified entry (and its mirror) at a time."""
+    m = np.full((pm.n, pm.n), float(fill))
+    for (i, j), v in pm.values.items():
+        m[i - 1, j - 1] = v
+        m[j - 1, i - 1] = v
+    return m
+
+
+def reference_format_partial(pm):
+    """``cli.format_partial`` one f-string per entry, ``?`` where unspecified."""
+    lines = [f"n {pm.n}"]
+    for i in range(1, pm.n + 1):
+        row = (pm.values.get((min(i, j), max(i, j))) for j in range(1, pm.n + 1))
+        lines.append(" ".join("?" if v is None else f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_format_matrix(m):
+    """``cli.format_matrix`` one f-string per entry."""
+    m = np.asarray(m, dtype=float)
+    lines = [f"n {m.shape[0]}"]
+    for row in m:
+        lines.append(" ".join(f"{x:.17g}" for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_human_matrix(m):
+    """``cli._human_matrix`` one f-string per entry, right-justified to the widest."""
+    m = np.asarray(m, dtype=float)
+    cells = [[f"{x:.6g}" for x in row] for row in m]
+    width = max(len(c) for row in cells for c in row)
+    return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)

@@ -171,3 +171,48 @@ def test_trace_integral_has_no_quadrature():
         for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
     }
     assert "quad_points" not in params
+
+
+def _functions():
+    """``{module.Class.function: node}`` of every function defined in ``src/pgm``."""
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = f"{prefix}.{child.name}"
+                    if not isinstance(child, ast.ClassDef):
+                        found[name] = child
+                    visit(child, name)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_edges_normalized_only_on_the_dict_input_paths():
+    """Storage is one array per matrix: only the constructors and lookups that
+    take ``(i, j)`` pairs from a caller normalize them one by one."""
+    callers = {
+        name
+        for name, node in _functions().items()
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and ast.unparse(call.func) == "_normalize_edge"
+    }
+    assert callers == {
+        "pattern.Pattern.from_pairs",
+        "pattern.Pattern.has_edge",
+        "partial.PartialMatrix.__post_init__",
+        "partial.PartialMatrix.entry",
+    }
+
+
+def test_matrix_text_and_dense_views_have_no_per_entry_loop():
+    """Each printed matrix is one ``%`` over its flat values, and a dense view
+    one ``np.where``: no ``for`` loop or comprehension in them."""
+    functions = _functions()
+    names = ["cli.format_matrix", "cli.format_partial", "cli._human_matrix",
+             "partial.PartialMatrix.to_dense"]
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    looping = [n for n in names if any(isinstance(x, loops) for x in ast.walk(functions[n]))]
+    assert looping == []

@@ -134,6 +134,29 @@ class TestMaxDetCompletion:
         assert rep.converged
         np.testing.assert_allclose(rep.matrix, [[2, 1], [1, 2]])
 
+    def test_log_determinant_where_determinant_underflows(self):
+        # 0.1 I on a 400-vertex path: det = 1e-400 underflows to 0.0
+        g = Pattern.from_pairs(400, [(i, i + 1) for i in range(1, 400)])
+        rep = max_det_completion(project(0.1 * np.eye(400), g))
+        assert rep.determinant == 0.0
+        assert rep.log_determinant == pytest.approx(400 * math.log(0.1), rel=1e-13)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_log_determinant_is_log_of_determinant(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(2, 8))
+        g = Pattern.complete(n) if seed == 0 else rand_chordal_pattern(rng, n)
+        rep = max_det_completion(rand_partial_pd(rng, g))
+        assert rep.log_determinant == pytest.approx(math.log(rep.determinant), rel=1e-12, abs=1e-12)
+        rep = max_det_completion(matrix_n_four_cycle())  # non-chordal
+        assert rep.log_determinant == pytest.approx(math.log(rep.determinant), rel=1e-12, abs=1e-12)
+
+    def test_log_determinant_nan_off_the_pd_cone(self, monkeypatch):
+        # an unconverged iterate whose spectrum starts below zero has no log determinant
+        monkeypatch.setattr(completion, "_eigh", lambda x, vectors: np.array([-1.0, 1.0]))
+        rep = max_det_completion(matrix_n_four_cycle(), max_cycles=1)
+        assert not rep.converged and math.isnan(rep.log_determinant)
+
     def test_single_missing_matches_closed_form(self):
         pm = ex1_partial_a()
         iv = feasibility_range(pm)

@@ -9,6 +9,7 @@ import pytest
 from pgm import (
     DimensionMismatch,
     NotPositiveDefinite,
+    Pattern,
     SampleSet,
     WeightVector,
     agm_iteration,
@@ -27,6 +28,7 @@ from pgm import (
     means,
     op_norm,
     partial_geomean_maxdet,
+    project,
     riemannian_dist,
     set_geomean,
     sym,
@@ -267,6 +269,20 @@ class TestPartialGeomean:
             res.completion_a.determinant * res.completion_b.determinant
         )
         assert res.determinant == pytest.approx(expected, rel=1e-10)
+
+    def test_log_determinant_finite_where_determinant_overflows(self):
+        g = Pattern.from_pairs(400, [(i, i + 1) for i in range(1, 400)])
+        with np.errstate(over="ignore"):
+            res = partial_geomean_maxdet(project(10 * np.eye(400), g), project(12 * np.eye(400), g))
+        assert res.determinant == math.inf
+        assert res.completion_a.determinant == res.completion_b.determinant == math.inf
+        assert res.log_determinant == pytest.approx(200 * math.log(120.0), rel=1e-13)
+        assert res.completion_a.log_determinant == pytest.approx(400 * math.log(10.0), rel=1e-13)
+        assert res.completion_b.log_determinant == pytest.approx(400 * math.log(12.0), rel=1e-13)
+
+    def test_log_determinant_is_log_of_determinant(self):
+        res = partial_geomean_maxdet(ex1_partial_a(), ex1_partial_b(), 0.3)
+        assert res.log_determinant == pytest.approx(math.log(res.determinant), rel=1e-12)
 
     def test_complete_inputs_fixed_point(self):
         pm = matrix_a_chordal_example()

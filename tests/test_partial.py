@@ -1,5 +1,8 @@
 """Partial matrices: definiteness, algebra, projection, partial order."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -205,6 +208,50 @@ class TestPartialOrder:
         b = project(np.diag([-1e308, 1.0]), g)
         with pytest.raises(ValueError, match="non-finite value"):
             partial_order(a, b)
+
+
+class TestArrayStorage:
+    """One symmetric array per matrix; ``values`` and ``edges`` are derived views."""
+
+    def _pair(self):
+        g = Pattern.from_pairs(3, [(1, 2), (2, 3)])
+        m = np.array([[2.0, -0.0, 9.0], [0.0, 3.0, 0.5], [9.0, 0.5, 4.0]])
+        return project(m, g), PartialMatrix(
+            pattern=g, values={(1, 1): 2.0, (2, 1): -0.0, (2, 2): 3.0, (3, 2): 0.5, (3, 3): 4.0}
+        )
+
+    def test_array_and_dict_built_are_equal(self):
+        built, given = self._pair()
+        assert built == given and hash(built) == hash(given)
+        assert built.values == given.values and repr(built.values[1, 2]) == "-0.0"
+        assert built.pattern.edges == given.pattern.edges
+        # the upper entry wins in project: the -0.0 above the diagonal, on both sides
+        assert np.signbit(built.to_dense()[[0, 1], [1, 0]]).all()
+
+    def test_values_are_read_only(self):
+        for pm in self._pair():
+            with pytest.raises(TypeError):
+                pm.values[1, 1] = 5.0
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))]
+    )
+    def test_copies_are_equal(self, duplicate):
+        for pm in self._pair():
+            twin = duplicate(pm)
+            assert twin == pm and hash(twin) == hash(pm) and twin.values == pm.values
+
+    @pytest.mark.parametrize("vertices", [(), (0, 1), (1, 4)])
+    def test_restrict_rejects_vertices_outside_the_pattern(self, vertices):
+        with pytest.raises(ValueError, match="nonempty subset of 1..3"):
+            restrict(self._pair()[0], vertices)
+
+    def test_restrict_matches_dict_built(self):
+        a = matrix_a_chordal_example()
+        sub_pm = restrict(a, (4, 1, 3))
+        values = {(1, 1): a.entry(1, 1), (1, 2): a.entry(1, 3), (1, 3): a.entry(1, 4),
+                  (2, 2): a.entry(3, 3), (2, 3): a.entry(3, 4), (3, 3): a.entry(4, 4)}
+        assert sub_pm == PartialMatrix(pattern=Pattern.complete(3), values=values)
 
 
 class TestProjectAgrees:

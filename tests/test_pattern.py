@@ -42,6 +42,12 @@ class TestConstruction:
         g = Pattern.from_pairs(3, [(1, 2)])
         assert g.has_edge(2, 2) and g.has_edge(1, 2) and g.has_edge(2, 1)
 
+    def test_queries_outside_the_vertices(self):
+        g = Pattern.from_pairs(3, [(1, 2), (1, 3)])
+        assert g.neighbors(1) == {2, 3} and g.neighbors(2) == {1}
+        assert g.neighbors(0) == g.neighbors(4) == frozenset()
+        assert not g.has_edge(0, 1) and not g.has_edge(3, 4) and not g.has_edge(0, 0)
+
     def test_missing_loop_rejected(self):
         with pytest.raises(ValueError):
             Pattern(n=2, edges=frozenset({(1, 1), (1, 2)}))

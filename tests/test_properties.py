@@ -1,11 +1,18 @@
-"""Hypothesis properties of the closed-form completion and the partial order.
+"""Hypothesis properties of the closed-form completion, the partial order,
+the array storage and the text format.
 
 ``completion_with_det`` puts one entry of the max-det completion on the
 determinant parabola; ``partial_order`` takes its four verdicts from one
 clique-spectrum pass and must agree with ``conftest.reference_partial_order``,
-the four-pass order over the difference and its negated copy.  Both run
-under the derandomized ``pgm`` profile.
+the four-pass order over the difference and its negated copy.  A partial
+matrix printed by ``format_partial`` parses back bit for bit, the parser and
+the dict constructor build equal matrices, and the dense view and the
+formatters match the per-entry references in ``conftest``.  All run under
+the derandomized ``pgm`` profile.
 """
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -14,6 +21,7 @@ from hypothesis import strategies as st
 
 from pgm import (
     Comparison,
+    PartialMatrix,
     Pattern,
     agrees,
     completion_with_det,
@@ -25,7 +33,17 @@ from pgm import (
     project,
     single_entry_interval,
 )
-from conftest import rand_chordal_pattern, rand_partial_pd, rand_spd, reference_partial_order
+from pgm.cli import _human_matrix, format_matrix, format_partial, parse_partial
+from conftest import (
+    rand_chordal_pattern,
+    rand_partial_pd,
+    rand_spd,
+    reference_format_matrix,
+    reference_format_partial,
+    reference_human_matrix,
+    reference_partial_order,
+    reference_to_dense,
+)
 
 
 @st.composite
@@ -111,3 +129,98 @@ def test_partial_order_matches_four_pass_reference(pair):
     verdict = partial_order(a, b)
     assert verdict is reference_partial_order(a, b)
     assert partial_order(b, a) is reference_partial_order(b, a) is FLIPPED[verdict]
+
+
+#: Values whose text or sign is easy to lose: signed zeros, the subnormal and
+#: float extremes, and the 17-digit integers above 2**53.
+EDGE_VALUES = [-0.0, 0.0, 1e-300, -1e-300, 5e-324, 1e17, -1e17, 1.7976931348623157e308,
+               0.1, 1 / 3, 123456789.123456789]
+
+
+def _values(rng, size):
+    """``size`` floats: an edge value with probability 0.3, else a signed power-scaled normal."""
+    draws = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size)
+    edge = rng.random(size) < 0.3
+    draws[edge] = rng.choice(EDGE_VALUES, int(edge.sum()))
+    return draws
+
+
+@st.composite
+def storage_cases(draw):
+    """A partial matrix on a random chordal or ring-with-chords pattern, n 1-40,
+    built from a dict of edge-laden values."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = rand_chordal_pattern(rng, n, fill=float(rng.uniform(0.1, 0.9)))
+    else:
+        pairs = [(i, i % n + 1) for i in range(1, n + 1) if n > 2]
+        pairs += [(i, j) for i in range(1, n) for j in range(i + 2, n + 1) if rng.random() < 0.1]
+        g = Pattern.from_pairs(n, pairs)
+    edges = sorted(g.edges)
+    return PartialMatrix(pattern=g, values=dict(zip(edges, _values(rng, len(edges)).tolist())))
+
+
+def _parse_text(text):
+    with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False, encoding="utf-8") as f:
+        f.write(text)
+    try:
+        return parse_partial(f.name)
+    finally:
+        os.unlink(f.name)
+
+
+def _bits(values):
+    return {pos: float(v).hex() for pos, v in values.items()}
+
+
+@given(pm=storage_cases())
+def test_format_partial_parses_back_bit_for_bit(pm):
+    text = format_partial(pm)
+    assert text == reference_format_partial(pm)
+    back = _parse_text(text)
+    assert back == pm and hash(back) == hash(pm)
+    assert _bits(back.values) == _bits(pm.values)
+    assert back.to_dense(np.nan).tobytes() == pm.to_dense(np.nan).tobytes()
+
+
+@given(pm=storage_cases())
+def test_parser_and_dict_constructor_agree(pm):
+    """A file whose lower triangle mirrors a signed zero with ``0`` parses to the
+    dict-built matrix: the upper entry wins."""
+    lines = [f"n {pm.n}"]
+    for i in range(1, pm.n + 1):
+        row = []
+        for j in range(1, pm.n + 1):
+            v = pm.values.get((min(i, j), max(i, j)))
+            row.append("?" if v is None else "0" if v == 0 and j < i else repr(v))
+        lines.append(" ".join(row))
+    parsed = _parse_text("\n".join(lines) + "\n")
+    assert parsed == pm and hash(parsed) == hash(pm)
+    assert parsed.pattern == pm.pattern and hash(parsed.pattern) == hash(pm.pattern)
+    assert parsed.pattern.edges == pm.pattern.edges
+    assert _bits(parsed.values) == _bits(pm.values)
+    assert missing_positions(parsed.pattern) == missing_positions(pm.pattern)
+
+
+@given(pm=storage_cases(), fill=st.sampled_from([0.0, -0.0, np.nan, 2.5]))
+def test_to_dense_matches_per_entry_reference(pm, fill):
+    assert pm.to_dense(fill).tobytes() == reference_to_dense(pm, fill).tobytes()
+
+
+@st.composite
+def dense_matrices(draw):
+    """An n x n array, n 1-40, of edge values, normals at random scales, and a few
+    non-finite entries."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = _values(rng, n * n).reshape(n, n)
+    if draw(st.booleans()):
+        m.flat[rng.integers(0, n * n, 2)] = rng.choice([np.nan, np.inf, -np.inf], 2)
+    return m
+
+
+@given(m=dense_matrices())
+def test_formatters_match_per_entry_references(m):
+    assert format_matrix(m) == reference_format_matrix(m)
+    assert _human_matrix(m) == reference_human_matrix(m)
