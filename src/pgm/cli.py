@@ -34,12 +34,14 @@ from .errors import (
     PgmError,
     TooManyMissing,
 )
-from .linalg import DEFAULT_TOL, _eigh, is_pd
+from .linalg import DEFAULT_TOL, _definite, _eigh, is_pd
 from .means import (
     WeightVector,
+    _geomean_core,
+    _sqrt_pair,
+    _warn_off_geodesic,
     entropy_identities,
     gaussian_entropy,
-    geomean,
     karcher_mean,
     partial_geomean_maxdet,
 )
@@ -281,13 +283,13 @@ def cmd_geomean(args):
     print(_human_matrix(res.matrix))
     print(f"determinant: {res.determinant:.{REPORT_DIGITS}g}")
     expected = (
-        res.completion_a.determinant ** (1.0 - args.t)
-        * res.completion_b.determinant ** args.t
+        (1.0 - args.t) * res.completion_a.log_determinant
+        + args.t * res.completion_b.log_determinant
     )
     print(
-        f"determinant identity: det = {res.determinant:.{REPORT_DIGITS}g}, "
-        f"det(Ahat)^(1-t) det(Bhat)^t = {expected:.{REPORT_DIGITS}g}, "
-        f"|diff| = {abs(res.determinant - expected):.3g}"
+        f"log-determinant identity: log det = {res.log_determinant:.{REPORT_DIGITS}g}, "
+        f"(1-t) log det(Ahat) + t log det(Bhat) = {expected:.{REPORT_DIGITS}g}, "
+        f"|diff| = {abs(res.log_determinant - expected):.3g}"
     )
     if args.out:
         _write_out(args.out, format_matrix(res.matrix))
@@ -354,10 +356,13 @@ def _sweep_table(pa, pb, grid, t, tol):
 
     Either each input carries one missing entry (x sweeps the first, y
     the second), or one input carries both and the other is complete.
-    Each distinct filled matrix is PD-tested once: the input without x
-    once for the grid, the input with x once per x-row, each held as a
-    stack along y if it holds y.  An x-row then costs one geomean (a
-    stack of one broadcasts), one det and one eigvalsh.
+    Each distinct filled matrix is PD-tested once at ``tol``: the input
+    without x once for the grid, the input with x once per x-row, each
+    held as a stack along y if it holds y.  A's test is one ``eigh``,
+    which also gives ``A^{+-1/2}`` of its PD members, so the mean of each
+    row is the unchecked :func:`~pgm.means._geomean_core` (a stack of one
+    broadcasts), then one det and one eigvalsh.  A cell thus costs two
+    eigensolves with one missing entry per input, three with both in one.
     """
     if grid < 2:
         raise PgmError(f"grid must be at least 2, got {grid}")
@@ -371,6 +376,7 @@ def _sweep_table(pa, pb, grid, t, tol):
         raise PgmError("sweep needs exactly two missing entries across the inputs")
     for pm in pms:
         _require_partial_pd(pm.to_dense(), pm.pattern._clique_sequence, tol)
+    _warn_off_geodesic(t, stacklevel=2)
 
     (kx, pos_x), (ky, pos_y) = slots
     xs = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[kx], pos_x, tol)), grid)
@@ -379,28 +385,38 @@ def _sweep_table(pa, pb, grid, t, tol):
     ops = [np.tile(pm.to_dense(0.0), (grid if ky == k else 1, 1, 1)) for k, pm in enumerate(pms)]
     (i, j), (p, q) = pos_x, pos_y
     ops[ky][:, p - 1, q - 1] = ops[ky][:, q - 1, p - 1] = ys
-    ok = [is_pd(ops[1 - kx], tol)] * 2  # the input without x is the same on every row
     table = np.full((grid, grid, pa.n + 3), np.nan)
     table[..., 0] = xs[:, None]
     table[..., 1] = ys
     for r, x in enumerate(xs):
         ops[kx][:, i - 1, j - 1] = ops[kx][:, j - 1, i - 1] = x
-        ok[kx] = is_pd(ops[kx], tol)
-        keep = ok[0] & ok[1]
+        if kx == 0 or r == 0:  # A holds x, or this is the first row
+            w, v = _eigh(ops[0])
+            ok_a = _definite(w, tol)
+            roots = _sqrt_pair(w[ok_a], v[ok_a])  # A's PD members: keep's cells if any
+        if kx == 1 or r == 0:  # B holds x, or this is the first row
+            ok_b = is_pd(ops[1], tol)
+        keep = ok_a & ok_b
         if keep.any():
-            m = geomean(*(op[0] if len(op) == 1 else op[keep] for op in ops), t, tol)
+            m = _geomean_core(*roots, ops[1] if len(ops[1]) == 1 else ops[1][keep], t)
             table[r, keep, 2] = np.linalg.det(m)
             table[r, keep, 3:] = _eigh(m, vectors=False)[:, ::-1]
     return table.reshape(grid * grid, -1)
 
 
 def sweep_csv(pa, pb, grid, t, tol):
-    """Deterministic CSV text for a determinant/eigenvalue sweep, written by
-    one ``%`` call (``%.17g`` prints nan, inf and -0 as ``f"{v:.17g}"`` does)."""
-    table = _sweep_table(pa, pb, grid, t, tol)
+    """Deterministic CSV text for a determinant/eigenvalue sweep.  Each x and y
+    value is formatted once and spliced into the row template, so the one
+    ``%`` call converts only the det and eigenvalue columns (``%.17g`` prints
+    nan, inf and -0 as ``f"{v:.17g}"`` does)."""
+    table = _sweep_table(pa, pb, grid, t, tol).reshape(grid, grid, -1)
     header = "x,y,det," + ",".join(f"eig_{k}" for k in range(1, pa.n + 1)) + "\n"
-    row = ",".join([f"%.{FILE_DIGITS}g"] * table.shape[1]) + "\n"
-    return header + (row * len(table)) % tuple(table.ravel().tolist())
+    xs = [f"{v:.{FILE_DIGITS}g}" for v in table[:, 0, 0].tolist()]
+    ys = [f"{v:.{FILE_DIGITS}g}" for v in table[0, :, 1].tolist()]
+    tail = ",".join([f"%.{FILE_DIGITS}g"] * (pa.n + 1)) + "\n"
+    # x-row "x,y_1,<tail>x,y_2,<tail>...": one join over the formatted y per x
+    rows = "".join(f"{x}," + f",{tail}{x},".join(ys) + f",{tail}" for x in xs)
+    return header + rows % tuple(table[..., 2:].ravel().tolist())
 
 
 def cmd_sweep(args):

@@ -156,9 +156,7 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
         specified entries written back, and ``converged=False``.
     """
     cliques = [list(c) for c in pm.pattern._clique_sequence]
-    a = pm.to_dense(np.nan)
-    spec = np.isfinite(a)
-    a[~spec] = 0.0
+    a, spec = pm.to_dense(), pm.pattern._mask
     _require_partial_pd(a, cliques, DEFAULT_TOL)
     if pm.pattern.is_complete:
         return CompletionReport(

@@ -54,13 +54,10 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     hold only on [0, 1].  On stacks ``(..., n, n)`` the means are taken
     pairwise, with the leading dimensions broadcast (one A against a
     stack of B, or the reverse).  Both pass :func:`~pgm.linalg._dense`, then a PD
-    check; one ``eigh(A)`` gives A's PD check and ``A^{+-1/2}``.
+    check; one ``eigh(A)`` gives A's PD check and ``A^{+-1/2}``, and the mean
+    itself is :func:`_geomean_core`, one more eigensolve.
     """
-    if not 0.0 <= t <= 1.0:
-        warnings.warn(
-            f"geomean parameter t = {t} lies outside [0, 1]; extending the geodesic",
-            stacklevel=2,
-        )
+    _warn_off_geodesic(t, stacklevel=3)
     a, b = _dense(a), _dense(b)
     lead = zip(a.shape[-3::-1], b.shape[-3::-1])
     if a.shape[-2:] != b.shape[-2:] or any(p != q and 1 not in (p, q) for p, q in lead):
@@ -68,6 +65,22 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     w, q = _eigh(a)
     rs, ris = _sqrt_pair(_require(w, "pd", tol), q)
     _require(_eigh(b, vectors=False), "pd", tol)
+    return _geomean_core(rs, ris, b, t)
+
+
+def _warn_off_geodesic(t, stacklevel):
+    """Warn, from the caller ``stacklevel`` frames up, if ``t`` lies outside [0, 1]."""
+    if not 0.0 <= t <= 1.0:
+        warnings.warn(
+            f"geomean parameter t = {t} lies outside [0, 1]; extending the geodesic",
+            stacklevel=stacklevel,
+        )
+
+
+def _geomean_core(rs, ris, b, t):
+    """``A #_t B`` from ``A^{1/2}``, ``A^{-1/2}`` and ``B``, unchecked: the caller
+    has PD-tested A and B.  One eigensolve, of ``A^{-1/2} B A^{-1/2}``; stacks
+    broadcast as in :func:`geomean`."""
     v, u = _eigh(sym(ris @ b @ ris))
     return sym(rs @ _from_spectrum(v**t, u) @ rs)
 

@@ -67,6 +67,25 @@ def test_public_eigensolves_admit_their_argument_through_the_dense_door():
     assert bare == []
 
 
+def test_unchecked_mean_core_runs_only_behind_a_pd_test():
+    """``means._geomean_core`` trusts its caller to have PD-tested both operands:
+    only ``geomean`` and ``cli._sweep_table`` name it, each to call it, and each
+    runs a PD test (``_require``, ``_definite`` or ``is_pd``) on a line before."""
+    naming, first_call, first_test = set(), {}, {}  # first_*: function -> first line
+    for name, node in _functions().items():
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and sub.id == "_geomean_core":
+                naming.add(name)
+            if isinstance(sub, ast.Call):
+                callee, line = ast.unparse(sub.func), sub.lineno
+                if callee == "_geomean_core":
+                    first_call[name] = min(line, first_call.get(name, line))
+                if callee in ("_require", "_definite", "is_pd"):
+                    first_test[name] = min(line, first_test.get(name, line))
+    assert sorted(naming) == sorted(first_call) == ["cli._sweep_table", "means.geomean"]
+    assert all(first_test.get(name, line) < line for name, line in first_call.items())
+
+
 def test_one_dense_door():
     defined = {
         node.name

@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 import pgm
-from pgm import Pattern, PartialMatrix, linalg, maximal_cliques, means, missing_positions, pattern
+from pgm import (
+    Pattern,
+    PartialMatrix,
+    linalg,
+    maximal_cliques,
+    means,
+    missing_positions,
+    pattern,
+    project,
+)
 from pgm.cli import (
     build_parser,
     default_tol,
@@ -210,6 +219,26 @@ class TestCommands:
         assert rc == 0
         assert "determinant identity" in out
 
+    def test_geomean_identity_in_the_log_domain(self, tmp_path, capsys):
+        # det(10 I) and det(12 I) on a 400-vertex path overflow; their logs do not
+        g = Pattern.from_pairs(400, [(i, i + 1) for i in range(1, 400)])
+        files = [
+            write(tmp_path, f"{s}.txt", format_partial(project(s * np.eye(400), g)))
+            for s in (10, 12)
+        ]
+        with np.errstate(over="ignore"):
+            rc = main(["geomean", *files, "--t", "0.25"])
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert rc == 0
+        assert line.startswith("log-determinant identity: log det = ")
+        log_det, expected, diff = (
+            float(part.rsplit("=", 1)[1]) for part in line.split(": ", 1)[1].split(", ")
+        )
+        assert math.isfinite(log_det) and math.isfinite(expected)
+        assert log_det == pytest.approx(400 * (0.75 * math.log(10) + 0.25 * math.log(12)), rel=1e-6)
+        assert expected == pytest.approx(log_det, rel=1e-6)
+        assert diff <= 1e-9 * abs(log_det)
+
     def test_karcher(self, tmp_path, capsys):
         rc = main(
             [
@@ -299,20 +328,34 @@ class TestSweep:
         np.testing.assert_array_equal(table, np.array(reference_sweep_rows(pa, pb, 31, 0.5, 1e-3)))
         assert np.isnan(table[:, 2]).reshape(31, 31).all(axis=1).any()
 
-    @pytest.mark.parametrize("case", ["region", "n8"])
-    def test_csv_bytes_match_reference(self, case):
+    @pytest.mark.parametrize(
+        "case, grid",
+        [
+            pytest.param(case, grid, id=case if grid == 31 else f"{case}-grid{grid}")
+            for case in sorted(SWEEP_PAIRS)
+            for grid in (31, 2)
+        ],
+    )
+    def test_csv_bytes_match_reference(self, case, grid):
         pa, pb = SWEEP_PAIRS[case]()
         tol = default_tol()
         header = "x,y,det," + ",".join(f"eig_{k}" for k in range(1, pa.n + 1))
-        rows = reference_sweep_rows(pa, pb, 31, 0.5, tol)
+        rows = reference_sweep_rows(pa, pb, grid, 0.5, tol)
         lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
-        text = sweep_csv(pa, pb, 31, 0.5, tol)
+        text = sweep_csv(pa, pb, grid, 0.5, tol)
         assert text == "\n".join([header] + lines) + "\n"
-        assert ("nan" in text) == (case == "region")
+        if grid == 31:
+            assert ("nan" in text) == case.startswith("region")
 
-    def test_eigensolve_work(self, monkeypatch):
-        # matrices decomposed: ~2 per cell (B's check and the inner power in
-        # geomean) plus a few per row; a per-cell fill of both inputs needs ~5
+    @pytest.mark.parametrize(
+        "case, per_cell",
+        [pytest.param(case, k, id=case) for case, k in (("ex1", 2), ("region", 3), ("region_swapped", 3))],
+    )
+    def test_eigensolve_work(self, monkeypatch, case, per_cell):
+        # matrices decomposed per cell: the inner power of the mean and the
+        # output spectrum, plus the one check of A when A holds both x and y
+        # or of B when B does; a few more per row.  The per-cell reference,
+        # which checks both inputs and geomean checks them again, needs 6
         seen = []
         real = linalg._eigh
 
@@ -323,9 +366,15 @@ class TestSweep:
 
         monkeypatch.setattr(linalg, "_eigh", counting)
         monkeypatch.setattr(means, "_eigh", counting)
+        monkeypatch.setattr(pgm.cli, "_eigh", counting)
         grid = 31
-        _sweep_table(ex1_partial_a(), ex1_partial_b(), grid, 0.5, default_tol())
-        assert sum(seen) <= 3 * grid**2 + 4 * grid
+        _sweep_table(*SWEEP_PAIRS[case](), grid, 0.5, default_tol())
+        assert sum(seen) <= per_cell * grid**2 + 4 * grid
+
+    def test_parameter_off_the_geodesic_warns(self):
+        with pytest.warns(UserWarning, match=r"t = 1.5 lies outside \[0, 1\]"):
+            table = _sweep_table(ex1_partial_a(), ex1_partial_b(), 3, 1.5, default_tol())
+        assert np.isfinite(table).all()
 
     def test_csv_deterministic(self):
         a, b = ex1_partial_a(), ex1_partial_b()
