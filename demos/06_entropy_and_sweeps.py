@@ -5,19 +5,21 @@ The max-det completion of a partial covariance is its maximum-entropy
 completion.  Entropy differences reduce to a trace integral along the
 segment between covariances, and the entropy of a geodesic point
 interpolates the endpoint entropies.  Sweeping the free entries maps the
-determinant surface of the mean; the CSV matches the `pgm sweep`
-subcommand output.
+determinant surface of the mean; `pgm sweep` writes the same table as CSV.
 """
 
+import numpy as np
+
 from pgm import (
+    DEFAULT_TOL,
     Pattern,
     PartialMatrix,
     det_integral_identity,
     entropy_identities,
     gaussian_entropy,
     max_det_completion,
+    partial_geomean_sweep,
 )
-from pgm.cli import default_tol, sweep_csv
 
 pa = PartialMatrix(
     pattern=Pattern.from_pairs(3, [(1, 2), (2, 3)]),
@@ -43,16 +45,15 @@ print(f"H(geodesic midpoint) = {ids.entropy_geomean:.6g}"
 
 # Sweep the two free entries: the determinant surface of A(x) # B(y)
 # peaks at the pair of max-det values.
-text = sweep_csv(pa, pb, grid=41, t=0.5, tol=default_tol())
-rows = [[float(v) for v in line.split(",")] for line in text.strip().split("\n")[1:]]
-best = max(rows, key=lambda r: r[2])
+table = partial_geomean_sweep(pa, pb, 41, 0.5, DEFAULT_TOL)  # rows (x, y, det, eig_1..eig_n)
+best = table[np.nanargmax(table[:, 2])]
 print(f"\n41x41 sweep: det surface peaks at x = {best[0]:.4g}, y = {best[1]:.4g}"
       f" (det = {best[2]:.6g})")
 print("write the full CSV with: pgm sweep demos/data/chain3_a.txt"
       " demos/data/chain3_b.txt --out surface.csv")
 
 # Non-rectangular feasibility: two entries missing in one matrix give a
-# curved region; infeasible cells are NaN in the CSV.
+# curved region; infeasible cells are NaN.
 swept = PartialMatrix(
     pattern=Pattern.from_pairs(3, [(1, 2)]),
     values={(1, 1): 2.0, (2, 2): 2.0, (3, 3): 2.0, (1, 2): 1.0},
@@ -61,7 +62,6 @@ fixed = PartialMatrix(
     pattern=Pattern.complete(3),
     values={(1, 1): 4.0, (1, 2): 3.0, (1, 3): 0.0, (2, 2): 5.0, (2, 3): -1.0, (3, 3): 2.0},
 )
-text = sweep_csv(swept, fixed, grid=41, t=0.5, tol=default_tol())
-rows = [line.split(",") for line in text.strip().split("\n")[1:]]
-feasible = sum(1 for r in rows if r[2] != "nan")
-print(f"\nregion sweep: {feasible} of {len(rows)} cells admit a PD pair")
+table = partial_geomean_sweep(swept, fixed, 41, 0.5, DEFAULT_TOL)
+feasible = np.count_nonzero(~np.isnan(table[:, 2]))
+print(f"\nregion sweep: {feasible} of {len(table)} cells admit a PD pair")

@@ -67,6 +67,7 @@ from .means import (
     geomean_properties_check,
     karcher_mean,
     partial_geomean_maxdet,
+    partial_geomean_sweep,
     set_geomean,
 )
 from .partial import (

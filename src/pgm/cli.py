@@ -8,11 +8,11 @@ parsing them back is exact; human-readable reports use 6.  A file is
 parsed straight into the array of a :class:`PartialMatrix`, and every
 matrix is printed by one ``%`` over its flat values.
 
-Subcommands: ``check``, ``complete``, ``geomean``, ``karcher``,
-``entropy``, ``sweep``.  Exit status is 0 on success, 1 on domain errors
-(not positive definite, not completable, ...), 2 on usage or parse
-errors.  The environment variable ``PGM_TOL`` overrides the default
-tolerance.
+The module parses, dispatches to the library and formats.  Subcommands:
+``check``, ``complete``, ``geomean``, ``karcher``, ``entropy``, ``sweep``.
+Exit status is 0 on success, 1 on domain errors (not positive definite,
+not completable, ...), 2 on usage or parse errors.  The environment
+variable ``PGM_TOL`` overrides the default tolerance.
 """
 
 from __future__ import annotations
@@ -25,28 +25,19 @@ import sys
 
 import numpy as np
 
-from .completion import max_det_completion, partial_entry_bounds
-from .errors import (
-    AsymmetricPattern,
-    DimensionMismatch,
-    MissingDiagonal,
-    ParseError,
-    PgmError,
-    TooManyMissing,
-)
-from .linalg import DEFAULT_TOL, _definite, _eigh, is_pd
+from .completion import max_det_completion
+from .errors import AsymmetricPattern, MissingDiagonal, ParseError, PgmError
+from .linalg import DEFAULT_TOL
 from .means import (
     WeightVector,
-    _geomean_core,
-    _sqrt_pair,
-    _warn_off_geodesic,
     entropy_identities,
     gaussian_entropy,
     karcher_mean,
     partial_geomean_maxdet,
+    partial_geomean_sweep,
 )
-from .partial import PartialMatrix, _require_partial_pd, offending_cliques
-from .pattern import Pattern, is_chordal, maximal_cliques, missing_positions
+from .partial import PartialMatrix, offending_cliques
+from .pattern import Pattern, is_chordal, maximal_cliques
 
 #: File precision: enough digits to round-trip any float64 exactly.
 FILE_DIGITS = 17
@@ -344,72 +335,12 @@ def cmd_entropy(args):
     return 0
 
 
-def _shrunk_axis(bounds):
-    lo, hi = bounds
-    width = hi - lo
-    return lo + 1e-6 * width, hi - 1e-6 * width
-
-
-def _sweep_table(pa, pb, grid, t, tol):
-    """Rows ``(x, y, det, eig_1..eig_n)`` over the feasibility box, x-major,
-    as one ``(grid**2, n + 3)`` array; a cell whose pair is not PD holds NaNs.
-
-    Either each input carries one missing entry (x sweeps the first, y
-    the second), or one input carries both and the other is complete.
-    Each distinct filled matrix is PD-tested once at ``tol``: the input
-    without x once for the grid, the input with x once per x-row, each
-    held as a stack along y if it holds y.  A's test is one ``eigh``,
-    which also gives ``A^{+-1/2}`` of its PD members, so the mean of each
-    row is the unchecked :func:`~pgm.means._geomean_core` (a stack of one
-    broadcasts), then one det and one eigvalsh.  A cell thus costs two
-    eigensolves with one missing entry per input, three with both in one.
-    """
-    if grid < 2:
-        raise PgmError(f"grid must be at least 2, got {grid}")
-    if pa.n != pb.n:
-        raise DimensionMismatch(f"dimension mismatch: {pa.n} vs {pb.n}")
-    pms = (pa, pb)
-    slots = [(k, pos) for k, pm in enumerate(pms) for pos in missing_positions(pm.pattern)]
-    if len(slots) > 2:
-        raise TooManyMissing(f"sweep supports at most 2 missing entries, found {len(slots)}")
-    if len(slots) < 2:
-        raise PgmError("sweep needs exactly two missing entries across the inputs")
-    for pm in pms:
-        _require_partial_pd(pm.to_dense(), pm.pattern._clique_sequence, tol)
-    _warn_off_geodesic(t, stacklevel=2)
-
-    (kx, pos_x), (ky, pos_y) = slots
-    xs = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[kx], pos_x, tol)), grid)
-    ys = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[ky], pos_y, tol)), grid)
-    # ops[k] is input k on the current x-row: a stack along y if it holds y, else a stack of one
-    ops = [np.tile(pm.to_dense(0.0), (grid if ky == k else 1, 1, 1)) for k, pm in enumerate(pms)]
-    (i, j), (p, q) = pos_x, pos_y
-    ops[ky][:, p - 1, q - 1] = ops[ky][:, q - 1, p - 1] = ys
-    table = np.full((grid, grid, pa.n + 3), np.nan)
-    table[..., 0] = xs[:, None]
-    table[..., 1] = ys
-    for r, x in enumerate(xs):
-        ops[kx][:, i - 1, j - 1] = ops[kx][:, j - 1, i - 1] = x
-        if kx == 0 or r == 0:  # A holds x, or this is the first row
-            w, v = _eigh(ops[0])
-            ok_a = _definite(w, tol)
-            roots = _sqrt_pair(w[ok_a], v[ok_a])  # A's PD members: keep's cells if any
-        if kx == 1 or r == 0:  # B holds x, or this is the first row
-            ok_b = is_pd(ops[1], tol)
-        keep = ok_a & ok_b
-        if keep.any():
-            m = _geomean_core(*roots, ops[1] if len(ops[1]) == 1 else ops[1][keep], t)
-            table[r, keep, 2] = np.linalg.det(m)
-            table[r, keep, 3:] = _eigh(m, vectors=False)[:, ::-1]
-    return table.reshape(grid * grid, -1)
-
-
 def sweep_csv(pa, pb, grid, t, tol):
     """Deterministic CSV text for a determinant/eigenvalue sweep.  Each x and y
     value is formatted once and spliced into the row template, so the one
     ``%`` call converts only the det and eigenvalue columns (``%.17g`` prints
     nan, inf and -0 as ``f"{v:.17g}"`` does)."""
-    table = _sweep_table(pa, pb, grid, t, tol).reshape(grid, grid, -1)
+    table = partial_geomean_sweep(pa, pb, grid, t, tol).reshape(grid, grid, -1)
     header = "x,y,det," + ",".join(f"eig_{k}" for k in range(1, pa.n + 1)) + "\n"
     xs = [f"{v:.{FILE_DIGITS}g}" for v in table[:, 0, 0].tolist()]
     ys = [f"{v:.{FILE_DIGITS}g}" for v in table[0, :, 1].tolist()]

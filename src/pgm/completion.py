@@ -152,9 +152,11 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
     tol : float
         Convergence tolerance on the inverse-zero certificate.
     max_cycles : int
-        Sweep budget; exceeding it returns the last iterate, with the
-        specified entries written back, and ``converged=False``.
+        Sweep budget, at least 1; exceeding it returns the last iterate,
+        with the specified entries written back, and ``converged=False``.
     """
+    if max_cycles < 1:
+        raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
     cliques = [list(c) for c in pm.pattern._clique_sequence]
     a, spec = pm.to_dense(), pm.pattern._mask
     _require_partial_pd(a, cliques, DEFAULT_TOL)
@@ -165,7 +167,7 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
         )
     blocks = [a[np.ix_(c, c)] for c in cliques]
     m = np.diag(np.diag(a))
-    x, residual, converged, cycles = a, np.inf, False, 0
+    converged = False
     for cycles in range(1, max_cycles + 1):
         for c, block in zip(cliques, blocks):
             m_cc = m[np.ix_(c, c)]

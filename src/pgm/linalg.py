@@ -49,16 +49,15 @@ def _dense(a):
     return sym(m)
 
 
-def as_sym_matrix(a, symmetrize=False):
+def as_sym_matrix(a):
     """Validate a dense real symmetric matrix.
 
     Parameters
     ----------
     a : array_like, shape (n, n)
-        Square matrix with finite real entries.
-    symmetrize : bool
-        If True, any asymmetric input is averaged with its transpose; if
-        False, only round-off asymmetry is, and more raises ValueError.
+        Square matrix with finite real entries.  Round-off asymmetry is
+        averaged away; more raises ValueError (pass ``sym(a)`` to average
+        any asymmetry).
 
     Returns
     -------
@@ -67,7 +66,7 @@ def as_sym_matrix(a, symmetrize=False):
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return _dense(sym(m) if symmetrize and m.shape[0] == m.shape[1] else m).copy()
+    return _dense(m).copy()
 
 
 def _eigh(a, vectors=True):

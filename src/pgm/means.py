@@ -8,9 +8,10 @@ is the point at parameter ``t`` on the unique Riemannian geodesic from A
 to B.  This module provides the mean (on single matrices or stacks), a
 numerical checker for its classical property suite, means of finite
 sample sets, the maximum-determinant representative of means of partial
-matrices, the Karcher mean (one period of the weighted inductive mean as
-the start point, then a fixed-point iteration with the Bini-Iannazzo
-step size until the gradient certificate holds), the
+matrices, the sweep of ``A(x) #_t B(y)`` over the feasible fills of two
+missing entries, the Karcher mean (one period of the weighted inductive
+mean as the start point, then a fixed-point iteration with the
+Bini-Iannazzo step size until the gradient certificate holds), the
 arithmetic-harmonic iteration, and the log-determinant and entropy
 identities for Gaussian covariances, with the trace integral in closed form.
 """
@@ -23,10 +24,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .completion import CompletionReport, max_det_completion
-from .errors import DimensionMismatch
+from .completion import CompletionReport, max_det_completion, partial_entry_bounds
+from .errors import DimensionMismatch, PgmError, TooManyMissing
 from .linalg import (
     DEFAULT_TOL,
+    _definite,
     _dense,
     _eigh,
     _from_spectrum,
@@ -35,6 +37,7 @@ from .linalg import (
     det,
     fro_norm,
     invm,
+    is_pd,
     is_psd,
     log_det,
     mat_fn,
@@ -43,6 +46,8 @@ from .linalg import (
     riemannian_dist,
     sym,
 )
+from .partial import _require_partial_pd
+from .pattern import missing_positions
 
 
 def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
@@ -69,7 +74,10 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
 
 
 def _warn_off_geodesic(t, stacklevel):
-    """Warn, from the caller ``stacklevel`` frames up, if ``t`` lies outside [0, 1]."""
+    """Raise ValueError if ``t`` is not finite; warn, from the caller ``stacklevel``
+    frames up, if it lies outside [0, 1]."""
+    if not math.isfinite(t):
+        raise ValueError(f"geomean parameter t must be finite, got {t}")
     if not 0.0 <= t <= 1.0:
         warnings.warn(
             f"geomean parameter t = {t} lies outside [0, 1]; extending the geodesic",
@@ -304,16 +312,78 @@ def partial_geomean_maxdet(pa, pb, t=0.5):
     )
 
 
+def _shrunk_axis(bounds):
+    lo, hi = bounds
+    width = hi - lo
+    return lo + 1e-6 * width, hi - 1e-6 * width
+
+
+def partial_geomean_sweep(pa, pb, grid, t, tol):
+    """``A(x) #_t B(y)`` over the box of feasible fills, ``grid`` points per axis: rows
+    ``(x, y, det, eig_1..eig_n)``, eigenvalues descending, x-major, as one
+    ``(grid**2, n + 3)`` array; a cell whose pair is not PD at ``tol`` holds NaNs.
+
+    Either each input carries one missing entry (x sweeps the first, y
+    the second), or one input carries both and the other is complete.
+    Each distinct filled matrix is PD-tested once at ``tol``: the input
+    without x once for the grid, the input with x once per x-row, each
+    held as a stack along y if it holds y.  A's test is one ``eigh``,
+    which also gives ``A^{+-1/2}`` of its PD members, so the mean of each
+    row is the unchecked :func:`_geomean_core` (a stack of one
+    broadcasts), then one det and one eigvalsh.  A cell thus costs two
+    eigensolves with one missing entry per input, three with both in one.
+    """
+    if grid < 2:
+        raise PgmError(f"grid must be at least 2, got {grid}")
+    if pa.n != pb.n:
+        raise DimensionMismatch(f"dimension mismatch: {pa.n} vs {pb.n}")
+    pms = (pa, pb)
+    slots = [(k, pos) for k, pm in enumerate(pms) for pos in missing_positions(pm.pattern)]
+    if len(slots) > 2:
+        raise TooManyMissing(f"sweep supports at most 2 missing entries, found {len(slots)}")
+    if len(slots) < 2:
+        raise PgmError("sweep needs exactly two missing entries across the inputs")
+    _warn_off_geodesic(t, stacklevel=3)
+    dense = [_dense(pm.to_dense()) for pm in pms]
+    for pm, a in zip(pms, dense):
+        _require_partial_pd(a, pm.pattern._clique_sequence, tol)
+
+    (kx, pos_x), (ky, pos_y) = slots
+    xs = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[kx], pos_x, tol)), grid)
+    ys = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[ky], pos_y, tol)), grid)
+    # ops[k] is input k on the current x-row: a stack along y if it holds y, else a stack of one
+    ops = [np.tile(a, (grid if ky == k else 1, 1, 1)) for k, a in enumerate(dense)]
+    (i, j), (p, q) = pos_x, pos_y
+    ops[ky][:, p - 1, q - 1] = ops[ky][:, q - 1, p - 1] = ys
+    table = np.full((grid, grid, pa.n + 3), np.nan)
+    table[..., 0] = xs[:, None]
+    table[..., 1] = ys
+    for r, x in enumerate(xs):
+        ops[kx][:, i - 1, j - 1] = ops[kx][:, j - 1, i - 1] = x
+        if kx == 0 or r == 0:  # A holds x, or this is the first row
+            w, v = _eigh(ops[0])
+            ok_a = _definite(w, tol)
+            roots = _sqrt_pair(w[ok_a], v[ok_a])  # A's PD members: keep's cells if any
+        if kx == 1 or r == 0:  # B holds x, or this is the first row
+            ok_b = is_pd(ops[1], tol)
+        keep = ok_a & ok_b
+        if keep.any():
+            m = _geomean_core(*roots, ops[1] if len(ops[1]) == 1 else ops[1][keep], t)
+            table[r, keep, 2] = np.linalg.det(m)
+            table[r, keep, 3:] = _eigh(m, vectors=False)[:, ::-1]
+    return table.reshape(grid * grid, -1)
+
+
 @dataclass(frozen=True)
 class WeightVector:
-    """Positive weights summing to one."""
+    """Positive finite weights summing to one."""
 
     weights: tuple
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
-        if not w or any(x <= 0 for x in w):
-            raise ValueError("weights must be positive")
+        if not w or not all(0.0 < x < math.inf for x in w):
+            raise ValueError(f"weights must be positive and finite, got {w}")
         if abs(sum(w) - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
         object.__setattr__(self, "weights", w)
@@ -368,6 +438,8 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     runs on that stack.  Returns a :class:`KarcherResult`; ``converged``
     is False when the step budget was exhausted first.
     """
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     if not isinstance(weights, WeightVector):
         weights = WeightVector(weights=tuple(weights))
     stack = _pd_stack(mats)

@@ -49,7 +49,7 @@ from pgm import (
     scale,
     sub,
 )
-from pgm.cli import _shrunk_axis
+from pgm.means import _shrunk_axis
 from pgm.errors import AsymmetricPattern, MissingDiagonal, ParseError
 
 

@@ -69,8 +69,8 @@ def test_public_eigensolves_admit_their_argument_through_the_dense_door():
 
 def test_unchecked_mean_core_runs_only_behind_a_pd_test():
     """``means._geomean_core`` trusts its caller to have PD-tested both operands:
-    only ``geomean`` and ``cli._sweep_table`` name it, each to call it, and each
-    runs a PD test (``_require``, ``_definite`` or ``is_pd``) on a line before."""
+    only ``geomean`` and ``partial_geomean_sweep`` name it, each to call it, and
+    each runs a PD test (``_require``, ``_definite`` or ``is_pd``) on a line before."""
     naming, first_call, first_test = set(), {}, {}  # first_*: function -> first line
     for name, node in _functions().items():
         for sub in ast.walk(node):
@@ -82,8 +82,21 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
                     first_call[name] = min(line, first_call.get(name, line))
                 if callee in ("_require", "_definite", "is_pd"):
                     first_test[name] = min(line, first_test.get(name, line))
-    assert sorted(naming) == sorted(first_call) == ["cli._sweep_table", "means.geomean"]
+    assert sorted(naming) == sorted(first_call) == ["means.geomean", "means.partial_geomean_sweep"]
     assert all(first_test.get(name, line) < line for name, line in first_call.items())
+
+
+def test_cli_imports_no_private_library_name():
+    """The CLI reaches the library through its public names only."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_one_dense_door():
@@ -176,12 +189,11 @@ def test_every_optional_parameter_is_set_by_some_call():
 
 
 def test_trace_integral_has_no_quadrature():
-    """The trace integral is in closed form: no function in ``means`` builds a
-    node grid, and no function in ``src/pgm`` takes a node count."""
+    """The trace integral is in closed form: the sweep is the one function in
+    ``src/pgm`` that builds a grid, and none takes a node count."""
     calls, _ = _calls_and_raises()
     grids = {(module, func) for module, func, callee in calls if callee == "np.linspace"}
-    assert ("cli", "_sweep_table") in grids
-    assert {module for module, _ in grids} == {"cli"}
+    assert grids == {("means", "partial_geomean_sweep")}
     params = {
         arg.arg
         for path in SRC.glob("*.py")

@@ -17,6 +17,7 @@ from pgm import (
     maximal_cliques,
     means,
     missing_positions,
+    partial_geomean_sweep,
     pattern,
     project,
 )
@@ -27,7 +28,6 @@ from pgm.cli import (
     format_partial,
     main,
     parse_partial,
-    _sweep_table,
     sweep_csv,
 )
 from pgm.errors import AsymmetricPattern, InternalNumerics, MissingDiagonal, ParseError
@@ -317,14 +317,14 @@ class TestSweep:
     def test_matches_per_cell_reference(self, case):
         pa, pb = SWEEP_PAIRS[case]()
         tol = default_tol()
-        table = np.array(_sweep_table(pa, pb, 31, 0.5, tol))
+        table = np.array(partial_geomean_sweep(pa, pb, 31, 0.5, tol))
         np.testing.assert_array_equal(table, np.array(reference_sweep_rows(pa, pb, 31, 0.5, tol)))
         assert np.isnan(table).any() == case.startswith("region")
 
     def test_rows_without_a_pd_cell(self):
         # at tol = 1e-3 the first input fails the PD test on whole x-rows
         pa, pb = ex1_partial_a(), ex1_partial_b()
-        table = _sweep_table(pa, pb, 31, 0.5, 1e-3)
+        table = partial_geomean_sweep(pa, pb, 31, 0.5, 1e-3)
         np.testing.assert_array_equal(table, np.array(reference_sweep_rows(pa, pb, 31, 0.5, 1e-3)))
         assert np.isnan(table[:, 2]).reshape(31, 31).all(axis=1).any()
 
@@ -366,14 +366,13 @@ class TestSweep:
 
         monkeypatch.setattr(linalg, "_eigh", counting)
         monkeypatch.setattr(means, "_eigh", counting)
-        monkeypatch.setattr(pgm.cli, "_eigh", counting)
         grid = 31
-        _sweep_table(*SWEEP_PAIRS[case](), grid, 0.5, default_tol())
+        partial_geomean_sweep(*SWEEP_PAIRS[case](), grid, 0.5, default_tol())
         assert sum(seen) <= per_cell * grid**2 + 4 * grid
 
     def test_parameter_off_the_geodesic_warns(self):
         with pytest.warns(UserWarning, match=r"t = 1.5 lies outside \[0, 1\]"):
-            table = _sweep_table(ex1_partial_a(), ex1_partial_b(), 3, 1.5, default_tol())
+            table = partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), 3, 1.5, default_tol())
         assert np.isfinite(table).all()
 
     def test_csv_deterministic(self):
@@ -550,11 +549,14 @@ class TestOptionValidation:
         argv = ["check", a] if option == "--tol" else ["geomean", a, b]
         assert main(argv + [option, token]) == 0
 
-    @pytest.mark.filterwarnings("ignore")
-    def test_sweep_eigensolver_failure_wrapped(self):
-        # a NaN geodesic parameter makes the eigensolver fail on the means
+    def test_sweep_eigensolver_failure_wrapped(self, monkeypatch):
+        # finite inputs and a finite t pass every check, so the solver failure is staged
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(InternalNumerics, match="symmetric eigensolver failed"):
-            _sweep_table(ex1_partial_a(), ex1_partial_b(), 5, math.nan, default_tol())
+            partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), 5, 0.5, default_tol())
 
 
 def _banded(n, width):

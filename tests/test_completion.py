@@ -151,6 +151,10 @@ class TestMaxDetCompletion:
         rep = max_det_completion(matrix_n_four_cycle())  # non-chordal
         assert rep.log_determinant == pytest.approx(math.log(rep.determinant), rel=1e-12, abs=1e-12)
 
+    def test_zero_cycle_budget_named(self):
+        with pytest.raises(ValueError, match="max_cycles must be >= 1, got 0"):
+            max_det_completion(matrix_n_four_cycle(), max_cycles=0)
+
     def test_log_determinant_nan_off_the_pd_cone(self, monkeypatch):
         # an unconverged iterate whose spectrum starts below zero has no log determinant
         monkeypatch.setattr(completion, "_eigh", lambda x, vectors: np.array([-1.0, 1.0]))

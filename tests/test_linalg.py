@@ -254,7 +254,7 @@ class TestValidation:
             as_sym_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_as_sym_matrix_symmetrizes(self):
-        m = as_sym_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]), symmetrize=True)
+        m = as_sym_matrix(sym(np.array([[1.0, 2.0], [0.0, 1.0]])))
         np.testing.assert_allclose(m, np.array([[1.0, 1.0], [1.0, 1.0]]))
 
     def test_as_sym_matrix_rejects_nonsquare(self):

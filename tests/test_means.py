@@ -28,6 +28,7 @@ from pgm import (
     means,
     op_norm,
     partial_geomean_maxdet,
+    partial_geomean_sweep,
     project,
     riemannian_dist,
     set_geomean,
@@ -376,6 +377,18 @@ class TestKarcherMean:
         with pytest.raises(ValueError):
             karcher_mean(WeightVector.uniform(2), [np.eye(2)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_named(self, bad):
+        message = rf"weights must be positive and finite, got \({bad}, 0.5\)"
+        with pytest.raises(ValueError, match=message):
+            WeightVector((bad, 0.5))
+        with pytest.raises(ValueError, match=message):
+            karcher_mean([bad, 0.5], [np.eye(2), 2.0 * np.eye(2)])
+
+    def test_negative_step_budget_named(self):
+        with pytest.raises(ValueError, match="max_steps must be >= 0, got -1"):
+            karcher_mean(WeightVector.uniform(2), [np.eye(2), 2.0 * np.eye(2)], max_steps=-1)
+
     def test_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
             karcher_mean(
@@ -650,3 +663,36 @@ class TestPdPrecondition:
         a, b, d = (rand_spd(rng, 3) for _ in range(3))
         with pytest.raises(DimensionMismatch):
             geomean_properties_check(a, b, rand_spd(rng, 2), d, 0.5, 0.5, np.eye(3))
+
+
+T_ENTRY_POINTS = {
+    "geomean": lambda t: geomean(np.eye(2), 2.0 * np.eye(2), t),
+    "partial_geomean_maxdet": lambda t: partial_geomean_maxdet(
+        ex1_partial_a(), ex1_partial_b(), t=t
+    ),
+    "set_geomean": lambda t: set_geomean(
+        SampleSet((np.eye(2),)), SampleSet((2.0 * np.eye(2),)), t
+    ),
+    "entropy_identities": lambda t: entropy_identities(np.eye(2), 2.0 * np.eye(2), t),
+    "partial_geomean_sweep": lambda t: partial_geomean_sweep(
+        ex1_partial_a(), ex1_partial_b(), 5, t, 1e-10
+    ),
+}
+
+
+class TestGeodesicParameter:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("entry", sorted(T_ENTRY_POINTS))
+    def test_non_finite_t_named(self, entry, bad):
+        with pytest.raises(ValueError, match=rf"geomean parameter t must be finite, got {bad}"):
+            T_ENTRY_POINTS[entry](bad)
+
+    @pytest.mark.parametrize("entry", ["geomean", "partial_geomean_sweep"])
+    def test_non_finite_t_rejected_before_any_eigensolve(self, monkeypatch, entry):
+        def fail(*args, **kwargs):
+            raise AssertionError("eigensolve before the t check")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ValueError, match="t must be finite"):
+            T_ENTRY_POINTS[entry](math.nan)
