@@ -226,6 +226,15 @@ def _human_matrix(m):
     return "\n".join([line] * m.shape[0]) % tuple(cells)
 
 
+def _determinant_text(log_det):
+    """Report text of ``exp(log_det)``: ``%.6g`` where ``|log_det| < 700``, else from ``log10``."""
+    if not abs(log_det) >= 700.0:  # NaN prints as nan
+        return f"{math.exp(log_det):.{REPORT_DIGITS}g}"
+    exponent, frac = divmod(log_det / math.log(10.0), 1.0)
+    digits = f"{10.0**frac:.{REPORT_DIGITS}g}"  # a mantissa of "10" carries into the exponent
+    return f"1e{exponent + 1:+.0f}" if digits == "10" else f"{digits}e{exponent:+.0f}"
+
+
 def _write_out(path, text):
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -257,7 +266,7 @@ def cmd_complete(args):
     report = max_det_completion(pm, tol=args.tol, max_cycles=args.max_cycles)
     print("maximum-determinant completion:")
     print(_human_matrix(report.matrix))
-    print(f"determinant: {report.determinant:.{REPORT_DIGITS}g}")
+    print(f"determinant: {_determinant_text(report.log_determinant)}")
     print(f"iterations: {report.iterations}")
     print(f"residual (max off-pattern inverse entry): {report.residual:.{REPORT_DIGITS}g}")
     print(f"converged: {'yes' if report.converged else 'no'}")
@@ -272,7 +281,7 @@ def cmd_geomean(args):
     res = partial_geomean_maxdet(pa, pb, t=args.t)
     print(f"geometric mean of max-det completions (t = {args.t:g}):")
     print(_human_matrix(res.matrix))
-    print(f"determinant: {res.determinant:.{REPORT_DIGITS}g}")
+    print(f"determinant: {_determinant_text(res.log_determinant)}")
     expected = (
         (1.0 - args.t) * res.completion_a.log_determinant
         + args.t * res.completion_b.log_determinant
@@ -314,7 +323,7 @@ def cmd_entropy(args):
         pm = parse_partial(args.files[0])
         report = max_det_completion(pm)
         print(f"entropy of max-det completion: {gaussian_entropy(report.matrix):.{REPORT_DIGITS}g}")
-        print(f"determinant: {report.determinant:.{REPORT_DIGITS}g}")
+        print(f"determinant: {_determinant_text(report.log_determinant)}")
         return 0
     pa = parse_partial(args.files[0])
     pb = parse_partial(args.files[1])

@@ -48,7 +48,7 @@ from .errors import (
     OutOfRange,
     PatternMismatch,
 )
-from .linalg import DEFAULT_TOL, _definite, _dense, _eigh, det, is_pd, sym
+from .linalg import DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _eigh, is_pd, sym
 from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
@@ -81,7 +81,7 @@ class FeasibilityInterval:
 
 
 @dataclass
-class CompletionReport:
+class CompletionReport(_DeterminantFromLog):
     """Result of a completion run.
 
     ``residual`` is the largest absolute inverse entry over unspecified
@@ -89,12 +89,11 @@ class CompletionReport:
     ``converged`` records whether the residual dropped below tolerance
     relative to ``||M^{-1}||`` within the cycle budget; ``iterations``
     counts sweeps over the maximal cliques (0 for a complete pattern, 1
-    for a chordal one).  ``log_determinant`` is finite where ``determinant``
-    overflows or underflows; it is NaN if ``matrix`` is not positive definite.
+    for a chordal one).  ``log_determinant`` is NaN if ``matrix`` is not
+    positive definite; the derived ``determinant`` is its exp, read only.
     """
 
     matrix: np.ndarray
-    determinant: float
     log_determinant: float
     iterations: int
     residual: float
@@ -155,22 +154,23 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
         Sweep budget, at least 1; exceeding it returns the last iterate,
         with the specified entries written back, and ``converged=False``.
     """
-    if max_cycles < 1:
-        raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
+    if not (isinstance(max_cycles, (int, np.integer)) and max_cycles >= 1):
+        raise ValueError(f"max_cycles must be an integer >= 1, got {max_cycles!r}")
     cliques = [list(c) for c in pm.pattern._clique_sequence]
     a, spec = pm.to_dense(), pm.pattern._mask
     _require_partial_pd(a, cliques, DEFAULT_TOL)
     if pm.pattern.is_complete:
         return CompletionReport(
-            matrix=sym(a), determinant=det(a), log_determinant=float(np.linalg.slogdet(a)[1]),
+            matrix=sym(a), log_determinant=float(np.linalg.slogdet(a)[1]),
             iterations=0, residual=0.0, converged=True,
         )
-    blocks = [a[np.ix_(c, c)] for c in cliques]
+    index = [np.ix_(c, c) for c in cliques]
+    blocks = [a[ix] for ix in index]
     m = np.diag(np.diag(a))
     converged = False
     for cycles in range(1, max_cycles + 1):
-        for c, block in zip(cliques, blocks):
-            m_cc = m[np.ix_(c, c)]
+        for c, ix, block in zip(cliques, index, blocks):
+            m_cc = m[ix]
             w = np.linalg.solve(m_cc, m[c])
             m += w.T @ (block - m_cc) @ w
         x = np.where(spec, a, sym(m))
@@ -187,13 +187,9 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
                 f"and supported on the pattern, yet sum_E K_ij A_ij = {trace_ka:.3g} <= 0, "
                 "while tr(K X) > 0 for every positive definite X"
             )
-    return CompletionReport(
-        matrix=x,
-        determinant=det(x),
-        log_determinant=float(np.log(lam).sum()) if lam[0] > 0 else np.nan,  # lam: spectrum of x
-        iterations=cycles,
-        residual=float(residual),
-        converged=converged,
+    return CompletionReport(  # lam: the spectrum of x
+        matrix=x, log_determinant=float(np.log(lam).sum()) if lam[0] > 0 else np.nan,
+        iterations=cycles, residual=float(residual), converged=converged,
     )
 
 
@@ -245,12 +241,12 @@ def completion_with_det(pm, k):
 
     Valid targets are ``0 < k < d_max = det(Ahat)``, ``Ahat`` the max-det
     completion.  The result is ``Ahat`` with its first missing entry set on
-    the parabola of the module docstring.  While the measured determinant
-    ``d`` misses ``|d - k| <= 1e-8 * k``, the height is rescaled by
-    ``d / k`` (the parabola with the same roots through the measured point)
-    and the entry set again, three times at most; then
-    :class:`InternalNumerics` is raised.  Double precision certifies the
-    target down to about ``k / d_max = 1e-7``.
+    the parabola of the module docstring, whose log height starts at
+    ``Ahat``'s ``log_determinant``.  While the measured ``d`` (one ``slogdet``)
+    misses ``|d - k| <= 1e-8 * k``, ``log d - log k`` is added to the log height
+    (the parabola with the same roots through the measured point) and the
+    entry set again, three times at most; then :class:`InternalNumerics` is
+    raised.  Double precision certifies the target down to about ``k / d_max = 1e-7``.
     """
     report = max_det_completion(pm)
     d_max = report.determinant
@@ -262,16 +258,17 @@ def completion_with_det(pm, k):
     m = report.matrix.copy()
     i, j = missing[0]
     iv = single_entry_interval(m, i, j)
-    height = d_max
+    log_k, height = np.log(k), report.log_determinant  # height: the parabola's, logged
     for _ in range(4):
-        m[i - 1, j - 1] = m[j - 1, i - 1] = iv.center + iv.half_width * np.sqrt(1.0 - k / height)
-        d = det(m)
-        if abs(d - k) <= 1e-8 * k:
-            return m
-        if d <= 0.0:
+        root = np.sqrt(-np.expm1(log_k - height))  # sqrt(1 - k / exp(height))
+        m[i - 1, j - 1] = m[j - 1, i - 1] = iv.center + iv.half_width * root
+        sign, log_d = np.linalg.slogdet(m)
+        if sign <= 0.0:
             break
-        height *= d / k  # the parabola through (x, d) with the same roots
-    raise InternalNumerics(f"completion determinant {d:.6g} misses the target {k:.6g}")
+        if abs(np.expm1(log_d - log_k)) <= 1e-8:
+            return m
+        height += log_d - log_k  # the parabola through (x, d) with the same roots
+    raise InternalNumerics(f"completion det {sign:g}*exp({log_d:.6g}) misses the target {k:.6g}")
 
 
 def fischer_bound(pm):

@@ -1,8 +1,8 @@
 """Dense real symmetric matrix core.
 
-Eigendecompositions, spectral matrix functions (square root, log, exp,
-fractional powers, inverse), determinants and norms, plus the Riemannian
-trace metric on the cone of symmetric positive definite matrices.
+Eigendecompositions, spectral matrix functions (square root, log, exp, fractional powers,
+inverse), determinants (results derive theirs from the log, in one base class) and norms,
+plus the Riemannian trace metric on the cone of symmetric positive definite matrices.
 
 All functions take and return plain ``numpy`` arrays.  Each one that runs a
 symmetric eigensolve on its argument admits it through :func:`_dense`.  Outputs
@@ -193,6 +193,15 @@ def invm(a):
 def det(a):
     """Determinant."""
     return float(np.linalg.det(np.asarray(a, dtype=float)))
+
+
+class _DeterminantFromLog:
+    """``determinant`` as ``exp(log_determinant)``: inf or 0.0 out of range, NaN for NaN."""
+
+    @property
+    def determinant(self):
+        with np.errstate(over="ignore"):
+            return float(np.exp(self.log_determinant))
 
 
 def log_det(a):

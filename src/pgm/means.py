@@ -30,11 +30,11 @@ from .linalg import (
     DEFAULT_TOL,
     _definite,
     _dense,
+    _DeterminantFromLog,
     _eigh,
     _from_spectrum,
     _pd_stack,
     _require,
-    det,
     fro_norm,
     invm,
     is_pd,
@@ -277,13 +277,12 @@ def block_max_property(a, b):
 
 
 @dataclass
-class PartialGeomeanResult:
+class PartialGeomeanResult(_DeterminantFromLog):
     """Maximum-determinant representative of the mean of two partial
-    matrices: the weighted mean of their max-det completions.
-    ``log_determinant`` stays finite where ``determinant`` overflows."""
+    matrices: the weighted mean of their max-det completions, with its
+    ``log_determinant`` (one ``slogdet``); ``determinant`` is its exp, read only."""
 
     matrix: np.ndarray
-    determinant: float
     log_determinant: float
     t: float
     completion_a: CompletionReport
@@ -299,16 +298,14 @@ def partial_geomean_maxdet(pa, pb, t=0.5):
     """
     if pa.n != pb.n:
         raise DimensionMismatch(f"dimension mismatch: {pa.n} vs {pb.n}")
+    if not math.isfinite(t):  # refused before completing; geomean warns for t off [0, 1]
+        _warn_off_geodesic(t, stacklevel=3)
     rep_a = max_det_completion(pa)
     rep_b = max_det_completion(pb)
     m = geomean(rep_a.matrix, rep_b.matrix, t)
     return PartialGeomeanResult(
-        matrix=m,
-        determinant=det(m),
-        log_determinant=float(np.linalg.slogdet(m)[1]),
-        t=t,
-        completion_a=rep_a,
-        completion_b=rep_b,
+        matrix=m, log_determinant=float(np.linalg.slogdet(m)[1]), t=t,
+        completion_a=rep_a, completion_b=rep_b,
     )
 
 
@@ -438,8 +435,8 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     runs on that stack.  Returns a :class:`KarcherResult`; ``converged``
     is False when the step budget was exhausted first.
     """
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+    if not (isinstance(max_steps, (int, np.integer)) and max_steps >= 0):
+        raise ValueError(f"max_steps must be an integer >= 0, got {max_steps!r}")
     if not isinstance(weights, WeightVector):
         weights = WeightVector(weights=tuple(weights))
     stack = _pd_stack(mats)

@@ -298,6 +298,15 @@ def frustrated_four_cycle():
     )
 
 
+def frustrated_ring(n):
+    """The ``n``-cycle with unit diagonal, 0.99 on every edge but -0.99 on
+    ``(1, n)``: no PD completion; one sweep from ``diag(A)`` at ``n = 24``
+    leaves an iterate that is not PD."""
+    full = np.eye(n) + 0.99 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    full[0, n - 1] = full[n - 1, 0] = -0.99
+    return project(full, Pattern.from_pairs(n, [(i, i % n + 1) for i in range(1, n + 1)]))
+
+
 def matrix_a_chordal_example():
     return PartialMatrix(
         pattern=chordal_example_pattern(),

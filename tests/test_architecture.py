@@ -247,3 +247,31 @@ def test_matrix_text_and_dense_views_have_no_per_entry_loop():
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     looping = [n for n in names if any(isinstance(x, loops) for x in ast.walk(functions[n]))]
     assert looping == []
+
+
+def test_results_store_only_the_log_determinant():
+    """``CompletionReport`` and ``PartialGeomeanResult`` hold ``log_determinant``
+    as a field; ``determinant`` is derived from it, so no class declares it."""
+    results = {"completion": "CompletionReport", "means": "PartialGeomeanResult"}
+    fields = {
+        (node.name, ast.unparse(item.target))
+        for module, name in results.items()
+        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name == name
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+    }
+    assert {(name, "log_determinant") for name in results.values()} <= fields
+    assert [f for f in fields if f[1] == "determinant"] == []
+
+
+def test_no_linear_determinant_in_completion_or_means():
+    """Completion and the means work with log-determinants; only the sweep's
+    ``det`` column is a linear determinant."""
+    calls, _ = _calls_and_raises()
+    sites = {
+        (module, func, callee)
+        for module, func, callee in calls
+        if module in ("completion", "means") and callee in ("det", "np.linalg.det", "linalg.det")
+    }
+    assert sites == {("means", "partial_geomean_sweep", "np.linalg.det")}

@@ -35,6 +35,7 @@ from conftest import (
     ex1_partial_a,
     ex1_partial_b,
     frustrated_four_cycle,
+    frustrated_ring,
     rand_chordal_pattern,
     rand_partial_pd,
     reference_sweep_rows,
@@ -310,6 +311,57 @@ SWEEP_PAIRS = {
     "region_swapped": lambda: sweep_region_pair()[::-1],
     "n8": sweep_n8_pair,
 }
+
+
+def path_file(tmp_path, name, diagonal):
+    """``diag(diagonal)`` on a path pattern, written in the text format."""
+    n = len(diagonal)
+    g = Pattern.from_pairs(n, [(i, i + 1) for i in range(1, n)])
+    return write(tmp_path, name, format_partial(project(np.diag(diagonal), g)))
+
+
+@pytest.mark.filterwarnings("error")
+class TestDeterminantLines:
+    """``determinant:`` lines are printed from ``log_determinant``: ``%.6g`` of
+    its exp in range, a mantissa and exponent from ``log10`` beyond it."""
+
+    def determinant_line(self, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        (line,) = [x for x in out.splitlines() if x.startswith("determinant:")]
+        return line
+
+    @pytest.mark.parametrize("command", ["complete", "entropy"])
+    @pytest.mark.parametrize("scale, text", [(10.0, "1e+400"), (0.1, "1e-400")])
+    def test_beyond_a_double(self, tmp_path, capsys, command, scale, text):
+        path = path_file(tmp_path, "p.txt", np.full(400, scale))
+        assert self.determinant_line(capsys, [command, path]) == f"determinant: {text}"
+
+    def test_geomean_beyond_a_double(self, tmp_path, capsys):
+        files = [path_file(tmp_path, f"{s}.txt", np.full(400, s)) for s in (10.0, 12.0)]
+        line = self.determinant_line(capsys, ["geomean", *files])
+        assert line == "determinant: 6.85882e+415"
+
+    @pytest.mark.parametrize("first, text", [(9.999996, "1e+400"), (9.99999, "9.99999e+399")])
+    def test_mantissa_rounding_to_ten_carries(self, tmp_path, capsys, first, text):
+        path = path_file(tmp_path, "p.txt", np.array([first] + [10.0] * 399))
+        assert self.determinant_line(capsys, ["complete", path]) == f"determinant: {text}"
+
+    def test_not_pd_iterate_prints_nan(self, tmp_path, capsys):
+        path = write(tmp_path, "ring.txt", format_partial(frustrated_ring(24)))
+        line = self.determinant_line(capsys, ["complete", path, "--max-cycles", "1"])
+        assert line == "determinant: nan"
+
+    @pytest.mark.parametrize("log_det", [-709.0, -700.5, -700.0, 700.0, 700.5, 709.0])
+    def test_both_forms_agree_near_the_switch(self, log_det):
+        from pgm.cli import _determinant_text
+
+        assert _determinant_text(log_det) == f"{math.exp(log_det):.6g}"
+
+    def test_in_range_is_the_plain_format(self, tmp_path, capsys):
+        path = path_file(tmp_path, "p.txt", np.full(300, 2.0))
+        assert self.determinant_line(capsys, ["complete", path]) == f"determinant: {2.0**300:.6g}"
 
 
 class TestSweep:

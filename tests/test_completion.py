@@ -1,11 +1,13 @@
 """Maximum-determinant completion: intervals, iteration, certificates."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from pgm import (
+    CompletionReport,
     InternalNumerics,
     NotCompletable,
     NotPartialPD,
@@ -35,6 +37,7 @@ from conftest import (
     ex2_partial_a,
     ex2_partial_b,
     frustrated_four_cycle,
+    frustrated_ring,
     identity_ring_partial,
     matrix_n_four_cycle,
     maxdet_oracle,
@@ -147,19 +150,49 @@ class TestMaxDetCompletion:
         n = int(rng.integers(2, 8))
         g = Pattern.complete(n) if seed == 0 else rand_chordal_pattern(rng, n)
         rep = max_det_completion(rand_partial_pd(rng, g))
-        assert rep.log_determinant == pytest.approx(math.log(rep.determinant), rel=1e-12, abs=1e-12)
+        assert rep.log_determinant == pytest.approx(math.log(det(rep.matrix)), rel=1e-12, abs=1e-12)
         rep = max_det_completion(matrix_n_four_cycle())  # non-chordal
-        assert rep.log_determinant == pytest.approx(math.log(rep.determinant), rel=1e-12, abs=1e-12)
+        assert rep.log_determinant == pytest.approx(math.log(det(rep.matrix)), rel=1e-12, abs=1e-12)
 
     def test_zero_cycle_budget_named(self):
-        with pytest.raises(ValueError, match="max_cycles must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="max_cycles must be an integer >= 1, got 0"):
             max_det_completion(matrix_n_four_cycle(), max_cycles=0)
+
+    @pytest.mark.parametrize("budget", [1.5, 2.0, "3"])
+    def test_non_integer_cycle_budget_named(self, budget):
+        with pytest.raises(ValueError, match=f"max_cycles must be an integer >= 1, got {budget!r}"):
+            max_det_completion(matrix_n_four_cycle(), max_cycles=budget)
+
+    def test_numpy_integer_cycle_budget_accepted(self):
+        rep = max_det_completion(matrix_n_four_cycle(), max_cycles=np.int64(1))
+        assert rep.iterations == 1
 
     def test_log_determinant_nan_off_the_pd_cone(self, monkeypatch):
         # an unconverged iterate whose spectrum starts below zero has no log determinant
         monkeypatch.setattr(completion, "_eigh", lambda x, vectors: np.array([-1.0, 1.0]))
         rep = max_det_completion(matrix_n_four_cycle(), max_cycles=1)
         assert not rep.converged and math.isnan(rep.log_determinant)
+
+    def test_determinant_derived_from_the_log(self):
+        assert "determinant" not in {f.name for f in dataclasses.fields(CompletionReport)}
+        reports = [max_det_completion(pm) for pm in (ex1_partial_a(), matrix_n_four_cycle())]
+        reports.append(max_det_completion(matrix_n_four_cycle(), max_cycles=1))
+        for rep in reports:
+            assert rep.determinant == math.exp(rep.log_determinant)
+        with pytest.raises(AttributeError):
+            reports[0].determinant = 1.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_determinant_overflows_to_inf_without_warning(self):
+        g = Pattern.from_pairs(400, [(i, i + 1) for i in range(1, 400)])
+        rep = max_det_completion(project(10.0 * np.eye(400), g))
+        assert rep.determinant == math.inf
+        assert rep.log_determinant == pytest.approx(400 * math.log(10.0), rel=1e-13)
+
+    def test_determinant_nan_for_an_iterate_off_the_pd_cone(self):
+        rep = max_det_completion(frustrated_ring(24), max_cycles=1)
+        assert not rep.converged
+        assert math.isnan(rep.log_determinant) and math.isnan(rep.determinant)
 
     def test_single_missing_matches_closed_form(self):
         pm = ex1_partial_a()

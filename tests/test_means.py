@@ -283,7 +283,37 @@ class TestPartialGeomean:
 
     def test_log_determinant_is_log_of_determinant(self):
         res = partial_geomean_maxdet(ex1_partial_a(), ex1_partial_b(), 0.3)
-        assert res.log_determinant == pytest.approx(math.log(res.determinant), rel=1e-12)
+        assert res.log_determinant == pytest.approx(math.log(det(res.matrix)), rel=1e-12)
+
+    def test_determinant_derived_from_the_log(self):
+        assert "determinant" not in {f.name for f in dataclasses.fields(means.PartialGeomeanResult)}
+        res = partial_geomean_maxdet(ex1_partial_a(), ex1_partial_b(), 0.3)
+        assert res.determinant == math.exp(res.log_determinant)
+        assert res.determinant == pytest.approx(det(res.matrix), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_determinant_reads_inf_without_warning(self):
+        g = Pattern.from_pairs(400, [(i, i + 1) for i in range(1, 400)])
+        res = partial_geomean_maxdet(project(10 * np.eye(400), g), project(12 * np.eye(400), g))
+        assert res.determinant == res.completion_a.determinant == math.inf
+
+    @pytest.fixture
+    def completions(self, monkeypatch):
+        """The inputs ``means.max_det_completion`` is called on, in order."""
+        calls, real = [], means.max_det_completion
+        monkeypatch.setattr(means, "max_det_completion", lambda pm: calls.append(pm) or real(pm))
+        return calls
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_refused_before_completing(self, completions, t):
+        with pytest.raises(ValueError, match=f"geomean parameter t must be finite, got {t}"):
+            partial_geomean_maxdet(ex1_partial_a(), ex1_partial_b(), t)
+        assert completions == []
+
+    def test_off_geodesic_t_warns_once(self, completions):
+        with pytest.warns(UserWarning, match="lies outside") as record:
+            partial_geomean_maxdet(ex1_partial_a(), ex1_partial_b(), 1.5)
+        assert len(record) == 1 and len(completions) == 2
 
     def test_complete_inputs_fixed_point(self):
         pm = matrix_a_chordal_example()
@@ -386,8 +416,19 @@ class TestKarcherMean:
             karcher_mean([bad, 0.5], [np.eye(2), 2.0 * np.eye(2)])
 
     def test_negative_step_budget_named(self):
-        with pytest.raises(ValueError, match="max_steps must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="max_steps must be an integer >= 0, got -1"):
             karcher_mean(WeightVector.uniform(2), [np.eye(2), 2.0 * np.eye(2)], max_steps=-1)
+
+    @pytest.mark.parametrize("budget", [1.5, 2.0, None])
+    def test_non_integer_step_budget_named(self, budget):
+        with pytest.raises(ValueError, match=f"max_steps must be an integer >= 0, got {budget!r}"):
+            karcher_mean(WeightVector.uniform(2), [np.eye(2), 2.0 * np.eye(2)], max_steps=budget)
+
+    def test_numpy_integer_step_budget_accepted(self):
+        res = karcher_mean(WeightVector.uniform(2), [np.eye(2), 4.0 * np.eye(2)],
+                           max_steps=np.int32(0))
+        assert res.steps == 1
+        np.testing.assert_allclose(res.matrix, 2.0 * np.eye(2))
 
     def test_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):

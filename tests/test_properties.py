@@ -64,8 +64,8 @@ def partial_pd_matrices(draw):
 
 @given(pm=partial_pd_matrices(), ratio=st.floats(1e-6, 1.0, exclude_max=True))
 def test_completion_with_det_on_the_parabola(pm, ratio):
-    ahat = max_det_completion(pm).matrix
-    d_max = det(ahat)
+    report = max_det_completion(pm)  # its determinant bounds the targets
+    ahat, d_max = report.matrix, report.determinant
     k = ratio * d_max
     assume(k < d_max)
     m = completion_with_det(pm, k)
