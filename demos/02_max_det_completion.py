@@ -12,12 +12,12 @@ dependence).
 """
 
 import numpy as np
+from numpy.linalg import det
 
 from pgm import (
     Pattern,
     PartialMatrix,
     completion_with_det,
-    det,
     feasibility_range,
     max_det_completion,
     missing_positions,

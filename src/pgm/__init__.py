@@ -11,7 +11,6 @@ from .completion import (
     FeasibilityInterval,
     completion_with_det,
     feasibility_range,
-    fischer_bound,
     max_det_completion,
     partial_entry_bounds,
     single_entry_interval,
@@ -33,22 +32,16 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     as_sym_matrix,
-    det,
-    expm,
     fro_norm,
     invm,
-    invsqrtm,
     is_pd,
     is_psd,
     log_det,
-    logm,
     mat_fn,
     op_norm,
     powm,
     riemannian_dist,
-    sqrtm,
     sym,
-    trace,
 )
 from .means import (
     AgmResult,
@@ -76,20 +69,16 @@ from .partial import (
     add,
     agrees,
     is_partial_pd,
-    is_partial_psd,
     offending_cliques,
     partial_order,
     project,
-    restrict,
     scale,
     sub,
 )
 from .pattern import (
     ChordalityResult,
     Pattern,
-    connected_components,
     is_chordal,
-    is_completable,
     maximal_cliques,
     missing_positions,
 )

@@ -11,8 +11,7 @@ matrix is printed by one ``%`` over its flat values.
 The module parses, dispatches to the library and formats.  Subcommands:
 ``check``, ``complete``, ``geomean``, ``karcher``, ``entropy``, ``sweep``.
 Exit status is 0 on success, 1 on domain errors (not positive definite,
-not completable, ...), 2 on usage or parse errors.  The environment
-variable ``PGM_TOL`` overrides the default tolerance.
+not completable, ...), 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 
 import numpy as np
@@ -42,17 +40,6 @@ from .pattern import Pattern, is_chordal, maximal_cliques
 #: File precision: enough digits to round-trip any float64 exactly.
 FILE_DIGITS = 17
 REPORT_DIGITS = 6
-
-
-def default_tol():
-    """Default tolerance, overridable through the PGM_TOL variable."""
-    raw = os.environ.get("PGM_TOL")
-    if raw is None or raw == "":
-        return DEFAULT_TOL
-    try:
-        return _tolerance(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"PGM_TOL: {exc}") from None
 
 
 def _finite(text, least=-math.inf, strict=False):
@@ -369,8 +356,8 @@ def cmd_sweep(args):
 
 
 @functools.cache
-def build_parser(tol):
-    """The argument parser with ``tol`` as the default ``--tol``, built once per value."""
+def build_parser():
+    """The argument parser, built once for every ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="pgm",
         description="Partial positive definite matrices: completability, "
@@ -380,11 +367,11 @@ def build_parser(tol):
 
     p = sub.add_parser("check", help="chordality, partial PD, and completability report")
     p.add_argument("file")
-    p.add_argument("--tol", type=_tolerance, default=tol, help="PD tolerance")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="PD tolerance")
 
     p = sub.add_parser("complete", help="maximum-determinant completion")
     p.add_argument("file")
-    p.add_argument("--tol", type=_tolerance, default=tol, help="convergence tolerance")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="convergence tolerance")
     p.add_argument("--max-cycles", type=functools.partial(_count, least=1), default=500)
     p.add_argument("--out", help="write the completion to a file")
 
@@ -413,19 +400,14 @@ def build_parser(tol):
         help="points per axis, at least 2",
     )
     p.add_argument("--t", type=_finite, default=0.5)
-    p.add_argument("--tol", type=_tolerance, default=tol, help="PD tolerance")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="PD tolerance")
     p.add_argument("--out", required=True, help="CSV output path")
 
     return parser
 
 
 def main(argv=None):
-    try:
-        parser = build_parser(default_tol())
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # looked up per call, not bound into the cached parser, so a replaced cmd_* runs
         return globals()[f"cmd_{args.command}"](args)

@@ -46,13 +46,11 @@ from .errors import (
     NotCompletable,
     NotPartialPD,
     OutOfRange,
-    PatternMismatch,
 )
 from .linalg import DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _eigh, is_pd, sym
 from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
-    connected_components,
     maximal_cliques,
     missing_positions,
 )
@@ -149,13 +147,15 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
     pm : PartialMatrix, partial positive definite, else :class:`NotPartialPD`
         names the first offending maximal clique and its lambda_min.
     tol : float
-        Convergence tolerance on the inverse-zero certificate.
+        Convergence tolerance on the inverse-zero certificate, finite and ``>= 0``.
     max_cycles : int
         Sweep budget, at least 1; exceeding it returns the last iterate,
         with the specified entries written back, and ``converged=False``.
     """
     if not (isinstance(max_cycles, (int, np.integer)) and max_cycles >= 1):
         raise ValueError(f"max_cycles must be an integer >= 1, got {max_cycles!r}")
+    if not 0.0 <= tol < np.inf:  # NaN fails every comparison
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     cliques = [list(c) for c in pm.pattern._clique_sequence]
     a, spec = pm.to_dense(), pm.pattern._mask
     _require_partial_pd(a, cliques, DEFAULT_TOL)
@@ -269,19 +269,3 @@ def completion_with_det(pm, k):
             return m
         height += log_d - log_k  # the parabola through (x, d) with the same roots
     raise InternalNumerics(f"completion det {sign:g}*exp({log_d:.6g}) misses the target {k:.6g}")
-
-
-def fischer_bound(pm):
-    """Determinant bound for block-decomposable patterns.
-
-    For a pattern splitting into components with every cross entry
-    missing, no completion determinant exceeds the product of the
-    components' maximum completion determinants, with equality exactly
-    at zero cross blocks.  Returns that product as the determinant of the
-    max-det completion, whose iteration from ``diag(A)`` never fills a cross block.
-    """
-    if len(connected_components(pm.pattern)) < 2:
-        raise PatternMismatch(
-            "pattern has no fully-missing off-diagonal block to split on"
-        )
-    return max_det_completion(pm).determinant

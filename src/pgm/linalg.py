@@ -1,8 +1,8 @@
 """Dense real symmetric matrix core.
 
-Eigendecompositions, spectral matrix functions (square root, log, exp, fractional powers,
-inverse), determinants (results derive theirs from the log, in one base class) and norms,
-plus the Riemannian trace metric on the cone of symmetric positive definite matrices.
+Eigendecompositions, spectral matrix functions (``mat_fn`` of any scalar function, powers,
+inverse), log-determinants (results derive their determinant from it, in one base class) and
+norms, plus the Riemannian trace metric on the cone of symmetric positive definite matrices.
 
 All functions take and return plain ``numpy`` arrays.  Each one that runs a
 symmetric eigensolve on its argument admits it through :func:`_dense`.  Outputs
@@ -159,40 +159,15 @@ def mat_fn(a, f, domain=None):
     return _from_spectrum(f(w), q)
 
 
-def sqrtm(a):
-    """Principal square root of a positive semidefinite matrix."""
-    return mat_fn(a, np.sqrt, domain="psd")
-
-
-def invsqrtm(a):
-    """Inverse square root of a positive definite matrix."""
-    return mat_fn(a, lambda w: 1.0 / np.sqrt(w), domain="pd")
-
-
 def powm(a, t):
     """Matrix power ``a**t``; negative exponents require a PD argument."""
     domain = "pd" if t < 0 else "psd"
     return mat_fn(a, lambda w: w**t, domain=domain)
 
 
-def logm(a):
-    """Matrix logarithm of a positive definite matrix."""
-    return mat_fn(a, np.log, domain="pd")
-
-
-def expm(a):
-    """Matrix exponential of a symmetric matrix."""
-    return mat_fn(a, np.exp)
-
-
 def invm(a):
     """Inverse of a positive definite matrix."""
     return mat_fn(a, lambda w: 1.0 / w, domain="pd")
-
-
-def det(a):
-    """Determinant."""
-    return float(np.linalg.det(np.asarray(a, dtype=float)))
 
 
 class _DeterminantFromLog:
@@ -210,11 +185,6 @@ def log_det(a):
     w = _require(_eigh(_dense(a), vectors=False), "pd", DEFAULT_TOL)
     ld = np.log(w).sum(axis=-1)
     return float(ld) if ld.ndim == 0 else ld
-
-
-def trace(a):
-    """Trace."""
-    return float(np.trace(np.asarray(a, dtype=float)))
 
 
 def fro_norm(a):

@@ -437,6 +437,8 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     """
     if not (isinstance(max_steps, (int, np.integer)) and max_steps >= 0):
         raise ValueError(f"max_steps must be an integer >= 0, got {max_steps!r}")
+    if not 0.0 <= tol < np.inf:  # NaN fails every comparison
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if not isinstance(weights, WeightVector):
         weights = WeightVector(weights=tuple(weights))
     stack = _pd_stack(mats)

@@ -4,7 +4,7 @@ A partial matrix assigns real values exactly to the positions specified by
 its pattern (one value per unordered pair, so symmetry is structural).  It
 is stored as one symmetric float array, zero off the pattern; the
 ``values`` dict is a read-only view derived from it on first use.
-This module provides partial positive (semi)definiteness, entrywise
+This module provides partial positive definiteness, entrywise
 algebra, projection of full matrices, and the partial Loewner order.
 """
 
@@ -141,13 +141,6 @@ def is_partial_pd(pm, tol=DEFAULT_TOL):
     return bool(_definite(ext, tol).all())
 
 
-def is_partial_psd(pm, tol=DEFAULT_TOL):
-    """True iff every maximal-clique principal submatrix is positive
-    semidefinite."""
-    ext = clique_extremes(pm.to_dense(), pm.pattern._clique_sequence)
-    return bool(_definite(ext, tol, semi=True).all())
-
-
 def offending_cliques(pm, tol=DEFAULT_TOL):
     """Maximal cliques whose principal submatrix fails to be positive
     definite (diagnostic companion to :func:`is_partial_pd`), in the
@@ -225,14 +218,3 @@ def partial_order(a, b):
     if _definite(neg, DEFAULT_TOL, semi=True).all():
         return Comparison.LE
     return Comparison.INCOMPARABLE
-
-
-def restrict(pm, vertices):
-    """Partial matrix induced on a subset of vertices, relabeled 1..k in
-    the given (sorted) order."""
-    verts = sorted(set(vertices))
-    if not verts or verts[0] < 1 or verts[-1] > pm.n:
-        raise ValueError(f"vertices must be a nonempty subset of 1..{pm.n}, got {verts}")
-    idx = np.array(verts) - 1
-    block = np.ix_(idx, idx)
-    return PartialMatrix._from_array(Pattern._from_mask(pm.pattern._mask[block]), pm._a[block])

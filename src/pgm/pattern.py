@@ -3,8 +3,8 @@
 A pattern is an undirected graph with all loops on vertices ``1..n``; its
 edges index the specified entries of a partial matrix.  This module
 provides chordality testing with witnesses (a perfect elimination ordering
-when chordal, a chordless cycle of length >= 4 when not), maximal-clique
-enumeration, and the completability verdict.
+when chordal, a chordless cycle of length >= 4 when not), which is the
+completability verdict, and maximal-clique enumeration.
 
 Vertices are 1-based in every public signature and 0-based internally.
 A pattern is stored as its symmetric ``(n, n)`` boolean mask; the edge
@@ -240,7 +240,8 @@ def is_chordal(g):
     Runs maximum-cardinality search and verifies the perfect-elimination
     property of the resulting order; the order is a valid witness exactly
     when the graph is chordal.  On failure a chordless cycle of length
-    >= 4 is extracted as counter-witness.
+    >= 4 is extracted as counter-witness.  A pattern admits positive definite
+    completions of every partial positive definite matrix exactly when it is chordal.
     """
     adj, order, chordal = g._mcs
     if chordal:
@@ -257,12 +258,6 @@ def is_chordal(g):
         elimination_order=None,
         chordless_cycle=tuple(v + 1 for v in cycle),
     )
-
-
-def is_completable(g):
-    """A pattern admits positive definite completions of every partial
-    positive definite matrix exactly when it is chordal."""
-    return is_chordal(g).chordal
 
 
 def _bron_kerbosch(adj, n):
@@ -285,17 +280,3 @@ def _bron_kerbosch(adj, n):
 def maximal_cliques(g):
     """All maximal cliques, each sorted, listed lexicographically."""
     return sorted(tuple(v + 1 for v in c) for c in g._clique_sequence)
-
-
-def connected_components(g):
-    """Vertex sets of the connected components (loops ignored), each sorted, listed
-    by smallest vertex, read off the one MCS visit order: a vertex with no visited neighbor
-    opens a component, which MCS visits whole; ties go to the smallest unvisited vertex."""
-    adj, order, _ = g._mcs
-    comps, seen = [], set()
-    for v in reversed(order):
-        if not adj[v] & seen:
-            comps.append([])
-        comps[-1].append(v + 1)
-        seen.add(v)
-    return [tuple(sorted(c)) for c in comps]

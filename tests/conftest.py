@@ -24,6 +24,7 @@ import math
 from itertools import combinations
 
 import numpy as np
+from numpy.linalg import det
 from scipy.integrate import simpson
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
@@ -40,7 +41,6 @@ from pgm import (
     Comparison,
     Pattern,
     PartialMatrix,
-    det,
     geomean,
     is_pd,
     missing_positions,
@@ -300,8 +300,9 @@ def frustrated_four_cycle():
 
 def frustrated_ring(n):
     """The ``n``-cycle with unit diagonal, 0.99 on every edge but -0.99 on
-    ``(1, n)``: no PD completion; one sweep from ``diag(A)`` at ``n = 24``
-    leaves an iterate that is not PD."""
+    ``(1, n)``.  It has a PD completion exactly when ``n arccos 0.99 > pi``,
+    that is ``n >= 23``; one sweep from ``diag(A)`` at ``n = 24`` leaves an
+    iterate that is not PD."""
     full = np.eye(n) + 0.99 * (np.eye(n, k=1) + np.eye(n, k=-1))
     full[0, n - 1] = full[n - 1, 0] = -0.99
     return project(full, Pattern.from_pairs(n, [(i, i % n + 1) for i in range(1, n + 1)]))

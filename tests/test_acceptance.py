@@ -15,24 +15,23 @@ import time
 
 import numpy as np
 import pytest
+from numpy.linalg import det
 
 from pgm import (
+    DEFAULT_TOL,
     NotCompletable,
     WeightVector,
     agm_iteration,
-    det,
     det_integral_identity,
     entropy_identities,
     feasibility_range,
-    fischer_bound,
     fro_norm,
     geomean,
     geomean_properties_check,
-    invsqrtm,
     is_chordal,
     is_partial_pd,
     karcher_mean,
-    logm,
+    mat_fn,
     max_det_completion,
     missing_positions,
     op_norm,
@@ -40,7 +39,7 @@ from pgm import (
     riemannian_dist,
     sym,
 )
-from pgm.cli import default_tol, sweep_csv
+from pgm.cli import sweep_csv
 from pgm import Pattern, PartialMatrix
 from conftest import (
     GOLDEN_MEAN_DISPLAYED,
@@ -221,8 +220,8 @@ def test_criterion_08_karcher_mean():
         weights = WeightVector(tuple(raw / raw.sum()))
         res = karcher_mean(weights, mats)
         assert res.gradient_norm <= 1e-6
-        ris = invsqrtm(res.matrix)
-        grad = sum(w * logm(sym(ris @ m @ ris)) for w, m in zip(weights, mats))
+        ris = mat_fn(res.matrix, lambda v: 1 / np.sqrt(v), "pd")
+        grad = sum(w * mat_fn(sym(ris @ m @ ris), np.log, "pd") for w, m in zip(weights, mats))
         assert fro_norm(grad) <= 1e-6
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -267,7 +266,7 @@ def _assert_argmax_within_cell(rows, x_opt, y_opt):
 
 def test_criterion_10_sweep_surfaces():
     started = time.perf_counter()
-    tol = default_tol()
+    tol = DEFAULT_TOL
 
     rows = _csv_rows(sweep_csv(ex1_partial_a(), ex1_partial_b(), grid=101, t=0.5, tol=tol))
     _assert_argmax_within_cell(rows, -2.0 / 3.0, -3.0 / 5.0)
@@ -325,14 +324,11 @@ def test_criterion_11_fischer_block_bound():
     values.update({(i + n, j + n): v for (i, j), v in pb.values.items()})
     joint = PartialMatrix(pattern=pattern, values=values)
 
-    bound = fischer_bound(joint)
+    rep = max_det_completion(joint)
     da = max_det_completion(pa).determinant
     db = max_det_completion(pb).determinant
-    assert abs(bound - da * db) <= 1e-10 * bound
-
-    rep = max_det_completion(joint)
     assert rep.converged
-    assert abs(rep.determinant - bound) <= 1e-8 * bound
+    assert abs(rep.determinant - da * db) <= 1e-10 * rep.determinant
     off = rep.matrix[:n, n:]
     assert np.abs(off).max() <= 1e-8
     elapsed = time.perf_counter() - started

@@ -275,3 +275,66 @@ def test_no_linear_determinant_in_completion_or_means():
         if module in ("completion", "means") and callee in ("det", "np.linalg.det", "linalg.det")
     }
     assert sites == {("means", "partial_geomean_sweep", "np.linalg.det")}
+
+
+PUBLIC_NAMES = [
+    "AgmResult", "AsymmetricPattern", "ChordalityResult", "Comparison", "CompletionReport",
+    "DEFAULT_TOL", "DimensionMismatch", "EntropyIdentities", "FeasibilityInterval",
+    "GeomeanPropertyReport", "InternalNumerics", "KarcherResult", "MissingDiagonal",
+    "NotCompletable", "NotPartialPD", "NotPositiveDefinite", "OutOfRange", "ParseError",
+    "PartialGeomeanResult", "PartialMatrix", "Pattern", "PatternMismatch", "PgmError",
+    "SampleSet", "TooManyMissing", "WeightVector", "add", "agm_iteration", "agrees",
+    "as_sym_matrix", "block_max_property", "completion_with_det", "det_integral_identity",
+    "entropy_identities", "feasibility_range", "fro_norm", "gaussian_entropy", "geomean",
+    "geomean_properties_check", "invm", "is_chordal", "is_partial_pd", "is_pd", "is_psd",
+    "karcher_mean", "log_det", "mat_fn", "max_det_completion", "maximal_cliques",
+    "missing_positions", "offending_cliques", "op_norm", "partial_entry_bounds",
+    "partial_geomean_maxdet", "partial_geomean_sweep", "partial_order", "powm", "project",
+    "riemannian_dist", "scale", "set_geomean", "single_entry_interval", "sub", "sym",
+]
+
+
+def test_public_surface_is_pinned():
+    """``pgm`` exports exactly these names (submodules aside): a new export is a deliberate edit."""
+    exported = sorted(
+        name for name, value in vars(pgm).items()
+        if not name.startswith("_") and not isinstance(value, type(pgm))
+    )
+    assert exported == PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+
+
+#: Public functions kept without a caller in ``src/pgm`` or ``demos``, each for a reason.
+UNCALLED_ALLOWED = {
+    "partial.agrees": "six assertions in test_completion use it; inlining it only moves code",
+    "partial.project": "the paper's projection of a full matrix onto a pattern",
+    "cli.format_partial": "writes the text format that parse_partial reads",
+    "means.block_max_property": "Ando's characterization of A # B, a ledger row for partial means",
+}
+
+
+def test_every_public_function_has_a_caller():
+    """Each public module-level function in ``src/pgm`` is named by code in ``src/pgm``
+    outside its own body and ``__init__``, or by a demo, or is in ``UNCALLED_ALLOWED``;
+    ``main`` dispatches the ``cli.cmd_*`` handlers by name.  An attribute counts
+    only on a ``pgm`` module, so ``np.linalg.det`` does not name ``det``."""
+    defined, callers = set(), defaultdict(set)  # callers: name -> where it is named
+    modules = {"pgm", *(path.stem for path in SRC.glob("*.py"))}
+    demos = sorted((SRC.parent.parent / "demos").glob("*.py"))
+    for path in [*sorted(SRC.glob("*.py")), *demos]:
+        if path == SRC / "__init__.py":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{top.name}" if isinstance(top, ast.FunctionDef) else path
+            if path.parent == SRC and isinstance(top, ast.FunctionDef):
+                defined.add(where)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    callers[node.id].add(where)
+                elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules:
+                    callers[node.attr].add(where)
+    uncalled = sorted(
+        func for func in defined
+        if not func.split(".")[1].startswith("_") and not func.startswith("cli.cmd_")
+        and not callers[func.split(".")[1]] - {func}
+    )
+    assert uncalled == sorted(UNCALLED_ALLOWED)

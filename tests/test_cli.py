@@ -11,6 +11,7 @@ import pytest
 
 import pgm
 from pgm import (
+    DEFAULT_TOL,
     Pattern,
     PartialMatrix,
     linalg,
@@ -23,7 +24,6 @@ from pgm import (
 )
 from pgm.cli import (
     build_parser,
-    default_tol,
     format_matrix,
     format_partial,
     main,
@@ -368,7 +368,7 @@ class TestSweep:
     @pytest.mark.parametrize("case", sorted(SWEEP_PAIRS))
     def test_matches_per_cell_reference(self, case):
         pa, pb = SWEEP_PAIRS[case]()
-        tol = default_tol()
+        tol = DEFAULT_TOL
         table = np.array(partial_geomean_sweep(pa, pb, 31, 0.5, tol))
         np.testing.assert_array_equal(table, np.array(reference_sweep_rows(pa, pb, 31, 0.5, tol)))
         assert np.isnan(table).any() == case.startswith("region")
@@ -390,7 +390,7 @@ class TestSweep:
     )
     def test_csv_bytes_match_reference(self, case, grid):
         pa, pb = SWEEP_PAIRS[case]()
-        tol = default_tol()
+        tol = DEFAULT_TOL
         header = "x,y,det," + ",".join(f"eig_{k}" for k in range(1, pa.n + 1))
         rows = reference_sweep_rows(pa, pb, grid, 0.5, tol)
         lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
@@ -419,30 +419,30 @@ class TestSweep:
         monkeypatch.setattr(linalg, "_eigh", counting)
         monkeypatch.setattr(means, "_eigh", counting)
         grid = 31
-        partial_geomean_sweep(*SWEEP_PAIRS[case](), grid, 0.5, default_tol())
+        partial_geomean_sweep(*SWEEP_PAIRS[case](), grid, 0.5, DEFAULT_TOL)
         assert sum(seen) <= per_cell * grid**2 + 4 * grid
 
     def test_parameter_off_the_geodesic_warns(self):
         with pytest.warns(UserWarning, match=r"t = 1.5 lies outside \[0, 1\]"):
-            table = partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), 3, 1.5, default_tol())
+            table = partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), 3, 1.5, DEFAULT_TOL)
         assert np.isfinite(table).all()
 
     def test_csv_deterministic(self):
         a, b = ex1_partial_a(), ex1_partial_b()
-        first = sweep_csv(a, b, grid=11, t=0.5, tol=default_tol())
-        second = sweep_csv(a, b, grid=11, t=0.5, tol=default_tol())
+        first = sweep_csv(a, b, grid=11, t=0.5, tol=DEFAULT_TOL)
+        second = sweep_csv(a, b, grid=11, t=0.5, tol=DEFAULT_TOL)
         assert first == second
 
     def test_header_and_row_count(self):
         a, b = ex1_partial_a(), ex1_partial_b()
-        text = sweep_csv(a, b, grid=5, t=0.5, tol=default_tol())
+        text = sweep_csv(a, b, grid=5, t=0.5, tol=DEFAULT_TOL)
         lines = text.strip().split("\n")
         assert lines[0] == "x,y,det,eig_1,eig_2,eig_3"
         assert len(lines) == 1 + 25
 
     def test_argmax_near_known_optimum(self):
         a, b = ex1_partial_a(), ex1_partial_b()
-        text = sweep_csv(a, b, grid=41, t=0.5, tol=default_tol())
+        text = sweep_csv(a, b, grid=41, t=0.5, tol=DEFAULT_TOL)
         rows = [line.split(",") for line in text.strip().split("\n")[1:]]
         best = max(rows, key=lambda r: float(r[2]))
         xs = sorted({float(r[0]) for r in rows})
@@ -452,7 +452,7 @@ class TestSweep:
 
     def test_x_major_order(self):
         a, b = ex1_partial_a(), ex1_partial_b()
-        text = sweep_csv(a, b, grid=3, t=0.5, tol=default_tol())
+        text = sweep_csv(a, b, grid=3, t=0.5, tol=DEFAULT_TOL)
         rows = [line.split(",") for line in text.strip().split("\n")[1:]]
         xs = [float(r[0]) for r in rows]
         assert xs == sorted(xs)
@@ -471,7 +471,7 @@ class TestSweep:
                 for j in range(i, 4)
             },
         )
-        text = sweep_csv(swept, fixed, grid=21, t=0.5, tol=default_tol())
+        text = sweep_csv(swept, fixed, grid=21, t=0.5, tol=DEFAULT_TOL)
         rows = [line.split(",") for line in text.strip().split("\n")[1:]]
         assert len(rows) == 441
         feasible = [r for r in rows if r[2] != "nan"]
@@ -498,40 +498,20 @@ class TestSweep:
         assert out_path.read_text().startswith("x,y,det,")
 
 
-class TestTolEnv:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("PGM_TOL", raising=False)
-        assert default_tol() == 1e-10
-
-    def test_override(self, monkeypatch):
-        monkeypatch.setenv("PGM_TOL", "1e-8")
-        assert default_tol() == 1e-8
-
-    def test_invalid(self, monkeypatch):
-        monkeypatch.setenv("PGM_TOL", "abc")
-        with pytest.raises(ValueError):
-            default_tol()
-
-    def test_invalid_env_exits_two(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("PGM_TOL", "abc")
-        rc = main(["check", write(tmp_path, "a.txt", EX1_A_TEXT)])
-        assert rc == 2
-
-    def test_two_calls_build_one_parser(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.delenv("PGM_TOL", raising=False)
+class TestTolOption:
+    def test_two_calls_build_one_parser(self, tmp_path, capsys):
         build_parser.cache_clear()
         path = write(tmp_path, "a.txt", EX1_A_TEXT)
         assert main(["check", path]) == main(["check", path]) == 0
         info = build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
-    def test_changed_env_changes_verdict(self, monkeypatch, tmp_path, capsys):
+    def test_changed_tol_changes_verdict(self, tmp_path, capsys):
         # clique {1, 2} has lambda_min = 1e-5: PD under 1e-10, not under 1e-3
         path = write(tmp_path, "near.txt", "n 3\n1 0.99999 ?\n0.99999 1 0\n? 0 1\n")
         verdicts = []
         for tol in ("1e-10", "1e-3", "1e-10"):
-            monkeypatch.setenv("PGM_TOL", tol)
-            assert main(["check", path]) == 0
+            assert main(["check", path, "--tol", tol]) == 0
             verdicts.append("clique {1, 2}: positive definite" in capsys.readouterr().out)
         assert verdicts == [True, False, True]
 
@@ -588,12 +568,6 @@ class TestOptionValidation:
         assert f"argument {option}: expected {expected}" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
 
-    def test_tol_env_nan_exits_two(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("PGM_TOL", "nan")
-        rc = main(["check", write(tmp_path, "a.txt", EX1_A_TEXT)])
-        assert rc == 2
-        assert "PGM_TOL: expected a finite number >= 0, got 'nan'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("option, token", [("--tol", "0"), ("--tol", "1e-3"), ("--t", "0.25")])
     def test_accepted(self, tmp_path, capsys, option, token):
         a = write(tmp_path, "a.txt", EX1_A_TEXT)
@@ -608,7 +582,7 @@ class TestOptionValidation:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(InternalNumerics, match="symmetric eigensolver failed"):
-            partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), 5, 0.5, default_tol())
+            partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), 5, 0.5, DEFAULT_TOL)
 
 
 def _banded(n, width):

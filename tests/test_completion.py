@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import det
 
 from pgm import (
     CompletionReport,
@@ -14,13 +15,10 @@ from pgm import (
     OutOfRange,
     Pattern,
     PartialMatrix,
-    PatternMismatch,
     agrees,
     completion,
     completion_with_det,
-    det,
     feasibility_range,
-    fischer_bound,
     fro_norm,
     is_pd,
     linalg,
@@ -163,6 +161,12 @@ class TestMaxDetCompletion:
         with pytest.raises(ValueError, match=f"max_cycles must be an integer >= 1, got {budget!r}"):
             max_det_completion(matrix_n_four_cycle(), max_cycles=budget)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tolerance_named(self, tol):
+        # NaN or a negative tolerance would spend the whole budget, however small the residual
+        with pytest.raises(ValueError, match=f"tol must be a finite number >= 0, got {tol!r}"):
+            max_det_completion(matrix_n_four_cycle(), tol=tol)
+
     def test_numpy_integer_cycle_budget_accepted(self):
         rep = max_det_completion(matrix_n_four_cycle(), max_cycles=np.int64(1))
         assert rep.iterations == 1
@@ -223,15 +227,11 @@ class TestMaxDetCompletion:
         for i, j in missing_positions(pm.pattern):
             assert abs(inv[i - 1, j - 1]) <= 1e-8 * op_norm(inv)
 
-    @pytest.mark.parametrize("n", range(4, 22))
+    @pytest.mark.parametrize("n", range(4, 23))
     def test_frustrated_ring_not_completable(self, n):
-        # 0.99 on every ring edge but (1, n), which carries -0.99: partial
-        # PD, but the cycle condition fails for n <= 22
-        full = np.eye(n) + 0.99 * (np.eye(n, k=1) + np.eye(n, k=-1))
-        full[0, n - 1] = full[n - 1, 0] = -0.99
-        pm = project(full, _ring(n))
+        # partial PD, but the cycle condition n arccos 0.99 > pi fails for n <= 22
         with pytest.raises(NotCompletable, match="sum_E K_ij A_ij"):
-            max_det_completion(pm)
+            max_det_completion(frustrated_ring(n))
 
     def test_rejects_not_partial_pd(self):
         pm = PartialMatrix(
@@ -477,14 +477,16 @@ class TestCompletionWithDet:
 
 
 class TestFischerBound:
+    """On a pattern whose components share no specified entry, the max-det completion
+    leaves every cross block zero, so its determinant is the Fischer bound: the product
+    of the components' max-det completion determinants."""
+
     def test_block_diagonal_examples(self):
         pm = _block_diag_partial(ex1_partial_a(), ex1_partial_b())
-        bound = fischer_bound(pm)
         da = max_det_completion(ex1_partial_a()).determinant
         db = max_det_completion(ex1_partial_b()).determinant
-        assert bound == pytest.approx(da * db, rel=1e-12)
         rep = max_det_completion(pm)
-        assert rep.determinant == pytest.approx(bound, rel=1e-8)
+        assert rep.determinant == pytest.approx(da * db, rel=1e-12)
         off = rep.matrix[:3, 3:]
         assert np.abs(off).max() <= 1e-8
 
@@ -493,17 +495,13 @@ class TestFischerBound:
             pattern=Pattern.complete(2),
             values={(1, 1): 1.0, (1, 2): 0.0, (2, 2): 1.0},
         )
-        pm = _block_diag_partial(left, left)
-        assert fischer_bound(pm) == pytest.approx(1.0)
-        np.testing.assert_allclose(max_det_completion(pm).matrix, np.eye(4), atol=1e-12)
+        rep = max_det_completion(_block_diag_partial(left, left))
+        assert rep.determinant == pytest.approx(1.0)
+        np.testing.assert_allclose(rep.matrix, np.eye(4), atol=1e-12)
 
     def test_scalar_blocks(self):
         pm = _block_diag_partial(_scalar_partial(3.0), _scalar_partial(5.0))
-        assert fischer_bound(pm) == pytest.approx(15.0)
-
-    def test_connected_pattern_rejected(self):
-        with pytest.raises(PatternMismatch):
-            fischer_bound(ex1_partial_a())
+        assert max_det_completion(pm).determinant == pytest.approx(15.0)
 
     @pytest.mark.parametrize("blocks", [2, 3])
     def test_equals_product_over_components(self, blocks):
@@ -518,19 +516,7 @@ class TestFischerBound:
             for part in parts[1:]:
                 pm = _block_diag_partial(pm, part)
             product = math.prod(max_det_completion(part).determinant for part in parts)
-            assert fischer_bound(pm) == pytest.approx(product, rel=1e-13)
-
-    def test_one_completion(self, monkeypatch):
-        calls = []
-
-        def counted(pm, _real=completion.max_det_completion):
-            calls.append(pm)
-            return _real(pm)
-
-        monkeypatch.setattr(completion, "max_det_completion", counted)
-        pm = _block_diag_partial(ex1_partial_a(), ex1_partial_b())
-        fischer_bound(pm)
-        assert calls == [pm]
+            assert max_det_completion(pm).determinant == pytest.approx(product, rel=1e-13)
 
 
 class TestPartialEntryBounds:

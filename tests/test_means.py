@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import det
 
 from pgm import (
     DimensionMismatch,
@@ -14,7 +15,6 @@ from pgm import (
     WeightVector,
     agm_iteration,
     block_max_property,
-    det,
     det_integral_identity,
     entropy_identities,
     fro_norm,
@@ -23,7 +23,7 @@ from pgm import (
     geomean_properties_check,
     invm,
     karcher_mean,
-    logm,
+    mat_fn,
     max_det_completion,
     means,
     op_norm,
@@ -378,12 +378,9 @@ class TestKarcherMean:
         assert res.converged
         assert res.gradient_norm <= 1e-6
         # certificate recomputed independently of the result record
-        x = res.matrix
-        from pgm import invsqrtm
-
-        ris = invsqrtm(x)
+        ris = mat_fn(res.matrix, lambda v: 1 / np.sqrt(v), "pd")
         grad = sum(
-            wi * logm(sym(ris @ m @ ris)) for wi, m in zip(w / w.sum(), mats)
+            wi * mat_fn(sym(ris @ m @ ris), np.log, "pd") for wi, m in zip(w / w.sum(), mats)
         )
         assert fro_norm(grad) <= 1e-6
 
@@ -423,6 +420,12 @@ class TestKarcherMean:
     def test_non_integer_step_budget_named(self, budget):
         with pytest.raises(ValueError, match=f"max_steps must be an integer >= 0, got {budget!r}"):
             karcher_mean(WeightVector.uniform(2), [np.eye(2), 2.0 * np.eye(2)], max_steps=budget)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tolerance_named(self, tol):
+        # NaN or a negative tolerance would spend the whole budget, however small the gradient
+        with pytest.raises(ValueError, match=f"tol must be a finite number >= 0, got {tol!r}"):
+            karcher_mean(WeightVector.uniform(2), [np.eye(2), 2.0 * np.eye(2)], tol=tol)
 
     def test_numpy_integer_step_budget_accepted(self):
         res = karcher_mean(WeightVector.uniform(2), [np.eye(2), 4.0 * np.eye(2)],

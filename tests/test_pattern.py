@@ -2,15 +2,12 @@
 
 from itertools import combinations
 
-import numpy as np
 import pytest
 
 from pgm import (
     PartialMatrix,
     Pattern,
-    connected_components,
     is_chordal,
-    is_completable,
     max_det_completion,
     maximal_cliques,
     missing_positions,
@@ -70,7 +67,6 @@ class TestChordality:
         assert res.elimination_order is None
         assert sorted(res.chordless_cycle) == [1, 2, 3, 4]
         assert is_valid_chordless_cycle(g, res.chordless_cycle)
-        assert not is_completable(g)
 
     def test_chordal_example(self):
         g = chordal_example_pattern()
@@ -78,7 +74,6 @@ class TestChordality:
         assert res.chordal
         assert res.chordless_cycle is None
         assert sorted(res.elimination_order) == [1, 2, 3, 4]
-        assert is_completable(g)
 
     def test_complete_graph(self):
         assert is_chordal(Pattern.complete(5)).chordal
@@ -172,43 +167,3 @@ class TestMissingPositions:
         g = Pattern.from_pairs(4, [(3, 4)])
         assert missing_positions(g) == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
 
-
-class TestComponents:
-    def test_connected(self):
-        assert connected_components(Pattern.complete(3)) == [(1, 2, 3)]
-
-    def test_split(self):
-        g = Pattern.from_pairs(5, [(1, 2), (4, 5)])
-        assert connected_components(g) == [(1, 2), (3,), (4, 5)]
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_breadth_first_search(self, seed):
-        rng = np.random.default_rng(seed)
-        for _ in range(60):
-            g = random_pattern(rng, int(rng.integers(1, 14)), p=rng.uniform(0.0, 0.4))
-            assert connected_components(g) == reference_components(g)
-
-    def test_reads_the_one_search(self, monkeypatch):
-        def second_search(*args):
-            raise AssertionError("the pattern's graph was searched a second time")
-
-        g = Pattern.from_pairs(7, [(1, 4), (2, 5), (4, 6), (3, 7)])
-        assert is_chordal(g).chordal  # runs the search once and caches it
-        monkeypatch.setattr(pattern, "_adjacency", second_search)
-        monkeypatch.setattr(pattern, "_mcs_order", second_search)
-        assert connected_components(g) == [(1, 4, 6), (2, 5), (3, 7)]
-
-
-def reference_components(g):
-    """Components by breadth-first search, each sorted, listed by smallest vertex."""
-    comps, seen = [], set()
-    for s in range(1, g.n + 1):
-        if s in seen:
-            continue
-        comp, frontier = {s}, [s]
-        while frontier:
-            frontier = [u for v in frontier for u in g.neighbors(v) if u not in comp]
-            comp.update(frontier)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return comps

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from numpy.linalg import det
 
 from pgm import (
     Comparison,
@@ -25,7 +26,6 @@ from pgm import (
     Pattern,
     agrees,
     completion_with_det,
-    det,
     is_pd,
     max_det_completion,
     missing_positions,
