@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Partial matrices travel in a small text format: a first line ``n <dim>``
-followed by ``<dim>`` rows of whitespace-separated tokens, each a finite
-decimal number or ``?`` for a missing entry; ``#`` starts a comment
-line.  Files written by the tool carry 17 significant digits so that
+followed by ``<dim>`` rows of tokens, each a finite number (a ``float()``
+spelling) or ``?`` for a missing entry, cut as ``str.split`` cuts them;
+``#`` starts a comment line.  Files are UTF-8, with an optional byte-order
+mark.  Files written by the tool carry 17 significant digits so that
 parsing them back is exact; human-readable reports use 6.  A file is
 parsed straight into the array of a :class:`PartialMatrix`, and every
 matrix is printed by one ``%`` over its flat values.
@@ -11,7 +12,7 @@ matrix is printed by one ``%`` over its flat values.
 The module parses, dispatches to the library and formats.  Subcommands:
 ``check``, ``complete``, ``geomean``, ``karcher``, ``entropy``, ``sweep``.
 Exit status is 0 on success, 1 on domain errors (not positive definite,
-not completable, ...), 2 on usage or parse errors.
+not completable, not converged, ...), 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -85,8 +86,26 @@ def _weights(text):
     return weights
 
 
-def _scan_row(tokens, lineno):
-    """Raise the ParseError of a row's leftmost bad or non-finite token."""
+#: A file with at least this many ``?`` tokenizes its ASCII rows holding a ``?`` as
+#: one byte array: the array calls cost about 30 us, more than the per-token
+#: comprehension costs below about 250 ``?`` (band-2, ring and grid files, n 8-40).
+_BULK_MISSING = 256
+
+
+def _row(tokens, dim, number, lineno):
+    """Row ``number`` as its values, or ``{column: value}`` (0-based) if it holds a ``?``;
+    raises the ParseError of a wrong count, else of the leftmost bad or non-finite token."""
+    if len(tokens) != dim:
+        raise ParseError(f"expected {dim} entries in row {number}, got {len(tokens)}", line=lineno)
+    try:
+        if "?" in tokens:
+            row = {col: float(tok) for col, tok in enumerate(tokens) if tok != "?"}
+        else:
+            row = list(map(float, tokens))
+        if math.isfinite(sum(row.values() if isinstance(row, dict) else row)):
+            return row
+    except ValueError:
+        pass
     for col, tok in enumerate(tokens, start=1):
         if tok == "?":
             continue
@@ -96,66 +115,113 @@ def _scan_row(tokens, lineno):
             raise ParseError(f"bad entry {tok!r}", line=lineno, column=col) from None
         if not math.isfinite(value):
             raise ParseError(f"non-finite entry {tok!r}", line=lineno, column=col)
+    return row
 
 
-def _parse_lines(lines):
-    rows, linenos = [], []
-    dim = None
-    for lineno, raw in lines:
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if dim is None:
-            if len(tokens) != 2 or tokens[0] != "n":
-                raise ParseError("expected header line 'n <dim>'", line=lineno)
-            try:
-                dim = int(tokens[1])
-            except ValueError:
-                raise ParseError(f"bad dimension {tokens[1]!r}", line=lineno, column=2) from None
-            if dim < 1:
-                raise ParseError(f"dimension must be >= 1, got {dim}", line=lineno)
-            continue
-        if len(rows) == dim:
-            raise ParseError(f"more than {dim} matrix rows", line=lineno)
-        if len(tokens) != dim:
-            raise ParseError(
-                f"expected {dim} entries in row {len(rows) + 1}, got {len(tokens)}",
-                line=lineno,
-            )
-        # values, or {column: value} (0-based) for a row with a "?"; a non-finite sum is scanned
-        try:
-            if "?" in tokens:
-                row = {col: float(tok) for col, tok in enumerate(tokens) if tok != "?"}
+def _tokenize(lines):
+    """The tokens of ASCII ``lines`` as ``str.split`` cuts them, from one pass
+    over their bytes: each line's token count, and the line, 0-based column and
+    text of each given token (any but a lone ``?``).  One ``np.add.reduceat``
+    of the token starts, cut at the line bounds and at the given tokens, counts
+    the tokens before each cut, so only given tokens become Python objects."""
+    blob = "\n" + "\n".join(lines) + "\n"  # a line's bound is the "\n" before it
+    b = np.frombuffer(blob.encode("ascii"), dtype=np.uint8)
+    sep = ((b - 9) < 5) | ((b - 28) < 5)  # str.split's ASCII whitespace: \t-\r, \x1c-" "
+    start, end = np.zeros(b.size, dtype=bool), np.zeros(b.size, dtype=bool)
+    np.greater(sep[:-1], sep[1:], out=start[1:])
+    np.less(sep[:-1], sep[1:], out=end[:-1])
+    lone = start & end & (b == ord("?"))
+    first, last = (start ^ lone).nonzero()[0], (end ^ lone).nonzero()[0]
+    bounds = (b == ord("\n")).nonzero()[0]
+    cuts = np.sort(np.concatenate([bounds, first]))  # disjoint: bounds are separators
+    seg = np.add.reduceat(start, cuts, dtype=np.uint32)  # a cut spans < 2**33 bytes
+    before = seg.cumsum(dtype=np.intp) - seg  # token starts before each cut
+    at_bound = before[cuts.searchsorted(bounds)]
+    line = bounds.searchsorted(first) - 1
+    column = before[cuts.searchsorted(first)] - at_bound[line]
+    texts = [blob[s : e + 1] for s, e in zip(first.tolist(), last.tolist())]
+    return at_bound[1:] - at_bound[:-1], line, column, texts
+
+
+def _parse_lines(text):
+    """``dim``, the flat indices and values of the given entries, and each row's line.
+    With ``_BULK_MISSING`` ``?`` or more, the ASCII rows holding a ``?`` are tokenized
+    after the loop, before a fault of another row is raised; if a count or value among
+    them is off, they are read again by :func:`_row`, so the first faulty row raises."""
+    lines = text.split("\n")
+    bulk = text.count("?") >= _BULK_MISSING
+    flat, vals, linenos, deferred = [], [], [], []  # deferred: (row index, line index)
+    dim = fault = None
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            if bulk and dim is not None and "?" in raw and raw.isascii():
+                if raw.lstrip().startswith("#"):
+                    continue
+                tokens = None
             else:
-                row = list(map(float, tokens))
-            finite = math.isfinite(sum(row.values() if isinstance(row, dict) else row))
+                tokens = raw.split()
+                if not tokens or tokens[0].startswith("#"):
+                    continue
+                if dim is None:
+                    if len(tokens) != 2 or tokens[0] != "n":
+                        raise ParseError("expected header line 'n <dim>'", line=lineno)
+                    try:
+                        dim = int(tokens[1])
+                    except ValueError:
+                        message = f"bad dimension {tokens[1]!r}"
+                        raise ParseError(message, line=lineno, column=2) from None
+                    if dim < 1:
+                        raise ParseError(f"dimension must be >= 1, got {dim}", line=lineno)
+                    continue
+            i = len(linenos)
+            if i == dim:
+                raise ParseError(f"more than {dim} matrix rows", line=lineno)
+            if tokens is None:
+                deferred.append((i, lineno - 1))
+            else:
+                row = _row(tokens, dim, i + 1, lineno)
+                dense = isinstance(row, list)
+                flat.extend(range(i * dim, i * dim + dim) if dense else [i * dim + j for j in row])
+                vals.extend(row if dense else row.values())
+            linenos.append(lineno)
+    except ParseError as exc:
+        fault = exc
+    given = np.array(flat, dtype=np.intp)
+    if deferred:
+        counts, line, column, texts = _tokenize([lines[k] for _, k in deferred])
+        try:
+            values = list(map(float, texts))
         except ValueError:
-            finite = False
-        if not finite:
-            _scan_row(tokens, lineno)
-        rows.append(row)
-        linenos.append(lineno)
+            values = [math.nan]  # a bad token: read again below
+        if not (math.isfinite(sum(values)) and (counts == dim).all()):
+            for row, k in deferred:
+                _row(lines[k].split(), dim, row + 1, k + 1)
+        rows = np.array([row for row, _ in deferred], dtype=np.intp)
+        given = np.concatenate([given, rows[line] * dim + column])
+        vals += values
+    if fault is not None:
+        raise fault
     if dim is None:
         raise ParseError("empty input: missing 'n <dim>' header")
-    if len(rows) != dim:
-        raise ParseError(f"expected {dim} matrix rows, found {len(rows)}")
-    return dim, rows, linenos
+    if len(linenos) != dim:
+        raise ParseError(f"expected {dim} matrix rows, found {len(linenos)}")
+    return dim, given, vals, linenos
 
 
-def _raise_first_fault(rows, linenos):
+def _raise_first_fault(a, mask, linenos):
     """Raise the error of the first position ``(i, j)``, ``i <= j``, row-major,
     given on one side only, a missing diagonal, or unequal to its mirror."""
-    for i, (line, row) in enumerate(zip(linenos, rows), start=1):
-        for j in range(i, len(rows) + 1):
-            here, mirror = row.get(j - 1), rows[j - 1].get(i - 1)
-            if (here is None) != (mirror is None):
-                message = f"entry ({i}, {j}) is specified on one side of the diagonal only"
-                raise AsymmetricPattern(message, line=line, column=j)
-            if here is None and i == j:
-                raise MissingDiagonal(f"diagonal entry ({i}, {i}) is missing", line=line, column=j)
-            if here != mirror:
-                message = f"entries ({i}, {j}) and ({j}, {i}) disagree"
-                raise AsymmetricPattern(message, line=line, column=j)
+    one_sided = mask != mask.T
+    fault = np.triu(one_sided | (a != a.T)) | np.diag(~mask.diagonal())
+    row, col = divmod(int(fault.argmax()), len(mask))
+    i, j = row + 1, col + 1
+    where = {"line": linenos[row], "column": j}
+    if one_sided[row, col]:
+        message = f"entry ({i}, {j}) is specified on one side of the diagonal only"
+        raise AsymmetricPattern(message, **where)
+    if i == j:
+        raise MissingDiagonal(f"diagonal entry ({i}, {i}) is missing", **where)
+    raise AsymmetricPattern(f"entries ({i}, {j}) and ({j}, {i}) disagree", **where)
 
 
 def parse_partial(path):
@@ -165,27 +231,21 @@ def parse_partial(path):
     assignment.  Asymmetric specification (an entry given on one side of
     the diagonal but missing or different on the other) and missing
     diagonal entries are rejected with a mirror lookup per given entry;
-    only a file that fails it is scanned position by position for its
-    first fault.  Each pair keeps its upper entry, a ``-0.0`` included.
+    only a file that fails it is searched for its first fault, row-major.
+    Each pair keeps its upper entry, a ``-0.0`` included.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
-            dim, rows, linenos = _parse_lines(enumerate(handle, start=1))
+        with open(path, encoding="utf-8-sig") as handle:
+            text = handle.read()
     except UnicodeDecodeError:
         raise ParseError(f"{path} is not UTF-8 text") from None
-    flat, vals = [], []
-    for i, row in enumerate(rows):
-        dense = isinstance(row, list)
-        flat.extend(range(i * dim, i * dim + dim) if dense else [i * dim + j for j in row])
-        vals.extend(row if dense else row.values())
-    given = np.array(flat, dtype=np.intp)
+    dim, given, vals, linenos = _parse_lines(text)
     r, c = np.divmod(given, dim)
     mirror = c * dim + r
     a, mask = np.zeros(dim * dim), np.zeros(dim * dim, dtype=bool)
     a[given], mask[given] = vals, True
     if not (mask[:: dim + 1].all() and mask[mirror].all() and np.array_equal(a[mirror], a[given])):
-        dicts = [dict(enumerate(row)) if isinstance(row, list) else row for row in rows]
-        _raise_first_fault(dicts, linenos)
+        _raise_first_fault(a.reshape(dim, dim), mask.reshape(dim, dim), linenos)
     a[given[r > c]] = a[mirror[r > c]]
     pattern = Pattern._from_mask(mask.reshape(dim, dim))
     return PartialMatrix._from_array(pattern, a.reshape(dim, dim))
@@ -292,7 +352,7 @@ def cmd_karcher(args):
     mats = []
     for path in args.files:
         pm = parse_partial(path)
-        mats.append(max_det_completion(pm).matrix)
+        mats.append(max_det_completion(pm).require_converged().matrix)
     result = karcher_mean(weights, mats)
     print(f"karcher mean of {len(mats)} matrices:")
     print(_human_matrix(result.matrix))
@@ -308,14 +368,14 @@ def cmd_entropy(args):
         return 2
     if len(args.files) == 1:
         pm = parse_partial(args.files[0])
-        report = max_det_completion(pm)
+        report = max_det_completion(pm).require_converged()
         print(f"entropy of max-det completion: {gaussian_entropy(report.matrix):.{REPORT_DIGITS}g}")
         print(f"determinant: {_determinant_text(report.log_determinant)}")
         return 0
     pa = parse_partial(args.files[0])
     pb = parse_partial(args.files[1])
-    s0 = max_det_completion(pa).matrix
-    s1 = max_det_completion(pb).matrix
+    s0 = max_det_completion(pa).require_converged().matrix
+    s1 = max_det_completion(pb).require_converged().matrix
     ids = entropy_identities(s0, s1, t=args.t)
     print(f"entropy identities for max-det completions (t = {args.t:g}):")
     print(

@@ -97,6 +97,14 @@ class CompletionReport(_DeterminantFromLog):
     residual: float
     converged: bool
 
+    def require_converged(self):
+        """This report if it converged, else :class:`InternalNumerics` naming the residual
+        and the sweep count; callers that use ``matrix`` as the max-det completion call it."""
+        if not self.converged:
+            message = f"max-det completion did not converge: residual {self.residual:.6g}"
+            raise InternalNumerics(f"{message} after {self.iterations} sweeps")
+        return self
+
 
 def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
     """Feasibility interval for one free position of a full matrix.
@@ -247,8 +255,9 @@ def completion_with_det(pm, k):
     (the parabola with the same roots through the measured point) and the
     entry set again, three times at most; then :class:`InternalNumerics` is
     raised.  Double precision certifies the target down to about ``k / d_max = 1e-7``.
+    A max-det completion that did not converge raises :class:`InternalNumerics`.
     """
-    report = max_det_completion(pm)
+    report = max_det_completion(pm).require_converged()
     d_max = report.determinant
     if not 0.0 < k < d_max:
         raise OutOfRange(f"target determinant must lie in (0, {d_max:.6g}), got {k:.6g}")

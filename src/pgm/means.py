@@ -294,14 +294,15 @@ def partial_geomean_maxdet(pa, pb, t=0.5):
 
     Among all pairwise means of completions, the mean of the two
     maximum-determinant completions uniquely maximizes the determinant,
-    which then equals ``det(Ahat)^{1-t} det(Bhat)^t``.
+    which then equals ``det(Ahat)^{1-t} det(Bhat)^t``.  A completion that
+    did not converge raises :class:`InternalNumerics`.
     """
     if pa.n != pb.n:
         raise DimensionMismatch(f"dimension mismatch: {pa.n} vs {pb.n}")
     if not math.isfinite(t):  # refused before completing; geomean warns for t off [0, 1]
         _warn_off_geodesic(t, stacklevel=3)
-    rep_a = max_det_completion(pa)
-    rep_b = max_det_completion(pb)
+    rep_a = max_det_completion(pa).require_converged()
+    rep_b = max_det_completion(pb).require_converged()
     m = geomean(rep_a.matrix, rep_b.matrix, t)
     return PartialGeomeanResult(
         matrix=m, log_determinant=float(np.linalg.slogdet(m)[1]), t=t,

@@ -80,12 +80,6 @@ class Pattern:
         i, j = _normalize_edge(i, j)
         return 1 <= i and j <= self.n and bool(self._mask[i - 1, j - 1])
 
-    def neighbors(self, i):
-        """Vertices adjacent to ``i`` (loops excluded); none if ``i`` is not a vertex."""
-        if not 1 <= i <= self.n:
-            return frozenset()
-        return frozenset((np.flatnonzero(self._mask[i - 1]) + 1).tolist()) - {i}
-
     @property
     def is_complete(self):
         return bool(self._mask.all())

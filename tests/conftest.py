@@ -151,8 +151,8 @@ def reference_mcs_order(pattern):
         v = max(weight, key=lambda u: (weight[u], -u))
         del weight[v]
         visited.append(v)
-        for u in pattern.neighbors(v):
-            if u in weight:
+        for u in weight:
+            if pattern.has_edge(u, v):
                 weight[u] += 1
     return tuple(reversed(visited))
 
@@ -487,7 +487,7 @@ def reference_parse(path):
     """
     rows = []
     dim = None
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):

@@ -265,6 +265,19 @@ def test_results_store_only_the_log_determinant():
     assert [f for f in fields if f[1] == "determinant"] == []
 
 
+def test_completion_consumers_require_convergence():
+    """Every call of ``max_det_completion`` in ``src/pgm`` is the receiver of
+    ``require_converged()``, except in ``pgm complete``, whose output is the iterate."""
+    calls, checked = [], set()
+    for name, node in _functions().items():
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and ast.unparse(sub.func) == "max_det_completion":
+                calls.append((name, sub))
+            if isinstance(sub, ast.Attribute) and sub.attr == "require_converged":
+                checked.add(sub.value)
+    assert [name for name, call in calls if call not in checked] == ["cli.cmd_complete"]
+
+
 def test_no_linear_determinant_in_completion_or_means():
     """Completion and the means work with log-determinants; only the sweep's
     ``det`` column is a linear determinant."""
@@ -303,38 +316,70 @@ def test_public_surface_is_pinned():
     assert exported == PUBLIC_NAMES == sorted(PUBLIC_NAMES)
 
 
-#: Public functions kept without a caller in ``src/pgm`` or ``demos``, each for a reason.
+ORACLE_ACCESSORS = "accessors that the test oracles use instead of the private arrays"
+SET_OPERATIONS = "the paper's set operations, for the planned ledger of set-mean properties"
+#: Public functions and methods kept without a caller in ``src/pgm`` or ``demos``, each
+#: for a reason.
 UNCALLED_ALLOWED = {
     "partial.agrees": "six assertions in test_completion use it; inlining it only moves code",
     "partial.project": "the paper's projection of a full matrix onto a pattern",
     "cli.format_partial": "writes the text format that parse_partial reads",
     "means.block_max_property": "Ando's characterization of A # B, a ledger row for partial means",
+    "pattern.Pattern.has_edge": ORACLE_ACCESSORS,
+    "partial.PartialMatrix.entry": ORACLE_ACCESSORS,
+    "means.SampleSet.scale": SET_OPERATIONS,
+    "means.SampleSet.inverse": SET_OPERATIONS,
 }
 
 
+def _sites(tree, module, path):
+    """``(site, node)`` pairs that cover a file: each top-level function is the
+    site ``module.function`` and each method of a top-level class the site
+    ``module.Class.method``; the rest of the file is the site ``path``."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield f"{module}.{top.name}", top
+        elif isinstance(top, ast.ClassDef):
+            for item in top.body:
+                method = isinstance(item, ast.FunctionDef)
+                yield (f"{module}.{top.name}.{item.name}" if method else path), item
+            yield from ((path, node) for node in [*top.bases, *top.keywords, *top.decorator_list])
+        else:
+            yield path, top
+
+
 def test_every_public_function_has_a_caller():
-    """Each public module-level function in ``src/pgm`` is named by code in ``src/pgm``
-    outside its own body and ``__init__``, or by a demo, or is in ``UNCALLED_ALLOWED``;
-    ``main`` dispatches the ``cli.cmd_*`` handlers by name.  An attribute counts
-    only on a ``pgm`` module, so ``np.linalg.det`` does not name ``det``."""
-    defined, callers = set(), defaultdict(set)  # callers: name -> where it is named
+    """Each public module-level function in ``src/pgm``, and each public method,
+    property and classmethod of a public class there, is named by code in
+    ``src/pgm`` outside its own body and ``__init__``, or by a demo, or is in
+    ``UNCALLED_ALLOWED``; ``main`` dispatches the ``cli.cmd_*`` handlers by name.
+    A function is named by a bare name or by an attribute of a ``pgm`` module, so
+    ``np.linalg.det`` does not name ``det``; a method by an attribute of any
+    value, since the type of the value is not known."""
+    defined, names, attributes = set(), defaultdict(set), defaultdict(set)  # name -> sites
     modules = {"pgm", *(path.stem for path in SRC.glob("*.py"))}
     demos = sorted((SRC.parent.parent / "demos").glob("*.py"))
     for path in [*sorted(SRC.glob("*.py")), *demos]:
         if path == SRC / "__init__.py":
             continue
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            where = f"{path.stem}.{top.name}" if isinstance(top, ast.FunctionDef) else path
-            if path.parent == SRC and isinstance(top, ast.FunctionDef):
-                defined.add(where)
-            for node in ast.walk(top):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for site, unit in _sites(tree, path.stem, path):
+            public = isinstance(site, str) and not any(
+                part.startswith("_") for part in site.split(".")[1:]
+            )
+            if path.parent == SRC and public:
+                defined.add(site)
+            for node in ast.walk(unit):
                 if isinstance(node, ast.Name):
-                    callers[node.id].add(where)
-                elif isinstance(node, ast.Attribute) and ast.unparse(node.value) in modules:
-                    callers[node.attr].add(where)
-    uncalled = sorted(
-        func for func in defined
-        if not func.split(".")[1].startswith("_") and not func.startswith("cli.cmd_")
-        and not callers[func.split(".")[1]] - {func}
-    )
+                    names[node.id].add(site)
+                elif isinstance(node, ast.Attribute):
+                    attributes[node.attr].add(site)
+                    if ast.unparse(node.value) in modules:
+                        names[node.attr].add(site)
+
+    def named(site):
+        *owner, name = site.split(".")
+        return (attributes if len(owner) == 2 else names)[name] - {site}
+
+    uncalled = sorted(s for s in defined if not s.startswith("cli.cmd_") and not named(s))
     assert uncalled == sorted(UNCALLED_ALLOWED)

@@ -1,5 +1,6 @@
 """CLI: file format, subcommands, exit codes, CSV determinism."""
 
+import functools
 import math
 import os
 import subprocess
@@ -362,6 +363,38 @@ class TestDeterminantLines:
     def test_in_range_is_the_plain_format(self, tmp_path, capsys):
         path = path_file(tmp_path, "p.txt", np.full(300, 2.0))
         assert self.determinant_line(capsys, ["complete", path]) == f"determinant: {2.0**300:.6g}"
+
+
+class TestUnconvergedCompletionRefused:
+    """``karcher``, ``geomean`` and both forms of ``entropy`` exit 1 on a
+    completion that did not converge; ``complete`` prints it with
+    ``converged: no``.  The consumers' ``max_det_completion`` is limited to one
+    sweep, which leaves the 24-vertex frustrated ring unconverged."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["karcher", "--weights", "1,1", "R", "R"], ["geomean", "R", "R"], ["entropy", "R"],
+         ["entropy", "R", "R"]],
+        ids=["karcher", "geomean", "entropy-1", "entropy-2"],
+    )
+    def test_consumers_exit_1(self, tmp_path, capsys, monkeypatch, argv):
+        limited = functools.partial(pgm.max_det_completion, max_cycles=1)
+        monkeypatch.setattr(pgm.cli, "max_det_completion", limited)
+        monkeypatch.setattr(means, "max_det_completion", limited)
+        report = limited(frustrated_ring(24))
+        path = write(tmp_path, "ring.txt", format_partial(frustrated_ring(24)))
+        assert main([path if arg == "R" else arg for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: max-det completion did not converge: residual {report.residual:.6g} "
+            "after 1 sweeps\n"
+        )
+
+    def test_complete_prints_the_iterate(self, tmp_path, capsys):
+        path = write(tmp_path, "ring.txt", format_partial(frustrated_ring(24)))
+        assert main(["complete", path, "--max-cycles", "1"]) == 0
+        assert capsys.readouterr().out.endswith("converged: no\n")
 
 
 class TestSweep:

@@ -1,7 +1,9 @@
 """Maximum-determinant completion: intervals, iteration, certificates."""
 
 import dataclasses
+import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,9 +25,11 @@ from pgm import (
     is_pd,
     linalg,
     max_det_completion,
+    means,
     missing_positions,
     op_norm,
     partial_entry_bounds,
+    partial_geomean_maxdet,
     project,
     single_entry_interval,
 )
@@ -442,10 +446,15 @@ class TestCompletionWithDet:
 
     def test_unconverged_max_det_start(self, monkeypatch):
         # one sweep on the 4-cycle stops short of the max-det completion,
-        # so det(Ahat) sits below the top of the parabola in (1, 3)
+        # so det(Ahat) sits below the top of the parabola in (1, 3); an
+        # unconverged report is refused, so the start is passed as converged
+        # to show that the refit absorbs a start short of the vertex
         pm = matrix_n_four_cycle()
         one_sweep = max_det_completion(pm, max_cycles=1)
         assert not one_sweep.converged
+        with pytest.raises(InternalNumerics, match="did not converge"):
+            one_sweep.require_converged()
+        one_sweep = dataclasses.replace(one_sweep, converged=True)
         monkeypatch.setattr(completion, "max_det_completion", lambda pm: one_sweep)
         for ratio in (0.5, 1e-3, 1e-6):
             k = ratio * one_sweep.determinant
@@ -474,6 +483,34 @@ class TestCompletionWithDet:
         )
         with pytest.raises(OutOfRange):
             completion_with_det(pm, 1.0)
+
+
+class TestUnconvergedCompletionRefused:
+    """Consumers of the max-det completion refuse an iterate that did not
+    converge.  One sweep on the 24-vertex frustrated ring leaves one, so the
+    consumers' ``max_det_completion`` is limited to one sweep."""
+
+    @pytest.fixture
+    def one_sweep(self, monkeypatch):
+        limited = functools.partial(max_det_completion, max_cycles=1)
+        monkeypatch.setattr(completion, "max_det_completion", limited)
+        monkeypatch.setattr(means, "max_det_completion", limited)
+        report = limited(frustrated_ring(24))
+        assert not report.converged
+        return f"did not converge: residual {report.residual:.6g} after 1 sweeps"
+
+    def test_partial_geomean_maxdet(self, one_sweep):
+        ring = frustrated_ring(24)
+        with pytest.raises(InternalNumerics, match=re.escape(one_sweep)):
+            partial_geomean_maxdet(ring, ring)
+
+    def test_completion_with_det(self, one_sweep):
+        with pytest.raises(InternalNumerics, match=re.escape(one_sweep)):
+            completion_with_det(frustrated_ring(24), 1e-30)
+
+    def test_converged_report_is_returned(self):
+        report = max_det_completion(ex1_partial_a())
+        assert report.require_converged() is report
 
 
 class TestFischerBound:

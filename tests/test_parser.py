@@ -4,7 +4,10 @@
 the given entries only; ``conftest.reference_parse`` converts and checks
 every cell.  On valid files both must give the same pattern and the same
 values (bit for bit, signed zeros included); on corrupted files both
-must raise the same error class, message, line and column.
+must raise the same error class, message, line and column.  Files with
+at least ``cli._BULK_MISSING`` ``?`` read their ASCII ``?`` rows through
+``cli._tokenize``; the tests of that path count its calls, so that each
+names the path it ran.
 """
 
 import math
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pgm import Pattern, PartialMatrix
+from pgm import Pattern, PartialMatrix, cli
 from pgm.cli import format_partial, parse_partial
 from pgm.errors import ParseError
 from conftest import rand_chordal_pattern, reference_parse
@@ -210,3 +213,160 @@ def test_format_parse_roundtrip(tmp_path_factory, pm):
     assert {k: repr(v) for k, v in back.values.items()} == {
         k: repr(v) for k, v in pm.values.items()
     }
+
+
+# --- the byte-array path: files with at least cli._BULK_MISSING "?" ----------
+
+
+@pytest.fixture
+def tokenized(monkeypatch):
+    """The number of lines of each ``cli._tokenize`` call, so a test names the path."""
+    calls = []
+
+    def counting(lines):
+        calls.append(len(lines))
+        return tokenize(lines)
+
+    tokenize = cli._tokenize
+    monkeypatch.setattr(cli, "_tokenize", counting)
+    return calls
+
+
+def identity_grid(n):
+    """Tokens of the ``n``-vertex identity with every off-diagonal entry missing."""
+    return [["1" if i == j else "?" for j in range(n)] for i in range(n)]
+
+
+def text_of(grid, newline="\n"):
+    lines = [f"n {len(grid)}", *map(" ".join, grid)]
+    return newline.join(lines) + newline
+
+
+@pytest.mark.parametrize("n, runs", [(2, []), (40, [40, 40])])
+def test_byte_order_mark_parses_like_none(tmp_path, tokenized, n, runs):
+    text = text_of(identity_grid(n))  # n = 2: "n 2\n1 ?\n? 1\n"
+    marked = write(tmp_path, "m.txt", "\ufeff" + text)
+    got = outcome(parse_partial, marked)
+    assert got[0] == "ok"
+    assert got == outcome(parse_partial, write(tmp_path, "p.txt", text))
+    assert tokenized == runs
+    assert got == outcome(reference_parse, marked)
+
+
+def test_byte_order_mark_elsewhere_is_a_bad_entry(tmp_path, tokenized):
+    path = write(tmp_path, "m.txt", "n 2\n\ufeff1 ?\n? 1\n")
+    want = ("error", ParseError, "bad entry '\\ufeff1' (line 2, column 1)", 2, 1)
+    assert outcome(parse_partial, path) == outcome(reference_parse, path) == want
+    assert tokenized == []
+
+
+@pytest.mark.parametrize("n, files", [(60, 8), (200, 4), (400, 2)])
+def test_large_files_match_reference(tmp_path, tokenized, n, files):
+    rng = np.random.default_rng([71, n])
+    ran = 0
+    for k in range(files):
+        grid = token_grid(rng, random_pattern(rng, n))
+        header = corrupt(rng, grid) if k % 2 else None
+        text = render(rng, grid, header)
+        path = write(tmp_path, f"b{k}.txt", text)
+        tokenized.clear()
+        got = outcome(parse_partial, path)
+        assert got == outcome(reference_parse, path), path
+        bulk = text.count("?") >= cli._BULK_MISSING
+        assert len(tokenized) == bulk if header is None else len(tokenized) <= bulk
+        ran += len(tokenized)
+    assert ran >= files // 2
+
+
+@pytest.mark.parametrize(
+    "sep",
+    ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u2028", "\u3000"],
+)
+def test_separators_in_rows_with_a_question_mark(tmp_path, tokenized, sep):
+    text = text_of(identity_grid(40)).replace("? ? 1 ? ?", f"?{sep}?{sep}1 ?{sep}?", 1)
+    assert sep in text
+    path = write(tmp_path, "s.txt", text)
+    got = outcome(parse_partial, path)
+    assert tokenized == [40 if sep.isascii() else 39]  # a non-ASCII row is read by _row
+    assert got == outcome(reference_parse, path)
+    assert got[2] == {(i, i): "1.0" for i in range(1, 41)}
+
+
+def test_non_ascii_digit_is_converted_from_its_str(tmp_path, tokenized):
+    # float("\u0661") == 1.0 (ARABIC-INDIC DIGIT ONE), while float(b"\xd9\xa1") raises
+    small = outcome(parse_partial, write(tmp_path, "small.txt", "n 2\n\u0661 ?\n? 1\n"))
+    assert small[2] == {(1, 1): "1.0", (2, 2): "1.0"}
+    grid = identity_grid(40)
+    grid[7][7] = "\u0661"
+    path = write(tmp_path, "d.txt", text_of(grid))
+    got = outcome(parse_partial, path)
+    assert tokenized == [39]
+    assert got == outcome(reference_parse, path)
+    assert got[2][8, 8] == "1.0"
+
+
+def test_nul_byte_inside_a_token(tmp_path, tokenized):
+    grid = identity_grid(40)
+    grid[4][4] = "1\x00"
+    path = write(tmp_path, "z.txt", text_of(grid))
+    got = outcome(parse_partial, path)
+    assert tokenized == [40]
+    assert got == outcome(reference_parse, path)
+    assert got == ("error", ParseError, "bad entry '1\\x00' (line 6, column 5)", 6, 5)
+
+
+@pytest.mark.parametrize("token", ["??", "?1", "1?"])
+@pytest.mark.parametrize("column", [1, 40])
+def test_question_mark_spellings_beside_a_lone_one(tmp_path, tokenized, token, column):
+    grid = identity_grid(40)
+    row = 9 if column == 1 else 30  # "?" beside the token, the diagonal away from it
+    grid[row][column - 1] = token
+    path = write(tmp_path, "q.txt", text_of(grid))
+    got = outcome(parse_partial, path)
+    assert tokenized == [40]
+    assert got == outcome(reference_parse, path)
+    line = row + 2
+    assert got == ("error", ParseError, f"bad entry {token!r} (line {line}, column {column})",
+                   line, column)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+@pytest.mark.parametrize("last", ["", "newline"])
+def test_line_endings_and_an_unterminated_last_row(tmp_path, tokenized, newline, last):
+    text = text_of(identity_grid(40), newline=newline)
+    path = write(tmp_path, "e.txt", text if last else text.removesuffix(newline))
+    got = outcome(parse_partial, path)
+    assert tokenized == [40]
+    assert got == outcome(reference_parse, path)
+    assert got[0] == "ok"
+
+
+def test_comments_blank_lines_and_signed_zero(tmp_path, tokenized):
+    grid = identity_grid(40)
+    grid[0][1], grid[1][0] = "-0.0", "0"
+    lines = text_of(grid).splitlines()
+    for k in (3, 9, 20):
+        lines.insert(k, ["# ? a comment ?", "", "  \t# ?"][k % 3])
+    path = write(tmp_path, "c.txt", "\n".join(lines) + "\n")
+    got = outcome(parse_partial, path)
+    assert tokenized == [40]
+    assert got == outcome(reference_parse, path)
+    assert got[2][1, 2] == "-0.0"
+
+
+@pytest.mark.parametrize(
+    "short, bad, want, runs",
+    [
+        (2, 4, ("expected 40 entries in row 3, got 39 (line 4)", 4, None), [4]),  # ? row first
+        (4, 2, ("bad entry 'x' (line 4, column 40)", 4, 40), [2]),  # the dense row first
+    ],
+)
+def test_first_faulty_row_wins_across_paths(tmp_path, tokenized, short, bad, want, runs):
+    grid = identity_grid(40)
+    del grid[short][-1]  # a short row that holds a "?"
+    grid[bad] = ["1"] * 39 + ["x"]  # a bad token in a row without "?"
+    path = write(tmp_path, "f.txt", text_of(grid))
+    got = outcome(parse_partial, path)
+    assert tokenized == runs  # the ? rows before the row without "?" that fails
+    assert got == outcome(reference_parse, path)
+    assert got == ("error", ParseError, *want)
