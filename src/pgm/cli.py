@@ -6,8 +6,10 @@ spelling) or ``?`` for a missing entry, cut as ``str.split`` cuts them;
 ``#`` starts a comment line.  Files are UTF-8, with an optional byte-order
 mark.  Files written by the tool carry 17 significant digits so that
 parsing them back is exact; human-readable reports use 6.  A file is
-parsed straight into the array of a :class:`PartialMatrix`, and every
-matrix is printed by one ``%`` over its flat values.
+parsed straight into the array of a :class:`PartialMatrix` by one reader,
+picked per file: a ``?``-heavy file with ASCII rows is tokenized as one
+byte array, any other is read row by row.  Every matrix is printed by one
+``%`` over its flat values.
 
 The module parses, dispatches to the library and formats.  Subcommands:
 ``check``, ``complete``, ``geomean``, ``karcher``, ``entropy``, ``sweep``.
@@ -72,12 +74,14 @@ def _count(text, least):
 
 
 def _weights(text):
-    """Positive weights normalized to sum 1.  They are first scaled by the
-    power of two at the largest, which is exact and keeps the sum finite."""
-    raw = [_finite(x, 0.0, strict=True) for x in text.split(",") if x.strip()]
-    if not raw:
+    """One positive weight per comma-separated item, an empty item refused, normalized
+    to sum 1.  They are first scaled by the power of two at the largest, which is
+    exact and keeps the sum finite."""
+    items = text.split(",")
+    if not any(x.strip() for x in items):
         raise argparse.ArgumentTypeError(f"expected comma-separated weights, got {text!r}")
-    top = math.frexp(max(raw, default=1.0))[1]
+    raw = [_finite(x, 0.0, strict=True) for x in items]
+    top = math.frexp(max(raw))[1]
     scaled = [math.ldexp(x, -top) for x in raw]
     total = sum(scaled)
     weights = [x / total for x in scaled]
@@ -86,8 +90,8 @@ def _weights(text):
     return weights
 
 
-#: A file with at least this many ``?`` tokenizes its ASCII rows holding a ``?`` as
-#: one byte array: the array calls cost about 30 us, more than the per-token
+#: A file with at least this many ``?``, its rows all ASCII, is tokenized as one
+#: byte array: the array calls cost about 30 us, more than the per-token
 #: comprehension costs below about 250 ``?`` (band-2, ring and grid files, n 8-40).
 _BULK_MISSING = 256
 
@@ -145,67 +149,53 @@ def _tokenize(lines):
 
 def _parse_lines(text):
     """``dim``, the flat indices and values of the given entries, and each row's line.
-    With ``_BULK_MISSING`` ``?`` or more, the ASCII rows holding a ``?`` are tokenized
-    after the loop, before a fault of another row is raised; if a count or value among
-    them is off, they are read again by :func:`_row`, so the first faulty row raises."""
+    One pass finds the header and the row lines, then one reader reads the rows: a
+    file with ``_BULK_MISSING`` ``?`` or more whose rows are all ASCII is tokenized
+    once, and any other file, or a tokenized one whose row count, entry counts or
+    values are off, is read row by row by :func:`_row`, so the first faulty row raises."""
     lines = text.split("\n")
-    bulk = text.count("?") >= _BULK_MISSING
-    flat, vals, linenos, deferred = [], [], [], []  # deferred: (row index, line index)
-    dim = fault = None
-    try:
-        for lineno, raw in enumerate(lines, start=1):
-            if bulk and dim is not None and "?" in raw and raw.isascii():
-                if raw.lstrip().startswith("#"):
-                    continue
-                tokens = None
-            else:
-                tokens = raw.split()
-                if not tokens or tokens[0].startswith("#"):
-                    continue
-                if dim is None:
-                    if len(tokens) != 2 or tokens[0] != "n":
-                        raise ParseError("expected header line 'n <dim>'", line=lineno)
-                    try:
-                        dim = int(tokens[1])
-                    except ValueError:
-                        message = f"bad dimension {tokens[1]!r}"
-                        raise ParseError(message, line=lineno, column=2) from None
-                    if dim < 1:
-                        raise ParseError(f"dimension must be >= 1, got {dim}", line=lineno)
-                    continue
-            i = len(linenos)
-            if i == dim:
-                raise ParseError(f"more than {dim} matrix rows", line=lineno)
-            if tokens is None:
-                deferred.append((i, lineno - 1))
-            else:
-                row = _row(tokens, dim, i + 1, lineno)
-                dense = isinstance(row, list)
-                flat.extend(range(i * dim, i * dim + dim) if dense else [i * dim + j for j in row])
-                vals.extend(row if dense else row.values())
-            linenos.append(lineno)
-    except ParseError as exc:
-        fault = exc
-    given = np.array(flat, dtype=np.intp)
-    if deferred:
-        counts, line, column, texts = _tokenize([lines[k] for _, k in deferred])
-        try:
-            values = list(map(float, texts))
-        except ValueError:
-            values = [math.nan]  # a bad token: read again below
-        if not (math.isfinite(sum(values)) and (counts == dim).all()):
-            for row, k in deferred:
-                _row(lines[k].split(), dim, row + 1, k + 1)
-        rows = np.array([row for row, _ in deferred], dtype=np.intp)
-        given = np.concatenate([given, rows[line] * dim + column])
-        vals += values
-    if fault is not None:
-        raise fault
+    dim, linenos = None, []  # the line of each matrix row, up to one past dim
+    for lineno, raw in enumerate(lines, start=1):
+        head = raw.lstrip()  # str.lstrip strips the whitespace that str.split cuts at
+        if not head or head.startswith("#"):
+            continue
+        if dim is None:
+            tokens = raw.split()
+            if len(tokens) != 2 or tokens[0] != "n":
+                raise ParseError("expected header line 'n <dim>'", line=lineno)
+            try:
+                dim = int(tokens[1])
+            except ValueError:
+                message = f"bad dimension {tokens[1]!r}"
+                raise ParseError(message, line=lineno, column=2) from None
+            if dim < 1:
+                raise ParseError(f"dimension must be >= 1, got {dim}", line=lineno)
+            continue
+        linenos.append(lineno)
+        if len(linenos) > dim:
+            break
     if dim is None:
         raise ParseError("empty input: missing 'n <dim>' header")
+    body = [lines[k - 1] for k in linenos[:dim]]
+    if text.count("?") >= _BULK_MISSING and all(map(str.isascii, body)):
+        counts, line, column, texts = _tokenize(body)
+        try:
+            vals = list(map(float, texts))
+        except ValueError:
+            vals = [math.nan]  # a bad token: read again below
+        if math.isfinite(sum(vals)) and (counts == dim).all() and len(linenos) == dim:
+            return dim, line * dim + column, vals, linenos
+    flat, vals = [], []
+    for i, raw in enumerate(body):
+        row = _row(raw.split(), dim, i + 1, linenos[i])
+        dense = isinstance(row, list)
+        flat.extend(range(i * dim, i * dim + dim) if dense else [i * dim + j for j in row])
+        vals.extend(row if dense else row.values())
+    if len(linenos) > dim:
+        raise ParseError(f"more than {dim} matrix rows", line=linenos[dim])
     if len(linenos) != dim:
         raise ParseError(f"expected {dim} matrix rows, found {len(linenos)}")
-    return dim, given, vals, linenos
+    return dim, np.array(flat, dtype=np.intp), vals, linenos
 
 
 def _raise_first_fault(a, mask, linenos):

@@ -19,6 +19,7 @@ identities for Gaussian covariances, with the trace integral in closed form.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -62,7 +63,7 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     check; one ``eigh(A)`` gives A's PD check and ``A^{+-1/2}``, and the mean
     itself is :func:`_geomean_core`, one more eigensolve.
     """
-    _warn_off_geodesic(t, stacklevel=3)
+    _warn_off_geodesic(t)
     a, b = _dense(a), _dense(b)
     lead = zip(a.shape[-3::-1], b.shape[-3::-1])
     if a.shape[-2:] != b.shape[-2:] or any(p != q and 1 not in (p, q) for p, q in lead):
@@ -73,16 +74,15 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     return _geomean_core(rs, ris, b, t)
 
 
-def _warn_off_geodesic(t, stacklevel):
-    """Raise ValueError if ``t`` is not finite; warn, from the caller ``stacklevel``
-    frames up, if it lies outside [0, 1]."""
+def _warn_off_geodesic(t):
+    """Raise ValueError if ``t`` is not finite.  If it lies outside [0, 1], warn at
+    the line that called the public entry calling this, unless that line is in this
+    module: an entry warns once per call, and the means it takes stay silent."""
     if not math.isfinite(t):
         raise ValueError(f"geomean parameter t must be finite, got {t}")
-    if not 0.0 <= t <= 1.0:
-        warnings.warn(
-            f"geomean parameter t = {t} lies outside [0, 1]; extending the geodesic",
-            stacklevel=stacklevel,
-        )
+    if not 0.0 <= t <= 1.0 and sys._getframe(2).f_globals["__name__"] != __name__:
+        message = f"geomean parameter t = {t} lies outside [0, 1]; extending the geodesic"
+        warnings.warn(message, stacklevel=3)
 
 
 def _geomean_core(rs, ris, b, t):
@@ -160,6 +160,8 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
         9.  ``log det(A #_t B) = (1-t) log det A + t log det B``
         10. harmonic/arithmetic sandwich
     """
+    _warn_off_geodesic(t)
+    _warn_off_geodesic(lam)
     a, b, c, d = _pd_stack((a, b, c, d))
     g_ab = geomean(a, b, t)
 
@@ -253,6 +255,7 @@ def set_geomean(s, t_set, t=0.5):
     Duplicates (Frobenius distance <= 1e-12) are removed, so the result
     has at most ``len(s) * len(t_set)`` members.
     """
+    _warn_off_geodesic(t)
     out = []
     for x in s.members:
         for y in t_set.members:
@@ -299,8 +302,7 @@ def partial_geomean_maxdet(pa, pb, t=0.5):
     """
     if pa.n != pb.n:
         raise DimensionMismatch(f"dimension mismatch: {pa.n} vs {pb.n}")
-    if not math.isfinite(t):  # refused before completing; geomean warns for t off [0, 1]
-        _warn_off_geodesic(t, stacklevel=3)
+    _warn_off_geodesic(t)  # before completing
     rep_a = max_det_completion(pa).require_converged()
     rep_b = max_det_completion(pb).require_converged()
     m = geomean(rep_a.matrix, rep_b.matrix, t)
@@ -341,7 +343,7 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
         raise TooManyMissing(f"sweep supports at most 2 missing entries, found {len(slots)}")
     if len(slots) < 2:
         raise PgmError("sweep needs exactly two missing entries across the inputs")
-    _warn_off_geodesic(t, stacklevel=3)
+    _warn_off_geodesic(t)
     dense = [_dense(pm.to_dense()) for pm in pms]
     for pm, a in zip(pms, dense):
         _require_partial_pd(a, pm.pattern._clique_sequence, tol)
@@ -576,6 +578,7 @@ def entropy_identities(sigma0, sigma1, t=0.5):
     sigma0, sigma1 = _dense(sigma0), _dense(sigma1)
     h0 = gaussian_entropy(sigma0)
     h1 = gaussian_entropy(sigma1)
+    _warn_off_geodesic(t)
     h_mean = gaussian_entropy(geomean(sigma0, sigma1, t))  # geomean rejects unequal shapes
     integral = 0.5 * _trace_integral(sigma0, sigma1)
     return EntropyIdentities(

@@ -13,7 +13,9 @@ trace-quadrature reference solves at every Simpson node and integrates
 with ``scipy.integrate``, against the closed form read off one
 spectrum.  The storage and text references build a dense view one
 specified entry at a time and print one float at a time, against the
-array-backed partial matrix and the one-``%`` formatters.
+array-backed partial matrix and the one-``%`` formatters.  The cycle
+margin decides ring completability from the edge angles alone, against
+the completion's own verdict.
 
 Property tests run under the ``pgm`` hypothesis profile: derandomized,
 so every run draws the same examples, with no deadline and a bounded
@@ -296,6 +298,21 @@ def frustrated_four_cycle():
             (1, 2): 0.99, (2, 3): 0.99, (3, 4): 0.99, (1, 4): -0.99,
         },
     )
+
+
+def cycle_margin(theta):
+    """The cycle condition on a ring with unit diagonal and edge entries ``cos theta_k``,
+    ``theta_k`` in [0, pi]: the largest ``sum_S theta - sum_{k not in S} theta_k -
+    (|S| - 1) pi`` over odd-sized edge sets ``S``.  A PD completion exists when it is
+    negative, none when it is positive (Barrett, Johnson and Tarazaga, LAA 192, 1993).
+    Greedy, O(n): ``S`` takes every edge with ``theta_k > pi / 2``, and an even count
+    is fixed at the edge with the smallest ``|2 theta_k - pi|``."""
+    theta = np.asarray(theta, dtype=float)
+    gain = 2.0 * theta - math.pi  # what an edge adds when it joins S
+    margin = math.pi - theta.sum() + gain[gain > 0].sum()
+    if np.count_nonzero(gain > 0) % 2 == 0:
+        margin -= np.abs(gain).min()
+    return float(margin)
 
 
 def frustrated_ring(n):

@@ -264,6 +264,13 @@ class TestCommands:
         assert main(["karcher", "--weights", "1e308,1e308", *files]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_karcher_weights_with_spaces_around_items(self, tmp_path, capsys):
+        files = [write(tmp_path, "a.txt", EX1_A_TEXT), write(tmp_path, "b.txt", EX1_B_TEXT)]
+        assert main(["karcher", "--weights", "1,1", *files]) == 0
+        expected = capsys.readouterr().out
+        assert main(["karcher", "--weights", " 1 , 1 ", *files]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_karcher_weight_underflow_exit_two(self, tmp_path, capsys):
         files = [write(tmp_path, "a.txt", EX1_A_TEXT), write(tmp_path, "b.txt", EX1_B_TEXT)]
         with pytest.raises(SystemExit) as err:
@@ -571,6 +578,8 @@ class TestOptionValidation:
             ("karcher", "--weights", "0.5,abc", "abc"),
             ("karcher", "--weights", "0.7,-0.2", "-0.2"),
             ("karcher", "--weights", "nan,0.5", "nan"),
+            ("karcher", "--weights", "1,,1", ""),
+            ("karcher", "--weights", "1,1,", ""),
             ("geomean", "--t", "nan", "nan"),
             ("sweep", "--t", "nan", "nan"),
             ("check", "--tol", "nan", "nan"),

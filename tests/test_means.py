@@ -215,6 +215,13 @@ class TestSampleSets:
         assert len(out) == 1
         np.testing.assert_allclose(out.members[0], a, atol=1e-13)
 
+    def test_off_geodesic_t_warns_once(self):
+        s = SampleSet((np.eye(2), 2.0 * np.eye(2)))
+        with pytest.warns(UserWarning, match="lies outside") as record:
+            set_geomean(s, s.scale(3.0), 1.5)
+        assert len(record) == 1
+        assert record[0].filename == __file__
+
     def test_scalar_homogeneity_memberwise(self):
         rng = np.random.default_rng(2)
         s = SampleSet(tuple(rand_spd(rng, 3) for _ in range(2)))
@@ -314,6 +321,7 @@ class TestPartialGeomean:
         with pytest.warns(UserWarning, match="lies outside") as record:
             partial_geomean_maxdet(ex1_partial_a(), ex1_partial_b(), 1.5)
         assert len(record) == 1 and len(completions) == 2
+        assert record[0].filename == __file__
 
     def test_complete_inputs_fixed_point(self):
         pm = matrix_a_chordal_example()
@@ -563,6 +571,12 @@ class TestTraceQuadrature:
 class TestEntropy:
     def test_identity_covariance(self):
         assert gaussian_entropy(np.eye(2)) == pytest.approx(1.0 + math.log(2 * math.pi))
+
+    def test_off_geodesic_t_warns_once(self):
+        with pytest.warns(UserWarning, match="lies outside") as record:
+            entropy_identities(np.eye(2), 2.0 * np.eye(2), t=1.5)
+        assert len(record) == 1
+        assert record[0].filename == __file__
 
     def test_midpoint_average(self):
         rng = np.random.default_rng(4)

@@ -4,14 +4,17 @@
 the given entries only; ``conftest.reference_parse`` converts and checks
 every cell.  On valid files both must give the same pattern and the same
 values (bit for bit, signed zeros included); on corrupted files both
-must raise the same error class, message, line and column.  Files with
-at least ``cli._BULK_MISSING`` ``?`` read their ASCII ``?`` rows through
-``cli._tokenize``; the tests of that path count its calls, so that each
-names the path it ran.
+must raise the same error class, message, line and column.  A file with
+at least ``cli._BULK_MISSING`` ``?`` and only ASCII rows is read by one
+``cli._tokenize`` call, any other row by row; the tests of that path
+count its calls, so that each names the reader it ran, and the random
+corpora run once more under each reader alone.
 """
 
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,12 +127,34 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_valid_files_match_reference(tmp_path, seed):
+def valid_files(tmp_path, seed):
     rng = np.random.default_rng([31, seed])
     for k, n in enumerate([1, 2, 5, 17, 60, 200]):
         pattern = random_pattern(rng, n)
-        path = write(tmp_path, f"v{k}.txt", render(rng, token_grid(rng, pattern)))
+        yield write(tmp_path, f"v{k}.txt", render(rng, token_grid(rng, pattern)))
+
+
+def corrupted_files(tmp_path, seed):
+    rng = np.random.default_rng([53, seed])
+    for k in range(50):
+        n = int(rng.choice([1, 2, 3, 4, 6, 9, 13, 30]))
+        grid = token_grid(rng, random_pattern(rng, n))
+        header = corrupt(rng, grid)
+        yield write(tmp_path, f"c{k}.txt", render(rng, grid, header))
+
+
+def large_files(tmp_path, n, files):
+    """``files`` files of ``n`` rows, every other one corrupted."""
+    rng = np.random.default_rng([71, n])
+    for k in range(files):
+        grid = token_grid(rng, random_pattern(rng, n))
+        header = corrupt(rng, grid) if k % 2 else None
+        yield write(tmp_path, f"b{k}.txt", render(rng, grid, header))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_valid_files_match_reference(tmp_path, seed):
+    for path in valid_files(tmp_path, seed):
         got = outcome(parse_partial, path)
         assert got[0] == "ok"
         assert got == outcome(reference_parse, path)
@@ -145,13 +170,8 @@ def test_dense_and_empty_patterns_match_reference(tmp_path):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_corrupted_files_match_reference(tmp_path, seed):
-    rng = np.random.default_rng([53, seed])
     kinds = set()
-    for k in range(50):
-        n = int(rng.choice([1, 2, 3, 4, 6, 9, 13, 30]))
-        grid = token_grid(rng, random_pattern(rng, n))
-        header = corrupt(rng, grid)
-        path = write(tmp_path, f"c{k}.txt", render(rng, grid, header))
+    for path in corrupted_files(tmp_path, seed):
         want = outcome(reference_parse, path)
         assert outcome(parse_partial, path) == want, path
         kinds.add(want[1].__name__ if want[0] == "error" else "ok")
@@ -215,7 +235,7 @@ def test_format_parse_roundtrip(tmp_path_factory, pm):
     }
 
 
-# --- the byte-array path: files with at least cli._BULK_MISSING "?" ----------
+# --- the byte-array path: ASCII files with at least cli._BULK_MISSING "?" ----
 
 
 @pytest.fixture
@@ -260,22 +280,41 @@ def test_byte_order_mark_elsewhere_is_a_bad_entry(tmp_path, tokenized):
     assert tokenized == []
 
 
-@pytest.mark.parametrize("n, files", [(60, 8), (200, 4), (400, 2)])
+LARGE = [(60, 8), (200, 4), (400, 2)]
+
+
+@pytest.mark.parametrize("n, files", LARGE)
 def test_large_files_match_reference(tmp_path, tokenized, n, files):
-    rng = np.random.default_rng([71, n])
     ran = 0
-    for k in range(files):
-        grid = token_grid(rng, random_pattern(rng, n))
-        header = corrupt(rng, grid) if k % 2 else None
-        text = render(rng, grid, header)
-        path = write(tmp_path, f"b{k}.txt", text)
+    for k, path in enumerate(large_files(tmp_path, n, files)):
         tokenized.clear()
         got = outcome(parse_partial, path)
         assert got == outcome(reference_parse, path), path
-        bulk = text.count("?") >= cli._BULK_MISSING
-        assert len(tokenized) == bulk if header is None else len(tokenized) <= bulk
+        bulk = Path(path).read_text(encoding="utf-8").count("?") >= cli._BULK_MISSING
+        assert len(tokenized) == bulk if k % 2 == 0 else len(tokenized) <= bulk
         ran += len(tokenized)
     assert ran >= files // 2
+
+
+CORPORA = {
+    "valid": [(valid_files, seed) for seed in range(6)],
+    "corrupted": [(corrupted_files, seed) for seed in range(8)],
+    "large": [(large_files, *sizes) for sizes in LARGE],
+}
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+@pytest.mark.parametrize("threshold", [0, sys.maxsize], ids=["tokenized", "row_by_row"])
+def test_each_reader_alone_matches_reference(tmp_path, monkeypatch, tokenized, corpus, threshold):
+    # 0 tokenizes every file whose header holds, "?"-free ones too; sys.maxsize none
+    monkeypatch.setattr(cli, "_BULK_MISSING", threshold)
+    for files, *args in CORPORA[corpus]:
+        for path in files(tmp_path, *args):
+            tokenized.clear()
+            got = outcome(parse_partial, path)
+            assert got == outcome(reference_parse, path), path
+            once = threshold == 0  # every corpus file is ASCII
+            assert len(tokenized) == once if got[0] == "ok" else len(tokenized) <= once
 
 
 @pytest.mark.parametrize(
@@ -287,7 +326,7 @@ def test_separators_in_rows_with_a_question_mark(tmp_path, tokenized, sep):
     assert sep in text
     path = write(tmp_path, "s.txt", text)
     got = outcome(parse_partial, path)
-    assert tokenized == [40 if sep.isascii() else 39]  # a non-ASCII row is read by _row
+    assert tokenized == ([40] if sep.isascii() else [])  # a non-ASCII row: read by _row
     assert got == outcome(reference_parse, path)
     assert got[2] == {(i, i): "1.0" for i in range(1, 41)}
 
@@ -300,7 +339,7 @@ def test_non_ascii_digit_is_converted_from_its_str(tmp_path, tokenized):
     grid[7][7] = "\u0661"
     path = write(tmp_path, "d.txt", text_of(grid))
     got = outcome(parse_partial, path)
-    assert tokenized == [39]
+    assert tokenized == []
     assert got == outcome(reference_parse, path)
     assert got[2][8, 8] == "1.0"
 
@@ -357,8 +396,8 @@ def test_comments_blank_lines_and_signed_zero(tmp_path, tokenized):
 @pytest.mark.parametrize(
     "short, bad, want, runs",
     [
-        (2, 4, ("expected 40 entries in row 3, got 39 (line 4)", 4, None), [4]),  # ? row first
-        (4, 2, ("bad entry 'x' (line 4, column 40)", 4, 40), [2]),  # the dense row first
+        (2, 4, ("expected 40 entries in row 3, got 39 (line 4)", 4, None), [40]),  # ? row first
+        (4, 2, ("bad entry 'x' (line 4, column 40)", 4, 40), [40]),  # the dense row first
     ],
 )
 def test_first_faulty_row_wins_across_paths(tmp_path, tokenized, short, bad, want, runs):
@@ -367,6 +406,18 @@ def test_first_faulty_row_wins_across_paths(tmp_path, tokenized, short, bad, wan
     grid[bad] = ["1"] * 39 + ["x"]  # a bad token in a row without "?"
     path = write(tmp_path, "f.txt", text_of(grid))
     got = outcome(parse_partial, path)
-    assert tokenized == runs  # the ? rows before the row without "?" that fails
+    assert tokenized == runs  # all 40 rows, then read again by _row
     assert got == outcome(reference_parse, path)
     assert got == ("error", ParseError, *want)
+
+
+def test_a_row_without_a_question_mark_is_tokenized(tmp_path, tokenized):
+    grid = identity_grid(40)
+    for j in range(40):
+        if j != 4:
+            grid[4][j] = grid[j][4] = "0.25"
+    path = write(tmp_path, "g.txt", text_of(grid))
+    got = outcome(parse_partial, path)
+    assert tokenized == [40]
+    assert got == outcome(reference_parse, path)
+    assert got[0] == "ok" and got[2][1, 5] == got[2][5, 40] == "0.25"

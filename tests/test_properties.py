@@ -7,12 +7,16 @@ clique-spectrum pass and must agree with ``conftest.reference_partial_order``,
 the four-pass order over the difference and its negated copy.  A partial
 matrix printed by ``format_partial`` parses back bit for bit, the parser and
 the dict constructor build equal matrices, and the dense view and the
-formatters match the per-entry references in ``conftest``.  All run under
-the derandomized ``pgm`` profile.
+formatters match the per-entry references in ``conftest``.  On random
+rings the completion's verdict obeys ``conftest.cycle_margin``, the cycle
+condition, which must equal a search of every odd edge set.  All run
+under the derandomized ``pgm`` profile.
 """
 
+import math
 import os
 import tempfile
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -34,7 +38,10 @@ from pgm import (
     single_entry_interval,
 )
 from pgm.cli import _human_matrix, format_matrix, format_partial, parse_partial
+from pgm.errors import NotCompletable
 from conftest import (
+    cycle_margin,
+    frustrated_ring,
     rand_chordal_pattern,
     rand_partial_pd,
     rand_spd,
@@ -224,3 +231,42 @@ def dense_matrices(draw):
 def test_formatters_match_per_entry_references(m):
     assert format_matrix(m) == reference_format_matrix(m)
     assert _human_matrix(m) == reference_human_matrix(m)
+
+
+@given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1))
+def test_cycle_margin_is_the_worst_odd_edge_set(n, seed):
+    theta = np.random.default_rng(seed).uniform(0.0, math.pi, n)
+    worst = max(
+        2.0 * theta[list(odd)].sum() - theta.sum() - (size - 1) * math.pi
+        for size in range(1, n + 1, 2)
+        for odd in combinations(range(n), size)
+    )
+    assert cycle_margin(theta) == pytest.approx(worst, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, sign", [(22, 1.0), (23, -1.0)])
+def test_cycle_margin_of_the_frustrated_ring(n, sign):
+    """``n arccos 0.99 > pi`` first at ``n = 23``: the margin changes sign there."""
+    a = frustrated_ring(n).to_dense(0.0)
+    theta = np.arccos([a[k, (k + 1) % n] for k in range(n)])
+    assert np.sign(cycle_margin(theta)) == sign
+
+
+@given(n=st.integers(4, 11), seed=st.integers(0, 2**32 - 1))
+def test_completion_verdicts_obey_the_cycle_condition(n, seed):
+    """A converged completion only on a ring the condition calls completable, and
+    ``NotCompletable`` only on one it does not.  An unconverged report is allowed
+    either way: near the boundary the clique sweeps are slow to settle."""
+    theta = np.random.default_rng(seed).uniform(0.0, math.pi, n)
+    margin = cycle_margin(theta)
+    assume(abs(margin) >= 1e-3)
+    full = np.eye(n)
+    for k, t in enumerate(theta):
+        full[k, (k + 1) % n] = full[(k + 1) % n, k] = math.cos(t)
+    ring = project(full, Pattern.from_pairs(n, [(k, k % n + 1) for k in range(1, n + 1)]))
+    try:
+        report = max_det_completion(ring, max_cycles=50)
+    except NotCompletable:
+        assert margin > 0
+    else:
+        assert margin < 0 or not report.converged
