@@ -2,10 +2,11 @@
 """Maximum-determinant completion and its certificates.
 
 For a single free entry the PD completions form an open interval whose
-center maximizes the determinant.  With many free entries, setting each
-maximal-clique block of the pattern in turn to its specified values
-(clique-wise ascent) reaches the unique global max-det completion, in a
-single pass when the pattern is chordal.  It is certified by the inverse
+center maximizes the determinant.  With many free entries, on a chordal
+pattern a closed form fills the unique global max-det completion in one
+pass along a perfect clique sequence; on other patterns, setting each
+maximal-clique block in turn to its specified values (clique-wise
+ascent) converges to it.  It is certified by the inverse
 vanishing at every unspecified position (for a Gaussian, that is the
 maximum-entropy completion: absent entries carry no conditional
 dependence).

@@ -23,6 +23,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -458,15 +459,17 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        # looked up per call, not bound into the cached parser, so a replaced cmd_* runs
-        return globals()[f"cmd_{args.command}"](args)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PgmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # a library warning shown is one line, as errors are
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            # looked up per call, not bound into the cached parser, so a replaced cmd_* runs
+            return globals()[f"cmd_{args.command}"](args)
+        except (ParseError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except PgmError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 def entry_point():

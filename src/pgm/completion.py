@@ -2,24 +2,19 @@
 
 The maximum-determinant completion of a partial positive definite matrix
 ``A`` is the unique completion whose inverse vanishes at every
-unspecified position.  It is reached by block coordinate ascent on the
-covariance over the maximal cliques of the pattern (iterative
-proportional scaling, Speed and Kiiveri 1986): starting from
-``M = diag(A)``, each clique ``C`` in turn gets
+unspecified position.  On a chordal pattern it has a closed form along a
+perfect clique sequence (Dempster 1972; Grone, Johnson, Sa and Wolkowicz
+1984), filled in one pass; its inverse is ``sum_j [A_CC^-1] - sum_j
+[A_SS^-1]`` over the cliques ``C`` and their separators ``S``, padded.
+Other patterns take iterative proportional scaling (Speed and Kiiveri
+1986): from ``M = diag(A)``, each maximal clique ``C`` in turn gets
 
     M <- M + M[:, C] M_CC^{-1} (A_CC - M_CC) M_CC^{-1} M[C, :],
 
-which sets ``M_CC = A_CC``, keeps ``M`` positive definite and adds
-``A_CC^{-1} - M_CC^{-1}`` to ``M^{-1}`` on the clique block, so the
-inverse stays supported on the pattern.  On a chordal pattern one sweep
-over the cliques in perfect-sequence order is the closed form of Grone,
-Johnson, Sa and Wolkowicz (1984).
-
-Two certificates end the iteration: the inverse-zero residual of the
-completion (it is the maximum-determinant one), or a positive definite
-``K = M^{-1}`` supported on the pattern with ``sum_E K_ij A_ij <= 0``
-(no positive definite completion exists, since ``tr(K X) > 0`` for every
-``X > 0``).
+which sets ``M_CC = A_CC`` and keeps ``M`` positive definite and ``M^{-1}``
+supported on the pattern, until the inverse-zero residual is small or a
+positive definite ``K = M^{-1}`` on the pattern has ``sum_E K_ij A_ij <= 0``
+(no PD completion exists, since ``tr(K X) > 0`` for every ``X > 0``).
 
 The single-entry subproblem also has a closed form: permuting a
 symmetric matrix so the free position lands at the corner,
@@ -139,16 +134,13 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
 def max_det_completion(pm, tol=1e-10, max_cycles=500):
     """Maximum-determinant positive definite completion.
 
-    Sweeps the clique update of the module docstring over the maximal
-    cliques, in perfect-sequence order when the pattern is chordal, so
-    that chordal patterns finish after one sweep.  After each sweep the
-    specified entries are written back into a copy of the iterate, which
-    is returned once it is positive definite and its inverse vanishes
-    (relative to ``||M^{-1}|| = 1 / lambda_min``) at every unspecified
-    position; one spectrum of the iterate gives both tests.  When the
-    iterate's inverse ``K`` instead certifies that no positive definite
-    completion exists (``sum_E K_ij A_ij <= 0``), :class:`NotCompletable`
-    is raised.
+    On a chordal pattern the closed form of the module docstring, in one pass
+    (``iterations == 1``), else sweeps of the clique update.  The result, its
+    specified entries written back, is returned once it is positive definite and
+    its inverse vanishes (relative to ``||M^{-1}|| = 1 / lambda_min``) at every
+    unspecified position; one spectrum gives both tests and the log-determinant.
+    A sweep whose ``K`` certifies that no PD completion exists raises
+    :class:`NotCompletable`.
 
     Parameters
     ----------
@@ -172,11 +164,13 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
             matrix=sym(a), log_determinant=float(np.linalg.slogdet(a)[1]),
             iterations=0, residual=0.0, converged=True,
         )
-    index = [np.ix_(c, c) for c in cliques]
+    _, order, _, separators = pm.pattern._mcs
+    index = [np.ix_(c, c) for c in cliques] if separators is None else []  # chordal: no sweep
     blocks = [a[ix] for ix in index]
     m = np.diag(np.diag(a))
-    converged = False
     for cycles in range(1, max_cycles + 1):
+        if separators is not None:  # chordal: the closed form, one pass
+            m = _closed_form(a, order[::-1], cliques, separators)
         for c, ix, block in zip(cliques, index, blocks):
             m_cc = m[ix]
             w = np.linalg.solve(m_cc, m[c])
@@ -184,8 +178,8 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
         x = np.where(spec, a, sym(m))
         residual = np.abs(np.linalg.inv(x)[~spec]).max()
         lam = _eigh(x, vectors=False)
-        if _definite(lam, DEFAULT_TOL) and residual * lam[0] <= tol:
-            converged = True
+        converged = bool(_definite(lam, DEFAULT_TOL) and residual * lam[0] <= tol)
+        if converged or separators is not None:
             break
         k = np.where(spec, np.linalg.inv(m), 0.0)
         trace_ka = float(np.sum(k * a))
@@ -199,6 +193,31 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
         matrix=x, log_determinant=float(np.log(lam).sum()) if lam[0] > 0 else np.nan,
         iterations=cycles, residual=float(residual), converged=converged,
     )
+
+
+def _closed_form(a, visit, cliques, separators):
+    """The max-det completion on a chordal pattern, along its perfect clique sequence in
+    ``visit`` order.  Clique ``C_j`` meets the earlier ones in ``S_j`` and adds ``R_j``, the
+    vertices visited since ``C_{j-1}``; given ``S_j``, the completion makes ``R_j`` independent
+    of the vertices ``U`` visited before: ``X_RU = W^T X_SU``, ``W = A_SS^-1 A_SR`` (0 if
+    ``S_j`` is empty), one stacked ``solve`` per shape ``(|S|, |R|)``.  ``X_RS`` comes out
+    as ``A_RS`` up to round-off; the caller writes the specified entries back."""
+    pos = np.argsort(visit)
+    x = a[np.ix_(visit, visit)]
+    ends = np.cumsum([len(c) - len(s) for c, s in zip(cliques, separators)])
+    steps = [(pos[list(s)], end - len(c) + len(s), end)
+             for c, s, end in zip(cliques, separators, ends) if s]
+    shapes, w = {}, {}
+    for j, (sp, start, end) in enumerate(steps):
+        shapes.setdefault((len(sp), end - start), []).append(j)
+    for js in shapes.values():
+        s = np.array([steps[j][0] for j in js])
+        r = np.array([np.arange(*steps[j][1:]) for j in js])
+        w.update(zip(js, np.linalg.solve(x[s[..., None], s[:, None]], x[s[..., None], r[:, None]])))
+    for j, (sp, start, end) in enumerate(steps):
+        x[start:end, :start] = block = w[j].T @ x[sp, :start]
+        x[:start, start:end] = block.T
+    return x[np.ix_(pos, pos)]
 
 
 def feasibility_range(pm):

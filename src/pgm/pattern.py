@@ -13,6 +13,7 @@ set is derived from it when a pattern is built from a mask.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -86,36 +87,31 @@ class Pattern:
 
     @cached_property
     def _mcs(self):
-        """0-based adjacency sets, MCS order and its PEO verdict, once per pattern."""
+        """One maximum-cardinality search: 0-based adjacency sets, the elimination order
+        (the reversed visit order) and, if it is perfect, the clique sequence and its
+        separators ``S_j = C_j ∩ (C_1 ∪ … ∪ C_{j-1})``, else ``None, None``.  A vertex and
+        its earlier-visited neighbors form a clique, maximal exactly when the next vertex
+        has no more of them (Blair and Peyton); those of the next vertex are the separator."""
         adj = _adjacency(self)
-        order = _mcs_order(adj, self.n)
-        return adj, order, _is_peo(adj, order)
+        visit, earlier = _mcs_visit(adj, self.n)
+        # perfect: the earlier neighbors of each v all neighbor the last one visited
+        if not all(adj[e[-1]].issuperset(e[:-1]) for e in earlier if e):
+            return adj, visit[::-1], None, None
+        weights = [len(earlier[v]) for v in visit] + [0]
+        ends = [k for k in range(self.n) if weights[k + 1] <= weights[k]]
+        cliques = tuple(tuple(sorted((visit[k], *earlier[visit[k]]))) for k in ends)
+        seps = tuple(tuple(sorted(earlier[visit[k]])) for k in [0, *(k + 1 for k in ends[:-1])])
+        return adj, visit[::-1], cliques, seps
 
     @cached_property
     def _clique_sequence(self):
-        """Maximal cliques from the one maximum-cardinality search.
-
-        Each clique is a sorted tuple of 0-based vertices.  For a chordal
-        pattern the cliques come in MCS visit order, which is a perfect
-        sequence: each clique meets the union of the ones before it inside
-        a single earlier clique.  Visiting ``v`` with its already-visited
-        neighbors gives a candidate clique, and a candidate is maximal
-        exactly when the next vertex has no more visited neighbors than
-        ``v`` (Blair and Peyton).  Non-chordal patterns fall back to
-        Bron-Kerbosch with pivoting.
-        """
+        """Maximal cliques as sorted tuples of 0-based vertices: for a chordal pattern the
+        perfect sequence of ``_mcs``, in visit order (each clique meets the union of the
+        earlier ones in its separator, inside one earlier clique), else Bron-Kerbosch."""
         if self.is_complete:  # its one clique, without a search
             return (tuple(range(self.n)),)
-        adj, order, chordal = self._mcs
-        if not chordal:
-            return tuple(_bron_kerbosch(adj, self.n))
-        pos = {v: k for k, v in enumerate(order)}
-        candidates = [(v, *(u for u in adj[v] if pos[u] > pos[v])) for v in reversed(order)]
-        return tuple(
-            tuple(sorted(c))
-            for c, after in zip(candidates, candidates[1:] + [()])
-            if len(after) <= len(c)
-        )
+        adj, _, cliques, _ = self._mcs
+        return cliques if cliques is not None else tuple(_bron_kerbosch(adj, self.n))
 
 
 def _upper(mask, k=0):
@@ -154,34 +150,27 @@ def _adjacency(g):
     return adj
 
 
-def _mcs_order(adj, n):
-    """Maximum-cardinality search; returns a candidate elimination order.
+def _mcs_visit(adj, n):
+    """Maximum-cardinality search: the visit order and, per vertex, its neighbors
+    visited before it, in visit order (their count is its weight).
 
-    Each step visits the unvisited vertex with the most visited
-    neighbors, the smallest one on ties (``argmax`` returns the first).
-    """
-    weight = np.zeros(n)
-    picks = []
-    for _ in range(n):
-        v = int(np.argmax(weight))
-        weight[v] = -np.inf
-        weight[list(adj[v])] += 1.0
-        picks.append(v)
-    picks.reverse()
-    return picks
-
-
-def _is_peo(adj, order):
-    """Check the perfect-elimination property of a vertex order."""
-    pos = {v: k for k, v in enumerate(order)}
-    for v in order:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
-        if not later:
+    Each step visits the heaviest unvisited vertex, the smallest on ties: a lazy heap
+    of ``(-weight, v)``, packed in one int as ``v - weight * n``.  A vertex's fresh key
+    pops before its stale ones, which are skipped once it is visited."""
+    earlier = [[] for _ in range(n)]
+    heap = list(range(n))  # every weight 0: sorted, so already a heap
+    visit, seen = [], [False] * n
+    while heap:
+        v = heapq.heappop(heap) % n
+        if seen[v]:
             continue
-        u = min(later, key=pos.__getitem__)
-        if not set(later) - {u} <= adj[u]:
-            return False
-    return True
+        seen[v] = True
+        visit.append(v)
+        for u in adj[v]:
+            if not seen[u]:
+                earlier[u].append(v)
+                heapq.heappush(heap, u - len(earlier[u]) * n)
+    return visit, earlier
 
 
 def _shortest_path(adj, start, goal, blocked):
@@ -237,8 +226,8 @@ def is_chordal(g):
     >= 4 is extracted as counter-witness.  A pattern admits positive definite
     completions of every partial positive definite matrix exactly when it is chordal.
     """
-    adj, order, chordal = g._mcs
-    if chordal:
+    adj, order, cliques, _ = g._mcs
+    if cliques is not None:
         return ChordalityResult(
             chordal=True,
             elimination_order=tuple(v + 1 for v in order),

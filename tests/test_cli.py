@@ -627,6 +627,21 @@ class TestOptionValidation:
             partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), 5, 0.5, DEFAULT_TOL)
 
 
+class TestOffGeodesicWarning:
+    """A ``t`` outside [0, 1] prints one ``warning:`` line, like the ``error:`` lines,
+    not a Python warning with its source line, and the command still succeeds."""
+
+    @pytest.mark.filterwarnings("default::UserWarning")  # the filter a plain run has
+    @pytest.mark.parametrize("command", ["geomean", "entropy", "sweep"])
+    def test_one_line_on_stderr(self, tmp_path, capsys, command):
+        files = [write(tmp_path, "a.txt", EX1_A_TEXT), write(tmp_path, "b.txt", EX1_B_TEXT)]
+        out = ["--out", str(tmp_path / "s.csv")] if command == "sweep" else []
+        assert main([command, *files, "--t", "1.5", *out]) == 0
+        assert capsys.readouterr().err == (
+            "warning: geomean parameter t = 1.5 lies outside [0, 1]; extending the geodesic\n"
+        )
+
+
 def _banded(n, width):
     return Pattern.from_pairs(
         n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, min(n, i + width) + 1)]
@@ -658,7 +673,7 @@ class TestCheckWork:
         path = write(tmp_path, "w.txt", format_partial(PartialMatrix(pattern=g, values=values)))
         sizes = {len(c) for c in maximal_cliques(g)}
         calls = {"mcs": 0, "eigh": 0}
-        real_mcs, real_eigh = pattern._mcs_order, linalg._eigh
+        real_mcs, real_eigh = pattern._mcs_visit, linalg._eigh
 
         def mcs(*args):
             calls["mcs"] += 1
@@ -668,7 +683,7 @@ class TestCheckWork:
             calls["eigh"] += 1
             return real_eigh(*args, **kwargs)
 
-        monkeypatch.setattr(pattern, "_mcs_order", mcs)
+        monkeypatch.setattr(pattern, "_mcs_visit", mcs)
         monkeypatch.setattr(linalg, "_eigh", eigh)
         assert main(["check", path]) == 0
         out = capsys.readouterr().out

@@ -258,6 +258,24 @@ class TestMaxDetCompletion:
         rep = max_det_completion(ex1_partial_a())
         assert (rep.iterations, rep.converged, calls["eig"]) == (1, True, 2)
 
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_chordal_closed_form_makes_no_call_per_clique(self, monkeypatch, n):
+        # band-2: n - 2 cliques of size 3, separators of size 2 after the first.  One
+        # stacked solve covers every separator, and the n x n calls are the residual's
+        # inv and the PD test's spectrum, whatever the clique count
+        calls = []
+        for name in ("inv", "solve", "eigh", "eigvalsh", "slogdet", "det", "cholesky"):
+            def counted(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, min(n, i + 2) + 1)]
+        rep = max_det_completion(project(_circulant(n, 0.5), Pattern.from_pairs(n, pairs)))
+        assert (rep.iterations, rep.converged) == (1, True)
+        assert sorted(name for name, shape in calls if shape[-1] == n) == ["eigvalsh", "inv"]
+        assert [shape for name, shape in calls if name == "solve"] == [(n - 3, 2, 2)]
+
     def test_partial_pd_check_one_eigensolve_per_size(self, monkeypatch):
         # band-2, n = 40: 38 cliques of size 3, the last one in the sweep
         # order indefinite, so the check fails after testing every block

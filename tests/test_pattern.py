@@ -2,7 +2,10 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pgm import (
     PartialMatrix,
@@ -144,11 +147,65 @@ class TestMaximalCliques:
 
     def test_complete_matrix_completes_without_search(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(pattern, "_mcs_order", lambda *args: calls.append(args))
+        monkeypatch.setattr(pattern, "_mcs_visit", lambda *args: calls.append(args))
         g = Pattern.complete(4)
         values = {(i, j): 1.0 if i == j else 0.1 for i, j in g.edges}
         assert max_det_completion(PartialMatrix(pattern=g, values=values)).converged
         assert calls == []
+
+
+def _disjoint_union(rng, g, h):
+    """``g`` and ``h`` side by side, vertices relabeled at random."""
+    relabel = rng.permutation(g.n + h.n) + 1
+    pairs = [(i, j) for i, j in g.edges if i < j]
+    pairs += [(g.n + i, g.n + j) for i, j in h.edges if i < j]
+    return Pattern.from_pairs(g.n + h.n, [(int(relabel[i - 1]), int(relabel[j - 1]))
+                                          for i, j in pairs])
+
+
+@st.composite
+def search_patterns(draw):
+    """Chordal, random (mostly non-chordal), disconnected, edgeless or one-vertex."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = rng.choice(["chordal", "random", "random", "disconnected", "edgeless", "one"])
+    n = int(rng.integers(2, 10))
+    if kind == "chordal":
+        return rand_chordal_pattern(rng, n, fill=float(rng.uniform(0.2, 1.0)))
+    if kind == "random":
+        return random_pattern(rng, n + 2, p=float(rng.uniform(0.2, 0.6)))
+    if kind == "disconnected":
+        m = int(rng.integers(1, n))
+        return _disjoint_union(rng, rand_chordal_pattern(rng, m), random_pattern(rng, n - m))
+    return Pattern.from_pairs(n if kind == "edgeless" else 1)
+
+
+class TestSearch:
+    """The heap search and the clique sequence it yields, against plain-loop and
+    brute-force oracles."""
+
+    @given(g=search_patterns())
+    def test_order_and_records_match_the_reference(self, g):
+        adj = pattern._adjacency(g)
+        visit, earlier = pattern._mcs_visit(adj, g.n)
+        assert tuple(v + 1 for v in reversed(visit)) == reference_mcs_order(g)
+        step = {v: k for k, v in enumerate(visit)}
+        for v in range(g.n):  # each vertex's neighbors visited before it, in visit order
+            assert earlier[v] == sorted((u for u in adj[v] if step[u] < step[v]), key=step.get)
+
+    @given(g=search_patterns())
+    def test_perfect_sequence_with_brute_force_separators(self, g):
+        _, _, cliques, separators = g._mcs
+        if brute_force_has_hole(g):
+            assert (cliques, separators) == (None, None)
+            return
+        as_sets = [{v + 1 for v in c} for c in cliques]
+        assert sorted(tuple(sorted(c)) for c in as_sets) == brute_force_maximal_cliques(g)
+        seen = set()
+        for j, (clique, separator) in enumerate(zip(as_sets, separators)):
+            assert {v + 1 for v in separator} == clique & seen
+            # running intersection: the separator lies inside one earlier clique
+            assert j == 0 or any(clique & seen <= earlier for earlier in as_sets[:j])
+            seen |= clique
 
 
 class TestMissingPositions:

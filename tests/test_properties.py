@@ -42,6 +42,7 @@ from pgm.errors import NotCompletable
 from conftest import (
     cycle_margin,
     frustrated_ring,
+    maxdet_oracle,
     rand_chordal_pattern,
     rand_partial_pd,
     rand_spd,
@@ -67,6 +68,40 @@ def partial_pd_matrices(draw):
         g = Pattern.from_pairs(n, pairs)
     assume(missing_positions(g))
     return rand_partial_pd(rng, g)
+
+
+@st.composite
+def ill_conditioned_chordal(draw):
+    """A partial PD matrix on a random chordal pattern with a missing entry, half of
+    them two chordal parts side by side (so a separator is empty), projected from a
+    random SPD matrix whose condition number is up to 1e8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 9))
+    g = rand_chordal_pattern(rng, n, fill=float(rng.uniform(0.2, 1.0)))
+    if draw(st.booleans()):
+        h = rand_chordal_pattern(rng, int(rng.integers(1, 5)))
+        pairs = [(i, j) for i, j in g.edges if i < j]
+        pairs += [(n + i, n + j) for i, j in h.edges if i < j]
+        g = Pattern.from_pairs(n + h.n, pairs)
+    assume(missing_positions(g))
+    kappa = draw(st.floats(1.0, 1e8))
+    return rand_partial_pd(rng, g, spread=0.5 * math.log(kappa))
+
+
+@given(pm=ill_conditioned_chordal())
+def test_chordal_closed_form_matches_the_oracle(pm):
+    report = max_det_completion(pm)
+    expected = maxdet_oracle(pm)
+    assert (report.iterations, report.converged) == (1, True)
+    assert np.abs(report.matrix - expected).max() <= 1e-8 * np.abs(expected).max()
+    assert agrees(report.matrix, pm, tol=0.0)
+    log_det = np.linalg.slogdet(report.matrix)[1]
+    assert abs(report.log_determinant - log_det) <= 1e-10 * max(1.0, abs(log_det))
+    # the certificate: the inverse vanishes off the pattern, relative to 1 / lambda_min
+    lam_min = np.linalg.eigvalsh(report.matrix)[0]
+    off = np.abs(np.linalg.inv(report.matrix)[~pm.pattern._mask]).max()
+    assert report.residual == pytest.approx(off, rel=1e-6, abs=1e-300)
+    assert off * lam_min <= 1e-10
 
 
 @given(pm=partial_pd_matrices(), ratio=st.floats(1e-6, 1.0, exclude_max=True))
