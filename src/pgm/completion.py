@@ -46,7 +46,6 @@ from .linalg import DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _eigh, 
 from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
-    maximal_cliques,
     missing_positions,
 )
 
@@ -134,13 +133,11 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
 def max_det_completion(pm, tol=1e-10, max_cycles=500):
     """Maximum-determinant positive definite completion.
 
-    On a chordal pattern the closed form of the module docstring, in one pass
-    (``iterations == 1``), else sweeps of the clique update.  The result, its
-    specified entries written back, is returned once it is positive definite and
-    its inverse vanishes (relative to ``||M^{-1}|| = 1 / lambda_min``) at every
-    unspecified position; one spectrum gives both tests and the log-determinant.
-    A sweep whose ``K`` certifies that no PD completion exists raises
-    :class:`NotCompletable`.
+    The path is picked once: a complete pattern returns its matrix as given
+    (``iterations == 0``), a chordal one the closed form of the module docstring
+    (``iterations == 1``), any other sweeps of the clique update until
+    :func:`_certify` reports convergence.  A sweep whose ``K`` certifies that no
+    PD completion exists raises :class:`NotCompletable`.
 
     Parameters
     ----------
@@ -161,25 +158,22 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
     _require_partial_pd(a, cliques, DEFAULT_TOL)
     if pm.pattern.is_complete:
         return CompletionReport(
-            matrix=sym(a), log_determinant=float(np.linalg.slogdet(a)[1]),
+            matrix=a, log_determinant=float(np.linalg.slogdet(a)[1]),
             iterations=0, residual=0.0, converged=True,
         )
-    _, order, _, separators = pm.pattern._mcs
-    index = [np.ix_(c, c) for c in cliques] if separators is None else []  # chordal: no sweep
+    _, visit, _, separators = pm.pattern._mcs
+    if separators is not None:
+        return _certify(_closed_form(a, visit, cliques, separators), a, spec, 1, tol)
+    index = [np.ix_(c, c) for c in cliques]
     blocks = [a[ix] for ix in index]
     m = np.diag(np.diag(a))
     for cycles in range(1, max_cycles + 1):
-        if separators is not None:  # chordal: the closed form, one pass
-            m = _closed_form(a, order[::-1], cliques, separators)
         for c, ix, block in zip(cliques, index, blocks):
             m_cc = m[ix]
             w = np.linalg.solve(m_cc, m[c])
             m += w.T @ (block - m_cc) @ w
-        x = np.where(spec, a, sym(m))
-        residual = np.abs(np.linalg.inv(x)[~spec]).max()
-        lam = _eigh(x, vectors=False)
-        converged = bool(_definite(lam, DEFAULT_TOL) and residual * lam[0] <= tol)
-        if converged or separators is not None:
+        report = _certify(sym(m), a, spec, cycles, tol)
+        if report.converged:
             break
         k = np.where(spec, np.linalg.inv(m), 0.0)
         trace_ka = float(np.sum(k * a))
@@ -189,19 +183,30 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
                 f"and supported on the pattern, yet sum_E K_ij A_ij = {trace_ka:.3g} <= 0, "
                 "while tr(K X) > 0 for every positive definite X"
             )
-    return CompletionReport(  # lam: the spectrum of x
+    return report
+
+
+def _certify(fill, a, spec, iterations, tol):
+    """The report of the symmetric ``fill`` with the specified entries of ``a`` written back:
+    one ``inv`` gives the inverse-zero residual, one spectrum the PD test, the convergence
+    test ``residual * lambda_min <= tol`` and the log-determinant."""
+    x = np.where(spec, a, fill)
+    residual = np.abs(np.linalg.inv(x)[~spec]).max()
+    lam = _eigh(x, vectors=False)
+    return CompletionReport(
         matrix=x, log_determinant=float(np.log(lam).sum()) if lam[0] > 0 else np.nan,
-        iterations=cycles, residual=float(residual), converged=converged,
+        iterations=iterations, residual=float(residual),
+        converged=bool(_definite(lam, DEFAULT_TOL) and residual * lam[0] <= tol),
     )
 
 
 def _closed_form(a, visit, cliques, separators):
-    """The max-det completion on a chordal pattern, along its perfect clique sequence in
-    ``visit`` order.  Clique ``C_j`` meets the earlier ones in ``S_j`` and adds ``R_j``, the
-    vertices visited since ``C_{j-1}``; given ``S_j``, the completion makes ``R_j`` independent
-    of the vertices ``U`` visited before: ``X_RU = W^T X_SU``, ``W = A_SS^-1 A_SR`` (0 if
-    ``S_j`` is empty), one stacked ``solve`` per shape ``(|S|, |R|)``.  ``X_RS`` comes out
-    as ``A_RS`` up to round-off; the caller writes the specified entries back."""
+    """The max-det completion on a chordal pattern, exactly symmetric, along its perfect
+    clique sequence in the search's ``visit`` order.  Clique ``C_j`` meets the earlier
+    ones in ``S_j`` and adds ``R_j``, the vertices visited since ``C_{j-1}``; given
+    ``S_j``, the completion makes ``R_j`` independent of the vertices ``U`` visited
+    before: ``X_RU = W^T X_SU``, ``W = A_SS^-1 A_SR`` (0 if ``S_j`` is empty), one stacked
+    ``solve`` per shape ``(|S|, |R|)``.  ``X_RS`` comes out as ``A_RS`` up to round-off."""
     pos = np.argsort(visit)
     x = a[np.ix_(visit, visit)]
     ends = np.cumsum([len(c) - len(s) for c, s in zip(cliques, separators)])
@@ -236,26 +241,24 @@ def feasibility_range(pm):
 
 
 def partial_entry_bounds(pm, pos, tol=DEFAULT_TOL):
-    """Values at one missing position keeping the partial matrix
-    partial PD (other positions may stay missing).
-
-    Intersects the single-entry intervals of every maximal-clique block
-    that would contain the new entry.  Returns an ``(lower, upper)``
-    pair; for a matrix whose only missing entry is ``pos`` this equals
-    the full feasibility interval.
+    """Values at one missing position keeping the partial matrix partial PD (other
+    positions may stay missing), as a ``(lower, upper)`` pair: the intersection of the
+    single-entry intervals of every maximal-clique block that would contain the new
+    entry, the full feasibility interval if ``pos`` is the only missing entry.  An input
+    that is not partial PD raises :class:`NotPartialPD` naming its first offending clique.
     """
     i, j = sorted(pos)
     if (i, j) in pm.pattern.edges:
         raise ValueError(f"position ({i}, {j}) is already specified")
     extended = Pattern(n=pm.n, edges=frozenset(pm.pattern.edges | {(i, j)}))
     dense = pm.to_dense(0.0)
+    _require_partial_pd(dense, pm.pattern._clique_sequence, tol)
     lo, hi = -np.inf, np.inf
-    for clique in maximal_cliques(extended):
-        if i not in clique or j not in clique:
+    for clique in extended._clique_sequence:
+        if i - 1 not in clique or j - 1 not in clique:
             continue
-        idx = [v - 1 for v in clique]
-        sub = dense[np.ix_(idx, idx)]
-        iv = single_entry_interval(sub, clique.index(i) + 1, clique.index(j) + 1, tol)
+        sub = dense[np.ix_(clique, clique)]
+        iv = single_entry_interval(sub, clique.index(i - 1) + 1, clique.index(j - 1) + 1, tol)
         lo = max(lo, iv.lower)
         hi = min(hi, iv.upper)
     if not lo < hi:

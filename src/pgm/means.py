@@ -240,8 +240,8 @@ class SampleSet:
 
     def scale(self, alpha):
         """Memberwise positive scalar multiple."""
-        if alpha <= 0:
-            raise ValueError("scale factor must be positive")
+        if not 0 < alpha < math.inf:  # NaN fails every comparison
+            raise ValueError(f"scale factor must be positive and finite, got {alpha!r}")
         return SampleSet(tuple(alpha * m for m in self.members))
 
     def inverse(self):
@@ -390,6 +390,8 @@ class WeightVector:
 
     @classmethod
     def uniform(cls, n):
+        if n < 1:
+            raise ValueError(f"uniform weights need at least one weight, got n = {n!r}")
         return cls(weights=(1.0 / n,) * n)
 
     def __len__(self):

@@ -42,6 +42,8 @@ class Pattern:
         if self.n < 1:
             raise ValueError("pattern needs at least one vertex")
         for i, j in self.edges:
+            if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+                raise ValueError(f"edge ({i}, {j}) has a non-integer vertex")
             if not (1 <= i <= j <= self.n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n = {self.n}")
         for i in range(1, self.n + 1):
@@ -87,8 +89,8 @@ class Pattern:
 
     @cached_property
     def _mcs(self):
-        """One maximum-cardinality search: 0-based adjacency sets, the elimination order
-        (the reversed visit order) and, if it is perfect, the clique sequence and its
+        """One maximum-cardinality search: 0-based adjacency sets, the visit order (its
+        reverse is an elimination order) and, if perfect, the clique sequence and its
         separators ``S_j = C_j ∩ (C_1 ∪ … ∪ C_{j-1})``, else ``None, None``.  A vertex and
         its earlier-visited neighbors form a clique, maximal exactly when the next vertex
         has no more of them (Blair and Peyton); those of the next vertex are the separator."""
@@ -96,12 +98,12 @@ class Pattern:
         visit, earlier = _mcs_visit(adj, self.n)
         # perfect: the earlier neighbors of each v all neighbor the last one visited
         if not all(adj[e[-1]].issuperset(e[:-1]) for e in earlier if e):
-            return adj, visit[::-1], None, None
+            return adj, visit, None, None
         weights = [len(earlier[v]) for v in visit] + [0]
         ends = [k for k in range(self.n) if weights[k + 1] <= weights[k]]
         cliques = tuple(tuple(sorted((visit[k], *earlier[visit[k]]))) for k in ends)
         seps = tuple(tuple(sorted(earlier[visit[k]])) for k in [0, *(k + 1 for k in ends[:-1])])
-        return adj, visit[::-1], cliques, seps
+        return adj, visit, cliques, seps
 
     @cached_property
     def _clique_sequence(self):
@@ -175,8 +177,6 @@ def _mcs_visit(adj, n):
 
 def _shortest_path(adj, start, goal, blocked):
     """BFS path from start to goal avoiding ``blocked`` vertices."""
-    if start == goal:
-        return [start]
     parent = {start: None}
     queue = deque([start])
     while queue:
@@ -212,9 +212,9 @@ def _find_chordless_cycle(adj, n):
                     continue
                 blocked = (adj[v] | {v}) - {x, y}
                 path = _shortest_path(adj, x, y, blocked)
-                if path is not None and len(path) >= 3:
+                if path is not None:
                     return (v, *path)
-    return None
+    raise InternalNumerics("PEO check failed but no chordless cycle was found")
 
 
 def is_chordal(g):
@@ -226,20 +226,17 @@ def is_chordal(g):
     >= 4 is extracted as counter-witness.  A pattern admits positive definite
     completions of every partial positive definite matrix exactly when it is chordal.
     """
-    adj, order, cliques, _ = g._mcs
+    adj, visit, cliques, _ = g._mcs
     if cliques is not None:
         return ChordalityResult(
             chordal=True,
-            elimination_order=tuple(v + 1 for v in order),
+            elimination_order=tuple(v + 1 for v in reversed(visit)),
             chordless_cycle=None,
         )
-    cycle = _find_chordless_cycle(adj, g.n)
-    if cycle is None:
-        raise InternalNumerics("PEO check failed but no chordless cycle was found")
     return ChordalityResult(
         chordal=False,
         elimination_order=None,
-        chordless_cycle=tuple(v + 1 for v in cycle),
+        chordless_cycle=tuple(v + 1 for v in _find_chordless_cycle(adj, g.n)),
     )
 
 

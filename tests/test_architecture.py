@@ -278,6 +278,29 @@ def test_completion_consumers_require_convergence():
     assert [name for name, call in calls if call not in checked] == ["cli.cmd_complete"]
 
 
+def test_max_det_completion_picks_its_path_once():
+    """``_closed_form`` is called only by ``max_det_completion``, outside every loop, and a
+    ``CompletionReport`` is built in two places: the complete branch of
+    ``max_det_completion`` and ``_certify``, the one certificate both solvers share."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    closed_forms, reports = [], []
+    for name, node in _functions().items():
+        looped = {id(sub) for loop in ast.walk(node) if isinstance(loop, loops)
+                  for sub in ast.walk(loop)}
+        complete = {id(sub) for branch in ast.walk(node) if isinstance(branch, ast.If)
+                    and "is_complete" in ast.unparse(branch.test)
+                    for stmt in branch.body for sub in ast.walk(stmt)}
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "_closed_form":
+                closed_forms.append((name, id(call) in looped))
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "CompletionReport":
+                reports.append((name, id(call) in complete))
+    assert closed_forms == [("completion.max_det_completion", False)]
+    assert sorted(reports) == [
+        ("completion._certify", False), ("completion.max_det_completion", True),
+    ]
+
+
 def test_no_linear_determinant_in_completion_or_means():
     """Completion and the means work with log-determinants; only the sweep's
     ``det`` column is a linear determinant."""

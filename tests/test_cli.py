@@ -31,7 +31,14 @@ from pgm.cli import (
     parse_partial,
     sweep_csv,
 )
-from pgm.errors import AsymmetricPattern, InternalNumerics, MissingDiagonal, ParseError
+from pgm.errors import (
+    AsymmetricPattern,
+    DimensionMismatch,
+    InternalNumerics,
+    MissingDiagonal,
+    ParseError,
+    PgmError,
+)
 from conftest import (
     ex1_partial_a,
     ex1_partial_b,
@@ -167,6 +174,21 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["complete"])
         assert err.value.code == 2
+
+    def test_check_more_rows_than_n(self, tmp_path, capsys):
+        rc = main(["check", write(tmp_path, "m.txt", "n 2\n1 0\n0 1\n1 1\n")])
+        assert rc == 2
+        assert "more than 2 matrix rows (line 4)" in capsys.readouterr().err
+
+    def test_check_comments_only(self, tmp_path, capsys):
+        rc = main(["check", write(tmp_path, "c.txt", "# one\n# two\n")])
+        assert rc == 2
+        assert "empty input" in capsys.readouterr().err
+
+    def test_entropy_three_files(self, tmp_path, capsys):
+        path = write(tmp_path, "a.txt", EX1_A_TEXT)
+        assert main(["entropy", path, path, path]) == 2
+        assert "error: entropy takes one or two files" in capsys.readouterr().err
 
     def test_sweep_too_many_missing(self, tmp_path, capsys):
         text = "n 3\n1 ? ?\n? 1 0\n? 0 1\n"
@@ -419,6 +441,15 @@ class TestSweep:
         table = partial_geomean_sweep(pa, pb, 31, 0.5, 1e-3)
         np.testing.assert_array_equal(table, np.array(reference_sweep_rows(pa, pb, 31, 0.5, 1e-3)))
         assert np.isnan(table[:, 2]).reshape(31, 31).all(axis=1).any()
+
+    def test_grid_of_one_rejected(self):
+        with pytest.raises(PgmError, match="grid must be at least 2, got 1"):
+            partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), 1, 0.5, DEFAULT_TOL)
+
+    def test_unequal_dimensions_rejected(self):
+        pb = project(np.eye(4), Pattern.complete(4))
+        with pytest.raises(DimensionMismatch, match="dimension mismatch: 3 vs 4"):
+            partial_geomean_sweep(ex1_partial_a(), pb, 11, 0.5, DEFAULT_TOL)
 
     @pytest.mark.parametrize(
         "case, grid",

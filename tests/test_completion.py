@@ -197,6 +197,21 @@ class TestMaxDetCompletion:
         assert rep.determinant == math.inf
         assert rep.log_determinant == pytest.approx(400 * math.log(10.0), rel=1e-13)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "pattern", [Pattern.complete(2), Pattern.from_pairs(3, [(1, 2), (2, 3)])],
+        ids=["complete", "band1"],
+    )
+    def test_huge_diagonal_comes_back_finite(self, pattern):
+        # 1e308 + 1e308 overflows: a fill that is already symmetric is not symmetrized again
+        values = {(i, j): 1e308 if i == j else 1e307 for i, j in pattern.edges}
+        pm = PartialMatrix(pattern=pattern, values=values)
+        rep = max_det_completion(pm)
+        assert np.isfinite(rep.matrix).all() and math.isfinite(rep.log_determinant)
+        assert rep.converged and agrees(rep.matrix, pm, tol=0.0)
+        if pattern.is_complete:
+            np.testing.assert_array_equal(rep.matrix, pm.to_dense())
+
     def test_determinant_nan_for_an_iterate_off_the_pd_cone(self):
         rep = max_det_completion(frustrated_ring(24), max_cycles=1)
         assert not rep.converged
@@ -593,6 +608,22 @@ class TestPartialEntryBounds:
     def test_specified_position_rejected(self):
         with pytest.raises(ValueError):
             partial_entry_bounds(ex1_partial_a(), (1, 2))
+
+    def test_disjoint_clique_intervals(self):
+        # at (1, 2) clique {1, 2, 3} admits (0.62, 1), clique {1, 2, 4} admits (-1, -0.62)
+        g = Pattern.from_pairs(4, [(1, 3), (2, 3), (1, 4), (2, 4)])
+        values = {(i, j): 1.0 if i == j else 0.9 for i, j in g.edges}
+        values[2, 4] = -0.9
+        with pytest.raises(NotPartialPD, match=r"no value at \(1, 2\) keeps the matrix partial PD"):
+            partial_entry_bounds(PartialMatrix(pattern=g, values=values), (1, 2))
+
+    def test_not_partial_pd_names_the_clique(self):
+        g = Pattern.from_pairs(5, [(1, 2), (2, 3), (4, 5), (3, 5)])
+        values = {(i, j): 1.0 if i == j else 0.1 for i, j in g.edges}
+        values[3, 5] = 1.5
+        message = r"not partial PD: clique \{3, 5\} has lambda_min = -5.000e-01"
+        with pytest.raises(NotPartialPD, match=message):
+            partial_entry_bounds(PartialMatrix(pattern=g, values=values), (2, 5))
 
 
 def _ring(n):

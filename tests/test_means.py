@@ -250,6 +250,11 @@ class TestSampleSets:
         with pytest.raises(ValueError):
             SampleSet(())
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_scale_factor_named(self, alpha):
+        with pytest.raises(ValueError, match=f"scale factor must be positive and finite, got {alpha!r}"):
+            SampleSet((np.eye(2),)).scale(alpha)
+
 
 class TestBlockMaxProperty:
     def test_identity(self):
@@ -411,6 +416,10 @@ class TestKarcherMean:
             WeightVector((1.5, -0.5))
         with pytest.raises(ValueError):
             karcher_mean(WeightVector.uniform(2), [np.eye(2)])
+
+    def test_uniform_weights_need_one_weight(self):
+        with pytest.raises(ValueError, match="uniform weights need at least one weight, got n = 0"):
+            WeightVector.uniform(0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weights_named(self, bad):

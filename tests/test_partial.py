@@ -274,6 +274,24 @@ class TestProjectAgrees:
         with pytest.raises(DimensionMismatch):
             project(np.eye(3), Pattern.complete(2))
 
+    def test_conflicting_values_rejected(self):
+        values = {(1, 1): 1.0, (2, 2): 1.0, (1, 2): 0.1, (2, 1): 0.2}
+        with pytest.raises(ValueError, match=r"conflicting values for position \(1, 2\)"):
+            PartialMatrix(pattern=Pattern.from_pairs(2, [(1, 2)]), values=values)
+
+    def test_values_must_cover_the_pattern(self):
+        with pytest.raises(ValueError, match="values must cover exactly the specified positions"):
+            PartialMatrix(pattern=Pattern.from_pairs(2, [(1, 2)]), values={(1, 1): 1.0, (2, 2): 1.0})
+
+    def test_agrees_rejects_a_non_square_matrix(self):
+        with pytest.raises(DimensionMismatch, match=r"expected a square matrix, got shape \(2, 3\)"):
+            agrees(np.eye(3)[:2], matrix_a_chordal_example())
+
+    def test_agrees_rejects_another_dimension(self):
+        pm = project(np.eye(3), Pattern.complete(3))
+        with pytest.raises(DimensionMismatch, match="matrix of dimension 4 vs partial matrix of 3"):
+            agrees(np.eye(4), pm)
+
 
 class TestCompletionConsistency:
     """Partial PSD on a chordal pattern is equivalent to having a PSD

@@ -54,6 +54,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Pattern.from_pairs(2, [(1, 3)])
 
+    def test_no_vertex_rejected(self):
+        with pytest.raises(ValueError, match="pattern needs at least one vertex"):
+            Pattern(n=0, edges=frozenset())
+
+    def test_non_integer_vertex_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(1, 1.5\) has a non-integer vertex"):
+            Pattern(n=2, edges=frozenset({(1, 1), (2, 2), (1, 1.5)}))
+
     def test_complete(self):
         g = Pattern.complete(4)
         assert g.is_complete
