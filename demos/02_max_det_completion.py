@@ -5,8 +5,8 @@ For a single free entry the PD completions form an open interval whose
 center maximizes the determinant.  With many free entries, on a chordal
 pattern a closed form fills the unique global max-det completion in one
 pass along a perfect clique sequence; on other patterns, setting each
-maximal-clique block in turn to its specified values (clique-wise
-ascent) converges to it.  It is certified by the inverse
+maximal-clique block in turn to its specified values (iterative
+proportional scaling) converges to it.  It is certified by the inverse
 vanishing at every unspecified position (for a Gaussian, that is the
 maximum-entropy completion: absent entries carry no conditional
 dependence).
@@ -22,6 +22,7 @@ from pgm import (
     feasibility_range,
     max_det_completion,
     missing_positions,
+    partial_entry_bounds,
 )
 
 pm = PartialMatrix(
@@ -57,6 +58,10 @@ big = PartialMatrix(
 )
 rep = max_det_completion(big)
 print("\nband pattern with missing", missing_positions(big.pattern))
+# One entry at a time: the values at (1,3) that keep the band partial PD
+# while the other missing entries stay missing.
+lo, hi = partial_entry_bounds(big, (1, 3))
+print(f"entry (1,3) alone keeps partial PD for x in ({lo:.6g}, {hi:.6g})")
 print("max determinant %.6g after %d pass over the cliques, residual %.2e"
       % (rep.determinant, rep.iterations, rep.residual))
 inv = np.linalg.inv(rep.matrix)

@@ -265,8 +265,8 @@ def _human_matrix(m):
 
 
 def _determinant_text(log_det):
-    """Report text of ``exp(log_det)``: ``%.6g`` where ``|log_det| < 700``, else from ``log10``."""
-    if not abs(log_det) >= 700.0:  # NaN prints as nan
+    """Text of ``exp(log_det)``: from ``log10`` where ``700 <= |log_det| < inf``, else ``%.6g``."""
+    if not 700.0 <= abs(log_det) < math.inf:  # NaN fails every comparison
         return f"{math.exp(log_det):.{REPORT_DIGITS}g}"
     exponent, frac = divmod(log_det / math.log(10.0), 1.0)
     digits = f"{10.0**frac:.{REPORT_DIGITS}g}"  # a mantissa of "10" carries into the exponent

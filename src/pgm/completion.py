@@ -153,9 +153,9 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
         raise ValueError(f"max_cycles must be an integer >= 1, got {max_cycles!r}")
     if not 0.0 <= tol < np.inf:  # NaN fails every comparison
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    _require_partial_pd(pm, DEFAULT_TOL)
     cliques = [list(c) for c in pm.pattern._clique_sequence]
     a, spec = pm.to_dense(), pm.pattern._mask
-    _require_partial_pd(a, cliques, DEFAULT_TOL)
     if pm.pattern.is_complete:
         return CompletionReport(
             matrix=a, log_determinant=float(np.linalg.slogdet(a)[1]),
@@ -250,17 +250,17 @@ def partial_entry_bounds(pm, pos, tol=DEFAULT_TOL):
     i, j = sorted(pos)
     if (i, j) in pm.pattern.edges:
         raise ValueError(f"position ({i}, {j}) is already specified")
+    _require_partial_pd(pm, tol)
+    return _entry_bounds(pm, i, j, tol)
+
+
+def _entry_bounds(pm, i, j, tol):
+    """:func:`partial_entry_bounds` at the missing ``(i, j)``, ``i < j``, of a ``pm`` that
+    is already proved partial PD; :class:`NotPartialPD` if no value there keeps it so."""
     extended = Pattern(n=pm.n, edges=frozenset(pm.pattern.edges | {(i, j)}))
-    dense = pm.to_dense(0.0)
-    _require_partial_pd(dense, pm.pattern._clique_sequence, tol)
-    lo, hi = -np.inf, np.inf
-    for clique in extended._clique_sequence:
-        if i - 1 not in clique or j - 1 not in clique:
-            continue
-        sub = dense[np.ix_(clique, clique)]
-        iv = single_entry_interval(sub, clique.index(i - 1) + 1, clique.index(j - 1) + 1, tol)
-        lo = max(lo, iv.lower)
-        hi = min(hi, iv.upper)
+    ivs = [single_entry_interval(pm._a[np.ix_(c, c)], c.index(i - 1) + 1, c.index(j - 1) + 1, tol)
+           for c in extended._clique_sequence if i - 1 in c and j - 1 in c]
+    lo, hi = max(iv.lower for iv in ivs), min(iv.upper for iv in ivs)
     if not lo < hi:
         raise NotPartialPD(f"no value at ({i}, {j}) keeps the matrix partial PD")
     return float(lo), float(hi)

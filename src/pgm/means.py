@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .completion import CompletionReport, max_det_completion, partial_entry_bounds
+from .completion import CompletionReport, _entry_bounds, max_det_completion
 from .errors import DimensionMismatch, PgmError, TooManyMissing
 from .linalg import (
     DEFAULT_TOL,
@@ -325,6 +325,8 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
 
     Either each input carries one missing entry (x sweeps the first, y
     the second), or one input carries both and the other is complete.
+    A, then B, is proved partial PD once at ``tol``; the box is the
+    :func:`~pgm.completion.partial_entry_bounds` of each entry, not proved again.
     Each distinct filled matrix is PD-tested once at ``tol``: the input
     without x once for the grid, the input with x once per x-row, each
     held as a stack along y if it holds y.  A's test is one ``eigh``,
@@ -345,12 +347,12 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
         raise PgmError("sweep needs exactly two missing entries across the inputs")
     _warn_off_geodesic(t)
     dense = [_dense(pm.to_dense()) for pm in pms]
-    for pm, a in zip(pms, dense):
-        _require_partial_pd(a, pm.pattern._clique_sequence, tol)
+    for pm in pms:
+        _require_partial_pd(pm, tol)
 
     (kx, pos_x), (ky, pos_y) = slots
-    xs = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[kx], pos_x, tol)), grid)
-    ys = np.linspace(*_shrunk_axis(partial_entry_bounds(pms[ky], pos_y, tol)), grid)
+    xs = np.linspace(*_shrunk_axis(_entry_bounds(pms[kx], *pos_x, tol)), grid)
+    ys = np.linspace(*_shrunk_axis(_entry_bounds(pms[ky], *pos_y, tol)), grid)
     # ops[k] is input k on the current x-row: a stack along y if it holds y, else a stack of one
     ops = [np.tile(a, (grid if ky == k else 1, 1, 1)) for k, a in enumerate(dense)]
     (i, j), (p, q) = pos_x, pos_y

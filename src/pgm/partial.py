@@ -4,8 +4,8 @@ A partial matrix assigns real values exactly to the positions specified by
 its pattern (one value per unordered pair, so symmetry is structural).  It
 is stored as one symmetric float array, zero off the pattern; the
 ``values`` dict is a read-only view derived from it on first use.
-This module provides partial positive definiteness, entrywise
-algebra, projection of full matrices, and the partial Loewner order.
+This module alone proves partial positive definiteness; it also provides
+entrywise algebra, projection of full matrices, and the partial Loewner order.
 """
 
 from __future__ import annotations
@@ -137,27 +137,27 @@ def clique_extremes(a, cliques):
 def is_partial_pd(pm, tol=DEFAULT_TOL):
     """True iff every maximal-clique principal submatrix is positive
     definite.  Checking maximal cliques suffices because cliques nest."""
-    ext = clique_extremes(pm.to_dense(), pm.pattern._clique_sequence)
-    return bool(_definite(ext, tol).all())
+    return not _offenders(pm, tol)
 
 
 def offending_cliques(pm, tol=DEFAULT_TOL):
     """Maximal cliques whose principal submatrix fails to be positive
     definite (diagnostic companion to :func:`is_partial_pd`), in the
     order of :func:`maximal_cliques`."""
-    return [c for c, _ in _offenders(pm.to_dense(), pm.pattern._clique_sequence, tol)]
+    return [c for c, _ in _offenders(pm, tol)]
 
 
-def _offenders(a, cliques, tol):
-    """Sorted 1-based ``(clique, lambda_min)`` of the non-PD clique blocks of the dense ``a``."""
-    ext = clique_extremes(a, cliques)
+def _offenders(pm, tol):
+    """Sorted 1-based ``(clique, lambda_min)`` of the non-PD maximal-clique blocks of ``pm``."""
+    cliques = pm.pattern._clique_sequence
+    ext = clique_extremes(pm._a, cliques)
     rows = np.flatnonzero(~_definite(ext, tol))
     return sorted((tuple(v + 1 for v in cliques[r]), ext[r, 0]) for r in rows)
 
 
-def _require_partial_pd(a, cliques, tol):
-    """Raise :class:`NotPartialPD` naming the first of :func:`_offenders`."""
-    bad = _offenders(a, cliques, tol)
+def _require_partial_pd(pm, tol):
+    """Raise :class:`NotPartialPD` naming the first of :func:`_offenders` of ``pm``."""
+    bad = _offenders(pm, tol)
     if bad:
         clique, lam_min = bad[0]
         names = ", ".join(map(str, clique))

@@ -17,6 +17,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -204,16 +205,13 @@ def _find_chordless_cycle(adj, n):
     because every hole provides one.
     """
     for v in range(n):
-        nb = sorted(adj[v])
-        for a in range(len(nb)):
-            for b in range(a + 1, len(nb)):
-                x, y = nb[a], nb[b]
-                if y in adj[x]:
-                    continue
-                blocked = (adj[v] | {v}) - {x, y}
-                path = _shortest_path(adj, x, y, blocked)
-                if path is not None:
-                    return (v, *path)
+        for x, y in combinations(sorted(adj[v]), 2):
+            if y in adj[x]:
+                continue
+            blocked = (adj[v] | {v}) - {x, y}
+            path = _shortest_path(adj, x, y, blocked)
+            if path is not None:
+                return (v, *path)
     raise InternalNumerics("PEO check failed but no chordless cycle was found")
 
 

@@ -52,6 +52,32 @@ def test_not_positive_definite_raised_only_in_linalg():
     assert modules == {"linalg"}
 
 
+def test_partial_pd_is_proved_in_partial_alone():
+    """``_require_partial_pd`` and ``_offenders`` take the partial matrix and ``tol`` and
+    read its array and clique sequence themselves: each call passes exactly two
+    arguments, ``clique_extremes`` is called only in ``partial``, and ``means`` never
+    names ``_clique_sequence``."""
+    calls = defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls[ast.unparse(node.func).rsplit(".", 1)[-1]].append((path.stem, node))
+        if path.stem == "means":
+            named = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            named |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            assert "_clique_sequence" not in named
+    for helper in ("_require_partial_pd", "_offenders"):
+        bad = [
+            (module, ast.unparse(node))
+            for module, node in calls[helper]
+            if len(node.args) + len(node.keywords) != 2
+            or any(isinstance(a, ast.Starred) for a in node.args)
+        ]
+        assert calls[helper] and bad == []
+    assert {module for module, _ in calls["clique_extremes"]} == {"partial"}
+
+
 def test_public_eigensolves_admit_their_argument_through_the_dense_door():
     """In ``linalg`` and ``means``, a public function that calls ``_eigh`` also
     calls ``_dense``, or ``_pd_stack``, which admits each member through it."""

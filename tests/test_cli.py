@@ -60,6 +60,7 @@ def write(tmp_path, name, text):
 
 EX1_A_TEXT = "n 3\n3 -1 ?\n-1 3 2\n? 2 4\n"
 EX1_B_TEXT = "n 3\n4 3 ?\n3 5 -1\n? -1 2\n"
+NOT_PD = "not partial PD: clique {} has lambda_min = -1.000e+00"
 
 
 class TestParsing:
@@ -211,6 +212,32 @@ class TestExitCodes:
         assert main([command, bad, *(other if command == "sweep" else [])]) == 1
         err = capsys.readouterr().err
         assert err == "error: not partial PD: clique {2, 3} has lambda_min = -1.000e+00\n"
+
+    SWEEP_INPUTS = {
+        "both_bad": "n 3\n2 ? ?\n? 1 2\n? 2 1\n",
+        "both_ok": "n 3\n2 ? ?\n? 2 1\n? 1 2\n",
+        "bad_full": "n 3\n1 2 0\n2 1 0\n0 0 1\n",
+        # a 4-cycle, partial PD, whose cliques at (1, 2) ask for x > 0.62 and x < -0.62
+        "empty_box": "n 4\n1 ? 0.9 0.9\n? 1 0.9 -0.9\n0.9 0.9 1 ?\n0.9 -0.9 ? 1\n",
+        "bad_full4": "n 4\n1 2 0 0\n2 1 0 0\n0 0 1 0\n0 0 0 1\n",
+        "eye4": "n 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+    }
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            ("both_bad", "bad_full", NOT_PD.format("{2, 3}")),
+            ("bad_full", "both_bad", NOT_PD.format("{1, 2, 3}")),
+            ("both_ok", "bad_full", NOT_PD.format("{1, 2, 3}")),
+            # B is proved before the box of A is read, though A holds both entries
+            ("empty_box", "bad_full4", NOT_PD.format("{1, 2, 3, 4}")),
+            ("empty_box", "eye4", "no value at (1, 2) keeps the matrix partial PD"),
+        ],
+    )
+    def test_sweep_input_errors_in_order(self, tmp_path, capsys, a, b, message):
+        files = [write(tmp_path, f"{name}.txt", self.SWEEP_INPUTS[name]) for name in (a, b)]
+        assert main(["sweep", *files, "--grid", "3", "--out", str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCommands:
@@ -383,6 +410,20 @@ class TestDeterminantLines:
         line = self.determinant_line(capsys, ["complete", path, "--max-cycles", "1"])
         assert line == "determinant: nan"
 
+    def test_overflowing_spectrum_prints_inf(self, tmp_path, capsys):
+        # the fill is exact, but eigvalsh overflows, so log_determinant is inf
+        text = "n 3\n1e308 5e307 ?\n5e307 1e308 5e307\n? 5e307 1e308\n"
+        path = write(tmp_path, "big.txt", text)
+        assert self.determinant_line(capsys, ["complete", path]) == "determinant: inf"
+
+    @pytest.mark.parametrize(
+        "log_det, text", [(math.inf, "inf"), (-math.inf, "0"), (math.nan, "nan")]
+    )
+    def test_non_finite_log_goes_through_exp(self, log_det, text):
+        from pgm.cli import _determinant_text
+
+        assert _determinant_text(log_det) == text
+
     @pytest.mark.parametrize("log_det", [-709.0, -700.5, -700.0, 700.0, 700.5, 709.0])
     def test_both_forms_agree_near_the_switch(self, log_det):
         from pgm.cli import _determinant_text
@@ -492,6 +533,20 @@ class TestSweep:
         grid = 31
         partial_geomean_sweep(*SWEEP_PAIRS[case](), grid, 0.5, DEFAULT_TOL)
         assert sum(seen) <= per_cell * grid**2 + 4 * grid
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_PAIRS))
+    def test_each_input_proved_partial_pd_once(self, monkeypatch, case):
+        # one stacked clique eigensolve per input, whichever input holds the entries
+        seen = []
+        real = pgm.partial.clique_extremes
+
+        def counting(a, cliques):
+            seen.append(len(cliques))
+            return real(a, cliques)
+
+        monkeypatch.setattr(pgm.partial, "clique_extremes", counting)
+        partial_geomean_sweep(*SWEEP_PAIRS[case](), 3, 0.5, DEFAULT_TOL)
+        assert len(seen) == 2
 
     def test_parameter_off_the_geodesic_warns(self):
         with pytest.warns(UserWarning, match=r"t = 1.5 lies outside \[0, 1\]"):

@@ -22,6 +22,7 @@ KEY_LINES = {
         "max-det value: x = -0.666667",
         "completed matrix (det 21.3333):",
         "a completion with det = 10.6667 (target 10.6667):",
+        "entry (1,3) alone keeps partial PD for x in (-2, 1)",
         "max determinant 6.75 after 1 pass over the cliques",
     ],
     "03_geometric_means.py": [

@@ -167,6 +167,10 @@ class TestMatFn:
         a = np.diag([1.0, 4.0])
         np.testing.assert_allclose(mat_fn(a, lambda w: w + 1.0), np.diag([2.0, 5.0]), atol=1e-14)
 
+    def test_unknown_domain_rejected(self):
+        with pytest.raises(ValueError, match="^unknown domain 'bogus'$"):
+            mat_fn(np.eye(2), np.exp, domain="bogus")
+
 
 class TestScalars:
     def test_fro_norm_identity(self):
