@@ -423,7 +423,8 @@ def build_parser():
     p = sub.add_parser("complete", help="maximum-determinant completion")
     p.add_argument("file")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="convergence tolerance")
-    p.add_argument("--max-cycles", type=functools.partial(_count, least=1), default=500)
+    p.add_argument("--max-cycles", type=functools.partial(_count, least=1), default=500,
+                   help="budget of IPS sweeps and Newton steps on a non-chordal pattern")
     p.add_argument("--out", help="write the completion to a file")
 
     p = sub.add_parser("geomean", help="weighted geometric mean of max-det completions")

@@ -239,17 +239,19 @@ def is_chordal(g):
 
 
 def _bron_kerbosch(adj, n):
+    """Maximal cliques by Bron-Kerbosch with pivoting, ``p`` and ``x`` updated in place."""
     cliques = []
 
     def expand(r, p, x):
-        if not p and not x:
-            cliques.append(tuple(sorted(r)))
-            return
         pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
         for v in sorted(p - adj[pivot]):
-            expand(r | {v}, p & adj[v], x & adj[v])
-            p = p - {v}
-            x = x | {v}
+            p_v, x_v = p & adj[v], x & adj[v]
+            if p_v:
+                expand(r | {v}, p_v, x_v)
+            elif not x_v:
+                cliques.append(tuple(sorted(r | {v})))
+            p.discard(v)
+            x.add(v)
 
     expand(set(), set(range(n)), set())
     return cliques

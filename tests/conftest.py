@@ -143,6 +143,28 @@ def brute_force_maximal_cliques(pattern):
     return sorted(tuple(sorted(c)) for c in maximal)
 
 
+def reference_bron_kerbosch(pattern):
+    """Maximal cliques by Bron-Kerbosch with pivoting in its set-copying form: every step
+    builds fresh ``p - {v}`` and ``x | {v}``, and a clique is recorded by a call with
+    nothing left to expand.  0-based sorted tuples, in discovery order."""
+    adj = [{j - 1 for j in range(1, pattern.n + 1) if j != i and pattern.has_edge(i, j)}
+           for i in range(1, pattern.n + 1)]
+    cliques = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            cliques.append(tuple(sorted(r)))
+            return
+        pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
+        for v in sorted(p - adj[pivot]):
+            expand(r | {v}, p & adj[v], x & adj[v])
+            p = p - {v}
+            x = x | {v}
+
+    expand(set(), set(range(pattern.n)), set())
+    return cliques
+
+
 def reference_mcs_order(pattern):
     """Maximum-cardinality search as a plain loop: visit the unvisited
     vertex with the most visited neighbors, the smallest on ties, and
@@ -313,6 +335,16 @@ def cycle_margin(theta):
     if np.count_nonzero(gain > 0) % 2 == 0:
         margin -= np.abs(gain).min()
     return float(margin)
+
+
+def cosine_ring(theta):
+    """The ring with unit diagonal and ``cos theta_k`` on the edge ``(k, k + 1)``, the last
+    edge closing the cycle: the input of :func:`cycle_margin`."""
+    n = len(theta)
+    full = np.eye(n)
+    for k, t in enumerate(theta):
+        full[k, (k + 1) % n] = full[(k + 1) % n, k] = math.cos(t)
+    return project(full, Pattern.from_pairs(n, [(k, k % n + 1) for k in range(1, n + 1)]))
 
 
 def frustrated_ring(n):

@@ -458,7 +458,7 @@ class TestUnconvergedCompletionRefused:
         assert out == ""
         assert err == (
             f"error: max-det completion did not converge: residual {report.residual:.6g} "
-            "after 1 sweeps\n"
+            "after 1 iterations\n"
         )
 
     def test_complete_prints_the_iterate(self, tmp_path, capsys):

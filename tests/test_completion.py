@@ -34,6 +34,7 @@ from pgm import (
     single_entry_interval,
 )
 from conftest import (
+    cosine_ring,
     ex1_partial_a,
     ex1_partial_b,
     ex2_partial_a,
@@ -45,6 +46,7 @@ from conftest import (
     maxdet_oracle,
     rand_chordal_pattern,
     rand_partial_pd,
+    rand_spd,
 )
 
 
@@ -251,6 +253,58 @@ class TestMaxDetCompletion:
         # partial PD, but the cycle condition n arccos 0.99 > pi fails for n <= 22
         with pytest.raises(NotCompletable, match="sum_E K_ij A_ij"):
             max_det_completion(frustrated_ring(n))
+
+    @pytest.mark.parametrize(
+        "n, log_det", [(23, -140.503690), (24, -130.790851), (30, -134.373311)]
+    )
+    def test_frustrated_ring_completes_once_the_cycle_condition_holds(self, n, log_det):
+        rep = max_det_completion(frustrated_ring(n))
+        assert rep.converged
+        assert rep.log_determinant == pytest.approx(log_det, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "ring, name",
+        [
+            (frustrated_ring(4), "K = M^-1 is positive definite"),
+            (frustrated_ring(15), "K, a Newton iterate, is positive definite"),
+        ],
+        ids=["sweep", "iterate"],
+    )
+    def test_each_certificate_of_no_completion_fires(self, ring, name):
+        with pytest.raises(NotCompletable, match=re.escape(name)):
+            max_det_completion(ring)
+
+    @pytest.mark.parametrize("budget", [1, 2, 5])
+    def test_budget_counts_sweeps_and_newton_steps(self, budget):
+        rep = max_det_completion(frustrated_ring(24), max_cycles=budget)
+        assert rep.iterations == budget and not rep.converged
+
+    def test_newton_runs_only_where_its_step_costs_a_few_sweeps(self, monkeypatch):
+        # p^3 against n^2 sum |C|: 4 on a ring, about 300 on the complete 20-vertex pattern
+        # but (1, 2) and (3, 4), whose four cliques of 18 leave p = 208 upper positions
+        newton, calls = completion._newton, []
+        monkeypatch.setattr(completion, "_newton", lambda *args: calls.append(1) or newton(*args))
+        assert max_det_completion(frustrated_ring(24)).converged and calls == [1]
+        n, missing = 20, {(1, 2), (3, 4)}
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if (i, j) not in missing]
+        pm = project(rand_spd(np.random.default_rng(0), n), Pattern.from_pairs(n, pairs))
+        rep = max_det_completion(pm)
+        assert rep.converged and rep.iterations > 1 and calls == [1]
+
+    def test_newton_stall_is_polished_by_a_sweep(self, monkeypatch):
+        # one edge at 1 - 5e-7: Newton's X, with A_E written back, misses the certificate
+        # at round-off, and one sweep from it passes
+        newton, stalls = completion._newton, []
+
+        def spy(*args):
+            stalls.append(result := newton(*args))
+            return result
+
+        monkeypatch.setattr(completion, "_newton", spy)
+        rep = max_det_completion(cosine_ring(np.random.default_rng(25).uniform(0.0, math.pi, 4)))
+        [(stalled, _)] = stalls
+        assert not stalled.converged
+        assert rep.converged and rep.iterations == stalled.iterations + 1
 
     def test_rejects_not_partial_pd(self):
         pm = PartialMatrix(
@@ -530,7 +584,7 @@ class TestUnconvergedCompletionRefused:
         monkeypatch.setattr(means, "max_det_completion", limited)
         report = limited(frustrated_ring(24))
         assert not report.converged
-        return f"did not converge: residual {report.residual:.6g} after 1 sweeps"
+        return f"did not converge: residual {report.residual:.6g} after 1 iterations"
 
     def test_partial_geomean_maxdet(self, one_sweep):
         ring = frustrated_ring(24)

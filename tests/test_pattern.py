@@ -23,6 +23,7 @@ from conftest import (
     four_cycle_pattern,
     is_valid_chordless_cycle,
     rand_chordal_pattern,
+    reference_bron_kerbosch,
     reference_mcs_order,
 )
 
@@ -143,6 +144,18 @@ class TestMaximalCliques:
             assert all(g.has_edge(i, j) for i, j in combinations(c, 2))
         for i, j in g.edges:
             assert any(i in c and j in c for c in got)
+
+    def test_non_chordal_sequence_matches_the_reference_recursion(self):
+        # the clique sweeps run in this order, so it is pinned, not just the set
+        rng = np.random.default_rng(2024)
+        checked = 0
+        while checked < 240:
+            n = int(rng.integers(4, 31))
+            g = random_pattern(rng, n, p=float(rng.uniform(2.0 / n, 0.6)))
+            if is_chordal(g).chordal:
+                continue
+            assert g._clique_sequence == tuple(reference_bron_kerbosch(g))
+            checked += 1
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_complete_pattern_skips_the_search(self, n):
