@@ -44,7 +44,7 @@ from .errors import (
     NotPartialPD,
     OutOfRange,
 )
-from .linalg import DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _eigh, is_pd, sym
+from .linalg import DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _spectrum, is_pd, sym
 from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
@@ -82,7 +82,7 @@ class CompletionReport(_DeterminantFromLog):
     positions (zero there certifies the maximum-determinant completion);
     ``converged`` records whether the residual dropped below tolerance
     relative to ``||M^{-1}||`` within the cycle budget; ``iterations``
-    is 0 for a complete pattern, 1 for a chordal one, and else counts IPS
+    is 1 for a chordal pattern (a complete one included) and else counts IPS
     sweeps and Newton steps.  ``log_determinant`` is NaN if ``matrix`` is not
     positive definite; the derived ``determinant`` is its exp, read only.
     """
@@ -135,9 +135,9 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
 def max_det_completion(pm, tol=1e-10, max_cycles=500):
     """Maximum-determinant positive definite completion.
 
-    The path is picked once: a complete pattern returns its matrix as given
-    (``iterations == 0``), a chordal one the closed form of the module docstring
-    (``iterations == 1``), any other one IPS sweep, then Newton on the dual if
+    The path is picked once: a chordal pattern takes the closed form of the module
+    docstring (``iterations == 1``; a complete one returns its matrix as given), any
+    other one IPS sweep, then Newton on the dual if
     ``p^3 <= 16 n^2 sum_C |C|`` (an O(p^3) step, ``p`` the upper pattern positions,
     against an O(n^2 sum_C |C|) sweep), then IPS sweeps, until :func:`_certify` reports
     convergence.  A certificate that no PD completion exists (module docstring) raises
@@ -160,11 +160,6 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
     _require_partial_pd(pm, DEFAULT_TOL)
     cliques = [list(c) for c in pm.pattern._clique_sequence]
     a, spec = pm.to_dense(), pm.pattern._mask
-    if pm.pattern.is_complete:
-        return CompletionReport(
-            matrix=a, log_determinant=float(np.linalg.slogdet(a)[1]),
-            iterations=0, residual=0.0, converged=True,
-        )
     _, visit, _, separators = pm.pattern._mcs
     if separators is not None:
         return _certify(_closed_form(a, visit, cliques, separators), a, spec, 1, tol)
@@ -172,7 +167,8 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
     m = np.diag(np.diag(a))
     report, k = _sweep(m, steps, a, spec, 1, tol, max_cycles)
     # p^3 / (n^2 sum |C|) is 4 on a ring, under 7 on a grid, O(n^3) on a near-complete pattern
-    if k is not None and len(pm.pattern.edges) ** 3 <= 16 * pm.n ** 2 * sum(map(len, cliques)):
+    p = (np.count_nonzero(spec) + pm.n) // 2
+    if k is not None and p ** 3 <= 16 * pm.n ** 2 * sum(map(len, cliques)):
         report, m = _newton(k, a, spec, tol, 1, max_cycles)
     while not (report.converged or report.iterations == max_cycles):
         report, _ = _sweep(m, steps, a, spec, report.iterations + 1, tol, max_cycles)
@@ -196,7 +192,7 @@ def _sweep(m, steps, a, spec, cycles, tol, max_cycles):
 def _refute(k, a, name):
     """:class:`NotCompletable` if ``k`` is positive definite and ``sum_E K_ij A_ij <= 0``."""
     trace_ka = float(np.sum(k * a))
-    if trace_ka <= 0.0 and _definite(_eigh(k, vectors=False), DEFAULT_TOL):
+    if trace_ka <= 0.0 and _definite(_spectrum(k)[0], DEFAULT_TOL):
         raise NotCompletable(f"no positive definite completion exists: {name} is positive definite"
                              f" and supported on the pattern, yet sum_E K_ij A_ij = {trace_ka:.3g}"
                              " <= 0, while tr(K X) > 0 for every positive definite X")
@@ -245,14 +241,16 @@ def _newton(k, a, spec, tol, cycles, max_cycles):
 
 def _certify(fill, a, spec, iterations, tol):
     """The report of the symmetric ``fill`` with the specified entries of ``a`` written back:
-    one ``inv`` gives the inverse-zero residual, one spectrum the PD test, the convergence
-    test ``residual * lambda_min <= tol`` and the log-determinant."""
+    one ``inv`` gives the inverse-zero residual (0 with nothing unspecified), one spectrum the
+    PD test, the convergence test ``residual * lambda_min <= tol`` and the log-determinant,
+    in the units of ``a`` also where the spectrum overflows (``linalg._spectrum``)."""
     x = np.where(spec, a, fill)
-    residual = np.abs(np.linalg.inv(x)[~spec]).max()
-    lam = _eigh(x, vectors=False)
+    lam, e = _spectrum(x)
+    residual = np.abs(np.linalg.inv(np.ldexp(x, -e))[~spec]).max() if not spec.all() else 0.0
+    log_det = np.log(lam).sum() + len(x) * e * np.log(2.0) if lam[0] > 0 else np.nan
     return CompletionReport(
-        matrix=x, log_determinant=float(np.log(lam).sum()) if lam[0] > 0 else np.nan,
-        iterations=iterations, residual=float(residual),
+        matrix=x, log_determinant=float(log_det),
+        iterations=iterations, residual=float(np.ldexp(residual, -e)),
         converged=bool(_definite(lam, DEFAULT_TOL) and residual * lam[0] <= tol),
     )
 

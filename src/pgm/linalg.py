@@ -28,20 +28,15 @@ def sym(a):
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _finite(x):
-    """``x`` (entries or a spectrum), checked to hold no NaN or inf."""
-    if not np.isfinite(x).all():
-        raise ValueError("matrix has non-finite entries")
-    return x
-
-
 def _dense(a):
     """``a`` as a float ``(..., n, n)`` array, checked finite: as it is if exactly symmetric,
     its :func:`sym` if ``max |a - a^T| <= DEFAULT_TOL * max(1, max |a|)`` per matrix."""
     m = np.asarray(a, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if (_finite(m) == m.swapaxes(-1, -2)).all():
+    if not np.isfinite(m).all():
+        raise ValueError("matrix has non-finite entries")
+    if (m == m.swapaxes(-1, -2)).all():
         return m
     skew = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
     if (skew > DEFAULT_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))).any():
@@ -79,6 +74,17 @@ def _eigh(a, vectors=True):
         raise InternalNumerics(f"symmetric eigensolver failed: {exc}") from exc
 
 
+def _spectrum(a):
+    """Ascending eigenvalues of the finite symmetric ``a`` (or of each matrix of a stack) as
+    ``(w, e)``, in units of ``2**e``: where they overflow, ``e`` brings the largest entry of
+    that matrix into [1, 2), where :func:`_definite` gives its verdict scale-free."""
+    w = _eigh(a, vectors=False)
+    if np.isfinite(w).all():
+        return w, 0
+    e = np.where(np.isfinite(w).all(axis=-1), 0, np.frexp(np.abs(a).max(axis=(-2, -1)))[1] - 1)
+    return _eigh(np.ldexp(a, -e[..., None, None]), vectors=False), e
+
+
 def _definite(w, tol, semi=False):
     """The PD (or, if ``semi``, PSD) test per ascending spectrum in ``w``."""
     scale = np.abs(w).max(axis=-1, initial=1.0)
@@ -86,18 +92,21 @@ def _definite(w, tol, semi=False):
     return lam_min >= -tol * scale if semi else lam_min > tol * scale
 
 
-def _require(w, domain, tol):
-    """Spectra ``w`` checked against ``domain`` ("pd" or "psd").
+def _require(w, domain, tol, e=0):
+    """Spectra ``w`` (in units ``2**e``, :func:`_spectrum`) checked against ``domain``.
 
-    Raises :class:`NotPositiveDefinite` naming the smallest failing lambda_min
-    (ValueError if not finite); PSD spectra come back with negatives clipped.
+    ``domain`` is "pd" or "psd".  Raises :class:`NotPositiveDefinite` naming the smallest
+    failing lambda_min (:class:`InternalNumerics` where ``w`` overflows); PSD spectra come
+    back with negatives clipped.
     """
     if domain not in ("pd", "psd"):
         raise ValueError(f"unknown domain {domain!r}")
-    ok = _definite(_finite(w), tol, semi=domain == "psd")
+    if not np.isfinite(w).all():
+        raise InternalNumerics("eigenvalues past the largest double")
+    ok = _definite(w, tol, semi=domain == "psd")
     if not ok.all():
         kind = "definite" if domain == "pd" else "semidefinite"
-        lam_min = float(w[..., 0][~ok].min())
+        lam_min = float(np.ldexp(w[..., 0], e)[~ok].min())
         raise NotPositiveDefinite(f"matrix is not positive {kind} (lambda_min = {lam_min:.3e})")
     return w if domain == "pd" else np.clip(w, 0.0, None)
 
@@ -124,13 +133,13 @@ def _from_spectrum(w, q):
 
 def is_pd(a, tol=DEFAULT_TOL):
     """True iff lambda_min(a) > tol * max(1, ||a||), per matrix of a stack; via :func:`_dense`."""
-    ok = _definite(_eigh(_dense(a), vectors=False), tol)
+    ok = _definite(_spectrum(_dense(a))[0], tol)
     return bool(ok) if ok.ndim == 0 else ok
 
 
 def is_psd(a, tol=DEFAULT_TOL):
     """True iff lambda_min(a) >= -tol * max(1, ||a||), per matrix of a stack; via :func:`_dense`."""
-    ok = _definite(_eigh(_dense(a), vectors=False), tol, semi=True)
+    ok = _definite(_spectrum(_dense(a))[0], tol, semi=True)
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -181,9 +190,10 @@ class _DeterminantFromLog:
 
 def log_det(a):
     """Sum of eigenvalue logs of a positive definite matrix admitted by :func:`_dense`,
-    per matrix of a stack."""
-    w = _require(_eigh(_dense(a), vectors=False), "pd", DEFAULT_TOL)
-    ld = np.log(w).sum(axis=-1)
+    per matrix of a stack; finite where the spectrum overflows (:func:`_spectrum`)."""
+    a = _dense(a)
+    w, e = _spectrum(a)
+    ld = np.log(_require(w, "pd", DEFAULT_TOL, e)).sum(axis=-1) + a.shape[-1] * e * np.log(2.0)
     return float(ld) if ld.ndim == 0 else ld
 
 

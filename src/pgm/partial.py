@@ -122,16 +122,18 @@ def agrees(m, pm, tol=1e-8):
 
 
 def clique_extremes(a, cliques):
-    """``[lambda_min, lambda_max]`` of each clique block of the dense ``a``
-    (cliques 0-based), one stacked eigensolve per clique size.  ``_definite``
-    gives a pair the verdict of its full spectrum; ``-ext[:, ::-1]`` negates."""
+    """``[lambda_min, lambda_max]`` of each clique block of the dense ``a`` (cliques
+    0-based) in units of ``2**e``, and ``e`` (``linalg._spectrum``), one stacked eigensolve
+    per clique size.  ``_definite`` gives a pair the verdict of its full spectrum;
+    ``-ext[:, ::-1]`` negates."""
     sizes = np.array([len(c) for c in cliques])
-    ext = np.empty((len(cliques), 2))
+    ext, e = np.empty((len(cliques), 2)), np.empty(len(cliques), dtype=int)
     for size in set(sizes.tolist()):
         rows = np.flatnonzero(sizes == size)
         idx = np.array([cliques[r] for r in rows])
-        ext[rows] = linalg._eigh(a[idx[:, :, None], idx[:, None, :]], vectors=False)[:, [0, -1]]
-    return ext
+        w, e[rows] = linalg._spectrum(a[idx[:, :, None], idx[:, None, :]])
+        ext[rows] = w[:, [0, -1]]
+    return ext, e
 
 
 def is_partial_pd(pm, tol=DEFAULT_TOL):
@@ -150,9 +152,9 @@ def offending_cliques(pm, tol=DEFAULT_TOL):
 def _offenders(pm, tol):
     """Sorted 1-based ``(clique, lambda_min)`` of the non-PD maximal-clique blocks of ``pm``."""
     cliques = pm.pattern._clique_sequence
-    ext = clique_extremes(pm._a, cliques)
+    ext, e = clique_extremes(pm._a, cliques)
     rows = np.flatnonzero(~_definite(ext, tol))
-    return sorted((tuple(v + 1 for v in cliques[r]), ext[r, 0]) for r in rows)
+    return sorted((tuple(v + 1 for v in cliques[r]), np.ldexp(ext[r, 0], e[r])) for r in rows)
 
 
 def _require_partial_pd(pm, tol):
@@ -207,7 +209,7 @@ def partial_order(a, b):
     diff = sub(a, b).to_dense()  # sub rejects another pattern and an overflow
     if not diff.any():
         return Comparison.EQ
-    ext = clique_extremes(diff, a.pattern._clique_sequence)
+    ext, _ = clique_extremes(diff, a.pattern._clique_sequence)
     neg = -ext[:, ::-1]  # the pairs of -diff
     if _definite(ext, DEFAULT_TOL).all():
         return Comparison.GT

@@ -94,7 +94,11 @@ class Pattern:
         reverse is an elimination order) and, if perfect, the clique sequence and its
         separators ``S_j = C_j ∩ (C_1 ∪ … ∪ C_{j-1})``, else ``None, None``.  A vertex and
         its earlier-visited neighbors form a clique, maximal exactly when the next vertex
-        has no more of them (Blair and Peyton); those of the next vertex are the separator."""
+        has no more of them (Blair and Peyton); those of the next vertex are the separator.
+        A complete pattern takes no search, nor adjacency sets (``None``): the order
+        ``0..n-1``, its one clique and an empty separator."""
+        if self.is_complete:
+            return None, list(range(self.n)), (tuple(range(self.n)),), ((),)
         adj = _adjacency(self)
         visit, earlier = _mcs_visit(adj, self.n)
         # perfect: the earlier neighbors of each v all neighbor the last one visited
@@ -111,8 +115,6 @@ class Pattern:
         """Maximal cliques as sorted tuples of 0-based vertices: for a chordal pattern the
         perfect sequence of ``_mcs``, in visit order (each clique meets the union of the
         earlier ones in its separator, inside one earlier clique), else Bron-Kerbosch."""
-        if self.is_complete:  # its one clique, without a search
-            return (tuple(range(self.n)),)
         adj, _, cliques, _ = self._mcs
         return cliques if cliques is not None else tuple(_bron_kerbosch(adj, self.n))
 

@@ -357,6 +357,17 @@ def frustrated_ring(n):
     return project(full, Pattern.from_pairs(n, [(i, i % n + 1) for i in range(1, n + 1)]))
 
 
+def precision_ring(n, c):
+    """``(K, A)``: the ring precision ``K``, unit diagonal and ``-c`` on each ring edge
+    (PD for ``0 <= c < 1/2``), and ``A``, its inverse on the ring pattern.  ``K^-1``
+    completes ``A`` and its inverse vanishes off the pattern, so it is the max-det
+    completion, with ``log det = -log det K``."""
+    k = np.eye(n) - c * (np.eye(n, k=1) + np.eye(n, k=-1))
+    k[0, n - 1] = k[n - 1, 0] = -c
+    ring = Pattern.from_pairs(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    return k, project(np.linalg.inv(k), ring)
+
+
 def matrix_a_chordal_example():
     return PartialMatrix(
         pattern=chordal_example_pattern(),

@@ -79,15 +79,16 @@ def test_partial_pd_is_proved_in_partial_alone():
 
 
 def test_public_eigensolves_admit_their_argument_through_the_dense_door():
-    """In ``linalg`` and ``means``, a public function that calls ``_eigh`` also
-    calls ``_dense``, or ``_pd_stack``, which admits each member through it."""
+    """In ``linalg`` and ``means``, a public function that calls ``_eigh`` or ``_spectrum``
+    also calls ``_dense``, or ``_pd_stack``, which admits each member through it."""
     calls, _ = _calls_and_raises()
     callees = defaultdict(set)
     for module, func, callee in calls:
         if module in ("linalg", "means") and func and not func.startswith("_"):
             callees[module, func].add(callee)
-    eigensolving = {key for key, called in callees.items() if "_eigh" in called}
-    assert {("linalg", "mat_fn"), ("linalg", "is_pd"), ("means", "geomean")} <= eigensolving
+    eigensolving = {key for key, called in callees.items() if called & {"_eigh", "_spectrum"}}
+    assert {("linalg", "mat_fn"), ("linalg", "is_pd"), ("linalg", "log_det"),
+            ("means", "geomean")} <= eigensolving
     door = {"_dense", "_pd_stack"}
     bare = sorted(f"{m}.{f}" for m, f in eigensolving if not callees[m, f] & door)
     assert bare == []
@@ -305,26 +306,25 @@ def test_completion_consumers_require_convergence():
 
 
 def test_max_det_completion_picks_its_path_once():
-    """``_closed_form`` is called only by ``max_det_completion``, outside every loop, and a
-    ``CompletionReport`` is built in two places: the complete branch of
-    ``max_det_completion`` and ``_certify``, the one certificate both solvers share."""
+    """``_closed_form`` is called only by ``max_det_completion``, outside every loop; a
+    ``CompletionReport`` is built only in ``_certify``, the one certificate of the closed
+    form (a complete pattern included) and the iterative path; and only ``pattern``
+    reads ``is_complete``."""
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     closed_forms, reports = [], []
     for name, node in _functions().items():
         looped = {id(sub) for loop in ast.walk(node) if isinstance(loop, loops)
                   for sub in ast.walk(loop)}
-        complete = {id(sub) for branch in ast.walk(node) if isinstance(branch, ast.If)
-                    and "is_complete" in ast.unparse(branch.test)
-                    for stmt in branch.body for sub in ast.walk(stmt)}
         for call in ast.walk(node):
             if isinstance(call, ast.Call) and ast.unparse(call.func) == "_closed_form":
                 closed_forms.append((name, id(call) in looped))
             if isinstance(call, ast.Call) and ast.unparse(call.func) == "CompletionReport":
-                reports.append((name, id(call) in complete))
+                reports.append(name)
     assert closed_forms == [("completion.max_det_completion", False)]
-    assert sorted(reports) == [
-        ("completion._certify", False), ("completion.max_det_completion", True),
-    ]
+    assert reports == ["completion._certify"]
+    readers = {path.stem for path in SRC.glob("*.py")
+               if "is_complete" in path.read_text(encoding="utf-8")}
+    assert readers == {"pattern"}
 
 
 def test_no_linear_determinant_in_completion_or_means():

@@ -410,11 +410,39 @@ class TestDeterminantLines:
         line = self.determinant_line(capsys, ["complete", path, "--max-cycles", "1"])
         assert line == "determinant: nan"
 
-    def test_overflowing_spectrum_prints_inf(self, tmp_path, capsys):
-        # the fill is exact, but eigvalsh overflows, so log_determinant is inf
-        text = "n 3\n1e308 5e307 ?\n5e307 1e308 5e307\n? 5e307 1e308\n"
-        path = write(tmp_path, "big.txt", text)
-        assert self.determinant_line(capsys, ["complete", path]) == "determinant: inf"
+    BIG_BAND = "n 3\n1e308 5e307 ?\n5e307 1e308 5e307\n? 5e307 1e308\n"
+    BIG_FULL = "n 3\n1e308 5e307 2.5e307\n5e307 1e308 5e307\n2.5e307 5e307 1e308\n"
+
+    def test_overflowing_spectrum_is_certified(self, tmp_path, capsys):
+        # the fill is exact; lambda_max = 1.843e308 overflows eigvalsh, so the certificate
+        # takes the spectrum of the matrix scaled by 2**-1023 and reports in its units
+        path = write(tmp_path, "big.txt", self.BIG_BAND)
+        assert self.determinant_line(capsys, ["complete", path]) == "determinant: 5.625e+923"
+        full = write(tmp_path, "full.txt", self.BIG_FULL)
+        assert main(["complete", full]) == 0
+        out = capsys.readouterr().out
+        assert "determinant: 5.625e+923\niterations: 1\n" in out
+        assert out.endswith("residual (max off-pattern inverse entry): 0\nconverged: yes\n")
+
+    def test_overflowing_spectrum_entropy(self, tmp_path, capsys):
+        path = write(tmp_path, "big.txt", self.BIG_BAND)
+        assert self.determinant_line(capsys, ["entropy", path]) == "determinant: 5.625e+923"
+        assert main(["entropy", path]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        # log det / 2 + 3 (1 + log 2 pi) / 2, log det = 3 log(1e308) + log(0.5625)
+        assert first == "entropy of max-det completion: 1067.76"
+
+    def test_overflowing_spectrum_check(self, tmp_path, capsys):
+        assert main(["check", write(tmp_path, "full.txt", self.BIG_FULL)]) == 0
+        out = capsys.readouterr().out
+        assert "clique {1, 2, 3}: positive definite\npartial positive definite: yes\n" in out
+
+    @pytest.mark.parametrize("command", ["geomean", "entropy"])
+    def test_overflowing_spectrum_of_a_mean_exit_1(self, tmp_path, capsys, command):
+        # both complete and are PD, but the mean's spectrum, taken unscaled, overflows
+        band = write(tmp_path, "band.txt", self.BIG_BAND)
+        assert main([command, band, write(tmp_path, "full.txt", self.BIG_FULL)]) == 1
+        assert capsys.readouterr() == ("", "error: eigenvalues past the largest double\n")
 
     @pytest.mark.parametrize(
         "log_det, text", [(math.inf, "inf"), (-math.inf, "0"), (math.nan, "nan")]

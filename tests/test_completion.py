@@ -30,6 +30,7 @@ from pgm import (
     op_norm,
     partial_entry_bounds,
     partial_geomean_maxdet,
+    pattern,
     project,
     single_entry_interval,
 )
@@ -44,6 +45,7 @@ from conftest import (
     identity_ring_partial,
     matrix_n_four_cycle,
     maxdet_oracle,
+    precision_ring,
     rand_chordal_pattern,
     rand_partial_pd,
     rand_spd,
@@ -131,15 +133,18 @@ class TestMaxDetCompletion:
         rep_b = max_det_completion(ex2_partial_b())
         assert rep_b.matrix[0, 4] == pytest.approx(4.0 / 9.0, abs=1e-9)
 
-    def test_complete_input_returned(self):
+    def test_complete_input_returned(self, monkeypatch):
         pm = PartialMatrix(
             pattern=Pattern.complete(2),
             values={(1, 1): 2.0, (1, 2): 1.0, (2, 2): 2.0},
         )
+        monkeypatch.setattr(pattern, "_mcs_visit", lambda *args: pytest.fail("searched"))
         rep = max_det_completion(pm)
-        assert rep.iterations == 0
-        assert rep.converged
-        np.testing.assert_allclose(rep.matrix, [[2, 1], [1, 2]])
+        # the closed form on one clique: nothing to fill, so the matrix comes back as given
+        assert rep.iterations == 1
+        assert rep.converged and rep.residual == 0.0
+        np.testing.assert_array_equal(rep.matrix, [[2, 1], [1, 2]])
+        assert rep.log_determinant == pytest.approx(math.log(3.0), rel=1e-15)
 
     def test_log_determinant_where_determinant_underflows(self):
         # 0.1 I on a 400-vertex path: det = 1e-400 underflows to 0.0
@@ -179,7 +184,7 @@ class TestMaxDetCompletion:
 
     def test_log_determinant_nan_off_the_pd_cone(self, monkeypatch):
         # an unconverged iterate whose spectrum starts below zero has no log determinant
-        monkeypatch.setattr(completion, "_eigh", lambda x, vectors: np.array([-1.0, 1.0]))
+        monkeypatch.setattr(completion, "_spectrum", lambda x: (np.array([-1.0, 1.0]), 0))
         rep = max_det_completion(matrix_n_four_cycle(), max_cycles=1)
         assert not rep.converged and math.isnan(rep.log_determinant)
 
@@ -385,8 +390,8 @@ class TestMaxDetCompletion:
         pm = rand_partial_pd(rng, g)
         rep = max_det_completion(pm)
         assert rep.converged
-        # chordal patterns are exact after one sweep in perfect-sequence order
-        assert rep.iterations == (1 if missing_positions(g) else 0)
+        # chordal patterns, complete ones included, are exact after one pass of the closed form
+        assert rep.iterations == 1
         assert agrees(rep.matrix, pm, tol=1e-12)
         assert is_pd(rep.matrix)
         inv = np.linalg.inv(rep.matrix)
@@ -498,6 +503,81 @@ class TestMaxDetCompletion:
         assert max_det_completion(a).determinant <= max_det_completion(b).determinant * (
             1 + 1e-12
         )
+
+
+class TestNewtonFallbacks:
+    """Each way Newton gives up on the ring of :func:`precision_ring` (one sweep leaves it
+    unconverged, Newton alone takes 4 steps, IPS alone 7 sweeps) still ends at the
+    oracle ``K^-1``, by a restart or by the IPS sweeps that polish a stalled iterate."""
+
+    K, PM = precision_ring(6, 0.45)
+
+    def assert_oracle(self, rep):
+        assert rep.converged
+        assert rep.log_determinant == pytest.approx(-np.linalg.slogdet(self.K)[1], abs=1e-12)
+        np.testing.assert_allclose(rep.matrix, np.linalg.inv(self.K), atol=1e-12)
+
+    def newton_reports(self, monkeypatch, start=lambda k: k):
+        """Run ``_newton`` from ``start`` of the sweep's ``K``; its reports, filled in later."""
+        newton, reports = completion._newton, []
+
+        def spy(k, *args):
+            reports.append((result := newton(start(k), *args))[0])
+            return result
+
+        monkeypatch.setattr(completion, "_newton", spy)
+        return reports
+
+    def test_start_off_the_cone_restarts_from_the_diagonal(self, monkeypatch):
+        cholesky, failed = np.linalg.cholesky, []
+
+        def spy(k):
+            try:
+                return cholesky(k)
+            except np.linalg.LinAlgError:
+                failed.append(k)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        reports = self.newton_reports(monkeypatch, start=lambda k: -k)
+        rep = max_det_completion(self.PM)
+        self.assert_oracle(rep)
+        # the negated start fails first, so Newton starts from diag(1 / a_ii)
+        assert failed and np.all(np.diag(failed[0]) < 0)
+        assert reports[0].converged and rep.iterations == reports[0].iterations
+
+    def test_singular_newton_system_stalls_into_sweeps(self, monkeypatch):
+        solve, p = np.linalg.solve, 12  # the 6 diagonal and 6 ring positions
+
+        def singular(a, b):
+            if a.shape == (p, p):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        reports = self.newton_reports(monkeypatch)
+        rep = max_det_completion(self.PM)
+        [stalled] = reports
+        assert stalled.iterations == 1 and not stalled.converged
+        self.assert_oracle(rep)
+        assert rep.iterations > 2
+
+    def test_no_step_in_forty_halvings_stalls_into_sweeps(self, monkeypatch):
+        cholesky, calls = np.linalg.cholesky, []
+
+        def only_the_start(k):  # every trial K + s D fails, 1 >= s >= 2**-39
+            calls.append(k)
+            if len(calls) > 1:
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(k)
+
+        monkeypatch.setattr(np.linalg, "cholesky", only_the_start)
+        reports = self.newton_reports(monkeypatch)
+        rep = max_det_completion(self.PM)
+        [stalled] = reports
+        assert len(calls) == 41 and stalled.iterations == 1 and not stalled.converged
+        self.assert_oracle(rep)
+        assert rep.iterations > 2
 
 
 class TestCompletionWithDet:
@@ -662,6 +742,20 @@ class TestPartialEntryBounds:
     def test_specified_position_rejected(self):
         with pytest.raises(ValueError):
             partial_entry_bounds(ex1_partial_a(), (1, 2))
+
+    @pytest.mark.parametrize(
+        "pos, message",
+        [
+            ((0, 2), r"edge \(0, 2\) out of range for n = 3"),
+            ((1, 9), r"edge \(1, 9\) out of range for n = 3"),
+            ((-1, 3), r"edge \(-1, 3\) out of range for n = 3"),
+            ((1.5, 3), r"edge \(1\.5, 3\) has a non-integer vertex"),
+        ],
+    )
+    def test_position_off_the_matrix_rejected(self, pos, message):
+        # the extended pattern goes through the validating Pattern constructor
+        with pytest.raises(ValueError, match=message):
+            partial_entry_bounds(ex1_partial_a(), pos)
 
     def test_disjoint_clique_intervals(self):
         # at (1, 2) clique {1, 2, 3} admits (0.62, 1), clique {1, 2, 4} admits (-1, -0.62)

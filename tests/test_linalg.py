@@ -187,6 +187,24 @@ class TestScalars:
         with pytest.raises(NotPositiveDefinite):
             log_det(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_log_det_past_the_largest_double(self):
+        # lambda_max = 1.9e308 overflows the eigensolver; the spectrum is taken at 2**-1023
+        big = np.array([[1e308, 9e307], [9e307, 1e308]])
+        assert log_det(big) == pytest.approx(2.0 * math.log(1e308) + math.log(0.19), rel=1e-15)
+        np.testing.assert_allclose(log_det(np.stack([big, np.eye(2)])), [log_det(big), 0.0])
+        with pytest.raises(NotPositiveDefinite, match=r"lambda_min = -5\.000e\+307"):
+            log_det(np.array([[1e308, 1.5e308], [1.5e308, 1e308]]))
+
+    def test_spectra_past_the_largest_double(self):
+        # the PD tests are scale-free; a spectral function's result would overflow
+        big = np.array([[1e308, 9e307], [9e307, 1e308]])
+        assert is_pd(big) and is_psd(big)
+        np.testing.assert_array_equal(is_pd(np.stack([big, np.eye(2), -big])), [True, True, False])
+        assert not is_pd(np.array([[1e308, 1.5e308], [1.5e308, 1e308]]))
+        for call in (invm, SQRTM, LOGM):
+            with pytest.raises(InternalNumerics, match="eigenvalues past the largest double"):
+                call(big)
+
     def test_stack_gives_one_value_per_matrix(self):
         eyes = np.stack([np.eye(2), 2.0 * np.eye(2)])
         np.testing.assert_allclose(log_det(eyes), [0.0, 2.0 * math.log(2.0)], atol=1e-15)

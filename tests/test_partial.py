@@ -67,6 +67,18 @@ class TestPartialDefiniteness:
         assert offending_cliques(pm) == [(1, 2)]
         assert not is_partial_pd(pm)
 
+    def test_spectrum_past_the_largest_double(self):
+        # block {1, 2} has lambda_max = 1.9e308 (PD) or 2.5e308 (not): its verdict and
+        # lambda_min come from the block scaled by 2**-1023; block {2, 3}, with a finite
+        # spectrum, is taken as it is
+        g = Pattern.from_pairs(3, [(1, 2), (2, 3)])
+        m = np.array([[1e308, 9e307, 0.0], [9e307, 1e308, 1.0], [0.0, 1.0, 1e308]])
+        assert is_partial_pd(project(m, g))
+        m[0, 1] = m[1, 0] = 1.5e308
+        assert offending_cliques(project(m, g)) == [(1, 2)]
+        with pytest.raises(NotPartialPD, match=r"clique \{1, 2\} has lambda_min = -5\.000e\+307"):
+            max_det_completion(project(m, g))
+
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("tol", [1e-10, 0.05])
     def test_stacked_tests_match_per_clique_loop(self, seed, tol):

@@ -158,13 +158,17 @@ class TestMaximalCliques:
             checked += 1
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_complete_pattern_skips_the_search(self, n):
+    def test_complete_pattern_skips_the_search(self, n, monkeypatch):
         class Searched(Pattern):
             is_complete = False  # takes the maximum-cardinality search
 
         g = Pattern.complete(n)
-        assert g._clique_sequence == Searched(n=n, edges=g.edges)._clique_sequence
-        assert "_mcs" not in vars(g)
+        _, *searched = Searched(n=n, edges=g.edges)._mcs
+        calls = []
+        monkeypatch.setattr(pattern, "_mcs_visit", lambda *args: calls.append(args))
+        # the order, the one clique and its empty separator, as the search finds them
+        assert g._mcs[1:] == tuple(searched)
+        assert g._clique_sequence == searched[1] and calls == []
 
     def test_complete_matrix_completes_without_search(self, monkeypatch):
         calls = []
