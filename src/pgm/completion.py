@@ -157,12 +157,12 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
         raise ValueError(f"max_cycles must be an integer >= 1, got {max_cycles!r}")
     if not 0.0 <= tol < np.inf:  # NaN fails every comparison
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-    _require_partial_pd(pm, DEFAULT_TOL)
+    whole = _require_partial_pd(pm, DEFAULT_TOL)  # a complete input's spectrum, or None
     cliques = [list(c) for c in pm.pattern._clique_sequence]
     a, spec = pm.to_dense(), pm.pattern._mask
-    _, visit, _, separators = pm.pattern._mcs
+    visit, _, separators = pm.pattern._mcs
     if separators is not None:
-        return _certify(_closed_form(a, visit, cliques, separators), a, spec, 1, tol)
+        return _certify(_closed_form(a, visit, cliques, separators), a, spec, 1, tol, whole)
     steps = [(c, ix, a[ix]) for c in cliques for ix in [np.ix_(c, c)]]
     m = np.diag(np.diag(a))
     report, k = _sweep(m, steps, a, spec, 1, tol, max_cycles)
@@ -239,13 +239,13 @@ def _newton(k, a, spec, tol, cycles, max_cycles):
     return _certify(x, a, spec, cycles, tol), x
 
 
-def _certify(fill, a, spec, iterations, tol):
+def _certify(fill, a, spec, iterations, tol, spectrum=None):
     """The report of the symmetric ``fill`` with the specified entries of ``a`` written back:
-    one ``inv`` gives the inverse-zero residual (0 with nothing unspecified), one spectrum the
-    PD test, the convergence test ``residual * lambda_min <= tol`` and the log-determinant,
-    in the units of ``a`` also where the spectrum overflows (``linalg._spectrum``)."""
+    one ``inv`` gives the inverse-zero residual (0 with nothing unspecified), one spectrum
+    (for a complete ``a``, the ``spectrum`` its proof took) the PD test, the convergence test
+    ``residual * lambda_min <= tol`` and the log-determinant in ``a``'s units (``_spectrum``)."""
     x = np.where(spec, a, fill)
-    lam, e = _spectrum(x)
+    lam, e = _spectrum(x) if spectrum is None else spectrum
     residual = np.abs(np.linalg.inv(np.ldexp(x, -e))[~spec]).max() if not spec.all() else 0.0
     log_det = np.log(lam).sum() + len(x) * e * np.log(2.0) if lam[0] > 0 else np.nan
     return CompletionReport(

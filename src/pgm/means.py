@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .completion import CompletionReport, _entry_bounds, max_det_completion
-from .errors import DimensionMismatch, PgmError, TooManyMissing
+from .errors import DimensionMismatch, InternalNumerics, PgmError, TooManyMissing
 from .linalg import (
     DEFAULT_TOL,
     _definite,
@@ -65,13 +65,18 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     """
     _warn_off_geodesic(t)
     a, b = _dense(a), _dense(b)
-    lead = zip(a.shape[-3::-1], b.shape[-3::-1])
-    if a.shape[-2:] != b.shape[-2:] or any(p != q and 1 not in (p, q) for p, q in lead):
-        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
+    _require_pair(a, b)
     w, q = _eigh(a)
     rs, ris = _sqrt_pair(_require(w, "pd", tol), q)
     _require(_eigh(b, vectors=False), "pd", tol)
     return _geomean_core(rs, ris, b, t)
+
+
+def _require_pair(a, b):
+    """:class:`DimensionMismatch` unless the matrices, or stacks, ``a`` and ``b`` broadcast."""
+    lead = zip(a.shape[-3::-1], b.shape[-3::-1])
+    if a.shape[-2:] != b.shape[-2:] or any(p != q and 1 not in (p, q) for p, q in lead):
+        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
 def _warn_off_geodesic(t):
@@ -86,10 +91,13 @@ def _warn_off_geodesic(t):
 
 
 def _geomean_core(rs, ris, b, t):
-    """``A #_t B`` from ``A^{1/2}``, ``A^{-1/2}`` and ``B``, unchecked: the caller
-    has PD-tested A and B.  One eigensolve, of ``A^{-1/2} B A^{-1/2}``; stacks
-    broadcast as in :func:`geomean`."""
-    v, u = _eigh(sym(ris @ b @ ris))
+    """``A #_t B`` from ``A^{1/2}``, ``A^{-1/2}`` and ``B``: the caller has PD-tested A
+    and B.  One eigensolve, of ``A^{-1/2} B A^{-1/2}``, whose overflow raises
+    :class:`InternalNumerics`; stacks broadcast as in :func:`geomean`."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        v, u = _eigh(sym(ris @ b @ ris))
+    if not np.isfinite(v).all():
+        raise InternalNumerics("eigenvalues past the largest double")
     return sym(rs @ _from_spectrum(v**t, u) @ rs)
 
 
@@ -297,15 +305,17 @@ def partial_geomean_maxdet(pa, pb, t=0.5):
 
     Among all pairwise means of completions, the mean of the two
     maximum-determinant completions uniquely maximizes the determinant,
-    which then equals ``det(Ahat)^{1-t} det(Bhat)^t``.  A completion that
-    did not converge raises :class:`InternalNumerics`.
-    """
+    which then equals ``det(Ahat)^{1-t} det(Bhat)^t``.  A completion that did not
+    converge raises :class:`InternalNumerics`; a converged ``Bhat`` is certified PD, so
+    the mean is :func:`geomean`'s, bit for bit, without eigensolving ``Bhat`` again."""
     if pa.n != pb.n:
         raise DimensionMismatch(f"dimension mismatch: {pa.n} vs {pb.n}")
     _warn_off_geodesic(t)  # before completing
     rep_a = max_det_completion(pa).require_converged()
     rep_b = max_det_completion(pb).require_converged()
-    m = geomean(rep_a.matrix, rep_b.matrix, t)
+    w, q = _eigh(_dense(rep_a.matrix))
+    rs, ris = _sqrt_pair(_require(w, "pd", DEFAULT_TOL), q)
+    m = _geomean_core(rs, ris, rep_b.matrix, t)
     return PartialGeomeanResult(
         matrix=m, log_determinant=float(np.linalg.slogdet(m)[1]), t=t,
         completion_a=rep_a, completion_b=rep_b,
@@ -533,7 +543,8 @@ def _trace_integral(a0, a1):
     lambda A1, in closed form: with nu in (-2, 2) the spectrum of M^{-1/2} (A1 - A0) M^{-1/2},
     M = A(1/2), the integrand is sum_i nu_i / (1 + (lambda - 1/2) nu_i), whose integral is
     sum_i log1p(nu_i / 2) - log1p(-nu_i / 2); per pair of a stack."""
-    ris = _sqrt_pair(*_eigh(np.add(a0, a1) / 2.0))[1]
+    w, q = _eigh(np.add(a0, a1) / 2.0)
+    ris = _sqrt_pair(_require(w, "pd", DEFAULT_TOL), q)[1]  # refuses an M past the largest double
     nu = _eigh(sym(ris @ np.subtract(a1, a0) @ ris), vectors=False)
     integral = (np.log1p(nu / 2.0) - np.log1p(-nu / 2.0)).sum(axis=-1)
     return float(integral) if integral.ndim == 0 else integral
@@ -578,12 +589,15 @@ class EntropyIdentities:
 
 
 def entropy_identities(sigma0, sigma1, t=0.5):
-    """Evaluate both Gaussian entropy identities for a covariance pair, as ``_dense`` admits it."""
+    """Evaluate both Gaussian entropy identities for a covariance pair, as ``_dense`` admits
+    it; the mean is :func:`geomean`'s, whose PD test of ``sigma1`` is the spectrum of ``H1``."""
     sigma0, sigma1 = _dense(sigma0), _dense(sigma1)
-    h0 = gaussian_entropy(sigma0)
-    h1 = gaussian_entropy(sigma1)
+    h0, h1 = gaussian_entropy(sigma0), gaussian_entropy(sigma1)
     _warn_off_geodesic(t)
-    h_mean = gaussian_entropy(geomean(sigma0, sigma1, t))  # geomean rejects unequal shapes
+    _require_pair(sigma0, sigma1)
+    w, q = _eigh(sigma0)
+    rs, ris = _sqrt_pair(_require(w, "pd", DEFAULT_TOL), q)
+    h_mean = gaussian_entropy(_geomean_core(rs, ris, sigma1, t))
     integral = 0.5 * _trace_integral(sigma0, sigma1)
     return EntropyIdentities(
         entropy_diff=h1 - h0,

@@ -123,47 +123,49 @@ def agrees(m, pm, tol=1e-8):
 
 def clique_extremes(a, cliques):
     """``[lambda_min, lambda_max]`` of each clique block of the dense ``a`` (cliques
-    0-based) in units of ``2**e``, and ``e`` (``linalg._spectrum``), one stacked eigensolve
-    per clique size.  ``_definite`` gives a pair the verdict of its full spectrum;
-    ``-ext[:, ::-1]`` negates."""
+    0-based) in units of ``2**e``, ``e`` (``linalg._spectrum``) and, by clique size, the
+    spectra of the one stacked eigensolve per size.  ``_definite`` gives a pair the verdict
+    of its full spectrum; ``-ext[:, ::-1]`` negates."""
     sizes = np.array([len(c) for c in cliques])
-    ext, e = np.empty((len(cliques), 2)), np.empty(len(cliques), dtype=int)
+    ext, e, spectra = np.empty((len(cliques), 2)), np.empty(len(cliques), dtype=int), {}
     for size in set(sizes.tolist()):
         rows = np.flatnonzero(sizes == size)
         idx = np.array([cliques[r] for r in rows])
-        w, e[rows] = linalg._spectrum(a[idx[:, :, None], idx[:, None, :]])
-        ext[rows] = w[:, [0, -1]]
-    return ext, e
+        spectra[size], e[rows] = linalg._spectrum(a[idx[:, :, None], idx[:, None, :]])
+        ext[rows] = spectra[size][:, [0, -1]]
+    return ext, e, spectra
 
 
 def is_partial_pd(pm, tol=DEFAULT_TOL):
     """True iff every maximal-clique principal submatrix is positive
     definite.  Checking maximal cliques suffices because cliques nest."""
-    return not _offenders(pm, tol)
+    return not _offenders(pm, tol)[0]
 
 
 def offending_cliques(pm, tol=DEFAULT_TOL):
     """Maximal cliques whose principal submatrix fails to be positive
     definite (diagnostic companion to :func:`is_partial_pd`), in the
     order of :func:`maximal_cliques`."""
-    return [c for c, _ in _offenders(pm, tol)]
+    return [c for c, _ in _offenders(pm, tol)[0]]
 
 
 def _offenders(pm, tol):
-    """Sorted 1-based ``(clique, lambda_min)`` of the non-PD maximal-clique blocks of ``pm``."""
+    """Sorted 1-based ``(clique, lambda_min)`` of non-PD clique blocks; a complete pm's spectrum."""
     cliques = pm.pattern._clique_sequence
-    ext, e = clique_extremes(pm._a, cliques)
+    ext, e, spectra = clique_extremes(pm._a, cliques)
     rows = np.flatnonzero(~_definite(ext, tol))
-    return sorted((tuple(v + 1 for v in cliques[r]), np.ldexp(ext[r, 0], e[r])) for r in rows)
+    bad = sorted((tuple(v + 1 for v in cliques[r]), np.ldexp(ext[r, 0], e[r])) for r in rows)
+    return bad, (spectra[pm.n][0], e[0]) if len(cliques) == 1 else None
 
 
 def _require_partial_pd(pm, tol):
-    """Raise :class:`NotPartialPD` naming the first of :func:`_offenders` of ``pm``."""
-    bad = _offenders(pm, tol)
+    """Raise :class:`NotPartialPD` naming the first of :func:`_offenders`, else their spectrum."""
+    bad, whole = _offenders(pm, tol)
     if bad:
         clique, lam_min = bad[0]
         names = ", ".join(map(str, clique))
         raise NotPartialPD(f"not partial PD: clique {{{names}}} has lambda_min = {lam_min:.3e}")
+    return whole
 
 
 def _require_same_pattern(a, b):
@@ -209,7 +211,7 @@ def partial_order(a, b):
     diff = sub(a, b).to_dense()  # sub rejects another pattern and an overflow
     if not diff.any():
         return Comparison.EQ
-    ext, _ = clique_extremes(diff, a.pattern._clique_sequence)
+    ext = clique_extremes(diff, a.pattern._clique_sequence)[0]
     neg = -ext[:, ::-1]  # the pairs of -diff
     if _definite(ext, DEFAULT_TOL).all():
         return Comparison.GT

@@ -1,10 +1,10 @@
 """Specified-entry patterns.
 
 A pattern is an undirected graph with all loops on vertices ``1..n``; its
-edges index the specified entries of a partial matrix.  This module
-provides chordality testing with witnesses (a perfect elimination ordering
-when chordal, a chordless cycle of length >= 4 when not), which is the
-completability verdict, and maximal-clique enumeration.
+edges index the specified entries of a partial matrix.  This module tests
+chordality, the completability verdict, with a witness (a perfect elimination
+ordering from one maximum-cardinality search over the sparser of the pattern
+and its complement, or a chordless cycle of length >= 4), and lists maximal cliques.
 
 Vertices are 1-based in every public signature and 0-based internally.
 A pattern is stored as its symmetric ``(n, n)`` boolean mask; the edge
@@ -88,35 +88,45 @@ class Pattern:
     def is_complete(self):
         return bool(self._mask.all())
 
+    _adjacency = cached_property(lambda self: _neighbors(self._mask))
+
     @cached_property
     def _mcs(self):
-        """One maximum-cardinality search: 0-based adjacency sets, the visit order (its
-        reverse is an elimination order) and, if perfect, the clique sequence and its
-        separators ``S_j = C_j ∩ (C_1 ∪ … ∪ C_{j-1})``, else ``None, None``.  A vertex and
-        its earlier-visited neighbors form a clique, maximal exactly when the next vertex
-        has no more of them (Blair and Peyton); those of the next vertex are the separator.
-        A complete pattern takes no search, nor adjacency sets (``None``): the order
-        ``0..n-1``, its one clique and an empty separator."""
+        """One maximum-cardinality search (Tarjan and Yannakakis), in the same order over the
+        complement where it has fewer entries: the visit order (reversed, an elimination order)
+        and, if perfect, the clique sequence and its separators ``S_j = C_j ∩ (C_1 ∪ … ∪
+        C_{j-1})``, else ``None, None``.  A vertex and its earlier-visited neighbors form a
+        clique, maximal exactly when the next vertex has no more of them (Blair and Peyton);
+        those of the next vertex are the separator.  A complete pattern takes no search."""
         if self.is_complete:
-            return None, list(range(self.n)), (tuple(range(self.n)),), ((),)
-        adj = _adjacency(self)
-        visit, earlier = _mcs_visit(adj, self.n)
-        # perfect: the earlier neighbors of each v all neighbor the last one visited
-        if not all(adj[e[-1]].issuperset(e[:-1]) for e in earlier if e):
-            return adj, visit, None, None
+            return list(range(self.n)), (tuple(range(self.n)),), ((),)
+        if 2 * np.count_nonzero(self._mask) <= self.n * (self.n + 1):
+            adj = self._adjacency
+            visit, earlier = _mcs_visit(adj, self.n, -1)
+            # perfect: the earlier neighbors of each v all neighbor the last one visited
+            perfect = all(adj[e[-1]].issuperset(e[:-1]) for e in earlier if e)
+        else:  # each vertex records its gaps: the non-neighbors visited before it
+            visit, gaps = _mcs_visit(_neighbors(~self._mask), self.n, 1)
+            gaps = [set(g) for g in gaps]
+            earlier = {v: [u for u in visit[:k] if u not in gaps[v]] if gaps[v] else visit[:k]
+                       for k, v in enumerate(visit)}
+            # the same test: each gap of the last earlier neighbor of v is one of v's
+            perfect = all(gaps[v].issuperset(gaps[e[-1]]) for v, e in earlier.items() if e)
+        if not perfect:
+            return visit, None, None
         weights = [len(earlier[v]) for v in visit] + [0]
         ends = [k for k in range(self.n) if weights[k + 1] <= weights[k]]
         cliques = tuple(tuple(sorted((visit[k], *earlier[visit[k]]))) for k in ends)
         seps = tuple(tuple(sorted(earlier[visit[k]])) for k in [0, *(k + 1 for k in ends[:-1])])
-        return adj, visit, cliques, seps
+        return visit, cliques, seps
 
     @cached_property
     def _clique_sequence(self):
         """Maximal cliques as sorted tuples of 0-based vertices: for a chordal pattern the
         perfect sequence of ``_mcs``, in visit order (each clique meets the union of the
         earlier ones in its separator, inside one earlier clique), else Bron-Kerbosch."""
-        adj, _, cliques, _ = self._mcs
-        return cliques if cliques is not None else tuple(_bron_kerbosch(adj, self.n))
+        cliques = self._mcs[1]
+        return cliques if cliques is not None else tuple(_bron_kerbosch(self._adjacency, self.n))
 
 
 def _upper(mask, k=0):
@@ -147,35 +157,39 @@ class ChordalityResult:
     chordless_cycle: tuple | None
 
 
-def _adjacency(g):
-    adj = [set() for _ in range(g.n)]
-    for i, j in _upper(g._mask, 1)[1]:
+def _neighbors(mask):
+    """0-based neighbor sets of the graph of a symmetric boolean ``mask``, loops left out."""
+    adj = [set() for _ in range(len(mask))]
+    for i, j in _upper(mask, 1)[1]:
         adj[i - 1].add(j - 1)
         adj[j - 1].add(i - 1)
     return adj
 
 
-def _mcs_visit(adj, n):
-    """Maximum-cardinality search: the visit order and, per vertex, its neighbors
-    visited before it, in visit order (their count is its weight).
+def _mcs_visit(lists, n, step):
+    """Maximum-cardinality search: the visit order and, per vertex, the entries of its list
+    visited before it, in visit order.
 
-    Each step visits the heaviest unvisited vertex, the smallest on ties: a lazy heap
-    of ``(-weight, v)``, packed in one int as ``v - weight * n``.  A vertex's fresh key
-    pops before its stale ones, which are skipped once it is visited."""
-    earlier = [[] for _ in range(n)]
-    heap = list(range(n))  # every weight 0: sorted, so already a heap
+    Each step visits the heaviest unvisited vertex, the smallest on ties: the least key
+    ``v + count * n`` of a lazy heap, the count being minus the weight over neighbor lists
+    (``step = -1``) and the visited non-neighbors over the complement's (``step = 1``).
+    A key that is not its vertex's current one, ``keys[v]``, is stale and skipped."""
+    records, keys, stride = [[] for _ in range(n)], list(range(n)), step * n
+    heap = keys.copy()  # every count 0: sorted, so already a heap
     visit, seen = [], [False] * n
     while heap:
-        v = heapq.heappop(heap) % n
-        if seen[v]:
+        key = heapq.heappop(heap)
+        v = key % n
+        if key != keys[v]:
             continue
         seen[v] = True
         visit.append(v)
-        for u in adj[v]:
+        for u in lists[v]:
             if not seen[u]:
-                earlier[u].append(v)
-                heapq.heappush(heap, u - len(earlier[u]) * n)
-    return visit, earlier
+                records[u].append(v)
+                keys[u] += stride
+                heapq.heappush(heap, keys[u])
+    return visit, records
 
 
 def _shortest_path(adj, start, goal, blocked):
@@ -226,7 +240,7 @@ def is_chordal(g):
     >= 4 is extracted as counter-witness.  A pattern admits positive definite
     completions of every partial positive definite matrix exactly when it is chordal.
     """
-    adj, visit, cliques, _ = g._mcs
+    visit, cliques, _ = g._mcs
     if cliques is not None:
         return ChordalityResult(
             chordal=True,
@@ -236,7 +250,7 @@ def is_chordal(g):
     return ChordalityResult(
         chordal=False,
         elimination_order=None,
-        chordless_cycle=tuple(v + 1 for v in _find_chordless_cycle(adj, g.n)),
+        chordless_cycle=tuple(v + 1 for v in _find_chordless_cycle(g._adjacency, g.n)),
     )
 
 

@@ -70,6 +70,13 @@ def rand_invertible(rng, n):
             return s
 
 
+def near_complete(rng, n, k):
+    """The complete pattern on ``n`` vertices less ``k`` distinct random pairs."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    drop = {pairs[i] for i in rng.choice(len(pairs), size=min(k, len(pairs)), replace=False)}
+    return Pattern.from_pairs(n, [p for p in pairs if p not in drop])
+
+
 def rand_chordal_pattern(rng, n, fill=0.5):
     """Random chordal pattern built vertex by vertex.
 

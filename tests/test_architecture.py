@@ -96,8 +96,10 @@ def test_public_eigensolves_admit_their_argument_through_the_dense_door():
 
 def test_unchecked_mean_core_runs_only_behind_a_pd_test():
     """``means._geomean_core`` trusts its caller to have PD-tested both operands:
-    only ``geomean`` and ``partial_geomean_sweep`` name it, each to call it, and
-    each runs a PD test (``_require``, ``_definite`` or ``is_pd``) on a line before."""
+    only ``geomean``, ``partial_geomean_sweep``, ``partial_geomean_maxdet`` (whose B̂ a
+    converged completion certified) and ``entropy_identities`` (whose ``gaussian_entropy``
+    tests ``sigma1``) name it, each to call it, and each runs a PD test (``_require``,
+    ``_definite`` or ``is_pd``) on a line before."""
     naming, first_call, first_test = set(), {}, {}  # first_*: function -> first line
     for name, node in _functions().items():
         for sub in ast.walk(node):
@@ -109,7 +111,10 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
                     first_call[name] = min(line, first_call.get(name, line))
                 if callee in ("_require", "_definite", "is_pd"):
                     first_test[name] = min(line, first_test.get(name, line))
-    assert sorted(naming) == sorted(first_call) == ["means.geomean", "means.partial_geomean_sweep"]
+    assert sorted(naming) == sorted(first_call) == [
+        "means.entropy_identities", "means.geomean",
+        "means.partial_geomean_maxdet", "means.partial_geomean_sweep",
+    ]
     assert all(first_test.get(name, line) < line for name, line in first_call.items())
 
 

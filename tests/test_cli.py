@@ -46,6 +46,7 @@ from conftest import (
     frustrated_ring,
     rand_chordal_pattern,
     rand_partial_pd,
+    rand_spd,
     reference_sweep_rows,
     sweep_n8_pair,
     sweep_region_pair,
@@ -361,6 +362,30 @@ class TestCommands:
         assert rc == 1
         assert "error: shape mismatch: (3, 3) vs (4, 4)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, solves", [("geomean", 6), ("entropy", 11)])
+    def test_near_complete_and_complete_pair_eigensolves(
+        self, tmp_path, monkeypatch, capsys, command, solves
+    ):
+        # A misses (1, 9) and (1, 10): its proof takes one stacked eigensolve per clique
+        # size (8 and 9) and its certificate one; complete B's proof is its certificate.
+        # geomean then takes eigh(Ahat) and the core's; entropy takes H0, H1 (also B's PD
+        # test), eigh(Ahat), the core's, H of the mean and the trace integral's two
+        rng = np.random.default_rng(7)
+        pairs = [(i, j) for i in range(1, 11) for j in range(i + 1, 11)
+                 if (i, j) not in ((1, 9), (1, 10))]
+        inputs = {"a": Pattern.from_pairs(10, pairs), "b": Pattern.complete(10)}
+        files = [write(tmp_path, f"{name}.txt", format_partial(project(rand_spd(rng, 10), g)))
+                 for name, g in inputs.items()]
+        calls = {"eig": 0}
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _real=getattr(np.linalg, name), **kwargs):
+                calls["eig"] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert main([command, *files]) == 0
+        assert calls["eig"] == solves
+
 
 SWEEP_PAIRS = {
     "ex1": lambda: (ex1_partial_a(), ex1_partial_b()),
@@ -442,6 +467,15 @@ class TestDeterminantLines:
         # both complete and are PD, but the mean's spectrum, taken unscaled, overflows
         band = write(tmp_path, "band.txt", self.BIG_BAND)
         assert main([command, band, write(tmp_path, "full.txt", self.BIG_FULL)]) == 1
+        assert capsys.readouterr() == ("", "error: eigenvalues past the largest double\n")
+
+    @pytest.mark.parametrize("command", ["geomean", "entropy"])
+    @pytest.mark.parametrize("big", ["BIG_BAND", "BIG_FULL"])
+    def test_overflowing_second_operand_exit_1(self, tmp_path, capsys, command, big):
+        # the second completion is not eigensolved again for the mean: the core refuses the
+        # overflowing product A^{-1/2} Bhat A^{-1/2} instead, with no numpy warning
+        half = write(tmp_path, "half.txt", "n 3\n0.5 0.1 0\n0.1 0.5 0.1\n0 0.1 0.5\n")
+        assert main([command, half, write(tmp_path, "big.txt", getattr(self, big))]) == 1
         assert capsys.readouterr() == ("", "error: eigenvalues past the largest double\n")
 
     @pytest.mark.parametrize(

@@ -332,6 +332,21 @@ class TestMaxDetCompletion:
         rep = max_det_completion(ex1_partial_a())
         assert (rep.iterations, rep.converged, calls["eig"]) == (1, True, 2)
 
+    def test_complete_input_reads_one_spectrum(self, monkeypatch):
+        # one clique, the whole matrix: its partial-PD proof's spectrum is the certificate's
+        pm = project(rand_spd(np.random.default_rng(3), 6), Pattern.complete(6))
+        calls = {"eig": 0}
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _real=getattr(np.linalg, name), **kwargs):
+                calls["eig"] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rep = max_det_completion(pm)
+        assert (rep.iterations, rep.converged, calls["eig"]) == (1, True, 1)
+        np.testing.assert_array_equal(rep.matrix, pm.to_dense())
+        assert rep.log_determinant == pytest.approx(np.linalg.slogdet(pm.to_dense())[1], rel=1e-12)
+
     @pytest.mark.parametrize("n", [40, 80])
     def test_chordal_closed_form_makes_no_call_per_clique(self, monkeypatch, n):
         # band-2: n - 2 cliques of size 3, separators of size 2 after the first.  One

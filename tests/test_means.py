@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.linalg import det
 
 from pgm import (
     DimensionMismatch,
+    EntropyIdentities,
+    InternalNumerics,
     NotPositiveDefinite,
     Pattern,
     SampleSet,
@@ -40,6 +44,7 @@ from conftest import (
     ex1_partial_b,
     golden_pair_completions,
     matrix_a_chordal_example,
+    near_complete,
     rand_invertible,
     rand_spd,
     reference_trace_quadrature,
@@ -137,6 +142,11 @@ class TestGeomean:
         one = rand_spd(rng, 3)
         with pytest.raises(NotPositiveDefinite):
             geomean(*((stack, one) if bad == "a" else (one, stack)), 0.5)
+
+    def test_overflowing_product_refused(self):
+        # B's spectrum is finite, but A^{-1/2} B A^{-1/2} = 4 B is not
+        with pytest.raises(InternalNumerics, match="eigenvalues past the largest double"):
+            geomean(0.25 * np.eye(2), np.diag([1e308, 5e307]), 0.5)
 
 
 class TestPropertySuite:
@@ -358,6 +368,41 @@ class TestPartialGeomean:
                 mb[0, 2] = mb[2, 0] = y
                 best = max(best, math.sqrt(max(da, 0.0) * max(det(mb), 0.0)))
         assert res.determinant >= best - 1e-9
+
+
+@st.composite
+def near_complete_pairs(draw):
+    """Partial PD ``(pa, pb, t)``: ``pa`` misses 1-3 random pairs (chordal or not), ``pb`` is
+    complete or near-complete too, n 3-11."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(3, 12))
+    pa = project(rand_spd(rng, n), near_complete(rng, n, int(rng.integers(1, 4))))
+    pb = project(rand_spd(rng, n), near_complete(rng, n, int(rng.integers(0, 3))))
+    return pa, pb, float(rng.uniform(0.0, 1.0))
+
+
+class TestMeansOfCompletions:
+    """The means of completions skip an eigensolve yet equal their definitions exactly."""
+
+    @given(case=near_complete_pairs())
+    def test_partial_mean_is_geomean_of_the_completions(self, case):
+        pa, pb, t = case
+        res = partial_geomean_maxdet(pa, pb, t)
+        a_hat, b_hat = res.completion_a.matrix, res.completion_b.matrix
+        np.testing.assert_array_equal(res.matrix, geomean(a_hat, b_hat, t))
+
+    @given(case=near_complete_pairs())
+    def test_entropy_identities_match_their_definition(self, case):
+        pa, pb, t = case
+        s0 = max_det_completion(pa).require_converged().matrix
+        s1 = max_det_completion(pb).require_converged().matrix
+        h0, h1 = gaussian_entropy(s0), gaussian_entropy(s1)
+        assert entropy_identities(s0, s1, t) == EntropyIdentities(
+            entropy_diff=h1 - h0,
+            entropy_diff_integral=0.5 * means._trace_integral(s0, s1),
+            entropy_geomean=gaussian_entropy(geomean(s0, s1, t)),
+            entropy_interpolated=(1.0 - t) * h0 + t * h1,
+        )
 
 
 class TestKarcherMean:

@@ -22,6 +22,7 @@ from conftest import (
     chordal_example_pattern,
     four_cycle_pattern,
     is_valid_chordless_cycle,
+    near_complete,
     rand_chordal_pattern,
     reference_bron_kerbosch,
     reference_mcs_order,
@@ -163,11 +164,11 @@ class TestMaximalCliques:
             is_complete = False  # takes the maximum-cardinality search
 
         g = Pattern.complete(n)
-        _, *searched = Searched(n=n, edges=g.edges)._mcs
+        searched = Searched(n=n, edges=g.edges)._mcs
         calls = []
         monkeypatch.setattr(pattern, "_mcs_visit", lambda *args: calls.append(args))
         # the order, the one clique and its empty separator, as the search finds them
-        assert g._mcs[1:] == tuple(searched)
+        assert g._mcs == searched
         assert g._clique_sequence == searched[1] and calls == []
 
     def test_complete_matrix_completes_without_search(self, monkeypatch):
@@ -190,10 +191,14 @@ def _disjoint_union(rng, g, h):
 
 @st.composite
 def search_patterns(draw):
-    """Chordal, random (mostly non-chordal), disconnected, edgeless or one-vertex."""
+    """Chordal, random (mostly non-chordal), disconnected, near-complete (1-3 pairs
+    missing, searched over the complement), edgeless or one-vertex."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = rng.choice(["chordal", "random", "random", "disconnected", "edgeless", "one"])
+    kind = rng.choice(["chordal", "random", "random", "disconnected", "near", "near",
+                       "edgeless", "one"])
     n = int(rng.integers(2, 10))
+    if kind == "near":
+        return near_complete(rng, n + 1, int(rng.integers(1, 4)))
     if kind == "chordal":
         return rand_chordal_pattern(rng, n, fill=float(rng.uniform(0.2, 1.0)))
     if kind == "random":
@@ -210,16 +215,19 @@ class TestSearch:
 
     @given(g=search_patterns())
     def test_order_and_records_match_the_reference(self, g):
-        adj = pattern._adjacency(g)
-        visit, earlier = pattern._mcs_visit(adj, g.n)
-        assert tuple(v + 1 for v in reversed(visit)) == reference_mcs_order(g)
-        step = {v: k for k, v in enumerate(visit)}
-        for v in range(g.n):  # each vertex's neighbors visited before it, in visit order
-            assert earlier[v] == sorted((u for u in adj[v] if step[u] < step[v]), key=step.get)
+        # over the pattern a vertex records its neighbors visited before it, over the
+        # complement its non-neighbors; either way the order is the reference's
+        for step, mask in ((-1, g._mask), (1, ~g._mask)):
+            lists = pattern._neighbors(mask)
+            visit, records = pattern._mcs_visit(lists, g.n, step)
+            assert tuple(v + 1 for v in reversed(visit)) == reference_mcs_order(g)
+            at = {v: k for k, v in enumerate(visit)}
+            for v in range(g.n):  # each vertex's list entries visited before it, in visit order
+                assert records[v] == sorted((u for u in lists[v] if at[u] < at[v]), key=at.get)
 
     @given(g=search_patterns())
     def test_perfect_sequence_with_brute_force_separators(self, g):
-        _, _, cliques, separators = g._mcs
+        _, cliques, separators = g._mcs
         if brute_force_has_hole(g):
             assert (cliques, separators) == (None, None)
             return
@@ -231,6 +239,40 @@ class TestSearch:
             # running intersection: the separator lies inside one earlier clique
             assert j == 0 or any(clique & seen <= earlier for earlier in as_sets[:j])
             seen |= clique
+
+    @pytest.mark.parametrize("n", [40, 60, 200])
+    @pytest.mark.parametrize("missing, chordal", [
+        ([(1, 2), (1, 3)], True),  # vertex 1 stays simplicial
+        ([(1, 2), (2, 3), (2, 5)], True),  # the missing pairs share a vertex: no hole
+        ([(1, 2), (3, 4)], False),  # the hole 1-3-2-4
+        ([(1, 2), (3, 4), (5, 6)], False),
+    ])
+    def test_near_complete_search_at_size(self, n, missing, chordal):
+        g = Pattern.from_pairs(n, [p for p in combinations(range(1, n + 1), 2) if p not in missing])
+        visit, cliques, separators = g._mcs
+        assert tuple(v + 1 for v in reversed(visit)) == reference_mcs_order(g)
+        assert is_chordal(g).chordal == chordal == (cliques is not None)
+        mask, covered, seen = g._mask, np.eye(n, dtype=bool), set()
+        for clique in g._clique_sequence:
+            c = list(clique)
+            assert mask[np.ix_(c, c)].all()  # a clique, and no vertex outside extends it
+            assert np.flatnonzero(mask[:, c].all(axis=1)).tolist() == c
+            covered[np.ix_(c, c)] = True
+        assert (covered == mask).all()  # every edge lies in a clique
+        for clique, separator in zip(cliques or (), separators or ()):
+            assert set(separator) == set(clique) & seen
+            seen |= set(clique)
+
+    def test_near_complete_chordal_search_builds_no_adjacency(self, monkeypatch):
+        n = 60
+        g = Pattern.from_pairs(n, [p for p in combinations(range(1, n + 1), 2)
+                                   if p not in ((1, n - 1), (1, n))])
+        read, real = [], pattern._neighbors
+        monkeypatch.setattr(Pattern, "_adjacency", property(lambda self: pytest.fail("adjacency")))
+        monkeypatch.setattr(pattern, "_neighbors", lambda m: read.append(m.sum()) or real(m))
+        assert is_chordal(g).chordal
+        assert maximal_cliques(g) == [tuple(range(1, n - 1)), tuple(range(2, n + 1))]
+        assert read == [4]  # one set of lists, over the two missing pairs
 
 
 class TestMissingPositions:
