@@ -112,6 +112,8 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
     m = _dense(m)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+        raise ValueError(f"position ({i}, {j}) has a non-integer index")
     n = m.shape[0]
     i0, j0 = i - 1, j - 1
     if not (0 <= i0 < n and 0 <= j0 < n) or i0 == j0:

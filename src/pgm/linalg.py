@@ -18,8 +18,8 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, InternalNumerics, NotPositiveDefinite
 
-#: Default relative tolerance for positive (semi)definiteness tests.
-#: A matrix counts as PD when lambda_min > DEFAULT_TOL * max(1, ||A||).
+#: Default relative tolerance of every PD, PSD and symmetry test: a matrix counts as PD when
+#: lambda_min > DEFAULT_TOL * ||A||, with no absolute unit, so ``c A`` gets the verdict of ``A``.
 DEFAULT_TOL = 1e-10
 
 
@@ -30,7 +30,7 @@ def sym(a):
 
 def _dense(a):
     """``a`` as a float ``(..., n, n)`` array, checked finite: as it is if exactly symmetric,
-    its :func:`sym` if ``max |a - a^T| <= DEFAULT_TOL * max(1, max |a|)`` per matrix."""
+    its :func:`sym` if ``max |a - a^T| <= DEFAULT_TOL * max |a|`` per matrix."""
     m = np.asarray(a, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
@@ -39,7 +39,7 @@ def _dense(a):
     if (m == m.swapaxes(-1, -2)).all():
         return m
     skew = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1))
-    if (skew > DEFAULT_TOL * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))).any():
+    if (skew > DEFAULT_TOL * np.abs(m).max(axis=(-2, -1))).any():
         raise ValueError(f"matrix is not symmetric (max |a - a^T| = {skew.max():.3e})")
     return sym(m)
 
@@ -77,7 +77,7 @@ def _eigh(a, vectors=True):
 def _spectrum(a):
     """Ascending eigenvalues of the finite symmetric ``a`` (or of each matrix of a stack) as
     ``(w, e)``, in units of ``2**e``: where they overflow, ``e`` brings the largest entry of
-    that matrix into [1, 2), where :func:`_definite` gives its verdict scale-free."""
+    that matrix into [1, 2)."""
     w = _eigh(a, vectors=False)
     if np.isfinite(w).all():
         return w, 0
@@ -85,9 +85,10 @@ def _spectrum(a):
     return _eigh(np.ldexp(a, -e[..., None, None]), vectors=False), e
 
 
-def _definite(w, tol, semi=False):
-    """The PD (or, if ``semi``, PSD) test per ascending spectrum in ``w``."""
-    scale = np.abs(w).max(axis=-1, initial=1.0)
+def _definite(w, tol, semi=False, scale=None):
+    """The PD (or, if ``semi``, PSD) test per ascending spectrum in ``w``: ``lambda_min`` against
+    ``tol`` times ``scale``, by default ``max |lambda|`` of the same spectrum."""
+    scale = np.abs(w).max(axis=-1) if scale is None else scale
     lam_min = w[..., 0]
     return lam_min >= -tol * scale if semi else lam_min > tol * scale
 
@@ -132,13 +133,13 @@ def _from_spectrum(w, q):
 
 
 def is_pd(a, tol=DEFAULT_TOL):
-    """True iff lambda_min(a) > tol * max(1, ||a||), per matrix of a stack; via :func:`_dense`."""
+    """True iff lambda_min(a) > tol * ||a||, per matrix of a stack; via :func:`_dense`."""
     ok = _definite(_spectrum(_dense(a))[0], tol)
     return bool(ok) if ok.ndim == 0 else ok
 
 
 def is_psd(a, tol=DEFAULT_TOL):
-    """True iff lambda_min(a) >= -tol * max(1, ||a||), per matrix of a stack; via :func:`_dense`."""
+    """True iff lambda_min(a) >= -tol * ||a||, per matrix of a stack; via :func:`_dense`."""
     ok = _definite(_spectrum(_dense(a))[0], tol, semi=True)
     return bool(ok) if ok.ndim == 0 else ok
 

@@ -128,13 +128,14 @@ class GeomeanPropertyReport:
 
 
 def _close(x, y, rtol):
-    return fro_norm(x - y) <= rtol * max(1.0, fro_norm(x), fro_norm(y))
+    """x == y up to rtol times the larger Frobenius norm."""
+    return fro_norm(x - y) <= rtol * max(fro_norm(x), fro_norm(y))
 
 
 def _psd_geq(x, y, rtol):
-    """x >= y up to an eigenvalue slack of rtol * scale."""
+    """x >= y up to an eigenvalue slack of rtol times the larger spectral norm."""
     d = sym(x - y)
-    scale = max(1.0, op_norm(x), op_norm(y))
+    scale = max(op_norm(x), op_norm(y))
     return float(_eigh(d, vectors=False)[0]) >= -rtol * scale
 
 
@@ -260,7 +261,7 @@ class SampleSet:
 def set_geomean(s, t_set, t=0.5):
     """All pairwise weighted geometric means of two sample sets.
 
-    Duplicates (Frobenius distance <= 1e-12) are removed, so the result
+    Duplicates (Frobenius distance <= 1e-12 times the larger norm) are removed, so the result
     has at most ``len(s) * len(t_set)`` members.
     """
     _warn_off_geodesic(t)
@@ -268,7 +269,7 @@ def set_geomean(s, t_set, t=0.5):
     for x in s.members:
         for y in t_set.members:
             g = geomean(x, y, t)
-            if all(fro_norm(g - kept) > 1e-12 for kept in out):
+            if not any(_close(g, kept, 1e-12) for kept in out):
                 out.append(g)
     return SampleSet(tuple(out))
 
@@ -345,6 +346,8 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     broadcasts), then one det and one eigvalsh.  A cell thus costs two
     eigensolves with one missing entry per input, three with both in one.
     """
+    if not isinstance(grid, (int, np.integer)):
+        raise ValueError(f"grid must be an integer, got {grid!r}")
     if grid < 2:
         raise PgmError(f"grid must be at least 2, got {grid}")
     if pa.n != pb.n:
@@ -542,11 +545,18 @@ def _trace_integral(a0, a1):
     """The integral over [0, 1] of tr(A(lambda)^{-1} (A1 - A0)), A(lambda) = (1 - lambda) A0 +
     lambda A1, in closed form: with nu in (-2, 2) the spectrum of M^{-1/2} (A1 - A0) M^{-1/2},
     M = A(1/2), the integrand is sum_i nu_i / (1 + (lambda - 1/2) nu_i), whose integral is
-    sum_i log1p(nu_i / 2) - log1p(-nu_i / 2); per pair of a stack."""
+    sum_i log1p(nu_i / 2) - log1p(-nu_i / 2); per pair of a stack.  Where ``max |nu| / 2``
+    passes ``1 - 1e-3``, ``1 -+ nu / 2`` would lose digits, and the pair takes the same sum as
+    sum_i log of the spectrum of M^{-1/2} A1 M^{-1/2} minus that of M^{-1/2} A0 M^{-1/2}."""
     w, q = _eigh(np.add(a0, a1) / 2.0)
     ris = _sqrt_pair(_require(w, "pd", DEFAULT_TOL), q)[1]  # refuses an M past the largest double
     nu = _eigh(sym(ris @ np.subtract(a1, a0) @ ris), vectors=False)
-    integral = (np.log1p(nu / 2.0) - np.log1p(-nu / 2.0)).sum(axis=-1)
+    wide = np.abs(nu).max(axis=-1) > 2.0 - 2e-3
+    with np.errstate(divide="ignore", invalid="ignore"):  # only a wide pair's log1p(-+1) fails
+        integral = (np.log1p(nu / 2.0) - np.log1p(-nu / 2.0)).sum(axis=-1)
+    if wide.any():
+        ends = _eigh(sym(ris @ np.stack(np.broadcast_arrays(a1, a0)) @ ris), vectors=False)
+        integral = np.where(wide, np.subtract(*np.log(ends).sum(axis=-1)), integral)
     return float(integral) if integral.ndim == 0 else integral
 
 

@@ -205,20 +205,21 @@ def partial_order(a, b):
 
     The order is defined through the difference: ``a > b`` iff ``a - b``
     is partial positive definite, ``a >= b`` iff it is partial positive
-    semidefinite, both at tolerance ``DEFAULT_TOL``.  ``EQ`` requires the
-    difference to be identically zero; strict verdicts take precedence.
+    semidefinite, each clique's eigenvalues at tolerance ``DEFAULT_TOL`` times the largest
+    ``|entry|`` of that clique's blocks in ``a`` and ``b`` (so ``c a`` against ``c b``, ``c > 0``,
+    gets the verdict of ``a`` against ``b``).  ``EQ`` requires the difference to be
+    identically zero; strict verdicts take precedence.
     """
     diff = sub(a, b).to_dense()  # sub rejects another pattern and an overflow
     if not diff.any():
         return Comparison.EQ
-    ext = clique_extremes(diff, a.pattern._clique_sequence)[0]
+    cliques = a.pattern._clique_sequence
+    ext, e, _ = clique_extremes(diff, cliques)
+    big = np.maximum(np.abs(a._a), np.abs(b._a))
+    scale = np.ldexp([big[np.ix_(c, c)].max() for c in cliques], -e)  # in ext's units 2**e
     neg = -ext[:, ::-1]  # the pairs of -diff
-    if _definite(ext, DEFAULT_TOL).all():
-        return Comparison.GT
-    if _definite(neg, DEFAULT_TOL).all():
-        return Comparison.LT
-    if _definite(ext, DEFAULT_TOL, semi=True).all():
-        return Comparison.GE
-    if _definite(neg, DEFAULT_TOL, semi=True).all():
-        return Comparison.LE
+    for verdict, pairs, semi in ((Comparison.GT, ext, False), (Comparison.LT, neg, False),
+                                 (Comparison.GE, ext, True), (Comparison.LE, neg, True)):
+        if _definite(pairs, DEFAULT_TOL, semi, scale).all():
+            return verdict
     return Comparison.INCOMPARABLE

@@ -45,6 +45,7 @@ from pgm import (
     PartialMatrix,
     geomean,
     is_pd,
+    max_det_completion,
     missing_positions,
     partial_entry_bounds,
     project,
@@ -52,7 +53,7 @@ from pgm import (
     sub,
 )
 from pgm.means import _shrunk_axis
-from pgm.errors import AsymmetricPattern, MissingDiagonal, ParseError
+from pgm.errors import AsymmetricPattern, MissingDiagonal, ParseError, PgmError
 
 
 def rand_spd(rng, n, spread=1.0):
@@ -238,16 +239,38 @@ def maxdet_oracle(pm):
     return 0.5 * (out + out.T)
 
 
+def _completion_outcome(pm, max_cycles):
+    try:
+        return max_det_completion(pm, max_cycles=max_cycles)
+    except PgmError as exc:
+        return type(exc)
+
+
+def assert_completion_scales(pm, c, max_cycles=500):
+    """``max_det_completion`` of ``scale(c, pm)``, ``c`` a power of two, raises the error
+    ``pm`` raises, or returns ``c`` times its matrix bit for bit, in the same iterations,
+    with the same verdict and the residual over ``c``."""
+    expected = _completion_outcome(pm, max_cycles)
+    got = _completion_outcome(scale(c, pm), max_cycles)
+    if isinstance(expected, type):
+        assert got is expected
+        return
+    assert (got.iterations, got.converged) == (expected.iterations, expected.converged)
+    np.testing.assert_array_equal(got.matrix, c * expected.matrix)
+    assert got.residual == expected.residual / c
+
+
 # --- partial Loewner order reference ----------------------------------
 
-def _reference_clique_test(pm, tol, semi):
-    """Every maximal-clique block passes the PD (or PSD) rule of
-    ``linalg.is_pd``, one full ``eigvalsh`` per clique."""
+def _reference_clique_test(pm, scales, tol, semi):
+    """Every maximal-clique block has ``lambda_min > tol * scale`` (or, if ``semi``,
+    ``>= -tol * scale``), ``scale`` the clique's entry of ``scales``, one full
+    ``eigvalsh`` per clique."""
     dense = pm.to_dense()
     for clique in brute_force_maximal_cliques(pm.pattern):
         idx = [v - 1 for v in clique]
         w = np.linalg.eigvalsh(dense[np.ix_(idx, idx)])
-        bound = tol * max(1.0, float(np.abs(w).max()))
+        bound = tol * scales[clique]
         if not (w[0] >= -bound if semi else w[0] > bound):
             return False
     return True
@@ -256,18 +279,23 @@ def _reference_clique_test(pm, tol, semi):
 def reference_partial_order(a, b, tol=1e-10):
     """The partial Loewner order in four clique passes, over ``a - b`` and
     over its negated copy (the earlier implementation, kept as the
-    reference for the one-pass ``partial_order``)."""
+    reference for the one-pass ``partial_order``), each clique judged against
+    the largest ``|entry|`` of its blocks in ``a`` and ``b``, read one entry at a time."""
     diff = sub(a, b)
     if all(v == 0.0 for v in diff.values.values()):
         return Comparison.EQ
     neg = scale(-1.0, diff)
-    if _reference_clique_test(diff, tol, semi=False):
+    scales = {
+        clique: max(abs(m.entry(i, j)) for m in (a, b) for i in clique for j in clique)
+        for clique in brute_force_maximal_cliques(a.pattern)
+    }
+    if _reference_clique_test(diff, scales, tol, semi=False):
         return Comparison.GT
-    if _reference_clique_test(neg, tol, semi=False):
+    if _reference_clique_test(neg, scales, tol, semi=False):
         return Comparison.LT
-    if _reference_clique_test(diff, tol, semi=True):
+    if _reference_clique_test(diff, scales, tol, semi=True):
         return Comparison.GE
-    if _reference_clique_test(neg, tol, semi=True):
+    if _reference_clique_test(neg, scales, tol, semi=True):
         return Comparison.LE
     return Comparison.INCOMPARABLE
 

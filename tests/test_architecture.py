@@ -118,6 +118,37 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
     assert all(first_test.get(name, line) < line for name, line in first_call.items())
 
 
+#: Where every tolerance is relative to the operands' own scale: whole modules, and the
+#: comparisons of ``means``.  The absolute tolerances on scale-invariant quantities stay:
+#: the Lipschitz bound and the log-determinant identity of ``geomean_properties_check``,
+#: gradient norms and Newton decrements.
+SCALE_FREE = {"linalg": None, "partial": None, "completion": None,
+              "means": {"_close", "_psd_geq", "set_geomean"}}
+
+
+def test_no_absolute_unit_in_scale_free_tests():
+    """``max(1.0, ...)``, ``np.maximum(1.0, ...)`` and ``initial=1.0`` put a fixed unit into a
+    tolerance, so ``c A`` would get another verdict than ``A``: none is left in ``SCALE_FREE``
+    (any numeric constant counts, not only 1.0)."""
+    found = []
+    for module, names in SCALE_FREE.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        scopes = [tree] if names is None else [
+            node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in names
+        ]
+        assert names is None or {node.name for node in scopes} == names
+        for node in (sub for scope in scopes for sub in ast.walk(scope)):
+            if not isinstance(node, ast.Call):
+                continue
+            numbers = [a for a in node.args if isinstance(a, ast.Constant)
+                       and isinstance(a.value, (int, float)) and not isinstance(a.value, bool)]
+            if ast.unparse(node.func) in ("max", "np.maximum", "np.fmax") and numbers:
+                found.append(f"{module}: {ast.unparse(node)}")
+            found += [f"{module}: {ast.unparse(node)}" for kw in node.keywords
+                      if kw.arg == "initial" and isinstance(kw.value, ast.Constant)]
+    assert found == []
+
+
 def test_cli_imports_no_private_library_name():
     """The CLI reaches the library through its public names only."""
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))

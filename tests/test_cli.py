@@ -257,6 +257,14 @@ class TestCommands:
         completed = parse_partial(str(out_path))
         assert completed.entry(1, 3) == pytest.approx(-2.0 / 3.0, abs=1e-12)
 
+    def test_complete_at_a_small_scale(self, tmp_path, capsys):
+        # ring4.txt times 1e-11: a floor of max(1, ||A||) would refuse clique {1, 2} as not PD
+        text = "n 4\n1e-11 -1e-11 ? 0\n-1e-11 2e-11 2e-11 ?\n? 2e-11 3e-11 1e-11\n0 ? 1e-11 1e-11\n"
+        assert main(["complete", write(tmp_path, "ring4_small.txt", text)]) == 0
+        out = capsys.readouterr().out
+        assert "determinant: 5.3576e-45\n" in out
+        assert "converged: yes\n" in out
+
     def test_geomean_reports_identity(self, tmp_path, capsys):
         rc = main(
             [
@@ -548,6 +556,11 @@ class TestSweep:
     def test_grid_of_one_rejected(self):
         with pytest.raises(PgmError, match="grid must be at least 2, got 1"):
             partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), 1, 0.5, DEFAULT_TOL)
+
+    def test_non_integer_grid_named(self):
+        # np.linspace would raise its own TypeError
+        with pytest.raises(ValueError, match="grid must be an integer, got 3.5"):
+            partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), 3.5, 0.5, DEFAULT_TOL)
 
     def test_unequal_dimensions_rejected(self):
         pb = project(np.eye(4), Pattern.complete(4))

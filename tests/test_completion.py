@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,14 +28,18 @@ from pgm import (
     max_det_completion,
     means,
     missing_positions,
+    offending_cliques,
     op_norm,
     partial_entry_bounds,
     partial_geomean_maxdet,
     pattern,
     project,
+    scale,
     single_entry_interval,
 )
+from pgm.cli import parse_partial
 from conftest import (
+    assert_completion_scales,
     cosine_ring,
     ex1_partial_a,
     ex1_partial_b,
@@ -80,6 +85,11 @@ class TestSingleEntryInterval:
     def test_diagonal_position_rejected(self):
         with pytest.raises(ValueError):
             single_entry_interval(np.eye(3), 2, 2)
+
+    def test_non_integer_position_named(self):
+        # a float index would reach numpy's indexing and raise its IndexError
+        with pytest.raises(ValueError, match=r"position \(1\.0, 3\.0\) has a non-integer index"):
+            single_entry_interval(np.eye(3), 1.0, 3.0)
 
 
 class TestFeasibilityRange:
@@ -787,6 +797,51 @@ class TestPartialEntryBounds:
         message = r"not partial PD: clique \{3, 5\} has lambda_min = -5.000e-01"
         with pytest.raises(NotPartialPD, match=message):
             partial_entry_bounds(PartialMatrix(pattern=g, values=values), (2, 5))
+
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+
+
+def _band2(n):
+    return Pattern.from_pairs(n, [(i, j) for i in range(1, n) for j in (i + 1, i + 2) if j <= n])
+
+
+def _grid4():
+    cell = np.arange(1, 17).reshape(4, 4).tolist()
+    pairs = [(cell[r][c], cell[r][c + 1]) for r in range(4) for c in range(3)]
+    pairs += [(cell[r][c], cell[r + 1][c]) for r in range(3) for c in range(4)]
+    return Pattern.from_pairs(16, pairs)
+
+
+#: Inputs of every path: the demo files, a chordal band, completable rings and a grid, and
+#: frustrated rings (no PD completion below n = 23).
+EQUIVARIANCE_INPUTS = {
+    **{p.stem: functools.partial(parse_partial, str(p)) for p in sorted(DATA.glob("*.txt"))},
+    "band2": lambda: rand_partial_pd(np.random.default_rng(5), _band2(12)),
+    "ring0.5": lambda: project(_circulant(12, 0.5), _ring(12)),
+    "ring0.8": lambda: project(_circulant(12, 0.8), _ring(12)),
+    "grid4x4": lambda: rand_partial_pd(np.random.default_rng(6), _grid4()),
+    **{f"frustrated{n}": functools.partial(frustrated_ring, n) for n in (6, 12, 18, 24)},
+}
+
+
+class TestScaleEquivariance:
+    """``c A(G)`` with ``c = 2**k`` (exact in doubles) completes to ``c Ahat`` bit for bit,
+    in the same iterations, or is refused as ``A(G)`` is: no test has an absolute unit."""
+
+    @pytest.mark.parametrize("name", sorted(EQUIVARIANCE_INPUTS))
+    def test_completion_commutes_with_scaling(self, name):
+        pm = EQUIVARIANCE_INPUTS[name]()
+        for k in (-60, -30, 30, 60):
+            assert offending_cliques(scale(2.0**k, pm)) == offending_cliques(pm)
+            assert_completion_scales(pm, 2.0**k)
+
+    @pytest.mark.parametrize("n", [6, 12, 18])
+    def test_large_frustrated_ring_refuted(self, n):
+        # at 2**34, K = M^-1 has entries near 2**-34: under a floor of max(1, ||K||) its PD test
+        # fails, and n = 6 reaches a singular inverse in Newton, n = 12 and 18 the cycle budget
+        with pytest.raises(NotCompletable):
+            max_det_completion(scale(2.0**34, frustrated_ring(n)))
 
 
 def _ring(n):

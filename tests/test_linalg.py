@@ -96,6 +96,33 @@ class TestDefiniteness:
             assert type(test(singles[1], tol)) is bool
 
 
+
+#: Powers of two scale a double exactly, so a scale-free rule gives ``2**k A`` the verdict of A.
+SCALES = [2.0**k for k in (-60, -30, 30, 60)]
+
+
+class TestScaleFree:
+    """The PD, PSD and symmetry tests judge a matrix against its own scale."""
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_definiteness_verdicts_commute_with_scaling(self, c):
+        cases = [np.diag([1.0, 1e-3]), np.diag([1.0, 1e-12]), np.ones((2, 2)),
+                 np.array([[1.0, 2.0], [2.0, 1.0]]), np.diag([1.0, -1e-12])]
+        for a in cases:
+            assert (is_pd(c * a), is_psd(c * a)) == (is_pd(a), is_psd(a))
+        # lambda_min = 1e-3 * c: a floor of max(1, ||A||) would call it not PD at c = 2**-30
+        assert is_pd(c * np.diag([1.0, 1e-3]))
+        assert log_det(c * np.eye(3)) == 3 * math.log(c)
+        np.testing.assert_array_equal(invm(c * np.diag([2.0, 4.0])), np.diag([0.5, 0.25]) / c)
+
+    def test_asymmetry_judged_against_the_matrix_scale(self):
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            as_sym_matrix([[1e-12, 1e-12], [0.0, 1e-12]])
+        round_off = np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]])
+        for c in SCALES:
+            np.testing.assert_array_equal(as_sym_matrix(c * round_off), c * sym(round_off))
+
+
 class TestMatFn:
     def test_eigensolver_failure_wrapped(self, monkeypatch):
         # NaN input stops at the input check, so the solver failure is staged

@@ -266,6 +266,30 @@ class TestSampleSets:
             SampleSet((np.eye(2),)).scale(alpha)
 
 
+
+class TestScaleFree:
+    """Inverses and comparisons are judged against the operands' own scale, so the means
+    run at any scale: a floor of max(1, ||A||) would refuse the inverse of ``1e10 A`` as not PD."""
+
+    @pytest.mark.parametrize("c", [1e10, 1e11, 1e12])
+    def test_means_of_large_matrices(self, c):
+        rng = np.random.default_rng(11)
+        a, b, d = (c * rand_spd(rng, 3) for _ in range(3))
+        agm = agm_iteration(a, b)
+        assert agm.converged
+        np.testing.assert_allclose(agm.matrix, geomean(a, b), rtol=1e-10, atol=0)
+        assert geomean_properties_check(a, b, b, d, 0.3, 0.6, rand_invertible(rng, 3)).all_hold
+        inverse = SampleSet((a, b)).inverse()
+        np.testing.assert_allclose(inverse.members[0] @ a, np.eye(3), atol=1e-10)
+
+    @pytest.mark.parametrize("c", [2.0**-70, 1.0, 2.0**70])
+    def test_set_geomean_duplicates_are_relative(self, c):
+        # I and sqrt(2) I differ by 0.41 c: distinct at every scale, and A # A is one member
+        s, t_set = SampleSet((c * np.eye(2), 2.0 * c * np.eye(2))), SampleSet((c * np.eye(2),))
+        assert len(set_geomean(s, t_set)) == 2
+        assert len(set_geomean(t_set, SampleSet((c * np.eye(2), c * np.eye(2))))) == 1
+
+
 class TestBlockMaxProperty:
     def test_identity(self):
         assert block_max_property(np.eye(2), np.eye(2))
@@ -608,7 +632,8 @@ class TestTraceQuadrature:
             got = means._trace_integral(a0, a1)
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
-    def test_two_eigensolves_and_no_solve(self, monkeypatch):
+    @staticmethod
+    def _count_kernels(monkeypatch):
         # means imports _eigh by name, so the numpy kernels are what is counted
         calls = {"solve": 0, "eig": 0}
         for name, key in (("solve", "solve"), ("eigh", "eig"), ("eigvalsh", "eig")):
@@ -617,14 +642,41 @@ class TestTraceQuadrature:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    def test_two_eigensolves_and_no_solve(self, monkeypatch):
+        calls = self._count_kernels(monkeypatch)
         rng = np.random.default_rng(2)
         means._trace_integral(rand_spd(rng, 10), rand_spd(rng, 10))
         assert calls == {"solve": 0, "eig": 2}
+
+    @pytest.mark.parametrize("ratio", [1e4, 1e8, 1e12, 1e16, 1e20, 1e-20])
+    def test_wide_ratio_keeps_its_digits(self, ratio):
+        # 1 -+ nu/2 cancels as the ratio grows (an error that grows with it, NaN from 1e16),
+        # while the logged spectra of M^-1/2 A_i M^-1/2 hold to round-off
+        a = rand_spd(np.random.default_rng(7), 6)
+        exact = 6.0 * math.log(ratio)
+        assert abs(means._trace_integral(a, ratio * a) - exact) <= 1e-14 * abs(exact)
+        got = means._trace_integral(np.stack([a, a]), np.stack([2.0 * a, ratio * a]))
+        np.testing.assert_allclose(got, [6.0 * math.log(2.0), exact], rtol=1e-14, atol=0)
+
+    def test_wide_pair_adds_one_eigensolve(self, monkeypatch):
+        calls = self._count_kernels(monkeypatch)
+        a = rand_spd(np.random.default_rng(2), 10)
+        means._trace_integral(a, 1e6 * a)
+        assert calls == {"solve": 0, "eig": 3}
 
 
 class TestEntropy:
     def test_identity_covariance(self):
         assert gaussian_entropy(np.eye(2)) == pytest.approx(1.0 + math.log(2 * math.pi))
+
+    def test_integral_finite_at_a_wide_ratio(self):
+        # at 1e20 S, nu/2 rounds to 1, where log1p(-nu/2) is -inf
+        sigma = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]])
+        ids = entropy_identities(sigma, 1e20 * sigma)
+        assert ids.entropy_diff_integral == pytest.approx(1.5 * math.log(1e20), rel=1e-14)
+        assert ids.entropy_diff_integral == pytest.approx(ids.entropy_diff, rel=1e-14)
 
     def test_off_geodesic_t_warns_once(self):
         with pytest.warns(UserWarning, match="lies outside") as record:

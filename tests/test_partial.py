@@ -212,6 +212,19 @@ class TestPartialOrder:
         assert partial_order(a, b) is Comparison.INCOMPARABLE
         assert 0 < calls["eigh"] <= 2
 
+    @pytest.mark.parametrize("k", [-60, -30, 0, 30, 60])
+    @pytest.mark.parametrize("delta, verdict", [(1e-16, Comparison.GE), (1e-12, Comparison.GE),
+                                                (1e-9, Comparison.INCOMPARABLE)])
+    def test_verdict_judged_against_the_operands_scale(self, k, delta, verdict):
+        # the difference is delta c on (1, 2): eigenvalues +-delta c there, slack 1e-10 * 2 c; a
+        # floor of 1 would call 1e-16 INCOMPARABLE at c = 2**60 and 1e-9 GE at c = 2**-60
+        g = Pattern.from_pairs(3, [(1, 2), (2, 3)])
+        base = np.array([[2.0, 0.5, 0.0], [0.5, 2.0, 0.5], [0.0, 0.5, 2.0]])
+        bumped = base.copy()
+        bumped[0, 1] = bumped[1, 0] = 0.5 + delta
+        c = 2.0**k
+        assert partial_order(project(c * bumped, g), project(c * base, g)) is verdict
+
     def test_overflowing_difference_rejected(self):
         g = Pattern.from_pairs(2, [(1, 2)])
         a = project(np.diag([1e308, 1.0]), g)

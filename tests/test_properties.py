@@ -9,8 +9,9 @@ matrix printed by ``format_partial`` parses back bit for bit, the parser and
 the dict constructor build equal matrices, and the dense view and the
 formatters match the per-entry references in ``conftest``.  On random
 rings the completion's verdict obeys ``conftest.cycle_margin``, the cycle
-condition, which must equal a search of every odd edge set.  All run
-under the derandomized ``pgm`` profile.
+condition, which must equal a search of every odd edge set.  Every
+verdict, comparison and completion commutes with scaling by ``2**k``.
+All run under the derandomized ``pgm`` profile.
 """
 
 import math
@@ -30,16 +31,21 @@ from pgm import (
     Pattern,
     agrees,
     completion_with_det,
+    geomean,
     is_pd,
+    is_psd,
     max_det_completion,
     missing_positions,
+    offending_cliques,
     partial_order,
     project,
+    scale,
     single_entry_interval,
 )
 from pgm.cli import _human_matrix, format_matrix, format_partial, parse_partial
 from pgm.errors import NotCompletable
 from conftest import (
+    assert_completion_scales,
     cosine_ring,
     cycle_margin,
     frustrated_ring,
@@ -303,3 +309,59 @@ def test_completion_verdicts_obey_the_cycle_condition(n, seed):
         assert margin > 0
     else:
         assert report.converged == (margin < 0)
+
+
+@st.composite
+def scaled_instances(draw):
+    """``(pm, other, a, b, t, k)``: ``pm`` on a random chordal, ring, 2-wide grid or random pattern,
+    projected from an SPD matrix whose off-diagonal part is stretched by up to 6 (so some
+    are not partial PD), or a ring of random angles (some with no PD completion, some
+    refuted by ``NotCompletable``); ``other`` is ``pm`` moved by a random
+    definite or indefinite step on the pattern, of size 0 up to 1e-3; ``a``, ``b`` SPD."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["chordal", "ring", "cosine ring", "ladder", "random"]))
+    n = draw(st.integers(3, 8))
+    if kind == "chordal":
+        g = rand_chordal_pattern(rng, n)
+    elif kind in ("ring", "cosine ring"):
+        g = Pattern.from_pairs(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    elif kind == "ladder":  # the 2 x (n // 2) grid
+        n -= n % 2
+        rungs = [(i, i + 1) for i in range(1, n, 2)]
+        g = Pattern.from_pairs(n, rungs + [(i, i + 2) for i in range(1, n - 1)])
+    else:
+        pairs = combinations(range(1, n + 1), 2)
+        g = Pattern.from_pairs(n, [p for p in pairs if rng.random() < 0.5])
+    full = rand_spd(rng, n)
+    diag = np.diag(np.diag(full))
+    full = diag + draw(st.floats(0.5, 6.0)) * (full - diag)
+    if kind == "cosine ring":  # completable or not by the cycle condition
+        full = cosine_ring(rng.uniform(0.0, math.pi, n)).to_dense()
+    step = rng.standard_normal((n, n))
+    step = step @ step.T if draw(st.booleans()) else step + step.T
+    size = draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-9, 1e-3, -1e-3]))
+    t = draw(st.floats(0.0, 1.0))
+    k = draw(st.integers(-60, 60))
+    a, b = rand_spd(rng, n), rand_spd(rng, n)
+    return project(full, g), project(full + size * step, g), a, b, t, k
+
+
+@given(case=scaled_instances())
+def test_verdicts_and_completions_commute_with_scaling(case):
+    """``c = 2**k`` scales a double exactly, and no test has an absolute unit: ``c pm`` is
+    refused as ``pm`` is, or completes to ``c Ahat`` bit for bit in the same iterations
+    with the residual over ``c``; the PD, PSD, clique and order verdicts are those of the
+    unscaled operands, and ``(c A) #_t (c B) = c (A #_t B)``, bit for bit at even ``k``
+    (at odd ``k``, ``sqrt(c)`` is not a double)."""
+    pm, other, a, b, t, k = case
+    c = 2.0**k
+    dense = pm.to_dense()
+    assert (is_pd(c * dense), is_psd(c * dense)) == (is_pd(dense), is_psd(dense))
+    assert offending_cliques(scale(c, pm)) == offending_cliques(pm)
+    assert partial_order(scale(c, pm), scale(c, other)) is partial_order(pm, other)
+    mean = geomean(a, b, t)
+    if k % 2 == 0:
+        np.testing.assert_array_equal(geomean(c * a, c * b, t), c * mean)
+    else:
+        assert np.abs(geomean(c * a, c * b, t) - c * mean).max() <= 1e-13 * c * np.abs(mean).max()
+    assert_completion_scales(pm, c, max_cycles=60)
