@@ -44,7 +44,7 @@ from .errors import (
     NotPartialPD,
     OutOfRange,
 )
-from .linalg import DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _spectrum, is_pd, sym
+from .linalg import DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _eigh, is_pd, sym
 from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
@@ -137,13 +137,13 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
 def max_det_completion(pm, tol=1e-10, max_cycles=500):
     """Maximum-determinant positive definite completion.
 
-    The path is picked once: a chordal pattern takes the closed form of the module
-    docstring (``iterations == 1``; a complete one returns its matrix as given), any
-    other one IPS sweep, then Newton on the dual if
-    ``p^3 <= 16 n^2 sum_C |C|`` (an O(p^3) step, ``p`` the upper pattern positions,
-    against an O(n^2 sum_C |C|) sweep), then IPS sweeps, until :func:`_certify` reports
-    convergence.  A certificate that no PD completion exists (module docstring) raises
-    :class:`NotCompletable`.
+    The input is completed scaled by the power of two that brings its largest entry into
+    [1, 2), then scaled back.  The path is picked once: a chordal pattern takes the closed
+    form of the module docstring (``iterations == 1``; a complete one returns its matrix as
+    given), any other one IPS sweep, then Newton on the dual if ``p^3 <= 16 n^2 sum_C |C|``
+    (an O(p^3) step, ``p`` the upper pattern positions, against an O(n^2 sum_C |C|) sweep),
+    then IPS sweeps, until :func:`_certify` reports convergence.  A certificate that no PD
+    completion exists (module docstring) raises :class:`NotCompletable`.
 
     Parameters
     ----------
@@ -161,19 +161,25 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     whole = _require_partial_pd(pm, DEFAULT_TOL)  # a complete input's spectrum, or None
     cliques = [list(c) for c in pm.pattern._clique_sequence]
-    a, spec = pm.to_dense(), pm.pattern._mask
+    spec, e = pm.pattern._mask, np.frexp(np.abs(pm._a).max())[1] - 1
+    a = np.ldexp(pm.to_dense(), -e)
     visit, _, separators = pm.pattern._mcs
     if separators is not None:
-        return _certify(_closed_form(a, visit, cliques, separators), a, spec, 1, tol, whole)
-    steps = [(c, ix, a[ix]) for c in cliques for ix in [np.ix_(c, c)]]
-    m = np.diag(np.diag(a))
-    report, k = _sweep(m, steps, a, spec, 1, tol, max_cycles)
-    # p^3 / (n^2 sum |C|) is 4 on a ring, under 7 on a grid, O(n^3) on a near-complete pattern
-    p = (np.count_nonzero(spec) + pm.n) // 2
-    if k is not None and p ** 3 <= 16 * pm.n ** 2 * sum(map(len, cliques)):
-        report, m = _newton(k, a, spec, tol, 1, max_cycles)
-    while not (report.converged or report.iterations == max_cycles):
-        report, _ = _sweep(m, steps, a, spec, report.iterations + 1, tol, max_cycles)
+        spectrum = None if whole is None else np.ldexp(whole[0], whole[1] - e)
+        report = _certify(_closed_form(a, visit, cliques, separators), a, spec, 1, tol, spectrum)
+    else:
+        steps = [(c, ix, a[ix]) for c in cliques for ix in [np.ix_(c, c)]]
+        m = np.diag(np.diag(a))
+        report, k = _sweep(m, steps, a, spec, 1, tol, max_cycles)
+        # p^3 / (n^2 sum |C|): 4 on a ring, under 7 on a grid, O(n^3) on a near-complete pattern
+        p = (np.count_nonzero(spec) + pm.n) // 2
+        if k is not None and p ** 3 <= 16 * pm.n ** 2 * sum(map(len, cliques)):
+            report, m = _newton(k, a, spec, tol, 1, max_cycles)
+        while not (report.converged or report.iterations == max_cycles):
+            report, _ = _sweep(m, steps, a, spec, report.iterations + 1, tol, max_cycles)
+    report.matrix = np.ldexp(report.matrix, e)
+    report.residual = float(np.ldexp(report.residual, -e))
+    report.log_determinant = float(report.log_determinant + pm.n * e * np.log(2.0))
     return report
 
 
@@ -194,7 +200,7 @@ def _sweep(m, steps, a, spec, cycles, tol, max_cycles):
 def _refute(k, a, name):
     """:class:`NotCompletable` if ``k`` is positive definite and ``sum_E K_ij A_ij <= 0``."""
     trace_ka = float(np.sum(k * a))
-    if trace_ka <= 0.0 and _definite(_spectrum(k)[0], DEFAULT_TOL):
+    if trace_ka <= 0.0 and _definite(_eigh(k, vectors=False), DEFAULT_TOL):
         raise NotCompletable(f"no positive definite completion exists: {name} is positive definite"
                              f" and supported on the pattern, yet sum_E K_ij A_ij = {trace_ka:.3g}"
                              " <= 0, while tr(K X) > 0 for every positive definite X")
@@ -242,17 +248,17 @@ def _newton(k, a, spec, tol, cycles, max_cycles):
 
 
 def _certify(fill, a, spec, iterations, tol, spectrum=None):
-    """The report of the symmetric ``fill`` with the specified entries of ``a`` written back:
-    one ``inv`` gives the inverse-zero residual (0 with nothing unspecified), one spectrum
-    (for a complete ``a``, the ``spectrum`` its proof took) the PD test, the convergence test
-    ``residual * lambda_min <= tol`` and the log-determinant in ``a``'s units (``_spectrum``)."""
+    """The report of the symmetric ``fill`` with the specified entries of ``a`` (largest in
+    [1, 2)) written back: one ``inv`` gives the inverse-zero residual (0 with nothing
+    unspecified), one spectrum (for a complete ``a``, the ``spectrum`` its proof took) the
+    PD test, the convergence test ``residual * lambda_min <= tol`` and the log-determinant."""
     x = np.where(spec, a, fill)
-    lam, e = _spectrum(x) if spectrum is None else spectrum
-    residual = np.abs(np.linalg.inv(np.ldexp(x, -e))[~spec]).max() if not spec.all() else 0.0
-    log_det = np.log(lam).sum() + len(x) * e * np.log(2.0) if lam[0] > 0 else np.nan
+    lam = _eigh(x, vectors=False) if spectrum is None else spectrum
+    residual = np.abs(np.linalg.inv(x)[~spec]).max() if not spec.all() else 0.0
+    log_det = np.log(lam).sum() if lam[0] > 0 else np.nan
     return CompletionReport(
         matrix=x, log_determinant=float(log_det),
-        iterations=iterations, residual=float(np.ldexp(residual, -e)),
+        iterations=iterations, residual=float(residual),
         converged=bool(_definite(lam, DEFAULT_TOL) and residual * lam[0] <= tol),
     )
 

@@ -2,18 +2,18 @@
 
 The weighted two-variable geometric mean
 
-    A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2}
+    A #_t B = A^{1/2} (A^{-1/2} B A^{-1/2})^t A^{1/2} = L (L^-1 B L^-T)^t L^T,   A = L L^T,
 
-is the point at parameter ``t`` on the unique Riemannian geodesic from A
-to B.  This module provides the mean (on single matrices or stacks), a
-numerical checker for its classical property suite, means of finite
-sample sets, the maximum-determinant representative of means of partial
-matrices, the sweep of ``A(x) #_t B(y)`` over the feasible fills of two
-missing entries, the Karcher mean (one period of the weighted inductive
-mean as the start point, then a fixed-point iteration with the
-Bini-Iannazzo step size until the gradient certificate holds), the
-arithmetic-harmonic iteration, and the log-determinant and entropy
-identities for Gaussian covariances, with the trace integral in closed form.
+is the point at parameter ``t`` on the unique Riemannian geodesic from A to B; by
+congruence invariance any factor L serves, and every congruence here takes the Cholesky
+factor.  This module provides the mean (on single matrices or stacks), a numerical checker
+for its classical property suite, means of finite sample sets, the maximum-determinant
+representative of means of partial matrices, the sweep of ``A(x) #_t B(y)`` over the
+feasible fills of two missing entries, the Karcher mean (one period of the weighted
+inductive mean as the start point, then a fixed-point iteration with the Bini-Iannazzo
+step size until the gradient certificate holds), the arithmetic-harmonic iteration, and
+the log-determinant and entropy identities for Gaussian covariances, with the trace
+integral in closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .completion import CompletionReport, _entry_bounds, max_det_completion
 from .errors import DimensionMismatch, InternalNumerics, PgmError, TooManyMissing
 from .linalg import (
     DEFAULT_TOL,
-    _definite,
     _dense,
     _DeterminantFromLog,
     _eigh,
@@ -60,16 +59,15 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     hold only on [0, 1].  On stacks ``(..., n, n)`` the means are taken
     pairwise, with the leading dimensions broadcast (one A against a
     stack of B, or the reverse).  Both pass :func:`~pgm.linalg._dense`, then a PD
-    check; one ``eigh(A)`` gives A's PD check and ``A^{+-1/2}``, and the mean
-    itself is :func:`_geomean_core`, one more eigensolve.
+    check by their eigenvalues; the mean itself is :func:`_geomean_core` on the
+    Cholesky factor of A, one more eigensolve.
     """
     _warn_off_geodesic(t)
     a, b = _dense(a), _dense(b)
     _require_pair(a, b)
-    w, q = _eigh(a)
-    rs, ris = _sqrt_pair(_require(w, "pd", tol), q)
+    _require(_eigh(a, vectors=False), "pd", tol)
     _require(_eigh(b, vectors=False), "pd", tol)
-    return _geomean_core(rs, ris, b, t)
+    return _geomean_core(_factor(a), b, t)
 
 
 def _require_pair(a, b):
@@ -90,21 +88,24 @@ def _warn_off_geodesic(t):
         warnings.warn(message, stacklevel=3)
 
 
-def _geomean_core(rs, ris, b, t):
-    """``A #_t B`` from ``A^{1/2}``, ``A^{-1/2}`` and ``B``: the caller has PD-tested A
-    and B.  One eigensolve, of ``A^{-1/2} B A^{-1/2}``, whose overflow raises
-    :class:`InternalNumerics`; stacks broadcast as in :func:`geomean`."""
+def _geomean_core(l, b, t):
+    """``A #_t B = L (L^-1 B L^-T)^t L^T``, ``A = L L^T``, for A and B PD-tested by the caller,
+    broadcast as in :func:`geomean`: one eigensolve; an overflow raises InternalNumerics."""
+    li = np.linalg.inv(l)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        v, u = _eigh(sym(ris @ b @ ris))
-    if not np.isfinite(v).all():
+        v, u = _eigh(sym(li @ b @ li.swapaxes(-1, -2)))
+        m = _from_spectrum(v**t, l @ u)  # L U diag(v^t) U^T L^T
+    if not (np.isfinite(v).all() and np.isfinite(m).all()):
         raise InternalNumerics("eigenvalues past the largest double")
-    return sym(rs @ _from_spectrum(v**t, u) @ rs)
+    return m
 
 
-def _sqrt_pair(w, q):
-    """``(A^{1/2}, A^{-1/2})`` from the spectrum ``(w, q)`` of a PD matrix A."""
-    root = np.sqrt(w)
-    return _from_spectrum(root, q), _from_spectrum(1.0 / root, q)
+def _factor(a):
+    """The lower Cholesky factor ``L`` of the PD-tested ``a = L L^T``, per matrix of a stack."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:  # round-off at the PD boundary, under a tol near 0
+        raise InternalNumerics(f"Cholesky factorization failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -307,16 +308,14 @@ def partial_geomean_maxdet(pa, pb, t=0.5):
     Among all pairwise means of completions, the mean of the two
     maximum-determinant completions uniquely maximizes the determinant,
     which then equals ``det(Ahat)^{1-t} det(Bhat)^t``.  A completion that did not
-    converge raises :class:`InternalNumerics`; a converged ``Bhat`` is certified PD, so
-    the mean is :func:`geomean`'s, bit for bit, without eigensolving ``Bhat`` again."""
+    converge raises :class:`InternalNumerics`; a converged one is certified PD, so the mean
+    is :func:`geomean`'s, bit for bit, with ``Ahat`` factored and neither eigensolved again."""
     if pa.n != pb.n:
         raise DimensionMismatch(f"dimension mismatch: {pa.n} vs {pb.n}")
     _warn_off_geodesic(t)  # before completing
     rep_a = max_det_completion(pa).require_converged()
     rep_b = max_det_completion(pb).require_converged()
-    w, q = _eigh(_dense(rep_a.matrix))
-    rs, ris = _sqrt_pair(_require(w, "pd", DEFAULT_TOL), q)
-    m = _geomean_core(rs, ris, rep_b.matrix, t)
+    m = _geomean_core(_factor(rep_a.matrix), rep_b.matrix, t)
     return PartialGeomeanResult(
         matrix=m, log_determinant=float(np.linalg.slogdet(m)[1]), t=t,
         completion_a=rep_a, completion_b=rep_b,
@@ -334,17 +333,15 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     ``(x, y, det, eig_1..eig_n)``, eigenvalues descending, x-major, as one
     ``(grid**2, n + 3)`` array; a cell whose pair is not PD at ``tol`` holds NaNs.
 
-    Either each input carries one missing entry (x sweeps the first, y
-    the second), or one input carries both and the other is complete.
-    A, then B, is proved partial PD once at ``tol``; the box is the
-    :func:`~pgm.completion.partial_entry_bounds` of each entry, not proved again.
-    Each distinct filled matrix is PD-tested once at ``tol``: the input
-    without x once for the grid, the input with x once per x-row, each
-    held as a stack along y if it holds y.  A's test is one ``eigh``,
-    which also gives ``A^{+-1/2}`` of its PD members, so the mean of each
-    row is the unchecked :func:`_geomean_core` (a stack of one
-    broadcasts), then one det and one eigvalsh.  A cell thus costs two
-    eigensolves with one missing entry per input, three with both in one.
+    Either each input carries one missing entry (x sweeps the first, y the second), or one
+    input carries both and the other is complete.  A, then B, is proved partial PD once at
+    ``tol``; the box is the :func:`~pgm.completion.partial_entry_bounds` of each entry, not
+    proved again.  Each distinct filled matrix is PD-tested once at ``tol``: the input
+    without x once for the grid, the input with x once per x-row, each held as a stack along
+    y if it holds y.  A's PD members are then factored, so the mean of each row is the
+    unchecked :func:`_geomean_core` (a stack of one broadcasts), then one det and one
+    eigvalsh.  A cell thus costs two eigensolves with one missing entry per input, three
+    with both in one, besides the PD tests.
     """
     if not isinstance(grid, (int, np.integer)):
         raise ValueError(f"grid must be an integer, got {grid!r}")
@@ -376,14 +373,13 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     for r, x in enumerate(xs):
         ops[kx][:, i - 1, j - 1] = ops[kx][:, j - 1, i - 1] = x
         if kx == 0 or r == 0:  # A holds x, or this is the first row
-            w, v = _eigh(ops[0])
-            ok_a = _definite(w, tol)
-            roots = _sqrt_pair(w[ok_a], v[ok_a])  # A's PD members: keep's cells if any
+            ok_a = is_pd(ops[0], tol)
+            l_a = _factor(ops[0][ok_a])  # A's PD members: keep's cells if any
         if kx == 1 or r == 0:  # B holds x, or this is the first row
             ok_b = is_pd(ops[1], tol)
         keep = ok_a & ok_b
         if keep.any():
-            m = _geomean_core(*roots, ops[1] if len(ops[1]) == 1 else ops[1][keep], t)
+            m = _geomean_core(l_a, ops[1] if len(ops[1]) == 1 else ops[1][keep], t)
             table[r, keep, 2] = np.linalg.det(m)
             table[r, keep, 3:] = _eigh(m, vectors=False)[:, ::-1]
     return table.reshape(grid * grid, -1)
@@ -405,8 +401,9 @@ class WeightVector:
 
     @classmethod
     def uniform(cls, n):
-        if n < 1:
-            raise ValueError(f"uniform weights need at least one weight, got n = {n!r}")
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            message = f"uniform weights need at least one weight, got n = {n!r}"
+            raise ValueError(f"{message}; n must be an integer >= 1")
         return cls(weights=(1.0 / n,) * n)
 
     def __len__(self):
@@ -442,14 +439,14 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
 
     From there the fixed-point iteration
 
-        X <- X^{1/2} exp(theta G) X^{1/2},
-        G = sum_i w_i log(M_i),   M_i = X^{-1/2} A_i X^{-1/2},
+        X <- L exp(theta G) L^T,
+        G = sum_i w_i log(M_i),   M_i = L^{-1} A_i L^{-T},   X = L L^T (Cholesky),
 
     runs until the gradient certificate ``||G||_F`` drops below ``tol``
-    or ``max_steps`` steps are spent.  The spectra of the ``M_i`` give G
-    and the step of Bini and Iannazzo (LAA 2013), ``theta = 2 / sum_i
-    w_i (c_i + 1)/(c_i - 1) log c_i`` with ``c_i = cond(M_i)`` (a term is
-    2 at ``c_i = 1``); a unit step can diverge on widely spread inputs.
+    or ``max_steps`` steps are spent (``L = X^{1/2} Q``, ``Q`` orthogonal, so ``X^{1/2}``
+    gives the same iterates).  The spectra of the ``M_i`` give G and the step of Bini
+    and Iannazzo (LAA 2013), ``theta = 2 / sum_i w_i (c_i + 1)/(c_i - 1) log c_i`` with
+    ``c_i = cond(M_i)`` (2 at ``c_i = 1``); a unit step can diverge on spread inputs.
 
     The inputs are checked by one stacked eigensolve, and the iteration
     runs on that stack.  Returns a :class:`KarcherResult`; ``converged``
@@ -472,9 +469,9 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
         x = geomean(stack[j], x, partial_sums[j - 1] / partial_sums[j])
 
     for steps in range(max_steps + 1):
-        x_w, x_q = _eigh(x)
-        rs, ris = _sqrt_pair(_require(x_w, "pd", DEFAULT_TOL), x_q)
-        lam, vec = _eigh(sym(ris @ stack @ ris))
+        l = _factor(x)
+        li = np.linalg.inv(l)
+        lam, vec = _eigh(sym(li @ stack @ li.T))
         lam = _require(lam, "pd", DEFAULT_TOL)
         grad = sym(np.tensordot(w, _from_spectrum(np.log(lam), vec), axes=1))
         gnorm = fro_norm(grad)
@@ -483,7 +480,7 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
         cond = lam[:, -1] / lam[:, 0]
         ratio = np.divide(np.log(cond), cond - 1.0, out=np.ones_like(cond), where=cond > 1.0)
         theta = 2.0 / float(w @ ((cond + 1.0) * ratio))
-        x = sym(rs @ mat_fn(theta * grad, np.exp) @ rs)
+        x = sym(l @ mat_fn(theta * grad, np.exp) @ l.T)
     return KarcherResult(
         matrix=x,
         steps=len(stack) - 1 + steps,
@@ -542,20 +539,18 @@ def agm_iteration(a, b):
 
 
 def _trace_integral(a0, a1):
-    """The integral over [0, 1] of tr(A(lambda)^{-1} (A1 - A0)), A(lambda) = (1 - lambda) A0 +
-    lambda A1, in closed form: with nu in (-2, 2) the spectrum of M^{-1/2} (A1 - A0) M^{-1/2},
-    M = A(1/2), the integrand is sum_i nu_i / (1 + (lambda - 1/2) nu_i), whose integral is
-    sum_i log1p(nu_i / 2) - log1p(-nu_i / 2); per pair of a stack.  Where ``max |nu| / 2``
-    passes ``1 - 1e-3``, ``1 -+ nu / 2`` would lose digits, and the pair takes the same sum as
-    sum_i log of the spectrum of M^{-1/2} A1 M^{-1/2} minus that of M^{-1/2} A0 M^{-1/2}."""
-    w, q = _eigh(np.add(a0, a1) / 2.0)
-    ris = _sqrt_pair(_require(w, "pd", DEFAULT_TOL), q)[1]  # refuses an M past the largest double
-    nu = _eigh(sym(ris @ np.subtract(a1, a0) @ ris), vectors=False)
+    """The integral over [0, 1] of tr(A(l)^{-1} (A1 - A0)), A(l) = (1 - l) A0 + l A1, in closed
+    form: with M = A(1/2) = L L^T and nu in (-2, 2) the spectrum of L^{-1} (A1 - A0) L^{-T}, the
+    integrand is sum_i nu_i / (1 + (l - 1/2) nu_i), whose integral is sum_i log1p(nu_i / 2) -
+    log1p(-nu_i / 2), per pair of a stack.  A pair with ``max |nu| / 2 > 1 - 1e-3``, where
+    ``1 -+ nu / 2`` loses digits, takes sum_i log eig(L^-1 A1 L^-T) - log eig(L^-1 A0 L^-T)."""
+    li = np.linalg.inv(_factor(np.divide(a0, 2.0) + np.divide(a1, 2.0)))  # M cannot overflow
+    nu = _eigh(sym(li @ np.subtract(a1, a0) @ li.swapaxes(-1, -2)), vectors=False)
     wide = np.abs(nu).max(axis=-1) > 2.0 - 2e-3
     with np.errstate(divide="ignore", invalid="ignore"):  # only a wide pair's log1p(-+1) fails
         integral = (np.log1p(nu / 2.0) - np.log1p(-nu / 2.0)).sum(axis=-1)
     if wide.any():
-        ends = _eigh(sym(ris @ np.stack(np.broadcast_arrays(a1, a0)) @ ris), vectors=False)
+        ends = _eigh(sym(li @ np.stack(np.broadcast_arrays(a1, a0)) @ li.swapaxes(-1, -2)), False)
         integral = np.where(wide, np.subtract(*np.log(ends).sum(axis=-1)), integral)
     return float(integral) if integral.ndim == 0 else integral
 
@@ -600,14 +595,12 @@ class EntropyIdentities:
 
 def entropy_identities(sigma0, sigma1, t=0.5):
     """Evaluate both Gaussian entropy identities for a covariance pair, as ``_dense`` admits
-    it; the mean is :func:`geomean`'s, whose PD test of ``sigma1`` is the spectrum of ``H1``."""
+    it; the mean is :func:`geomean`'s, whose PD tests are the spectra of ``H0`` and ``H1``."""
     sigma0, sigma1 = _dense(sigma0), _dense(sigma1)
     h0, h1 = gaussian_entropy(sigma0), gaussian_entropy(sigma1)
     _warn_off_geodesic(t)
     _require_pair(sigma0, sigma1)
-    w, q = _eigh(sigma0)
-    rs, ris = _sqrt_pair(_require(w, "pd", DEFAULT_TOL), q)
-    h_mean = gaussian_entropy(_geomean_core(rs, ris, sigma1, t))
+    h_mean = gaussian_entropy(_geomean_core(_factor(sigma0), sigma1, t))
     integral = 0.5 * _trace_integral(sigma0, sigma1)
     return EntropyIdentities(
         entropy_diff=h1 - h0,

@@ -96,10 +96,12 @@ def test_public_eigensolves_admit_their_argument_through_the_dense_door():
 
 def test_unchecked_mean_core_runs_only_behind_a_pd_test():
     """``means._geomean_core`` trusts its caller to have PD-tested both operands:
-    only ``geomean``, ``partial_geomean_sweep``, ``partial_geomean_maxdet`` (whose B̂ a
-    converged completion certified) and ``entropy_identities`` (whose ``gaussian_entropy``
-    tests ``sigma1``) name it, each to call it, and each runs a PD test (``_require``,
-    ``_definite`` or ``is_pd``) on a line before."""
+    only ``geomean``, ``partial_geomean_sweep``, ``partial_geomean_maxdet`` (whose Â and
+    B̂ a converged completion certified) and ``entropy_identities`` (whose
+    ``gaussian_entropy`` tests ``sigma0`` and ``sigma1``) name it, each to call it, and each
+    runs a PD test (``_require``, ``_definite``, ``is_pd``, ``require_converged`` or
+    ``gaussian_entropy``) on a line before."""
+    tests = ("_require", "_definite", "is_pd", "require_converged", "gaussian_entropy")
     naming, first_call, first_test = set(), {}, {}  # first_*: function -> first line
     for name, node in _functions().items():
         for sub in ast.walk(node):
@@ -109,13 +111,25 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
                 callee, line = ast.unparse(sub.func), sub.lineno
                 if callee == "_geomean_core":
                     first_call[name] = min(line, first_call.get(name, line))
-                if callee in ("_require", "_definite", "is_pd"):
+                if callee.rsplit(".", 1)[-1] in tests:
                     first_test[name] = min(line, first_test.get(name, line))
     assert sorted(naming) == sorted(first_call) == [
         "means.entropy_identities", "means.geomean",
         "means.partial_geomean_maxdet", "means.partial_geomean_sweep",
     ]
     assert all(first_test.get(name, line) < line for name, line in first_call.items())
+
+
+def test_congruences_take_a_cholesky_factor():
+    """The means take ``L^-1 B L^-T`` with ``A = L L^T``, never a square root of an
+    operand: ``means`` calls no ``np.sqrt``, and ``np.linalg.cholesky`` is called only in
+    ``means`` and in ``completion._newton``."""
+    calls, _ = _calls_and_raises()
+    assert [func for module, func, callee in calls
+            if module == "means" and callee in ("np.sqrt", "math.sqrt")] == []
+    sites = {(module, func) for module, func, callee in calls if callee == "np.linalg.cholesky"}
+    assert {module for module, _ in sites} == {"means", "completion"}
+    assert {func for module, func in sites if module == "completion"} == {"_newton"}
 
 
 #: Where every tolerance is relative to the operands' own scale: whole modules, and the

@@ -370,14 +370,14 @@ class TestCommands:
         assert rc == 1
         assert "error: shape mismatch: (3, 3) vs (4, 4)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, solves", [("geomean", 6), ("entropy", 11)])
+    @pytest.mark.parametrize("command, solves", [("geomean", 5), ("entropy", 9)])
     def test_near_complete_and_complete_pair_eigensolves(
         self, tmp_path, monkeypatch, capsys, command, solves
     ):
         # A misses (1, 9) and (1, 10): its proof takes one stacked eigensolve per clique
         # size (8 and 9) and its certificate one; complete B's proof is its certificate.
-        # geomean then takes eigh(Ahat) and the core's; entropy takes H0, H1 (also B's PD
-        # test), eigh(Ahat), the core's, H of the mean and the trace integral's two
+        # geomean then factors Ahat and takes the core's; entropy takes H0 and H1 (also
+        # the PD tests), the core's, H of the mean and the trace integral's one
         rng = np.random.default_rng(7)
         pairs = [(i, j) for i in range(1, 11) for j in range(i + 1, 11)
                  if (i, j) not in ((1, 9), (1, 10))]
@@ -481,7 +481,7 @@ class TestDeterminantLines:
     @pytest.mark.parametrize("big", ["BIG_BAND", "BIG_FULL"])
     def test_overflowing_second_operand_exit_1(self, tmp_path, capsys, command, big):
         # the second completion is not eigensolved again for the mean: the core refuses the
-        # overflowing product A^{-1/2} Bhat A^{-1/2} instead, with no numpy warning
+        # overflowing product L^-1 Bhat L^-T (A = L L^T) instead, with no numpy warning
         half = write(tmp_path, "half.txt", "n 3\n0.5 0.1 0\n0.1 0.5 0.1\n0 0.1 0.5\n")
         assert main([command, half, write(tmp_path, "big.txt", getattr(self, big))]) == 1
         assert capsys.readouterr() == ("", "error: eigenvalues past the largest double\n")

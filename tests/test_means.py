@@ -144,9 +144,19 @@ class TestGeomean:
             geomean(*((stack, one) if bad == "a" else (one, stack)), 0.5)
 
     def test_overflowing_product_refused(self):
-        # B's spectrum is finite, but A^{-1/2} B A^{-1/2} = 4 B is not
+        # B's spectrum is finite, but L^-1 B L^-T = 4 B, A = L L^T, is not
         with pytest.raises(InternalNumerics, match="eigenvalues past the largest double"):
             geomean(0.25 * np.eye(2), np.diag([1e308, 5e307]), 0.5)
+
+    def test_factorization_failure_wrapped(self, monkeypatch):
+        # under a tol near 0 a matrix that round-off leaves singular can pass the PD test
+        # and still fail its Cholesky factorization; that failure is staged here
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        with pytest.raises(InternalNumerics, match="Cholesky factorization failed"):
+            geomean(np.eye(2), 2.0 * np.eye(2), 0.5, tol=0.0)
 
 
 class TestPropertySuite:
@@ -490,6 +500,12 @@ class TestKarcherMean:
         with pytest.raises(ValueError, match="uniform weights need at least one weight, got n = 0"):
             WeightVector.uniform(0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, "3"])
+    def test_uniform_weights_need_an_integer_count(self, n):
+        message = f"uniform weights need at least one weight, got n = {n!r}; n must be an integer"
+        with pytest.raises(ValueError, match=message):
+            WeightVector.uniform(n)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weights_named(self, bad):
         message = rf"weights must be positive and finite, got \({bad}, 0.5\)"
@@ -632,6 +648,17 @@ class TestTraceQuadrature:
             got = means._trace_integral(a0, a1)
             assert abs(got - ref) <= 1e-11 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_keeps_its_digits_on_a_one_direction_spread(self, seed, n):
+        # A1 = A + 1e9 q q^T, q the eigenvector of A's smallest eigenvalue: one nu_i is
+        # near 2 and the rest near 0, so the small ones must keep their absolute digits
+        a = rand_spd(np.random.default_rng(seed), n)
+        q = np.linalg.eigh(a)[1][:, 0]
+        a1 = a + 1e9 * np.outer(q, q)
+        diff = np.linalg.slogdet(a1)[1] - np.linalg.slogdet(a)[1]
+        assert abs(means._trace_integral(a, a1) - diff) <= 3e-9 * abs(diff)
+
     @staticmethod
     def _count_kernels(monkeypatch):
         # means imports _eigh by name, so the numpy kernels are what is counted
@@ -644,11 +671,12 @@ class TestTraceQuadrature:
             monkeypatch.setattr(np.linalg, name, counted)
         return calls
 
-    def test_two_eigensolves_and_no_solve(self, monkeypatch):
+    def test_one_eigensolve_and_no_solve(self, monkeypatch):
+        # the midpoint is factored, not eigensolved: only nu's spectrum is taken
         calls = self._count_kernels(monkeypatch)
         rng = np.random.default_rng(2)
         means._trace_integral(rand_spd(rng, 10), rand_spd(rng, 10))
-        assert calls == {"solve": 0, "eig": 2}
+        assert calls == {"solve": 0, "eig": 1}
 
     @pytest.mark.parametrize("ratio", [1e4, 1e8, 1e12, 1e16, 1e20, 1e-20])
     def test_wide_ratio_keeps_its_digits(self, ratio):
@@ -664,7 +692,7 @@ class TestTraceQuadrature:
         calls = self._count_kernels(monkeypatch)
         a = rand_spd(np.random.default_rng(2), 10)
         means._trace_integral(a, 1e6 * a)
-        assert calls == {"solve": 0, "eig": 3}
+        assert calls == {"solve": 0, "eig": 2}
 
 
 class TestEntropy:

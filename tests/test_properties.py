@@ -341,7 +341,7 @@ def scaled_instances(draw):
     step = step @ step.T if draw(st.booleans()) else step + step.T
     size = draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-9, 1e-3, -1e-3]))
     t = draw(st.floats(0.0, 1.0))
-    k = draw(st.integers(-60, 60))
+    k = draw(st.integers(-900, 900))
     a, b = rand_spd(rng, n), rand_spd(rng, n)
     return project(full, g), project(full + size * step, g), a, b, t, k
 
