@@ -8,8 +8,9 @@ mark.  Files written by the tool carry 17 significant digits so that
 parsing them back is exact; human-readable reports use 6.  A file is
 parsed straight into the array of a :class:`PartialMatrix` by one reader,
 picked per file: a ``?``-heavy file with ASCII rows is tokenized as one
-byte array, any other is read row by row.  Every matrix is printed by one
-``%`` over its flat values.
+byte array, any other is read row by row.  A token below the diagonal
+that spells its mirror takes the mirror's value, and a printed cell with
+its mirror's bits the mirror's text; one ``%`` formats the other cells.
 
 The module parses, dispatches to the library and formats.  Subcommands:
 ``check``, ``complete``, ``geomean``, ``karcher``, ``entropy``, ``sweep``.
@@ -92,25 +93,16 @@ def _weights(text):
 
 
 #: A file with at least this many ``?``, its rows all ASCII, is tokenized as one
-#: byte array: the array calls cost about 30 us, more than the per-token
-#: comprehension costs below about 250 ``?`` (band-2, ring and grid files, n 8-40).
-_BULK_MISSING = 256
+#: byte array: below about 1000 ``?`` its array calls cost 15-50 us more than one
+#: ``str.split`` per row and one ``!= "?"`` (band-2, ring and grid files, n 8-80).
+_BULK_MISSING = 1024
 
 
 def _row(tokens, dim, number, lineno):
-    """Row ``number`` as its values, or ``{column: value}`` (0-based) if it holds a ``?``;
-    raises the ParseError of a wrong count, else of the leftmost bad or non-finite token."""
+    """Raise the ParseError of row ``number``'s wrong count, else of its leftmost bad or
+    non-finite token: the row-by-row read of a file that a reader refused."""
     if len(tokens) != dim:
         raise ParseError(f"expected {dim} entries in row {number}, got {len(tokens)}", line=lineno)
-    try:
-        if "?" in tokens:
-            row = {col: float(tok) for col, tok in enumerate(tokens) if tok != "?"}
-        else:
-            row = list(map(float, tokens))
-        if math.isfinite(sum(row.values() if isinstance(row, dict) else row)):
-            return row
-    except ValueError:
-        pass
     for col, tok in enumerate(tokens, start=1):
         if tok == "?":
             continue
@@ -120,7 +112,28 @@ def _row(tokens, dim, number, lineno):
             raise ParseError(f"bad entry {tok!r}", line=lineno, column=col) from None
         if not math.isfinite(value):
             raise ParseError(f"non-finite entry {tok!r}", line=lineno, column=col)
-    return row
+
+
+def _values(dim, given, texts):
+    """The value of each given token (ascending flat positions ``given``, object array
+    ``texts``), or None if one is bad or non-finite.  A token below the diagonal whose mirror
+    is given with its text takes the mirror's value, as ``float`` of one text is one value;
+    any other is converted, so every distinct text is.  A ``?``-free file indexes itself."""
+    r, c = np.divmod(given, dim)
+    flip = c * dim + r
+    low = (flip < given).nonzero()[0]
+    mirror = flip[low] if len(given) == dim * dim else given.searchsorted(flip[low])
+    same = (given[mirror] == flip[low]) & (texts[low] == texts[mirror])
+    low, mirror = low[same], mirror[same]
+    own = np.ones(len(given), dtype=bool)
+    own[low] = False
+    vals = np.empty(len(given))
+    try:
+        vals[own] = list(map(float, texts[own].tolist()))
+    except ValueError:
+        return None
+    vals[low] = vals[mirror]
+    return vals if np.isfinite(vals).all() else None
 
 
 def _tokenize(lines):
@@ -150,10 +163,10 @@ def _tokenize(lines):
 
 def _parse_lines(text):
     """``dim``, the flat indices and values of the given entries, and each row's line.
-    One pass finds the header and the row lines, then one reader reads the rows: a
-    file with ``_BULK_MISSING`` ``?`` or more whose rows are all ASCII is tokenized
-    once, and any other file, or a tokenized one whose row count, entry counts or
-    values are off, is read row by row by :func:`_row`, so the first faulty row raises."""
+    One pass finds the header and the row lines, then one reader yields the given tokens
+    for :func:`_values`: a file with ``_BULK_MISSING`` ``?`` or more, all rows ASCII, is
+    tokenized once, any other split per row.  A file whose row count, entry counts or
+    values are off is read again by :func:`_row`, so the first faulty row raises."""
     lines = text.split("\n")
     dim, linenos = None, []  # the line of each matrix row, up to one past dim
     for lineno, raw in enumerate(lines, start=1):
@@ -178,25 +191,25 @@ def _parse_lines(text):
     if dim is None:
         raise ParseError("empty input: missing 'n <dim>' header")
     body = [lines[k - 1] for k in linenos[:dim]]
-    if text.count("?") >= _BULK_MISSING and all(map(str.isascii, body)):
-        counts, line, column, texts = _tokenize(body)
-        try:
-            vals = list(map(float, texts))
-        except ValueError:
-            vals = [math.nan]  # a bad token: read again below
-        if math.isfinite(sum(vals)) and (counts == dim).all() and len(linenos) == dim:
-            return dim, line * dim + column, vals, linenos
-    flat, vals = [], []
+    if len(linenos) == dim:
+        given, missing = None, text.count("?")
+        if missing >= _BULK_MISSING and all(map(str.isascii, body)):
+            counts, line, column, texts = _tokenize(body)
+            if (counts == dim).all():
+                given, texts = line * dim + column, np.array(texts, dtype=object)
+        elif set(map(len, rows := [raw.split() for raw in body])) == {dim}:
+            given, texts = np.arange(dim * dim), np.array(rows, dtype=object).ravel()
+            if missing:
+                given = np.flatnonzero(texts != "?")
+                texts = texts[given]
+        vals = None if given is None else _values(dim, given, texts)
+        if vals is not None:
+            return dim, given, vals, linenos
     for i, raw in enumerate(body):
-        row = _row(raw.split(), dim, i + 1, linenos[i])
-        dense = isinstance(row, list)
-        flat.extend(range(i * dim, i * dim + dim) if dense else [i * dim + j for j in row])
-        vals.extend(row if dense else row.values())
+        _row(raw.split(), dim, i + 1, linenos[i])
     if len(linenos) > dim:
         raise ParseError(f"more than {dim} matrix rows", line=linenos[dim])
-    if len(linenos) != dim:
-        raise ParseError(f"expected {dim} matrix rows, found {len(linenos)}")
-    return dim, np.array(flat, dtype=np.intp), vals, linenos
+    raise ParseError(f"expected {dim} matrix rows, found {len(linenos)}")
 
 
 def _raise_first_fault(a, mask, linenos):
@@ -218,12 +231,12 @@ def _raise_first_fault(a, mask, linenos):
 def parse_partial(path):
     """Parse a partial-matrix file into a :class:`PartialMatrix`.
 
-    The given entries fill one value array and its mask in one flat
-    assignment.  Asymmetric specification (an entry given on one side of
-    the diagonal but missing or different on the other) and missing
-    diagonal entries are rejected with a mirror lookup per given entry;
-    only a file that fails it is searched for its first fault, row-major.
-    Each pair keeps its upper entry, a ``-0.0`` included.
+    The given entries fill one value array and its mask in one flat assignment, a
+    token below the diagonal spelled as its mirror read once (:func:`_values`).
+    Asymmetric specification (an entry given on one side of the diagonal but missing
+    or different on the other) and missing diagonal entries are rejected with a mirror
+    lookup per given entry; only a file that fails it is searched for its first fault,
+    row-major.  Each pair keeps its upper entry, a ``-0.0`` included.
     """
     try:
         with open(path, encoding="utf-8-sig") as handle:
@@ -242,24 +255,35 @@ def parse_partial(path):
     return PartialMatrix._from_array(pattern, a.reshape(dim, dim))
 
 
+def _cells(m, spec, given=True):
+    """The text ``spec % v`` of each entry ``v`` of the square float array ``m``, ``?`` where
+    not ``given``, as an object array from one ``%`` call: an entry below the diagonal whose
+    bits equal its mirror's (so not a one-ulp pair, ``-0.0`` beside ``0.0``) copies its text."""
+    bits, k = m.view(np.uint64), np.arange(len(m))
+    copy = (bits == bits.T) & np.greater.outer(k, k) & given
+    own = ~copy & given
+    cells = np.full(m.shape, "?", dtype=object)
+    cells[own] = (f"{spec} " * np.count_nonzero(own) % tuple(m[own].tolist())).split()
+    cells[copy] = cells.T[copy]
+    return cells
+
+
 def format_partial(pm):
-    """Render a partial matrix in the text format (``?`` for missing) with one ``%`` call."""
-    mask = pm.pattern._mask
-    rows = map(" ".join, np.where(mask, f"%.{FILE_DIGITS}g", "?").tolist())
-    return f"n {pm.n}\n" + ("\n".join(rows) + "\n") % tuple(pm._a[mask].tolist())
+    """Render a partial matrix in the text format (``?`` for missing) from :func:`_cells`."""
+    rows = _cells(pm._a, f"%.{FILE_DIGITS}g", pm.pattern._mask).tolist()
+    return f"n {pm.n}\n" + "\n".join(map(" ".join, rows)) + "\n"
 
 
 def format_matrix(m):
-    """Render a full matrix in the text format with one ``%`` call."""
-    m = np.asarray(m, dtype=float)
-    line = " ".join([f"%.{FILE_DIGITS}g"] * m.shape[1]) + "\n"
-    return f"n {m.shape[0]}\n" + line * m.shape[0] % tuple(m.ravel().tolist())
+    """Render a full matrix in the text format from :func:`_cells`."""
+    rows = _cells(np.asarray(m, dtype=float), f"%.{FILE_DIGITS}g").tolist()
+    return f"n {len(rows)}\n" + "\n".join(map(" ".join, rows)) + "\n"
 
 
 def _human_matrix(m):
-    """Report cells, written by one ``%`` call and right-aligned to the widest by one more."""
+    """Report cells from :func:`_cells`, right-aligned to the widest by one ``%`` call."""
     m = np.asarray(m, dtype=float)
-    cells = (f"%.{REPORT_DIGITS}g " * m.size % tuple(m.ravel().tolist())).split()
+    cells = _cells(m, f"%.{REPORT_DIGITS}g").ravel().tolist()
     line = "  ".join([f"%{max(map(len, cells))}s"] * m.shape[1])
     return "\n".join([line] * m.shape[0]) % tuple(cells)
 

@@ -40,7 +40,6 @@ from .linalg import (
     is_pd,
     is_psd,
     log_det,
-    mat_fn,
     op_norm,
     powm,
     riemannian_dist,
@@ -106,6 +105,21 @@ def _factor(a):
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:  # round-off at the PD boundary, under a tol near 0
         raise InternalNumerics(f"Cholesky factorization failed: {exc}") from exc
+
+
+def _pd_factors(stack, ok):
+    """The Cholesky factors of ``stack[ok]``, and ``ok`` cleared at each member that Cholesky
+    refuses though it passed the PD test: round-off at the PD boundary, under a tol near 0."""
+    try:
+        return np.linalg.cholesky(stack[ok]), ok
+    except np.linalg.LinAlgError:
+        ok = ok.copy()
+        for k in ok.nonzero()[0]:
+            try:
+                np.linalg.cholesky(stack[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+        return np.linalg.cholesky(stack[ok]), ok
 
 
 @dataclass(frozen=True)
@@ -338,10 +352,10 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     ``tol``; the box is the :func:`~pgm.completion.partial_entry_bounds` of each entry, not
     proved again.  Each distinct filled matrix is PD-tested once at ``tol``: the input
     without x once for the grid, the input with x once per x-row, each held as a stack along
-    y if it holds y.  A's PD members are then factored, so the mean of each row is the
-    unchecked :func:`_geomean_core` (a stack of one broadcasts), then one det and one
-    eigvalsh.  A cell thus costs two eigensolves with one missing entry per input, three
-    with both in one, besides the PD tests.
+    y if it holds y.  A's PD members (one Cholesky refuses is not PD) are then factored, so
+    the mean of each row is the unchecked :func:`_geomean_core` (a stack of one broadcasts),
+    then one det and one eigvalsh.  A cell thus costs two eigensolves with one missing entry
+    per input, three with both in one, besides the PD tests.
     """
     if not isinstance(grid, (int, np.integer)):
         raise ValueError(f"grid must be an integer, got {grid!r}")
@@ -373,8 +387,7 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     for r, x in enumerate(xs):
         ops[kx][:, i - 1, j - 1] = ops[kx][:, j - 1, i - 1] = x
         if kx == 0 or r == 0:  # A holds x, or this is the first row
-            ok_a = is_pd(ops[0], tol)
-            l_a = _factor(ops[0][ok_a])  # A's PD members: keep's cells if any
+            l_a, ok_a = _pd_factors(ops[0], is_pd(ops[0], tol))  # keep's cells if any
         if kx == 1 or r == 0:  # B holds x, or this is the first row
             ok_b = is_pd(ops[1], tol)
         keep = ok_a & ok_b
@@ -480,7 +493,8 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
         cond = lam[:, -1] / lam[:, 0]
         ratio = np.divide(np.log(cond), cond - 1.0, out=np.ones_like(cond), where=cond > 1.0)
         theta = 2.0 / float(w @ ((cond + 1.0) * ratio))
-        x = sym(l @ mat_fn(theta * grad, np.exp) @ l.T)
+        v, u = _eigh(theta * grad)
+        x = _from_spectrum(np.exp(v), l @ u)  # L U exp(diag(v)) U^T L^T
     return KarcherResult(
         matrix=x,
         steps=len(stack) - 1 + steps,

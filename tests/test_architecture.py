@@ -316,10 +316,10 @@ def test_edges_normalized_only_on_the_dict_input_paths():
 
 
 def test_matrix_text_and_dense_views_have_no_per_entry_loop():
-    """Each printed matrix is one ``%`` over its flat values, and a dense view
-    one ``np.where``: no ``for`` loop or comprehension in them."""
+    """Each printed matrix is one ``%`` over the values :func:`cli._cells` formats, and a
+    dense view one ``np.where``: no ``for`` loop or comprehension in them."""
     functions = _functions()
-    names = ["cli.format_matrix", "cli.format_partial", "cli._human_matrix",
+    names = ["cli.format_matrix", "cli.format_partial", "cli._human_matrix", "cli._cells",
              "partial.PartialMatrix.to_dense"]
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     looping = [n for n in names if any(isinstance(x, loops) for x in ast.walk(functions[n]))]

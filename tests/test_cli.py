@@ -47,6 +47,8 @@ from conftest import (
     rand_chordal_pattern,
     rand_partial_pd,
     rand_spd,
+    reference_format_matrix,
+    reference_human_matrix,
     reference_sweep_rows,
     sweep_n8_pair,
     sweep_region_pair,
@@ -125,6 +127,21 @@ class TestParsing:
         path = write(tmp_path, "f.txt", format_matrix(m))
         back = parse_partial(path)
         np.testing.assert_array_equal(back.to_dense(), m)
+
+    def test_printers_format_each_cell_from_its_own_bits(self):
+        # a mirrored pair is formatted once only where its bits agree: a one-ulp pair and
+        # -0.0 beside 0.0 are formatted cell by cell, and a NaN prints as nan
+        m = np.array([[2.0, 0.1, -0.0, 0.5], [0.1, 3.0, 0.25, np.nan],
+                      [0.0, 0.25, 1e-300, -7.5], [0.5, np.nan, -7.5, np.nan]])
+        m[1, 0] = np.nextafter(0.1, 1.0)
+        text, human = format_matrix(m), pgm.cli._human_matrix(m)
+        cells = [line.split() for line in text.splitlines()[1:]]
+        assert cells == [[f"{v:.17g}" for v in row] for row in m.tolist()]
+        assert cells[0][1] != cells[1][0] and (cells[0][2], cells[2][0]) == ("-0", "0")
+        width = max(len(f"{v:.6g}") for v in m.ravel().tolist())
+        assert human.splitlines() == ["  ".join(f"{v:.6g}".rjust(width) for v in row)
+                                      for row in m.tolist()]
+        assert text == reference_format_matrix(m) and human == reference_human_matrix(m)
 
 
 class TestExitCodes:
@@ -552,6 +569,44 @@ class TestSweep:
         table = partial_geomean_sweep(pa, pb, 31, 0.5, 1e-3)
         np.testing.assert_array_equal(table, np.array(reference_sweep_rows(pa, pb, 31, 0.5, 1e-3)))
         assert np.isnan(table[:, 2]).reshape(31, 31).all(axis=1).any()
+
+    def test_a_member_cholesky_refuses_is_a_nan_cell(self, monkeypatch):
+        # a member that passes the PD test while np.linalg.cholesky refuses it (round-off
+        # under a tol near 0) holds NaNs; every other cell is as without the refusal
+        pa, pb = ex1_partial_a(), ex1_partial_b()
+        want = partial_geomean_sweep(pa, pb, 31, 0.5, 0.0)
+        ((i, j),) = missing_positions(pa.pattern)  # x sweeps A's entry
+        refused_x = want[7 * 31, 0]
+        cholesky = np.linalg.cholesky
+
+        def refusing(a):
+            if (a[..., i - 1, j - 1] == refused_x).any():
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", refusing)
+        got = partial_geomean_sweep(pa, pb, 31, 0.5, 0.0)
+        want[7 * 31 : 8 * 31, 2:] = np.nan
+        np.testing.assert_array_equal(got, want)
+
+    def test_a_near_singular_clique_at_tol_zero_fills_the_grid(self):
+        # the clique {1, 2} has eigenvalues 1 and ~7e-18: eigvalsh passes it at tol = 0, while
+        # np.linalg.cholesky refuses every A(x), so each cell is NaN and the sweep returns
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+        block = (q * [1.0, 10.0 ** rng.uniform(-18, -14)]) @ q.T
+        a = np.eye(3)
+        a[:2, :2] = 0.5 * (block + block.T)
+        a[1, 2] = a[2, 1] = rng.uniform(-0.5, 0.5)
+        b = rng.standard_normal((3, 3))
+        b = b @ b.T + 3.0 * np.eye(3)
+        path = Pattern.from_pairs(3, [(1, 2), (2, 3)])
+        pa, pb = project(a, path), project(b, path)
+        assert linalg.is_pd(a[:2, :2], 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(pa.to_dense())
+        table = partial_geomean_sweep(pa, pb, 11, 0.5, 0.0)
+        assert np.isnan(table[:, 2:]).all() and np.isfinite(table[:, :2]).all()
 
     def test_grid_of_one_rejected(self):
         with pytest.raises(PgmError, match="grid must be at least 2, got 1"):

@@ -1,7 +1,8 @@
 """The partial-matrix file parser against a cell-by-cell reference.
 
-``parse_partial`` converts each row in one pass and checks symmetry on
-the given entries only; ``conftest.reference_parse`` converts and checks
+``parse_partial`` converts the tokens on or above the diagonal, and one
+below it only where its text differs from its mirror's, and checks
+symmetry on the given entries only; ``conftest.reference_parse`` converts and checks
 every cell.  On valid files both must give the same pattern and the same
 values (bit for bit, signed zeros included); on corrupted files both
 must raise the same error class, message, line and column.  A file with
@@ -315,6 +316,38 @@ def test_each_reader_alone_matches_reference(tmp_path, monkeypatch, tokenized, c
             assert got == outcome(reference_parse, path), path
             once = threshold == 0  # every corpus file is ASCII
             assert len(tokenized) == once if got[0] == "ok" else len(tokenized) <= once
+
+
+@pytest.mark.parametrize(
+    "upper, lower",
+    [
+        ("1.5", "1.50"), ("1.5", "15e-1"), ("1.5", "+1.5"), ("0", "-0.0"), ("-0.0", "0"),
+        ("1", "\u0661"),  # respelled below: each pair keeps its upper entry
+        ("1.5", "1.5x"), ("0.25", "?1"),  # a bad token below a valid mirror
+        ("1e308", "1e999"),  # non-finite below only
+        ("?", "0.5"),  # a given token below whose mirror is missing
+        ("1.5", "2.5"),  # a pair that disagrees
+    ],
+)
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("threshold", [0, sys.maxsize], ids=["tokenized", "row_by_row"])
+def test_mirrored_spellings_match_reference(tmp_path, monkeypatch, tokenized, upper, lower,
+                                            dense, threshold):
+    # a token below the diagonal takes its mirror's value only where both texts agree;
+    # any other is converted and checked itself, on both readers
+    monkeypatch.setattr(cli, "_BULK_MISSING", threshold)
+    grid = [["4", "0.5", "?", "0.25"], ["0.5", "4", "1", "?"],
+            ["?", "1", "4", "0.125"], ["0.25", "?", "0.125", "4"]]
+    if dense:
+        grid = [[tok if tok != "?" else "0" for tok in row] for row in grid]
+    grid[1][3], grid[3][1] = upper, lower  # (2, 4) and (4, 2)
+    text = text_of(grid)
+    path = write(tmp_path, "m.txt", text)
+    got = outcome(parse_partial, path)
+    assert got == outcome(reference_parse, path)
+    assert tokenized == ([4] if threshold == 0 and text.isascii() else [])
+    if got[0] == "ok":
+        assert got[2][2, 4] == repr(float(upper))
 
 
 @pytest.mark.parametrize(
