@@ -33,7 +33,8 @@ for |x - c| < h, and x = c + h sqrt(1 - k / d_max) has determinant k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -166,35 +167,41 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
     visit, _, separators = pm.pattern._mcs
     if separators is not None:
         spectrum = None if whole is None else np.ldexp(whole[0], whole[1] - e)
-        report = _certify(_closed_form(a, visit, cliques, separators), a, spec, 1, tol, spectrum)
+        report = _certify(_closed_form(a, visit, cliques, separators), a, spec, tol, spectrum)
     else:
         steps = [(c, ix, a[ix]) for c in cliques for ix in [np.ix_(c, c)]]
-        m = np.diag(np.diag(a))
-        report, k = _sweep(m, steps, a, spec, 1, tol, max_cycles)
         # p^3 / (n^2 sum |C|): 4 on a ring, under 7 on a grid, O(n^3) on a near-complete pattern
         p = (np.count_nonzero(spec) + pm.n) // 2
-        if k is not None and p ** 3 <= 16 * pm.n ** 2 * sum(map(len, cliques)):
-            report, m = _newton(k, a, spec, tol, 1, max_cycles)
-        while not (report.converged or report.iterations == max_cycles):
-            report, _ = _sweep(m, steps, a, spec, report.iterations + 1, tol, max_cycles)
+        newton = p ** 3 <= 16 * pm.n ** 2 * sum(map(len, cliques))
+        _, build, count = _run(_ips(np.diag(np.diag(a)), steps, a, spec, tol, newton), max_cycles)
+        report = replace(build(), iterations=count)
     report.matrix = np.ldexp(report.matrix, e)
     report.residual = float(np.ldexp(report.residual, -e))
     report.log_determinant = float(report.log_determinant + pm.n * e * np.log(2.0))
     return report
 
 
-def _sweep(m, steps, a, spec, cycles, tol, max_cycles):
-    """Sweep ``m`` in place; the report, and ``K = M^-1`` on the pattern if iterating goes on."""
-    for c, ix, block in steps:
-        m_cc = m[ix]
-        w = np.linalg.solve(m_cc, m[c])
-        m += w.T @ (block - m_cc) @ w
-    report = _certify(sym(m), a, spec, cycles, tol)
-    if report.converged or cycles == max_cycles:
-        return report, None
-    k = sym(np.where(spec, np.linalg.inv(m), 0.0))
-    _refute(k, a, "K = M^-1")
-    return report, k
+def _run(steps, budget):
+    """``(done, result, count)`` of the first done step of ``steps``, else of step ``budget``."""
+    for count, (done, result) in enumerate(steps, 1):
+        if done or count == budget:
+            return done, result, count
+
+
+def _ips(m, steps, a, spec, tol, newton):
+    """IPS sweeps of ``m`` in place, each yielding a thunk of its report; ``K = M^-1`` on the
+    pattern is refuted before a next step, and after the first, if ``newton``, Newton runs."""
+    while True:
+        for c, ix, block in steps:
+            m_cc = m[ix]
+            w = np.linalg.solve(m_cc, m[c])
+            m += w.T @ (block - m_cc) @ w
+        report = _certify(sym(m), a, spec, tol)
+        yield report.converged, lambda: report
+        k = sym(np.where(spec, np.linalg.inv(m), 0.0))
+        _refute(k, a, "K = M^-1")
+        if newton:
+            newton, m = False, (yield from _newton(k, a, spec, tol))
 
 
 def _refute(k, a, name):
@@ -206,19 +213,20 @@ def _refute(k, a, name):
                              " <= 0, while tr(K X) > 0 for every positive definite X")
 
 
-def _newton(k, a, spec, tol, cycles, max_cycles):
+def _newton(k, a, spec, tol):
     """Newton on the dual from ``k`` (``diag(1 / a_ii)`` if not PD) over ``K`` at the upper
     positions, weighted ``c_e`` (2 off the diagonal, 1 on it).  Steps halve from 1 until ``K``
-    stays PD and, while the squared decrement is over 1e-2, Armijo (0.25) holds.  Returns the
-    report of ``X = K^-1`` and ``X`` on convergence, at the budget or at a stall."""
+    stays PD and, while the squared decrement is over 1e-2, Armijo (0.25) holds.  Each step
+    yields the report of ``X = K^-1`` made lazy; a stall returns ``X`` to the sweeps."""
     i, j = np.nonzero(np.triu(spec))
     c, a_e, last = np.where(i == j, 1.0, 2.0), a[i, j], np.inf
     try:
         chol = np.linalg.cholesky(k)
     except np.linalg.LinAlgError:
         k, chol = np.diag(1.0 / np.diag(a)), np.diag(np.diag(a) ** -0.5)
-    while cycles < max_cycles:
-        x = sym(np.linalg.inv(k))
+    while True:
+        x = sym(np.linalg.inv(k))  # the report of the step to k, if any: built once, if read
+        report = functools.cache(functools.partial(_certify, x, a, spec, tol))
         r, xi, xj = c * (x[i, j] - a_e), x[i], x[j]  # minus the gradient
         try:  # the Hessian: gathers of rows, then columns, are 3x faster than np.ix_
             d = np.linalg.solve(np.outer(c, c / 2) * (xi[:, i] * xj[:, j] + xi[:, j] * xj[:, i]), r)
@@ -226,11 +234,9 @@ def _newton(k, a, spec, tol, cycles, max_cycles):
             break
         decrement, direction = r @ d, np.zeros_like(k)
         direction[i, j] = direction[j, i] = d
-        if decrement < 1e-6 and last < np.inf:  # skipping the start costs at most one step
-            report = _certify(x, a, spec, cycles, tol)
-            if report.converged or decrement >= last:
-                return report, x
-        last, value = decrement, np.sum(k * a) - 2.0 * np.log(chol.diagonal()).sum()
+        if decrement < 1e-6 and last < np.inf and (report().converged or decrement >= last):
+            break  # certified; skipping the start's test costs at most one step
+        value = np.sum(k * a) - 2.0 * np.log(chol.diagonal()).sum()
         for s in 0.5 ** np.arange(40):
             try:
                 chol = np.linalg.cholesky(trial := k + s * direction)
@@ -241,13 +247,16 @@ def _newton(k, a, spec, tol, cycles, max_cycles):
                 break
         else:
             break
-        k, cycles = trial, cycles + 1
+        if last < np.inf:  # a step to k was taken
+            yield False, report
+        k, last = trial, decrement
         _refute(k, a, "K, a Newton iterate,")
-    x = sym(np.linalg.inv(k))
-    return _certify(x, a, spec, cycles, tol), x
+    if last < np.inf:  # no step follows
+        yield report().converged, report
+    return x
 
 
-def _certify(fill, a, spec, iterations, tol, spectrum=None):
+def _certify(fill, a, spec, tol, spectrum=None):
     """The report of the symmetric ``fill`` with the specified entries of ``a`` (largest in
     [1, 2)) written back: one ``inv`` gives the inverse-zero residual (0 with nothing
     unspecified), one spectrum (for a complete ``a``, the ``spectrum`` its proof took) the
@@ -258,7 +267,7 @@ def _certify(fill, a, spec, iterations, tol, spectrum=None):
     log_det = np.log(lam).sum() if lam[0] > 0 else np.nan
     return CompletionReport(
         matrix=x, log_determinant=float(log_det),
-        iterations=iterations, residual=float(residual),
+        iterations=1, residual=float(residual),  # an iteration's count is max_det_completion's
         converged=bool(_definite(lam, DEFAULT_TOL) and residual * lam[0] <= tol),
     )
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .completion import CompletionReport, _entry_bounds, max_det_completion
+from .completion import CompletionReport, _entry_bounds, _run, max_det_completion
 from .errors import DimensionMismatch, InternalNumerics, PgmError, TooManyMissing
 from .linalg import (
     DEFAULT_TOL,
@@ -89,14 +89,29 @@ def _warn_off_geodesic(t):
 
 def _geomean_core(l, b, t):
     """``A #_t B = L (L^-1 B L^-T)^t L^T``, ``A = L L^T``, for A and B PD-tested by the caller,
-    broadcast as in :func:`geomean`: one eigensolve; an overflow raises InternalNumerics."""
+    broadcast as in :func:`geomean`: one eigensolve.  An overflow raises InternalNumerics, and
+    so does an eigenvalue <= 0 of ``L^-1 B L^-T``: round-off at the PD boundary."""
+    m, ok, v = _geomean_cells(l, b, t)
+    if not np.isfinite(v).all():
+        raise InternalNumerics("eigenvalues past the largest double")
+    if not ok.all():
+        raise InternalNumerics("L^-1 B L^-T (A = L L^T) has an eigenvalue <= 0: round-off at "
+                               "the PD boundary, under a tol near 0")
+    return m
+
+
+def _geomean_cells(l, b, t):
+    """:func:`_geomean_core`'s means, the mask ``ok`` of those whose spectrum ``v`` of ``L^-1 B
+    L^-T`` is positive and finite (the others, round-off at the PD boundary under a tol near 0,
+    come back NaN), and ``v``; an overflow of a mean in ``ok`` raises InternalNumerics."""
     li = np.linalg.inv(l)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         v, u = _eigh(sym(li @ b @ li.swapaxes(-1, -2)))
-        m = _from_spectrum(v**t, l @ u)  # L U diag(v^t) U^T L^T
-    if not (np.isfinite(v).all() and np.isfinite(m).all()):
+        ok = (v[..., 0] > 0) & (v[..., -1] < np.inf)  # ascending; NaN fails both
+        m = _from_spectrum(np.where(ok[..., None], v**t, np.nan), l @ u)  # L U diag(v^t) U^T L^T
+    if (np.isfinite(m).all(axis=(-2, -1)) != ok).any():
         raise InternalNumerics("eigenvalues past the largest double")
-    return m
+    return m, ok, v
 
 
 def _factor(a):
@@ -392,9 +407,10 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
             ok_b = is_pd(ops[1], tol)
         keep = ok_a & ok_b
         if keep.any():
-            m = _geomean_core(l_a, ops[1] if len(ops[1]) == 1 else ops[1][keep], t)
-            table[r, keep, 2] = np.linalg.det(m)
-            table[r, keep, 3:] = _eigh(m, vectors=False)[:, ::-1]
+            m, ok, _ = _geomean_cells(l_a, ops[1] if len(ops[1]) == 1 else ops[1][keep], t)
+            keep[keep] = ok
+            table[r, keep, 2] = np.linalg.det(m[ok])
+            table[r, keep, 3:] = _eigh(m[ok], vectors=False)[:, ::-1]
     return table.reshape(grid * grid, -1)
 
 
@@ -481,26 +497,30 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     for j in range(1, len(stack)):
         x = geomean(stack[j], x, partial_sums[j - 1] / partial_sums[j])
 
-    for steps in range(max_steps + 1):
+    converged, (x, gnorm), count = _run(_karcher(x, stack, w, tol), max_steps + 1)
+    return KarcherResult(
+        matrix=x,
+        steps=len(stack) - 1 + count - 1,
+        gradient_norm=gnorm,
+        converged=bool(converged),
+    )
+
+
+def _karcher(x, stack, w, tol):
+    """Steps of :func:`karcher_mean` from ``x``, each yielding ``(x, ||G||_F)`` before it moves."""
+    while True:
         l = _factor(x)
         li = np.linalg.inv(l)
         lam, vec = _eigh(sym(li @ stack @ li.T))
         lam = _require(lam, "pd", DEFAULT_TOL)
         grad = sym(np.tensordot(w, _from_spectrum(np.log(lam), vec), axes=1))
         gnorm = fro_norm(grad)
-        if gnorm <= tol or steps == max_steps:
-            break
+        yield gnorm <= tol, (x, gnorm)
         cond = lam[:, -1] / lam[:, 0]
         ratio = np.divide(np.log(cond), cond - 1.0, out=np.ones_like(cond), where=cond > 1.0)
         theta = 2.0 / float(w @ ((cond + 1.0) * ratio))
         v, u = _eigh(theta * grad)
         x = _from_spectrum(np.exp(v), l @ u)  # L U exp(diag(v)) U^T L^T
-    return KarcherResult(
-        matrix=x,
-        steps=len(stack) - 1 + steps,
-        gradient_norm=gnorm,
-        converged=bool(gnorm <= tol),
-    )
 
 
 @dataclass
@@ -530,26 +550,24 @@ def agm_iteration(a, b):
     iteration stops when ``||A_k - B_k||_F <= 1e-12 ||B_k||_F``, or after
     100 steps unconverged, and returns the arithmetic midpoint of the final pair.
     """
-    lower, upper = _pd_stack((a, b))
-    lowers, uppers = [], []
-    converged = False
-    for iterations in range(1, 101):
-        harmonic = invm(0.5 * (invm(lower) + invm(upper)))
-        arithmetic = sym(0.5 * (lower + upper))
-        lower, upper = harmonic, arithmetic
-        lowers.append(lower)
-        uppers.append(upper)
-        if fro_norm(lower - upper) <= 1e-12 * fro_norm(upper):
-            converged = True
-            break
-    mid = sym(0.5 * (lower + upper))
+    converged, (lowers, uppers), iterations = _run(_agm(*_pd_stack((a, b))), 100)
     return AgmResult(
-        matrix=mid,
+        matrix=sym(0.5 * (lowers[-1] + uppers[-1])),
         iterations=iterations,
         converged=converged,
         lower_iterates=lowers,
         upper_iterates=uppers,
     )
+
+
+def _agm(lower, upper):
+    """Steps of :func:`agm_iteration`, each yielding its verdict and the iterates so far."""
+    lowers, uppers = [], []
+    while True:
+        lower, upper = invm(0.5 * (invm(lower) + invm(upper))), sym(0.5 * (lower + upper))
+        lowers.append(lower)
+        uppers.append(upper)
+        yield fro_norm(lower - upper) <= 1e-12 * fro_norm(upper), (lowers, uppers)
 
 
 def _trace_integral(a0, a1):

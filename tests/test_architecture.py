@@ -95,21 +95,24 @@ def test_public_eigensolves_admit_their_argument_through_the_dense_door():
 
 
 def test_unchecked_mean_core_runs_only_behind_a_pd_test():
-    """``means._geomean_core`` trusts its caller to have PD-tested both operands:
-    only ``geomean``, ``partial_geomean_sweep``, ``partial_geomean_maxdet`` (whose Â and
-    B̂ a converged completion certified) and ``entropy_identities`` (whose
-    ``gaussian_entropy`` tests ``sigma0`` and ``sigma1``) name it, each to call it, and each
-    runs a PD test (``_require``, ``_definite``, ``is_pd``, ``require_converged`` or
-    ``gaussian_entropy``) on a line before."""
+    """``means._geomean_core`` and the per-cell ``_geomean_cells`` under it trust their caller
+    to have PD-tested both operands: only ``geomean``, ``partial_geomean_sweep`` (the cells),
+    ``partial_geomean_maxdet`` (whose Â and B̂ a converged completion certified) and
+    ``entropy_identities`` (whose ``gaussian_entropy`` tests ``sigma0`` and ``sigma1``) name
+    them, besides the core itself, each to call one, and each runs a PD test (``_require``,
+    ``_definite``, ``is_pd``, ``require_converged`` or ``gaussian_entropy``) on a line before."""
     tests = ("_require", "_definite", "is_pd", "require_converged", "gaussian_entropy")
+    cores = ("_geomean_core", "_geomean_cells")
     naming, first_call, first_test = set(), {}, {}  # first_*: function -> first line
     for name, node in _functions().items():
+        if name == "means._geomean_core":
+            continue
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and sub.id == "_geomean_core":
+            if isinstance(sub, ast.Name) and sub.id in cores:
                 naming.add(name)
             if isinstance(sub, ast.Call):
                 callee, line = ast.unparse(sub.func), sub.lineno
-                if callee == "_geomean_core":
+                if callee in cores:
                     first_call[name] = min(line, first_call.get(name, line))
                 if callee.rsplit(".", 1)[-1] in tests:
                     first_test[name] = min(line, first_test.get(name, line))
@@ -482,3 +485,80 @@ def test_every_public_function_has_a_caller():
 
     uncalled = sorted(s for s in defined if not s.startswith("cli.cmd_") and not named(s))
     assert uncalled == sorted(UNCALLED_ALLOWED)
+
+
+#: Loops over a literal ``range`` kept outside ``completion._run``, each for a reason.
+FIXED_LOOPS_ALLOWED = {
+    "completion.completion_with_det": "at most three corrections of one entry on its parabola",
+}
+ORDERS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _orders(node):
+    """True if ``node`` is a comparison by order or equality."""
+    return isinstance(node, ast.Compare) and any(isinstance(op, ORDERS) for op in node.ops)
+
+
+def _budget_loops(name, func):
+    """The budget loops of ``func``: a ``while`` whose test orders or equates, a ``for`` over a
+    literal ``range``, and a comparison of a ``range`` or ``enumerate`` count with a non-literal."""
+    found = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.While) and any(_orders(c) for c in ast.walk(node.test)):
+            found.append(f"{name}: while {ast.unparse(node.test)}")
+        if not (isinstance(node, ast.For) and isinstance(node.iter, ast.Call)):
+            continue
+        callee, args = ast.unparse(node.iter.func), node.iter.args
+        if callee == "range" and all(isinstance(a, ast.Constant) for a in args):
+            found.append(f"{name}: for ... in {ast.unparse(node.iter)}")
+        target = node.target.elts[0] if isinstance(node.target, ast.Tuple) else node.target
+        count = target.id if callee in ("range", "enumerate") else None
+        found += [f"{name}: {ast.unparse(c)}" for c in ast.walk(node) if _orders(c)
+                  and count in {n.id for n in ast.walk(c) if isinstance(n, ast.Name)}
+                  and not any(isinstance(x, ast.Constant) for x in [c.left, *c.comparators])]
+    return found
+
+
+def _own_yields(func):
+    """The ``yield`` and ``yield from`` nodes of ``func`` outside its nested functions."""
+    nested = {id(sub) for inner in ast.walk(func) if inner is not func
+              and isinstance(inner, (ast.FunctionDef, ast.Lambda)) for sub in ast.walk(inner)}
+    return [n for n in ast.walk(func) if isinstance(n, (ast.Yield, ast.YieldFrom))
+            and id(n) not in nested]
+
+
+def test_one_step_budget():
+    """Only ``completion._run`` compares a step count with a budget.  ``max_cycles`` and
+    ``max_steps`` are read only by their gate (an ``if`` that raises) and by the call into
+    ``_run``.  Nothing else in ``src/pgm`` loops over a budget (:func:`_budget_loops`; the
+    ``FIXED_LOOPS_ALLOWED`` aside).  The phases ``_run`` runs are the private module-level
+    generators: every function that yields is one, and each is called as ``_run``'s first
+    argument or by ``yield from`` in another phase."""
+    budgets = {"max_cycles", "max_steps"}
+    stray, loops, phases, run = [], [], {}, []
+    for name, func in _functions().items():
+        allowed = set()  # ids of the nodes under a gate or in a call of _run
+        for node in ast.walk(func):
+            if isinstance(node, ast.If) and all(isinstance(s, ast.Raise) for s in node.body):
+                allowed |= {id(sub) for sub in ast.walk(node)}
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_run":
+                allowed |= {id(sub) for arg in node.args for sub in ast.walk(arg)}
+                run.append((name, ast.unparse(node.args[0].func)))
+        stray += [name for node in ast.walk(func) if isinstance(node, ast.Name)
+                  and node.id in budgets and id(node) not in allowed
+                  and isinstance(node.ctx, ast.Load)]
+        if name not in ("completion._run", *FIXED_LOOPS_ALLOWED):
+            loops += _budget_loops(name, func)
+        if yields := _own_yields(func):
+            phases[name] = [ast.unparse(n.value.func) for n in yields
+                            if isinstance(n, ast.YieldFrom) and isinstance(n.value, ast.Call)]
+    assert stray == []
+    assert loops == []
+    assert sorted(run) == [("completion.max_det_completion", "_ips"),
+                           ("means.agm_iteration", "_agm"), ("means.karcher_mean", "_karcher")]
+    assert sorted(phases) == ["completion._ips", "completion._newton",
+                              "means._agm", "means._karcher"]
+    started = {(name.split(".")[0], callee) for name, callee in run}
+    started |= {(name.split(".")[0], c) for name, called in phases.items() for c in called}
+    assert {f"{module}.{callee}" for module, callee in started} == set(phases)
+    assert all(name.count(".") == 1 and name.split(".")[1].startswith("_") for name in phases)

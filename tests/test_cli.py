@@ -36,6 +36,7 @@ from pgm.errors import (
     DimensionMismatch,
     InternalNumerics,
     MissingDiagonal,
+    NotPartialPD,
     ParseError,
     PgmError,
 )
@@ -607,6 +608,72 @@ class TestSweep:
             np.linalg.cholesky(pa.to_dense())
         table = partial_geomean_sweep(pa, pb, 11, 0.5, 0.0)
         assert np.isnan(table[:, 2:]).all() and np.isfinite(table[:, :2]).all()
+
+    @staticmethod
+    def near_singular_pair(seed):
+        """A's clique {1, 2} is ``Q diag(1, 10^u) Q^T``, u in [-18, -14], with ``a33 = 1`` and
+        ``a23`` up to ``sqrt(a22) / 2``; B is ``X X^T + I``; both on the path (1, 2), (2, 3)."""
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+        u = rng.uniform(-18, -14)
+        a = np.eye(3)
+        a[:2, :2] = q @ np.diag([1.0, 10.0**u]) @ q.T
+        a[:2, :2] = 0.5 * (a[:2, :2] + a[:2, :2].T)
+        a[1, 2] = a[2, 1] = rng.uniform(-0.5, 0.5) * math.sqrt(a[1, 1])
+        x = rng.standard_normal((3, 3))
+        path = Pattern.from_pairs(3, [(1, 2), (2, 3)])
+        return project(a, path), project(x @ x.T + np.eye(3), path)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+    def test_round_off_inner_spectra_are_nan_cells(self, t):
+        # under tol = 0, L^-1 B(y) L^-T (A(x) = L L^T) takes an eigenvalue <= 0 from round-off
+        # in many cells: each is NaN, at every t, where it once ended the sweep ("eigenvalues
+        # past the largest double" on most of these 300 seeds at t = 0.5); every other cell
+        # has det = prod(eig) up to a shift of lambda_min by eps lambda_max (at t = 0 the mean
+        # is A(x), singular to round-off).  A seed is refused only as not partial PD (about a
+        # quarter are: A's 2x2 clique is singular to round-off)
+        refused = 0
+        for seed in range(300):
+            try:
+                table = partial_geomean_sweep(*self.near_singular_pair(seed), 11, t, 0.0)
+            except NotPartialPD:
+                refused += 1
+                continue
+            filled = np.isfinite(table[:, 2])
+            assert (np.isnan(table[~filled, 2:]).all() and np.isfinite(table[filled]).all())
+            eig = table[filled, 3:]  # descending
+            gap = np.abs(table[filled, 2] - eig.prod(axis=1))
+            shift = np.finfo(float).eps * eig[:, 0] * np.abs(eig[:, :-1]).prod(axis=1)
+            assert (gap <= 10.0 * shift).all()
+        assert refused < 300
+
+    def round_off_cell(self):
+        """The first NaN cell, over the seeds of :meth:`near_singular_pair` and a sweep at
+        tol = 0, whose pair is PD at tol = 0 and whose A passes Cholesky: ``(A, B)``."""
+        for seed in range(300):
+            pa, pb = self.near_singular_pair(seed)
+            try:
+                table = partial_geomean_sweep(pa, pb, 11, 0.5, 0.0)
+            except NotPartialPD:
+                continue
+            for x, y, det in table[np.isnan(table[:, 2]), :3]:
+                a, b = pa.to_dense(), pb.to_dense()
+                a[0, 2] = a[2, 0] = x
+                b[0, 2] = b[2, 0] = y
+                if linalg.is_pd(np.stack([a, b]), 0.0).all():
+                    try:
+                        np.linalg.cholesky(a)
+                    except np.linalg.LinAlgError:
+                        continue
+                    return a, b
+        pytest.fail("no NaN cell of a PD pair: the recipe no longer reaches round-off")
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+    def test_round_off_inner_spectrum_named_by_geomean(self, t):
+        # only the inner spectrum of this cell's pair fails, and geomean names it at every t
+        a, b = self.round_off_cell()
+        with pytest.raises(InternalNumerics, match="has an eigenvalue <= 0: round-off at the PD"):
+            means.geomean(a, b, t, tol=0.0)
 
     def test_grid_of_one_rejected(self):
         with pytest.raises(PgmError, match="grid must be at least 2, got 1"):

@@ -57,6 +57,27 @@ from conftest import (
 )
 
 
+def spy_newton(monkeypatch, start=lambda k: k):
+    """Run ``completion._newton`` from ``start`` of the sweep's ``K`` and read its records:
+    ``(reports, handed)``, the report of each step it yields, built as a caller reads it,
+    and the ``X`` it hands back to the sweeps on a stall, if it does; both filled in later."""
+    newton, reports, handed = completion._newton, [], []
+
+    def spy(k, *args):
+        steps = newton(start(k), *args)
+        while True:
+            try:
+                done, report = next(steps)
+            except StopIteration as stall:
+                handed.append(stall.value)
+                return stall.value
+            reports.append(report())
+            yield done, report
+
+    monkeypatch.setattr(completion, "_newton", spy)
+    return reports, handed
+
+
 class TestSingleEntryInterval:
     def test_example_one_a(self):
         m = ex1_partial_a().to_dense()
@@ -308,18 +329,11 @@ class TestMaxDetCompletion:
 
     def test_newton_stall_is_polished_by_a_sweep(self, monkeypatch):
         # one edge at 1 - 5e-7: Newton's X, with A_E written back, misses the certificate
-        # at round-off, and one sweep from it passes
-        newton, stalls = completion._newton, []
-
-        def spy(*args):
-            stalls.append(result := newton(*args))
-            return result
-
-        monkeypatch.setattr(completion, "_newton", spy)
+        # at round-off, and one sweep from the X it hands over passes
+        reports, handed = spy_newton(monkeypatch)
         rep = max_det_completion(cosine_ring(np.random.default_rng(25).uniform(0.0, math.pi, 4)))
-        [(stalled, _)] = stalls
-        assert not stalled.converged
-        assert rep.converged and rep.iterations == stalled.iterations + 1
+        assert len(handed) == 1 and reports and not reports[-1].converged
+        assert rep.converged and rep.iterations == 1 + len(reports) + 1
 
     def test_rejects_not_partial_pd(self):
         pm = PartialMatrix(
@@ -542,17 +556,6 @@ class TestNewtonFallbacks:
         assert rep.log_determinant == pytest.approx(-np.linalg.slogdet(self.K)[1], abs=1e-12)
         np.testing.assert_allclose(rep.matrix, np.linalg.inv(self.K), atol=1e-12)
 
-    def newton_reports(self, monkeypatch, start=lambda k: k):
-        """Run ``_newton`` from ``start`` of the sweep's ``K``; its reports, filled in later."""
-        newton, reports = completion._newton, []
-
-        def spy(k, *args):
-            reports.append((result := newton(start(k), *args))[0])
-            return result
-
-        monkeypatch.setattr(completion, "_newton", spy)
-        return reports
-
     def test_start_off_the_cone_restarts_from_the_diagonal(self, monkeypatch):
         cholesky, failed = np.linalg.cholesky, []
 
@@ -564,12 +567,12 @@ class TestNewtonFallbacks:
                 raise
 
         monkeypatch.setattr(np.linalg, "cholesky", spy)
-        reports = self.newton_reports(monkeypatch, start=lambda k: -k)
+        reports, handed = spy_newton(monkeypatch, start=lambda k: -k)
         rep = max_det_completion(self.PM)
         self.assert_oracle(rep)
-        # the negated start fails first, so Newton starts from diag(1 / a_ii)
+        # the negated start fails first, so Newton starts from diag(1 / a_ii) and converges
         assert failed and np.all(np.diag(failed[0]) < 0)
-        assert reports[0].converged and rep.iterations == reports[0].iterations
+        assert reports[-1].converged and not handed and rep.iterations == 1 + len(reports)
 
     def test_singular_newton_system_stalls_into_sweeps(self, monkeypatch):
         solve, p = np.linalg.solve, 12  # the 6 diagonal and 6 ring positions
@@ -580,10 +583,10 @@ class TestNewtonFallbacks:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        reports = self.newton_reports(monkeypatch)
+        reports, handed = spy_newton(monkeypatch)
         rep = max_det_completion(self.PM)
-        [stalled] = reports
-        assert stalled.iterations == 1 and not stalled.converged
+        # no step: Newton hands its start's X = K^-1 to the sweeps, with no report of its own
+        assert reports == [] and len(handed) == 1
         self.assert_oracle(rep)
         assert rep.iterations > 2
 
@@ -597,10 +600,9 @@ class TestNewtonFallbacks:
             return cholesky(k)
 
         monkeypatch.setattr(np.linalg, "cholesky", only_the_start)
-        reports = self.newton_reports(monkeypatch)
+        reports, handed = spy_newton(monkeypatch)
         rep = max_det_completion(self.PM)
-        [stalled] = reports
-        assert len(calls) == 41 and stalled.iterations == 1 and not stalled.converged
+        assert len(calls) == 41 and reports == [] and len(handed) == 1
         self.assert_oracle(rep)
         assert rep.iterations > 2
 

@@ -17,7 +17,7 @@ All run under the derandomized ``pgm`` profile.
 import math
 import os
 import tempfile
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from pgm import (
     PartialMatrix,
     Pattern,
     agrees,
+    completion,
     completion_with_det,
     geomean,
     is_pd,
@@ -109,6 +110,30 @@ def test_chordal_closed_form_matches_the_oracle(pm):
     off = np.abs(np.linalg.inv(report.matrix)[~pm.pattern._mask]).max()
     assert report.residual == pytest.approx(off, rel=1e-6, abs=1e-300)
     assert off * lam_min <= 1e-10
+
+
+@given(pm=ill_conditioned_chordal())
+def test_newton_from_the_diagonal_matches_the_chordal_closed_form(pm):
+    # Newton on the dual, forced from K = diag(1 / a_ii) on the input scaled as
+    # max_det_completion scales it and run at tol 0 to its stall, against the closed form,
+    # with kappa the closed form's condition number: the closed form is certified at 1e-10
+    # and Newton's last X at its floor eps kappa^2 (at most 0.02 eps kappa^2 over 2000
+    # draws); matrices agree to 4 eps kappa and log-determinants to 16 n eps kappa (0.23
+    # and 2.8 over those draws)
+    closed = max_det_completion(pm)
+    spec, e = pm.pattern._mask, np.frexp(np.abs(pm._a).max())[1] - 1
+    a = np.ldexp(pm.to_dense(), -e)
+    *steps, (_, build) = islice(completion._newton(np.diag(1.0 / np.diag(a)), a, spec, 0.0), 100)
+    assert len(steps) < 99  # it stalled: tol 0 certifies no step
+    newton = build()
+    lam = np.linalg.eigvalsh(closed.matrix)
+    kappa, eps = lam[-1] / lam[0], np.finfo(float).eps
+    assert closed.converged
+    assert completion._certify(newton.matrix, a, spec, eps * kappa**2).converged
+    x = np.ldexp(newton.matrix, e)
+    assert np.abs(x - closed.matrix).max() <= 4.0 * eps * kappa * np.abs(closed.matrix).max()
+    log_det = newton.log_determinant + pm.n * e * math.log(2.0)
+    assert abs(log_det - closed.log_determinant) <= 16.0 * pm.n * eps * kappa
 
 
 @given(pm=partial_pd_matrices(), ratio=st.floats(1e-6, 1.0, exclude_max=True))
