@@ -45,7 +45,8 @@ from .errors import (
     NotPartialPD,
     OutOfRange,
 )
-from .linalg import DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _eigh, is_pd, sym
+from .linalg import (DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _eigh, _require_tol,
+                     is_pd, sym)
 from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
@@ -158,8 +159,7 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
     """
     if not (isinstance(max_cycles, (int, np.integer)) and max_cycles >= 1):
         raise ValueError(f"max_cycles must be an integer >= 1, got {max_cycles!r}")
-    if not 0.0 <= tol < np.inf:  # NaN fails every comparison
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    _require_tol(tol)
     whole = _require_partial_pd(pm, DEFAULT_TOL)  # a complete input's spectrum, or None
     cliques = [list(c) for c in pm.pattern._clique_sequence]
     spec, e = pm.pattern._mask, np.frexp(np.abs(pm._a).max())[1] - 1

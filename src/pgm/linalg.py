@@ -85,9 +85,16 @@ def _spectrum(a):
     return _eigh(np.ldexp(a, -e[..., None, None]), vectors=False), e
 
 
+def _require_tol(tol):
+    """The gate of every public tolerance: ValueError unless ``tol`` is finite and >= 0."""
+    if not 0.0 <= tol < np.inf:  # NaN fails every comparison
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def _definite(w, tol, semi=False, scale=None):
     """The PD (or, if ``semi``, PSD) test per ascending spectrum in ``w``: ``lambda_min`` against
-    ``tol`` times ``scale``, by default ``max |lambda|`` of the same spectrum."""
+    ``tol`` (:func:`_require_tol`) times ``scale``, by default ``max |lambda|`` of the spectrum."""
+    _require_tol(tol)
     scale = np.abs(w).max(axis=-1) if scale is None else scale
     lam_min = w[..., 0]
     return lam_min >= -tol * scale if semi else lam_min > tol * scale

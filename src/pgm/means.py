@@ -35,6 +35,7 @@ from .linalg import (
     _from_spectrum,
     _pd_stack,
     _require,
+    _require_tol,
     fro_norm,
     invm,
     is_pd,
@@ -129,7 +130,7 @@ def _pd_factors(stack, ok):
         return np.linalg.cholesky(stack[ok]), ok
     except np.linalg.LinAlgError:
         ok = ok.copy()
-        for k in ok.nonzero()[0]:
+        for k in zip(*ok.nonzero()):
             try:
                 np.linalg.cholesky(stack[k])
             except np.linalg.LinAlgError:
@@ -351,6 +352,11 @@ def partial_geomean_maxdet(pa, pb, t=0.5):
     )
 
 
+#: Entries of one float stack of a sweep block, 2^16 (512 KB): a block holds as many x-rows as
+#: keep a stack of its cells' matrices near this size, at least one, so memory is O(grid n^2).
+_SWEEP_BLOCK = 2**16
+
+
 def _shrunk_axis(bounds):
     lo, hi = bounds
     width = hi - lo
@@ -365,12 +371,12 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     Either each input carries one missing entry (x sweeps the first, y the second), or one
     input carries both and the other is complete.  A, then B, is proved partial PD once at
     ``tol``; the box is the :func:`~pgm.completion.partial_entry_bounds` of each entry, not
-    proved again.  Each distinct filled matrix is PD-tested once at ``tol``: the input
-    without x once for the grid, the input with x once per x-row, each held as a stack along
-    y if it holds y.  A's PD members (one Cholesky refuses is not PD) are then factored, so
-    the mean of each row is the unchecked :func:`_geomean_core` (a stack of one broadcasts),
-    then one det and one eigvalsh.  A cell thus costs two eigensolves with one missing entry
-    per input, three with both in one, besides the PD tests.
+    proved again.  The grid runs in blocks of x-rows (``_SWEEP_BLOCK``), and each distinct
+    filled matrix is PD-tested once at ``tol``: the input without x once for the grid, the one
+    with x once per block.  A's PD members (one Cholesky refuses is not PD) are factored, and
+    broadcast against B's (``(rows, 1)`` against ``(1, grid)`` with one entry per input), so a
+    block is one :func:`_geomean_cells`, one det and one eigvalsh; a cell costs two eigensolves
+    with one missing entry per input, three with both in one, besides the PD tests.
     """
     if not isinstance(grid, (int, np.integer)):
         raise ValueError(f"grid must be an integer, got {grid!r}")
@@ -392,25 +398,28 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     (kx, pos_x), (ky, pos_y) = slots
     xs = np.linspace(*_shrunk_axis(_entry_bounds(pms[kx], *pos_x, tol)), grid)
     ys = np.linspace(*_shrunk_axis(_entry_bounds(pms[ky], *pos_y, tol)), grid)
-    # ops[k] is input k on the current x-row: a stack along y if it holds y, else a stack of one
-    ops = [np.tile(a, (grid if ky == k else 1, 1, 1)) for k, a in enumerate(dense)]
+    # ops[k] is input k on a block: (rows along x if it holds x, columns along y if it does y, n, n)
+    ops = [np.tile(a, (1, grid if ky == k else 1, 1, 1)) for k, a in enumerate(dense)]
     (i, j), (p, q) = pos_x, pos_y
-    ops[ky][:, p - 1, q - 1] = ops[ky][:, q - 1, p - 1] = ys
+    ops[ky][..., p - 1, q - 1] = ops[ky][..., q - 1, p - 1] = ys
     table = np.full((grid, grid, pa.n + 3), np.nan)
     table[..., 0] = xs[:, None]
     table[..., 1] = ys
-    for r, x in enumerate(xs):
-        ops[kx][:, i - 1, j - 1] = ops[kx][:, j - 1, i - 1] = x
-        if kx == 0 or r == 0:  # A holds x, or this is the first row
+    rows = max(1, _SWEEP_BLOCK // (grid * pa.n**2))
+    for r in range(0, grid, rows):
+        x = xs[r : r + rows, None]
+        ops[kx] = np.repeat(ops[kx][:1], len(x), axis=0)  # this block's fills of the x input
+        ops[kx][..., i - 1, j - 1] = ops[kx][..., j - 1, i - 1] = x
+        if kx == 0 or r == 0:  # A holds x, or this is the first block
             l_a, ok_a = _pd_factors(ops[0], is_pd(ops[0], tol))  # keep's cells if any
-        if kx == 1 or r == 0:  # B holds x, or this is the first row
+        if kx == 1 or r == 0:  # B holds x, or this is the first block
             ok_b = is_pd(ops[1], tol)
         keep = ok_a & ok_b
-        if keep.any():
-            m, ok, _ = _geomean_cells(l_a, ops[1] if len(ops[1]) == 1 else ops[1][keep], t)
-            keep[keep] = ok
-            table[r, keep, 2] = np.linalg.det(m[ok])
-            table[r, keep, 3:] = _eigh(m[ok], vectors=False)[:, ::-1]
+        if keep.any():  # every factor of A meets every PD member of B: keep is their product
+            m, ok, _ = _geomean_cells(l_a[:, None], ops[1][ok_b], t)
+            keep[keep] = ok.ravel()
+            table[r : r + rows][keep, 2] = np.linalg.det(m[ok])
+            table[r : r + rows][keep, 3:] = _eigh(m[ok], vectors=False)[:, ::-1]
     return table.reshape(grid * grid, -1)
 
 
@@ -483,8 +492,7 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     """
     if not (isinstance(max_steps, (int, np.integer)) and max_steps >= 0):
         raise ValueError(f"max_steps must be an integer >= 0, got {max_steps!r}")
-    if not 0.0 <= tol < np.inf:  # NaN fails every comparison
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    _require_tol(tol)
     if not isinstance(weights, WeightVector):
         weights = WeightVector(weights=tuple(weights))
     stack = _pd_stack(mats)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, NotPartialPD, PatternMismatch
-from .linalg import DEFAULT_TOL, _definite, as_sym_matrix
+from .linalg import DEFAULT_TOL, _definite, _require_tol, as_sym_matrix
 from .pattern import Pattern, _normalize_edge, _upper
 
 
@@ -110,6 +110,7 @@ def project(m, pattern):
 def agrees(m, pm, tol=1e-8):
     """True iff ``m`` is symmetric and matches ``pm`` on every specified
     position within ``tol``."""
+    _require_tol(tol)
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")

@@ -1,10 +1,17 @@
-"""Architecture rules of ``src/pgm``, read off the syntax tree."""
+"""Architecture rules of ``src/pgm``, read off the syntax tree and the public signatures."""
 
 import ast
+import inspect
+import math
+import re
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import pgm
+from conftest import ex1_partial_a, ex1_partial_b
 
 SRC = Path(pgm.__file__).resolve().parent
 
@@ -562,3 +569,43 @@ def test_one_step_budget():
     started |= {(name.split(".")[0], c) for name, called in phases.items() for c in called}
     assert {f"{module}.{callee}" for module, callee in started} == set(phases)
     assert all(name.count(".") == 1 and name.split(".")[1].startswith("_") for name in phases)
+
+
+def _tol_calls():
+    """The positional arguments of a call of each public function of ``pgm`` that takes a
+    ``tol``, valid at ``DEFAULT_TOL``.  They include the cases that a NaN, infinite or negative
+    ``tol`` once answered with the wrong verdict or cause: ``is_pd`` passed the indefinite
+    ``diag(1, -0.5)`` at ``tol = -1``, ``geomean(I, I)`` and the sweep of the ex1 pair at a NaN
+    ``tol`` raised ``NotPositiveDefinite`` or ``NotPartialPD``, and ``agrees`` answered False."""
+    pa, pb = ex1_partial_a(), ex1_partial_b()
+    eye = np.eye(2)
+    (pos,) = pgm.missing_positions(pa.pattern)
+    return {
+        "agrees": (eye, pgm.project(eye, pgm.Pattern.complete(2))),
+        "geomean": (eye, eye),
+        "is_partial_pd": (pa,),
+        "is_pd": (np.diag([1.0, -0.5]),),
+        "is_psd": (np.diag([1.0, -0.5]),),
+        "karcher_mean": ([0.5, 0.5], [eye, 2.0 * eye]),
+        "max_det_completion": (pa,),
+        "offending_cliques": (pa,),
+        "partial_entry_bounds": (pa, pos),
+        "partial_geomean_sweep": (pa, pb, 3, 0.5),
+        "single_entry_interval": (pa.to_dense(0.0), *pos),
+    }
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_every_public_tol_passes_the_gate(tol):
+    """Every public function of ``pgm`` with a ``tol`` parameter, found by its signature,
+    refuses a NaN, infinite or negative ``tol`` with the one gate's ``ValueError``: a new
+    entry fails here until it is listed in :func:`_tol_calls`, and then unless it gates."""
+    takers = sorted(name for name, func in vars(pgm).items() if inspect.isfunction(func)
+                    and not name.startswith("_") and "tol" in inspect.signature(func).parameters)
+    calls = _tol_calls()
+    assert sorted(calls) == takers
+    message = f"^{re.escape(f'tol must be a finite number >= 0, got {tol!r}')}$"
+    for name, args in calls.items():
+        getattr(pgm, name)(*args, tol=pgm.DEFAULT_TOL)
+        with pytest.raises(ValueError, match=message):
+            getattr(pgm, name)(*args, tol=tol)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -571,13 +572,14 @@ class TestSweep:
         np.testing.assert_array_equal(table, np.array(reference_sweep_rows(pa, pb, 31, 0.5, 1e-3)))
         assert np.isnan(table[:, 2]).reshape(31, 31).all(axis=1).any()
 
-    def test_a_member_cholesky_refuses_is_a_nan_cell(self, monkeypatch):
-        # a member that passes the PD test while np.linalg.cholesky refuses it (round-off
-        # under a tol near 0) holds NaNs; every other cell is as without the refusal
+    @staticmethod
+    def refuse_one_x_row(monkeypatch, row):
+        """The ex1 sweep at grid 31 and tol 0 while np.linalg.cholesky refuses every stack that
+        holds A(x) of x-row ``row``, and the sweep without the refusal with that row's NaNs."""
         pa, pb = ex1_partial_a(), ex1_partial_b()
         want = partial_geomean_sweep(pa, pb, 31, 0.5, 0.0)
         ((i, j),) = missing_positions(pa.pattern)  # x sweeps A's entry
-        refused_x = want[7 * 31, 0]
+        refused_x = want[row * 31, 0]
         cholesky = np.linalg.cholesky
 
         def refusing(a):
@@ -587,8 +589,62 @@ class TestSweep:
 
         monkeypatch.setattr(np.linalg, "cholesky", refusing)
         got = partial_geomean_sweep(pa, pb, 31, 0.5, 0.0)
-        want[7 * 31 : 8 * 31, 2:] = np.nan
-        np.testing.assert_array_equal(got, want)
+        want[row * 31 : (row + 1) * 31, 2:] = np.nan
+        return got, want
+
+    def test_a_member_cholesky_refuses_is_a_nan_cell(self, monkeypatch):
+        # a member that passes the PD test while np.linalg.cholesky refuses it (round-off
+        # under a tol near 0) holds NaNs; every other cell is as without the refusal
+        np.testing.assert_array_equal(*self.refuse_one_x_row(monkeypatch, 7))
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_a_refused_member_inside_a_block_is_one_nan_row(self, monkeypatch, rows):
+        # as above with blocks of one x-row and of 7 (at grid 31 the default block is the whole
+        # grid): x-row 10 lies inside the second block of 7, whose Cholesky fails, its members
+        # are retried one by one, and only that row's cells become NaN
+        monkeypatch.setattr(means, "_SWEEP_BLOCK", rows * 31 * 3**2)
+        np.testing.assert_array_equal(*self.refuse_one_x_row(monkeypatch, 10))
+
+    @pytest.mark.parametrize("rows", [1, 7, 31])
+    @pytest.mark.parametrize("case", sorted(SWEEP_PAIRS))
+    def test_blocks_match_the_per_cell_reference(self, monkeypatch, case, rows):
+        # blocks of one x-row (the row loop), of 7 (a short last block at grid 31) and of the
+        # whole grid give the per-cell reference bit for bit, with one mean call per block
+        # that holds a PD cell
+        pa, pb = SWEEP_PAIRS[case]()
+        grid = 31
+        want = np.array(reference_sweep_rows(pa, pb, grid, 0.5, DEFAULT_TOL))
+        filled = np.isfinite(want[:, 2]).reshape(grid, grid).any(axis=1)
+        calls = []
+        real = means._geomean_cells
+
+        def counting(l, b, t):
+            calls.append(t)
+            return real(l, b, t)
+
+        monkeypatch.setattr(means, "_SWEEP_BLOCK", rows * grid * pa.n**2)
+        monkeypatch.setattr(means, "_geomean_cells", counting)
+        table = partial_geomean_sweep(pa, pb, grid, 0.5, DEFAULT_TOL)
+        np.testing.assert_array_equal(table, want)
+        assert len(calls) == len(set(np.flatnonzero(filled) // rows))
+
+    @pytest.mark.parametrize("case", ["n8", "region", "region_swapped"])
+    def test_working_memory_grows_as_grid_not_grid_squared(self, case):
+        # the traced peak over the returned table stays under a fixed bound (a sweep block is
+        # a stack of about 2^16 entries, 512 KB, with a few temporaries of its size) and grows
+        # from grid 51 to grid 201 at most like grid (3.9-fold), not like grid^2 (15.5-fold).
+        # Filling the x input for the whole grid up front, and not per block, fails both
+        pa, pb = SWEEP_PAIRS[case]()
+        excess = []
+        for grid in (51, 201):
+            tracemalloc.start()
+            try:
+                table = partial_geomean_sweep(pa, pb, grid, 0.5, DEFAULT_TOL)
+                excess.append(tracemalloc.get_traced_memory()[1] - table.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert max(excess) < 5 * 2**20
+        assert excess[1] < 1.1 * (201 / 51) * excess[0]
 
     def test_a_near_singular_clique_at_tol_zero_fills_the_grid(self):
         # the clique {1, 2} has eigenvalues 1 and ~7e-18: eigvalsh passes it at tol = 0, while
