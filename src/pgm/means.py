@@ -19,7 +19,6 @@ integral in closed form.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -58,11 +57,17 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     geodesic and are computed with a warning; the property guarantees
     hold only on [0, 1].  On stacks ``(..., n, n)`` the means are taken
     pairwise, with the leading dimensions broadcast (one A against a
-    stack of B, or the reverse).  Both pass :func:`~pgm.linalg._dense`, then a PD
-    check by their eigenvalues; the mean itself is :func:`_geomean_core` on the
-    Cholesky factor of A, one more eigensolve.
+    stack of B, or the reverse).  The warning comes from here, once per call, whoever
+    wraps this function; the mean is :func:`_geomean`'s.
     """
     _warn_off_geodesic(t)
+    return _geomean(a, b, t, tol)
+
+
+def _geomean(a, b, t, tol=DEFAULT_TOL):
+    """:func:`geomean` without its warning, for the means here whose operands are not proved PD
+    yet: both pass :func:`~pgm.linalg._dense`, then a PD test by their eigenvalues, and the
+    mean is :func:`_geomean_core` on the Cholesky factor of A, one more eigensolve."""
     a, b = _dense(a), _dense(b)
     _require_pair(a, b)
     _require(_eigh(a, vectors=False), "pd", tol)
@@ -78,12 +83,12 @@ def _require_pair(a, b):
 
 
 def _warn_off_geodesic(t):
-    """Raise ValueError if ``t`` is not finite.  If it lies outside [0, 1], warn at
-    the line that called the public entry calling this, unless that line is in this
-    module: an entry warns once per call, and the means it takes stay silent."""
+    """Raise ValueError if ``t`` is not finite.  If it lies outside [0, 1], warn at the line
+    that called the public entry calling this: each entry calls it once per parameter, and
+    the means it takes go through :func:`_geomean` or the core, which never warn."""
     if not math.isfinite(t):
         raise ValueError(f"geomean parameter t must be finite, got {t}")
-    if not 0.0 <= t <= 1.0 and sys._getframe(2).f_globals["__name__"] != __name__:
+    if not 0.0 <= t <= 1.0:
         message = f"geomean parameter t = {t} lies outside [0, 1]; extending the geodesic"
         warnings.warn(message, stacklevel=3)
 
@@ -203,27 +208,27 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
     _warn_off_geodesic(t)
     _warn_off_geodesic(lam)
     a, b, c, d = _pd_stack((a, b, c, d))
-    g_ab = geomean(a, b, t)
+    g_ab = _geomean(a, b, t)
 
     commuting_partner = sym(a @ a) + np.eye(a.shape[0])
     p1 = _close(
-        geomean(a, commuting_partner, t),
+        _geomean(a, commuting_partner, t),
         sym(powm(a, 1.0 - t) @ powm(commuting_partner, t)),
         rtol,
     )
 
     alpha, beta = 1.0 + lam, 2.0 - lam
     p2 = _close(
-        geomean(alpha * a, beta * b, t),
+        _geomean(alpha * a, beta * b, t),
         alpha ** (1.0 - t) * beta**t * g_ab,
         rtol,
     )
 
-    p3 = _close(g_ab, geomean(b, a, 1.0 - t), rtol)
+    p3 = _close(g_ab, _geomean(b, a, 1.0 - t), rtol)
 
-    p4 = _psd_geq(geomean(a + c, b + d, t), g_ab, rtol)
+    p4 = _psd_geq(_geomean(a + c, b + d, t), g_ab, rtol)
 
-    lhs = riemannian_dist(geomean(a, b, lam), geomean(c, d, t))
+    lhs = riemannian_dist(_geomean(a, b, lam), _geomean(c, d, t))
     bound = (
         abs(lam - t) * riemannian_dist(a, b)
         + (1.0 - t) * riemannian_dist(a, c)
@@ -233,17 +238,17 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
 
     p6 = _close(
         sym(s.T @ g_ab @ s),
-        geomean(sym(s.T @ a @ s), sym(s.T @ b @ s), t),
+        _geomean(sym(s.T @ a @ s), sym(s.T @ b @ s), t),
         rtol,
     )
 
     p7 = _psd_geq(
-        geomean((1.0 - lam) * a + lam * b, (1.0 - lam) * c + lam * d, t),
-        (1.0 - lam) * geomean(a, c, t) + lam * geomean(b, d, t),
+        _geomean((1.0 - lam) * a + lam * b, (1.0 - lam) * c + lam * d, t),
+        (1.0 - lam) * _geomean(a, c, t) + lam * _geomean(b, d, t),
         rtol,
     )
 
-    p8 = _close(invm(g_ab), geomean(invm(a), invm(b), t), rtol)
+    p8 = _close(invm(g_ab), _geomean(invm(a), invm(b), t), rtol)
 
     ld_g, ld_a, ld_b = log_det(np.stack((g_ab, a, b)))
     p9 = bool(abs(ld_g - ((1.0 - t) * ld_a + t * ld_b)) <= rtol)
@@ -299,7 +304,7 @@ def set_geomean(s, t_set, t=0.5):
     out = []
     for x in s.members:
         for y in t_set.members:
-            g = geomean(x, y, t)
+            g = _geomean(x, y, t)
             if not any(_close(g, kept, 1e-12) for kept in out):
                 out.append(g)
     return SampleSet(tuple(out))
@@ -312,7 +317,7 @@ def block_max_property(a, b):
     Verifies the block matrix is PSD (relative tolerance 1e-8) at ``X = A # B``
     and stops being PSD once ``X`` is pushed by ``1e-6 ||X||`` along the identity.
     """
-    x = geomean(a, b, 0.5)
+    x = _geomean(a, b, 0.5)
     bumped = x + 1e-6 * op_norm(x) * np.eye(a.shape[0])
     return is_psd(sym(np.block([[a, x], [x, b]])), 1e-8) and not is_psd(
         sym(np.block([[a, bumped], [bumped, b]])), 1e-8
@@ -486,9 +491,11 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     and Iannazzo (LAA 2013), ``theta = 2 / sum_i w_i (c_i + 1)/(c_i - 1) log c_i`` with
     ``c_i = cond(M_i)`` (2 at ``c_i = 1``); a unit step can diverge on spread inputs.
 
-    The inputs are checked by one stacked eigensolve, and the iteration
-    runs on that stack.  Returns a :class:`KarcherResult`; ``converged``
-    is False when the step budget was exhausted first.
+    The inputs are checked by one stacked eigensolve, the one ``eigvalsh`` of a call: the
+    start point's means take :func:`_geomean_core` on the members of that proved stack and
+    on their own means, which test nothing again, and the iteration runs on that stack.
+    Returns a :class:`KarcherResult`; ``converged`` is False when the step budget was
+    exhausted first.
     """
     if not (isinstance(max_steps, (int, np.integer)) and max_steps >= 0):
         raise ValueError(f"max_steps must be an integer >= 0, got {max_steps!r}")
@@ -503,7 +510,7 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     partial_sums = np.cumsum(w)
     x = stack[0]
     for j in range(1, len(stack)):
-        x = geomean(stack[j], x, partial_sums[j - 1] / partial_sums[j])
+        x = _geomean_core(_factor(stack[j]), x, partial_sums[j - 1] / partial_sums[j])
 
     converged, (x, gnorm), count = _run(_karcher(x, stack, w, tol), max_steps + 1)
     return KarcherResult(

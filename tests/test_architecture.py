@@ -87,28 +87,42 @@ def test_partial_pd_is_proved_in_partial_alone():
 
 def test_public_eigensolves_admit_their_argument_through_the_dense_door():
     """In ``linalg`` and ``means``, a public function that calls ``_eigh`` or ``_spectrum``
-    also calls ``_dense``, or ``_pd_stack``, which admits each member through it."""
+    also calls ``_dense``, or ``_pd_stack``, which admits each member through it.  One that
+    calls a private function of its own module that eigensolves counts too, and the door is
+    then in it or in that private function: so ``geomean`` counts, through ``_geomean``."""
     calls, _ = _calls_and_raises()
     callees = defaultdict(set)
     for module, func, callee in calls:
-        if module in ("linalg", "means") and func and not func.startswith("_"):
+        if module in ("linalg", "means") and func:
             callees[module, func].add(callee)
-    eigensolving = {key for key, called in callees.items() if called & {"_eigh", "_spectrum"}}
+    solves, door = {"_eigh", "_spectrum"}, {"_dense", "_pd_stack"}
+    eigensolving, bare = set(), []
+    for (module, func), called in callees.items():
+        if func.startswith("_"):
+            continue
+        private = [callees[module, c] for c in called
+                   if c.startswith("_") and (module, c) in callees]
+        for step in [called, *private]:  # the function itself, then each private one it calls
+            if step & solves:
+                eigensolving.add((module, func))
+                if not (called | step) & door:
+                    bare.append(f"{module}.{func}")
     assert {("linalg", "mat_fn"), ("linalg", "is_pd"), ("linalg", "log_det"),
             ("means", "geomean")} <= eigensolving
-    door = {"_dense", "_pd_stack"}
-    bare = sorted(f"{m}.{f}" for m, f in eigensolving if not callees[m, f] & door)
     assert bare == []
 
 
 def test_unchecked_mean_core_runs_only_behind_a_pd_test():
     """``means._geomean_core`` and the per-cell ``_geomean_cells`` under it trust their caller
-    to have PD-tested both operands: only ``geomean``, ``partial_geomean_sweep`` (the cells),
-    ``partial_geomean_maxdet`` (whose Â and B̂ a converged completion certified) and
-    ``entropy_identities`` (whose ``gaussian_entropy`` tests ``sigma0`` and ``sigma1``) name
-    them, besides the core itself, each to call one, and each runs a PD test (``_require``,
-    ``_definite``, ``is_pd``, ``require_converged`` or ``gaussian_entropy``) on a line before."""
-    tests = ("_require", "_definite", "is_pd", "require_converged", "gaussian_entropy")
+    to have PD-tested both operands: only ``_geomean`` (behind ``geomean`` and the means that
+    take unproved operands), ``partial_geomean_sweep`` (the cells), ``partial_geomean_maxdet``
+    (whose Â and B̂ a converged completion certified), ``entropy_identities`` (whose
+    ``gaussian_entropy`` tests ``sigma0`` and ``sigma1``) and ``karcher_mean`` (whose warm start
+    takes members of the ``_pd_stack`` and its own means) name them, besides the core itself,
+    each to call one, and each runs a PD test (``_require``, ``_definite``, ``is_pd``,
+    ``require_converged``, ``gaussian_entropy`` or ``_pd_stack``) on a line before."""
+    tests = ("_require", "_definite", "is_pd", "require_converged", "gaussian_entropy",
+             "_pd_stack")
     cores = ("_geomean_core", "_geomean_cells")
     naming, first_call, first_test = set(), {}, {}  # first_*: function -> first line
     for name, node in _functions().items():
@@ -124,10 +138,38 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
                 if callee.rsplit(".", 1)[-1] in tests:
                     first_test[name] = min(line, first_test.get(name, line))
     assert sorted(naming) == sorted(first_call) == [
-        "means.entropy_identities", "means.geomean",
+        "means._geomean", "means.entropy_identities", "means.karcher_mean",
         "means.partial_geomean_maxdet", "means.partial_geomean_sweep",
     ]
     assert all(first_test.get(name, line) < line for name, line in first_call.items())
+
+
+#: The calls that read the call stack.
+FRAME_LOOKUPS = {"sys._getframe", "inspect.currentframe", "inspect.stack",
+                 "inspect.getouterframes", "traceback.extract_stack"}
+
+
+def test_no_call_stack_introspection():
+    """No function in ``src/pgm`` asks who called it, by a dotted call or a name imported from
+    its module: what a call does, a warning included, depends on its arguments, not on the
+    frames above it, so a wrapper of an entry changes nothing."""
+    calls, _ = _calls_and_raises()
+    imported = {
+        f"{node.module}.{alias.name}"
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        for alias in node.names
+    }
+    assert [f"{m}.{f}" for m, f, callee in calls if callee in FRAME_LOOKUPS] == []
+    assert imported & FRAME_LOOKUPS == set()
+
+
+def test_no_internal_call_of_the_public_geomean():
+    """``geomean`` is an entry for users: it warns about its own ``t``.  The means in
+    ``src/pgm`` take ``_geomean`` or the core, so nothing there calls it."""
+    calls, _ = _calls_and_raises()
+    assert [f"{m}.{f}" for m, f, c in calls if c.rsplit(".", 1)[-1] == "geomean"] == []
 
 
 def test_congruences_take_a_cholesky_factor():

@@ -1,7 +1,9 @@
 """Geometric means, Karcher mean, AGM iteration, entropy identities."""
 
 import dataclasses
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -277,6 +279,32 @@ class TestSampleSets:
 
 
 
+class TestOffGeodesicWarningUnderASpy:
+    """The off-geodesic warning comes once per public call, at the caller's line, also while a
+    spy wraps ``geomean`` as a tracer does: no mean in ``pgm`` re-enters ``geomean``."""
+
+    @pytest.fixture
+    def spy(self):
+        with mock.patch.object(means, "geomean", wraps=means.geomean) as spy:
+            yield spy
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_set_geomean(self, spy, k):
+        s = SampleSet(tuple(np.diag([1.0, j + 2.0]) for j in range(k)))
+        with pytest.warns(UserWarning, match="lies outside") as record:
+            set_geomean(s, s.scale(3.0), 1.5)
+        assert [w.filename for w in record] == [__file__]
+        assert spy.call_count == 0
+
+    def test_property_check(self, spy):
+        rng = np.random.default_rng(5)
+        a, b, c, d = (rand_spd(rng, 3) for _ in range(4))
+        with pytest.warns(UserWarning, match="lies outside") as record:
+            geomean_properties_check(a, b, c, d, 1.5, 0.3, rand_invertible(rng, 3))
+        assert [w.filename for w in record] == [__file__]
+        assert spy.call_count == 0
+
+
 class TestScaleFree:
     """Inverses and comparisons are judged against the operands' own scale, so the means
     run at any scale: a floor of max(1, ||A||) would refuse the inverse of ``1e10 A`` as not PD."""
@@ -439,6 +467,18 @@ class TestMeansOfCompletions:
         )
 
 
+#: ``(k, n)`` of a Karcher case, and its ``(steps, gradient_norm.hex(), sha256 of the matrix)``
+#: as recorded before the warm start took the core on the members of the proved stack.
+KARCHER_DIGESTS = {
+    (3, 5): (14, "0x1.f371f75f0de4fp-33",
+             "e54305c4308989f5471ed90bb9db1df7a1a5e0de23940d0891e9349777cae686"),
+    (4, 10): (20, "0x1.2a7d54b135e52p-31",
+              "7f584780e9fb53eda17f8fd927743b0ddcab5f021831ac1df16338fdf27bd264"),
+    (6, 15): (27, "0x1.fa6551ea09f8ep-32",
+              "ae46304950226e660c0852762e9b29186a4b0f784f26025aa89185be435bcfd9"),
+}
+
+
 class TestKarcherMean:
     def test_two_matrix_midpoint(self):
         rng = np.random.default_rng(0)
@@ -487,6 +527,24 @@ class TestKarcherMean:
         res = karcher_mean(WeightVector(tuple(w / w.sum())), mats, tol=1e-9)
         assert res.converged
         assert res.gradient_norm <= 1e-9
+
+    @pytest.mark.parametrize(("k", "n"), sorted(KARCHER_DIGESTS))
+    def test_warm_start_proves_nothing_twice(self, k, n):
+        """The stacked PD test is the one ``eigvalsh`` of a call: the warm start's means reuse
+        it, and the result is the same, bit for bit.  The inputs are drawn here, not by the
+        ``conftest`` helpers, so that a change to those cannot move the digests."""
+        rng = np.random.default_rng([k, n])
+        mats = []
+        for _ in range(k):
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            m = (q * np.exp(rng.uniform(-2.0, 2.0, n))) @ q.T
+            mats.append(0.5 * (m + m.T))
+        w = rng.uniform(0.5, 2.0, k)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+            res = karcher_mean(w / w.sum(), mats)
+        assert spy.call_count == 1
+        digest = hashlib.sha256(res.matrix.tobytes()).hexdigest()
+        assert (res.steps, res.gradient_norm.hex(), digest) == KARCHER_DIGESTS[k, n]
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
