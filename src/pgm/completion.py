@@ -45,8 +45,8 @@ from .errors import (
     NotPartialPD,
     OutOfRange,
 )
-from .linalg import (DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _eigh, _require_tol,
-                     is_pd, sym)
+from .linalg import (DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _eigh, _pd_factor,
+                     _require_tol, is_pd, sym)
 from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
@@ -160,14 +160,13 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
     if not (isinstance(max_cycles, (int, np.integer)) and max_cycles >= 1):
         raise ValueError(f"max_cycles must be an integer >= 1, got {max_cycles!r}")
     _require_tol(tol)
-    whole = _require_partial_pd(pm, DEFAULT_TOL)  # a complete input's spectrum, or None
+    _require_partial_pd(pm, DEFAULT_TOL)
     cliques = [list(c) for c in pm.pattern._clique_sequence]
     spec, e = pm.pattern._mask, np.frexp(np.abs(pm._a).max())[1] - 1
     a = np.ldexp(pm.to_dense(), -e)
     visit, _, separators = pm.pattern._mcs
     if separators is not None:
-        spectrum = None if whole is None else np.ldexp(whole[0], whole[1] - e)
-        report = _certify(_closed_form(a, visit, cliques, separators), a, spec, tol, spectrum)
+        report = _certify(_closed_form(a, visit, cliques, separators), a, spec, tol)
     else:
         steps = [(c, ix, a[ix]) for c in cliques for ix in [np.ix_(c, c)]]
         # p^3 / (n^2 sum |C|): 4 on a ring, under 7 on a grid, O(n^3) on a near-complete pattern
@@ -207,7 +206,7 @@ def _ips(m, steps, a, spec, tol, newton):
 def _refute(k, a, name):
     """:class:`NotCompletable` if ``k`` is positive definite and ``sum_E K_ij A_ij <= 0``."""
     trace_ka = float(np.sum(k * a))
-    if trace_ka <= 0.0 and _definite(_eigh(k, vectors=False), DEFAULT_TOL):
+    if trace_ka <= 0.0 and not np.isnan(_pd_factor(k, DEFAULT_TOL)[0, 0]):
         raise NotCompletable(f"no positive definite completion exists: {name} is positive definite"
                              f" and supported on the pattern, yet sum_E K_ij A_ij = {trace_ka:.3g}"
                              " <= 0, while tr(K X) > 0 for every positive definite X")
@@ -256,13 +255,13 @@ def _newton(k, a, spec, tol):
     return x
 
 
-def _certify(fill, a, spec, tol, spectrum=None):
+def _certify(fill, a, spec, tol):
     """The report of the symmetric ``fill`` with the specified entries of ``a`` (largest in
     [1, 2)) written back: one ``inv`` gives the inverse-zero residual (0 with nothing
-    unspecified), one spectrum (for a complete ``a``, the ``spectrum`` its proof took) the
-    PD test, the convergence test ``residual * lambda_min <= tol`` and the log-determinant."""
+    unspecified), one ``eigvalsh`` the PD test, the convergence test ``residual * lambda_min
+    <= tol`` and the log-determinant."""
     x = np.where(spec, a, fill)
-    lam = _eigh(x, vectors=False) if spectrum is None else spectrum
+    lam = _eigh(x, vectors=False)
     residual = np.abs(np.linalg.inv(x)[~spec]).max() if not spec.all() else 0.0
     log_det = np.log(lam).sum() if lam[0] > 0 else np.nan
     return CompletionReport(

@@ -100,8 +100,8 @@ def _definite(w, tol, semi=False, scale=None):
     return lam_min >= -tol * scale if semi else lam_min > tol * scale
 
 
-def _require(w, domain, tol, e=0):
-    """Spectra ``w`` (in units ``2**e``, :func:`_spectrum`) checked against ``domain``.
+def _require(w, domain, e=0):
+    """Spectra ``w`` (units ``2**e``, :func:`_spectrum`) checked against ``domain`` at DEFAULT_TOL.
 
     ``domain`` is "pd" or "psd".  Raises :class:`NotPositiveDefinite` naming the smallest
     failing lambda_min (:class:`InternalNumerics` where ``w`` overflows); PSD spectra come
@@ -111,7 +111,7 @@ def _require(w, domain, tol, e=0):
         raise ValueError(f"unknown domain {domain!r}")
     if not np.isfinite(w).all():
         raise InternalNumerics("eigenvalues past the largest double")
-    ok = _definite(w, tol, semi=domain == "psd")
+    ok = _definite(w, DEFAULT_TOL, semi=domain == "psd")
     if not ok.all():
         kind = "definite" if domain == "pd" else "semidefinite"
         lam_min = float(np.ldexp(w[..., 0], e)[~ok].min())
@@ -121,7 +121,7 @@ def _require(w, domain, tol, e=0):
 
 def _pd_stack(mats):
     """The ``k >= 1`` matrices ``mats``, each admitted by :func:`_dense`, as one
-    ``(k, n, n)`` stack, checked 2-D, of one shape and PD by one eigensolve."""
+    ``(k, n, n)`` stack, checked 2-D, of one shape and PD by one :func:`_require_pd`."""
     stack = [_dense(m) for m in mats]
     if not stack:
         raise ValueError("expected at least one matrix")
@@ -130,7 +130,7 @@ def _pd_stack(mats):
     stack = np.stack(stack)
     if stack.ndim != 3:
         raise DimensionMismatch(f"expected 2-D matrices, got shape {stack.shape[1:]}")
-    _require(_eigh(stack, vectors=False), "pd", DEFAULT_TOL)
+    _require_pd(stack, DEFAULT_TOL)
     return stack
 
 
@@ -139,9 +139,36 @@ def _from_spectrum(w, q):
     return sym((q * w[..., None, :]) @ q.swapaxes(-1, -2))
 
 
+def _pd_factor(a, tol):
+    """The lower Cholesky factor of each matrix of the finite symmetric stack ``a`` that is PD
+    at ``tol`` (:func:`_require_tol`), NaN for each other: PD means that the Cholesky of ``a -
+    tol ||a||_F I`` succeeds, on ``a`` scaled by the power of two at its largest entry, so ``c a``
+    gets the verdict of ``a``.  As ``lambda_max <= ||a||_F <= sqrt(n) lambda_max``, the rule is
+    never looser than ``lambda_min > tol lambda_max``, and at most ``sqrt(n)`` stricter."""
+    _require_tol(tol)
+    s = np.ldexp(a, -np.frexp(np.abs(a).max(axis=(-2, -1)))[1][..., None, None])
+    d = np.arange(a.shape[-1])
+    # numpy's stacked kernel gives NaN for a refused member; np.linalg.cholesky raises for all
+    with np.errstate(invalid="ignore", over="ignore"):
+        s[..., d, d] -= tol * np.sqrt((s * s).sum(axis=(-2, -1)))[..., None]
+        ok = ~np.isnan(np.linalg._umath_linalg.cholesky_lo(s, signature="d->d")[..., :1, :1])
+        return np.where(ok, np.linalg._umath_linalg.cholesky_lo(a, signature="d->d"), np.nan)
+
+
+def _require_pd(a, tol):
+    """:func:`_pd_factor` of ``a``, or NotPositiveDefinite naming the least refused lambda_min."""
+    l = _pd_factor(a, tol)
+    bad = np.isnan(l[..., 0, 0])
+    if bad.any():
+        w, e = _spectrum(a[bad])
+        lam_min = float(np.ldexp(w[..., 0], e).min())
+        raise NotPositiveDefinite(f"matrix is not positive definite (lambda_min = {lam_min:.3e})")
+    return l
+
+
 def is_pd(a, tol=DEFAULT_TOL):
-    """True iff lambda_min(a) > tol * ||a||, per matrix of a stack; via :func:`_dense`."""
-    ok = _definite(_spectrum(_dense(a))[0], tol)
+    """True iff ``a`` is PD at ``tol`` by :func:`_pd_factor`, per matrix of a stack; via _dense."""
+    ok = ~np.isnan(_pd_factor(_dense(a), tol)[..., 0, 0])
     return bool(ok) if ok.ndim == 0 else ok
 
 
@@ -172,7 +199,7 @@ def mat_fn(a, f, domain=None):
     """
     w, q = _eigh(_dense(a))
     if domain is not None:
-        w = _require(w, domain, DEFAULT_TOL)
+        w = _require(w, domain)
     return _from_spectrum(f(w), q)
 
 
@@ -201,7 +228,7 @@ def log_det(a):
     per matrix of a stack; finite where the spectrum overflows (:func:`_spectrum`)."""
     a = _dense(a)
     w, e = _spectrum(a)
-    ld = np.log(_require(w, "pd", DEFAULT_TOL, e)).sum(axis=-1) + a.shape[-1] * e * np.log(2.0)
+    ld = np.log(_require(w, "pd", e)).sum(axis=-1) + a.shape[-1] * e * np.log(2.0)
     return float(ld) if ld.ndim == 0 else ld
 
 

@@ -32,8 +32,10 @@ from .linalg import (
     _DeterminantFromLog,
     _eigh,
     _from_spectrum,
+    _pd_factor,
     _pd_stack,
     _require,
+    _require_pd,
     _require_tol,
     fro_norm,
     invm,
@@ -66,13 +68,13 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
 
 def _geomean(a, b, t, tol=DEFAULT_TOL):
     """:func:`geomean` without its warning, for the means here whose operands are not proved PD
-    yet: both pass :func:`~pgm.linalg._dense`, then a PD test by their eigenvalues, and the
-    mean is :func:`_geomean_core` on the Cholesky factor of A, one more eigensolve."""
+    yet: both pass :func:`~pgm.linalg._dense`, then :func:`~pgm.linalg._require_pd`, and the
+    mean is :func:`_geomean_core` on the factor that proved A, one eigensolve."""
     a, b = _dense(a), _dense(b)
     _require_pair(a, b)
-    _require(_eigh(a, vectors=False), "pd", tol)
-    _require(_eigh(b, vectors=False), "pd", tol)
-    return _geomean_core(_factor(a), b, t)
+    l = _require_pd(a, tol)
+    _require_pd(b, tol)
+    return _geomean_core(l, b, t)
 
 
 def _require_pair(a, b):
@@ -126,21 +128,6 @@ def _factor(a):
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:  # round-off at the PD boundary, under a tol near 0
         raise InternalNumerics(f"Cholesky factorization failed: {exc}") from exc
-
-
-def _pd_factors(stack, ok):
-    """The Cholesky factors of ``stack[ok]``, and ``ok`` cleared at each member that Cholesky
-    refuses though it passed the PD test: round-off at the PD boundary, under a tol near 0."""
-    try:
-        return np.linalg.cholesky(stack[ok]), ok
-    except np.linalg.LinAlgError:
-        ok = ok.copy()
-        for k in zip(*ok.nonzero()):
-            try:
-                np.linalg.cholesky(stack[k])
-            except np.linalg.LinAlgError:
-                ok[k] = False
-        return np.linalg.cholesky(stack[ok]), ok
 
 
 @dataclass(frozen=True)
@@ -376,12 +363,10 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     Either each input carries one missing entry (x sweeps the first, y the second), or one
     input carries both and the other is complete.  A, then B, is proved partial PD once at
     ``tol``; the box is the :func:`~pgm.completion.partial_entry_bounds` of each entry, not
-    proved again.  The grid runs in blocks of x-rows (``_SWEEP_BLOCK``), and each distinct
-    filled matrix is PD-tested once at ``tol``: the input without x once for the grid, the one
-    with x once per block.  A's PD members (one Cholesky refuses is not PD) are factored, and
-    broadcast against B's (``(rows, 1)`` against ``(1, grid)`` with one entry per input), so a
-    block is one :func:`_geomean_cells`, one det and one eigvalsh; a cell costs two eigensolves
-    with one missing entry per input, three with both in one, besides the PD tests.
+    proved again.  The grid runs in blocks of x-rows (``_SWEEP_BLOCK``).  Each distinct filled
+    matrix is proved PD once at ``tol`` by :func:`~pgm.linalg._pd_factor`, whose factors of A
+    meet B's PD members (``(rows, 1)`` against ``(1, grid)`` with one entry per input): a block
+    is one :func:`_geomean_cells`, one det and one eigvalsh, two eigensolves per cell.
     """
     if not isinstance(grid, (int, np.integer)):
         raise ValueError(f"grid must be an integer, got {grid!r}")
@@ -416,12 +401,13 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
         ops[kx] = np.repeat(ops[kx][:1], len(x), axis=0)  # this block's fills of the x input
         ops[kx][..., i - 1, j - 1] = ops[kx][..., j - 1, i - 1] = x
         if kx == 0 or r == 0:  # A holds x, or this is the first block
-            l_a, ok_a = _pd_factors(ops[0], is_pd(ops[0], tol))  # keep's cells if any
+            l_a = _pd_factor(ops[0], tol)
+            ok_a = ~np.isnan(l_a[..., 0, 0])
         if kx == 1 or r == 0:  # B holds x, or this is the first block
             ok_b = is_pd(ops[1], tol)
         keep = ok_a & ok_b
         if keep.any():  # every factor of A meets every PD member of B: keep is their product
-            m, ok, _ = _geomean_cells(l_a[:, None], ops[1][ok_b], t)
+            m, ok, _ = _geomean_cells(l_a[ok_a][:, None], ops[1][ok_b], t)
             keep[keep] = ok.ravel()
             table[r : r + rows][keep, 2] = np.linalg.det(m[ok])
             table[r : r + rows][keep, 3:] = _eigh(m[ok], vectors=False)[:, ::-1]
@@ -491,9 +477,8 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     and Iannazzo (LAA 2013), ``theta = 2 / sum_i w_i (c_i + 1)/(c_i - 1) log c_i`` with
     ``c_i = cond(M_i)`` (2 at ``c_i = 1``); a unit step can diverge on spread inputs.
 
-    The inputs are checked by one stacked eigensolve, the one ``eigvalsh`` of a call: the
-    start point's means take :func:`_geomean_core` on the members of that proved stack and
-    on their own means, which test nothing again, and the iteration runs on that stack.
+    One stacked :func:`~pgm.linalg._pd_factor` proves the inputs PD; the start point's means
+    take :func:`_geomean_core` on that stack's members and their own means, testing nothing.
     Returns a :class:`KarcherResult`; ``converged`` is False when the step budget was
     exhausted first.
     """
@@ -527,7 +512,7 @@ def _karcher(x, stack, w, tol):
         l = _factor(x)
         li = np.linalg.inv(l)
         lam, vec = _eigh(sym(li @ stack @ li.T))
-        lam = _require(lam, "pd", DEFAULT_TOL)
+        lam = _require(lam, "pd")
         grad = sym(np.tensordot(w, _from_spectrum(np.log(lam), vec), axes=1))
         gnorm = fro_norm(grad)
         yield gnorm <= tol, (x, gnorm)

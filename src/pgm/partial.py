@@ -122,51 +122,52 @@ def agrees(m, pm, tol=1e-8):
         return bool(np.all(np.abs(m - pm._a)[pm.pattern._mask] <= tol))
 
 
+def _clique_blocks(a, cliques):
+    """A list of ``(rows, blocks)``, one per clique size: the positions in ``cliques``
+    (0-based) of the cliques of that size, and their blocks of the dense ``a`` as one stack."""
+    sizes = np.array([len(c) for c in cliques])
+    groups = [np.flatnonzero(sizes == size) for size in set(sizes.tolist())]
+    idx = [np.array([cliques[r] for r in rows]) for rows in groups]
+    return [(rows, a[i[:, :, None], i[:, None, :]]) for rows, i in zip(groups, idx)]
+
+
 def clique_extremes(a, cliques):
     """``[lambda_min, lambda_max]`` of each clique block of the dense ``a`` (cliques
-    0-based) in units of ``2**e``, ``e`` (``linalg._spectrum``) and, by clique size, the
-    spectra of the one stacked eigensolve per size.  ``_definite`` gives a pair the verdict
-    of its full spectrum; ``-ext[:, ::-1]`` negates."""
-    sizes = np.array([len(c) for c in cliques])
-    ext, e, spectra = np.empty((len(cliques), 2)), np.empty(len(cliques), dtype=int), {}
-    for size in set(sizes.tolist()):
-        rows = np.flatnonzero(sizes == size)
-        idx = np.array([cliques[r] for r in rows])
-        spectra[size], e[rows] = linalg._spectrum(a[idx[:, :, None], idx[:, None, :]])
-        ext[rows] = spectra[size][:, [0, -1]]
-    return ext, e, spectra
+    0-based) in units of ``2**e``, and ``e`` (``linalg._spectrum``), one stacked eigensolve
+    per clique size.  ``_definite`` gives a pair the verdict of its spectrum; ``-ext[:, ::-1]``
+    negates."""
+    ext, e = np.empty((len(cliques), 2)), np.empty(len(cliques), dtype=int)
+    for rows, blocks in _clique_blocks(a, cliques):
+        w, e[rows] = linalg._spectrum(blocks)
+        ext[rows] = w[:, [0, -1]]
+    return ext, e
 
 
 def is_partial_pd(pm, tol=DEFAULT_TOL):
     """True iff every maximal-clique principal submatrix is positive
     definite.  Checking maximal cliques suffices because cliques nest."""
-    return not _offenders(pm, tol)[0]
+    return not offending_cliques(pm, tol)
 
 
 def offending_cliques(pm, tol=DEFAULT_TOL):
-    """Maximal cliques whose principal submatrix fails to be positive
-    definite (diagnostic companion to :func:`is_partial_pd`), in the
-    order of :func:`maximal_cliques`."""
-    return [c for c, _ in _offenders(pm, tol)[0]]
-
-
-def _offenders(pm, tol):
-    """Sorted 1-based ``(clique, lambda_min)`` of non-PD clique blocks; a complete pm's spectrum."""
+    """Maximal cliques whose principal submatrix fails to be positive definite (diagnostic
+    companion to :func:`is_partial_pd`), in the order of :func:`maximal_cliques`: the blocks
+    that ``linalg._pd_factor`` refuses, one stacked factorization per clique size."""
     cliques = pm.pattern._clique_sequence
-    ext, e, spectra = clique_extremes(pm._a, cliques)
-    rows = np.flatnonzero(~_definite(ext, tol))
-    bad = sorted((tuple(v + 1 for v in cliques[r]), np.ldexp(ext[r, 0], e[r])) for r in rows)
-    return bad, (spectra[pm.n][0], e[0]) if len(cliques) == 1 else None
+    refused = [r for rows, blocks in _clique_blocks(pm._a, cliques)
+               for r in rows[np.isnan(linalg._pd_factor(blocks, tol)[:, 0, 0])]]
+    return sorted(tuple(v + 1 for v in cliques[r]) for r in refused)
 
 
 def _require_partial_pd(pm, tol):
-    """Raise :class:`NotPartialPD` naming the first of :func:`_offenders`, else their spectrum."""
-    bad, whole = _offenders(pm, tol)
+    """Raise :class:`NotPartialPD` naming the first of :func:`offending_cliques` and the
+    lambda_min of its block (``linalg._spectrum``), the one eigensolve, taken on failure only."""
+    bad = offending_cliques(pm, tol)
     if bad:
-        clique, lam_min = bad[0]
-        names = ", ".join(map(str, clique))
+        idx = np.array(bad[0]) - 1
+        w, e = linalg._spectrum(pm._a[np.ix_(idx, idx)])
+        names, lam_min = ", ".join(map(str, bad[0])), np.ldexp(w[0], e)
         raise NotPartialPD(f"not partial PD: clique {{{names}}} has lambda_min = {lam_min:.3e}")
-    return whole
 
 
 def _require_same_pattern(a, b):
@@ -215,7 +216,7 @@ def partial_order(a, b):
     if not diff.any():
         return Comparison.EQ
     cliques = a.pattern._clique_sequence
-    ext, e, _ = clique_extremes(diff, cliques)
+    ext, e = clique_extremes(diff, cliques)
     big = np.maximum(np.abs(a._a), np.abs(b._a))
     scale = np.ldexp([big[np.ix_(c, c)].max() for c in cliques], -e)  # in ext's units 2**e
     neg = -ext[:, ::-1]  # the pairs of -diff

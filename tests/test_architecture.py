@@ -60,7 +60,7 @@ def test_not_positive_definite_raised_only_in_linalg():
 
 
 def test_partial_pd_is_proved_in_partial_alone():
-    """``_require_partial_pd`` and ``_offenders`` take the partial matrix and ``tol`` and
+    """``_require_partial_pd`` and ``offending_cliques`` take the partial matrix and ``tol`` and
     read its array and clique sequence themselves: each call passes exactly two
     arguments, ``clique_extremes`` is called only in ``partial``, and ``means`` never
     names ``_clique_sequence``."""
@@ -74,7 +74,7 @@ def test_partial_pd_is_proved_in_partial_alone():
             named = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
             named |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
             assert "_clique_sequence" not in named
-    for helper in ("_require_partial_pd", "_offenders"):
+    for helper in ("_require_partial_pd", "offending_cliques"):
         bad = [
             (module, ast.unparse(node))
             for module, node in calls[helper]
@@ -86,16 +86,17 @@ def test_partial_pd_is_proved_in_partial_alone():
 
 
 def test_public_eigensolves_admit_their_argument_through_the_dense_door():
-    """In ``linalg`` and ``means``, a public function that calls ``_eigh`` or ``_spectrum``
-    also calls ``_dense``, or ``_pd_stack``, which admits each member through it.  One that
-    calls a private function of its own module that eigensolves counts too, and the door is
-    then in it or in that private function: so ``geomean`` counts, through ``_geomean``."""
+    """In ``linalg`` and ``means``, a public function that calls ``_eigh`` or ``_spectrum``,
+    or proves PD by ``_pd_factor`` or ``_require_pd``, also calls ``_dense``, or
+    ``_pd_stack``, which admits each member through it.  One that calls a private function of
+    its own module that does counts too, and the door is then in it or in that private
+    function: so ``geomean`` counts, through ``_geomean``."""
     calls, _ = _calls_and_raises()
     callees = defaultdict(set)
     for module, func, callee in calls:
         if module in ("linalg", "means") and func:
             callees[module, func].add(callee)
-    solves, door = {"_eigh", "_spectrum"}, {"_dense", "_pd_stack"}
+    solves, door = {"_eigh", "_spectrum", "_pd_factor", "_require_pd"}, {"_dense", "_pd_stack"}
     eigensolving, bare = set(), []
     for (module, func), called in callees.items():
         if func.startswith("_"):
@@ -120,9 +121,10 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
     ``gaussian_entropy`` tests ``sigma0`` and ``sigma1``) and ``karcher_mean`` (whose warm start
     takes members of the ``_pd_stack`` and its own means) name them, besides the core itself,
     each to call one, and each runs a PD test (``_require``, ``_definite``, ``is_pd``,
-    ``require_converged``, ``gaussian_entropy`` or ``_pd_stack``) on a line before."""
-    tests = ("_require", "_definite", "is_pd", "require_converged", "gaussian_entropy",
-             "_pd_stack")
+    ``_pd_factor``, ``_require_pd``, ``require_converged``, ``gaussian_entropy`` or
+    ``_pd_stack``) on a line before."""
+    tests = ("_require", "_definite", "is_pd", "_pd_factor", "_require_pd", "require_converged",
+             "gaussian_entropy", "_pd_stack")
     cores = ("_geomean_core", "_geomean_cells")
     naming, first_call, first_test = set(), {}, {}  # first_*: function -> first line
     for name, node in _functions().items():
@@ -174,14 +176,55 @@ def test_no_internal_call_of_the_public_geomean():
 
 def test_congruences_take_a_cholesky_factor():
     """The means take ``L^-1 B L^-T`` with ``A = L L^T``, never a square root of an
-    operand: ``means`` calls no ``np.sqrt``, and ``np.linalg.cholesky`` is called only in
-    ``means`` and in ``completion._newton``."""
+    operand: ``means`` calls no ``np.sqrt``.  A factor comes from the PD proof
+    (``linalg._pd_factor``) or, for a matrix the code builds, from ``means._factor``:
+    ``np.linalg.cholesky`` is called only there and in ``completion._newton``."""
     calls, _ = _calls_and_raises()
     assert [func for module, func, callee in calls
             if module == "means" and callee in ("np.sqrt", "math.sqrt")] == []
     sites = {(module, func) for module, func, callee in calls if callee == "np.linalg.cholesky"}
-    assert {module for module, _ in sites} == {"means", "completion"}
-    assert {func for module, func in sites if module == "completion"} == {"_newton"}
+    assert sites == {("means", "_factor"), ("completion", "_newton")}
+
+
+def test_numpy_cholesky_kernel_named_only_in_pd_factor():
+    """numpy's stacked kernel, which gives NaN for a member it refuses where the public
+    ``np.linalg.cholesky`` raises for the whole stack, is named only in ``linalg._pd_factor``,
+    nowhere else in ``src/pgm``, not even in an import."""
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for site, unit in _sites(tree, path.stem, path):
+            for node in ast.walk(unit):
+                names = {getattr(node, "attr", None), getattr(node, "id", None),
+                         getattr(node, "module", None)}
+                names |= {a.name for a in getattr(node, "names", [])
+                          if isinstance(node, (ast.Import, ast.ImportFrom))}
+                if any(n and "_umath_linalg" in n for n in names):
+                    sites.add(str(site))
+    assert sites == {"linalg._pd_factor"}
+
+
+#: The PD gates, each marked True if it still eigensolves: the sweep, for the eigenvalues it
+#: prints, never for a verdict.
+PD_GATES = {"means._geomean": False, "linalg._pd_stack": False, "linalg.is_pd": False,
+            "partial.offending_cliques": False, "means.partial_geomean_sweep": True,
+            "completion._refute": False}
+
+
+def test_pd_gates_take_no_spectral_verdict():
+    """Each of ``PD_GATES`` calls ``_pd_factor`` or ``_require_pd``, no ``_definite`` or
+    ``_require``, and, unless marked, no eigensolver."""
+    functions = _functions()
+    proofs, verdicts = {"_pd_factor", "_require_pd"}, {"_definite", "_require"}
+    spectra = {"_eigh", "_spectrum", "eigh", "eigvalsh", "clique_extremes"}
+    found = []
+    for name, eigensolves in PD_GATES.items():
+        called = {ast.unparse(node.func).rsplit(".", 1)[-1]
+                  for node in ast.walk(functions[name]) if isinstance(node, ast.Call)}
+        banned = verdicts if eigensolves else verdicts | spectra
+        found += [f"{name}: no proof"] * (not called & proofs)
+        found += [f"{name}: {c}" for c in sorted(called & banned)]
+    assert found == []
 
 
 #: Where every tolerance is relative to the operands' own scale: whole modules, and the

@@ -389,12 +389,12 @@ class TestCommands:
         assert rc == 1
         assert "error: shape mismatch: (3, 3) vs (4, 4)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, solves", [("geomean", 5), ("entropy", 9)])
+    @pytest.mark.parametrize("command, solves", [("geomean", 3), ("entropy", 7)])
     def test_near_complete_and_complete_pair_eigensolves(
         self, tmp_path, monkeypatch, capsys, command, solves
     ):
-        # A misses (1, 9) and (1, 10): its proof takes one stacked eigensolve per clique
-        # size (8 and 9) and its certificate one; complete B's proof is its certificate.
+        # A misses (1, 9) and (1, 10): its proof is one stacked Cholesky per clique size
+        # (8 and 9), no eigensolve, and its certificate takes one; so does complete B's.
         # geomean then factors Ahat and takes the core's; entropy takes H0 and H1 (also
         # the PD tests), the core's, H of the mean and the trace integral's one
         rng = np.random.default_rng(7)
@@ -574,34 +574,33 @@ class TestSweep:
 
     @staticmethod
     def refuse_one_x_row(monkeypatch, row):
-        """The ex1 sweep at grid 31 and tol 0 while np.linalg.cholesky refuses every stack that
-        holds A(x) of x-row ``row``, and the sweep without the refusal with that row's NaNs."""
+        """The ex1 sweep at grid 31 and tol 0 while the sweep's PD factorization refuses A(x) of
+        x-row ``row``, and the sweep without the refusal with that row's NaNs."""
         pa, pb = ex1_partial_a(), ex1_partial_b()
         want = partial_geomean_sweep(pa, pb, 31, 0.5, 0.0)
         ((i, j),) = missing_positions(pa.pattern)  # x sweeps A's entry
         refused_x = want[row * 31, 0]
-        cholesky = np.linalg.cholesky
+        pd_factor = means._pd_factor
 
-        def refusing(a):
-            if (a[..., i - 1, j - 1] == refused_x).any():
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return cholesky(a)
+        def refusing(a, tol):
+            l = pd_factor(a, tol)
+            l[a[..., i - 1, j - 1] == refused_x] = np.nan
+            return l
 
-        monkeypatch.setattr(np.linalg, "cholesky", refusing)
+        monkeypatch.setattr(means, "_pd_factor", refusing)
         got = partial_geomean_sweep(pa, pb, 31, 0.5, 0.0)
         want[row * 31 : (row + 1) * 31, 2:] = np.nan
         return got, want
 
     def test_a_member_cholesky_refuses_is_a_nan_cell(self, monkeypatch):
-        # a member that passes the PD test while np.linalg.cholesky refuses it (round-off
-        # under a tol near 0) holds NaNs; every other cell is as without the refusal
+        # a member whose factorization refuses it holds NaNs; every other cell is as without
+        # the refusal
         np.testing.assert_array_equal(*self.refuse_one_x_row(monkeypatch, 7))
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_a_refused_member_inside_a_block_is_one_nan_row(self, monkeypatch, rows):
         # as above with blocks of one x-row and of 7 (at grid 31 the default block is the whole
-        # grid): x-row 10 lies inside the second block of 7, whose Cholesky fails, its members
-        # are retried one by one, and only that row's cells become NaN
+        # grid): x-row 10 lies inside the second block of 7, and only that row's cells become NaN
         monkeypatch.setattr(means, "_SWEEP_BLOCK", rows * 31 * 3**2)
         np.testing.assert_array_equal(*self.refuse_one_x_row(monkeypatch, 10))
 
@@ -646,9 +645,10 @@ class TestSweep:
         assert max(excess) < 5 * 2**20
         assert excess[1] < 1.1 * (201 / 51) * excess[0]
 
-    def test_a_near_singular_clique_at_tol_zero_fills_the_grid(self):
+    def test_a_near_singular_clique_at_tol_zero_is_not_partial_pd(self, tmp_path, capsys):
         # the clique {1, 2} has eigenvalues 1 and ~7e-18: eigvalsh passes it at tol = 0, while
-        # np.linalg.cholesky refuses every A(x), so each cell is NaN and the sweep returns
+        # Cholesky refuses it, so the proof that is also the factor refuses A, in the library
+        # and in the CLI
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
         block = (q * [1.0, 10.0 ** rng.uniform(-18, -14)]) @ q.T
@@ -659,11 +659,14 @@ class TestSweep:
         b = b @ b.T + 3.0 * np.eye(3)
         path = Pattern.from_pairs(3, [(1, 2), (2, 3)])
         pa, pb = project(a, path), project(b, path)
-        assert linalg.is_pd(a[:2, :2], 0.0)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(pa.to_dense())
-        table = partial_geomean_sweep(pa, pb, 11, 0.5, 0.0)
-        assert np.isnan(table[:, 2:]).all() and np.isfinite(table[:, :2]).all()
+        assert linalg._definite(np.linalg.eigvalsh(a[:2, :2]), 0.0)
+        assert not linalg.is_pd(a[:2, :2], 0.0)
+        with pytest.raises(NotPartialPD, match=r"^not partial PD: clique \{1, 2\} has lambda_min"):
+            partial_geomean_sweep(pa, pb, 11, 0.5, 0.0)
+        files = [write(tmp_path, f"{k}.txt", format_partial(m)) for k, m in (("a", pa), ("b", pb))]
+        out = ["--out", str(tmp_path / "o.csv")]
+        assert main(["sweep", *files, "--grid", "11", "--tol", "0", *out]) == 1
+        assert "error: not partial PD: clique {1, 2} has lambda_min" in capsys.readouterr().err
 
     @staticmethod
     def near_singular_pair(seed):
@@ -789,15 +792,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("case", sorted(SWEEP_PAIRS))
     def test_each_input_proved_partial_pd_once(self, monkeypatch, case):
-        # one stacked clique eigensolve per input, whichever input holds the entries
+        # one partial-PD proof per input, whichever input holds the entries
         seen = []
-        real = pgm.partial.clique_extremes
+        real = pgm.partial.offending_cliques
 
-        def counting(a, cliques):
-            seen.append(len(cliques))
-            return real(a, cliques)
+        def counting(pm, tol):
+            seen.append(pm)
+            return real(pm, tol)
 
-        monkeypatch.setattr(pgm.partial, "clique_extremes", counting)
+        monkeypatch.setattr(pgm.partial, "offending_cliques", counting)
         partial_geomean_sweep(*SWEEP_PAIRS[case](), 3, 0.5, DEFAULT_TOL)
         assert len(seen) == 2
 
@@ -1011,8 +1014,8 @@ class TestCheckWork:
         }
         path = write(tmp_path, "w.txt", format_partial(PartialMatrix(pattern=g, values=values)))
         sizes = {len(c) for c in maximal_cliques(g)}
-        calls = {"mcs": 0, "eigh": 0}
-        real_mcs, real_eigh = pattern._mcs_visit, linalg._eigh
+        calls = {"mcs": 0, "eigh": 0, "factor": 0}
+        real_mcs, real_eigh, real_factor = pattern._mcs_visit, linalg._eigh, linalg._pd_factor
 
         def mcs(*args):
             calls["mcs"] += 1
@@ -1022,13 +1025,18 @@ class TestCheckWork:
             calls["eigh"] += 1
             return real_eigh(*args, **kwargs)
 
+        def factor(*args):
+            calls["factor"] += 1
+            return real_factor(*args)
+
         monkeypatch.setattr(pattern, "_mcs_visit", mcs)
         monkeypatch.setattr(linalg, "_eigh", eigh)
+        monkeypatch.setattr(linalg, "_pd_factor", factor)
         assert main(["check", path]) == 0
         out = capsys.readouterr().out
         assert "partial positive definite: yes" in out
         assert calls["mcs"] <= 1
-        assert 0 < calls["eigh"] <= len(sizes)
+        assert (calls["eigh"], calls["factor"]) == (0, len(sizes))
 
 
 def test_import_leaves_scipy_integrate_out():

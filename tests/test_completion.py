@@ -344,8 +344,8 @@ class TestMaxDetCompletion:
             max_det_completion(pm)
 
     def test_chordal_convergence_reads_one_spectrum(self, monkeypatch):
-        # cliques of one size: one eigensolve checks the input, and one
-        # spectrum of the iterate gives both convergence tests
+        # the input's proof is a stacked Cholesky, and one spectrum of the
+        # iterate gives both convergence tests
         calls = {"eig": 0}
         for name in ("eigh", "eigvalsh"):
             def counted(*args, _real=getattr(np.linalg, name), **kwargs):
@@ -354,10 +354,11 @@ class TestMaxDetCompletion:
 
             monkeypatch.setattr(np.linalg, name, counted)
         rep = max_det_completion(ex1_partial_a())
-        assert (rep.iterations, rep.converged, calls["eig"]) == (1, True, 2)
+        assert (rep.iterations, rep.converged, calls["eig"]) == (1, True, 1)
 
     def test_complete_input_reads_one_spectrum(self, monkeypatch):
-        # one clique, the whole matrix: its partial-PD proof's spectrum is the certificate's
+        # one clique, the whole matrix: its partial-PD proof is a Cholesky, so the one
+        # spectrum is the certificate's
         pm = project(rand_spd(np.random.default_rng(3), 6), Pattern.complete(6))
         calls = {"eig": 0}
         for name in ("eigh", "eigvalsh"):
@@ -391,7 +392,8 @@ class TestMaxDetCompletion:
 
     def test_partial_pd_check_one_eigensolve_per_size(self, monkeypatch):
         # band-2, n = 40: 38 cliques of size 3, the last one in the sweep
-        # order indefinite, so the check fails after testing every block
+        # order indefinite, so the check fails after testing every block by one
+        # stacked Cholesky; the refused block alone is eigensolved, for its lambda_min
         n = 40
         pairs = [(i, j) for i in range(1, n) for j in range(i + 1, min(n, i + 2) + 1)]
         g = Pattern.from_pairs(n, pairs)
@@ -409,7 +411,7 @@ class TestMaxDetCompletion:
         monkeypatch.setattr(linalg, "_eigh", counting)
         with pytest.raises(NotPartialPD):
             max_det_completion(pm)
-        assert 0 < calls["eigh"] <= 1
+        assert calls["eigh"] == 1
 
     def test_infeasible_zero_fill_uses_feasible_start(self):
         # strong chain correlations make the zero fill indefinite

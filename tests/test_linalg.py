@@ -3,11 +3,13 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pgm import (
+    DEFAULT_TOL,
     DimensionMismatch,
     InternalNumerics,
     NotPositiveDefinite,
@@ -27,7 +29,7 @@ from pgm import (
     single_entry_interval,
     sym,
 )
-from pgm.linalg import _eigh, _from_spectrum
+from pgm.linalg import _definite, _eigh, _from_spectrum, _pd_factor
 from conftest import rand_invertible, rand_spd
 
 # mat_fn on each spectrum domain, named by the matrix function it computes
@@ -95,6 +97,68 @@ class TestDefiniteness:
             np.testing.assert_array_equal(test(stack, tol), loop)
             assert type(test(singles[1], tol)) is bool
 
+
+def _ratio_draws(rng, n, count, lo, hi):
+    """``count`` matrices ``Q diag(w) Q^T``, ``Q`` Haar-orthogonal, with ``w_max = 1`` and
+    ``w_min / w_max = r``, ``r`` log-uniform in ``[lo, hi]``, the other ``w`` between them."""
+    q, _ = np.linalg.qr(rng.standard_normal((count, n, n)))
+    u = np.sort(rng.uniform(0.0, 1.0, (count, n)), axis=1)
+    u[:, 0], u[:, -1] = 1.0, 0.0
+    w = np.exp(np.log(10.0) * rng.uniform(math.log10(lo), math.log10(hi), (count, 1)) * u)
+    return sym((q * w[:, None, :]) @ q.swapaxes(-1, -2))
+
+
+class TestPdFactor:
+    """``linalg._pd_factor``: the Cholesky factor of each matrix that the Cholesky of
+    ``a - tol ||a||_F I`` proves PD, NaN for every other one."""
+
+    @staticmethod
+    def members():
+        q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((2, 2)))
+        return np.stack([
+            np.array([[4.0, 1.0], [1.0, 3.0]]),
+            np.array([[1.0, 2.0], [2.0, 1.0]]),
+            np.zeros((2, 2)),
+            sym((q * [1.0, 1e-17]) @ q.T),
+            np.array([[1e308, 9e307], [9e307, 1e308]]),
+            np.array([[1e308, 1.5e308], [1.5e308, 1e308]]),
+        ])
+
+    def test_factor_bits_or_nan_and_no_warning(self):
+        stack = self.members()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            l = _pd_factor(stack, DEFAULT_TOL)
+        pd = np.array([True, False, False, False, True, False])
+        for m, f, ok in zip(stack, l, pd):
+            if ok:
+                np.testing.assert_array_equal(f, np.linalg.cholesky(m))
+            else:
+                assert np.isnan(f).all()
+
+    def test_powers_of_two_keep_the_verdict(self):
+        stack = self.members()
+        want = ~np.isnan(_pd_factor(stack, DEFAULT_TOL)[:, 0, 0])
+        k = np.arange(-900, 901)[:, None, None, None]
+        with np.errstate(over="ignore"):
+            scaled = np.ldexp(stack, k)
+        finite = np.isfinite(scaled).all(axis=(-2, -1))
+        got = ~np.isnan(_pd_factor(np.where(finite[..., None, None], scaled, 0.0),
+                                   DEFAULT_TOL)[..., 0, 0])
+        assert finite[:, 0].all() and finite[:, -1].any()
+        assert (got == want)[finite].all()
+
+    @pytest.mark.parametrize("n", [3, 8, 40])
+    def test_never_looser_than_the_spectral_rule(self, n):
+        # 3000 draws per n, tol = 1e-10 and r in [1e-12, 1e-8]: every matrix the shifted
+        # Cholesky proves PD also has lambda_min > tol * lambda_max by its eigenvalues
+        rng = np.random.default_rng(5)
+        tol = 1e-10
+        for _ in range(3):
+            draws = _ratio_draws(rng, n, 1000, 1e-12, 1e-8)
+            proved = ~np.isnan(_pd_factor(draws, tol)[:, 0, 0])
+            spectral = _definite(np.linalg.eigvalsh(draws), tol)
+            assert proved.any() and not (proved & ~spectral).any()
 
 
 #: Powers of two scale a double exactly, so a scale-free rule gives ``2**k A`` the verdict of A.

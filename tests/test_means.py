@@ -29,6 +29,7 @@ from pgm import (
     geomean_properties_check,
     invm,
     karcher_mean,
+    linalg,
     mat_fn,
     max_det_completion,
     means,
@@ -151,14 +152,15 @@ class TestGeomean:
             geomean(0.25 * np.eye(2), np.diag([1e308, 5e307]), 0.5)
 
     def test_factorization_failure_wrapped(self, monkeypatch):
-        # under a tol near 0 a matrix that round-off leaves singular can pass the PD test
-        # and still fail its Cholesky factorization; that failure is staged here
+        # entropy_identities proves its pair PD by log_det's spectra, then factors sigma0:
+        # a matrix that round-off leaves singular can pass the one and fail the other, and
+        # that failure is staged here
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", fail)
         with pytest.raises(InternalNumerics, match="Cholesky factorization failed"):
-            geomean(np.eye(2), 2.0 * np.eye(2), 0.5, tol=0.0)
+            entropy_identities(np.eye(2), 2.0 * np.eye(2), 0.5)
 
 
 class TestPropertySuite:
@@ -530,9 +532,10 @@ class TestKarcherMean:
 
     @pytest.mark.parametrize(("k", "n"), sorted(KARCHER_DIGESTS))
     def test_warm_start_proves_nothing_twice(self, k, n):
-        """The stacked PD test is the one ``eigvalsh`` of a call: the warm start's means reuse
-        it, and the result is the same, bit for bit.  The inputs are drawn here, not by the
-        ``conftest`` helpers, so that a change to those cannot move the digests."""
+        """The stacked PD proof is the one ``_pd_factor`` of a call, and no ``eigvalsh`` runs:
+        the warm start's means reuse it, and the result is the same, bit for bit.  The inputs
+        are drawn here, not by the ``conftest`` helpers, so that a change to those cannot move
+        the digests."""
         rng = np.random.default_rng([k, n])
         mats = []
         for _ in range(k):
@@ -540,9 +543,10 @@ class TestKarcherMean:
             m = (q * np.exp(rng.uniform(-2.0, 2.0, n))) @ q.T
             mats.append(0.5 * (m + m.T))
         w = rng.uniform(0.5, 2.0, k)
-        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        with (mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy,
+              mock.patch.object(linalg, "_pd_factor", wraps=linalg._pd_factor) as proof):
             res = karcher_mean(w / w.sum(), mats)
-        assert spy.call_count == 1
+        assert (spy.call_count, proof.call_count) == (0, 1)
         digest = hashlib.sha256(res.matrix.tobytes()).hexdigest()
         assert (res.steps, res.gradient_norm.hex(), digest) == KARCHER_DIGESTS[k, n]
 
@@ -888,19 +892,19 @@ class TestPdPrecondition:
         np.testing.assert_array_equal(entry(b, a), entry(b, sym(a)))
 
     def test_karcher_checks_all_inputs_with_one_eigensolve(self, monkeypatch):
-        # with the warm start stubbed out and no fixed-point step, every
-        # eigvalsh call left is the precondition
-        shapes = []
+        # with no fixed-point step, the precondition is one stacked PD factorization of all
+        # six inputs, and no eigvalsh runs
+        shapes, spy = [], mock.Mock(wraps=np.linalg.eigvalsh)
 
-        def counted(a, *args, _real=np.linalg.eigvalsh, **kwargs):
+        def counted(a, *args, _real=linalg._pd_factor, **kwargs):
             shapes.append(np.shape(a))
             return _real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-        monkeypatch.setattr(means, "geomean", lambda a, b, t: b)
+        monkeypatch.setattr(linalg, "_pd_factor", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         rng = np.random.default_rng(8)
         karcher_mean(WeightVector.uniform(6), [rand_spd(rng, 4) for _ in range(6)], max_steps=0)
-        assert shapes == [(6, 4, 4)]
+        assert (shapes, spy.call_count) == ([(6, 4, 4)], 0)
 
     def test_members_must_be_two_dimensional(self):
         stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
