@@ -45,8 +45,8 @@ from .errors import (
     NotPartialPD,
     OutOfRange,
 )
-from .linalg import (DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _eigh, _pd_factor,
-                     _require_tol, is_pd, sym)
+from .linalg import (DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _eigh, _log_det,
+                     _pd_factor, _require_tol, sym)
 from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
@@ -107,9 +107,10 @@ class CompletionReport(_DeterminantFromLog):
 def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
     """Feasibility interval for one free position of a full matrix.
 
-    All entries of ``m`` (admitted by ``linalg._dense``, 2-D only) but position
-    ``(i, j)`` are fixed.  Raises :class:`NotPartialPD` when either bordered principal
-    block is not positive definite (no PD completion exists in that coordinate).
+    All entries of ``m`` (admitted by ``linalg._dense``, 2-D only) but position ``(i, j)`` are
+    fixed.  One ``linalg._pd_factor`` of the two bordered principal blocks proves them PD at
+    ``tol``, else raises :class:`NotPartialPD` (no PD completion in that coordinate), and gives
+    the three log-determinants: ``det C`` is that of the second factor's leading block.
     """
     m = _dense(m)
     if m.ndim != 2:
@@ -122,17 +123,15 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
         raise ValueError(f"position ({i}, {j}) is not an off-diagonal position")
     order = [i0] + [k for k in range(n) if k != i0 and k != j0] + [j0]
     mp = m[np.ix_(order, order)]
-    bordered = np.stack([mp[:-1, :-1], mp[1:, 1:]])
-    if not is_pd(bordered, tol).all():
+    l = _pd_factor(np.stack([mp[:-1, :-1], mp[1:, 1:]]), tol)
+    if np.isnan(l[:, 0, 0]).any():
         raise NotPartialPD(
             f"no positive definite completion in position ({i}, {j}): "
             "a bordered principal block is not positive definite"
         )
-    c_blk = mp[1:-1, 1:-1]
-    center = float(mp[1:-1, 0] @ np.linalg.solve(c_blk, mp[1:-1, -1]))
-    ld_c = np.linalg.slogdet(c_blk)[1]
-    ld_a, ld_b = np.linalg.slogdet(bordered)[1]
-    half = float(np.exp(0.5 * (ld_a + ld_b) - ld_c))
+    center = float(mp[1:-1, 0] @ np.linalg.solve(mp[1:-1, 1:-1], mp[1:-1, -1]))
+    ld_a, ld_b = _log_det(l)
+    half = float(np.exp(0.5 * (ld_a + ld_b) - _log_det(l[1, :-1, :-1])))
     return FeasibilityInterval(position=(min(i, j), max(i, j)), center=center, half_width=half)
 
 
@@ -235,13 +234,13 @@ def _newton(k, a, spec, tol):
         direction[i, j] = direction[j, i] = d
         if decrement < 1e-6 and last < np.inf and (report().converged or decrement >= last):
             break  # certified; skipping the start's test costs at most one step
-        value = np.sum(k * a) - 2.0 * np.log(chol.diagonal()).sum()
+        value = np.sum(k * a) - _log_det(chol)
         for s in 0.5 ** np.arange(40):
             try:
                 chol = np.linalg.cholesky(trial := k + s * direction)
             except np.linalg.LinAlgError:
                 continue
-            objective = np.sum(trial * a) - 2.0 * np.log(chol.diagonal()).sum()
+            objective = np.sum(trial * a) - _log_det(chol)
             if decrement <= 1e-2 or objective <= value - 0.25 * s * decrement:
                 break
         else:
@@ -343,8 +342,8 @@ def completion_with_det(pm, k):
     Valid targets are ``0 < k < d_max = det(Ahat)``, ``Ahat`` the max-det
     completion.  The result is ``Ahat`` with its first missing entry set on
     the parabola of the module docstring, whose log height starts at
-    ``Ahat``'s ``log_determinant``.  While the measured ``d`` (one ``slogdet``)
-    misses ``|d - k| <= 1e-8 * k``, ``log d - log k`` is added to the log height
+    ``Ahat``'s ``log_determinant``.  While the measured ``log d`` (off ``linalg._pd_factor`` at
+    ``tol = 0``) misses ``|d - k| <= 1e-8 * k``, ``log d - log k`` is added to the log height
     (the parabola with the same roots through the measured point) and the
     entry set again, three times at most; then :class:`InternalNumerics` is
     raised.  Double precision certifies the target down to about ``k / d_max = 1e-7``.
@@ -364,10 +363,10 @@ def completion_with_det(pm, k):
     for _ in range(4):
         root = np.sqrt(-np.expm1(log_k - height))  # sqrt(1 - k / exp(height))
         m[i - 1, j - 1] = m[j - 1, i - 1] = iv.center + iv.half_width * root
-        sign, log_d = np.linalg.slogdet(m)
-        if sign <= 0.0:
+        log_d = _log_det(_pd_factor(m, 0.0))  # NaN if m is not PD
+        if np.isnan(log_d):
             break
         if abs(np.expm1(log_d - log_k)) <= 1e-8:
             return m
         height += log_d - log_k  # the parabola through (x, d) with the same roots
-    raise InternalNumerics(f"completion det {sign:g}*exp({log_d:.6g}) misses the target {k:.6g}")
+    raise InternalNumerics(f"completion log det {log_d:.6g} misses the target log {log_k:.6g}")

@@ -1,8 +1,8 @@
 """Dense real symmetric matrix core.
 
 Eigendecompositions, spectral matrix functions (``mat_fn`` of any scalar function, powers,
-inverse), log-determinants (results derive their determinant from it, in one base class) and
-norms, plus the Riemannian trace metric on the cone of symmetric positive definite matrices.
+inverse), PD proofs by Cholesky, log-determinants off those factors (results derive their
+determinant from it, in one base class) and norms, plus the Riemannian trace metric on the PD cone.
 
 All functions take and return plain ``numpy`` arrays.  Each one that runs a
 symmetric eigensolve on its argument admits it through :func:`_dense`.  Outputs
@@ -76,12 +76,8 @@ def _eigh(a, vectors=True):
 
 def _spectrum(a):
     """Ascending eigenvalues of the finite symmetric ``a`` (or of each matrix of a stack) as
-    ``(w, e)``, in units of ``2**e``: where they overflow, ``e`` brings the largest entry of
-    that matrix into [1, 2)."""
-    w = _eigh(a, vectors=False)
-    if np.isfinite(w).all():
-        return w, 0
-    e = np.where(np.isfinite(w).all(axis=-1), 0, np.frexp(np.abs(a).max(axis=(-2, -1)))[1] - 1)
+    ``(w, e)``, in units of ``2**e``: one eigensolve of ``2**-e a``, largest entry in [1, 2)."""
+    e = np.frexp(np.abs(a).max(axis=(-2, -1)))[1] - 1
     return _eigh(np.ldexp(a, -e[..., None, None]), vectors=False), e
 
 
@@ -100,13 +96,10 @@ def _definite(w, tol, semi=False, scale=None):
     return lam_min >= -tol * scale if semi else lam_min > tol * scale
 
 
-def _require(w, domain, e=0):
-    """Spectra ``w`` (units ``2**e``, :func:`_spectrum`) checked against ``domain`` at DEFAULT_TOL.
-
-    ``domain`` is "pd" or "psd".  Raises :class:`NotPositiveDefinite` naming the smallest
-    failing lambda_min (:class:`InternalNumerics` where ``w`` overflows); PSD spectra come
-    back with negatives clipped.
-    """
+def _require(w, domain):
+    """Spectra ``w`` checked against ``domain``, "pd" or "psd", at DEFAULT_TOL: raises
+    :class:`NotPositiveDefinite` naming the smallest failing lambda_min (:class:`InternalNumerics`
+    where ``w`` overflows); PSD spectra come back with negatives clipped."""
     if domain not in ("pd", "psd"):
         raise ValueError(f"unknown domain {domain!r}")
     if not np.isfinite(w).all():
@@ -114,14 +107,14 @@ def _require(w, domain, e=0):
     ok = _definite(w, DEFAULT_TOL, semi=domain == "psd")
     if not ok.all():
         kind = "definite" if domain == "pd" else "semidefinite"
-        lam_min = float(np.ldexp(w[..., 0], e)[~ok].min())
+        lam_min = float(w[..., 0][~ok].min())
         raise NotPositiveDefinite(f"matrix is not positive {kind} (lambda_min = {lam_min:.3e})")
     return w if domain == "pd" else np.clip(w, 0.0, None)
 
 
 def _pd_stack(mats):
-    """The ``k >= 1`` matrices ``mats``, each admitted by :func:`_dense`, as one
-    ``(k, n, n)`` stack, checked 2-D, of one shape and PD by one :func:`_require_pd`."""
+    """``(stack, factors)``: the ``k >= 1`` matrices ``mats``, each admitted by :func:`_dense`,
+    as one ``(k, n, n)`` stack, checked 2-D and of one shape, and its :func:`_require_pd`."""
     stack = [_dense(m) for m in mats]
     if not stack:
         raise ValueError("expected at least one matrix")
@@ -130,8 +123,7 @@ def _pd_stack(mats):
     stack = np.stack(stack)
     if stack.ndim != 3:
         raise DimensionMismatch(f"expected 2-D matrices, got shape {stack.shape[1:]}")
-    _require_pd(stack, DEFAULT_TOL)
-    return stack
+    return stack, _require_pd(stack, DEFAULT_TOL)
 
 
 def _from_spectrum(w, q):
@@ -223,13 +215,17 @@ class _DeterminantFromLog:
             return float(np.exp(self.log_determinant))
 
 
-def log_det(a):
-    """Sum of eigenvalue logs of a positive definite matrix admitted by :func:`_dense`,
-    per matrix of a stack; finite where the spectrum overflows (:func:`_spectrum`)."""
-    a = _dense(a)
-    w, e = _spectrum(a)
-    ld = np.log(_require(w, "pd", e)).sum(axis=-1) + a.shape[-1] * e * np.log(2.0)
+def _log_det(l):
+    """``2 sum log diag l``: the log-determinant of ``l l^T`` for a lower Cholesky factor ``l``
+    (NaN for a NaN factor), per factor of a stack; the one place where ``pgm`` takes one."""
+    ld = 2.0 * np.log(np.diagonal(l, axis1=-2, axis2=-1)).sum(axis=-1)
     return float(ld) if ld.ndim == 0 else ld
+
+
+def log_det(a):
+    """Log-determinant of each matrix of ``a``, admitted by :func:`_dense`, off the factor of its
+    :func:`_require_pd`; finite for every finite PD input, as each ``l_ij^2 <= a_ii``."""
+    return _log_det(_require_pd(_dense(a), DEFAULT_TOL))
 
 
 def fro_norm(a):
@@ -251,6 +247,6 @@ def riemannian_dist(a, b):
     generalized symmetric eigenproblem ``B x = lambda A x`` whose
     eigenvalues equal those of A^{-1/2} B A^{-1/2}.
     """
-    ma, mb = _pd_stack((a, b))
+    (ma, mb), _ = _pd_stack((a, b))
     w = scipy.linalg.eigh(mb, ma, eigvals_only=True)
     return float(np.sqrt(np.sum(np.log(w) ** 2)))

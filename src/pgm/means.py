@@ -32,6 +32,7 @@ from .linalg import (
     _DeterminantFromLog,
     _eigh,
     _from_spectrum,
+    _log_det,
     _pd_factor,
     _pd_stack,
     _require,
@@ -194,7 +195,7 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
     """
     _warn_off_geodesic(t)
     _warn_off_geodesic(lam)
-    a, b, c, d = _pd_stack((a, b, c, d))
+    (a, b, c, d), _ = _pd_stack((a, b, c, d))
     g_ab = _geomean(a, b, t)
 
     commuting_partner = sym(a @ a) + np.eye(a.shape[0])
@@ -265,7 +266,7 @@ class SampleSet:
     members: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(_pd_stack(self.members)))
+        object.__setattr__(self, "members", tuple(_pd_stack(self.members)[0]))
 
     def __len__(self):
         return len(self.members)
@@ -315,7 +316,7 @@ def block_max_property(a, b):
 class PartialGeomeanResult(_DeterminantFromLog):
     """Maximum-determinant representative of the mean of two partial
     matrices: the weighted mean of their max-det completions, with its
-    ``log_determinant`` (one ``slogdet``); ``determinant`` is its exp, read only."""
+    ``log_determinant`` (off its Cholesky factor); ``determinant`` is its exp, read only."""
 
     matrix: np.ndarray
     log_determinant: float
@@ -339,7 +340,7 @@ def partial_geomean_maxdet(pa, pb, t=0.5):
     rep_b = max_det_completion(pb).require_converged()
     m = _geomean_core(_factor(rep_a.matrix), rep_b.matrix, t)
     return PartialGeomeanResult(
-        matrix=m, log_determinant=float(np.linalg.slogdet(m)[1]), t=t,
+        matrix=m, log_determinant=_log_det(_factor(m)), t=t,
         completion_a=rep_a, completion_b=rep_b,
     )
 
@@ -356,9 +357,9 @@ def _shrunk_axis(bounds):
 
 
 def partial_geomean_sweep(pa, pb, grid, t, tol):
-    """``A(x) #_t B(y)`` over the box of feasible fills, ``grid`` points per axis: rows
-    ``(x, y, det, eig_1..eig_n)``, eigenvalues descending, x-major, as one
-    ``(grid**2, n + 3)`` array; a cell whose pair is not PD at ``tol`` holds NaNs.
+    """``A(x) #_t B(y)`` over the box of feasible fills, ``grid`` points per axis: rows ``(x, y,
+    det, eig_1..eig_n)``, eigenvalues descending and ``det`` their product in that order,
+    x-major, as one ``(grid**2, n + 3)`` array; a cell whose pair is not PD at ``tol`` holds NaNs.
 
     Either each input carries one missing entry (x sweeps the first, y the second), or one
     input carries both and the other is complete.  A, then B, is proved partial PD once at
@@ -366,7 +367,7 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     proved again.  The grid runs in blocks of x-rows (``_SWEEP_BLOCK``).  Each distinct filled
     matrix is proved PD once at ``tol`` by :func:`~pgm.linalg._pd_factor`, whose factors of A
     meet B's PD members (``(rows, 1)`` against ``(1, grid)`` with one entry per input): a block
-    is one :func:`_geomean_cells`, one det and one eigvalsh, two eigensolves per cell.
+    is one :func:`_geomean_cells` and one eigvalsh, two eigensolves per cell.
     """
     if not isinstance(grid, (int, np.integer)):
         raise ValueError(f"grid must be an integer, got {grid!r}")
@@ -409,8 +410,8 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
         if keep.any():  # every factor of A meets every PD member of B: keep is their product
             m, ok, _ = _geomean_cells(l_a[ok_a][:, None], ops[1][ok_b], t)
             keep[keep] = ok.ravel()
-            table[r : r + rows][keep, 2] = np.linalg.det(m[ok])
             table[r : r + rows][keep, 3:] = _eigh(m[ok], vectors=False)[:, ::-1]
+    table[..., 2] = table[..., 3:].prod(axis=-1)
     return table.reshape(grid * grid, -1)
 
 
@@ -477,17 +478,16 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     and Iannazzo (LAA 2013), ``theta = 2 / sum_i w_i (c_i + 1)/(c_i - 1) log c_i`` with
     ``c_i = cond(M_i)`` (2 at ``c_i = 1``); a unit step can diverge on spread inputs.
 
-    One stacked :func:`~pgm.linalg._pd_factor` proves the inputs PD; the start point's means
-    take :func:`_geomean_core` on that stack's members and their own means, testing nothing.
-    Returns a :class:`KarcherResult`; ``converged`` is False when the step budget was
-    exhausted first.
+    One stacked :func:`~pgm.linalg._pd_factor` proves the inputs PD; the start point's means take
+    :func:`_geomean_core` on the factors of that proof and their own means, testing nothing.
+    Returns a :class:`KarcherResult`; ``converged`` is False when the step budget ran out first.
     """
     if not (isinstance(max_steps, (int, np.integer)) and max_steps >= 0):
         raise ValueError(f"max_steps must be an integer >= 0, got {max_steps!r}")
     _require_tol(tol)
     if not isinstance(weights, WeightVector):
         weights = WeightVector(weights=tuple(weights))
-    stack = _pd_stack(mats)
+    stack, factors = _pd_stack(mats)
     if len(weights) != len(stack):
         raise ValueError(f"{len(weights)} weights for {len(stack)} matrices")
     w = np.asarray(weights.weights)
@@ -495,7 +495,7 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     partial_sums = np.cumsum(w)
     x = stack[0]
     for j in range(1, len(stack)):
-        x = _geomean_core(_factor(stack[j]), x, partial_sums[j - 1] / partial_sums[j])
+        x = _geomean_core(factors[j], x, partial_sums[j - 1] / partial_sums[j])
 
     converged, (x, gnorm), count = _run(_karcher(x, stack, w, tol), max_steps + 1)
     return KarcherResult(
@@ -550,7 +550,7 @@ def agm_iteration(a, b):
     iteration stops when ``||A_k - B_k||_F <= 1e-12 ||B_k||_F``, or after
     100 steps unconverged, and returns the arithmetic midpoint of the final pair.
     """
-    converged, (lowers, uppers), iterations = _run(_agm(*_pd_stack((a, b))), 100)
+    converged, (lowers, uppers), iterations = _run(_agm(*_pd_stack((a, b))[0]), 100)
     return AgmResult(
         matrix=sym(0.5 * (lowers[-1] + uppers[-1])),
         iterations=iterations,
@@ -595,19 +595,23 @@ def det_integral_identity(a0, a1):
 
         log det(A1) - log det(A0) = integral_0^1 tr(A(lambda)^{-1} (A1-A0)) dlambda.
 
-    Returns ``(lhs, rhs)`` = (the log-determinant difference, from one stacked
-    eigensolve of the pair, and the integral, in closed form from one spectrum).
+    Returns ``(lhs, rhs)`` = (the log-determinant difference, off the factors of the pair's
+    one PD proof, and the integral, in closed form from one spectrum).
     """
-    pair = _pd_stack((a0, a1))
-    ld0, ld1 = log_det(pair)
+    pair, factors = _pd_stack((a0, a1))
+    ld0, ld1 = _log_det(factors)
     return float(ld1 - ld0), _trace_integral(*pair)
 
 
 def gaussian_entropy(sigma):
-    """Shannon entropy of a zero-mean Gaussian with covariance ``sigma``, admitted by
-    ``linalg._dense`` through ``log_det``: ``log(det sigma)/2 + n (1 + log 2 pi)/2``,
-    per matrix of a stack."""
-    return 0.5 * log_det(sigma) + 0.5 * np.shape(sigma)[-1] * (1.0 + math.log(2.0 * math.pi))
+    """Shannon entropy of a zero-mean Gaussian with covariance ``sigma``, per matrix of a stack,
+    admitted by ``linalg._dense``: :func:`_entropy` of the factor of its ``linalg._require_pd``."""
+    return _entropy(_require_pd(_dense(sigma), DEFAULT_TOL))
+
+
+def _entropy(l):
+    """``log(det sigma)/2 + n (1 + log 2 pi)/2`` from the Cholesky factor ``l`` of ``sigma``."""
+    return 0.5 * _log_det(l) + 0.5 * l.shape[-1] * (1.0 + math.log(2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -626,13 +630,14 @@ class EntropyIdentities:
 
 
 def entropy_identities(sigma0, sigma1, t=0.5):
-    """Evaluate both Gaussian entropy identities for a covariance pair, as ``_dense`` admits
-    it; the mean is :func:`geomean`'s, whose PD tests are the spectra of ``H0`` and ``H1``."""
+    """Both Gaussian entropy identities for a covariance pair, as ``_dense`` admits it: ``H0``
+    and ``H1`` off the factors of one ``linalg._require_pd`` each, the mean off ``sigma0``'s."""
     sigma0, sigma1 = _dense(sigma0), _dense(sigma1)
-    h0, h1 = gaussian_entropy(sigma0), gaussian_entropy(sigma1)
+    l0, l1 = _require_pd(sigma0, DEFAULT_TOL), _require_pd(sigma1, DEFAULT_TOL)
+    h0, h1 = _entropy(l0), _entropy(l1)
     _warn_off_geodesic(t)
     _require_pair(sigma0, sigma1)
-    h_mean = gaussian_entropy(_geomean_core(_factor(sigma0), sigma1, t))
+    h_mean = gaussian_entropy(_geomean_core(l0, sigma1, t))
     integral = 0.5 * _trace_integral(sigma0, sigma1)
     return EntropyIdentities(
         entropy_diff=h1 - h0,

@@ -26,7 +26,6 @@ import math
 from itertools import combinations
 
 import numpy as np
-from numpy.linalg import det
 from scipy.integrate import simpson
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
@@ -62,6 +61,23 @@ def rand_spd(rng, n, spread=1.0):
     w = np.exp(rng.uniform(-spread, spread, n))
     m = q @ np.diag(w) @ q.T
     return 0.5 * (m + m.T)
+
+
+def stretched_spd(seed, n):
+    """``(A, A + 1e9 q q^T)``, ``A = rand_spd(default_rng(seed), n)`` and ``q`` the eigenvector
+    of its smallest eigenvalue: a matrix spread in one direction, where an eigenvalue
+    log-sum loses digits."""
+    a = rand_spd(np.random.default_rng(seed), n)
+    q = np.linalg.eigh(a)[1][:, 0]
+    return a, a + 1e9 * np.outer(q, q)
+
+
+def mp_log_det(m):
+    """The log-determinant of the double matrix ``m`` in 50-digit ``mpmath``."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        return float(mpmath.log(mpmath.det(mpmath.matrix(m.tolist()))))
 
 
 def rand_invertible(rng, n):
@@ -548,7 +564,8 @@ def sweep_n8_pair(seed=8):
 def reference_sweep_rows(pa, pb, grid, t, tol):
     """The sweep table computed cell by cell: fill the missing entries,
     test both matrices with ``is_pd`` (NaN row if either fails), then
-    ``geomean``, ``det`` and ``eigvalsh`` on the one pair."""
+    ``geomean`` and ``eigvalsh`` on the one pair; ``det`` is the product of
+    the descending eigenvalues, in that order."""
     pms = (pa, pb)
     slots = [(k, pos) for k, pm in enumerate(pms) for pos in missing_positions(pm.pattern)]
     (kx, pos_x), (ky, pos_y) = slots
@@ -565,7 +582,7 @@ def reference_sweep_rows(pa, pb, grid, t, tol):
                 continue
             m = geomean(pair[0], pair[1], t, tol)
             eigs = np.linalg.eigvalsh(m)[::-1]
-            rows.append((float(x), float(y), det(m)) + tuple(float(e) for e in eigs))
+            rows.append((float(x), float(y), float(eigs.prod())) + tuple(float(e) for e in eigs))
     return rows
 
 

@@ -117,14 +117,13 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
     """``means._geomean_core`` and the per-cell ``_geomean_cells`` under it trust their caller
     to have PD-tested both operands: only ``_geomean`` (behind ``geomean`` and the means that
     take unproved operands), ``partial_geomean_sweep`` (the cells), ``partial_geomean_maxdet``
-    (whose Â and B̂ a converged completion certified), ``entropy_identities`` (whose
-    ``gaussian_entropy`` tests ``sigma0`` and ``sigma1``) and ``karcher_mean`` (whose warm start
-    takes members of the ``_pd_stack`` and its own means) name them, besides the core itself,
+    (whose Â and B̂ a converged completion certified), ``entropy_identities`` (which proves
+    ``sigma0`` and ``sigma1`` by ``_require_pd``) and ``karcher_mean`` (whose warm start takes
+    the factors of its ``_pd_stack`` proof and its own means) name them, besides the core itself,
     each to call one, and each runs a PD test (``_require``, ``_definite``, ``is_pd``,
-    ``_pd_factor``, ``_require_pd``, ``require_converged``, ``gaussian_entropy`` or
-    ``_pd_stack``) on a line before."""
+    ``_pd_factor``, ``_require_pd``, ``require_converged`` or ``_pd_stack``) on a line before."""
     tests = ("_require", "_definite", "is_pd", "_pd_factor", "_require_pd", "require_converged",
-             "gaussian_entropy", "_pd_stack")
+             "_pd_stack")
     cores = ("_geomean_core", "_geomean_cells")
     naming, first_call, first_test = set(), {}, {}  # first_*: function -> first line
     for name, node in _functions().items():
@@ -472,16 +471,27 @@ def test_max_det_completion_picks_its_path_once():
     assert readers == {"pattern"}
 
 
-def test_no_linear_determinant_in_completion_or_means():
-    """Completion and the means work with log-determinants; only the sweep's
-    ``det`` column is a linear determinant."""
+LOGS = {"np.log", "np.log2", "np.log10", "np.log1p", "math.log", "math.log2", "math.log10"}
+
+
+def test_one_log_determinant_kernel():
+    """``pgm`` turns a matrix into a determinant in one place: nothing in ``src/pgm`` calls
+    ``det`` or ``slogdet``, and only ``linalg._log_det`` takes a log of a diagonal
+    (``diagonal`` or ``diag``), so a log-determinant is read off a Cholesky factor there
+    alone.  The spectral log-sums of ``completion._certify`` and ``means._trace_integral``
+    are not diagonals and stay."""
     calls, _ = _calls_and_raises()
-    sites = {
-        (module, func, callee)
-        for module, func, callee in calls
-        if module in ("completion", "means") and callee in ("det", "np.linalg.det", "linalg.det")
-    }
-    assert sites == {("means", "partial_geomean_sweep", "np.linalg.det")}
+    dets = [site for site in calls if site[2].rsplit(".", 1)[-1] in ("det", "slogdet")]
+    logs = set()
+    for name, node in _functions().items():
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and ast.unparse(call.func) in LOGS:
+                inner = {ast.unparse(sub.func).rsplit(".", 1)[-1] for arg in call.args
+                         for sub in ast.walk(arg) if isinstance(sub, ast.Call)}
+                if inner & {"diagonal", "diag"}:
+                    logs.add(name)
+    assert dets == []
+    assert logs == {"linalg._log_det"}
 
 
 PUBLIC_NAMES = [

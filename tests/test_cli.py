@@ -389,14 +389,14 @@ class TestCommands:
         assert rc == 1
         assert "error: shape mismatch: (3, 3) vs (4, 4)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, solves", [("geomean", 3), ("entropy", 7)])
+    @pytest.mark.parametrize("command, solves", [("geomean", 3), ("entropy", 4)])
     def test_near_complete_and_complete_pair_eigensolves(
         self, tmp_path, monkeypatch, capsys, command, solves
     ):
         # A misses (1, 9) and (1, 10): its proof is one stacked Cholesky per clique size
         # (8 and 9), no eigensolve, and its certificate takes one; so does complete B's.
-        # geomean then factors Ahat and takes the core's; entropy takes H0 and H1 (also
-        # the PD tests), the core's, H of the mean and the trace integral's one
+        # geomean then factors Ahat and takes the core's; entropy takes H0, H1 and H of the
+        # mean off Cholesky factors, so only the core's and the trace integral's one
         rng = np.random.default_rng(7)
         pairs = [(i, j) for i in range(1, 11) for j in range(i + 1, 11)
                  if (i, j) not in ((1, 9), (1, 10))]
@@ -564,6 +564,13 @@ class TestSweep:
         table = np.array(partial_geomean_sweep(pa, pb, 31, 0.5, tol))
         np.testing.assert_array_equal(table, np.array(reference_sweep_rows(pa, pb, 31, 0.5, tol)))
         assert np.isnan(table).any() == case.startswith("region")
+
+    @pytest.mark.parametrize("case", sorted(SWEEP_PAIRS))
+    def test_det_is_the_product_of_the_printed_eigenvalues(self, case):
+        table = partial_geomean_sweep(*SWEEP_PAIRS[case](), 31, 0.5, DEFAULT_TOL)
+        rows = ~np.isnan(table).any(axis=1)
+        assert rows.any()
+        np.testing.assert_array_equal(table[rows, 2], table[rows, 3:].prod(axis=1))
 
     def test_rows_without_a_pd_cell(self):
         # at tol = 1e-3 the first input fails the PD test on whole x-rows

@@ -30,7 +30,7 @@ from pgm import (
     sym,
 )
 from pgm.linalg import _definite, _eigh, _from_spectrum, _pd_factor
-from conftest import rand_invertible, rand_spd
+from conftest import mp_log_det, rand_invertible, rand_spd, stretched_spd
 
 # mat_fn on each spectrum domain, named by the matrix function it computes
 SQRTM = functools.partial(mat_fn, f=np.sqrt, domain="psd")
@@ -278,8 +278,15 @@ class TestScalars:
         with pytest.raises(NotPositiveDefinite):
             log_det(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_log_det_of_a_spread_direction_matches_mpmath(self, seed, n):
+        # an eigenvalue log-sum loses digits here (6.7e-9); a Cholesky diagonal is backward stable
+        _, b = stretched_spd(seed, n)
+        assert log_det(b) == pytest.approx(mp_log_det(b), rel=3e-9)
+
     def test_log_det_past_the_largest_double(self):
-        # lambda_max = 1.9e308 overflows the eigensolver; the spectrum is taken at 2**-1023
+        # lambda_max = 1.9e308 overflows a double, but no Cholesky entry can: l_ij^2 <= a_ii
         big = np.array([[1e308, 9e307], [9e307, 1e308]])
         assert log_det(big) == pytest.approx(2.0 * math.log(1e308) + math.log(0.19), rel=1e-15)
         np.testing.assert_allclose(log_det(np.stack([big, np.eye(2)])), [log_det(big), 0.0])

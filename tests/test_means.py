@@ -51,6 +51,7 @@ from conftest import (
     rand_invertible,
     rand_spd,
     reference_trace_quadrature,
+    stretched_spd,
 )
 
 
@@ -152,9 +153,9 @@ class TestGeomean:
             geomean(0.25 * np.eye(2), np.diag([1e308, 5e307]), 0.5)
 
     def test_factorization_failure_wrapped(self, monkeypatch):
-        # entropy_identities proves its pair PD by log_det's spectra, then factors sigma0:
-        # a matrix that round-off leaves singular can pass the one and fail the other, and
-        # that failure is staged here
+        # entropy_identities proves its pair PD by _pd_factor's kernel, and its trace integral
+        # then factors their midpoint by np.linalg.cholesky: a midpoint that round-off leaves
+        # singular can fail there, and that failure is staged here
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
@@ -674,6 +675,13 @@ class TestDetIntegralIdentity:
         lhs, rhs = det_integral_identity(a0, a1)
         assert abs(lhs - rhs) <= 1e-8
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_sides_agree_on_a_spread_direction(self, seed, n):
+        # an eigenvalue log-sum on the left side loses digits here (5.5e-9 off the right side)
+        lhs, rhs = det_integral_identity(*stretched_spd(seed, n))
+        assert lhs == pytest.approx(rhs, rel=2e-9)
+
     def test_finite_where_det_overflows(self):
         # det(10 I_400) = 1e400 overflows; both sides are 400 log 1.2
         lhs, rhs = det_integral_identity(10.0 * np.eye(400), 12.0 * np.eye(400))
@@ -905,6 +913,30 @@ class TestPdPrecondition:
         rng = np.random.default_rng(8)
         karcher_mean(WeightVector.uniform(6), [rand_spd(rng, 4) for _ in range(6)], max_steps=0)
         assert (shapes, spy.call_count) == ([(6, 4, 4)], 0)
+
+    @pytest.mark.parametrize("entry", [
+        lambda a, b: karcher_mean(WeightVector((0.3, 0.7)), [a, b]),
+        det_integral_identity,
+        entropy_identities,
+    ], ids=["karcher_mean", "det_integral_identity", "entropy_identities"])
+    def test_each_input_is_decomposed_once(self, monkeypatch, entry):
+        # the one PD factorization of an input is also where its log-determinant and the
+        # means' factor come from: no Cholesky, eigensolve or determinant of it follows
+        rng = np.random.default_rng(4)
+        a, b = rand_spd(rng, 4), rand_spd(rng, 4)
+        seen = []
+
+        def recorded(real):
+            def call(m, *args, **kwargs):
+                seen.extend(np.reshape(m, (-1, 4, 4)))
+                return real(m, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(linalg, "_pd_factor", recorded(linalg._pd_factor))
+        for name in ("cholesky", "eigh", "eigvalsh", "slogdet", "det"):
+            monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+        entry(a, b)
+        assert [sum(np.array_equal(m, x) for m in seen) for x in (a, b)] == [1, 1]
 
     def test_members_must_be_two_dimensional(self):
         stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
