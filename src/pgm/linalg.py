@@ -18,6 +18,10 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, InternalNumerics, NotPositiveDefinite
 
+#: numpy's LAPACK gufuncs, named here only: the stacked Cholesky of :func:`_pd_factor`, and the
+#: solve and inverse of :func:`_solve` and :func:`_inv`, without ``np.linalg``'s wrappers.
+_lapack = np.linalg._umath_linalg
+
 #: Default relative tolerance of every PD, PSD and symmetry test: a matrix counts as PD when
 #: lambda_min > DEFAULT_TOL * ||A||, with no absolute unit, so ``c A`` gets the verdict of ``A``.
 DEFAULT_TOL = 1e-10
@@ -143,8 +147,31 @@ def _pd_factor(a, tol):
     # numpy's stacked kernel gives NaN for a refused member; np.linalg.cholesky raises for all
     with np.errstate(invalid="ignore", over="ignore"):
         s[..., d, d] -= tol * np.sqrt((s * s).sum(axis=(-2, -1)))[..., None]
-        ok = ~np.isnan(np.linalg._umath_linalg.cholesky_lo(s, signature="d->d")[..., :1, :1])
-        return np.where(ok, np.linalg._umath_linalg.cholesky_lo(a, signature="d->d"), np.nan)
+        ok = ~np.isnan(_lapack.cholesky_lo(s, signature="d->d")[..., :1, :1])
+        return np.where(ok, _lapack.cholesky_lo(a, signature="d->d"), np.nan)
+
+
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _kernels():
+    """The error state of :func:`_solve` and :func:`_inv`, entered once per sweep or step:
+    numpy's own, under which a singular matrix raises ``LinAlgError("Singular matrix")``."""
+    return np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                       under="ignore")
+
+
+def _solve(a, b):
+    """``np.linalg.solve(a, b)`` bit for bit, on numpy's LAPACK kernel without its per-call
+    wrapper, for arrays (a complex one takes the complex kernel); call it under :func:`_kernels`."""
+    sig = "DD->D" if a.dtype.kind == "c" or b.dtype.kind == "c" else "dd->d"
+    return (_lapack.solve1 if b.ndim == 1 else _lapack.solve)(a, b, signature=sig)
+
+
+def _inv(a):
+    """``np.linalg.inv(a)`` bit for bit, as :func:`_solve` takes ``solve``."""
+    return _lapack.inv(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
 
 
 def _require_pd(a, tol):

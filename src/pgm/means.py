@@ -195,12 +195,13 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
     """
     _warn_off_geodesic(t)
     _warn_off_geodesic(lam)
-    (a, b, c, d), _ = _pd_stack((a, b, c, d))
-    g_ab = _geomean(a, b, t)
+    # one proof: a mean whose first operand is an input takes that input's factor
+    (a, b, c, d), (la, lb, lc, _) = _pd_stack((a, b, c, d))
+    g_ab = _geomean_core(la, b, t)
 
     commuting_partner = sym(a @ a) + np.eye(a.shape[0])
     p1 = _close(
-        _geomean(a, commuting_partner, t),
+        _geomean_core(la, commuting_partner, t),
         sym(powm(a, 1.0 - t) @ powm(commuting_partner, t)),
         rtol,
     )
@@ -212,11 +213,11 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
         rtol,
     )
 
-    p3 = _close(g_ab, _geomean(b, a, 1.0 - t), rtol)
+    p3 = _close(g_ab, _geomean_core(lb, a, 1.0 - t), rtol)
 
     p4 = _psd_geq(_geomean(a + c, b + d, t), g_ab, rtol)
 
-    lhs = riemannian_dist(_geomean(a, b, lam), _geomean(c, d, t))
+    lhs = riemannian_dist(_geomean_core(la, b, lam), _geomean_core(lc, d, t))
     bound = (
         abs(lam - t) * riemannian_dist(a, b)
         + (1.0 - t) * riemannian_dist(a, c)
@@ -232,16 +233,17 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
 
     p7 = _psd_geq(
         _geomean((1.0 - lam) * a + lam * b, (1.0 - lam) * c + lam * d, t),
-        (1.0 - lam) * _geomean(a, c, t) + lam * _geomean(b, d, t),
+        (1.0 - lam) * _geomean_core(la, c, t) + lam * _geomean_core(lb, d, t),
         rtol,
     )
 
-    p8 = _close(invm(g_ab), _geomean(invm(a), invm(b), t), rtol)
+    inv_a, inv_b = invm(a), invm(b)
+    p8 = _close(invm(g_ab), _geomean(inv_a, inv_b, t), rtol)
 
-    ld_g, ld_a, ld_b = log_det(np.stack((g_ab, a, b)))
-    p9 = bool(abs(ld_g - ((1.0 - t) * ld_a + t * ld_b)) <= rtol)
+    ld_a, ld_b = _log_det(np.stack((la, lb)))
+    p9 = bool(abs(log_det(g_ab) - ((1.0 - t) * ld_a + t * ld_b)) <= rtol)
 
-    harmonic = invm((1.0 - t) * invm(a) + t * invm(b))
+    harmonic = invm((1.0 - t) * inv_a + t * inv_b)
     arithmetic = (1.0 - t) * a + t * b
     p10 = _psd_geq(g_ab, harmonic, rtol) and _psd_geq(arithmetic, g_ab, rtol)
 
@@ -286,15 +288,16 @@ def set_geomean(s, t_set, t=0.5):
     """All pairwise weighted geometric means of two sample sets.
 
     Duplicates (Frobenius distance <= 1e-12 times the larger norm) are removed, so the result
-    has at most ``len(s) * len(t_set)`` members.
+    has at most ``len(s) * len(t_set)`` members.  Each set is proved PD once, and the means are
+    one broadcast :func:`_geomean_core` on the factors of ``s``.
     """
     _warn_off_geodesic(t)
+    (xs, l), ys = _pd_stack(s.members), _pd_stack(t_set.members)[0]
+    _require_pair(xs[0], ys[0])
     out = []
-    for x in s.members:
-        for y in t_set.members:
-            g = _geomean(x, y, t)
-            if not any(_close(g, kept, 1e-12) for kept in out):
-                out.append(g)
+    for g in _geomean_core(l[:, None], ys, t).reshape(-1, *ys.shape[1:]):
+        if not any(_close(g, kept, 1e-12) for kept in out):
+            out.append(g)
     return SampleSet(tuple(out))
 
 

@@ -118,8 +118,9 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
     to have PD-tested both operands: only ``_geomean`` (behind ``geomean`` and the means that
     take unproved operands), ``partial_geomean_sweep`` (the cells), ``partial_geomean_maxdet``
     (whose Â and B̂ a converged completion certified), ``entropy_identities`` (which proves
-    ``sigma0`` and ``sigma1`` by ``_require_pd``) and ``karcher_mean`` (whose warm start takes
-    the factors of its ``_pd_stack`` proof and its own means) name them, besides the core itself,
+    ``sigma0`` and ``sigma1`` by ``_require_pd``), and ``karcher_mean``,
+    ``geomean_properties_check`` and ``set_geomean`` (whose means take the factors of their
+    ``_pd_stack`` proofs, and means of those) name them, besides the core itself,
     each to call one, and each runs a PD test (``_require``, ``_definite``, ``is_pd``,
     ``_pd_factor``, ``_require_pd``, ``require_converged`` or ``_pd_stack``) on a line before."""
     tests = ("_require", "_definite", "is_pd", "_pd_factor", "_require_pd", "require_converged",
@@ -139,8 +140,9 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
                 if callee.rsplit(".", 1)[-1] in tests:
                     first_test[name] = min(line, first_test.get(name, line))
     assert sorted(naming) == sorted(first_call) == [
-        "means._geomean", "means.entropy_identities", "means.karcher_mean",
-        "means.partial_geomean_maxdet", "means.partial_geomean_sweep",
+        "means._geomean", "means.entropy_identities", "means.geomean_properties_check",
+        "means.karcher_mean", "means.partial_geomean_maxdet", "means.partial_geomean_sweep",
+        "means.set_geomean",
     ]
     assert all(first_test.get(name, line) < line for name, line in first_call.items())
 
@@ -185,11 +187,12 @@ def test_congruences_take_a_cholesky_factor():
     assert sites == {("means", "_factor"), ("completion", "_newton")}
 
 
-def test_numpy_cholesky_kernel_named_only_in_pd_factor():
-    """numpy's stacked kernel, which gives NaN for a member it refuses where the public
-    ``np.linalg.cholesky`` raises for the whole stack, is named only in ``linalg._pd_factor``,
-    nowhere else in ``src/pgm``, not even in an import."""
-    sites = set()
+def test_numpy_raw_kernels_named_only_in_linalg():
+    """numpy's raw LAPACK kernels (``_umath_linalg``: the stacked Cholesky, which gives NaN for
+    a member it refuses where the public ``np.linalg.cholesky`` raises for the whole stack, and
+    the solve and inverse without their wrappers) are named only in ``linalg``, once, where
+    ``linalg._lapack`` binds them, nowhere else in ``src/pgm``, not even in an import."""
+    sites = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for site, unit in _sites(tree, path.stem, path):
@@ -199,8 +202,20 @@ def test_numpy_cholesky_kernel_named_only_in_pd_factor():
                 names |= {a.name for a in getattr(node, "names", [])
                           if isinstance(node, (ast.Import, ast.ImportFrom))}
                 if any(n and "_umath_linalg" in n for n in names):
-                    sites.add(str(site))
-    assert sites == {"linalg._pd_factor"}
+                    sites.append(str(site))
+    assert sites == [str(SRC / "linalg.py")]
+
+
+def test_completion_solves_and_inverts_on_linalg_kernels():
+    """``completion`` takes every solve and inverse from ``linalg._solve`` and ``_inv``, under
+    ``linalg._kernels``, and calls neither ``np.linalg.solve`` nor ``np.linalg.inv``."""
+    calls, _ = _calls_and_raises()
+    public = [(func, callee) for module, func, callee in calls if module == "completion"
+              and callee in ("np.linalg.solve", "np.linalg.inv", "np.linalg._umath_linalg")]
+    kernels = {func for module, func, callee in calls
+               if module == "completion" and callee in ("_solve", "_inv")}
+    assert public == []
+    assert kernels == {"single_entry_interval", "_ips", "_newton", "_certify", "_closed_form"}
 
 
 #: The PD gates, each marked True if it still eigensolves: the sweep, for the eigenvalues it

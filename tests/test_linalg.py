@@ -29,7 +29,7 @@ from pgm import (
     single_entry_interval,
     sym,
 )
-from pgm.linalg import _definite, _eigh, _from_spectrum, _pd_factor
+from pgm.linalg import _definite, _eigh, _from_spectrum, _inv, _kernels, _pd_factor, _solve
 from conftest import mp_log_det, rand_invertible, rand_spd, stretched_spd
 
 # mat_fn on each spectrum domain, named by the matrix function it computes
@@ -312,6 +312,29 @@ class TestScalars:
         assert one == pytest.approx(2.838, abs=5e-4)
         np.testing.assert_allclose(gaussian_entropy(np.stack([np.eye(2)] * 3)), [one] * 3, rtol=1e-15)
         assert type(log_det(np.eye(2))) is float and type(op_norm(np.eye(2))) is float
+
+
+class TestRawKernels:
+    """``_solve`` and ``_inv``, numpy's gufuncs without ``np.linalg``'s wrappers, under
+    ``_kernels``: numpy's results bit for bit, and numpy's error for a singular matrix."""
+
+    def test_match_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        a, b, v = (rng.standard_normal(shape) for shape in ((3, 4, 4), (3, 4, 5), 4))
+        c = a + 1j * rng.standard_normal(a.shape)
+        with _kernels():
+            pairs = [(_solve(a, b), np.linalg.solve(a, b)), (_solve(c, b), np.linalg.solve(c, b)),
+                     (_solve(a[0], v), np.linalg.solve(a[0], v)),
+                     (_inv(a), np.linalg.inv(a)), (_inv(c), np.linalg.inv(c))]
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kernel", [lambda m: _solve(m, np.ones(2)), _inv],
+                             ids=["solve", "inv"])
+    def test_singular_matrix_raises_numpys_error(self, kernel):
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"), _kernels():
+            kernel(np.ones((2, 2)))
 
 
 class TestRiemannianDist:
