@@ -45,8 +45,8 @@ from .errors import (
     NotPartialPD,
     OutOfRange,
 )
-from .linalg import (DEFAULT_TOL, _definite, _dense, _DeterminantFromLog, _eigh, _inv, _kernels,
-                     _log_det, _pd_factor, _require_tol, _solve, sym)
+from .linalg import (DEFAULT_TOL, _cholesky, _definite, _dense, _DeterminantFromLog, _eigh, _inv,
+                     _kernels, _log_det, _pd_factor, _require_tol, _solve, sym)
 from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
@@ -223,9 +223,7 @@ def _newton(k, a, spec, tol):
     i, j = np.nonzero(np.triu(spec))
     c, a_e, last = np.where(i == j, 1.0, 2.0), a[i, j], np.inf
     weight = np.outer(c, c / 2)  # the Hessian's, constant
-    try:
-        chol = np.linalg.cholesky(k)
-    except np.linalg.LinAlgError:
+    if np.isnan((chol := _cholesky(k))[0, 0]):
         k, chol = np.diag(1.0 / np.diag(a)), np.diag(np.diag(a) ** -0.5)
     while True:
         with _kernels():
@@ -242,9 +240,7 @@ def _newton(k, a, spec, tol):
             break  # certified; skipping the start's test costs at most one step
         value = np.sum(k * a) - _log_det(chol)
         for s in 0.5 ** np.arange(40):
-            try:
-                chol = np.linalg.cholesky(trial := k + s * direction)
-            except np.linalg.LinAlgError:
+            if np.isnan((chol := _cholesky(trial := k + s * direction))[0, 0]):
                 continue
             objective = np.sum(trial * a) - _log_det(chol)
             if decrement <= 1e-2 or objective <= value - 0.25 * s * decrement:

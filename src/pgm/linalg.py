@@ -4,11 +4,12 @@ Eigendecompositions, spectral matrix functions (``mat_fn`` of any scalar functio
 inverse), PD proofs by Cholesky, log-determinants off those factors (results derive their
 determinant from it, in one base class) and norms, plus the Riemannian trace metric on the PD cone.
 
-All functions take and return plain ``numpy`` arrays.  Each one that runs a
-symmetric eigensolve on its argument admits it through :func:`_dense`.  Outputs
-of spectral functions are explicitly re-symmetrized so that downstream symmetry
-checks can be exact.  Spectral functions, PD tests, ``log_det`` and ``op_norm``
-also take stacks ``(..., n, n)``, with one result per matrix.
+All functions take and return plain ``numpy`` arrays.  Each one that runs a symmetric eigensolve
+on its argument admits it through :func:`_dense`.  Every Cholesky, solve and inverse of ``pgm``
+runs here, on numpy's LAPACK gufuncs bound once as ``_lapack``: :func:`_cholesky`, :func:`_factor`,
+:func:`_solve`, :func:`_inv` and :func:`_whiten`.  Outputs of spectral functions are explicitly
+re-symmetrized so that downstream symmetry checks can be exact.  Spectral functions, PD tests,
+``log_det`` and ``op_norm`` also take stacks ``(..., n, n)``, with one result per matrix.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, InternalNumerics, NotPositiveDefinite
 
-#: numpy's LAPACK gufuncs, named here only: the stacked Cholesky of :func:`_pd_factor`, and the
-#: solve and inverse of :func:`_solve` and :func:`_inv`, without ``np.linalg``'s wrappers.
 _lapack = np.linalg._umath_linalg
 
 #: Default relative tolerance of every PD, PSD and symmetry test: a matrix counts as PD when
@@ -71,9 +70,8 @@ def as_sym_matrix(a):
 def _eigh(a, vectors=True):
     """Ascending eigenvalues (and eigenvectors) of a symmetric matrix or
     a stack ``(..., n, n)``; a solver failure raises InternalNumerics."""
-    m = np.asarray(a, dtype=float)
     try:
-        return np.linalg.eigh(m) if vectors else np.linalg.eigvalsh(m)
+        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:
         raise InternalNumerics(f"symmetric eigensolver failed: {exc}") from exc
 
@@ -144,11 +142,21 @@ def _pd_factor(a, tol):
     _require_tol(tol)
     s = np.ldexp(a, -np.frexp(np.abs(a).max(axis=(-2, -1)))[1][..., None, None])
     d = np.arange(a.shape[-1])
-    # numpy's stacked kernel gives NaN for a refused member; np.linalg.cholesky raises for all
-    with np.errstate(invalid="ignore", over="ignore"):
-        s[..., d, d] -= tol * np.sqrt((s * s).sum(axis=(-2, -1)))[..., None]
-        ok = ~np.isnan(_lapack.cholesky_lo(s, signature="d->d")[..., :1, :1])
-        return np.where(ok, _lapack.cholesky_lo(a, signature="d->d"), np.nan)
+    s[..., d, d] -= tol * np.sqrt((s * s).sum(axis=(-2, -1)))[..., None]
+    return np.where(np.isnan(_cholesky(s)[..., :1, :1]), np.nan, _cholesky(a))
+
+
+def _cholesky(a):
+    """``np.linalg.cholesky`` of a real ``a`` bit for bit, but NaN for each matrix it refuses."""
+    with np.errstate(all="ignore"):
+        return _lapack.cholesky_lo(a, signature="d->d")
+
+
+def _factor(a):
+    """:func:`_cholesky` of the PD-tested ``a``; InternalNumerics if round-off refuses a matrix."""
+    if np.isnan((l := _cholesky(a))[..., 0, 0]).any():
+        raise InternalNumerics("Cholesky factorization failed: Matrix is not positive definite")
+    return l
 
 
 def _singular(err, flag):
@@ -156,22 +164,25 @@ def _singular(err, flag):
 
 
 def _kernels():
-    """The error state of :func:`_solve` and :func:`_inv`, entered once per sweep or step:
-    numpy's own, under which a singular matrix raises ``LinAlgError("Singular matrix")``."""
-    return np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
-                       under="ignore")
+    """numpy's error state for :func:`_solve` and :func:`_inv`, entered once per sweep or step."""
+    return np.errstate(all="ignore", invalid="call", call=_singular)
 
 
 def _solve(a, b):
-    """``np.linalg.solve(a, b)`` bit for bit, on numpy's LAPACK kernel without its per-call
-    wrapper, for arrays (a complex one takes the complex kernel); call it under :func:`_kernels`."""
-    sig = "DD->D" if a.dtype.kind == "c" or b.dtype.kind == "c" else "dd->d"
-    return (_lapack.solve1 if b.ndim == 1 else _lapack.solve)(a, b, signature=sig)
+    """``np.linalg.solve`` of real arrays bit for bit, unwrapped; call it under :func:`_kernels`."""
+    return (_lapack.solve1 if b.ndim == 1 else _lapack.solve)(a, b, signature="dd->d")
 
 
 def _inv(a):
-    """``np.linalg.inv(a)`` bit for bit, as :func:`_solve` takes ``solve``."""
-    return _lapack.inv(a, signature="D->D" if a.dtype.kind == "c" else "d->d")
+    """``np.linalg.inv`` bit for bit, as :func:`_solve` takes ``solve``."""
+    return _lapack.inv(a, signature="d->d")
+
+
+def _whiten(l, b):
+    """``sym(L^-1 B L^-T)`` of a lower ``L``, broadcast; only ``L^-1`` is under :func:`_kernels`."""
+    with _kernels():
+        li = _inv(l)
+    return sym(li @ b @ li.swapaxes(-1, -2))
 
 
 def _require_pd(a, tol):

@@ -31,6 +31,7 @@ from .linalg import (
     _dense,
     _DeterminantFromLog,
     _eigh,
+    _factor,
     _from_spectrum,
     _log_det,
     _pd_factor,
@@ -38,6 +39,7 @@ from .linalg import (
     _require,
     _require_pd,
     _require_tol,
+    _whiten,
     fro_norm,
     invm,
     is_pd,
@@ -113,22 +115,13 @@ def _geomean_cells(l, b, t):
     """:func:`_geomean_core`'s means, the mask ``ok`` of those whose spectrum ``v`` of ``L^-1 B
     L^-T`` is positive and finite (the others, round-off at the PD boundary under a tol near 0,
     come back NaN), and ``v``; an overflow of a mean in ``ok`` raises InternalNumerics."""
-    li = np.linalg.inv(l)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        v, u = _eigh(sym(li @ b @ li.swapaxes(-1, -2)))
+        v, u = _eigh(_whiten(l, b))
         ok = (v[..., 0] > 0) & (v[..., -1] < np.inf)  # ascending; NaN fails both
         m = _from_spectrum(np.where(ok[..., None], v**t, np.nan), l @ u)  # L U diag(v^t) U^T L^T
     if (np.isfinite(m).all(axis=(-2, -1)) != ok).any():
         raise InternalNumerics("eigenvalues past the largest double")
     return m, ok, v
-
-
-def _factor(a):
-    """The lower Cholesky factor ``L`` of the PD-tested ``a = L L^T``, per matrix of a stack."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:  # round-off at the PD boundary, under a tol near 0
-        raise InternalNumerics(f"Cholesky factorization failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -513,8 +506,7 @@ def _karcher(x, stack, w, tol):
     """Steps of :func:`karcher_mean` from ``x``, each yielding ``(x, ||G||_F)`` before it moves."""
     while True:
         l = _factor(x)
-        li = np.linalg.inv(l)
-        lam, vec = _eigh(sym(li @ stack @ li.T))
+        lam, vec = _eigh(_whiten(l, stack))
         lam = _require(lam, "pd")
         grad = sym(np.tensordot(w, _from_spectrum(np.log(lam), vec), axes=1))
         gnorm = fro_norm(grad)
@@ -579,13 +571,13 @@ def _trace_integral(a0, a1):
     integrand is sum_i nu_i / (1 + (l - 1/2) nu_i), whose integral is sum_i log1p(nu_i / 2) -
     log1p(-nu_i / 2), per pair of a stack.  A pair with ``max |nu| / 2 > 1 - 1e-3``, where
     ``1 -+ nu / 2`` loses digits, takes sum_i log eig(L^-1 A1 L^-T) - log eig(L^-1 A0 L^-T)."""
-    li = np.linalg.inv(_factor(np.divide(a0, 2.0) + np.divide(a1, 2.0)))  # M cannot overflow
-    nu = _eigh(sym(li @ np.subtract(a1, a0) @ li.swapaxes(-1, -2)), vectors=False)
+    l = _factor(np.divide(a0, 2.0) + np.divide(a1, 2.0))  # M cannot overflow
+    nu = _eigh(_whiten(l, np.subtract(a1, a0)), vectors=False)
     wide = np.abs(nu).max(axis=-1) > 2.0 - 2e-3
     with np.errstate(divide="ignore", invalid="ignore"):  # only a wide pair's log1p(-+1) fails
         integral = (np.log1p(nu / 2.0) - np.log1p(-nu / 2.0)).sum(axis=-1)
     if wide.any():
-        ends = _eigh(sym(li @ np.stack(np.broadcast_arrays(a1, a0)) @ li.swapaxes(-1, -2)), False)
+        ends = _eigh(_whiten(l, np.stack(np.broadcast_arrays(a1, a0))), vectors=False)
         integral = np.where(wide, np.subtract(*np.log(ends).sum(axis=-1)), integral)
     return float(integral) if integral.ndim == 0 else integral
 

@@ -178,13 +178,18 @@ def test_no_internal_call_of_the_public_geomean():
 def test_congruences_take_a_cholesky_factor():
     """The means take ``L^-1 B L^-T`` with ``A = L L^T``, never a square root of an
     operand: ``means`` calls no ``np.sqrt``.  A factor comes from the PD proof
-    (``linalg._pd_factor``) or, for a matrix the code builds, from ``means._factor``:
-    ``np.linalg.cholesky`` is called only there and in ``completion._newton``."""
+    (``linalg._pd_factor``) or, for a matrix the code builds, from ``linalg._factor``, and the
+    congruence from ``linalg._whiten``: ``src/pgm`` calls no ``np.linalg.cholesky``, ``solve``
+    or ``inv``, ``linalg._cholesky`` is called only in ``linalg`` and ``completion._newton``,
+    and ``means`` calls no ``_inv``."""
     calls, _ = _calls_and_raises()
     assert [func for module, func, callee in calls
             if module == "means" and callee in ("np.sqrt", "math.sqrt")] == []
-    sites = {(module, func) for module, func, callee in calls if callee == "np.linalg.cholesky"}
-    assert sites == {("means", "_factor"), ("completion", "_newton")}
+    public = ("np.linalg.cholesky", "np.linalg.solve", "np.linalg.inv")
+    assert [(module, func) for module, func, callee in calls if callee in public] == []
+    sites = {(module, func) for module, func, callee in calls if callee == "_cholesky"}
+    assert sites == {("linalg", "_pd_factor"), ("linalg", "_factor"), ("completion", "_newton")}
+    assert [func for module, func, callee in calls if module == "means" and callee == "_inv"] == []
 
 
 def test_numpy_raw_kernels_named_only_in_linalg():
@@ -208,14 +213,23 @@ def test_numpy_raw_kernels_named_only_in_linalg():
 
 def test_completion_solves_and_inverts_on_linalg_kernels():
     """``completion`` takes every solve and inverse from ``linalg._solve`` and ``_inv``, under
-    ``linalg._kernels``, and calls neither ``np.linalg.solve`` nor ``np.linalg.inv``."""
+    ``linalg._kernels``, and ``means`` every congruence from ``linalg._whiten`` and every
+    factor of a matrix it builds from ``linalg._factor``: neither calls ``np.linalg.solve``,
+    ``np.linalg.inv`` or ``np.linalg.cholesky``."""
     calls, _ = _calls_and_raises()
-    public = [(func, callee) for module, func, callee in calls if module == "completion"
-              and callee in ("np.linalg.solve", "np.linalg.inv", "np.linalg._umath_linalg")]
+    public = [(module, func, callee) for module, func, callee in calls
+              if module in ("completion", "means") and callee in
+              ("np.linalg.solve", "np.linalg.inv", "np.linalg.cholesky", "np.linalg._umath_linalg")]
     kernels = {func for module, func, callee in calls
                if module == "completion" and callee in ("_solve", "_inv")}
     assert public == []
     assert kernels == {"single_entry_interval", "_ips", "_newton", "_certify", "_closed_form"}
+    means = defaultdict(set)
+    for module, func, callee in calls:
+        if module == "means" and callee in ("_whiten", "_factor"):
+            means[callee].add(func)
+    assert means == {"_whiten": {"_geomean_cells", "_karcher", "_trace_integral"},
+                     "_factor": {"partial_geomean_maxdet", "_karcher", "_trace_integral"}}
 
 
 #: The PD gates, each marked True if it still eigensolves: the sweep, for the eigenvalues it

@@ -563,16 +563,15 @@ class TestNewtonFallbacks:
         np.testing.assert_allclose(rep.matrix, np.linalg.inv(self.K), atol=1e-12)
 
     def test_start_off_the_cone_restarts_from_the_diagonal(self, monkeypatch):
-        cholesky, failed = np.linalg.cholesky, []
+        cholesky, failed = completion._cholesky, []
 
-        def spy(k):
-            try:
-                return cholesky(k)
-            except np.linalg.LinAlgError:
+        def spy(k):  # a factor that the kernel refuses is NaN
+            chol = cholesky(k)
+            if np.isnan(chol[0, 0]):
                 failed.append(k)
-                raise
+            return chol
 
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        monkeypatch.setattr(completion, "_cholesky", spy)
         reports, handed = spy_newton(monkeypatch, start=lambda k: -k)
         rep = max_det_completion(self.PM)
         self.assert_oracle(rep)
@@ -595,15 +594,13 @@ class TestNewtonFallbacks:
         assert rep.iterations > 2
 
     def test_no_step_in_forty_halvings_stalls_into_sweeps(self, monkeypatch):
-        cholesky, calls = np.linalg.cholesky, []
+        cholesky, calls = completion._cholesky, []
 
-        def only_the_start(k):  # every trial K + s D fails, 1 >= s >= 2**-39
+        def only_the_start(k):  # every trial K + s D fails (a NaN factor), 1 >= s >= 2**-39
             calls.append(k)
-            if len(calls) > 1:
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return cholesky(k)
+            return cholesky(k) if len(calls) == 1 else np.full_like(k, np.nan)
 
-        monkeypatch.setattr(np.linalg, "cholesky", only_the_start)
+        monkeypatch.setattr(completion, "_cholesky", only_the_start)
         reports, handed = spy_newton(monkeypatch)
         rep = max_det_completion(self.PM)
         assert len(calls) == 41 and reports == [] and len(handed) == 1
@@ -866,8 +863,9 @@ KERNEL_INPUTS = {
 
 @pytest.mark.parametrize("name", sorted(KERNEL_INPUTS))
 def test_completion_needs_no_public_solve_or_inverse(monkeypatch, name):
-    """With ``np.linalg.solve`` and ``inv`` patched to raise, ``max_det_completion`` gives the
-    unpatched report bit for bit, or the same NotCompletable: it runs on linalg's kernels."""
+    """With ``np.linalg.solve``, ``inv`` and ``cholesky`` patched to raise,
+    ``max_det_completion`` gives the unpatched report bit for bit, or the same NotCompletable:
+    it runs on linalg's kernels."""
     pm = KERNEL_INPUTS[name]()
     try:
         expected = max_det_completion(pm)
@@ -875,10 +873,10 @@ def test_completion_needs_no_public_solve_or_inverse(monkeypatch, name):
         expected = exc
 
     def refuse(*args, **kwargs):
-        raise AssertionError("np.linalg.solve or np.linalg.inv called")
+        raise AssertionError("np.linalg.solve, inv or cholesky called")
 
-    monkeypatch.setattr(np.linalg, "solve", refuse)
-    monkeypatch.setattr(np.linalg, "inv", refuse)
+    for kernel in ("solve", "inv", "cholesky"):
+        monkeypatch.setattr(np.linalg, kernel, refuse)
     if isinstance(expected, NotCompletable):
         with pytest.raises(NotCompletable, match=re.escape(str(expected))):
             max_det_completion(pm)

@@ -29,7 +29,8 @@ from pgm import (
     single_entry_interval,
     sym,
 )
-from pgm.linalg import _definite, _eigh, _from_spectrum, _inv, _kernels, _pd_factor, _solve
+from pgm.linalg import (_cholesky, _definite, _eigh, _from_spectrum, _inv, _kernels, _pd_factor,
+                        _solve)
 from conftest import mp_log_det, rand_invertible, rand_spd, stretched_spd
 
 # mat_fn on each spectrum domain, named by the matrix function it computes
@@ -316,19 +317,39 @@ class TestScalars:
 
 class TestRawKernels:
     """``_solve`` and ``_inv``, numpy's gufuncs without ``np.linalg``'s wrappers, under
-    ``_kernels``: numpy's results bit for bit, and numpy's error for a singular matrix."""
+    ``_kernels``: numpy's results bit for bit, and numpy's error for a singular matrix; and
+    ``_cholesky``, numpy's factor bit for bit, NaN for each matrix it refuses, silently."""
 
     def test_match_numpy_bit_for_bit(self):
         rng = np.random.default_rng(0)
         a, b, v = (rng.standard_normal(shape) for shape in ((3, 4, 4), (3, 4, 5), 4))
-        c = a + 1j * rng.standard_normal(a.shape)
         with _kernels():
-            pairs = [(_solve(a, b), np.linalg.solve(a, b)), (_solve(c, b), np.linalg.solve(c, b)),
-                     (_solve(a[0], v), np.linalg.solve(a[0], v)),
-                     (_inv(a), np.linalg.inv(a)), (_inv(c), np.linalg.inv(c))]
+            pairs = [(_solve(a, b), np.linalg.solve(a, b)),
+                     (_solve(a[0], v), np.linalg.solve(a[0], v)), (_inv(a), np.linalg.inv(a))]
         for got, want in pairs:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+    def test_cholesky_matches_numpy_and_refuses_with_nan(self):
+        # PD, indefinite, zero, PD near overflow, and indefinite near overflow (the kernel's
+        # own arithmetic overflows on it): one stack, no warning, no exception
+        rng = np.random.default_rng(1)
+        tridiagonal = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
+        overflowing = np.array([[1e308, 1.5e308, 0.0], [1.5e308, 1e308, 0.0], [0.0, 0.0, 1.0]])
+        stack = np.stack([rand_spd(rng, 3), np.diag([1.0, -1.0, 2.0]), np.zeros((3, 3)),
+                          1e308 * tridiagonal, overflowing])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factors = _cholesky(stack)
+        assert factors.shape == stack.shape and factors.dtype == np.float64
+        for m, l, pd in zip(stack, factors, [True, False, False, True, False]):
+            if pd:
+                np.testing.assert_array_equal(l, np.linalg.cholesky(m))
+            else:
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(m)
+                assert np.isnan(l).all()
+        np.testing.assert_array_equal(_cholesky(stack[0]), np.linalg.cholesky(stack[0]))
 
     @pytest.mark.parametrize("kernel", [lambda m: _solve(m, np.ones(2)), _inv],
                              ids=["solve", "inv"])

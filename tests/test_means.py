@@ -153,14 +153,17 @@ class TestGeomean:
             geomean(0.25 * np.eye(2), np.diag([1e308, 5e307]), 0.5)
 
     def test_factorization_failure_wrapped(self, monkeypatch):
-        # entropy_identities proves its pair PD by _pd_factor's kernel, and its trace integral
-        # then factors their midpoint by np.linalg.cholesky: a midpoint that round-off leaves
-        # singular can fail there, and that failure is staged here
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        # entropy_identities proves its pair PD by _pd_factor, and its trace integral then
+        # factors their midpoint by linalg._factor: a midpoint that round-off leaves singular
+        # can be refused there (a NaN factor of linalg._cholesky), and that refusal is staged here
+        cholesky, midpoint = linalg._cholesky, 1.5 * np.eye(2)
 
-        monkeypatch.setattr(np.linalg, "cholesky", fail)
-        with pytest.raises(InternalNumerics, match="Cholesky factorization failed"):
+        def refuse_the_midpoint(a):
+            return np.full_like(a, np.nan) if np.array_equal(a, midpoint) else cholesky(a)
+
+        monkeypatch.setattr(linalg, "_cholesky", refuse_the_midpoint)
+        with pytest.raises(InternalNumerics, match="^Cholesky factorization failed: Matrix is "
+                           "not positive definite$"):
             entropy_identities(np.eye(2), 2.0 * np.eye(2), 0.5)
 
 
@@ -941,7 +944,8 @@ class TestPdPrecondition:
             "geomean_properties_check"])
     def test_each_input_is_decomposed_once(self, monkeypatch, entry, factored, eigensolved):
         # the one PD factorization of an input is also where its log-determinant and the
-        # means' factor come from: no Cholesky, eigensolve or determinant of it follows.  The
+        # means' factor come from: no Cholesky, eigensolve or determinant of it follows.  Every
+        # Cholesky of pgm, the PD proof's and linalg._factor's, runs on linalg._cholesky.  The
         # property check's one _pd_stack proof factors a, b, c and d for every mean whose first
         # operand is an input and for a's and b's log-determinants (9, 8, 4 and 4 factorizations
         # when each mean proved its operands); riemannian_dist's own gate proves (a, b), (a, c)
@@ -956,7 +960,7 @@ class TestPdPrecondition:
                 return real(m, *args, **kwargs)
             return call
 
-        monkeypatch.setattr(linalg, "_pd_factor", recorded(linalg._pd_factor, "factor"))
+        monkeypatch.setattr(linalg, "_cholesky", recorded(linalg._cholesky, "factor"))
         for name in ("cholesky", "eigh", "eigvalsh", "slogdet", "det"):
             kind = "eigen" if name.startswith("eig") else "factor"
             monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name), kind))
@@ -1009,3 +1013,37 @@ class TestGeodesicParameter:
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         with pytest.raises(ValueError, match="t must be finite"):
             T_ENTRY_POINTS[entry](math.nan)
+
+
+def _karcher_record(*mats):
+    rep = karcher_mean(WeightVector((0.2, 0.3, 0.5)), mats)
+    return np.append(rep.matrix, [rep.steps, rep.gradient_norm])
+
+
+#: Each mean that factors, whitens or inverts on linalg's kernels: the two-matrix mean, the
+#: Karcher mean (warm start, then fixed-point steps on linalg._factor and _whiten), both entropy
+#: identities (the trace integral factors the midpoint) and one sweep of stacked means.
+KERNEL_ENTRY_POINTS = {
+    "geomean": lambda a, b, c: geomean(a, b, 0.3),
+    "karcher_mean": _karcher_record,
+    "entropy_identities": lambda a, b, c: dataclasses.astuple(entropy_identities(a, b, 0.3)),
+    "partial_geomean_sweep": lambda a, b, c: partial_geomean_sweep(
+        ex1_partial_a(), ex1_partial_b(), 11, 0.5, 1e-10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_ENTRY_POINTS))
+def test_means_need_no_public_factor_solve_or_inverse(monkeypatch, name):
+    """With ``np.linalg.cholesky``, ``solve`` and ``inv`` patched to raise, each mean gives the
+    unpatched result bit for bit: it factors, whitens and inverts on linalg's kernels."""
+    rng = np.random.default_rng(11)
+    inputs = [rand_spd(rng, 4) for _ in range(3)]
+    expected = np.asarray(KERNEL_ENTRY_POINTS[name](*inputs))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.cholesky, solve or inv called")
+
+    for kernel in ("cholesky", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, kernel, refuse)
+    got = np.asarray(KERNEL_ENTRY_POINTS[name](*inputs))
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
