@@ -22,7 +22,7 @@ from .errors import DimensionMismatch, InternalNumerics, NotPositiveDefinite
 _lapack = np.linalg._umath_linalg
 
 #: Default relative tolerance of every PD, PSD and symmetry test: a matrix counts as PD when
-#: lambda_min > DEFAULT_TOL * ||A||, with no absolute unit, so ``c A`` gets the verdict of ``A``.
+#: lambda_min > DEFAULT_TOL * ||A||_F, with no absolute unit, so ``c A`` gets the verdict of ``A``.
 DEFAULT_TOL = 1e-10
 
 
@@ -91,27 +91,14 @@ def _require_tol(tol):
 
 def _definite(w, tol, semi=False, scale=None):
     """The PD (or, if ``semi``, PSD) test per ascending spectrum in ``w``: ``lambda_min`` against
-    ``tol`` (:func:`_require_tol`) times ``scale``, by default ``max |lambda|`` of the spectrum."""
+    ``tol`` (:func:`_require_tol`) times ``scale``, by default ``||w||_2 = ||A||_F``, the rule of
+    :func:`_pd_factor`, on ``w`` scaled into [-1, 1] by a power of two, where no norm overflows."""
     _require_tol(tol)
-    scale = np.abs(w).max(axis=-1) if scale is None else scale
+    if scale is None:
+        w = np.ldexp(w, -np.frexp(np.abs(w).max(axis=-1, keepdims=True))[1])
+        scale = np.hypot.reduce(w, axis=-1)
     lam_min = w[..., 0]
     return lam_min >= -tol * scale if semi else lam_min > tol * scale
-
-
-def _require(w, domain):
-    """Spectra ``w`` checked against ``domain``, "pd" or "psd", at DEFAULT_TOL: raises
-    :class:`NotPositiveDefinite` naming the smallest failing lambda_min (:class:`InternalNumerics`
-    where ``w`` overflows); PSD spectra come back with negatives clipped."""
-    if domain not in ("pd", "psd"):
-        raise ValueError(f"unknown domain {domain!r}")
-    if not np.isfinite(w).all():
-        raise InternalNumerics("eigenvalues past the largest double")
-    ok = _definite(w, DEFAULT_TOL, semi=domain == "psd")
-    if not ok.all():
-        kind = "definite" if domain == "pd" else "semidefinite"
-        lam_min = float(w[..., 0][~ok].min())
-        raise NotPositiveDefinite(f"matrix is not positive {kind} (lambda_min = {lam_min:.3e})")
-    return w if domain == "pd" else np.clip(w, 0.0, None)
 
 
 def _pd_stack(mats):
@@ -137,8 +124,8 @@ def _pd_factor(a, tol):
     """The lower Cholesky factor of each matrix of the finite symmetric stack ``a`` that is PD
     at ``tol`` (:func:`_require_tol`), NaN for each other: PD means that the Cholesky of ``a -
     tol ||a||_F I`` succeeds, on ``a`` scaled by the power of two at its largest entry, so ``c a``
-    gets the verdict of ``a``.  As ``lambda_max <= ||a||_F <= sqrt(n) lambda_max``, the rule is
-    never looser than ``lambda_min > tol lambda_max``, and at most ``sqrt(n)`` stricter."""
+    gets the verdict of ``a``.  A Cholesky sees no ``lambda_max``, so the spectral tests take this
+    rule too: :func:`_definite` tests ``lambda_min > tol ||w||_2``, and ``||w||_2 = ||a||_F``."""
     _require_tol(tol)
     s = np.ldexp(a, -np.frexp(np.abs(a).max(axis=(-2, -1)))[1][..., None, None])
     d = np.arange(a.shape[-1])
@@ -203,7 +190,7 @@ def is_pd(a, tol=DEFAULT_TOL):
 
 
 def is_psd(a, tol=DEFAULT_TOL):
-    """True iff lambda_min(a) >= -tol * ||a||, per matrix of a stack; via :func:`_dense`."""
+    """True iff lambda_min(a) >= -tol * ||a||_F, per matrix of a stack; via :func:`_dense`."""
     ok = _definite(_spectrum(_dense(a))[0], tol, semi=True)
     return bool(ok) if ok.ndim == 0 else ok
 
@@ -217,19 +204,27 @@ def mat_fn(a, f, domain=None):
     f : callable
         Vectorized scalar function applied to the eigenvalues.
     domain : {None, "pd", "psd"}
-        Spectrum requirement, met at relative tolerance ``DEFAULT_TOL`` by
-        every matrix of a stack.
-        ``"pd"`` demands strictly positive eigenvalues (log, inverse, negative
-        powers); ``"psd"`` allows a zero boundary and clips round-off negatives
-        (square root, nonnegative powers); ``None`` imposes nothing (exp).
+        Spectrum requirement, met by every matrix of a stack at relative tolerance
+        ``DEFAULT_TOL`` of its Frobenius norm, the rule of :func:`is_pd`.
+        ``"pd"`` demands ``lambda_min > DEFAULT_TOL ||a||_F`` (log, inverse, negative
+        powers); ``"psd"`` allows ``lambda_min >= -DEFAULT_TOL ||a||_F`` and clips those
+        round-off negatives (square root, nonnegative powers); ``None`` imposes nothing (exp).
 
     Returns
     -------
     ndarray, ``Q f(L) Q^T`` re-symmetrized, of the shape of ``a``.
     """
     w, q = _eigh(_dense(a))
+    if domain not in (None, "pd", "psd"):
+        raise ValueError(f"unknown domain {domain!r}")
     if domain is not None:
-        w = _require(w, domain)
+        if not np.isfinite(w).all():
+            raise InternalNumerics("eigenvalues past the largest double")
+        if not (ok := _definite(w, DEFAULT_TOL, semi=domain == "psd")).all():
+            kind = "definite" if domain == "pd" else "semidefinite"
+            lam_min = float(w[..., 0][~ok].min())
+            raise NotPositiveDefinite(f"matrix is not positive {kind} (lambda_min = {lam_min:.3e})")
+        w = np.clip(w, 0.0, None) if domain == "psd" else w
     return _from_spectrum(f(w), q)
 
 

@@ -28,6 +28,7 @@ from .completion import CompletionReport, _entry_bounds, _run, max_det_completio
 from .errors import DimensionMismatch, InternalNumerics, PgmError, TooManyMissing
 from .linalg import (
     DEFAULT_TOL,
+    _definite,
     _dense,
     _DeterminantFromLog,
     _eigh,
@@ -36,13 +37,11 @@ from .linalg import (
     _log_det,
     _pd_factor,
     _pd_stack,
-    _require,
     _require_pd,
     _require_tol,
     _whiten,
     fro_norm,
     invm,
-    is_pd,
     is_psd,
     log_det,
     op_norm,
@@ -100,15 +99,21 @@ def _warn_off_geodesic(t):
 
 def _geomean_core(l, b, t):
     """``A #_t B = L (L^-1 B L^-T)^t L^T``, ``A = L L^T``, for A and B PD-tested by the caller,
-    broadcast as in :func:`geomean`: one eigensolve.  An overflow raises InternalNumerics, and
-    so does an eigenvalue <= 0 of ``L^-1 B L^-T``: round-off at the PD boundary."""
-    m, ok, v = _geomean_cells(l, b, t)
+    broadcast as in :func:`geomean`: one eigensolve, its spectra checked by :func:`_positive`."""
+    m, _, v = _geomean_cells(l, b, t)
+    _positive(v)
+    return m
+
+
+def _positive(v):
+    """``v``, spectra of ``L^-1 B L^-T`` (``A = L L^T``) for A and B PD-tested by the caller, if
+    positive and finite (no PD margin), else InternalNumerics: an overflow, or round-off."""
     if not np.isfinite(v).all():
         raise InternalNumerics("eigenvalues past the largest double")
-    if not ok.all():
+    if not (v[..., 0] > 0).all():
         raise InternalNumerics("L^-1 B L^-T (A = L L^T) has an eigenvalue <= 0: round-off at "
-                               "the PD boundary, under a tol near 0")
-    return m
+                               "the PD boundary")
+    return v
 
 
 def _geomean_cells(l, b, t):
@@ -151,9 +156,8 @@ def _close(x, y, rtol):
 
 def _psd_geq(x, y, rtol):
     """x >= y up to an eigenvalue slack of rtol times the larger spectral norm."""
-    d = sym(x - y)
     scale = max(op_norm(x), op_norm(y))
-    return float(_eigh(d, vectors=False)[0]) >= -rtol * scale
+    return bool(_definite(_eigh(sym(x - y), vectors=False), rtol, semi=True, scale=scale))
 
 
 def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
@@ -186,6 +190,7 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
         9.  ``log det(A #_t B) = (1-t) log det A + t log det B``
         10. harmonic/arithmetic sandwich
     """
+    _require_tol(rtol)
     _warn_off_geodesic(t)
     _warn_off_geodesic(lam)
     # one proof: a mean whose first operand is an input takes that input's factor
@@ -401,7 +406,7 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
             l_a = _pd_factor(ops[0], tol)
             ok_a = ~np.isnan(l_a[..., 0, 0])
         if kx == 1 or r == 0:  # B holds x, or this is the first block
-            ok_b = is_pd(ops[1], tol)
+            ok_b = ~np.isnan(_pd_factor(ops[1], tol)[..., 0, 0])
         keep = ok_a & ok_b
         if keep.any():  # every factor of A meets every PD member of B: keep is their product
             m, ok, _ = _geomean_cells(l_a[ok_a][:, None], ops[1][ok_b], t)
@@ -474,9 +479,9 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     and Iannazzo (LAA 2013), ``theta = 2 / sum_i w_i (c_i + 1)/(c_i - 1) log c_i`` with
     ``c_i = cond(M_i)`` (2 at ``c_i = 1``); a unit step can diverge on spread inputs.
 
-    One stacked :func:`~pgm.linalg._pd_factor` proves the inputs PD; the start point's means take
-    :func:`_geomean_core` on the factors of that proof and their own means, testing nothing.
-    Returns a :class:`KarcherResult`; ``converged`` is False when the step budget ran out first.
+    One stacked :func:`~pgm.linalg._pd_factor` proves the inputs PD: the start point's means take
+    :func:`_geomean_core` on its factors and their own means, and each step's spectra meet only
+    :func:`_positive`, no PD margin.  ``converged`` is False if the step budget ran out first.
     """
     if not (isinstance(max_steps, (int, np.integer)) and max_steps >= 0):
         raise ValueError(f"max_steps must be an integer >= 0, got {max_steps!r}")
@@ -507,8 +512,7 @@ def _karcher(x, stack, w, tol):
     while True:
         l = _factor(x)
         lam, vec = _eigh(_whiten(l, stack))
-        lam = _require(lam, "pd")
-        grad = sym(np.tensordot(w, _from_spectrum(np.log(lam), vec), axes=1))
+        grad = sym(np.tensordot(w, _from_spectrum(np.log(_positive(lam)), vec), axes=1))
         gnorm = fro_norm(grad)
         yield gnorm <= tol, (x, gnorm)
         cond = lam[:, -1] / lam[:, 0]
@@ -626,13 +630,14 @@ class EntropyIdentities:
 
 def entropy_identities(sigma0, sigma1, t=0.5):
     """Both Gaussian entropy identities for a covariance pair, as ``_dense`` admits it: ``H0``
-    and ``H1`` off the factors of one ``linalg._require_pd`` each, the mean off ``sigma0``'s."""
+    and ``H1`` off the factors of one ``linalg._require_pd`` each, the mean off ``sigma0``'s,
+    and the mean's entropy off its ``linalg._factor``, as a matrix built here is not admitted."""
     sigma0, sigma1 = _dense(sigma0), _dense(sigma1)
     l0, l1 = _require_pd(sigma0, DEFAULT_TOL), _require_pd(sigma1, DEFAULT_TOL)
     h0, h1 = _entropy(l0), _entropy(l1)
     _warn_off_geodesic(t)
     _require_pair(sigma0, sigma1)
-    h_mean = gaussian_entropy(_geomean_core(l0, sigma1, t))
+    h_mean = _entropy(_factor(_geomean_core(l0, sigma1, t)))
     integral = 0.5 * _trace_integral(sigma0, sigma1)
     return EntropyIdentities(
         entropy_diff=h1 - h0,

@@ -59,6 +59,25 @@ def test_not_positive_definite_raised_only_in_linalg():
     assert modules == {"linalg"}
 
 
+def test_every_imported_name_is_used():
+    """Each name that a module of ``src/pgm`` imports is read in that module, as a name or the
+    base of an attribute, so a change that stops using a helper drops its import too.
+    ``__init__`` is exempt: its imports are the public surface that ``PUBLIC_NAMES`` pins."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) != "__future__":  # a compiler directive, no name
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{path.stem}: {name}" for name in names if name not in read]
+    assert unused == []
+
+
 def test_partial_pd_is_proved_in_partial_alone():
     """``_require_partial_pd`` and ``offending_cliques`` take the partial matrix and ``tol`` and
     read its array and clique sequence themselves: each call passes exactly two
@@ -229,7 +248,8 @@ def test_completion_solves_and_inverts_on_linalg_kernels():
         if module == "means" and callee in ("_whiten", "_factor"):
             means[callee].add(func)
     assert means == {"_whiten": {"_geomean_cells", "_karcher", "_trace_integral"},
-                     "_factor": {"partial_geomean_maxdet", "_karcher", "_trace_integral"}}
+                     "_factor": {"partial_geomean_maxdet", "_karcher", "_trace_integral",
+                                 "entropy_identities"}}
 
 
 #: The PD gates, each marked True if it still eigensolves: the sweep, for the eigenvalues it

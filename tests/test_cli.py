@@ -333,6 +333,16 @@ class TestCommands:
         assert "gradient norm" in out
         assert "converged: yes" in out
 
+    def test_karcher_skewed_weights_on_a_spread_pair(self, tmp_path, capsys):
+        # draw 6 of test_means' skewed-weight pairs: whitened by the heavy input's mean, the
+        # light input's spectrum spreads past the PD margin, yet both inputs are proved PD
+        rng = np.random.default_rng(1)
+        for _ in range(7):
+            pair = [rand_spd(rng, 4, spread=math.log(1e4)) for _ in range(2)]
+        files = [write(tmp_path, f"{k}.txt", format_matrix(m)) for k, m in enumerate(pair)]
+        assert main(["karcher", "--weights", "0.95,0.05", *files]) == 0
+        assert "steps: " in capsys.readouterr().out
+
     def test_karcher_weights_sum_overflow(self, tmp_path, capsys):
         # 1e308 + 1e308 overflows; normalized, the weights are one half each
         files = [write(tmp_path, "a.txt", EX1_A_TEXT), write(tmp_path, "b.txt", EX1_B_TEXT)]
@@ -554,6 +564,32 @@ class TestUnconvergedCompletionRefused:
         path = write(tmp_path, "ring.txt", format_partial(frustrated_ring(24)))
         assert main(["complete", path, "--max-cycles", "1"]) == 0
         assert capsys.readouterr().out.endswith("converged: no\n")
+
+    @staticmethod
+    def band_at_the_margin():
+        """Band-1, ``n = 30``, unit diagonal, ``1 - 3e-10`` at (1, 2) and 0.1 on every other band
+        entry: its completion has lambda_min 3.0e-10, over ``tol lambda_max`` = 2.0e-10 and under
+        ``tol ||X||_F`` = 5.7e-10, so only one PD rule gives it one verdict."""
+        n = 30
+        rows = [["1" if i == j else "0.1" if abs(i - j) == 1 else "?" for j in range(n)]
+                for i in range(n)]
+        rows[0][1] = rows[1][0] = "0.9999999997"
+        return f"n {n}\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+    def test_one_verdict_at_the_pd_margin(self, tmp_path, capsys):
+        path = write(tmp_path, "band.txt", self.band_at_the_margin())
+        x = pgm.max_det_completion(parse_partial(path)).matrix
+        w = np.linalg.eigvalsh(x)
+        assert DEFAULT_TOL * w[-1] < w[0] < DEFAULT_TOL * np.linalg.norm(x)
+        assert main(["complete", path]) == 0
+        assert capsys.readouterr().out.endswith("converged: no\n")
+        for argv in (["entropy", path], ["karcher", "--weights", "1", path],
+                     ["geomean", path, path]):
+            assert main(argv) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: max-det completion did not converge: residual")
+            assert "not positive definite" not in err
 
 
 class TestSweep:

@@ -161,6 +161,29 @@ class TestPdFactor:
             spectral = _definite(np.linalg.eigvalsh(draws), tol)
             assert proved.any() and not (proved & ~spectral).any()
 
+    @pytest.mark.parametrize("n", [3, 8, 40])
+    def test_one_verdict_with_the_spectral_rule(self, n):
+        # the draws above: the spectral rule tests lambda_min against tol ||w||_2 = tol ||A||_F,
+        # so off a relative 1e-6 band around that margin, where round-off may decide, a factor
+        # and a spectrum give each matrix one verdict, and both verdicts occur
+        rng = np.random.default_rng(5)
+        tol = 1e-10
+        for _ in range(3):
+            draws = _ratio_draws(rng, n, 1000, 1e-12, 1e-8)
+            w = np.linalg.eigvalsh(draws)
+            proved = ~np.isnan(_pd_factor(draws, tol)[:, 0, 0])
+            ratio = w[:, 0] / np.linalg.norm(draws, axis=(-2, -1)) / tol
+            off = np.abs(ratio - 1.0) > 1e-6
+            assert proved[off].any() and not proved[off].all()
+            np.testing.assert_array_equal(_definite(w, tol)[off], proved[off])
+
+    def test_spectral_scale_cannot_overflow(self):
+        # ||w||_2 = 3e308 is past the largest double, tol ||w||_2 is not: the spectrum is scaled
+        # by a power of two first, so log and inverse see the PD verdict of is_pd
+        a = 1.5e308 * np.eye(4)
+        assert is_pd(a) and _definite(np.full(4, 1.5e308), DEFAULT_TOL)
+        np.testing.assert_array_equal(mat_fn(a, np.log, "pd"), np.log(1.5e308) * np.eye(4))
+
 
 #: Powers of two scale a double exactly, so a scale-free rule gives ``2**k A`` the verdict of A.
 SCALES = [2.0**k for k in (-60, -30, 30, 60)]

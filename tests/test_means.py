@@ -189,6 +189,15 @@ class TestPropertySuite:
         assert report.determinant_identity is True
         assert report.all_hold, report
 
+    @pytest.mark.parametrize("rtol", [math.nan, -1.0, math.inf])
+    def test_rtol_passes_the_gate(self, rtol):
+        # a NaN or negative rtol once made every property false, an infinite one every one true
+        rng = np.random.default_rng(0)
+        a, b, c, d = (rand_spd(rng, 3) for _ in range(4))
+        message = f"^tol must be a finite number >= 0, got {rtol!r}$"
+        with pytest.raises(ValueError, match=message):
+            geomean_properties_check(a, b, c, d, t=0.5, lam=0.5, s=np.eye(3), rtol=rtol)
+
     def test_determinant_identity_on_completions(self):
         ahat = max_det_completion(ex1_partial_a()).matrix
         bhat = max_det_completion(ex1_partial_b()).matrix
@@ -600,6 +609,19 @@ class TestKarcherMean:
                            max_steps=np.int32(0))
         assert res.steps == 1
         np.testing.assert_allclose(res.matrix, 2.0 * np.eye(2))
+
+    def test_skewed_weights_on_spread_pairs_raise_nothing(self):
+        # eigenvalues log-uniform in [1e-4, 1e4], so L^-1 A_i L^-T spreads past 1e10 near the
+        # heavy input: a PD margin on those spectra refused 47 of these pairs that _pd_factor
+        # proves PD (draws 6, 17, 18, 19, ...), where the certificate alone decides
+        rng = np.random.default_rng(1)
+        outcomes = []
+        for _ in range(300):
+            pair = [rand_spd(rng, 4, spread=math.log(1e4)) for _ in range(2)]
+            res = karcher_mean((0.95, 0.05), pair)
+            assert res.converged == (res.gradient_norm <= 1e-9)
+            outcomes.append(res.converged)
+        assert 0 < sum(outcomes) < 300
 
     def test_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
