@@ -306,20 +306,17 @@ def cmd_check(args):
     pm = parse_partial(args.file)
     chord = is_chordal(pm.pattern)
     missing = (pm.n**2 - np.count_nonzero(pm.pattern._mask)) // 2
-    print(f"pattern: {pm.n} vertices, {missing} missing entries")
     if chord.chordal:
-        order = " ".join(str(v) for v in chord.elimination_order)
-        print(f"chordal: yes (elimination order: {order})")
+        witness = f"yes (elimination order: {' '.join(map(str, chord.elimination_order))})"
     else:
-        cycle = " ".join(str(v) for v in chord.chordless_cycle)
-        print(f"chordal: no (chordless cycle: {cycle})")
+        witness = f"no (chordless cycle: {' '.join(map(str, chord.chordless_cycle))})"
     bad = set(offending_cliques(pm, args.tol))
-    for clique in maximal_cliques(pm.pattern):
-        verdict = "not positive definite" if clique in bad else "positive definite"
-        print(f"clique {{{', '.join(str(v) for v in clique)}}}: {verdict}")
-    print(f"partial positive definite: {'no' if bad else 'yes'}")
+    cliques = [f"clique {{{', '.join(map(str, c))}}}: {'not ' * (c in bad)}positive definite\n"
+               for c in maximal_cliques(pm.pattern)]
     note = "" if chord.chordal else "; these values may still complete, run 'pgm complete'"
-    print(f"completable: {'yes' if chord.chordal else 'no'} (verdict on the pattern{note})")
+    print(f"pattern: {pm.n} vertices, {missing} missing entries\nchordal: {witness}\n"
+          f"{''.join(cliques)}partial positive definite: {'no' if bad else 'yes'}\n"
+          f"completable: {'yes' if chord.chordal else 'no'} (verdict on the pattern{note})")
     return 0
 
 

@@ -131,18 +131,6 @@ def _clique_blocks(a, cliques):
     return [(rows, a[i[:, :, None], i[:, None, :]]) for rows, i in zip(groups, idx)]
 
 
-def clique_extremes(a, cliques):
-    """``[lambda_min, lambda_max]`` of each clique block of the dense ``a`` (cliques
-    0-based) in units of ``2**e``, and ``e`` (``linalg._spectrum``), one stacked eigensolve
-    per clique size.  ``_definite`` gives a pair the verdict of its spectrum; ``-ext[:, ::-1]``
-    negates."""
-    ext, e = np.empty((len(cliques), 2)), np.empty(len(cliques), dtype=int)
-    for rows, blocks in _clique_blocks(a, cliques):
-        w, e[rows] = linalg._spectrum(blocks)
-        ext[rows] = w[:, [0, -1]]
-    return ext, e
-
-
 def is_partial_pd(pm, tol=DEFAULT_TOL):
     """True iff every maximal-clique principal submatrix is positive
     definite.  Checking maximal cliques suffices because cliques nest."""
@@ -210,18 +198,19 @@ def partial_order(a, b):
     semidefinite, each clique's eigenvalues at tolerance ``DEFAULT_TOL`` times the largest
     ``|entry|`` of that clique's blocks in ``a`` and ``b`` (so ``c a`` against ``c b``, ``c > 0``,
     gets the verdict of ``a`` against ``b``).  ``EQ`` requires the difference to be
-    identically zero; strict verdicts take precedence.
+    identically zero; strict verdicts take precedence.  Per clique size it takes one stacked
+    eigensolve of the difference's blocks and one stacked max of the scale's blocks.
     """
     diff = sub(a, b).to_dense()  # sub rejects another pattern and an overflow
     if not diff.any():
         return Comparison.EQ
     cliques = a.pattern._clique_sequence
-    ext, e = clique_extremes(diff, cliques)
     big = np.maximum(np.abs(a._a), np.abs(b._a))
-    scale = np.ldexp([big[np.ix_(c, c)].max() for c in cliques], -e)  # in ext's units 2**e
-    neg = -ext[:, ::-1]  # the pairs of -diff
-    for verdict, pairs, semi in ((Comparison.GT, ext, False), (Comparison.LT, neg, False),
-                                 (Comparison.GE, ext, True), (Comparison.LE, neg, True)):
-        if _definite(pairs, DEFAULT_TOL, semi, scale).all():
-            return verdict
-    return Comparison.INCOMPARABLE
+    holds = np.ones(4, dtype=bool)  # GT, LT, GE, LE: diff or -diff definite, then semidefinite
+    for (_, blocks), (_, bigs) in zip(_clique_blocks(diff, cliques), _clique_blocks(big, cliques)):
+        w, e = linalg._spectrum(blocks)
+        scale = np.ldexp(bigs.max(axis=(1, 2)), -e)  # in w's units 2**e
+        holds &= [_definite(spectra, DEFAULT_TOL, semi, scale).all()
+                  for semi in (False, True) for spectra in (w, -w[:, ::-1])]
+    verdicts = (Comparison.GT, Comparison.LT, Comparison.GE, Comparison.LE)
+    return next((v for v, h in zip(verdicts, holds) if h), Comparison.INCOMPARABLE)

@@ -50,6 +50,7 @@ from pgm import (
     project,
     scale,
     sub,
+    sym,
 )
 from pgm.means import _shrunk_axis
 from pgm.errors import AsymmetricPattern, MissingDiagonal, ParseError, PgmError
@@ -72,12 +73,39 @@ def stretched_spd(seed, n):
     return a, a + 1e9 * np.outer(q, q)
 
 
+def spread_pairs():
+    """ROADMAP item 21's recipe over its full condition range, up to 1e8: the 47 pairs of
+    two ``Q diag(w) Q^T``, ``w = exp(uniform(0, log 1e8, n))``, ``n`` in [2, 8]."""
+    pairs = []
+    for seed in [*range(0, 295, 7), 280, 225, 242, 122]:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        pair = []
+        for _ in range(2):  # each Q is drawn before its w
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            pair.append(sym((q * np.exp(rng.uniform(0.0, math.log(1e8), n))) @ q.T))
+        pairs.append(pair)
+    return pairs
+
+
 def mp_log_det(m):
     """The log-determinant of the double matrix ``m`` in 50-digit ``mpmath``."""
     import mpmath
 
     with mpmath.workdps(50):
         return float(mpmath.log(mpmath.det(mpmath.matrix(m.tolist()))))
+
+
+def mp_riemannian_dist(a, b):
+    """``riemannian_dist`` of the double matrices ``a`` and ``b`` in 60-digit ``mpmath``: the
+    Cholesky factor ``L`` of ``a``, the spectrum of ``L^-1 b L^-T``, and the root of its sum of
+    squared logarithms."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        li = mpmath.inverse(mpmath.cholesky(mpmath.matrix(a.tolist())))
+        w = mpmath.eigsy(li * mpmath.matrix(b.tolist()) * li.T, eigvals_only=True)
+        return float(mpmath.sqrt(mpmath.fsum(mpmath.log(x) ** 2 for x in w)))
 
 
 def rand_invertible(rng, n):

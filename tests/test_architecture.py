@@ -81,8 +81,9 @@ def test_every_imported_name_is_used():
 def test_partial_pd_is_proved_in_partial_alone():
     """``_require_partial_pd`` and ``offending_cliques`` take the partial matrix and ``tol`` and
     read its array and clique sequence themselves: each call passes exactly two
-    arguments, ``clique_extremes`` is called only in ``partial``, and ``means`` never
-    names ``_clique_sequence``."""
+    arguments, and ``means`` never names ``_clique_sequence``.  ``partial_order`` gathers its
+    clique blocks through ``_clique_blocks`` alone, one stack per clique size, and calls no
+    ``np.ix_``."""
     calls = defaultdict(list)
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -101,7 +102,9 @@ def test_partial_pd_is_proved_in_partial_alone():
             or any(isinstance(a, ast.Starred) for a in node.args)
         ]
         assert calls[helper] and bad == []
-    assert {module for module, _ in calls["clique_extremes"]} == {"partial"}
+    in_order = {callee.rsplit(".", 1)[-1] for module, func, callee in _calls_and_raises()[0]
+                if (module, func) == ("partial", "partial_order")}
+    assert "_clique_blocks" in in_order and "ix_" not in in_order
 
 
 def test_public_eigensolves_admit_their_argument_through_the_dense_door():
@@ -264,7 +267,7 @@ def test_pd_gates_take_no_spectral_verdict():
     ``_require``, and, unless marked, no eigensolver."""
     functions = _functions()
     proofs, verdicts = {"_pd_factor", "_require_pd"}, {"_definite", "_require"}
-    spectra = {"_eigh", "_spectrum", "eigh", "eigvalsh", "clique_extremes"}
+    spectra = {"_eigh", "_spectrum", "eigh", "eigvalsh"}
     found = []
     for name, eigensolves in PD_GATES.items():
         called = {ast.unparse(node.func).rsplit(".", 1)[-1]

@@ -51,6 +51,7 @@ from conftest import (
     rand_invertible,
     rand_spd,
     reference_trace_quadrature,
+    spread_pairs,
     stretched_spd,
 )
 
@@ -610,18 +611,28 @@ class TestKarcherMean:
         assert res.steps == 1
         np.testing.assert_allclose(res.matrix, 2.0 * np.eye(2))
 
-    def test_skewed_weights_on_spread_pairs_raise_nothing(self):
+    @pytest.fixture(scope="class")
+    def skewed_spread_results(self):
+        """``karcher_mean`` with weights (0.95, 0.05) on 300 pairs ``rand_spd(default_rng(1),
+        4, spread=log 1e4)``, run once for the tests that read them."""
+        rng = np.random.default_rng(1)
+        pairs = [[rand_spd(rng, 4, spread=math.log(1e4)) for _ in range(2)] for _ in range(300)]
+        return [karcher_mean((0.95, 0.05), pair) for pair in pairs]
+
+    def test_skewed_weights_on_spread_pairs_raise_nothing(self, skewed_spread_results):
         # eigenvalues log-uniform in [1e-4, 1e4], so L^-1 A_i L^-T spreads past 1e10 near the
         # heavy input: a PD margin on those spectra refused 47 of these pairs that _pd_factor
         # proves PD (draws 6, 17, 18, 19, ...), where the certificate alone decides
-        rng = np.random.default_rng(1)
-        outcomes = []
-        for _ in range(300):
-            pair = [rand_spd(rng, 4, spread=math.log(1e4)) for _ in range(2)]
-            res = karcher_mean((0.95, 0.05), pair)
+        for res in skewed_spread_results:
             assert res.converged == (res.gradient_norm <= 1e-9)
-            outcomes.append(res.converged)
-        assert 0 < sum(outcomes) < 300
+        assert sum(res.converged for res in skewed_spread_results) > 0
+
+    @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND on means.karcher_mean: the whitened "
+                       "L^-1 A_i L^-T square the conditioning, and 36 of these pairs stall for "
+                       "200 steps; ROADMAP item 26 mends it and removes this marker")
+    def test_skewed_weights_on_spread_pairs_converge(self, skewed_spread_results):
+        # convergence only: the closed form A #_0.05 B carries item 21's error on these pairs
+        assert all(res.converged for res in skewed_spread_results)
 
     def test_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
@@ -661,14 +672,8 @@ class TestAgmIteration:
                        "L^-1 B L^-T squares the conditioning (seed 280 misses by 5.6e-4); "
                        "ROADMAP item 21 mends it and removes this marker")
     def test_geomean_matches_agm_on_spread_pairs(self):
-        # ROADMAP item 21's recipe over its full condition range, up to 1e8: 47 draws of
-        # two Q diag(w) Q^T, w = exp(uniform(0, log 1e8, n)), n in [2, 8]
         gaps = []
-        for seed in [*range(0, 295, 7), 280, 225, 242, 122]:
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(2, 9))
-            a, b = (sym((q * np.exp(rng.uniform(0.0, math.log(1e8), n))) @ q.T)
-                    for q in (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2)))
+        for a, b in spread_pairs():
             res = agm_iteration(a, b)
             assert res.converged
             gaps.append(fro_norm(geomean(a, b) - res.matrix) / fro_norm(res.matrix))
