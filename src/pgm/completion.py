@@ -46,7 +46,7 @@ from .errors import (
     OutOfRange,
 )
 from .linalg import (DEFAULT_TOL, _cholesky, _definite, _dense, _DeterminantFromLog, _eigh, _inv,
-                     _kernels, _log_det, _pd_factor, _require_tol, _solve, sym)
+                     _kernels, _log_det, _pd_factor, _pd_test, _require_tol, _solve, sym)
 from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
@@ -209,7 +209,7 @@ def _ips(m, steps, a, spec, tol, newton):
 def _refute(k, a, name):
     """:class:`NotCompletable` if ``k`` is positive definite and ``sum_E K_ij A_ij <= 0``."""
     trace_ka = float(np.sum(k * a))
-    if trace_ka <= 0.0 and not np.isnan(_pd_factor(k, DEFAULT_TOL)[0, 0]):
+    if trace_ka <= 0.0 and _pd_test(k, DEFAULT_TOL):
         raise NotCompletable(f"no positive definite completion exists: {name} is positive definite"
                              f" and supported on the pattern, yet sum_E K_ij A_ij = {trace_ka:.3g}"
                              " <= 0, while tr(K X) > 0 for every positive definite X")

@@ -92,7 +92,7 @@ def _require_tol(tol):
 def _definite(w, tol, semi=False, scale=None):
     """The PD (or, if ``semi``, PSD) test per ascending spectrum in ``w``: ``lambda_min`` against
     ``tol`` (:func:`_require_tol`) times ``scale``, by default ``||w||_2 = ||A||_F``, the rule of
-    :func:`_pd_factor`, on ``w`` scaled into [-1, 1] by a power of two, where no norm overflows."""
+    :func:`_pd_test`, on ``w`` scaled into [-1, 1] by a power of two, where no norm overflows."""
     _require_tol(tol)
     if scale is None:
         w = np.ldexp(w, -np.frexp(np.abs(w).max(axis=-1, keepdims=True))[1])
@@ -122,15 +122,20 @@ def _from_spectrum(w, q):
 
 def _pd_factor(a, tol):
     """The lower Cholesky factor of each matrix of the finite symmetric stack ``a`` that is PD
-    at ``tol`` (:func:`_require_tol`), NaN for each other: PD means that the Cholesky of ``a -
-    tol ||a||_F I`` succeeds, on ``a`` scaled by the power of two at its largest entry, so ``c a``
-    gets the verdict of ``a``.  A Cholesky sees no ``lambda_max``, so the spectral tests take this
-    rule too: :func:`_definite` tests ``lambda_min > tol ||w||_2``, and ``||w||_2 = ||a||_F``."""
+    at ``tol`` by :func:`_pd_test`, NaN for each other: a verdict-only caller takes the test."""
+    return np.where(_pd_test(a, tol)[..., None, None], _cholesky(a), np.nan)
+
+
+def _pd_test(a, tol):
+    """True per matrix of the finite symmetric stack ``a`` that is PD at ``tol`` (see
+    :func:`_require_tol`): the Cholesky of ``a - tol ||a||_F I`` succeeds, on ``a`` scaled by the
+    power of two at its largest entry, so ``c a`` gets the verdict of ``a``.  A Cholesky sees no
+    ``lambda_max``, so :func:`_definite` tests ``lambda_min > tol ||w||_2 = tol ||a||_F``."""
     _require_tol(tol)
     s = np.ldexp(a, -np.frexp(np.abs(a).max(axis=(-2, -1)))[1][..., None, None])
     d = np.arange(a.shape[-1])
     s[..., d, d] -= tol * np.sqrt((s * s).sum(axis=(-2, -1)))[..., None]
-    return np.where(np.isnan(_cholesky(s)[..., :1, :1]), np.nan, _cholesky(a))
+    return ~np.isnan(_cholesky(s)[..., 0, 0])
 
 
 def _cholesky(a):
@@ -184,8 +189,8 @@ def _require_pd(a, tol):
 
 
 def is_pd(a, tol=DEFAULT_TOL):
-    """True iff ``a`` is PD at ``tol`` by :func:`_pd_factor`, per matrix of a stack; via _dense."""
-    ok = ~np.isnan(_pd_factor(_dense(a), tol)[..., 0, 0])
+    """True iff ``a`` is PD at ``tol`` by :func:`_pd_test`, per matrix of a stack; via _dense."""
+    ok = _pd_test(_dense(a), tol)
     return bool(ok) if ok.ndim == 0 else ok
 
 

@@ -36,6 +36,7 @@ from .linalg import (
     _from_spectrum,
     _log_det,
     _pd_factor,
+    _pd_test,
     _pd_stack,
     _require_pd,
     _require_tol,
@@ -365,10 +366,10 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     Either each input carries one missing entry (x sweeps the first, y the second), or one
     input carries both and the other is complete.  A, then B, is proved partial PD once at
     ``tol``; the box is the :func:`~pgm.completion.partial_entry_bounds` of each entry, not
-    proved again.  The grid runs in blocks of x-rows (``_SWEEP_BLOCK``).  Each distinct filled
-    matrix is proved PD once at ``tol`` by :func:`~pgm.linalg._pd_factor`, whose factors of A
-    meet B's PD members (``(rows, 1)`` against ``(1, grid)`` with one entry per input): a block
-    is one :func:`_geomean_cells` and one eigvalsh, two eigensolves per cell.
+    proved again.  The grid runs in blocks of x-rows (``_SWEEP_BLOCK``).  The congruence base is
+    the input with no y (B if A holds both entries: ``B #_{1-t} A``), factored by ``_pd_factor``
+    once per block if it holds x, else once; the other's members get ``_pd_test`` verdicts only.
+    A block is one :func:`_geomean_cells` on the base's factors and one eigvalsh per PD cell.
     """
     if not isinstance(grid, (int, np.integer)):
         raise ValueError(f"grid must be an integer, got {grid!r}")
@@ -398,18 +399,19 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     table[..., 0] = xs[:, None]
     table[..., 1] = ys
     rows = max(1, _SWEEP_BLOCK // (grid * pa.n**2))
+    base, t = (0, t) if ky else (1, 1 - t)  # the base holds no y; A #_t B = B #_{1-t} A
     for r in range(0, grid, rows):
         x = xs[r : r + rows, None]
         ops[kx] = np.repeat(ops[kx][:1], len(x), axis=0)  # this block's fills of the x input
         ops[kx][..., i - 1, j - 1] = ops[kx][..., j - 1, i - 1] = x
-        if kx == 0 or r == 0:  # A holds x, or this is the first block
-            l_a = _pd_factor(ops[0], tol)
-            ok_a = ~np.isnan(l_a[..., 0, 0])
-        if kx == 1 or r == 0:  # B holds x, or this is the first block
-            ok_b = ~np.isnan(_pd_factor(ops[1], tol)[..., 0, 0])
-        keep = ok_a & ok_b
-        if keep.any():  # every factor of A meets every PD member of B: keep is their product
-            m, ok, _ = _geomean_cells(l_a[ok_a][:, None], ops[1][ok_b], t)
+        if kx == base or r == 0:  # the base holds x, or this is the first block
+            l = _pd_factor(ops[base], tol)
+            ok_base = ~np.isnan(l[..., 0, 0])
+        if kx == ky or r == 0:  # the other input holds x, or this is the first block
+            ok_other = _pd_test(ops[ky], tol)
+        keep = ok_base & ok_other
+        if keep.any():  # every factor of the base meets every PD member of the other input
+            m, ok, _ = _geomean_cells(l[ok_base][:, None], ops[ky][ok_other], t)
             keep[keep] = ok.ravel()
             table[r : r + rows][keep, 3:] = _eigh(m[ok], vectors=False)[:, ::-1]
     table[..., 2] = table[..., 3:].prod(axis=-1)

@@ -140,10 +140,10 @@ def is_partial_pd(pm, tol=DEFAULT_TOL):
 def offending_cliques(pm, tol=DEFAULT_TOL):
     """Maximal cliques whose principal submatrix fails to be positive definite (diagnostic
     companion to :func:`is_partial_pd`), in the order of :func:`maximal_cliques`: the blocks
-    that ``linalg._pd_factor`` refuses, one stacked factorization per clique size."""
+    that ``linalg._pd_test`` refuses, one stacked Cholesky per clique size."""
     cliques = pm.pattern._clique_sequence
     refused = [r for rows, blocks in _clique_blocks(pm._a, cliques)
-               for r in rows[np.isnan(linalg._pd_factor(blocks, tol)[:, 0, 0])]]
+               for r in rows[~linalg._pd_test(blocks, tol)]]
     return sorted(tuple(v + 1 for v in cliques[r]) for r in refused)
 
 

@@ -108,6 +108,23 @@ def mp_riemannian_dist(a, b):
         return float(mpmath.sqrt(mpmath.fsum(mpmath.log(x) ** 2 for x in w)))
 
 
+def mp_midpoint_eigenvalues(a, b):
+    """Descending eigenvalues of ``A # B = A^1/2 (A^-1/2 B A^-1/2)^1/2 A^1/2`` of the double
+    matrices ``a`` and ``b`` in 60-digit ``mpmath``, each root through ``eigsy``."""
+    import mpmath
+
+    def root(m, f):
+        w, q = mpmath.eigsy(m)
+        return q * mpmath.diag([f(x) for x in w]) * q.T
+
+    with mpmath.workdps(60):
+        ma = mpmath.matrix(a.tolist())
+        half, inv_half = root(ma, mpmath.sqrt), root(ma, lambda x: 1 / mpmath.sqrt(x))
+        inner = root(inv_half * mpmath.matrix(b.tolist()) * inv_half, mpmath.sqrt)
+        w = mpmath.eigsy(half * inner * half, eigvals_only=True)
+        return np.array(sorted((float(x) for x in w), reverse=True))
+
+
 def rand_invertible(rng, n):
     while True:
         s = rng.standard_normal((n, n))
@@ -593,7 +610,8 @@ def reference_sweep_rows(pa, pb, grid, t, tol):
     """The sweep table computed cell by cell: fill the missing entries,
     test both matrices with ``is_pd`` (NaN row if either fails), then
     ``geomean`` and ``eigvalsh`` on the one pair; ``det`` is the product of
-    the descending eigenvalues, in that order."""
+    the descending eigenvalues, in that order.  When A carries both entries
+    the mean is taken as ``geomean(B, A, 1 - t)``, the same ``A #_t B``."""
     pms = (pa, pb)
     slots = [(k, pos) for k, pm in enumerate(pms) for pos in missing_positions(pm.pattern)]
     (kx, pos_x), (ky, pos_y) = slots
@@ -608,7 +626,7 @@ def reference_sweep_rows(pa, pb, grid, t, tol):
             if not (is_pd(pair[0], tol) and is_pd(pair[1], tol)):
                 rows.append((float(x), float(y)) + (math.nan,) * (pa.n + 1))
                 continue
-            m = geomean(pair[0], pair[1], t, tol)
+            m = geomean(pair[1], pair[0], 1 - t, tol) if ky == 0 else geomean(*pair, t, tol)
             eigs = np.linalg.eigvalsh(m)[::-1]
             rows.append((float(x), float(y), float(eigs.prod())) + tuple(float(e) for e in eigs))
     return rows

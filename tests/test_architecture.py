@@ -109,7 +109,7 @@ def test_partial_pd_is_proved_in_partial_alone():
 
 def test_public_eigensolves_admit_their_argument_through_the_dense_door():
     """In ``linalg`` and ``means``, a public function that calls ``_eigh`` or ``_spectrum``,
-    or proves PD by ``_pd_factor`` or ``_require_pd``, also calls ``_dense``, or
+    or proves PD by ``_pd_test``, ``_pd_factor`` or ``_require_pd``, also calls ``_dense``, or
     ``_pd_stack``, which admits each member through it.  One that calls a private function of
     its own module that does counts too, and the door is then in it or in that private
     function: so ``geomean`` counts, through ``_geomean``."""
@@ -118,7 +118,8 @@ def test_public_eigensolves_admit_their_argument_through_the_dense_door():
     for module, func, callee in calls:
         if module in ("linalg", "means") and func:
             callees[module, func].add(callee)
-    solves, door = {"_eigh", "_spectrum", "_pd_factor", "_require_pd"}, {"_dense", "_pd_stack"}
+    solves = {"_eigh", "_spectrum", "_pd_test", "_pd_factor", "_require_pd"}
+    door = {"_dense", "_pd_stack"}
     eigensolving, bare = set(), []
     for (module, func), called in callees.items():
         if func.startswith("_"):
@@ -202,15 +203,17 @@ def test_congruences_take_a_cholesky_factor():
     operand: ``means`` calls no ``np.sqrt``.  A factor comes from the PD proof
     (``linalg._pd_factor``) or, for a matrix the code builds, from ``linalg._factor``, and the
     congruence from ``linalg._whiten``: ``src/pgm`` calls no ``np.linalg.cholesky``, ``solve``
-    or ``inv``, ``linalg._cholesky`` is called only in ``linalg`` and ``completion._newton``,
-    and ``means`` calls no ``_inv``."""
+    or ``inv``, ``linalg._cholesky`` is called only in ``linalg`` (the verdict ``_pd_test``, and
+    the factors of ``_pd_factor`` and ``_factor``) and ``completion._newton``, and ``means``
+    calls no ``_inv``."""
     calls, _ = _calls_and_raises()
     assert [func for module, func, callee in calls
             if module == "means" and callee in ("np.sqrt", "math.sqrt")] == []
     public = ("np.linalg.cholesky", "np.linalg.solve", "np.linalg.inv")
     assert [(module, func) for module, func, callee in calls if callee in public] == []
     sites = {(module, func) for module, func, callee in calls if callee == "_cholesky"}
-    assert sites == {("linalg", "_pd_factor"), ("linalg", "_factor"), ("completion", "_newton")}
+    assert sites == {("linalg", "_pd_test"), ("linalg", "_pd_factor"), ("linalg", "_factor"),
+                     ("completion", "_newton")}
     assert [func for module, func, callee in calls if module == "means" and callee == "_inv"] == []
 
 
@@ -263,10 +266,10 @@ PD_GATES = {"means._geomean": False, "linalg._pd_stack": False, "linalg.is_pd": 
 
 
 def test_pd_gates_take_no_spectral_verdict():
-    """Each of ``PD_GATES`` calls ``_pd_factor`` or ``_require_pd``, no ``_definite`` or
-    ``_require``, and, unless marked, no eigensolver."""
+    """Each of ``PD_GATES`` calls ``_pd_test``, ``_pd_factor`` or ``_require_pd``, no
+    ``_definite`` or ``_require``, and, unless marked, no eigensolver."""
     functions = _functions()
-    proofs, verdicts = {"_pd_factor", "_require_pd"}, {"_definite", "_require"}
+    proofs, verdicts = {"_pd_test", "_pd_factor", "_require_pd"}, {"_definite", "_require"}
     spectra = {"_eigh", "_spectrum", "eigh", "eigvalsh"}
     found = []
     for name, eigensolves in PD_GATES.items():

@@ -46,6 +46,7 @@ from conftest import (
     ex1_partial_b,
     frustrated_four_cycle,
     frustrated_ring,
+    mp_midpoint_eigenvalues,
     rand_chordal_pattern,
     rand_partial_pd,
     rand_spd,
@@ -432,6 +433,23 @@ SWEEP_PAIRS = {
 }
 
 
+def both_entries_pair(seed, n):
+    """A random partial PD ``n x n`` missing two entries drawn at random, and a complete PD."""
+    rng = np.random.default_rng(seed)
+    upper = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    holes = {upper[k] for k in rng.choice(len(upper), 2, replace=False)}
+    swept = project(rand_spd(rng, n), Pattern.from_pairs(n, [p for p in upper if p not in holes]))
+    return swept, project(rand_spd(rng, n), Pattern.complete(n))
+
+
+#: Pairs whose first input carries both missing entries.
+BOTH_ENTRIES_IN_A = {
+    "region": sweep_region_pair,
+    **{f"rand{n}-{seed}": functools.partial(both_entries_pair, seed, n)
+       for n in (3, 4) for seed in (1, 2)},
+}
+
+
 def path_file(tmp_path, name, diagonal):
     """``diag(diagonal)`` on a path pattern, written in the text format."""
     n = len(diagonal)
@@ -810,15 +828,11 @@ class TestSweep:
         if grid == 31:
             assert ("nan" in text) == case.startswith("region")
 
-    @pytest.mark.parametrize(
-        "case, per_cell",
-        [pytest.param(case, k, id=case) for case, k in (("ex1", 2), ("region", 3), ("region_swapped", 3))],
-    )
-    def test_eigensolve_work(self, monkeypatch, case, per_cell):
-        # matrices decomposed per cell: the inner power of the mean and the
-        # output spectrum, plus the one check of A when A holds both x and y
-        # or of B when B does; a few more per row.  The per-cell reference,
-        # which checks both inputs and geomean checks them again, needs 6
+    @pytest.mark.parametrize("case", ["ex1", "region", "region_swapped"])
+    def test_eigensolve_work(self, monkeypatch, case):
+        # matrices eigensolved per cell: the inner power of the mean and the output spectrum,
+        # whichever input holds the entries, plus a few per row (the entry bounds).  The PD
+        # checks are Cholesky verdicts and factors, no eigensolve
         seen = []
         real = linalg._eigh
 
@@ -831,7 +845,64 @@ class TestSweep:
         monkeypatch.setattr(means, "_eigh", counting)
         grid = 31
         partial_geomean_sweep(*SWEEP_PAIRS[case](), grid, 0.5, DEFAULT_TOL)
-        assert sum(seen) <= per_cell * grid**2 + 4 * grid
+        assert sum(seen) <= 2 * grid**2 + 4 * grid
+
+    @pytest.mark.parametrize("rows", [1, 7, 31])
+    def test_both_entries_in_a_factor_only_b(self, monkeypatch, rows):
+        # with both entries in A the congruence base is the complete B: Cholesky factors B once
+        # and no filled A(x, y), whose members get a verdict of the scaled, shifted matrix
+        # only, and the sweep inverts at most one factor per block
+        pa, pb = sweep_region_pair()
+        grid, a, b = 31, pa.to_dense(), pb.to_dense()
+        factored, inverted = [], []
+        real_cholesky, real_inv = linalg._cholesky, linalg._inv
+
+        def cholesky(m):
+            factored.extend(np.reshape(m, (-1, *m.shape[-2:])))
+            return real_cholesky(m)
+
+        def inv(m):
+            inverted.append(m.size // m.shape[-1] ** 2)
+            return real_inv(m)
+
+        monkeypatch.setattr(means, "_SWEEP_BLOCK", rows * grid * 3**2)
+        monkeypatch.setattr(linalg, "_cholesky", cholesky)
+        monkeypatch.setattr(linalg, "_inv", inv)
+        partial_geomean_sweep(pa, pb, grid, 0.5, DEFAULT_TOL)
+        cells = [m for m in factored if m.shape == (3, 3)]
+        assert not any(np.array_equal(m[:2, :2], a[:2, :2]) for m in cells)
+        assert sum(np.array_equal(m, b) for m in cells) == 1
+        assert 0 < sum(inverted) <= -(-grid // rows)
+
+    @pytest.mark.parametrize("t", [0.25, 0.5])
+    @pytest.mark.parametrize("case", sorted(BOTH_ENTRIES_IN_A))
+    def test_reversal_bit_for_bit(self, case, t):
+        # A #_t B = B #_{1-t} A: with both entries in one input, the sweep of (A, B) at t is the
+        # sweep of (B, A) at 1 - t, bit for bit, NaN cells included
+        pa, pb = BOTH_ENTRIES_IN_A[case]()
+        forward = partial_geomean_sweep(pa, pb, 31, t, DEFAULT_TOL)
+        reversed_ = partial_geomean_sweep(pb, pa, 31, 1 - t, DEFAULT_TOL)
+        assert np.isfinite(forward[:, 2]).any()
+        assert forward.tobytes() == reversed_.tobytes()
+
+    @pytest.mark.parametrize("case", ["region", "rand3-4"])
+    def test_both_entries_in_a_match_a_60_digit_reference(self, case):
+        # the cells of A(x, y) # B against the 60-digit eigenvalues of A^1/2 (A^-1/2 B
+        # A^-1/2)^1/2 A^1/2: the 30 PD cells of the smallest printed eigenvalue, nearest the PD
+        # boundary, and 30 drawn at random, each eigenvalue to 1e-9 of itself
+        pa, pb = sweep_region_pair() if case == "region" else both_entries_pair(4, 3)
+        table = partial_geomean_sweep(pa, pb, 101, 0.5, DEFAULT_TOL)
+        pd = np.flatnonzero(np.isfinite(table[:, 2]))
+        drawn = np.random.default_rng(0).choice(pd, 30, replace=False)
+        (i, j), (p, q) = missing_positions(pa.pattern)
+        worst = 0.0
+        for cell in np.concatenate([pd[np.argsort(table[pd, -1])[:30]], drawn]):
+            a = pa.to_dense()
+            a[i - 1, j - 1] = a[j - 1, i - 1] = table[cell, 0]
+            a[p - 1, q - 1] = a[q - 1, p - 1] = table[cell, 1]
+            want = mp_midpoint_eigenvalues(a, pb.to_dense())
+            worst = max(worst, float(np.max(np.abs(table[cell, 3:] - want) / want)))
+        assert worst <= 1e-9
 
     @pytest.mark.parametrize("case", sorted(SWEEP_PAIRS))
     def test_each_input_proved_partial_pd_once(self, monkeypatch, case):
@@ -1058,7 +1129,7 @@ class TestCheckWork:
         path = write(tmp_path, "w.txt", format_partial(PartialMatrix(pattern=g, values=values)))
         sizes = {len(c) for c in maximal_cliques(g)}
         calls = {"mcs": 0, "eigh": 0, "factor": 0}
-        real_mcs, real_eigh, real_factor = pattern._mcs_visit, linalg._eigh, linalg._pd_factor
+        real_mcs, real_eigh, real_factor = pattern._mcs_visit, linalg._eigh, linalg._pd_test
 
         def mcs(*args):
             calls["mcs"] += 1
@@ -1074,7 +1145,7 @@ class TestCheckWork:
 
         monkeypatch.setattr(pattern, "_mcs_visit", mcs)
         monkeypatch.setattr(linalg, "_eigh", eigh)
-        monkeypatch.setattr(linalg, "_pd_factor", factor)
+        monkeypatch.setattr(linalg, "_pd_test", factor)
         assert main(["check", path]) == 0
         out = capsys.readouterr().out
         assert "partial positive definite: yes" in out

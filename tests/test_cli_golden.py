@@ -113,6 +113,13 @@ def test_matches_snapshot(command, name, argv, out_name, tmp_path, monkeypatch):
         assert record[key] == snapshot[key], key
 
 
+def test_sweep_with_both_entries_in_a_is_its_reversal():
+    # A #_t B = B #_{1-t} A, and the sweep of a pair with both entries in A takes the mean
+    # from B's factor: at t = 0.5 both orders write the same bytes
+    sweep = _load("sweep")
+    assert sweep["square3_ab+full3_b"]["out"] == sweep["full3_b+square3_ab"]["out"]
+
+
 def test_every_snapshot_has_a_case():
     for command, table in cases().items():
         assert sorted(_load(command)) == sorted(table)
