@@ -3,6 +3,7 @@
 Eigendecompositions, spectral matrix functions (``mat_fn`` of any scalar function, powers,
 inverse), PD proofs by Cholesky, log-determinants off those factors (results derive their
 determinant from it, in one base class) and norms, plus the Riemannian trace metric on the PD cone.
+The metric alone uses ``scipy.linalg``, registered as a lazy module: its first call runs it.
 
 All functions take and return plain ``numpy`` arrays.  Each one that runs a symmetric eigensolve
 on its argument admits it through :func:`_dense`.  Every Cholesky, solve and inverse of ``pgm``
@@ -14,12 +15,20 @@ re-symmetrized so that downstream symmetry checks can be exact.  Spectral functi
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import DimensionMismatch, InternalNumerics, NotPositiveDefinite
 
 _lapack = np.linalg._umath_linalg
+if "scipy.linalg" not in sys.modules:  # a lazy module: its code runs on its first attribute read
+    _spec = importlib.util.find_spec("scipy.linalg")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules["scipy.linalg"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules["scipy.linalg"])
 
 #: Default relative tolerance of every PD, PSD and symmetry test: a matrix counts as PD when
 #: lambda_min > DEFAULT_TOL * ||A||_F, with no absolute unit, so ``c A`` gets the verdict of ``A``.
@@ -281,9 +290,9 @@ def op_norm(a):
 def riemannian_dist(a, b):
     """Riemannian trace metric between positive definite matrices.
 
-    delta(A, B) = || log(A^{-1/2} B A^{-1/2}) ||_F, evaluated through the
-    generalized symmetric eigenproblem ``B x = lambda A x`` whose
-    eigenvalues equal those of A^{-1/2} B A^{-1/2}.
+    delta(A, B) = || log(A^{-1/2} B A^{-1/2}) ||_F, evaluated through the generalized symmetric
+    eigenproblem ``B x = lambda A x``, whose eigenvalues equal those of A^{-1/2} B A^{-1/2}, on
+    ``scipy.linalg.eigh``: the first call loads ``scipy.linalg``, which ``import pgm`` leaves out.
     """
     (ma, mb), _ = _pd_stack((a, b))
     w = scipy.linalg.eigh(mb, ma, eigvals_only=True)

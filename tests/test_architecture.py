@@ -53,6 +53,26 @@ def test_symmetric_eigensolvers_called_only_in_eigh():
     }
 
 
+def test_scipy_imported_only_by_linalg_and_called_only_by_riemannian_dist():
+    """Only ``linalg`` imports ``scipy`` (it registers ``scipy.linalg`` lazily), and only
+    ``riemannian_dist`` calls it, so no other path runs scipy's code."""
+    importers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "scipy" for module in modules):
+                importers.add(path.stem)
+    calls, _ = _calls_and_raises()
+    callers = {(module, func) for module, func, callee in calls if "scipy" in callee.split(".")}
+    assert importers == {"linalg"}
+    assert callers == {("linalg", "riemannian_dist")}
+
+
 def test_not_positive_definite_raised_only_in_linalg():
     _, raises = _calls_and_raises()
     modules = {module for module, exc in raises if exc.endswith("NotPositiveDefinite")}

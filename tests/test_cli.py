@@ -1153,10 +1153,78 @@ class TestCheckWork:
         assert (calls["eigh"], calls["factor"]) == (0, len(sizes))
 
 
-def test_import_leaves_scipy_integrate_out():
-    code = "import sys, pgm.cli; print('scipy.integrate' in sys.modules)"
+def _fresh_process(code, cwd=None):
+    """The stdout lines of ``code`` run in a new interpreter that imports ``pgm`` from ``src``."""
     env = {**os.environ, "PYTHONPATH": str(Path(pgm.__file__).resolve().parents[1])}
     run = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True, check=True
     )
-    assert run.stdout.strip() == "False"
+    return run.stdout.splitlines()
+
+
+def test_import_leaves_scipy_integrate_out():
+    assert _fresh_process("import sys, pgm.cli; print('scipy.integrate' in sys.modules)") == [
+        "False"
+    ]
+
+
+def test_import_defers_scipy_linalg_to_the_first_distance():
+    """``import pgm.cli`` registers ``scipy.linalg`` without running it, and so without the
+    modules it pulls in; the first ``riemannian_dist`` runs it and gives the eager value."""
+    code = """
+import sys
+import numpy as np
+import pgm.cli
+heavy = ("scipy.linalg._decomp", "scipy._lib._array_api", "numpy.testing")
+print([name for name in heavy if name in sys.modules])
+print(repr(pgm.riemannian_dist(np.diag([1., 2., 3.]), np.eye(3))))
+print("scipy.linalg._decomp" in sys.modules)
+"""
+    assert _fresh_process(code) == ["[]", "1.2990003751850048", "True"]
+
+
+def test_no_subcommand_loads_scipy_linalg(tmp_path):
+    """Every subcommand runs on the demo data without running ``scipy.linalg``: a CLI path that
+    reaches it gives back the import time that the lazy registration saves."""
+    data = Path(pgm.__file__).resolve().parents[2] / "demos" / "data"
+    chain_a, chain_b = str(data / "chain3_a.txt"), str(data / "chain3_b.txt")
+    runs = [[command, str(path)] for command in ("check", "complete", "entropy")
+            for path in sorted(data.glob("*.txt"))]
+    runs += [["geomean", chain_a, chain_b], ["entropy", chain_a, chain_b],
+             ["karcher", "--weights", "1,2", chain_a, chain_b],
+             ["sweep", chain_a, chain_b, "--grid", "5", "--out", "out.csv"]]
+    code = f"""
+import contextlib, io, sys
+from pgm.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in {runs!r}]
+print(codes)
+print(sorted(name for name in sys.modules if name.startswith("scipy.linalg.")))
+"""
+    assert _fresh_process(code, cwd=tmp_path) == [str([0] * len(runs)), "[]"]
+
+
+def test_scipy_linalg_imported_first_is_kept():
+    code = """
+import sys
+import numpy as np
+import scipy.linalg
+user = sys.modules["scipy.linalg"]
+import pgm
+print(sys.modules["scipy.linalg"] is user)
+print(repr(pgm.riemannian_dist(np.diag([1., 2., 3.]), np.eye(3))))
+"""
+    assert _fresh_process(code) == ["True", "1.2990003751850048"]
+
+
+@pytest.mark.parametrize("spelling", ["from scipy import linalg",
+                                      "import scipy.linalg\nlinalg = scipy.linalg"])
+def test_scipy_linalg_imported_after_pgm_works(spelling):
+    code = f"""
+import numpy as np
+import pgm
+{spelling}
+a = [[4., 2.], [2., 3.]]
+print(np.array_equal(linalg.cholesky(a), np.linalg.cholesky(np.array(a)).T))
+"""
+    assert _fresh_process(code) == ["True"]
