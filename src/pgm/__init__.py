@@ -33,13 +33,10 @@ from .linalg import (
     DEFAULT_TOL,
     as_sym_matrix,
     fro_norm,
-    invm,
     is_pd,
     is_psd,
     log_det,
-    mat_fn,
     op_norm,
-    powm,
     riemannian_dist,
     sym,
 )

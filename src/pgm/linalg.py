@@ -1,16 +1,17 @@
 """Dense real symmetric matrix core.
 
-Eigendecompositions, spectral matrix functions (``mat_fn`` of any scalar function, powers,
-inverse), PD proofs by Cholesky, log-determinants off those factors (results derive their
-determinant from it, in one base class) and norms, plus the Riemannian trace metric on the PD cone.
+Eigendecompositions (:func:`_eigh`, inverted by :func:`_from_spectrum`), PD proofs by Cholesky,
+log-determinants off those factors (results derive their determinant from it, in one base class)
+and norms, plus the Riemannian trace metric on the PD cone.  The means take their matrix functions
+(powers, inverses, logarithms) on ``_eigh`` of matrices proved PD or built from such, past no door.
 The metric alone uses ``scipy.linalg``, registered as a lazy module: its first call runs it.
 
 All functions take and return plain ``numpy`` arrays.  Each one that runs a symmetric eigensolve
 on its argument admits it through :func:`_dense`.  Every Cholesky, solve and inverse of ``pgm``
 runs here, on numpy's LAPACK gufuncs bound once as ``_lapack``: :func:`_cholesky`, :func:`_factor`,
-:func:`_solve`, :func:`_inv` and :func:`_whiten`.  Outputs of spectral functions are explicitly
-re-symmetrized so that downstream symmetry checks can be exact.  Spectral functions, PD tests,
-``log_det`` and ``op_norm`` also take stacks ``(..., n, n)``, with one result per matrix.
+:func:`_solve`, :func:`_inv` and :func:`_whiten`.  ``_from_spectrum`` re-symmetrizes its output
+so that downstream symmetry checks can be exact.  Eigensolves, PD tests, ``log_det`` and
+``op_norm`` also take stacks ``(..., n, n)``, with one result per matrix.
 """
 
 from __future__ import annotations
@@ -207,50 +208,6 @@ def is_psd(a, tol=DEFAULT_TOL):
     """True iff lambda_min(a) >= -tol * ||a||_F, per matrix of a stack; via :func:`_dense`."""
     ok = _definite(_spectrum(_dense(a))[0], tol, semi=True)
     return bool(ok) if ok.ndim == 0 else ok
-
-
-def mat_fn(a, f, domain=None):
-    """Apply a scalar function to a symmetric matrix through its spectrum.
-
-    Parameters
-    ----------
-    a : array_like, shape (n, n) or a stack (..., n, n), admitted by :func:`_dense`.
-    f : callable
-        Vectorized scalar function applied to the eigenvalues.
-    domain : {None, "pd", "psd"}
-        Spectrum requirement, met by every matrix of a stack at relative tolerance
-        ``DEFAULT_TOL`` of its Frobenius norm, the rule of :func:`is_pd`.
-        ``"pd"`` demands ``lambda_min > DEFAULT_TOL ||a||_F`` (log, inverse, negative
-        powers); ``"psd"`` allows ``lambda_min >= -DEFAULT_TOL ||a||_F`` and clips those
-        round-off negatives (square root, nonnegative powers); ``None`` imposes nothing (exp).
-
-    Returns
-    -------
-    ndarray, ``Q f(L) Q^T`` re-symmetrized, of the shape of ``a``.
-    """
-    w, q = _eigh(_dense(a))
-    if domain not in (None, "pd", "psd"):
-        raise ValueError(f"unknown domain {domain!r}")
-    if domain is not None:
-        if not np.isfinite(w).all():
-            raise InternalNumerics("eigenvalues past the largest double")
-        if not (ok := _definite(w, DEFAULT_TOL, semi=domain == "psd")).all():
-            kind = "definite" if domain == "pd" else "semidefinite"
-            lam_min = float(w[..., 0][~ok].min())
-            raise NotPositiveDefinite(f"matrix is not positive {kind} (lambda_min = {lam_min:.3e})")
-        w = np.clip(w, 0.0, None) if domain == "psd" else w
-    return _from_spectrum(f(w), q)
-
-
-def powm(a, t):
-    """Matrix power ``a**t``; negative exponents require a PD argument."""
-    domain = "pd" if t < 0 else "psd"
-    return mat_fn(a, lambda w: w**t, domain=domain)
-
-
-def invm(a):
-    """Inverse of a positive definite matrix."""
-    return mat_fn(a, lambda w: 1.0 / w, domain="pd")
 
 
 class _DeterminantFromLog:

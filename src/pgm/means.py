@@ -42,11 +42,9 @@ from .linalg import (
     _require_tol,
     _whiten,
     fro_norm,
-    invm,
     is_psd,
     log_det,
     op_norm,
-    powm,
     riemannian_dist,
     sym,
 )
@@ -107,14 +105,21 @@ def _geomean_core(l, b, t):
 
 
 def _positive(v):
-    """``v``, spectra of ``L^-1 B L^-T`` (``A = L L^T``) for A and B PD-tested by the caller, if
-    positive and finite (no PD margin), else InternalNumerics: an overflow, or round-off."""
+    """``v``, ascending spectra of matrices built from PD-tested ones (``L^-1 B L^-T``, an AGM
+    iterate), if positive and finite (no PD margin), else InternalNumerics: overflow, round-off."""
     if not np.isfinite(v).all():
         raise InternalNumerics("eigenvalues past the largest double")
     if not (v[..., 0] > 0).all():
-        raise InternalNumerics("L^-1 B L^-T (A = L L^T) has an eigenvalue <= 0: round-off at "
+        raise InternalNumerics("a matrix built from PD inputs has an eigenvalue <= 0: round-off at "
                                "the PD boundary")
     return v
+
+
+def _spectral(x, f):
+    """``Q f(w) Q^T`` of the symmetric ``x = Q diag(w) Q^T``, proved PD or built from PD-tested
+    matrices, its spectrum checked by :func:`_positive` only: no door, no PD margin."""
+    w, q = _eigh(x)
+    return _from_spectrum(f(_positive(w)), q)
 
 
 def _geomean_cells(l, b, t):
@@ -164,6 +169,9 @@ def _psd_geq(x, y, rtol):
 def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
     """Numerically verify the classical geometric-mean property suite.
 
+    The inputs pass one PD proof; a matrix built here (an inverse, a sum) passes no PD door, as
+    the margin is not closed under inversion: :func:`_spectral` and ``_factor`` refuse round-off.
+
     Parameters
     ----------
     a, b, c, d : positive definite matrices of a common dimension.
@@ -198,10 +206,11 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
     (a, b, c, d), (la, lb, lc, _) = _pd_stack((a, b, c, d))
     g_ab = _geomean_core(la, b, t)
 
+    # the partner A^2 + I shares A's eigenbasis, so A^{1-t} (A^2 + I)^t is a function of A alone
     commuting_partner = sym(a @ a) + np.eye(a.shape[0])
     p1 = _close(
         _geomean_core(la, commuting_partner, t),
-        sym(powm(a, 1.0 - t) @ powm(commuting_partner, t)),
+        _spectral(a, lambda w: w ** (1.0 - t) * (w * w + 1.0) ** t),
         rtol,
     )
 
@@ -236,13 +245,13 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
         rtol,
     )
 
-    inv_a, inv_b = invm(a), invm(b)
-    p8 = _close(invm(g_ab), _geomean(inv_a, inv_b, t), rtol)
+    inv_a, inv_b = _spectral(a, np.reciprocal), _spectral(b, np.reciprocal)
+    p8 = _close(_spectral(g_ab, np.reciprocal), _geomean_core(_factor(inv_a), inv_b, t), rtol)
 
     ld_a, ld_b = _log_det(np.stack((la, lb)))
     p9 = bool(abs(log_det(g_ab) - ((1.0 - t) * ld_a + t * ld_b)) <= rtol)
 
-    harmonic = invm((1.0 - t) * inv_a + t * inv_b)
+    harmonic = _spectral((1.0 - t) * inv_a + t * inv_b, np.reciprocal)
     arithmetic = (1.0 - t) * a + t * b
     p10 = _psd_geq(g_ab, harmonic, rtol) and _psd_geq(arithmetic, g_ab, rtol)
 
@@ -271,16 +280,6 @@ class SampleSet:
 
     def __len__(self):
         return len(self.members)
-
-    def scale(self, alpha):
-        """Memberwise positive scalar multiple."""
-        if not 0 < alpha < math.inf:  # NaN fails every comparison
-            raise ValueError(f"scale factor must be positive and finite, got {alpha!r}")
-        return SampleSet(tuple(alpha * m for m in self.members))
-
-    def inverse(self):
-        """Memberwise inverse."""
-        return SampleSet(tuple(invm(m) for m in self.members))
 
 
 def set_geomean(s, t_set, t=0.5):
@@ -549,7 +548,8 @@ def agm_iteration(a, b):
 
     Both sequences converge monotonically to the geometric mean; the
     iteration stops when ``||A_k - B_k||_F <= 1e-12 ||B_k||_F``, or after
-    100 steps unconverged, and returns the arithmetic midpoint of the final pair.
+    100 steps unconverged, and returns the arithmetic midpoint of the final pair.  The pair
+    passes one PD proof; each step's inverses are :func:`_spectral`'s, which no PD margin gates.
     """
     converged, (lowers, uppers), iterations = _run(_agm(*_pd_stack((a, b))[0]), 100)
     return AgmResult(
@@ -565,7 +565,8 @@ def _agm(lower, upper):
     """Steps of :func:`agm_iteration`, each yielding its verdict and the iterates so far."""
     lowers, uppers = [], []
     while True:
-        lower, upper = invm(0.5 * (invm(lower) + invm(upper))), sym(0.5 * (lower + upper))
+        inverses = _spectral(lower, np.reciprocal) + _spectral(upper, np.reciprocal)
+        lower, upper = _spectral(0.5 * inverses, np.reciprocal), sym(0.5 * (lower + upper))
         lowers.append(lower)
         uppers.append(upper)
         yield fro_norm(lower - upper) <= 1e-12 * fro_norm(upper), (lowers, uppers)
@@ -634,11 +635,11 @@ def entropy_identities(sigma0, sigma1, t=0.5):
     """Both Gaussian entropy identities for a covariance pair, as ``_dense`` admits it: ``H0``
     and ``H1`` off the factors of one ``linalg._require_pd`` each, the mean off ``sigma0``'s,
     and the mean's entropy off its ``linalg._factor``, as a matrix built here is not admitted."""
+    _warn_off_geodesic(t)
     sigma0, sigma1 = _dense(sigma0), _dense(sigma1)
+    _require_pair(sigma0, sigma1)
     l0, l1 = _require_pd(sigma0, DEFAULT_TOL), _require_pd(sigma1, DEFAULT_TOL)
     h0, h1 = _entropy(l0), _entropy(l1)
-    _warn_off_geodesic(t)
-    _require_pair(sigma0, sigma1)
     h_mean = _entropy(_factor(_geomean_core(l0, sigma1, t)))
     integral = 0.5 * _trace_integral(sigma0, sigma1)
     return EntropyIdentities(

@@ -15,7 +15,9 @@ spectrum.  The storage and text references build a dense view one
 specified entry at a time and print one float at a time, against the
 array-backed partial matrix and the one-``%`` formatters.  The cycle
 margin decides ring completability from the edge angles alone, against
-the completion's own verdict.
+the completion's own verdict.  The spectral oracle applies a scalar
+function to ``np.linalg.eigh``'s spectrum, against the library's own
+matrix functions.
 
 Property tests run under the ``pgm`` hypothesis profile: derandomized,
 so every run draws the same examples, with no deadline and a bounded
@@ -123,6 +125,13 @@ def mp_midpoint_eigenvalues(a, b):
         inner = root(inv_half * mpmath.matrix(b.tolist()) * inv_half, mpmath.sqrt)
         w = mpmath.eigsy(half * inner * half, eigvals_only=True)
         return np.array(sorted((float(x) for x in w), reverse=True))
+
+
+def spectral_fn(a, f):
+    """``Q f(w) Q^T`` of the symmetric ``a = Q diag(w) Q^T``, on numpy alone: roots, logarithms
+    and inverses that run none of the library's spectral code."""
+    w, q = np.linalg.eigh(a)
+    return (q * f(w)) @ q.T
 
 
 def rand_invertible(rng, n):

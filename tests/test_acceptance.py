@@ -31,7 +31,6 @@ from pgm import (
     is_chordal,
     is_partial_pd,
     karcher_mean,
-    mat_fn,
     max_det_completion,
     missing_positions,
     op_norm,
@@ -54,6 +53,7 @@ from conftest import (
     rand_invertible,
     rand_partial_pd,
     rand_spd,
+    spectral_fn,
 )
 
 
@@ -220,8 +220,8 @@ def test_criterion_08_karcher_mean():
         weights = WeightVector(tuple(raw / raw.sum()))
         res = karcher_mean(weights, mats)
         assert res.gradient_norm <= 1e-6
-        ris = mat_fn(res.matrix, lambda v: 1 / np.sqrt(v), "pd")
-        grad = sum(w * mat_fn(sym(ris @ m @ ris), np.log, "pd") for w, m in zip(weights, mats))
+        ris = spectral_fn(res.matrix, lambda v: 1 / np.sqrt(v))
+        grad = sum(w * spectral_fn(sym(ris @ m @ ris), np.log) for w, m in zip(weights, mats))
         assert fro_norm(grad) <= 1e-6
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

@@ -151,8 +151,7 @@ def test_public_eigensolves_admit_their_argument_through_the_dense_door():
                 eigensolving.add((module, func))
                 if not (called | step) & door:
                     bare.append(f"{module}.{func}")
-    assert {("linalg", "mat_fn"), ("linalg", "is_pd"), ("linalg", "log_det"),
-            ("means", "geomean")} <= eigensolving
+    assert {("linalg", "is_pd"), ("linalg", "log_det"), ("means", "geomean")} <= eigensolving
     assert bare == []
 
 
@@ -275,7 +274,16 @@ def test_completion_solves_and_inverts_on_linalg_kernels():
             means[callee].add(func)
     assert means == {"_whiten": {"_geomean_cells", "_karcher", "_trace_integral"},
                      "_factor": {"partial_geomean_maxdet", "_karcher", "_trace_integral",
-                                 "entropy_identities"}}
+                                 "entropy_identities", "geomean_properties_check"}}
+
+
+def test_spectral_functions_of_built_matrices_only_in_the_agm_and_the_property_check():
+    """``means._spectral`` takes a matrix function past every PD door, its spectrum checked by
+    ``_positive`` alone: only the AGM steps and the property check's oracles call it, on
+    matrices proved PD by ``_pd_stack`` or built from such (inverses, harmonic sums)."""
+    calls, _ = _calls_and_raises()
+    assert {func for module, func, callee in calls if callee == "_spectral"} == {
+        "_agm", "geomean_properties_check"}
 
 
 #: The PD gates, each marked True if it still eigensolves: the sweep, for the eigenvalues it
@@ -578,10 +586,10 @@ PUBLIC_NAMES = [
     "SampleSet", "TooManyMissing", "WeightVector", "add", "agm_iteration", "agrees",
     "as_sym_matrix", "block_max_property", "completion_with_det", "det_integral_identity",
     "entropy_identities", "feasibility_range", "fro_norm", "gaussian_entropy", "geomean",
-    "geomean_properties_check", "invm", "is_chordal", "is_partial_pd", "is_pd", "is_psd",
-    "karcher_mean", "log_det", "mat_fn", "max_det_completion", "maximal_cliques",
+    "geomean_properties_check", "is_chordal", "is_partial_pd", "is_pd", "is_psd",
+    "karcher_mean", "log_det", "max_det_completion", "maximal_cliques",
     "missing_positions", "offending_cliques", "op_norm", "partial_entry_bounds",
-    "partial_geomean_maxdet", "partial_geomean_sweep", "partial_order", "powm", "project",
+    "partial_geomean_maxdet", "partial_geomean_sweep", "partial_order", "project",
     "riemannian_dist", "scale", "set_geomean", "single_entry_interval", "sub", "sym",
 ]
 
@@ -596,7 +604,6 @@ def test_public_surface_is_pinned():
 
 
 ORACLE_ACCESSORS = "accessors that the test oracles use instead of the private arrays"
-SET_OPERATIONS = "the paper's set operations, for the planned ledger of set-mean properties"
 #: Public functions and methods kept without a caller in ``src/pgm`` or ``demos``, each
 #: for a reason.
 UNCALLED_ALLOWED = {
@@ -606,8 +613,6 @@ UNCALLED_ALLOWED = {
     "means.block_max_property": "Ando's characterization of A # B, a ledger row for partial means",
     "pattern.Pattern.has_edge": ORACLE_ACCESSORS,
     "partial.PartialMatrix.entry": ORACLE_ACCESSORS,
-    "means.SampleSet.scale": SET_OPERATIONS,
-    "means.SampleSet.inverse": SET_OPERATIONS,
 }
 
 

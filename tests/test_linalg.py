@@ -1,7 +1,6 @@
-"""Symmetric matrix core: decompositions, spectral functions, metric."""
+"""Symmetric matrix core: decompositions, PD tests, kernels, metric."""
 
 import dataclasses
-import functools
 import math
 import warnings
 
@@ -17,13 +16,11 @@ from pgm import (
     as_sym_matrix,
     fro_norm,
     gaussian_entropy,
-    invm,
+    geomean,
     is_pd,
     is_psd,
     log_det,
-    mat_fn,
     op_norm,
-    powm,
     project,
     riemannian_dist,
     single_entry_interval,
@@ -33,12 +30,6 @@ from pgm.linalg import (_cholesky, _definite, _eigh, _from_spectrum, _inv, _kern
                         _solve)
 from conftest import (mp_log_det, mp_riemannian_dist, rand_invertible, rand_spd, spread_pairs,
                       stretched_spd)
-
-# mat_fn on each spectrum domain, named by the matrix function it computes
-SQRTM = functools.partial(mat_fn, f=np.sqrt, domain="psd")
-LOGM = functools.partial(mat_fn, f=np.log, domain="pd")
-EXPM = functools.partial(mat_fn, f=np.exp)
-
 
 class TestEig:
     """The one spectral kernel: ``_eigh`` (ascending) and its inverse ``_from_spectrum``."""
@@ -65,6 +56,15 @@ class TestEig:
         assert all(x <= y for x, y in zip(w, w[1:]))
         assert op_norm(_from_spectrum(w, q) - a) <= 1e-12 * max(1.0, op_norm(a))
         assert op_norm(q.T @ q - np.eye(n)) <= 1e-12 * n
+
+    def test_eigensolver_failure_wrapped(self, monkeypatch):
+        # NaN input stops at the input check, so the solver failure is staged
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(InternalNumerics, match="^symmetric eigensolver failed: Eigenvalues"):
+            geomean(np.eye(3), 2.0 * np.eye(3))
 
 
 class TestDefiniteness:
@@ -180,10 +180,9 @@ class TestPdFactor:
 
     def test_spectral_scale_cannot_overflow(self):
         # ||w||_2 = 3e308 is past the largest double, tol ||w||_2 is not: the spectrum is scaled
-        # by a power of two first, so log and inverse see the PD verdict of is_pd
+        # by a power of two first, so a spectral verdict agrees with is_pd
         a = 1.5e308 * np.eye(4)
         assert is_pd(a) and _definite(np.full(4, 1.5e308), DEFAULT_TOL)
-        np.testing.assert_array_equal(mat_fn(a, np.log, "pd"), np.log(1.5e308) * np.eye(4))
 
 
 #: Powers of two scale a double exactly, so a scale-free rule gives ``2**k A`` the verdict of A.
@@ -202,7 +201,6 @@ class TestScaleFree:
         # lambda_min = 1e-3 * c: a floor of max(1, ||A||) would call it not PD at c = 2**-30
         assert is_pd(c * np.diag([1.0, 1e-3]))
         assert log_det(c * np.eye(3)) == 3 * math.log(c)
-        np.testing.assert_array_equal(invm(c * np.diag([2.0, 4.0])), np.diag([0.5, 0.25]) / c)
 
     def test_asymmetry_judged_against_the_matrix_scale(self):
         with pytest.raises(ValueError, match="matrix is not symmetric"):
@@ -210,82 +208,6 @@ class TestScaleFree:
         round_off = np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]])
         for c in SCALES:
             np.testing.assert_array_equal(as_sym_matrix(c * round_off), c * sym(round_off))
-
-
-class TestMatFn:
-    def test_eigensolver_failure_wrapped(self, monkeypatch):
-        # NaN input stops at the input check, so the solver failure is staged
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(InternalNumerics):
-            mat_fn(np.eye(3), np.exp)
-
-    def test_sqrt_diagonal(self):
-        np.testing.assert_allclose(SQRTM(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
-
-    def test_power_identity(self):
-        np.testing.assert_allclose(powm(np.eye(3), 0.37), np.eye(3), atol=1e-14)
-
-    def test_log_two_by_two(self):
-        # eigenpairs (3, (1,1)/sqrt2) and (1, (1,-1)/sqrt2) give
-        # log A = (ln 3 / 2) * [[1, 1], [1, 1]]
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        expected = 0.5 * math.log(3.0) * np.ones((2, 2))
-        np.testing.assert_allclose(LOGM(a), expected, atol=1e-12)
-
-    def test_log_requires_pd(self):
-        with pytest.raises(NotPositiveDefinite):
-            LOGM(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-    def test_inverse(self):
-        a = np.diag([2.0, 4.0])
-        np.testing.assert_allclose(invm(a), np.diag([0.5, 0.25]), atol=1e-14)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_sqrt_squares_back(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rand_spd(rng, int(rng.integers(2, 9)))
-        r = SQRTM(a)
-        assert fro_norm(r @ r - a) <= 1e-10 * fro_norm(a)
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_power_endpoints(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rand_spd(rng, 5)
-        assert fro_norm(powm(a, 1.0) - a) <= 1e-12 * max(1.0, fro_norm(a))
-        assert fro_norm(powm(a, 0.0) - np.eye(5)) <= 1e-12
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_exp_log_roundtrip(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rand_spd(rng, 6)
-        assert fro_norm(EXPM(LOGM(a)) - a) <= 1e-10 * fro_norm(a)
-
-    @pytest.mark.parametrize("f, domain", [(np.sqrt, "psd"), (np.log, "pd"), (np.exp, None)])
-    def test_stack_matches_loop(self, f, domain):
-        rng = np.random.default_rng(4)
-        stack = np.array([[rand_spd(rng, 4) for _ in range(3)] for _ in range(2)])
-        out = mat_fn(stack, f, domain)
-        assert out.shape == stack.shape
-        for idx in np.ndindex(2, 3):
-            np.testing.assert_array_equal(out[idx], mat_fn(stack[idx], f, domain))
-
-    @pytest.mark.parametrize("domain", ["pd", "psd"])
-    def test_stack_with_one_bad_member(self, domain):
-        # the indefinite member has eigenvalues 3 and -1
-        stack = np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]], 2.0 * np.eye(2)])
-        with pytest.raises(NotPositiveDefinite, match=r"lambda_min = -1\.000e\+00"):
-            mat_fn(stack, np.sqrt, domain)
-
-    def test_custom_function(self):
-        a = np.diag([1.0, 4.0])
-        np.testing.assert_allclose(mat_fn(a, lambda w: w + 1.0), np.diag([2.0, 5.0]), atol=1e-14)
-
-    def test_unknown_domain_rejected(self):
-        with pytest.raises(ValueError, match="^unknown domain 'bogus'$"):
-            mat_fn(np.eye(2), np.exp, domain="bogus")
 
 
 class TestScalars:
@@ -319,14 +241,11 @@ class TestScalars:
             log_det(np.array([[1e308, 1.5e308], [1.5e308, 1e308]]))
 
     def test_spectra_past_the_largest_double(self):
-        # the PD tests are scale-free; a spectral function's result would overflow
+        # the PD tests are scale-free, though lambda_max = 1.9e308 overflows a double
         big = np.array([[1e308, 9e307], [9e307, 1e308]])
         assert is_pd(big) and is_psd(big)
         np.testing.assert_array_equal(is_pd(np.stack([big, np.eye(2), -big])), [True, True, False])
         assert not is_pd(np.array([[1e308, 1.5e308], [1.5e308, 1e308]]))
-        for call in (invm, SQRTM, LOGM):
-            with pytest.raises(InternalNumerics, match="eigenvalues past the largest double"):
-                call(big)
 
     def test_stack_gives_one_value_per_matrix(self):
         eyes = np.stack([np.eye(2), 2.0 * np.eye(2)])
@@ -424,14 +343,8 @@ class TestRiemannianDist:
 class TestValidation:
     @pytest.mark.parametrize(
         "call",
-        [
-            SQRTM, invm, LOGM, EXPM, lambda a: powm(a, -0.5), log_det, gaussian_entropy,
-            is_pd, is_psd,
-        ],
-        ids=[
-            "sqrtm", "invm", "logm", "expm", "powm", "log_det", "gaussian_entropy", "is_pd",
-            "is_psd",
-        ],
+        [log_det, gaussian_entropy, is_pd, is_psd],
+        ids=["log_det", "gaussian_entropy", "is_pd", "is_psd"],
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_named(self, call, bad):
@@ -467,11 +380,6 @@ class TestValidation:
 
 
 DENSE_ENTRY_POINTS = {
-    "sqrtm": SQRTM,
-    "powm": lambda a: powm(a, -0.5),
-    "logm": LOGM,
-    "expm": EXPM,
-    "invm": invm,
     "is_pd": is_pd,
     "is_psd": is_psd,
     "log_det": log_det,
