@@ -3,7 +3,7 @@
 Eigendecompositions (:func:`_eigh`, inverted by :func:`_from_spectrum`), PD proofs by Cholesky,
 log-determinants off those factors (results derive their determinant from it, in one base class)
 and norms, plus the Riemannian trace metric on the PD cone.  The means take their matrix functions
-(powers, inverses, logarithms) on ``_eigh`` of matrices proved PD or built from such, past no door.
+(powers, logarithms) on ``_eigh`` of matrices proved PD or built from such, past no door.
 The metric alone uses ``scipy.linalg``, registered as a lazy module: its first call runs it.
 
 All functions take and return plain ``numpy`` arrays.  Each one that runs a symmetric eigensolve
@@ -181,7 +181,7 @@ def _inv(a):
 
 
 def _whiten(l, b):
-    """``sym(L^-1 B L^-T)`` of a lower ``L``, broadcast; only ``L^-1`` is under :func:`_kernels`."""
+    """``sym(L^-1 B L^-T)`` of a triangular ``L``, broadcast; ``L^-1`` under :func:`_kernels`."""
     with _kernels():
         li = _inv(l)
     return sym(li @ b @ li.swapaxes(-1, -2))

@@ -34,16 +34,17 @@ from .linalg import (
     _eigh,
     _factor,
     _from_spectrum,
+    _kernels,
     _log_det,
     _pd_factor,
     _pd_test,
     _pd_stack,
     _require_pd,
     _require_tol,
+    _solve,
     _whiten,
     fro_norm,
     is_psd,
-    log_det,
     op_norm,
     riemannian_dist,
     sym,
@@ -61,16 +62,10 @@ def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
     hold only on [0, 1].  On stacks ``(..., n, n)`` the means are taken
     pairwise, with the leading dimensions broadcast (one A against a
     stack of B, or the reverse).  The warning comes from here, once per call, whoever
-    wraps this function; the mean is :func:`_geomean`'s.
+    wraps this function.  Both operands pass ``linalg._dense``, then ``linalg._require_pd``,
+    and the mean is :func:`_geomean_core` on the factor that proved A, one eigensolve.
     """
     _warn_off_geodesic(t)
-    return _geomean(a, b, t, tol)
-
-
-def _geomean(a, b, t, tol=DEFAULT_TOL):
-    """:func:`geomean` without its warning, for the means here whose operands are not proved PD
-    yet: both pass :func:`~pgm.linalg._dense`, then :func:`~pgm.linalg._require_pd`, and the
-    mean is :func:`_geomean_core` on the factor that proved A, one eigensolve."""
     a, b = _dense(a), _dense(b)
     _require_pair(a, b)
     l = _require_pd(a, tol)
@@ -88,7 +83,7 @@ def _require_pair(a, b):
 def _warn_off_geodesic(t):
     """Raise ValueError if ``t`` is not finite.  If it lies outside [0, 1], warn at the line
     that called the public entry calling this: each entry calls it once per parameter, and
-    the means it takes go through :func:`_geomean` or the core, which never warn."""
+    the means it takes go through the core, which never warns."""
     if not math.isfinite(t):
         raise ValueError(f"geomean parameter t must be finite, got {t}")
     if not 0.0 <= t <= 1.0:
@@ -105,8 +100,8 @@ def _geomean_core(l, b, t):
 
 
 def _positive(v):
-    """``v``, ascending spectra of matrices built from PD-tested ones (``L^-1 B L^-T``, an AGM
-    iterate), if positive and finite (no PD margin), else InternalNumerics: overflow, round-off."""
+    """``v``, ascending spectra of matrices built from PD-tested ones (``L^-1 B L^-T``), if
+    positive and finite (no PD margin), else InternalNumerics: overflow, round-off."""
     if not np.isfinite(v).all():
         raise InternalNumerics("eigenvalues past the largest double")
     if not (v[..., 0] > 0).all():
@@ -115,11 +110,13 @@ def _positive(v):
     return v
 
 
-def _spectral(x, f):
-    """``Q f(w) Q^T`` of the symmetric ``x = Q diag(w) Q^T``, proved PD or built from PD-tested
-    matrices, its spectrum checked by :func:`_positive` only: no door, no PD margin."""
-    w, q = _eigh(x)
-    return _from_spectrum(f(_positive(w)), q)
+def _harmonic(a, b, t):
+    """``((1-t) A^-1 + t B^-1)^-1 = M - t(1-t) Z^T Z``, ``M = (1-t)A + tB``, ``Z = L^-1 (A - B)``,
+    ``L L^T = tA + (1-t)B``: one Cholesky, one solve, no eigensolve; exactly M if ``A == B``."""
+    l = _factor(t * a + (1.0 - t) * b)
+    with _kernels():
+        z = _solve(l, a - b)
+    return sym((1.0 - t) * a + t * b - t * (1.0 - t) * (z.swapaxes(-1, -2) @ z))
 
 
 def _geomean_cells(l, b, t):
@@ -169,8 +166,9 @@ def _psd_geq(x, y, rtol):
 def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
     """Numerically verify the classical geometric-mean property suite.
 
-    The inputs pass one PD proof; a matrix built here (an inverse, a sum) passes no PD door, as
-    the margin is not closed under inversion: :func:`_spectral` and ``_factor`` refuse round-off.
+    The inputs pass one PD proof; a matrix built here passes no PD door: its mean takes its
+    ``_factor``, the inverses are ``L^-T L^-1`` of the factors held, and the harmonic mean is one
+    :func:`_harmonic`, exact on equal inputs.
 
     Parameters
     ----------
@@ -206,24 +204,25 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
     (a, b, c, d), (la, lb, lc, _) = _pd_stack((a, b, c, d))
     g_ab = _geomean_core(la, b, t)
 
-    # the partner A^2 + I shares A's eigenbasis, so A^{1-t} (A^2 + I)^t is a function of A alone
-    commuting_partner = sym(a @ a) + np.eye(a.shape[0])
+    # the partner A^2 / w_max + w_min I has A's eigenbasis and scale, and a whitening by A of
+    # condition number near sqrt(cond A): w / w_max + w_min / w is least at w = sqrt(w_min w_max)
+    w, q = _eigh(a)
     p1 = _close(
-        _geomean_core(la, commuting_partner, t),
-        _spectral(a, lambda w: w ** (1.0 - t) * (w * w + 1.0) ** t),
+        _geomean_core(la, sym(a @ a) / w[-1] + w[0] * np.eye(len(a)), t),
+        _from_spectrum(w ** (1.0 - t) * (w * w / w[-1] + w[0]) ** t, q),
         rtol,
     )
 
     alpha, beta = 1.0 + lam, 2.0 - lam
     p2 = _close(
-        _geomean(alpha * a, beta * b, t),
+        _geomean_core(_factor(alpha * a), beta * b, t),
         alpha ** (1.0 - t) * beta**t * g_ab,
         rtol,
     )
 
     p3 = _close(g_ab, _geomean_core(lb, a, 1.0 - t), rtol)
 
-    p4 = _psd_geq(_geomean(a + c, b + d, t), g_ab, rtol)
+    p4 = _psd_geq(_geomean_core(_factor(a + c), b + d, t), g_ab, rtol)
 
     lhs = riemannian_dist(_geomean_core(la, b, lam), _geomean_core(lc, d, t))
     bound = (
@@ -235,23 +234,24 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
 
     p6 = _close(
         sym(s.T @ g_ab @ s),
-        _geomean(sym(s.T @ a @ s), sym(s.T @ b @ s), t),
+        _geomean_core(_factor(sym(s.T @ a @ s)), sym(s.T @ b @ s), t),
         rtol,
     )
 
     p7 = _psd_geq(
-        _geomean((1.0 - lam) * a + lam * b, (1.0 - lam) * c + lam * d, t),
+        _geomean_core(_factor((1.0 - lam) * a + lam * b), (1.0 - lam) * c + lam * d, t),
         (1.0 - lam) * _geomean_core(la, c, t) + lam * _geomean_core(lb, d, t),
         rtol,
     )
 
-    inv_a, inv_b = _spectral(a, np.reciprocal), _spectral(b, np.reciprocal)
-    p8 = _close(_spectral(g_ab, np.reciprocal), _geomean_core(_factor(inv_a), inv_b, t), rtol)
+    factors = np.stack((la, lb, _factor(g_ab)))  # X^-1 = sym(L^-T I L^-1), and log det X
+    inv_a, inv_b, inv_g = _whiten(factors.swapaxes(-1, -2), np.eye(len(a)))
+    p8 = _close(inv_g, _geomean_core(_factor(inv_a), inv_b, t), rtol)
 
-    ld_a, ld_b = _log_det(np.stack((la, lb)))
-    p9 = bool(abs(log_det(g_ab) - ((1.0 - t) * ld_a + t * ld_b)) <= rtol)
+    ld_a, ld_b, ld_g = _log_det(factors)
+    p9 = bool(abs(ld_g - ((1.0 - t) * ld_a + t * ld_b)) <= rtol)
 
-    harmonic = _spectral((1.0 - t) * inv_a + t * inv_b, np.reciprocal)
+    harmonic = _harmonic(a, b, t)
     arithmetic = (1.0 - t) * a + t * b
     p10 = _psd_geq(g_ab, harmonic, rtol) and _psd_geq(arithmetic, g_ab, rtol)
 
@@ -306,7 +306,8 @@ def block_max_property(a, b):
     Verifies the block matrix is PSD (relative tolerance 1e-8) at ``X = A # B``
     and stops being PSD once ``X`` is pushed by ``1e-6 ||X||`` along the identity.
     """
-    x = _geomean(a, b, 0.5)
+    (a, b), (l, _) = _pd_stack((a, b))
+    x = _geomean_core(l, b, 0.5)
     bumped = x + 1e-6 * op_norm(x) * np.eye(a.shape[0])
     return is_psd(sym(np.block([[a, x], [x, b]])), 1e-8) and not is_psd(
         sym(np.block([[a, bumped], [bumped, b]])), 1e-8
@@ -546,10 +547,10 @@ def agm_iteration(a, b):
         A_{k+1} = ((A_k^{-1} + B_k^{-1}) / 2)^{-1},
         B_{k+1} = (A_k + B_k) / 2.
 
-    Both sequences converge monotonically to the geometric mean; the
-    iteration stops when ``||A_k - B_k||_F <= 1e-12 ||B_k||_F``, or after
-    100 steps unconverged, and returns the arithmetic midpoint of the final pair.  The pair
-    passes one PD proof; each step's inverses are :func:`_spectral`'s, which no PD margin gates.
+    Both sequences converge monotonically to the geometric mean; the iteration stops when
+    ``||A_k - B_k||_F <= 1e-12 ||B_k||_F``, or after 100 steps unconverged, and returns the
+    arithmetic midpoint of the final pair.  The pair passes one PD proof; each step's harmonic
+    mean is one :func:`_harmonic`, one Cholesky and no eigensolve, exact on equal inputs.
     """
     converged, (lowers, uppers), iterations = _run(_agm(*_pd_stack((a, b))[0]), 100)
     return AgmResult(
@@ -565,8 +566,7 @@ def _agm(lower, upper):
     """Steps of :func:`agm_iteration`, each yielding its verdict and the iterates so far."""
     lowers, uppers = [], []
     while True:
-        inverses = _spectral(lower, np.reciprocal) + _spectral(upper, np.reciprocal)
-        lower, upper = _spectral(0.5 * inverses, np.reciprocal), sym(0.5 * (lower + upper))
+        lower, upper = _harmonic(lower, upper, 0.5), sym(0.5 * (lower + upper))
         lowers.append(lower)
         uppers.append(upper)
         yield fro_norm(lower - upper) <= 1e-12 * fro_norm(upper), (lowers, uppers)

@@ -132,7 +132,7 @@ def test_public_eigensolves_admit_their_argument_through_the_dense_door():
     or proves PD by ``_pd_test``, ``_pd_factor`` or ``_require_pd``, also calls ``_dense``, or
     ``_pd_stack``, which admits each member through it.  One that calls a private function of
     its own module that does counts too, and the door is then in it or in that private
-    function: so ``geomean`` counts, through ``_geomean``."""
+    function."""
     calls, _ = _calls_and_raises()
     callees = defaultdict(set)
     for module, func, callee in calls:
@@ -157,12 +157,12 @@ def test_public_eigensolves_admit_their_argument_through_the_dense_door():
 
 def test_unchecked_mean_core_runs_only_behind_a_pd_test():
     """``means._geomean_core`` and the per-cell ``_geomean_cells`` under it trust their caller
-    to have PD-tested both operands: only ``_geomean`` (behind ``geomean`` and the means that
-    take unproved operands), ``partial_geomean_sweep`` (the cells), ``partial_geomean_maxdet``
-    (whose Â and B̂ a converged completion certified), ``entropy_identities`` (which proves
-    ``sigma0`` and ``sigma1`` by ``_require_pd``), and ``karcher_mean``,
-    ``geomean_properties_check`` and ``set_geomean`` (whose means take the factors of their
-    ``_pd_stack`` proofs, and means of those) name them, besides the core itself,
+    to have PD-tested both operands: only ``geomean`` and ``entropy_identities`` (which prove
+    their operands by ``_require_pd``), ``partial_geomean_sweep`` (the cells),
+    ``partial_geomean_maxdet`` (whose Â and B̂ a converged completion certified), and
+    ``karcher_mean``, ``geomean_properties_check``, ``set_geomean`` and ``block_max_property``
+    (whose means take the factors of their ``_pd_stack`` proofs, of means of those, or of
+    matrices built from those) name them, besides the core itself,
     each to call one, and each runs a PD test (``_require``, ``_definite``, ``is_pd``,
     ``_pd_factor``, ``_require_pd``, ``require_converged`` or ``_pd_stack``) on a line before."""
     tests = ("_require", "_definite", "is_pd", "_pd_factor", "_require_pd", "require_converged",
@@ -182,9 +182,9 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
                 if callee.rsplit(".", 1)[-1] in tests:
                     first_test[name] = min(line, first_test.get(name, line))
     assert sorted(naming) == sorted(first_call) == [
-        "means._geomean", "means.entropy_identities", "means.geomean_properties_check",
-        "means.karcher_mean", "means.partial_geomean_maxdet", "means.partial_geomean_sweep",
-        "means.set_geomean",
+        "means.block_max_property", "means.entropy_identities", "means.geomean",
+        "means.geomean_properties_check", "means.karcher_mean", "means.partial_geomean_maxdet",
+        "means.partial_geomean_sweep", "means.set_geomean",
     ]
     assert all(first_test.get(name, line) < line for name, line in first_call.items())
 
@@ -257,8 +257,9 @@ def test_numpy_raw_kernels_named_only_in_linalg():
 
 def test_completion_solves_and_inverts_on_linalg_kernels():
     """``completion`` takes every solve and inverse from ``linalg._solve`` and ``_inv``, under
-    ``linalg._kernels``, and ``means`` every congruence from ``linalg._whiten`` and every
-    factor of a matrix it builds from ``linalg._factor``: neither calls ``np.linalg.solve``,
+    ``linalg._kernels``, and ``means`` every congruence (and the property check's inverses) from
+    ``linalg._whiten``, every factor of a matrix it builds from ``linalg._factor``, and its one
+    solve, the harmonic mean's, from ``linalg._solve``: neither calls ``np.linalg.solve``,
     ``np.linalg.inv`` or ``np.linalg.cholesky``."""
     calls, _ = _calls_and_raises()
     public = [(module, func, callee) for module, func, callee in calls
@@ -270,25 +271,44 @@ def test_completion_solves_and_inverts_on_linalg_kernels():
     assert kernels == {"single_entry_interval", "_ips", "_newton", "_certify", "_closed_form"}
     means = defaultdict(set)
     for module, func, callee in calls:
-        if module == "means" and callee in ("_whiten", "_factor"):
+        if module == "means" and callee in ("_whiten", "_factor", "_solve"):
             means[callee].add(func)
-    assert means == {"_whiten": {"_geomean_cells", "_karcher", "_trace_integral"},
+    assert means == {"_whiten": {"_geomean_cells", "_karcher", "_trace_integral",
+                                 "geomean_properties_check"},
                      "_factor": {"partial_geomean_maxdet", "_karcher", "_trace_integral",
-                                 "entropy_identities", "geomean_properties_check"}}
+                                 "entropy_identities", "geomean_properties_check", "_harmonic"},
+                     "_solve": {"_harmonic"}}
 
 
-def test_spectral_functions_of_built_matrices_only_in_the_agm_and_the_property_check():
-    """``means._spectral`` takes a matrix function past every PD door, its spectrum checked by
-    ``_positive`` alone: only the AGM steps and the property check's oracles call it, on
-    matrices proved PD by ``_pd_stack`` or built from such (inverses, harmonic sums)."""
-    calls, _ = _calls_and_raises()
-    assert {func for module, func, callee in calls if callee == "_spectral"} == {
-        "_agm", "geomean_properties_check"}
+def test_agm_steps_and_the_harmonic_mean_reach_no_eigensolver():
+    """The AGM's steps (``means._agm``) and the harmonic mean they take (``means._harmonic``)
+    run on one Cholesky and one solve: no function they reach in ``src/pgm``, however deep,
+    calls an eigensolver, and ``_harmonic`` reaches ``_factor`` and ``_solve``."""
+    functions = _functions()
+    by_name = defaultdict(list)  # bare name -> defined functions, so a call resolves by name
+    for name in functions:
+        by_name[name.rsplit(".", 1)[-1]].append(name)
+    spectra = {"_eigh", "_spectrum", "eigh", "eigvalsh", "eig", "eigvals", "svd"}
+
+    def reached(name):
+        seen, todo, callees = {name}, [name], set()
+        while todo:
+            for node in ast.walk(functions[todo.pop()]):
+                if isinstance(node, ast.Call):
+                    callee = ast.unparse(node.func).rsplit(".", 1)[-1]
+                    callees.add(callee)
+                    todo += [f for f in by_name[callee] if f not in seen]
+                    seen.update(by_name[callee])
+        return callees
+
+    assert reached("means._agm") & spectra == set()
+    assert reached("means._harmonic") & spectra == set()
+    assert {"_factor", "_solve"} <= reached("means._harmonic") <= reached("means._agm")
 
 
 #: The PD gates, each marked True if it still eigensolves: the sweep, for the eigenvalues it
 #: prints, never for a verdict.
-PD_GATES = {"means._geomean": False, "linalg._pd_stack": False, "linalg.is_pd": False,
+PD_GATES = {"means.geomean": False, "linalg._pd_stack": False, "linalg.is_pd": False,
             "partial.offending_cliques": False, "means.partial_geomean_sweep": True,
             "completion._refute": False}
 
