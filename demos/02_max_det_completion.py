@@ -19,7 +19,6 @@ from pgm import (
     Pattern,
     PartialMatrix,
     completion_with_det,
-    feasibility_range,
     max_det_completion,
     missing_positions,
     partial_entry_bounds,
@@ -30,11 +29,10 @@ pm = PartialMatrix(
     values={(1, 1): 3.0, (2, 2): 3.0, (3, 3): 4.0, (1, 2): -1.0, (2, 3): 2.0},
 )
 
-iv = feasibility_range(pm)
-print(f"free entry (1,3): PD completions exist for x in ({iv.lower:.6g}, {iv.upper:.6g})")
-print(f"max-det value: x = {iv.center:.6g}")
-
+lo, hi = partial_entry_bounds(pm, (1, 3))
+print(f"free entry (1,3): PD completions exist for x in ({lo:.6g}, {hi:.6g})")
 report = max_det_completion(pm)
+print(f"max-det value: x = {report.matrix[0, 2]:.6g}")
 print("\ncompleted matrix (det %.6g):" % report.determinant)
 print(np.array_str(report.matrix, precision=6))
 

@@ -14,7 +14,6 @@ from pgm import (
     DEFAULT_TOL,
     Pattern,
     PartialMatrix,
-    det_integral_identity,
     entropy_identities,
     gaussian_entropy,
     max_det_completion,
@@ -34,9 +33,6 @@ s0 = max_det_completion(pa).matrix
 s1 = max_det_completion(pb).matrix
 print(f"entropies of the max-entropy completions: H0 = {gaussian_entropy(s0):.6g},"
       f" H1 = {gaussian_entropy(s1):.6g}")
-
-lhs, rhs = det_integral_identity(s0, s1)
-print(f"det identity: log det S1 - log det S0 = {lhs:.6g}, integral form = {rhs:.6g}")
 
 ids = entropy_identities(s0, s1, t=0.5)
 print(f"H1 - H0 = {ids.entropy_diff:.6g} vs trace integral {ids.entropy_diff_integral:.6g}")

@@ -10,7 +10,6 @@ from .completion import (
     CompletionReport,
     FeasibilityInterval,
     completion_with_det,
-    feasibility_range,
     max_det_completion,
     partial_entry_bounds,
     single_entry_interval,
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    as_sym_matrix,
     fro_norm,
     is_pd,
     is_psd,
@@ -50,7 +48,6 @@ from .means import (
     WeightVector,
     agm_iteration,
     block_max_property,
-    det_integral_identity,
     entropy_identities,
     gaussian_entropy,
     geomean,
@@ -64,7 +61,6 @@ from .partial import (
     Comparison,
     PartialMatrix,
     add,
-    agrees,
     is_partial_pd,
     offending_cliques,
     partial_order,

@@ -105,7 +105,8 @@ class CompletionReport(_DeterminantFromLog):
 
 
 def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
-    """Feasibility interval for one free position of a full matrix.
+    """Feasibility interval for one free position of a full matrix, with the ``center`` and
+    ``half_width`` that :func:`partial_entry_bounds` leaves out; its position is plain ints.
 
     All entries of ``m`` (admitted by ``linalg._dense``, 2-D only) but position ``(i, j)`` are
     fixed.  One ``linalg._pd_factor`` of the two bordered principal blocks proves them PD at
@@ -133,7 +134,8 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
         center = float(mp[1:-1, 0] @ _solve(mp[1:-1, 1:-1], mp[1:-1, -1]))
     ld_a, ld_b = _log_det(l)
     half = float(np.exp(0.5 * (ld_a + ld_b) - _log_det(l[1, :-1, :-1])))
-    return FeasibilityInterval(position=(min(i, j), max(i, j)), center=center, half_width=half)
+    position = (int(min(i, j)), int(max(i, j)))
+    return FeasibilityInterval(position=position, center=center, half_width=half)
 
 
 def max_det_completion(pm, tol=1e-10, max_cycles=500):
@@ -299,26 +301,12 @@ def _closed_form(a, visit, cliques, separators):
     return x[np.ix_(pos, pos)]
 
 
-def feasibility_range(pm):
-    """Feasibility interval of the unique missing entry.
-
-    The endpoints give singular positive semidefinite completions; the
-    center gives the maximum-determinant completion.
-    """
-    missing = missing_positions(pm.pattern)
-    if len(missing) != 1:
-        raise ValueError(
-            f"feasibility_range needs exactly one missing entry, found {len(missing)}"
-        )
-    i, j = missing[0]
-    return single_entry_interval(pm.to_dense(0.0), i, j)
-
-
 def partial_entry_bounds(pm, pos, tol=DEFAULT_TOL):
     """Values at one missing position keeping the partial matrix partial PD (other
     positions may stay missing), as a ``(lower, upper)`` pair: the intersection of the
     single-entry intervals of every maximal-clique block that would contain the new
-    entry, the full feasibility interval if ``pos`` is the only missing entry.  An input
+    entry, the full feasibility interval if ``pos`` is the only missing entry (its ``center``
+    and ``half_width`` are those of ``single_entry_interval(pm.to_dense(), *pos)``).  An input
     that is not partial PD raises :class:`NotPartialPD` naming its first offending clique.
     """
     i, j = sorted(pos)

@@ -57,26 +57,6 @@ def _dense(a):
     return sym(m)
 
 
-def as_sym_matrix(a):
-    """Validate a dense real symmetric matrix.
-
-    Parameters
-    ----------
-    a : array_like, shape (n, n)
-        Square matrix with finite real entries.  Round-off asymmetry is
-        averaged away; more raises ValueError (pass ``sym(a)`` to average
-        any asymmetry).
-
-    Returns
-    -------
-    ndarray of float, exactly symmetric, never ``a`` itself.
-    """
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    return _dense(m).copy()
-
-
 def _eigh(a, vectors=True):
     """Ascending eigenvalues (and eigenvectors) of a symmetric matrix or
     a stack ``(..., n, n)``; a solver failure raises InternalNumerics."""

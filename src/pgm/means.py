@@ -12,8 +12,8 @@ representative of means of partial matrices, the sweep of ``A(x) #_t B(y)`` over
 feasible fills of two missing entries, the Karcher mean (one period of the weighted
 inductive mean as the start point, then a fixed-point iteration with the Bini-Iannazzo
 step size until the gradient certificate holds), the arithmetic-harmonic iteration, and
-the log-determinant and entropy identities for Gaussian covariances, with the trace
-integral in closed form.
+the entropy identities for Gaussian covariances (half the log-determinant identity), with
+the trace integral in closed form.
 """
 
 from __future__ import annotations
@@ -589,22 +589,6 @@ def _trace_integral(a0, a1):
     return float(integral) if integral.ndim == 0 else integral
 
 
-def det_integral_identity(a0, a1):
-    """Integral representation of a determinant ratio, in the log domain.
-
-    Along the segment ``A(lambda) = (1-lambda) A0 + lambda A1`` (inside
-    the PD cone by convexity),
-
-        log det(A1) - log det(A0) = integral_0^1 tr(A(lambda)^{-1} (A1-A0)) dlambda.
-
-    Returns ``(lhs, rhs)`` = (the log-determinant difference, off the factors of the pair's
-    one PD proof, and the integral, in closed form from one spectrum).
-    """
-    pair, factors = _pd_stack((a0, a1))
-    ld0, ld1 = _log_det(factors)
-    return float(ld1 - ld0), _trace_integral(*pair)
-
-
 def gaussian_entropy(sigma):
     """Shannon entropy of a zero-mean Gaussian with covariance ``sigma``, per matrix of a stack,
     admitted by ``linalg._dense``: :func:`_entropy` of the factor of its ``linalg._require_pd``."""
@@ -620,9 +604,9 @@ def _entropy(l):
 class EntropyIdentities:
     """Two entropy identities for Gaussian covariances.
 
-    The entropy difference equals half the trace integral along the
-    segment between the covariances, and the entropy of the geodesic
-    point interpolates the endpoint entropies linearly.
+    The entropy difference equals half the trace integral along the segment between the
+    covariances (twice each is ``log det S1 - log det S0`` and its integral), and the
+    entropy of the geodesic point interpolates the endpoint entropies linearly.
     """
 
     entropy_diff: float

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, NotPartialPD, PatternMismatch
-from .linalg import DEFAULT_TOL, _definite, _require_tol, as_sym_matrix
+from .linalg import DEFAULT_TOL, _definite, _dense
 from .pattern import Pattern, _normalize_edge, _upper
 
 
@@ -98,28 +98,15 @@ def _entrywise(pattern, op, *args):
 def project(m, pattern):
     """Keep the entries of a full symmetric matrix at a pattern's
     specified positions (the upper triangle's, signed zeros included)."""
-    m = as_sym_matrix(m)
+    m = _dense(m)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] != pattern.n:
         raise DimensionMismatch(
             f"matrix of dimension {m.shape[0]} vs pattern on {pattern.n} vertices"
         )
     m = np.where(np.tri(pattern.n, k=-1, dtype=bool), m.T, m)
     return PartialMatrix._from_array(pattern, np.where(pattern._mask, m, 0.0))
-
-
-def agrees(m, pm, tol=1e-8):
-    """True iff ``m`` is symmetric and matches ``pm`` on every specified
-    position within ``tol``."""
-    _require_tol(tol)
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] != pm.n:
-        raise DimensionMismatch(f"matrix of dimension {m.shape[0]} vs partial matrix of {pm.n}")
-    if not np.array_equal(m, m.T):
-        return False
-    with np.errstate(over="ignore"):
-        return bool(np.all(np.abs(m - pm._a)[pm.pattern._mask] <= tol))
 
 
 def _clique_blocks(a, cliques):

@@ -17,7 +17,9 @@ array-backed partial matrix and the one-``%`` formatters.  The cycle
 margin decides ring completability from the edge angles alone, against
 the completion's own verdict.  The spectral oracle applies a scalar
 function to ``np.linalg.eigh``'s spectrum, against the library's own
-matrix functions.
+matrix functions.  The agreement oracle compares a completion with its
+partial matrix one specified entry at a time, against the array-backed
+storage.
 
 Property tests run under the ``pgm`` hypothesis profile: derandomized,
 so every run draws the same examples, with no deadline and a bounded
@@ -56,6 +58,15 @@ from pgm import (
 )
 from pgm.means import _shrunk_axis
 from pgm.errors import AsymmetricPattern, MissingDiagonal, ParseError, PgmError
+
+
+def agrees(m, pm, tol=1e-8):
+    """True iff ``m`` is an exactly symmetric ``n x n`` matrix that matches the partial
+    matrix ``pm`` within ``tol`` at every specified position."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (pm.n, pm.n) or not np.array_equal(m, m.T):
+        return False
+    return all(abs(float(m[i - 1, j - 1]) - v) <= tol for (i, j), v in pm.values.items())
 
 
 def rand_spd(rng, n, spread=1.0):

@@ -22,9 +22,7 @@ from pgm import (
     NotCompletable,
     WeightVector,
     agm_iteration,
-    det_integral_identity,
     entropy_identities,
-    feasibility_range,
     fro_norm,
     geomean,
     geomean_properties_check,
@@ -74,12 +72,12 @@ def test_criterion_01_non_completability():
 
 def test_criterion_02_feasibility_intervals_3x3():
     started = time.perf_counter()
-    iva = feasibility_range(ex1_partial_a())
-    assert abs(iva.lower - (-10.0 / 3.0)) <= 1e-10
-    assert abs(iva.upper - 2.0) <= 1e-10
-    ivb = feasibility_range(ex1_partial_b())
-    assert abs(ivb.lower - (-3.0 - 3.0 * math.sqrt(11.0)) / 5.0) <= 1e-10
-    assert abs(ivb.upper - (3.0 * math.sqrt(11.0) - 3.0) / 5.0) <= 1e-10
+    lo_a, hi_a = partial_entry_bounds(ex1_partial_a(), (1, 3))
+    assert abs(lo_a - (-10.0 / 3.0)) <= 1e-10
+    assert abs(hi_a - 2.0) <= 1e-10
+    lo_b, hi_b = partial_entry_bounds(ex1_partial_b(), (1, 3))
+    assert abs(lo_b - (-3.0 - 3.0 * math.sqrt(11.0)) / 5.0) <= 1e-10
+    assert abs(hi_b - (3.0 * math.sqrt(11.0) - 3.0) / 5.0) <= 1e-10
     entry_a = max_det_completion(ex1_partial_a()).matrix[0, 2]
     entry_b = max_det_completion(ex1_partial_b()).matrix[0, 2]
     assert abs(entry_a - (-2.0 / 3.0)) <= 1e-10
@@ -90,13 +88,13 @@ def test_criterion_02_feasibility_intervals_3x3():
 
 def test_criterion_03_feasibility_intervals_5x5():
     started = time.perf_counter()
-    iva = feasibility_range(ex2_partial_a())
+    lo_a, hi_a = partial_entry_bounds(ex2_partial_a(), (1, 5))
     # radius sqrt(det A * det B)/det C = sqrt(28 * 37)/13 = sqrt(1036)/13
-    assert abs(iva.lower - (10.0 - math.sqrt(1036.0)) / 13.0) <= 1e-9
-    assert abs(iva.upper - (10.0 + math.sqrt(1036.0)) / 13.0) <= 1e-9
-    ivb = feasibility_range(ex2_partial_b())
-    assert abs(ivb.lower - (4.0 - math.sqrt(34.0)) / 9.0) <= 1e-9
-    assert abs(ivb.upper - (4.0 + math.sqrt(34.0)) / 9.0) <= 1e-9
+    assert abs(lo_a - (10.0 - math.sqrt(1036.0)) / 13.0) <= 1e-9
+    assert abs(hi_a - (10.0 + math.sqrt(1036.0)) / 13.0) <= 1e-9
+    lo_b, hi_b = partial_entry_bounds(ex2_partial_b(), (1, 5))
+    assert abs(lo_b - (4.0 - math.sqrt(34.0)) / 9.0) <= 1e-9
+    assert abs(hi_b - (4.0 + math.sqrt(34.0)) / 9.0) <= 1e-9
     entry_a = max_det_completion(ex2_partial_a()).matrix[0, 4]
     entry_b = max_det_completion(ex2_partial_b()).matrix[0, 4]
     assert abs(entry_a - 10.0 / 13.0) <= 1e-9
@@ -189,10 +187,9 @@ def test_criterion_07_integral_identities():
     for _ in range(50):
         n = int(rng.integers(2, 7))
         a0, a1 = rand_spd(rng, n, spread=0.8), rand_spd(rng, n, spread=0.8)
-        lhs, rhs = det_integral_identity(a0, a1)
-        assert abs(lhs - rhs) <= 1e-8
         ids = entropy_identities(a0, a1, t=float(rng.uniform(0, 1)))
-        assert abs(ids.entropy_diff - ids.entropy_diff_integral) <= 1e-8
+        # half the log-determinant identity, whose bound was 1e-8
+        assert abs(ids.entropy_diff - ids.entropy_diff_integral) <= 5e-9
         assert abs(ids.entropy_geomean - ids.entropy_interpolated) <= 1e-8
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 import math
 import re
 from pathlib import Path
@@ -18,10 +19,8 @@ from pgm import (
     OutOfRange,
     Pattern,
     PartialMatrix,
-    agrees,
     completion,
     completion_with_det,
-    feasibility_range,
     fro_norm,
     is_pd,
     linalg,
@@ -39,6 +38,7 @@ from pgm import (
 )
 from pgm.cli import parse_partial
 from conftest import (
+    agrees,
     assert_completion_scales,
     cosine_ring,
     ex1_partial_a,
@@ -107,47 +107,55 @@ class TestSingleEntryInterval:
         with pytest.raises(ValueError):
             single_entry_interval(np.eye(3), 2, 2)
 
+    @pytest.mark.parametrize("index", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_position_gives_plain_ints(self, index):
+        # the interval of numpy-integer indices is that of Python ints, which json encodes
+        m = ex1_partial_a().to_dense()
+        iv = single_entry_interval(m, index(3), index(1))
+        assert iv == single_entry_interval(m, 3, 1)
+        assert [type(k) for k in iv.position] == [int, int]
+        assert json.dumps(iv.position) == "[1, 3]"
+
     def test_non_integer_position_named(self):
         # a float index would reach numpy's indexing and raise its IndexError
         with pytest.raises(ValueError, match=r"position \(1\.0, 3\.0\) has a non-integer index"):
             single_entry_interval(np.eye(3), 1.0, 3.0)
 
 
+def _sole_missing_bounds(pm):
+    """:func:`partial_entry_bounds` at the one missing position of ``pm``."""
+    (pos,) = missing_positions(pm.pattern)
+    return partial_entry_bounds(pm, pos)
+
+
 class TestFeasibilityRange:
+    """The feasibility interval of a sole missing entry, by :func:`partial_entry_bounds`."""
+
     def test_example_two_a(self):
         # the radius is sqrt(det A * det B) / det C = sqrt(28 * 37) / 13
-        iv = feasibility_range(ex2_partial_a())
-        assert iv.lower == pytest.approx((10.0 - math.sqrt(1036.0)) / 13.0, abs=1e-10)
-        assert iv.upper == pytest.approx((10.0 + math.sqrt(1036.0)) / 13.0, abs=1e-10)
+        lo, hi = _sole_missing_bounds(ex2_partial_a())
+        assert lo == pytest.approx((10.0 - math.sqrt(1036.0)) / 13.0, abs=1e-10)
+        assert hi == pytest.approx((10.0 + math.sqrt(1036.0)) / 13.0, abs=1e-10)
 
     def test_example_two_b(self):
-        iv = feasibility_range(ex2_partial_b())
-        assert iv.lower == pytest.approx((4.0 - math.sqrt(34.0)) / 9.0, abs=1e-10)
-        assert iv.upper == pytest.approx((4.0 + math.sqrt(34.0)) / 9.0, abs=1e-10)
+        lo, hi = _sole_missing_bounds(ex2_partial_b())
+        assert lo == pytest.approx((4.0 - math.sqrt(34.0)) / 9.0, abs=1e-10)
+        assert hi == pytest.approx((4.0 + math.sqrt(34.0)) / 9.0, abs=1e-10)
 
     def test_identity_ring(self):
-        iv = feasibility_range(identity_ring_partial(10))
-        assert (iv.lower, iv.upper) == (pytest.approx(-1.0), pytest.approx(1.0))
+        lo, hi = _sole_missing_bounds(identity_ring_partial(10))
+        assert (lo, hi) == (pytest.approx(-1.0), pytest.approx(1.0))
 
     @pytest.mark.parametrize("maker", [ex1_partial_a, ex1_partial_b, ex2_partial_a, ex2_partial_b])
     def test_endpoints_are_singular(self, maker):
         pm = maker()
-        iv = feasibility_range(pm)
         (i, j) = missing_positions(pm.pattern)[0]
         m = pm.to_dense()
         scale = np.prod(np.diag(m))
-        for endpoint in (iv.lower, iv.upper):
+        for endpoint in _sole_missing_bounds(pm):
             m[i - 1, j - 1] = m[j - 1, i - 1] = endpoint
             assert abs(det(m)) <= 1e-8 * scale
             assert np.linalg.eigvalsh(m)[0] >= -1e-8 * op_norm(m)
-
-    def test_requires_single_missing(self):
-        pm = PartialMatrix(
-            pattern=Pattern.from_pairs(3, [(1, 2)]),
-            values={(1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0, (1, 2): 0.0},
-        )
-        with pytest.raises(ValueError):
-            feasibility_range(pm)
 
 
 class TestMaxDetCompletion:
@@ -257,7 +265,7 @@ class TestMaxDetCompletion:
 
     def test_single_missing_matches_closed_form(self):
         pm = ex1_partial_a()
-        iv = feasibility_range(pm)
+        iv = single_entry_interval(pm.to_dense(), 1, 3)
         rep = max_det_completion(pm)
         assert abs(rep.matrix[0, 2] - iv.center) <= 1e-12
 
@@ -626,7 +634,7 @@ class TestCompletionWithDet:
         assert agrees(m, pm, tol=1e-10)
         assert is_pd(m)
         # independent one-dimensional oracle: bisect the entry itself
-        iv = feasibility_range(pm)
+        iv = single_entry_interval(pm.to_dense(), 1, 3)
         lo, hi = iv.center, iv.upper
         full = pm.to_dense()
         for _ in range(200):
@@ -754,7 +762,7 @@ class TestFischerBound:
 class TestPartialEntryBounds:
     def test_matches_feasibility_range_for_single_missing(self):
         pm = ex2_partial_a()
-        iv = feasibility_range(pm)
+        iv = single_entry_interval(pm.to_dense(), 1, 5)
         lo, hi = partial_entry_bounds(pm, (1, 5))
         assert lo == pytest.approx(iv.lower, abs=1e-12)
         assert hi == pytest.approx(iv.upper, abs=1e-12)

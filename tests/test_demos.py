@@ -42,7 +42,7 @@ KEY_LINES = {
         "AGM iteration: 5 steps",
     ],
     "06_entropy_and_sweeps.py": [
-        "det identity: log det S1 - log det S0 = -0.0745889, integral form = -0.0745889",
+        "H1 - H0 = -0.0372944 vs trace integral -0.0372944",
         "41x41 sweep: det surface peaks at x = -0.6667, y = -0.6 (det = 20.5524)",
         "region sweep: 1075 of 1681 cells admit a PD pair",
     ],

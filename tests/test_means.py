@@ -22,7 +22,6 @@ from pgm import (
     WeightVector,
     agm_iteration,
     block_max_property,
-    det_integral_identity,
     entropy_identities,
     fro_norm,
     gaussian_entropy,
@@ -536,16 +535,16 @@ class TestPartialGeomean:
         # no pair of completions beats the max-det pair
         pa, pb = ex1_partial_a(), ex1_partial_b()
         res = partial_geomean_maxdet(pa, pb, 0.5)
-        from pgm import feasibility_range
+        from pgm import partial_entry_bounds
 
-        iva, ivb = feasibility_range(pa), feasibility_range(pb)
+        (lo_a, hi_a), (lo_b, hi_b) = (partial_entry_bounds(pm, (1, 3)) for pm in (pa, pb))
         ma, mb = pa.to_dense(), pb.to_dense()
         shrink = 1e-9
         best = -np.inf
-        for x in np.linspace(iva.lower + shrink, iva.upper - shrink, 51):
+        for x in np.linspace(lo_a + shrink, hi_a - shrink, 51):
             ma[0, 2] = ma[2, 0] = x
             da = det(ma)
-            for y in np.linspace(ivb.lower + shrink, ivb.upper - shrink, 51):
+            for y in np.linspace(lo_b + shrink, hi_b - shrink, 51):
                 mb[0, 2] = mb[2, 0] = y
                 best = max(best, math.sqrt(max(da, 0.0) * max(det(mb), 0.0)))
         assert res.determinant >= best - 1e-9
@@ -836,48 +835,52 @@ class TestAgmIteration:
 
 
 class TestDetIntegralIdentity:
+    """The log-determinant identity, halved: ``entropy_identities``' entropy difference and its
+    trace integral.  Absolute bounds are half those on the log-determinants."""
+
     def test_equal_endpoints(self):
         a = np.diag([2.0, 3.0])
-        assert det_integral_identity(a, a) == (0.0, 0.0)
+        ids = entropy_identities(a, a)
+        assert (ids.entropy_diff, ids.entropy_diff_integral) == (0.0, 0.0)
 
     def test_identity_to_diagonal(self):
         # the trace integral reduces to int_0^1 3/(1+3t) dt = ln 4
-        lhs, rhs = det_integral_identity(np.eye(2), np.diag([4.0, 1.0]))
-        assert lhs == pytest.approx(math.log(4.0), abs=1e-14)
-        assert rhs == pytest.approx(math.log(4.0), abs=1e-14)
+        ids = entropy_identities(np.eye(2), np.diag([4.0, 1.0]))
+        assert ids.entropy_diff == pytest.approx(0.5 * math.log(4.0), abs=5e-15)
+        assert ids.entropy_diff_integral == pytest.approx(0.5 * math.log(4.0), abs=5e-15)
 
     def test_completion_pair(self):
         pm = ex1_partial_a()
         ahat = max_det_completion(pm).matrix
         other = ahat.copy()
         other[0, 2] = other[2, 0] = 0.5  # still inside the feasibility interval
-        lhs, rhs = det_integral_identity(ahat, other)
-        assert abs(lhs - rhs) <= 1e-8
+        ids = entropy_identities(ahat, other)
+        assert abs(ids.entropy_diff - ids.entropy_diff_integral) <= 5e-9
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_pairs(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         a0, a1 = rand_spd(rng, n), rand_spd(rng, n)
-        lhs, rhs = det_integral_identity(a0, a1)
-        assert abs(lhs - rhs) <= 1e-8
+        ids = entropy_identities(a0, a1)
+        assert abs(ids.entropy_diff - ids.entropy_diff_integral) <= 5e-9
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("n", [3, 8])
     def test_sides_agree_on_a_spread_direction(self, seed, n):
         # an eigenvalue log-sum on the left side loses digits here (5.5e-9 off the right side)
-        lhs, rhs = det_integral_identity(*stretched_spd(seed, n))
-        assert lhs == pytest.approx(rhs, rel=2e-9)
+        ids = entropy_identities(*stretched_spd(seed, n))
+        assert ids.entropy_diff == pytest.approx(ids.entropy_diff_integral, rel=2e-9)
 
     def test_finite_where_det_overflows(self):
-        # det(10 I_400) = 1e400 overflows; both sides are 400 log 1.2
-        lhs, rhs = det_integral_identity(10.0 * np.eye(400), 12.0 * np.eye(400))
-        assert lhs == pytest.approx(400.0 * math.log(1.2), rel=1e-12)
-        assert rhs == pytest.approx(400.0 * math.log(1.2), rel=1e-12)
+        # det(10 I_400) = 1e400 overflows; both sides are 200 log 1.2
+        ids = entropy_identities(10.0 * np.eye(400), 12.0 * np.eye(400))
+        assert ids.entropy_diff == pytest.approx(200.0 * math.log(1.2), rel=1e-12)
+        assert ids.entropy_diff_integral == pytest.approx(200.0 * math.log(1.2), rel=1e-12)
 
     def test_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
-            det_integral_identity(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
+            entropy_identities(np.array([[1.0, 2.0], [2.0, 1.0]]), np.eye(2))
 
 
 class TestTraceQuadrature:
@@ -1045,7 +1048,7 @@ PD_ENTRY_POINTS = {
     "geomean": lambda a, b: geomean(a, b, 0.5),
     "karcher_mean": lambda a, b: karcher_mean(WeightVector.uniform(2), [a, b]),
     "agm_iteration": agm_iteration,
-    "det_integral_identity": det_integral_identity,
+    "entropy_identities": entropy_identities,
     "riemannian_dist": riemannian_dist,
     "SampleSet": lambda a, b: SampleSet((a, b)),
 }
@@ -1111,12 +1114,10 @@ class TestPdPrecondition:
 
     @pytest.mark.parametrize(("entry", "factored", "eigensolved"), [
         (lambda a, b, c, d: karcher_mean(WeightVector((0.3, 0.7)), [a, b]), [1, 1, 0, 0], None),
-        (lambda a, b, c, d: det_integral_identity(a, b), [1, 1, 0, 0], None),
         (lambda a, b, c, d: entropy_identities(a, b), [1, 1, 0, 0], None),
         (lambda a, b, c, d: geomean_properties_check(a, b, c, d, 0.3, 0.6, 2.0 * np.eye(4)),
          [3, 3, 2, 2], [1, 0, 0, 0]),
-    ], ids=["karcher_mean", "det_integral_identity", "entropy_identities",
-            "geomean_properties_check"])
+    ], ids=["karcher_mean", "entropy_identities", "geomean_properties_check"])
     def test_each_input_is_decomposed_once(self, monkeypatch, entry, factored, eigensolved):
         # the one PD factorization of an input is also where its log-determinant and the
         # means' factor come from: no Cholesky, eigensolve or determinant of it follows.  Every

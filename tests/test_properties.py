@@ -29,7 +29,6 @@ from pgm import (
     Comparison,
     PartialMatrix,
     Pattern,
-    agrees,
     completion,
     completion_with_det,
     geomean,
@@ -46,6 +45,7 @@ from pgm import (
 from pgm.cli import _human_matrix, format_matrix, format_partial, parse_partial
 from pgm.errors import NotCompletable
 from conftest import (
+    agrees,
     assert_completion_scales,
     cosine_ring,
     cycle_margin,
