@@ -203,10 +203,10 @@ class TestScaleFree:
 
     def test_asymmetry_judged_against_the_matrix_scale(self):
         with pytest.raises(ValueError, match="matrix is not symmetric"):
-            _projected([[1e-12, 1e-12], [0.0, 1e-12]])
+            as_sym_matrix([[1e-12, 1e-12], [0.0, 1e-12]])
         round_off = np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]])
         for c in SCALES:
-            np.testing.assert_array_equal(_projected(c * round_off), c * sym(round_off))
+            np.testing.assert_array_equal(as_sym_matrix(c * round_off), c * sym(round_off))
 
 
 class TestScalars:
@@ -352,16 +352,35 @@ class TestValidation:
 
     def test_round_off_asymmetry_symmetrized(self):
         m = np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]])
-        np.testing.assert_array_equal(_projected(m), sym(m))
+        np.testing.assert_array_equal(as_sym_matrix(m), sym(m))
         exact = np.array([[1e308, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(_projected(exact), exact)  # sym() would overflow
+        np.testing.assert_array_equal(as_sym_matrix(exact), exact)  # sym() would overflow
         pm = project(exact, Pattern.complete(2))
         exact[0, 0] = 2.0
         assert pm.entry(1, 1) == 1e308  # the partial matrix holds no view of its input
 
+    def test_as_sym_matrix_rejects_asymmetric(self):
+        with pytest.raises(ValueError):
+            as_sym_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
-def _projected(a):
-    """``a`` through :func:`project` onto the complete pattern, back as a dense array."""
+    def test_as_sym_matrix_symmetrizes(self):
+        m = as_sym_matrix(sym(np.array([[1.0, 2.0], [0.0, 1.0]])))
+        np.testing.assert_allclose(m, np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_as_sym_matrix_rejects_nonsquare(self):
+        with pytest.raises(DimensionMismatch):
+            as_sym_matrix(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_as_sym_matrix_rejects_non_finite(self, bad):
+        # nan != nan, so a symmetry test alone calls a NaN pair asymmetric
+        with pytest.raises(ValueError, match="non-finite"):
+            as_sym_matrix(np.array([[1.0, bad], [bad, 1.0]]))
+
+
+def as_sym_matrix(a):
+    """``a`` through :func:`project` onto the complete pattern, back as a dense array: the
+    symmetric matrix that ``project`` admits, with the checks of the dense door."""
     return project(a, Pattern.complete(np.shape(a)[-1])).to_dense()
 
 
@@ -372,7 +391,7 @@ DENSE_ENTRY_POINTS = {
     "op_norm": op_norm,
     "gaussian_entropy": gaussian_entropy,
     "single_entry_interval": lambda a: single_entry_interval(a, 1, 2),
-    "project": _projected,
+    "as_sym_matrix": as_sym_matrix,
 }
 MALFORMED_DENSE = {
     "2x3": (np.ones((2, 3)), DimensionMismatch, r"expected a square matrix, got shape \(2, 3\)"),
@@ -408,7 +427,7 @@ class TestDenseDoor:
         for x, y in zip(got, want, strict=True):
             np.testing.assert_array_equal(x, y)
 
-    @pytest.mark.parametrize("entry", ["project", "single_entry_interval"])
+    @pytest.mark.parametrize("entry", ["as_sym_matrix", "single_entry_interval"])
     def test_two_d_entry_points_name_a_stack_shape(self, entry):
         stack = np.stack([np.eye(3), 2.0 * np.eye(3)])
         message = r"expected a square matrix, got shape \(2, 3, 3\)"
