@@ -4,7 +4,9 @@ A pattern is an undirected graph with all loops on vertices ``1..n``; its
 edges index the specified entries of a partial matrix.  This module tests
 chordality, the completability verdict, with a witness (a perfect elimination
 ordering from one maximum-cardinality search over the sparser of the pattern
-and its complement, or a chordless cycle of length >= 4), and lists maximal cliques.
+and its complement, or a chordless cycle of length >= 4), and lists maximal cliques:
+a chordal pattern's from that search, any other's by Bron-Kerbosch, except that a
+triangle-free pattern's cliques are its edges, listed in one pass in the recursion's order.
 
 Vertices are 1-based in every public signature and 0-based internally.
 A pattern is stored as its symmetric ``(n, n)`` boolean mask; the edge
@@ -124,7 +126,9 @@ class Pattern:
     def _clique_sequence(self):
         """Maximal cliques as sorted tuples of 0-based vertices: for a chordal pattern the
         perfect sequence of ``_mcs``, in visit order (each clique meets the union of the
-        earlier ones in its separator, inside one earlier clique), else Bron-Kerbosch."""
+        earlier ones in its separator, inside one earlier clique), else Bron-Kerbosch's
+        discovery order, which the clique sweeps follow; a triangle-free pattern (a ring,
+        a grid) has its edges as cliques, listed in one pass in that same order."""
         cliques = self._mcs[1]
         return cliques if cliques is not None else tuple(_bron_kerbosch(self._adjacency, self.n))
 
@@ -255,21 +259,40 @@ def is_chordal(g):
 
 
 def _bron_kerbosch(adj, n):
-    """Maximal cliques by Bron-Kerbosch with pivoting, ``p`` and ``x`` updated in place."""
-    cliques = []
+    """Maximal cliques by Bron-Kerbosch with pivoting (Tomita, Tanaka and Takahashi), in
+    discovery order, on an explicit stack of frames, so a clique of any size costs no Python
+    recursion.  A triangle-free pattern's maximal cliques are its edges and isolated vertices,
+    listed in one pass in the recursion's order: the top level passes its pivot's non-neighbors
+    ``v`` in ascending order, and ``v`` ends in an edge with each neighbor not yet passed, or
+    alone if it has none."""
+    everyone = set(range(n))
+    if all(adj[i].isdisjoint(adj[j]) for i in range(n) for j in adj[i] if i < j):
+        cliques, passed = [], set()
+        for v in sorted(everyone - adj[max(range(n), key=lambda u: (len(adj[u]), -u))]):
+            cliques += [(v, w) if v < w else (w, v) for w in sorted(adj[v] - passed)]
+            if not adj[v]:
+                cliques.append((v,))
+            passed.add(v)
+        return cliques
 
-    def expand(r, p, x):
+    def frame(r, p, x):
         pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
-        for v in sorted(p - adj[pivot]):
-            p_v, x_v = p & adj[v], x & adj[v]
-            if p_v:
-                expand(r | {v}, p_v, x_v)
-            elif not x_v:
-                cliques.append(tuple(sorted(r | {v})))
-            p.discard(v)
-            x.add(v)
+        return r, p, x, iter(sorted(p - adj[pivot]))
 
-    expand(set(), set(range(n)), set())
+    cliques, stack = [], [frame((), everyone, set())]
+    while stack:
+        r, p, x, candidates = stack[-1]
+        v = next(candidates, None)
+        if v is None:
+            stack.pop()
+            continue
+        p_v, x_v = p & adj[v], x & adj[v]
+        if p_v:  # the child's sets are its own, so v leaves p now, before the child runs
+            stack.append(frame((*r, v), p_v, x_v))
+        elif not x_v:
+            cliques.append(tuple(sorted((*r, v))))
+        p.discard(v)
+        x.add(v)
     return cliques
 
 

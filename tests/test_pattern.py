@@ -1,5 +1,6 @@
 """Pattern graphs: chordality witnesses, cliques, missing positions."""
 
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -37,6 +38,41 @@ def random_pattern(rng, n, p=0.5):
         if rng.random() < p
     ]
     return Pattern.from_pairs(n, pairs)
+
+
+def ring_pattern(n):
+    return Pattern.from_pairs(n, [*((i, i + 1) for i in range(1, n)), (n, 1)])
+
+
+def grid_pattern(rows, cols):
+    """The ``rows x cols`` grid graph, vertices numbered row by row."""
+    pairs = [(v, v + 1) for v in range(1, rows * cols + 1) if v % cols]
+    pairs += [(v, v + cols) for v in range(1, (rows - 1) * cols + 1)]
+    return Pattern.from_pairs(rows * cols, pairs)
+
+
+def triangle_free_with_a_hole(rng, n):
+    """A random triangle-free pattern on ``n`` vertices through the cycle ``1..k``,
+    ``k >= 4``: pairs join while their ends share no neighbor.  It is not chordal, since
+    its shortest cycle has no chord and at least four vertices."""
+    k = int(rng.integers(4, min(n, 12) + 1))
+    adj = [set() for _ in range(n + 1)]
+    pairs = [*((i, i + 1) for i in range(1, k)), (k, 1)]
+    candidates = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pairs += [candidates[t] for t in rng.permutation(len(candidates))[: 2 * n]]
+    kept = []
+    for i, j in pairs:
+        if j not in adj[i] and adj[i].isdisjoint(adj[j]):
+            adj[i].add(j)
+            adj[j].add(i)
+            kept.append((i, j))
+    return Pattern.from_pairs(n, kept)
+
+
+def near_complete_with_missing(n, missing):
+    missing = {tuple(sorted(p)) for p in missing}
+    return Pattern.from_pairs(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                                  if (i, j) not in missing])
 
 
 class TestConstruction:
@@ -157,6 +193,53 @@ class TestMaximalCliques:
                 continue
             assert g._clique_sequence == tuple(reference_bron_kerbosch(g))
             checked += 1
+
+    @pytest.mark.parametrize("g", [ring_pattern(n) for n in (4, 5, 24, 101)]
+                             + [grid_pattern(r, c) for r, c in ((2, 3), (5, 6), (12, 12))],
+                             ids=["ring4", "ring5", "ring24", "ring101",
+                                  "grid2x3", "grid5x6", "grid12x12"])
+    def test_rings_and_grids_list_their_edges_in_the_recursion_order(self, g):
+        assert not is_chordal(g).chordal
+        assert g._clique_sequence == tuple(reference_bron_kerbosch(g))
+        assert sorted(g._clique_sequence) == sorted((i - 1, j - 1) for i, j in g.edges if i < j)
+
+    @pytest.mark.parametrize("isolated", [0, 3], ids=["connected", "isolated"])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_triangle_free_sequence_matches_the_reference_recursion(self, seed, isolated):
+        # a random triangle-free pattern around a hole, isolated vertices scattered in
+        rng = np.random.default_rng(500 + seed)
+        n = int(rng.integers(8, 61))
+        g = triangle_free_with_a_hole(rng, n)
+        for _ in range(isolated):
+            g = _disjoint_union(rng, g, Pattern.from_pairs(1))
+        assert not is_chordal(g).chordal
+        assert g._clique_sequence == tuple(reference_bron_kerbosch(g))
+        alone = [(v,) for v in range(g.n) if not g._adjacency[v]]
+        assert len(alone) >= isolated and [c for c in g._clique_sequence if len(c) == 1] == alone
+
+    @pytest.mark.parametrize("n", [5, 24, 101])
+    def test_a_chord_closing_a_triangle_takes_the_recursion(self, n):
+        g = Pattern.from_pairs(n, [*((i, i + 1) for i in range(1, n)), (n, 1), (1, 3)])
+        assert not is_chordal(g).chordal
+        assert g._clique_sequence == tuple(reference_bron_kerbosch(g))
+        assert (0, 1, 2) in g._clique_sequence
+
+    def test_cliques_deeper_than_the_recursion_limit(self):
+        # two missing pairs leave a chordless 4-cycle and four cliques of n - 2 vertices
+        n = 160
+        g = near_complete_with_missing(n, [(1, 2), (3, 4)])
+        expected = tuple(reference_bron_kerbosch(g))
+        assert [len(c) for c in expected] == [n - 2] * 4
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            got = g._clique_sequence
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == expected
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_complete_pattern_skips_the_search(self, n, monkeypatch):
