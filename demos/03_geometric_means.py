@@ -12,7 +12,6 @@ import numpy as np
 from pgm import (
     Pattern,
     PartialMatrix,
-    SampleSet,
     geomean,
     geomean_properties_check,
     partial_geomean_maxdet,
@@ -47,8 +46,8 @@ for name in (
     print(f"  {name}: {getattr(report, name)}")
 
 # Means of sample sets: cardinality is at most the product of the sizes.
-s = SampleSet((rand_spd(3), rand_spd(3)))
-t_set = SampleSet((rand_spd(3), rand_spd(3), rand_spd(3)))
+s = (rand_spd(3), rand_spd(3))
+t_set = (rand_spd(3), rand_spd(3), rand_spd(3))
 print("\n|S| = 2, |T| = 3, |S # T| =", len(set_geomean(s, t_set, 0.5)))
 
 # Means of partial matrices via their max-det completions.

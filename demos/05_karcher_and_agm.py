@@ -13,7 +13,6 @@ both sequences onto A # B.
 import numpy as np
 
 from pgm import (
-    WeightVector,
     agm_iteration,
     fro_norm,
     geomean,
@@ -30,23 +29,23 @@ def rand_spd(n):
 
 
 mats = [rand_spd(4) for _ in range(3)]
-weights = WeightVector((0.5, 0.3, 0.2))
+weights = (0.5, 0.3, 0.2)
 res = karcher_mean(weights, mats)
-print("karcher mean of 3 matrices, weights", weights.weights)
+print("karcher mean of 3 matrices, weights", weights)
 print(np.array_str(res.matrix, precision=6))
 print(f"steps: {res.steps}, gradient norm: {res.gradient_norm:.3e}, converged: {res.converged}")
 
 # Two matrices with equal weights: the Karcher mean is the geodesic
 # midpoint, recovered exactly.
 a, b = rand_spd(4), rand_spd(4)
-two = karcher_mean(WeightVector.uniform(2), [a, b])
+two = karcher_mean((0.5, 0.5), [a, b])
 print("\ntwo-matrix mean vs geodesic midpoint:",
       f"delta = {riemannian_dist(two.matrix, geomean(a, b, 0.5)):.3e}",
       f"({two.steps} steps)")
 
 # Commuting matrices reduce to entrywise geometric means.
 diags = [np.diag(rng.uniform(0.5, 2.0, 4)) for _ in range(3)]
-com = karcher_mean(WeightVector.uniform(3), diags)
+com = karcher_mean((1 / 3,) * 3, diags)
 expected = np.diag(np.exp(np.mean([np.log(np.diag(d)) for d in diags], axis=0)))
 print("commuting case error:", f"{fro_norm(com.matrix - expected):.3e}")
 

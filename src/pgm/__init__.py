@@ -44,8 +44,6 @@ from .means import (
     GeomeanPropertyReport,
     KarcherResult,
     PartialGeomeanResult,
-    SampleSet,
-    WeightVector,
     agm_iteration,
     block_max_property,
     entropy_identities,

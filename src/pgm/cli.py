@@ -32,7 +32,6 @@ from .completion import max_det_completion
 from .errors import AsymmetricPattern, MissingDiagonal, ParseError, PgmError
 from .linalg import DEFAULT_TOL
 from .means import (
-    WeightVector,
     entropy_identities,
     gaussian_entropy,
     karcher_mean,
@@ -360,12 +359,11 @@ def cmd_karcher(args):
         counts = f"{len(args.weights)} weights given for {len(args.files)} files"
         print(f"error: {counts}", file=sys.stderr)
         return 2
-    weights = WeightVector(weights=tuple(args.weights))
     mats = []
     for path in args.files:
         pm = parse_partial(path)
         mats.append(max_det_completion(pm).require_converged().matrix)
-    result = karcher_mean(weights, mats)
+    result = karcher_mean(args.weights, mats)
     print(f"karcher mean of {len(mats)} matrices:")
     print(_human_matrix(result.matrix))
     print(f"steps: {result.steps}")

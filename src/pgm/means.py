@@ -7,13 +7,13 @@ The weighted two-variable geometric mean
 is the point at parameter ``t`` on the unique Riemannian geodesic from A to B; by
 congruence invariance any factor L serves, and every congruence here takes the Cholesky
 factor.  This module provides the mean (on single matrices or stacks), a numerical checker
-for its classical property suite, means of finite sample sets, the maximum-determinant
-representative of means of partial matrices, the sweep of ``A(x) #_t B(y)`` over the
-feasible fills of two missing entries, the Karcher mean (one period of the weighted
-inductive mean as the start point, then a fixed-point iteration with the Bini-Iannazzo
-step size until the gradient certificate holds), the arithmetic-harmonic iteration, and
-the entropy identities for Gaussian covariances (half the log-determinant identity), with
-the trace integral in closed form.
+for its classical property suite, the means of two finite sets (plain sequences of
+matrices), the maximum-determinant representative of means of partial matrices, the sweep
+of ``A(x) #_t B(y)`` over the feasible fills of two missing entries, the Karcher mean (one
+period of the weighted inductive mean as the start point, then a fixed-point iteration
+with the Bini-Iannazzo step size until the gradient certificate holds), the
+arithmetic-harmonic iteration, and the entropy identities for Gaussian covariances (half
+the log-determinant identity), with the trace integral in closed form.
 """
 
 from __future__ import annotations
@@ -269,34 +269,23 @@ def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
     )
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Non-empty finite set of positive definite matrices of one shape, checked as one stack."""
-
-    members: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(_pd_stack(self.members)[0]))
-
-    def __len__(self):
-        return len(self.members)
-
-
 def set_geomean(s, t_set, t=0.5):
-    """All pairwise weighted geometric means of two sample sets.
+    """All pairwise weighted geometric means of two finite sets of PD matrices, as a tuple.
 
-    Duplicates (Frobenius distance <= 1e-12 times the larger norm) are removed, so the result
-    has at most ``len(s) * len(t_set)`` members.  Each set is proved PD once, and the means are
-    one broadcast :func:`_geomean_core` on the factors of ``s``.
+    ``s`` and ``t_set`` are non-empty sequences (or stacks) of matrices of one shape.  Each is
+    proved PD once by one ``_pd_stack``, and the means are one broadcast :func:`_geomean_core`
+    on the factors of ``s``, so each is :func:`geomean`'s, bit for bit; a mean passes no PD
+    door.  Duplicates (Frobenius distance <= 1e-12 times the larger norm) are removed, so the
+    result has at most ``len(s) * len(t_set)`` members.
     """
     _warn_off_geodesic(t)
-    (xs, l), ys = _pd_stack(s.members), _pd_stack(t_set.members)[0]
+    (xs, l), ys = _pd_stack(s), _pd_stack(t_set)[0]
     _require_pair(xs[0], ys[0])
     out = []
     for g in _geomean_core(l[:, None], ys, t).reshape(-1, *ys.shape[1:]):
         if not any(_close(g, kept, 1e-12) for kept in out):
             out.append(g)
-    return SampleSet(tuple(out))
+    return tuple(out)
 
 
 def block_max_property(a, b):
@@ -418,34 +407,6 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     return table.reshape(grid * grid, -1)
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Positive finite weights summing to one."""
-
-    weights: tuple
-
-    def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
-        if not w or not all(0.0 < x < math.inf for x in w):
-            raise ValueError(f"weights must be positive and finite, got {w}")
-        if abs(sum(w) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
-        object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, n):
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
-            message = f"uniform weights need at least one weight, got n = {n!r}"
-            raise ValueError(f"{message}; n must be an integer >= 1")
-        return cls(weights=(1.0 / n,) * n)
-
-    def __len__(self):
-        return len(self.weights)
-
-    def __iter__(self):
-        return iter(self.weights)
-
-
 @dataclass
 class KarcherResult:
     """Karcher mean estimate with its optimality certificate.
@@ -481,19 +442,24 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     and Iannazzo (LAA 2013), ``theta = 2 / sum_i w_i (c_i + 1)/(c_i - 1) log c_i`` with
     ``c_i = cond(M_i)`` (2 at ``c_i = 1``); a unit step can diverge on spread inputs.
 
-    One stacked :func:`~pgm.linalg._pd_factor` proves the inputs PD: the start point's means take
+    ``weights`` is a plain sequence of one positive finite weight per matrix, summing to 1
+    within 1e-12; a ValueError names the weights, or their sum or count, that break it.  One stacked
+    :func:`~pgm.linalg._pd_factor` proves the inputs PD: the start point's means take
     :func:`_geomean_core` on its factors and their own means, and each step's spectra meet only
     :func:`_positive`, no PD margin.  ``converged`` is False if the step budget ran out first.
     """
     if not (isinstance(max_steps, (int, np.integer)) and max_steps >= 0):
         raise ValueError(f"max_steps must be an integer >= 0, got {max_steps!r}")
     _require_tol(tol)
-    if not isinstance(weights, WeightVector):
-        weights = WeightVector(weights=tuple(weights))
+    w = tuple(float(x) for x in weights)
+    if not w or not all(0.0 < x < math.inf for x in w):
+        raise ValueError(f"weights must be positive and finite, got {w}")
+    if abs(sum(w) - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
     stack, factors = _pd_stack(mats)
-    if len(weights) != len(stack):
-        raise ValueError(f"{len(weights)} weights for {len(stack)} matrices")
-    w = np.asarray(weights.weights)
+    if len(w) != len(stack):
+        raise ValueError(f"{len(w)} weights for {len(stack)} matrices")
+    w = np.asarray(w)
 
     partial_sums = np.cumsum(w)
     x = stack[0]

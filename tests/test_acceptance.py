@@ -20,7 +20,6 @@ from numpy.linalg import det
 from pgm import (
     DEFAULT_TOL,
     NotCompletable,
-    WeightVector,
     agm_iteration,
     entropy_identities,
     fro_norm,
@@ -202,19 +201,19 @@ def test_criterion_08_karcher_mean():
     for _ in range(10):
         n = int(rng.integers(2, 6))
         a, b = rand_spd(rng, n), rand_spd(rng, n)
-        res = karcher_mean(WeightVector.uniform(2), [a, b])
+        res = karcher_mean((0.5, 0.5), [a, b])
         assert riemannian_dist(res.matrix, geomean(a, b, 0.5)) <= 1e-7
     for _ in range(10):
         n = int(rng.integers(2, 6))
         mats = [np.diag(rng.uniform(0.5, 2.0, n)) for _ in range(3)]
-        res = karcher_mean(WeightVector.uniform(3), mats)
+        res = karcher_mean((1 / 3,) * 3, mats)
         expected = np.diag(np.exp(np.mean([np.log(np.diag(m)) for m in mats], axis=0)))
         assert fro_norm(res.matrix - expected) <= 1e-8
     for _ in range(20):
         n = int(rng.integers(2, 6))
         mats = [rand_spd(rng, n) for _ in range(3)]
         raw = rng.uniform(0.5, 1.5, 3)
-        weights = WeightVector(tuple(raw / raw.sum()))
+        weights = raw / raw.sum()
         res = karcher_mean(weights, mats)
         assert res.gradient_norm <= 1e-6
         ris = spectral_fn(res.matrix, lambda v: 1 / np.sqrt(v))

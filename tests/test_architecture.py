@@ -162,7 +162,8 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
     ``partial_geomean_maxdet`` (whose Â and B̂ a converged completion certified), and
     ``karcher_mean``, ``geomean_properties_check``, ``set_geomean`` and ``block_max_property``
     (whose means take the factors of their ``_pd_stack`` proofs, of means of those, or of
-    matrices built from those) name them, besides the core itself,
+    matrices built from those; ``set_geomean`` proves each set once and sends no mean through a
+    door) name them, besides the core itself,
     each to call one, and each runs a PD test (``_require``, ``_definite``, ``is_pd``,
     ``_pd_factor``, ``_require_pd``, ``require_converged`` or ``_pd_stack``) on a line before."""
     tests = ("_require", "_definite", "is_pd", "_pd_factor", "_require_pd", "require_converged",
@@ -603,13 +604,12 @@ PUBLIC_NAMES = [
     "GeomeanPropertyReport", "InternalNumerics", "KarcherResult", "MissingDiagonal",
     "NotCompletable", "NotPartialPD", "NotPositiveDefinite", "OutOfRange", "ParseError",
     "PartialGeomeanResult", "PartialMatrix", "Pattern", "PatternMismatch", "PgmError",
-    "SampleSet", "TooManyMissing", "WeightVector", "add", "agm_iteration",
-    "block_max_property", "completion_with_det", "entropy_identities", "fro_norm",
-    "gaussian_entropy", "geomean", "geomean_properties_check", "is_chordal", "is_partial_pd",
-    "is_pd", "is_psd", "karcher_mean", "log_det", "max_det_completion", "maximal_cliques",
-    "missing_positions", "offending_cliques", "op_norm", "partial_entry_bounds",
-    "partial_geomean_maxdet", "partial_geomean_sweep", "partial_order", "project",
-    "riemannian_dist", "scale", "set_geomean", "single_entry_interval", "sub", "sym",
+    "TooManyMissing", "add", "agm_iteration", "block_max_property", "completion_with_det",
+    "entropy_identities", "fro_norm", "gaussian_entropy", "geomean", "geomean_properties_check",
+    "is_chordal", "is_partial_pd", "is_pd", "is_psd", "karcher_mean", "log_det",
+    "max_det_completion", "maximal_cliques", "missing_positions", "offending_cliques", "op_norm",
+    "partial_entry_bounds", "partial_geomean_maxdet", "partial_geomean_sweep", "partial_order",
+    "project", "riemannian_dist", "scale", "set_geomean", "single_entry_interval", "sub", "sym",
 ]
 
 

@@ -18,8 +18,6 @@ from pgm import (
     NotPositiveDefinite,
     Pattern,
     PgmError,
-    SampleSet,
-    WeightVector,
     agm_iteration,
     block_max_property,
     entropy_identities,
@@ -154,6 +152,22 @@ class TestGeomean:
         with pytest.raises(InternalNumerics, match="eigenvalues past the largest double"):
             geomean(0.25 * np.eye(2), np.diag([1e308, 5e307]), 0.5)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="CHANGES.md FOUND on "
+                       "means.geomean under ROADMAP item 21: at a condition number near 1e10, "
+                       "L^-1 B L^-T squares the conditioning and 118 of these 232 pairs get an "
+                       "eigenvalue <= 0; item 21's factor SVD mends it and removes this marker")
+    def test_takes_near_margin_pairs_in_general_position(self):
+        admitted, refused = 0, []
+        for seed in range(300):
+            a, b, t = near_margin_general_pair(seed)
+            if is_pd(a) and is_pd(b):
+                admitted += 1
+                try:
+                    geomean(a, b, t)
+                except InternalNumerics:
+                    refused.append(seed)
+        assert (admitted, refused) == (232, [])
+
     def test_factorization_failure_wrapped(self, monkeypatch):
         # entropy_identities proves its pair PD by _pd_factor, and its trace integral then
         # factors their midpoint by linalg._factor: a midpoint that round-off leaves singular
@@ -280,38 +294,37 @@ def _log_uniform_spd(rng, n, lo, hi):
 
 
 def _scaled(s, alpha):
-    """The sample set ``alpha s``, member by member."""
-    return SampleSet(tuple(alpha * m for m in s.members))
+    """The set ``alpha s``, member by member, as a tuple."""
+    return tuple(alpha * m for m in s)
 
 
 def _inverted(s):
-    """The sample set of the members' inverses, by ``np.linalg.inv``."""
-    return SampleSet(tuple(np.linalg.inv(m) for m in s.members))
+    """The tuple of the members' inverses, by ``np.linalg.inv``."""
+    return tuple(np.linalg.inv(m) for m in s)
 
 
 class TestSampleSets:
     def test_singletons(self):
         rng = np.random.default_rng(0)
         a, b = rand_spd(rng, 3), rand_spd(rng, 3)
-        out = set_geomean(SampleSet((a,)), SampleSet((b,)), 0.4)
+        out = set_geomean((a,), (b,), 0.4)
         assert len(out) == 1
-        assert fro_norm(out.members[0] - geomean(a, b, 0.4)) <= 1e-14
+        assert fro_norm(out[0] - geomean(a, b, 0.4)) <= 1e-14
 
     def test_cardinality_bound(self):
         rng = np.random.default_rng(1)
-        s = SampleSet(tuple(rand_spd(rng, 3) for _ in range(2)))
-        t = SampleSet(tuple(rand_spd(rng, 3) for _ in range(3)))
+        s = tuple(rand_spd(rng, 3) for _ in range(2))
+        t = tuple(rand_spd(rng, 3) for _ in range(3))
         assert len(set_geomean(s, t, 0.5)) <= 6
 
     def test_identical_singletons_collapse(self):
         a = np.diag([2.0, 3.0])
-        s = SampleSet((a,))
-        out = set_geomean(s, s, 0.7)
+        out = set_geomean((a,), (a,), 0.7)
         assert len(out) == 1
-        np.testing.assert_allclose(out.members[0], a, atol=1e-13)
+        np.testing.assert_allclose(out[0], a, atol=1e-13)
 
     def test_off_geodesic_t_warns_once(self):
-        s = SampleSet((np.eye(2), 2.0 * np.eye(2)))
+        s = (np.eye(2), 2.0 * np.eye(2))
         with pytest.warns(UserWarning, match="lies outside") as record:
             set_geomean(s, _scaled(s, 3.0), 1.5)
         assert len(record) == 1
@@ -319,31 +332,31 @@ class TestSampleSets:
 
     def test_scalar_homogeneity_memberwise(self):
         rng = np.random.default_rng(2)
-        s = SampleSet(tuple(rand_spd(rng, 3) for _ in range(2)))
-        t_set = SampleSet(tuple(rand_spd(rng, 3) for _ in range(2)))
+        s = tuple(rand_spd(rng, 3) for _ in range(2))
+        t_set = tuple(rand_spd(rng, 3) for _ in range(2))
         t = 0.3
         a, b = 2.0, 5.0
         lhs = set_geomean(_scaled(s, a), _scaled(t_set, b), t)
         rhs = _scaled(set_geomean(s, t_set, t), a ** (1 - t) * b**t)
-        for x, y in zip(lhs.members, rhs.members):
+        for x, y in zip(lhs, rhs):
             assert fro_norm(x - y) <= 1e-10 * max(1.0, fro_norm(y))
 
     def test_inversion_memberwise(self):
         rng = np.random.default_rng(3)
-        s = SampleSet(tuple(rand_spd(rng, 3) for _ in range(2)))
-        t_set = SampleSet(tuple(rand_spd(rng, 3) for _ in range(2)))
+        s = tuple(rand_spd(rng, 3) for _ in range(2))
+        t_set = tuple(rand_spd(rng, 3) for _ in range(2))
         lhs = _inverted(set_geomean(s, t_set, 0.4))
         rhs = set_geomean(_inverted(s), _inverted(t_set), 0.4)
-        for x, y in zip(lhs.members, rhs.members):
+        for x, y in zip(lhs, rhs):
             assert fro_norm(x - y) <= 1e-9 * max(1.0, fro_norm(y))
 
     def test_rejects_indefinite_member(self):
         with pytest.raises(NotPositiveDefinite):
-            SampleSet((np.array([[1.0, 2.0], [2.0, 1.0]]),))
+            set_geomean((np.eye(2),), (np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SampleSet(())
+        with pytest.raises(ValueError, match="expected at least one matrix"):
+            set_geomean((), (np.eye(2),))
 
 
 class TestOffGeodesicWarningUnderASpy:
@@ -357,7 +370,7 @@ class TestOffGeodesicWarningUnderASpy:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_set_geomean(self, spy, k):
-        s = SampleSet(tuple(np.diag([1.0, j + 2.0]) for j in range(k)))
+        s = tuple(np.diag([1.0, j + 2.0]) for j in range(k))
         with pytest.warns(UserWarning, match="lies outside") as record:
             set_geomean(s, _scaled(s, 3.0), 1.5)
         assert [w.filename for w in record] == [__file__]
@@ -384,15 +397,15 @@ class TestScaleFree:
         assert agm.converged
         np.testing.assert_allclose(agm.matrix, geomean(a, b), rtol=1e-10, atol=0)
         assert geomean_properties_check(a, b, b, d, 0.3, 0.6, rand_invertible(rng, 3)).all_hold
-        inverse = _inverted(SampleSet((a, b)))
-        np.testing.assert_allclose(inverse.members[0] @ a, np.eye(3), atol=1e-10)
+        inverse = _inverted((a, b))
+        np.testing.assert_allclose(inverse[0] @ a, np.eye(3), atol=1e-10)
 
     @pytest.mark.parametrize("c", [2.0**-70, 1.0, 2.0**70])
     def test_set_geomean_duplicates_are_relative(self, c):
         # I and sqrt(2) I differ by 0.41 c: distinct at every scale, and A # A is one member
-        s, t_set = SampleSet((c * np.eye(2), 2.0 * c * np.eye(2))), SampleSet((c * np.eye(2),))
+        s, t_set = (c * np.eye(2), 2.0 * c * np.eye(2)), (c * np.eye(2),)
         assert len(set_geomean(s, t_set)) == 2
-        assert len(set_geomean(t_set, SampleSet((c * np.eye(2), c * np.eye(2))))) == 1
+        assert len(set_geomean(t_set, (c * np.eye(2), c * np.eye(2)))) == 1
 
 
 #: PD at the margin lambda_min > 1e-10 ||A||_F, while its inverse, lambda_min = 1 against a norm of
@@ -419,9 +432,24 @@ def near_margin_commuting_pairs(trials):
     return pairs
 
 
+def near_margin_general_pair(seed):
+    """``(A, B, t)`` off ``default_rng(seed)``: two ``sym(Q diag(w) Q^T)``, each on its own ``Q``,
+    so the pair shares no eigenbasis; one entry of each ``w`` log-uniform in [1.05e-10, 3e-10]
+    sqrt(n), the other ``n - 1`` in [0.5, 2], ``n`` in [3, 7]; then ``t`` uniform in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(3, 8)
+    pair = []
+    for _ in range(2):
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        small = np.exp(rng.uniform(math.log(1.05e-10), math.log(3e-10), 1)) * math.sqrt(n)
+        pair.append(sym((q * np.concatenate((small, rng.uniform(0.5, 2.0, n - 1)))) @ q.T))
+    return pair[0], pair[1], float(rng.uniform(0, 1))
+
+
 class TestBuiltMatricesPassNoDoor:
-    """The AGM and the property check take the inverses and harmonic sums they build past every
-    PD door: a caller's matrix that passes the margin is taken whole, also near it."""
+    """The AGM, the property check and the set mean take the inverses, harmonic sums and means
+    they build past every PD door: a caller's matrix that passes the margin is taken whole, also
+    near it."""
 
     def test_agm_of_a_near_margin_matrix_with_itself(self):
         assert is_pd(NEAR_MARGIN)
@@ -444,6 +472,16 @@ class TestBuiltMatricesPassNoDoor:
                 agm_iteration(a, b)
             except PgmError as exc:
                 pytest.fail(f"{type(exc).__name__}: {exc}")
+
+    @pytest.mark.parametrize("seed", [14174, 16804, 38128, 39809])
+    def test_set_mean_returns_the_near_margin_means_of_geomean(self, seed):
+        """The set mean's one mean is ``geomean``'s, bit for bit, on four pairs whose mean the
+        margin refused (lambda_min 8.0e-12 to 1.6e-10) when the mean went through a PD door.
+        These means carry ROADMAP item 21's error: a 50-digit ``mpmath`` mean puts lambda_min /
+        ||G||_F at 1.7e-10 to 5.3e-10, where ``pgm`` reads 3.9e-12 to 9.9e-11.  So this pins the
+        agreement with ``geomean``, not the accuracy."""
+        a, b, t = near_margin_general_pair(seed)
+        np.testing.assert_array_equal(set_geomean((a,), (b,), t)[0], geomean(a, b, t))
 
 
 class TestBlockMaxProperty:
@@ -601,18 +639,18 @@ class TestKarcherMean:
     def test_two_matrix_midpoint(self):
         rng = np.random.default_rng(0)
         a, b = rand_spd(rng, 4), rand_spd(rng, 4)
-        res = karcher_mean(WeightVector.uniform(2), [a, b])
+        res = karcher_mean((0.5, 0.5), [a, b])
         assert riemannian_dist(res.matrix, geomean(a, b, 0.5)) <= 1e-8
 
     def test_all_equal(self):
         a = np.diag([1.0, 2.0, 3.0])
-        res = karcher_mean(WeightVector.uniform(3), [a, a, a])
+        res = karcher_mean((1 / 3,) * 3, [a, a, a])
         assert fro_norm(res.matrix - a) <= 1e-12
 
     def test_commuting_diagonals(self):
         rng = np.random.default_rng(1)
         mats = [np.diag(rng.uniform(0.5, 2.0, 4)) for _ in range(3)]
-        res = karcher_mean(WeightVector.uniform(3), mats)
+        res = karcher_mean((1 / 3,) * 3, mats)
         expected = np.diag(
             np.exp(np.mean([np.log(np.diag(m)) for m in mats], axis=0))
         )
@@ -624,7 +662,7 @@ class TestKarcherMean:
         rng = np.random.default_rng(seed)
         mats = [rand_spd(rng, 4) for _ in range(3)]
         w = rng.uniform(0.5, 1.5, 3)
-        res = karcher_mean(WeightVector(tuple(w / w.sum())), mats)
+        res = karcher_mean(w / w.sum(), mats)
         assert res.converged
         assert res.gradient_norm <= 1e-6
         # certificate recomputed independently of the result record
@@ -642,7 +680,7 @@ class TestKarcherMean:
         n, k = int(rng.integers(3, 8)), int(rng.integers(3, 7))
         mats = [rand_spd(rng, n, spread=3.0 * math.log(10.0)) for _ in range(k)]
         w = rng.uniform(0.5, 1.5, k)
-        res = karcher_mean(WeightVector(tuple(w / w.sum())), mats, tol=1e-9)
+        res = karcher_mean(w / w.sum(), mats, tol=1e-9)
         assert res.converged
         assert res.gradient_norm <= 1e-9
 
@@ -667,48 +705,41 @@ class TestKarcherMean:
         assert (res.steps, res.gradient_norm.hex(), digest) == KARCHER_DIGESTS[k, n]
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            WeightVector((0.5, 0.6))
-        with pytest.raises(ValueError):
-            WeightVector((1.5, -0.5))
-        with pytest.raises(ValueError):
-            karcher_mean(WeightVector.uniform(2), [np.eye(2)])
-
-    def test_uniform_weights_need_one_weight(self):
-        with pytest.raises(ValueError, match="uniform weights need at least one weight, got n = 0"):
-            WeightVector.uniform(0)
-
-    @pytest.mark.parametrize("n", [2.5, 2.0, "3"])
-    def test_uniform_weights_need_an_integer_count(self, n):
-        message = f"uniform weights need at least one weight, got n = {n!r}; n must be an integer"
-        with pytest.raises(ValueError, match=message):
-            WeightVector.uniform(n)
+        pair = [np.eye(2), 2.0 * np.eye(2)]
+        with pytest.raises(ValueError, match=r"weights must sum to 1, got 1\.1"):
+            karcher_mean((0.5, 0.6), pair)
+        for bad, shown in (((1.5, -0.5), r"\(1\.5, -0\.5\)"), ((), r"\(\)")):
+            message = "weights must be positive and finite, got " + shown
+            with pytest.raises(ValueError, match=message):
+                karcher_mean(bad, pair)
+        with pytest.raises(ValueError, match="2 weights for 1 matrices"):
+            karcher_mean((0.5, 0.5), [np.eye(2)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weights_named(self, bad):
         message = rf"weights must be positive and finite, got \({bad}, 0.5\)"
         with pytest.raises(ValueError, match=message):
-            WeightVector((bad, 0.5))
+            karcher_mean((bad, 0.5), [np.eye(2), 2.0 * np.eye(2)])
         with pytest.raises(ValueError, match=message):
             karcher_mean([bad, 0.5], [np.eye(2), 2.0 * np.eye(2)])
 
     def test_negative_step_budget_named(self):
         with pytest.raises(ValueError, match="max_steps must be an integer >= 0, got -1"):
-            karcher_mean(WeightVector.uniform(2), [np.eye(2), 2.0 * np.eye(2)], max_steps=-1)
+            karcher_mean((0.5, 0.5), [np.eye(2), 2.0 * np.eye(2)], max_steps=-1)
 
     @pytest.mark.parametrize("budget", [1.5, 2.0, None])
     def test_non_integer_step_budget_named(self, budget):
         with pytest.raises(ValueError, match=f"max_steps must be an integer >= 0, got {budget!r}"):
-            karcher_mean(WeightVector.uniform(2), [np.eye(2), 2.0 * np.eye(2)], max_steps=budget)
+            karcher_mean((0.5, 0.5), [np.eye(2), 2.0 * np.eye(2)], max_steps=budget)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_bad_tolerance_named(self, tol):
         # NaN or a negative tolerance would spend the whole budget, however small the gradient
         with pytest.raises(ValueError, match=f"tol must be a finite number >= 0, got {tol!r}"):
-            karcher_mean(WeightVector.uniform(2), [np.eye(2), 2.0 * np.eye(2)], tol=tol)
+            karcher_mean((0.5, 0.5), [np.eye(2), 2.0 * np.eye(2)], tol=tol)
 
     def test_numpy_integer_step_budget_accepted(self):
-        res = karcher_mean(WeightVector.uniform(2), [np.eye(2), 4.0 * np.eye(2)],
+        res = karcher_mean((0.5, 0.5), [np.eye(2), 4.0 * np.eye(2)],
                            max_steps=np.int32(0))
         assert res.steps == 1
         np.testing.assert_allclose(res.matrix, 2.0 * np.eye(2))
@@ -739,14 +770,14 @@ class TestKarcherMean:
     def test_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
             karcher_mean(
-                WeightVector.uniform(2),
+                (0.5, 0.5),
                 [np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])],
             )
 
     def test_budget_exhaustion_flagged(self):
         rng = np.random.default_rng(7)
         mats = [rand_spd(rng, 4) for _ in range(3)]
-        res = karcher_mean(WeightVector.uniform(3), mats, tol=1e-14, max_steps=0)
+        res = karcher_mean((1 / 3,) * 3, mats, tol=1e-14, max_steps=0)
         assert not res.converged
         assert res.gradient_norm > 0
 
@@ -1046,11 +1077,11 @@ class TestPerturbationSensitivity:
 INDEFINITE = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
 PD_ENTRY_POINTS = {
     "geomean": lambda a, b: geomean(a, b, 0.5),
-    "karcher_mean": lambda a, b: karcher_mean(WeightVector.uniform(2), [a, b]),
+    "karcher_mean": lambda a, b: karcher_mean((0.5, 0.5), [a, b]),
     "agm_iteration": agm_iteration,
     "entropy_identities": entropy_identities,
     "riemannian_dist": riemannian_dist,
-    "SampleSet": lambda a, b: SampleSet((a, b)),
+    "set_geomean": lambda a, b: set_geomean((a,), (b,)),
 }
 MALFORMED_PAIRS = {
     "unequal": (np.eye(2), np.eye(3), DimensionMismatch, "shape mismatch"),
@@ -1080,12 +1111,12 @@ class TestPdPrecondition:
         "entry",
         [
             lambda a, b: geomean(a, b, 0.3),
-            lambda a, b: karcher_mean(WeightVector((0.3, 0.7)), [a, b]).matrix,
+            lambda a, b: karcher_mean((0.3, 0.7), [a, b]).matrix,
             lambda a, b: agm_iteration(a, b).matrix,
             riemannian_dist,
-            lambda a, b: SampleSet((a, b)).members,
+            lambda a, b: set_geomean((a, b), (b,), 0.3),
         ],
-        ids=["geomean", "karcher_mean", "agm_iteration", "riemannian_dist", "SampleSet"],
+        ids=["geomean", "karcher_mean", "agm_iteration", "riemannian_dist", "set_geomean"],
     )
     def test_round_off_asymmetry_is_symmetrized(self, entry):
         # q diag(w) q^T is symmetric only up to round-off, as in the demos
@@ -1109,15 +1140,16 @@ class TestPdPrecondition:
         monkeypatch.setattr(linalg, "_pd_factor", counted)
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         rng = np.random.default_rng(8)
-        karcher_mean(WeightVector.uniform(6), [rand_spd(rng, 4) for _ in range(6)], max_steps=0)
+        karcher_mean((1 / 6,) * 6, [rand_spd(rng, 4) for _ in range(6)], max_steps=0)
         assert (shapes, spy.call_count) == ([(6, 4, 4)], 0)
 
     @pytest.mark.parametrize(("entry", "factored", "eigensolved"), [
-        (lambda a, b, c, d: karcher_mean(WeightVector((0.3, 0.7)), [a, b]), [1, 1, 0, 0], None),
+        (lambda a, b, c, d: karcher_mean((0.3, 0.7), [a, b]), [1, 1, 0, 0], None),
         (lambda a, b, c, d: entropy_identities(a, b), [1, 1, 0, 0], None),
+        (lambda a, b, c, d: set_geomean((a, b), (c, d), 0.3), [1, 1, 1, 1], None),
         (lambda a, b, c, d: geomean_properties_check(a, b, c, d, 0.3, 0.6, 2.0 * np.eye(4)),
          [3, 3, 2, 2], [1, 0, 0, 0]),
-    ], ids=["karcher_mean", "entropy_identities", "geomean_properties_check"])
+    ], ids=["karcher_mean", "entropy_identities", "set_geomean", "geomean_properties_check"])
     def test_each_input_is_decomposed_once(self, monkeypatch, entry, factored, eigensolved):
         # the one PD factorization of an input is also where its log-determinant and the
         # means' factor come from: no Cholesky, eigensolve or determinant of it follows.  Every
@@ -1150,7 +1182,7 @@ class TestPdPrecondition:
         stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
         message = r"expected 2-D matrices, got shape \(2, 2, 2\)"
         with pytest.raises(DimensionMismatch, match=message):
-            SampleSet((stack, stack))
+            set_geomean((stack, stack), (np.eye(2),))
 
     def test_property_check_rejects_mixed_sizes(self):
         rng = np.random.default_rng(9)
@@ -1164,9 +1196,7 @@ T_ENTRY_POINTS = {
     "partial_geomean_maxdet": lambda t: partial_geomean_maxdet(
         ex1_partial_a(), ex1_partial_b(), t=t
     ),
-    "set_geomean": lambda t: set_geomean(
-        SampleSet((np.eye(2),)), SampleSet((2.0 * np.eye(2),)), t
-    ),
+    "set_geomean": lambda t: set_geomean((np.eye(2),), (2.0 * np.eye(2),), t),
     "entropy_identities": lambda t: entropy_identities(np.eye(2), 2.0 * np.eye(2), t),
     "partial_geomean_sweep": lambda t: partial_geomean_sweep(
         ex1_partial_a(), ex1_partial_b(), 5, t, 1e-10
@@ -1193,7 +1223,7 @@ class TestGeodesicParameter:
 
 
 def _karcher_record(*mats):
-    rep = karcher_mean(WeightVector((0.2, 0.3, 0.5)), mats)
+    rep = karcher_mean((0.2, 0.3, 0.5), mats)
     return np.append(rep.matrix, [rep.steps, rep.gradient_norm])
 
 
