@@ -6,9 +6,11 @@ spelling) or ``?`` for a missing entry, cut as ``str.split`` cuts them;
 ``#`` starts a comment line.  Files are UTF-8, with an optional byte-order
 mark.  Files written by the tool carry 17 significant digits so that
 parsing them back is exact; human-readable reports use 6.  A file is
-parsed straight into the array of a :class:`PartialMatrix` by one reader,
-picked per file: a ``?``-heavy file with ASCII rows is tokenized as one
-byte array, any other is read row by row.  A token below the diagonal
+read as bytes, once, and parsed straight into the array of a
+:class:`PartialMatrix` by one reader, picked per file by one count of
+``?`` on the bytes: a ``?``-heavy file with ASCII rows is tokenized as one
+byte array (the file's own bytes where it has the plain shape that the
+tool writes), any other is read row by row.  A token below the diagonal
 that spells its mirror takes the mirror's value, and a printed cell with
 its mirror's bits the mirror's text; one ``%`` formats the other cells.
 
@@ -92,8 +94,10 @@ def _weights(text):
 
 
 #: A file with at least this many ``?``, its rows all ASCII, is tokenized as one
-#: byte array: below about 1000 ``?`` its array calls cost 15-50 us more than one
-#: ``str.split`` per row and one ``!= "?"`` (band-2, ring and grid files, n 8-80).
+#: byte array.  Below about 500 ``?`` its array calls cost 5-20 us more than one
+#: ``str.split`` per row and one ``!= "?"``, from 700 to 1000 the two readers are
+#: within 10 us, and from 1100 on the array wins by 10 us or more (band-2, ring and
+#: grid files, n 8-80, tokenized in their own bytes).
 _BULK_MISSING = 1024
 
 
@@ -135,14 +139,14 @@ def _values(dim, given, texts):
     return vals if np.isfinite(vals).all() else None
 
 
-def _tokenize(lines):
-    """The tokens of ASCII ``lines`` as ``str.split`` cuts them, from one pass
-    over their bytes: each line's token count, and the line, 0-based column and
-    text of each given token (any but a lone ``?``).  One ``np.add.reduceat``
-    of the token starts, cut at the line bounds and at the given tokens, counts
-    the tokens before each cut, so only given tokens become Python objects."""
-    blob = "\n" + "\n".join(lines) + "\n"  # a line's bound is the "\n" before it
-    b = np.frombuffer(blob.encode("ascii"), dtype=np.uint8)
+def _tokenize(blob):
+    """The tokens of the ASCII bytes ``blob`` as ``str.split`` cuts them, from one pass
+    over them: each line's token count, and the line, 0-based column and bytes of each
+    given token (any but a lone ``?``).  A line starts after a ``\\n`` byte and ends at
+    the next, so ``blob`` starts and ends with one.  One ``np.add.reduceat`` of the token
+    starts, cut at the line bounds and at the given tokens, counts the tokens before each
+    cut, so only given tokens become Python objects."""
+    b = np.frombuffer(blob, dtype=np.uint8)
     sep = ((b - 9) < 5) | ((b - 28) < 5)  # str.split's ASCII whitespace: \t-\r, \x1c-" "
     start, end = np.zeros(b.size, dtype=bool), np.zeros(b.size, dtype=bool)
     np.greater(sep[:-1], sep[1:], out=start[1:])
@@ -160,12 +164,34 @@ def _tokenize(lines):
     return at_bound[1:] - at_bound[:-1], line, column, texts
 
 
-def _parse_lines(text):
-    """``dim``, the flat indices and values of the given entries, and each row's line.
-    One pass finds the header and the row lines, then one reader yields the given tokens
-    for :func:`_values`: a file with ``_BULK_MISSING`` ``?`` or more, all rows ASCII, is
-    tokenized once, any other split per row.  A file whose row count, entry counts or
-    values are off is read again by :func:`_row`, so the first faulty row raises."""
+def _parse_lines(data, text):
+    """``dim``, the flat indices and values of the given entries, and each row's line, from
+    a file's bytes ``data`` and their ``text``.  One count of ``?`` on the bytes picks the
+    reader of the given tokens for :func:`_values`.  A file with ``_BULK_MISSING`` ``?`` or
+    more, all ASCII, with no ``\\r`` or ``#``, its header on the first line and its last line
+    ended but not followed by an empty one, is tokenized in its own bytes from the header's
+    newline on: its rows are lines ``2..dim+1``.  Any other is read line by line: one pass
+    finds the header and the row lines, then a file with that many ``?`` and ASCII rows is
+    tokenized once, as one encoded buffer, and any other split per row, as is a file that
+    the first reader refused (a blank line among its rows, a fault), so no file is tokenized
+    twice.  A file whose row count, entry counts or values are off is read again by
+    :func:`_row`, so the first faulty row raises."""
+    missing = np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("?"))
+    bulk = missing >= _BULK_MISSING
+    if "\r" in text:  # the universal newlines of a text-mode read
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    elif (bulk and text.isascii() and "#" not in text
+          and text.endswith("\n") and not text.endswith("\n\n")):
+        nl = text.index("\n")
+        head = text[:nl].split()
+        if len(head) == 2 and head[0] == "n" and head[1].isdecimal() and int(head[1]) > 0:
+            dim, bulk = int(head[1]), False  # if refused here, split per row below
+            counts, line, column, texts = _tokenize(data[nl:])
+            if len(counts) == dim and (counts == dim).all():
+                given = line * dim + column
+                vals = _values(dim, given, np.array(texts, dtype=object))
+                if vals is not None:
+                    return dim, given, vals, range(2, dim + 2)
     lines = text.split("\n")
     dim, linenos = None, []  # the line of each matrix row, up to one past dim
     for lineno, raw in enumerate(lines, start=1):
@@ -191,9 +217,9 @@ def _parse_lines(text):
         raise ParseError("empty input: missing 'n <dim>' header")
     body = [lines[k - 1] for k in linenos[:dim]]
     if len(linenos) == dim:
-        given, missing = None, text.count("?")
-        if missing >= _BULK_MISSING and all(map(str.isascii, body)):
-            counts, line, column, texts = _tokenize(body)
+        given = None
+        if bulk and all(map(str.isascii, body)):
+            counts, line, column, texts = _tokenize(("\n" + "\n".join(body) + "\n").encode("ascii"))
             if (counts == dim).all():
                 given, texts = line * dim + column, np.array(texts, dtype=object)
         elif set(map(len, rows := [raw.split() for raw in body])) == {dim}:
@@ -237,12 +263,13 @@ def parse_partial(path):
     lookup per given entry; only a file that fails it is searched for its first fault,
     row-major.  Each pair keeps its upper entry, a ``-0.0`` included.
     """
+    with open(path, "rb") as handle:
+        data = handle.read().removeprefix(b"\xef\xbb\xbf")  # one byte-order mark, as utf-8-sig
     try:
-        with open(path, encoding="utf-8-sig") as handle:
-            text = handle.read()
+        text = data.decode()
     except UnicodeDecodeError:
         raise ParseError(f"{path} is not UTF-8 text") from None
-    dim, given, vals, linenos = _parse_lines(text)
+    dim, given, vals, linenos = _parse_lines(data, text)
     r, c = np.divmod(given, dim)
     mirror = c * dim + r
     a, mask = np.zeros(dim * dim), np.zeros(dim * dim, dtype=bool)

@@ -91,6 +91,9 @@ class Pattern:
         return bool(self._mask.all())
 
     _adjacency = cached_property(lambda self: _neighbors(self._mask))
+    _complement = cached_property(lambda self: _neighbors(~self._mask))
+    # more entries than the complement, whose lists the searches then read
+    _denser = property(lambda self: 2 * np.count_nonzero(self._mask) > self.n * (self.n + 1))
 
     @cached_property
     def _mcs(self):
@@ -102,13 +105,13 @@ class Pattern:
         those of the next vertex are the separator.  A complete pattern takes no search."""
         if self.is_complete:
             return list(range(self.n)), (tuple(range(self.n)),), ((),)
-        if 2 * np.count_nonzero(self._mask) <= self.n * (self.n + 1):
+        if not self._denser:
             adj = self._adjacency
             visit, earlier = _mcs_visit(adj, self.n, -1)
             # perfect: the earlier neighbors of each v all neighbor the last one visited
             perfect = all(adj[e[-1]].issuperset(e[:-1]) for e in earlier if e)
         else:  # each vertex records its gaps: the non-neighbors visited before it
-            visit, gaps = _mcs_visit(_neighbors(~self._mask), self.n, 1)
+            visit, gaps = _mcs_visit(self._complement, self.n, 1)
             gaps = [set(g) for g in gaps]
             earlier = {v: [u for u in visit[:k] if u not in gaps[v]] if gaps[v] else visit[:k]
                        for k, v in enumerate(visit)}
@@ -130,7 +133,10 @@ class Pattern:
         discovery order, which the clique sweeps follow; a triangle-free pattern (a ring,
         a grid) has its edges as cliques, listed in one pass in that same order."""
         cliques = self._mcs[1]
-        return cliques if cliques is not None else tuple(_bron_kerbosch(self._adjacency, self.n))
+        if cliques is not None:
+            return cliques
+        comp = self._complement if self._denser else None
+        return tuple(_bron_kerbosch(self._adjacency, self.n, comp))
 
 
 def _upper(mask, k=0):
@@ -258,13 +264,15 @@ def is_chordal(g):
     )
 
 
-def _bron_kerbosch(adj, n):
+def _bron_kerbosch(adj, n, comp=None):
     """Maximal cliques by Bron-Kerbosch with pivoting (Tomita, Tanaka and Takahashi), in
     discovery order, on an explicit stack of frames, so a clique of any size costs no Python
-    recursion.  A triangle-free pattern's maximal cliques are its edges and isolated vertices,
-    listed in one pass in the recursion's order: the top level passes its pivot's non-neighbors
-    ``v`` in ascending order, and ``v`` ends in an edge with each neighbor not yet passed, or
-    alone if it has none."""
+    recursion.  The pivot has the most neighbors in ``p``, the smallest on ties; given the
+    complement's lists ``comp`` (of a pattern denser than its complement), that count is
+    read off a vertex's few non-neighbors.  A triangle-free pattern's maximal cliques are its
+    edges and isolated vertices, listed in one pass in the recursion's order: the top level
+    passes its pivot's non-neighbors ``v`` in ascending order, and ``v`` ends in an edge with
+    each neighbor not yet passed, or alone if it has none."""
     everyone = set(range(n))
     if all(adj[i].isdisjoint(adj[j]) for i in range(n) for j in adj[i] if i < j):
         cliques, passed = [], set()
@@ -276,7 +284,10 @@ def _bron_kerbosch(adj, n):
         return cliques
 
     def frame(r, p, x):
-        pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
+        if comp is not None:  # |adj[u] & p| = |p| - |comp[u] & p| - [u in p]
+            pivot = max(p | x, key=lambda u: (len(p) - len(comp[u] & p) - (u in p), -u))
+        else:
+            pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
         return r, p, x, iter(sorted(p - adj[pivot]))
 
     cliques, stack = [], [frame((), everyone, set())]

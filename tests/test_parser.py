@@ -7,7 +7,8 @@ every cell.  On valid files both must give the same pattern and the same
 values (bit for bit, signed zeros included); on corrupted files both
 must raise the same error class, message, line and column.  A file with
 at least ``cli._BULK_MISSING`` ``?`` and only ASCII rows is read by one
-``cli._tokenize`` call, any other row by row; the tests of that path
+``cli._tokenize`` call (on the file's own bytes where it has the plain
+shape that ``pgm`` writes), any other row by row; the tests of that path
 count its calls, so that each names the reader it ran, and the random
 corpora run once more under each reader alone.
 """
@@ -244,9 +245,10 @@ def tokenized(monkeypatch):
     """The number of lines of each ``cli._tokenize`` call, so a test names the path."""
     calls = []
 
-    def counting(lines):
-        calls.append(len(lines))
-        return tokenize(lines)
+    def counting(blob):
+        tokens = tokenize(blob)
+        calls.append(len(tokens[0]))  # one token count per line
+        return tokens
 
     tokenize = cli._tokenize
     monkeypatch.setattr(cli, "_tokenize", counting)
@@ -454,3 +456,79 @@ def test_a_row_without_a_question_mark_is_tokenized(tmp_path, tokenized):
     assert tokenized == [40]
     assert got == outcome(reference_parse, path)
     assert got[0] == "ok" and got[2][1, 5] == got[2][5, 40] == "0.25"
+
+
+# --- one binary read: which reader takes a "?"-heavy file, and that it tokenizes once ----
+
+
+def own_bytes(path):
+    """Whether the first reader took the file: it tokenizes the file's own bytes after the
+    header and returns the row lines as ``range(2, dim + 2)``, the line reader as a list."""
+    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    return isinstance(cli._parse_lines(data, data.decode())[3], range)
+
+
+def heavy_text(variant, fault):
+    """The 40-vertex identity file (1560 ``?``), with one ``fault`` in its grid and
+    written in one ``variant`` of the text format."""
+    grid = identity_grid(40)
+    if fault == "bad":
+        grid[6][3] = "x"
+    elif fault == "short":
+        del grid[9][-1]
+    elif fault == "disagree":
+        grid[2][5], grid[5][2] = "0.5", "0.25"
+    lines = [f"n {len(grid)}", *map(" ".join, grid)]
+    if variant in ("comment", "gap"):
+        lines.insert(5, "# ? a comment between rows ?" if variant == "comment" else "")
+    elif variant == "non_ascii_comment":
+        lines.insert(5, "# é ? ü")
+    elif variant in ("tab", "x1c"):
+        lines[3] = lines[3].replace(" ", "\t" if variant == "tab" else "\x1c")
+    elif variant == "nul":
+        lines[5] = lines[5].replace("1", "1\x00", 1)
+    text = "\n".join(lines) + "\n"
+    if variant in ("crlf", "cr"):
+        text = text.replace("\n", "\r\n" if variant == "crlf" else "\r")
+    return {"bom": "\ufeff" + text, "unterminated": text.removesuffix("\n"),
+            "blank": text + "\n", "spaces": text + " \t\n"}.get(variant, text)
+
+
+#: Each variant and whether a valid file of it is tokenized in its own bytes.
+VARIANTS = {
+    "canonical": True, "bom": True, "tab": True, "x1c": True,
+    "crlf": False, "cr": False, "unterminated": False, "blank": False, "spaces": False,
+    "gap": False, "comment": False, "non_ascii_comment": False, "nul": False,
+}
+
+
+@pytest.mark.parametrize("fault", ["none", "bad", "short", "disagree"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_question_heavy_variants_match_reference_in_one_tokenize(tmp_path, tokenized, variant,
+                                                                 fault):
+    path = write(tmp_path, "h.txt", heavy_text(variant, fault))
+    got = outcome(parse_partial, path)
+    assert got == outcome(reference_parse, path)
+    # the rows are ASCII: tokenized once, on either reader.  An empty last line sends the
+    # file to the line reader before it is tokenized; a line of spaces only, or an empty
+    # one among the rows, after, with that line among the 41 tokenized
+    assert tokenized == [41 if variant in ("spaces", "gap") else 40]
+    if fault == "none" and variant != "nul":
+        assert got[0] == "ok"
+        assert own_bytes(path) == VARIANTS[variant]
+
+
+def test_a_harness_shaped_file_is_tokenized_in_its_own_bytes(tmp_path, tokenized):
+    # "n <dim>", then one row per line of values and "?" cut by single spaces, each ended
+    n, rng = 60, np.random.default_rng(7)
+    pattern = rand_chordal_pattern(rng, n, fill=0.3)
+    grid = token_grid(rng, pattern)
+    for i in range(n):
+        grid[i][i] = repr(float(n))
+    text = text_of(grid)
+    assert text.count("?") >= cli._BULK_MISSING
+    path = write(tmp_path, "harness.txt", text)
+    got = outcome(parse_partial, path)
+    assert tokenized == [n]
+    assert got == outcome(reference_parse, path) and got[0] == "ok"
+    assert own_bytes(path)

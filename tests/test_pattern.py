@@ -224,6 +224,28 @@ class TestMaximalCliques:
         assert g._clique_sequence == tuple(reference_bron_kerbosch(g))
         assert (0, 1, 2) in g._clique_sequence
 
+    @pytest.mark.parametrize("draw", ["near_complete", "dense"])
+    def test_dense_sequence_matches_the_reference_recursion(self, draw):
+        # a pattern denser than its complement reads each pivot's count off the complement;
+        # the order is the reference's, whose pivot counts its neighbors in p.  Near-complete
+        # draws miss 1-6 pairs (k disjoint ones leave 2**k maximal cliques); the dense ones,
+        # at n <= 25, give vertices outside p the most neighbors in it more often
+        rng = np.random.default_rng(1)
+        checked = 0
+        for _ in range(300):
+            if draw == "near_complete":
+                n = int(rng.integers(4, 40))
+                pairs = list(combinations(range(1, n + 1), 2))
+                picked = rng.choice(len(pairs), size=int(rng.integers(1, 7)), replace=False)
+                g = near_complete_with_missing(n, [pairs[k] for k in picked])
+            else:
+                g = random_pattern(rng, int(rng.integers(4, 26)), p=float(rng.uniform(0.55, 0.95)))
+            if is_chordal(g).chordal or not g._denser:
+                continue
+            assert g._clique_sequence == tuple(reference_bron_kerbosch(g))
+            checked += 1
+        assert checked >= 200
+
     def test_cliques_deeper_than_the_recursion_limit(self):
         # two missing pairs leave a chordless 4-cycle and four cliques of n - 2 vertices
         n = 160
