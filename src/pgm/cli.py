@@ -7,12 +7,12 @@ spelling) or ``?`` for a missing entry, cut as ``str.split`` cuts them;
 mark.  Files written by the tool carry 17 significant digits so that
 parsing them back is exact; human-readable reports use 6.  A file is
 read as bytes, once, and parsed straight into the array of a
-:class:`PartialMatrix` by one reader, picked per file by one count of
-``?`` on the bytes: a ``?``-heavy file with ASCII rows is tokenized as one
-byte array (the file's own bytes where it has the plain shape that the
-tool writes), any other is read row by row.  A token below the diagonal
-that spells its mirror takes the mirror's value, and a printed cell with
-its mirror's bits the mirror's text; one ``%`` formats the other cells.
+:class:`PartialMatrix`: one count of ``?`` on the bytes sends a
+``?``-heavy file to one tokenize of all its bytes, and any other file,
+or one that reader refuses (a non-ASCII row, a fault), is split row by
+row.  A token below the diagonal that spells its mirror takes the
+mirror's value, and a printed cell with its mirror's bits the mirror's
+text; one ``%`` formats the other cells.
 
 The module parses, dispatches to the library and formats.  Subcommands:
 ``check``, ``complete``, ``geomean``, ``karcher``, ``entropy``, ``sweep``.
@@ -93,11 +93,11 @@ def _weights(text):
     return weights
 
 
-#: A file with at least this many ``?``, its rows all ASCII, is tokenized as one
-#: byte array.  Below about 500 ``?`` its array calls cost 5-20 us more than one
-#: ``str.split`` per row and one ``!= "?"``, from 700 to 1000 the two readers are
-#: within 10 us, and from 1100 on the array wins by 10 us or more (band-2, ring and
-#: grid files, n 8-80, tokenized in their own bytes).
+#: A file with at least this many ``?`` is tokenized as one byte array.  Below about
+#: 500 ``?`` its array calls cost 5-20 us more than one ``str.split`` per row and one
+#: ``!= "?"``, from 700 to 1000 the two readers are within 10 us, and from 1100 on the
+#: array wins by 10 us or more (band-2, ring and grid files, n 8-80, tokenized in
+#: their own bytes).
 _BULK_MISSING = 1024
 
 
@@ -140,12 +140,12 @@ def _values(dim, given, texts):
 
 
 def _tokenize(blob):
-    """The tokens of the ASCII bytes ``blob`` as ``str.split`` cuts them, from one pass
-    over them: each line's token count, and the line, 0-based column and bytes of each
-    given token (any but a lone ``?``).  A line starts after a ``\\n`` byte and ends at
-    the next, so ``blob`` starts and ends with one.  One ``np.add.reduceat`` of the token
-    starts, cut at the line bounds and at the given tokens, counts the tokens before each
-    cut, so only given tokens become Python objects."""
+    """The tokens of the bytes ``blob`` as ``str.split`` cuts them at ASCII whitespace (a
+    non-ASCII byte is no separator), from one pass over them: each line's token count, and
+    the line, 0-based column and bytes of each given token (any but a lone ``?``).  A line
+    starts after a ``\\n`` byte and ends at the next, so ``blob`` starts and ends with one.
+    One ``np.add.reduceat`` of the token starts, cut at the line bounds and at the given
+    tokens, counts the tokens before each cut, so only given tokens become Python objects."""
     b = np.frombuffer(blob, dtype=np.uint8)
     sep = ((b - 9) < 5) | ((b - 28) < 5)  # str.split's ASCII whitespace: \t-\r, \x1c-" "
     start, end = np.zeros(b.size, dtype=bool), np.zeros(b.size, dtype=bool)
@@ -166,32 +166,30 @@ def _tokenize(blob):
 
 def _parse_lines(data, text):
     """``dim``, the flat indices and values of the given entries, and each row's line, from
-    a file's bytes ``data`` and their ``text``.  One count of ``?`` on the bytes picks the
-    reader of the given tokens for :func:`_values`.  A file with ``_BULK_MISSING`` ``?`` or
-    more, all ASCII, with no ``\\r`` or ``#``, its header on the first line and its last line
-    ended but not followed by an empty one, is tokenized in its own bytes from the header's
-    newline on: its rows are lines ``2..dim+1``.  Any other is read line by line: one pass
-    finds the header and the row lines, then a file with that many ``?`` and ASCII rows is
-    tokenized once, as one encoded buffer, and any other split per row, as is a file that
-    the first reader refused (a blank line among its rows, a fault), so no file is tokenized
-    twice.  A file whose row count, entry counts or values are off is read again by
-    :func:`_row`, so the first faulty row raises."""
+    a file's bytes ``data`` and their ``text``, both with ``\\n`` newlines.  A file with
+    ``_BULK_MISSING`` ``?`` or more is tokenized once, as one byte array: the lines that hold
+    a token, less those whose first token starts with ``#``, are the header and then the
+    rows, and the header must read ``n <rows>`` byte for byte.  Any other file, and one that
+    reader refused (a non-ASCII row, a header spelled otherwise, a fault), is split per row,
+    so no file is tokenized twice.  A file whose row count, entry counts or values are off is
+    read again by :func:`_row`, so the first faulty row raises."""
     missing = np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("?"))
-    bulk = missing >= _BULK_MISSING
-    if "\r" in text:  # the universal newlines of a text-mode read
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    elif (bulk and text.isascii() and "#" not in text
-          and text.endswith("\n") and not text.endswith("\n\n")):
-        nl = text.index("\n")
-        head = text[:nl].split()
-        if len(head) == 2 and head[0] == "n" and head[1].isdecimal() and int(head[1]) > 0:
-            dim, bulk = int(head[1]), False  # if refused here, split per row below
-            counts, line, column, texts = _tokenize(data[nl:])
-            if len(counts) == dim and (counts == dim).all():
-                given = line * dim + column
-                vals = _values(dim, given, np.array(texts, dtype=object))
-                if vals is not None:
-                    return dim, given, vals, range(2, dim + 2)
+    if missing >= _BULK_MISSING:
+        counts, line, column, texts = _tokenize(b"\n" + data + b"\n")
+        texts = np.array(texts, dtype=object)
+        if b"#" in data:  # drop the tokens of each line whose first token starts with "#"
+            lead = (column == 0).nonzero()[0].tolist()
+            comment = np.isin(line, [line[k] for k in lead if texts[k].startswith(b"#")])
+            counts[line[comment]] = 0
+            line, column, texts = line[~comment], column[~comment], texts[~comment]
+        keep = counts.nonzero()[0]  # the header, then the rows; blob line k is file line k + 1
+        row_lines, dim = keep[1:], len(keep) - 1
+        if (dim > 0 and counts[keep[0]] == 2 and texts[:2].tolist() == [b"n", b"%d" % dim]
+                and line[1] == keep[0] and (counts[row_lines] == dim).all()):
+            given = row_lines.searchsorted(line[2:]) * dim + column[2:]  # row by line, then column
+            vals = _values(dim, given, texts[2:])
+            if vals is not None:
+                return dim, given, vals, (row_lines + 1).tolist()
     lines = text.split("\n")
     dim, linenos = None, []  # the line of each matrix row, up to one past dim
     for lineno, raw in enumerate(lines, start=1):
@@ -216,18 +214,12 @@ def _parse_lines(data, text):
     if dim is None:
         raise ParseError("empty input: missing 'n <dim>' header")
     body = [lines[k - 1] for k in linenos[:dim]]
-    if len(linenos) == dim:
-        given = None
-        if bulk and all(map(str.isascii, body)):
-            counts, line, column, texts = _tokenize(("\n" + "\n".join(body) + "\n").encode("ascii"))
-            if (counts == dim).all():
-                given, texts = line * dim + column, np.array(texts, dtype=object)
-        elif set(map(len, rows := [raw.split() for raw in body])) == {dim}:
-            given, texts = np.arange(dim * dim), np.array(rows, dtype=object).ravel()
-            if missing:
-                given = np.flatnonzero(texts != "?")
-                texts = texts[given]
-        vals = None if given is None else _values(dim, given, texts)
+    if len(linenos) == dim and set(map(len, rows := [raw.split() for raw in body])) == {dim}:
+        given, texts = np.arange(dim * dim), np.array(rows, dtype=object).ravel()
+        if missing:
+            given = np.flatnonzero(texts != "?")
+            texts = texts[given]
+        vals = _values(dim, given, texts)
         if vals is not None:
             return dim, given, vals, linenos
     for i, raw in enumerate(body):
@@ -265,6 +257,8 @@ def parse_partial(path):
     """
     with open(path, "rb") as handle:
         data = handle.read().removeprefix(b"\xef\xbb\xbf")  # one byte-order mark, as utf-8-sig
+    if b"\r" in data:  # the universal newlines of a text-mode read
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         text = data.decode()
     except UnicodeDecodeError:

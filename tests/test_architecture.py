@@ -228,6 +228,15 @@ def test_cli_reads_files_as_bytes():
     assert [m for m in reads if "b" not in m] == []
 
 
+def test_cli_tokenizes_in_one_place():
+    """``cli`` has one array reader: ``_parse_lines`` calls ``_tokenize`` once, on the file's
+    bytes, and nothing in ``cli`` encodes a ``str`` back into bytes for it to read."""
+    calls, _ = _calls_and_raises()
+    cli_calls = [(f, callee) for m, f, callee in calls if m == "cli"]
+    assert [c for c in cli_calls if c[1].endswith("_tokenize")] == [("_parse_lines", "_tokenize")]
+    assert [c for c in cli_calls if c[1].endswith(".encode")] == []
+
+
 def test_no_internal_call_of_the_public_geomean():
     """``geomean`` is an entry for users: it warns about its own ``t``.  The means in
     ``src/pgm`` take ``_geomean`` or the core, so nothing there calls it."""

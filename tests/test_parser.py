@@ -6,11 +6,11 @@ symmetry on the given entries only; ``conftest.reference_parse`` converts and ch
 every cell.  On valid files both must give the same pattern and the same
 values (bit for bit, signed zeros included); on corrupted files both
 must raise the same error class, message, line and column.  A file with
-at least ``cli._BULK_MISSING`` ``?`` and only ASCII rows is read by one
-``cli._tokenize`` call (on the file's own bytes where it has the plain
-shape that ``pgm`` writes), any other row by row; the tests of that path
-count its calls, so that each names the reader it ran, and the random
-corpora run once more under each reader alone.
+at least ``cli._BULK_MISSING`` ``?`` is tokenized by one ``cli._tokenize``
+call on its bytes, and any other, or one that reader refuses, is split
+row by row; the tests of that path count the tokenize calls and name the
+reader whose tokens reach ``cli._values``, and the random corpora run
+once more under each reader alone.
 """
 
 import math
@@ -237,21 +237,37 @@ def test_format_parse_roundtrip(tmp_path_factory, pm):
     }
 
 
-# --- the byte-array path: ASCII files with at least cli._BULK_MISSING "?" ----
+# --- the byte-array path: files with at least cli._BULK_MISSING "?" ----
 
 
 @pytest.fixture
 def tokenized(monkeypatch):
-    """The number of lines of each ``cli._tokenize`` call, so a test names the path."""
+    """The number of lines that hold a token in each ``cli._tokenize`` call (the header, the
+    rows and any comment line), so a test names the path."""
     calls = []
 
     def counting(blob):
         tokens = tokenize(blob)
-        calls.append(len(tokens[0]))  # one token count per line
+        calls.append(np.count_nonzero(tokens[0]))  # one token count per line
         return tokens
 
     tokenize = cli._tokenize
     monkeypatch.setattr(cli, "_tokenize", counting)
+    return calls
+
+
+@pytest.fixture
+def readers(monkeypatch):
+    """The type of the tokens of each ``cli._values`` call: ``bytes`` from the array reader,
+    ``str`` from the split per row."""
+    calls = []
+
+    def naming(dim, given, texts):
+        calls.append(type(texts[0]) if len(texts) else None)
+        return values(dim, given, texts)
+
+    values = cli._values
+    monkeypatch.setattr(cli, "_values", naming)
     return calls
 
 
@@ -265,7 +281,7 @@ def text_of(grid, newline="\n"):
     return newline.join(lines) + newline
 
 
-@pytest.mark.parametrize("n, runs", [(2, []), (40, [40, 40])])
+@pytest.mark.parametrize("n, runs", [(2, []), (40, [41, 41])])
 def test_byte_order_mark_parses_like_none(tmp_path, tokenized, n, runs):
     text = text_of(identity_grid(n))  # n = 2: "n 2\n1 ?\n? 1\n"
     marked = write(tmp_path, "m.txt", "\ufeff" + text)
@@ -294,7 +310,7 @@ def test_large_files_match_reference(tmp_path, tokenized, n, files):
         got = outcome(parse_partial, path)
         assert got == outcome(reference_parse, path), path
         bulk = Path(path).read_text(encoding="utf-8").count("?") >= cli._BULK_MISSING
-        assert len(tokenized) == bulk if k % 2 == 0 else len(tokenized) <= bulk
+        assert len(tokenized) == bulk
         ran += len(tokenized)
     assert ran >= files // 2
 
@@ -309,15 +325,14 @@ CORPORA = {
 @pytest.mark.parametrize("corpus", CORPORA)
 @pytest.mark.parametrize("threshold", [0, sys.maxsize], ids=["tokenized", "row_by_row"])
 def test_each_reader_alone_matches_reference(tmp_path, monkeypatch, tokenized, corpus, threshold):
-    # 0 tokenizes every file whose header holds, "?"-free ones too; sys.maxsize none
+    # 0 tokenizes every file, "?"-free ones too; sys.maxsize none
     monkeypatch.setattr(cli, "_BULK_MISSING", threshold)
     for files, *args in CORPORA[corpus]:
         for path in files(tmp_path, *args):
             tokenized.clear()
             got = outcome(parse_partial, path)
             assert got == outcome(reference_parse, path), path
-            once = threshold == 0  # every corpus file is ASCII
-            assert len(tokenized) == once if got[0] == "ok" else len(tokenized) <= once
+            assert len(tokenized) == (threshold == 0)
 
 
 @pytest.mark.parametrize(
@@ -347,7 +362,7 @@ def test_mirrored_spellings_match_reference(tmp_path, monkeypatch, tokenized, up
     path = write(tmp_path, "m.txt", text)
     got = outcome(parse_partial, path)
     assert got == outcome(reference_parse, path)
-    assert tokenized == ([4] if threshold == 0 and text.isascii() else [])
+    assert tokenized == ([5] if threshold == 0 else [])  # a non-ASCII row: refused, then split
     if got[0] == "ok":
         assert got[2][2, 4] == repr(float(upper))
 
@@ -361,7 +376,7 @@ def test_separators_in_rows_with_a_question_mark(tmp_path, tokenized, sep):
     assert sep in text
     path = write(tmp_path, "s.txt", text)
     got = outcome(parse_partial, path)
-    assert tokenized == ([40] if sep.isascii() else [])  # a non-ASCII row: read by _row
+    assert tokenized == [41]  # a non-ASCII row: refused, then split per row
     assert got == outcome(reference_parse, path)
     assert got[2] == {(i, i): "1.0" for i in range(1, 41)}
 
@@ -374,7 +389,7 @@ def test_non_ascii_digit_is_converted_from_its_str(tmp_path, tokenized):
     grid[7][7] = "\u0661"
     path = write(tmp_path, "d.txt", text_of(grid))
     got = outcome(parse_partial, path)
-    assert tokenized == []
+    assert tokenized == [41]  # refused, then split per row
     assert got == outcome(reference_parse, path)
     assert got[2][8, 8] == "1.0"
 
@@ -384,7 +399,7 @@ def test_nul_byte_inside_a_token(tmp_path, tokenized):
     grid[4][4] = "1\x00"
     path = write(tmp_path, "z.txt", text_of(grid))
     got = outcome(parse_partial, path)
-    assert tokenized == [40]
+    assert tokenized == [41]
     assert got == outcome(reference_parse, path)
     assert got == ("error", ParseError, "bad entry '1\\x00' (line 6, column 5)", 6, 5)
 
@@ -397,7 +412,7 @@ def test_question_mark_spellings_beside_a_lone_one(tmp_path, tokenized, token, c
     grid[row][column - 1] = token
     path = write(tmp_path, "q.txt", text_of(grid))
     got = outcome(parse_partial, path)
-    assert tokenized == [40]
+    assert tokenized == [41]
     assert got == outcome(reference_parse, path)
     line = row + 2
     assert got == ("error", ParseError, f"bad entry {token!r} (line {line}, column {column})",
@@ -410,12 +425,12 @@ def test_line_endings_and_an_unterminated_last_row(tmp_path, tokenized, newline,
     text = text_of(identity_grid(40), newline=newline)
     path = write(tmp_path, "e.txt", text if last else text.removesuffix(newline))
     got = outcome(parse_partial, path)
-    assert tokenized == [40]
+    assert tokenized == [41]
     assert got == outcome(reference_parse, path)
     assert got[0] == "ok"
 
 
-def test_comments_blank_lines_and_signed_zero(tmp_path, tokenized):
+def test_comments_blank_lines_and_signed_zero(tmp_path, tokenized, readers):
     grid = identity_grid(40)
     grid[0][1], grid[1][0] = "-0.0", "0"
     lines = text_of(grid).splitlines()
@@ -423,7 +438,7 @@ def test_comments_blank_lines_and_signed_zero(tmp_path, tokenized):
         lines.insert(k, ["# ? a comment ?", "", "  \t# ?"][k % 3])
     path = write(tmp_path, "c.txt", "\n".join(lines) + "\n")
     got = outcome(parse_partial, path)
-    assert tokenized == [40]
+    assert tokenized == [44] and readers == [bytes]  # the three comment lines hold tokens
     assert got == outcome(reference_parse, path)
     assert got[2][1, 2] == "-0.0"
 
@@ -431,8 +446,8 @@ def test_comments_blank_lines_and_signed_zero(tmp_path, tokenized):
 @pytest.mark.parametrize(
     "short, bad, want, runs",
     [
-        (2, 4, ("expected 40 entries in row 3, got 39 (line 4)", 4, None), [40]),  # ? row first
-        (4, 2, ("bad entry 'x' (line 4, column 40)", 4, 40), [40]),  # the dense row first
+        (2, 4, ("expected 40 entries in row 3, got 39 (line 4)", 4, None), [41]),  # ? row first
+        (4, 2, ("bad entry 'x' (line 4, column 40)", 4, 40), [41]),  # the dense row first
     ],
 )
 def test_first_faulty_row_wins_across_paths(tmp_path, tokenized, short, bad, want, runs):
@@ -441,7 +456,7 @@ def test_first_faulty_row_wins_across_paths(tmp_path, tokenized, short, bad, wan
     grid[bad] = ["1"] * 39 + ["x"]  # a bad token in a row without "?"
     path = write(tmp_path, "f.txt", text_of(grid))
     got = outcome(parse_partial, path)
-    assert tokenized == runs  # all 40 rows, then read again by _row
+    assert tokenized == runs  # the header and 40 rows, then read again by _row
     assert got == outcome(reference_parse, path)
     assert got == ("error", ParseError, *want)
 
@@ -453,19 +468,12 @@ def test_a_row_without_a_question_mark_is_tokenized(tmp_path, tokenized):
             grid[4][j] = grid[j][4] = "0.25"
     path = write(tmp_path, "g.txt", text_of(grid))
     got = outcome(parse_partial, path)
-    assert tokenized == [40]
+    assert tokenized == [41]
     assert got == outcome(reference_parse, path)
     assert got[0] == "ok" and got[2][1, 5] == got[2][5, 40] == "0.25"
 
 
-# --- one binary read: which reader takes a "?"-heavy file, and that it tokenizes once ----
-
-
-def own_bytes(path):
-    """Whether the first reader took the file: it tokenizes the file's own bytes after the
-    header and returns the row lines as ``range(2, dim + 2)``, the line reader as a list."""
-    data = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
-    return isinstance(cli._parse_lines(data, data.decode())[3], range)
+# --- one tokenize: which reader takes a "?"-heavy file ----
 
 
 def heavy_text(variant, fault):
@@ -479,14 +487,22 @@ def heavy_text(variant, fault):
     elif fault == "disagree":
         grid[2][5], grid[5][2] = "0.5", "0.25"
     lines = [f"n {len(grid)}", *map(" ".join, grid)]
-    if variant in ("comment", "gap"):
-        lines.insert(5, "# ? a comment between rows ?" if variant == "comment" else "")
-    elif variant == "non_ascii_comment":
-        lines.insert(5, "# é ? ü")
+    between = {"comment": "# ? a comment between rows ?", "gap": "", "tab_comment": "\t# c",
+               "non_ascii_comment": "# é ? ü"}
+    if variant in between:
+        lines.insert(5, between[variant])
+    elif variant == "comment_first":
+        lines[:0] = ["# ? a comment before the header", ""]
     elif variant in ("tab", "x1c"):
         lines[3] = lines[3].replace(" ", "\t" if variant == "tab" else "\x1c")
     elif variant == "nul":
         lines[5] = lines[5].replace("1", "1\x00", 1)
+    elif variant == "hash_token":
+        lines[5] = lines[5].replace("? ", "? # ", 1)
+    elif variant == "header_q_dim":  # the header's second token is "?", the next given one 40
+        lines[:2] = ["n ?", lines[1].replace("1", "40", 1)]
+    elif variant.startswith("header"):
+        lines[0] = {"header_q": "n 40 ?", "header_x": "n 40 x", "header_040": "n 040"}[variant]
     text = "\n".join(lines) + "\n"
     if variant in ("crlf", "cr"):
         text = text.replace("\n", "\r\n" if variant == "crlf" else "\r")
@@ -494,31 +510,45 @@ def heavy_text(variant, fault):
             "blank": text + "\n", "spaces": text + " \t\n"}.get(variant, text)
 
 
-#: Each variant and whether a valid file of it is tokenized in its own bytes.
+#: Each variant and the type of the tokens that a valid file of it gives ``cli._values``:
+#: ``bytes`` from the array reader, ``str`` where the header compare refuses ``040`` and the
+#: file is split per row, None where the variant is itself a fault.
 VARIANTS = {
-    "canonical": True, "bom": True, "tab": True, "x1c": True,
-    "crlf": False, "cr": False, "unterminated": False, "blank": False, "spaces": False,
-    "gap": False, "comment": False, "non_ascii_comment": False, "nul": False,
+    "canonical": bytes, "bom": bytes, "tab": bytes, "x1c": bytes, "crlf": bytes, "cr": bytes,
+    "unterminated": bytes, "blank": bytes, "spaces": bytes, "gap": bytes, "comment": bytes,
+    "non_ascii_comment": bytes, "comment_first": bytes, "tab_comment": bytes,
+    "header_040": str, "nul": None, "hash_token": None, "header_q": None, "header_x": None,
+    "header_q_dim": None,
 }
 
 
 @pytest.mark.parametrize("fault", ["none", "bad", "short", "disagree"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_question_heavy_variants_match_reference_in_one_tokenize(tmp_path, tokenized, variant,
-                                                                 fault):
+def test_question_heavy_variants_match_reference_in_one_tokenize(tmp_path, tokenized, readers,
+                                                                 variant, fault):
     path = write(tmp_path, "h.txt", heavy_text(variant, fault))
     got = outcome(parse_partial, path)
     assert got == outcome(reference_parse, path)
-    # the rows are ASCII: tokenized once, on either reader.  An empty last line sends the
-    # file to the line reader before it is tokenized; a line of spaces only, or an empty
-    # one among the rows, after, with that line among the 41 tokenized
-    assert tokenized == [41 if variant in ("spaces", "gap") else 40]
-    if fault == "none" and variant != "nul":
-        assert got[0] == "ok"
-        assert own_bytes(path) == VARIANTS[variant]
+    assert len(tokenized) == 1  # a refused file is split per row, not tokenized again
+    if fault == "none":
+        assert got[0] == ("ok" if VARIANTS[variant] else "error")
+        if VARIANTS[variant]:
+            assert readers == [VARIANTS[variant]]
 
 
-def test_a_harness_shaped_file_is_tokenized_in_its_own_bytes(tmp_path, tokenized):
+@pytest.mark.parametrize("rows", [40, 2])
+def test_a_header_dimension_of_5000_digits_is_a_bad_dimension(tmp_path, capsys, rows):
+    # the array reader compares the header's bytes with the row count, so no int() of them
+    grid = identity_grid(rows)
+    path = write(tmp_path, "d.txt", text_of(grid).replace(f"n {rows}", "n " + "1" * 5000, 1))
+    got = outcome(parse_partial, path)
+    assert got == outcome(reference_parse, path)
+    assert got[:3] == ("error", ParseError, f"bad dimension {'1' * 5000!r} (line 1, column 2)")
+    assert cli.main(["check", path]) == 2
+    assert "bad dimension" in capsys.readouterr().err
+
+
+def test_a_harness_shaped_file_is_tokenized_in_its_own_bytes(tmp_path, tokenized, readers):
     # "n <dim>", then one row per line of values and "?" cut by single spaces, each ended
     n, rng = 60, np.random.default_rng(7)
     pattern = rand_chordal_pattern(rng, n, fill=0.3)
@@ -529,6 +559,5 @@ def test_a_harness_shaped_file_is_tokenized_in_its_own_bytes(tmp_path, tokenized
     assert text.count("?") >= cli._BULK_MISSING
     path = write(tmp_path, "harness.txt", text)
     got = outcome(parse_partial, path)
-    assert tokenized == [n]
+    assert tokenized == [n + 1] and readers == [bytes]
     assert got == outcome(reference_parse, path) and got[0] == "ok"
-    assert own_bytes(path)
