@@ -5,8 +5,9 @@ edges index the specified entries of a partial matrix.  This module tests
 chordality, the completability verdict, with a witness (a perfect elimination
 ordering from one maximum-cardinality search over the sparser of the pattern
 and its complement, or a chordless cycle of length >= 4), and lists maximal cliques:
-a chordal pattern's from that search, any other's by Bron-Kerbosch, except that a
-triangle-free pattern's cliques are its edges, listed in one pass in the recursion's order.
+a chordal pattern's from that search, any other's by Bron-Kerbosch with one pivot rule,
+except that a triangle-free pattern's cliques are its edges, tested and listed in one pass
+in the recursion's order.  Every search reads one bit row per vertex, its neighbors.
 
 Vertices are 1-based in every public signature and 0-based internally.
 A pattern is stored as its symmetric ``(n, n)`` boolean mask; the edge
@@ -16,7 +17,6 @@ set is derived from it when a pattern is built from a mask.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -42,11 +42,9 @@ class Pattern:
     edges: frozenset
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("pattern needs at least one vertex")
+        self.__dict__["n"] = _size(self.n)
         for i, j in self.edges:
-            if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
-                raise ValueError(f"edge ({i}, {j}) has a non-integer vertex")
+            _integers(i, j)
             if not (1 <= i <= j <= self.n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n = {self.n}")
         for i in range(1, self.n + 1):
@@ -73,16 +71,17 @@ class Pattern:
     @classmethod
     def from_pairs(cls, n, pairs=()):
         """Build a pattern from off-diagonal pairs; loops are added."""
-        edges = {(i, i) for i in range(1, n + 1)}
+        edges = {(i, i) for i in range(1, _size(n) + 1)}
         edges.update(_normalize_edge(i, j) for i, j in pairs)
         return cls(n=n, edges=frozenset(edges))
 
     @classmethod
     def complete(cls, n):
         """Complete pattern: every entry specified."""
-        return cls.from_pairs(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+        return cls.from_pairs(n, combinations(range(1, _size(n) + 1), 2))
 
     def has_edge(self, i, j):
+        _integers(i, j)
         i, j = _normalize_edge(i, j)
         return 1 <= i and j <= self.n and bool(self._mask[i - 1, j - 1])
 
@@ -90,9 +89,8 @@ class Pattern:
     def is_complete(self):
         return bool(self._mask.all())
 
-    _adjacency = cached_property(lambda self: _neighbors(self._mask))
-    _complement = cached_property(lambda self: _neighbors(~self._mask))
-    # more entries than the complement, whose lists the searches then read
+    _adjacency = cached_property(lambda self: _rows(self._mask))
+    # more entries than the complement, whose rows the search then reads
     _denser = property(lambda self: 2 * np.count_nonzero(self._mask) > self.n * (self.n + 1))
 
     @cached_property
@@ -109,9 +107,9 @@ class Pattern:
             adj = self._adjacency
             visit, earlier = _mcs_visit(adj, self.n, -1)
             # perfect: the earlier neighbors of each v all neighbor the last one visited
-            perfect = all(adj[e[-1]].issuperset(e[:-1]) for e in earlier if e)
+            perfect = all(adj[e[-1]] >> u & 1 for e in earlier for u in e[:-1])
         else:  # each vertex records its gaps: the non-neighbors visited before it
-            visit, gaps = _mcs_visit(self._complement, self.n, 1)
+            visit, gaps = _mcs_visit(_rows(~self._mask), self.n, 1)
             gaps = [set(g) for g in gaps]
             earlier = {v: [u for u in visit[:k] if u not in gaps[v]] if gaps[v] else visit[:k]
                        for k, v in enumerate(visit)}
@@ -132,11 +130,21 @@ class Pattern:
         earlier ones in its separator, inside one earlier clique), else Bron-Kerbosch's
         discovery order, which the clique sweeps follow; a triangle-free pattern (a ring,
         a grid) has its edges as cliques, listed in one pass in that same order."""
-        cliques = self._mcs[1]
-        if cliques is not None:
-            return cliques
-        comp = self._complement if self._denser else None
-        return tuple(_bron_kerbosch(self._adjacency, self.n, comp))
+        return self._mcs[1] or tuple(_bron_kerbosch(self._adjacency, self.n))
+
+
+def _size(n):
+    """``n`` as a vertex count: an integer, not a bool, of at least 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"pattern size {n!r} is not an integer")
+    if n < 1:
+        raise ValueError("pattern needs at least one vertex")
+    return int(n)
+
+
+def _integers(i, j):
+    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+        raise ValueError(f"edge ({i!r}, {j!r}) has a non-integer vertex")
 
 
 def _upper(mask, k=0):
@@ -167,59 +175,45 @@ class ChordalityResult:
     chordless_cycle: tuple | None
 
 
-def _neighbors(mask):
-    """0-based neighbor sets of the graph of a symmetric boolean ``mask``, loops left out."""
-    adj = [set() for _ in range(len(mask))]
-    for i, j in _upper(mask, 1)[1]:
-        adj[i - 1].add(j - 1)
-        adj[j - 1].add(i - 1)
-    return adj
+def _rows(mask):
+    """Bit rows of a symmetric boolean ``mask``: row ``v`` has bit ``j`` for each neighbor ``j``."""
+    packed = np.packbits(mask & ~np.eye(len(mask), dtype=bool), axis=1, bitorder="little")
+    return [int.from_bytes(row, "little") for row in packed]
 
 
-def _mcs_visit(lists, n, step):
-    """Maximum-cardinality search: the visit order and, per vertex, the entries of its list
+def _members(bits):
+    """The set bits of ``bits``, ascending, read off the top (no ``-bits`` to allocate)."""
+    out = []
+    while bits:
+        out.append(u := bits.bit_length() - 1)
+        bits ^= 1 << u
+    out.reverse()
+    return out
+
+
+def _mcs_visit(rows, n, step):
+    """Maximum-cardinality search: the visit order and, per vertex, the members of its row
     visited before it, in visit order.
 
     Each step visits the heaviest unvisited vertex, the smallest on ties: the least key
-    ``v + count * n`` of a lazy heap, the count being minus the weight over neighbor lists
-    (``step = -1``) and the visited non-neighbors over the complement's (``step = 1``).
+    ``v + count * n`` of a lazy heap, the count being minus the weight over the pattern's
+    rows (``step = -1``) and the visited non-neighbors over the complement's (``step = 1``).
     A key that is not its vertex's current one, ``keys[v]``, is stale and skipped."""
     records, keys, stride = [[] for _ in range(n)], list(range(n)), step * n
     heap = keys.copy()  # every count 0: sorted, so already a heap
-    visit, seen = [], [False] * n
+    visit, unseen = [], (1 << n) - 1
     while heap:
         key = heapq.heappop(heap)
         v = key % n
         if key != keys[v]:
             continue
-        seen[v] = True
+        unseen ^= 1 << v
         visit.append(v)
-        for u in lists[v]:
-            if not seen[u]:
-                records[u].append(v)
-                keys[u] += stride
-                heapq.heappush(heap, keys[u])
+        for u in _members(rows[v] & unseen):
+            records[u].append(v)
+            keys[u] += stride
+            heapq.heappush(heap, keys[u])
     return visit, records
-
-
-def _shortest_path(adj, start, goal, blocked):
-    """BFS path from start to goal avoiding ``blocked`` vertices."""
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in sorted(adj[v]):
-            if u in blocked or u in parent:
-                continue
-            parent[u] = v
-            if u == goal:
-                path = [u]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            queue.append(u)
-    return None
 
 
 def _find_chordless_cycle(adj, n):
@@ -228,16 +222,24 @@ def _find_chordless_cycle(adj, n):
     For a vertex v with non-adjacent neighbors x, y, a shortest x-y path
     avoiding the rest of N[v] is induced, so v plus the path is a
     chordless cycle.  Some such triple succeeds in any non-chordal graph
-    because every hole provides one.
+    because every hole provides one.  The path is found breadth first, each
+    vertex's parent the first one reached that neighbors it.
     """
     for v in range(n):
-        for x, y in combinations(sorted(adj[v]), 2):
-            if y in adj[x]:
+        for x, y in combinations(_members(adj[v]), 2):
+            if adj[x] >> y & 1:
                 continue
-            blocked = (adj[v] | {v}) - {x, y}
-            path = _shortest_path(adj, x, y, blocked)
-            if path is not None:
-                return (v, *path)
+            parent, seen, queue = {x: v}, adj[v] & ~(1 << y) | 1 << v, [x]
+            for u in queue:  # the queue is read as it grows, so y is read once reached
+                if y in parent:
+                    cycle = [y]
+                    while cycle[-1] in parent:
+                        cycle.append(parent[cycle[-1]])
+                    return cycle[::-1]
+                fresh = _members(adj[u] & ~seen)
+                seen |= adj[u]
+                parent.update(dict.fromkeys(fresh, u))
+                queue += fresh
     raise InternalNumerics("PEO check failed but no chordless cycle was found")
 
 
@@ -264,46 +266,44 @@ def is_chordal(g):
     )
 
 
-def _bron_kerbosch(adj, n, comp=None):
+def _bron_kerbosch(adj, n):
     """Maximal cliques by Bron-Kerbosch with pivoting (Tomita, Tanaka and Takahashi), in
     discovery order, on an explicit stack of frames, so a clique of any size costs no Python
-    recursion.  The pivot has the most neighbors in ``p``, the smallest on ties; given the
-    complement's lists ``comp`` (of a pattern denser than its complement), that count is
-    read off a vertex's few non-neighbors.  A triangle-free pattern's maximal cliques are its
-    edges and isolated vertices, listed in one pass in the recursion's order: the top level
-    passes its pivot's non-neighbors ``v`` in ascending order, and ``v`` ends in an edge with
-    each neighbor not yet passed, or alone if it has none."""
-    everyone = set(range(n))
-    if all(adj[i].isdisjoint(adj[j]) for i in range(n) for j in adj[i] if i < j):
-        cliques, passed = [], set()
-        for v in sorted(everyone - adj[max(range(n), key=lambda u: (len(adj[u]), -u))]):
-            cliques += [(v, w) if v < w else (w, v) for w in sorted(adj[v] - passed)]
-            if not adj[v]:
-                cliques.append((v,))
-            passed.add(v)
-        return cliques
+    recursion.  ``p`` and ``x`` are bits, as the rows ``adj`` are, so the pivot's count of
+    neighbors in ``p`` is one AND and one bit count (San Segundo, Rodriguez-Losada and
+    Jimenez); it has the most, the smallest on ties.  A triangle-free pattern's maximal
+    cliques are its edges and isolated vertices, listed in one pass in the recursion's order:
+    the top level passes its pivot's non-neighbors ``v`` in ascending order, and ``v`` ends
+    in an edge with each neighbor not yet passed, or alone if it has none.  The pass stops at
+    an edge whose ends share a neighbor: a triangle with a vertex outside the pivot's
+    neighborhood has such an edge listed there, and one inside it makes one with the pivot."""
 
     def frame(r, p, x):
-        if comp is not None:  # |adj[u] & p| = |p| - |comp[u] & p| - [u in p]
-            pivot = max(p | x, key=lambda u: (len(p) - len(comp[u] & p) - (u in p), -u))
-        else:
-            pivot = max(p | x, key=lambda u: (len(adj[u] & p), -u))
-        return r, p, x, iter(sorted(p - adj[pivot]))
+        pivot = max(_members(p | x), key=lambda u: ((adj[u] & p).bit_count(), -u))
+        return [r, p, x, iter(_members(p & ~adj[pivot]))]
 
-    cliques, stack = [], [frame((), everyone, set())]
+    everyone, cliques, passed = (1 << n) - 1, [], 0
+    for v in frame((), everyone, 0)[3]:
+        ends = _members(adj[v] & ~passed)
+        if any(adj[v] & adj[w] for w in ends):
+            break  # a triangle: the search below lists the cliques
+        cliques += [(v, w) if v < w else (w, v) for w in ends] if adj[v] else [(v,)]
+        passed |= 1 << v
+    else:
+        return cliques
+    cliques, stack = [], [frame((), everyone, 0)]
     while stack:
-        r, p, x, candidates = stack[-1]
+        r, p, x, candidates = top = stack[-1]
         v = next(candidates, None)
         if v is None:
             stack.pop()
             continue
+        top[1], top[2] = p & ~(1 << v), x | 1 << v  # v leaves p before its child runs
         p_v, x_v = p & adj[v], x & adj[v]
-        if p_v:  # the child's sets are its own, so v leaves p now, before the child runs
+        if p_v:
             stack.append(frame((*r, v), p_v, x_v))
         elif not x_v:
             cliques.append(tuple(sorted((*r, v))))
-        p.discard(v)
-        x.add(v)
     return cliques
 
 

@@ -237,6 +237,31 @@ def test_cli_tokenizes_in_one_place():
     assert [c for c in cli_calls if c[1].endswith(".encode")] == []
 
 
+def test_pattern_keeps_one_neighbor_structure():
+    """``pattern`` holds each vertex's neighbors in one structure, its bit rows: it calls
+    ``np.packbits`` in one function, ``_rows``, and builds no set but the edge sets (in
+    ``from_pairs`` and the derived ``edges`` frozenset) and the gap sets of ``_mcs``.  A
+    second neighbor structure, such as adjacency sets beside the rows, fails here."""
+    packs, sets = [], []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{owner}.{child.name}".lstrip(".")
+            callee = ast.unparse(child.func) if isinstance(child, ast.Call) else None
+            if callee == "np.packbits":
+                packs.append(name)
+            if isinstance(child, (ast.Set, ast.SetComp)) or callee in ("set", "frozenset"):
+                sets.append(name)
+            visit(child, name)
+
+    visit(ast.parse((SRC / "pattern.py").read_text(encoding="utf-8")), "")
+    assert packs == ["_rows"]
+    assert sorted(sets) == ["Pattern.__getattr__", "Pattern._mcs",
+                            "Pattern.from_pairs", "Pattern.from_pairs"]
+
+
 def test_no_internal_call_of_the_public_geomean():
     """``geomean`` is an entry for users: it warns about its own ``t``.  The means in
     ``src/pgm`` take ``_geomean`` or the core, so nothing there calls it."""

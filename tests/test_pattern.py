@@ -100,6 +100,27 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"edge \(1, 1.5\) has a non-integer vertex"):
             Pattern(n=2, edges=frozenset({(1, 1), (2, 2), (1, 1.5)}))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Pattern.from_pairs(2.0), r"pattern size 2\.0 is not an integer"),
+        (lambda: Pattern.from_pairs(np.float64(3.0)), r"size np\.float64\(3\.0\) is not an"),
+        (lambda: Pattern.complete(2.0), r"pattern size 2\.0 is not an integer"),
+        (lambda: Pattern(n="3", edges=frozenset()), r"pattern size '3' is not an integer"),
+        (lambda: Pattern(n=True, edges=frozenset({(1, 1)})), r"pattern size True is not an"),
+        (lambda: Pattern.from_pairs(3).has_edge(1.5, 2), r"edge \(1\.5, 2\) has a non-integer"),
+        (lambda: Pattern.from_pairs(3).has_edge(1, "2"), r"edge \(1, '2'\) has a non-integer"),
+    ], ids=["float", "numpy_float", "complete_float", "str", "bool", "has_edge_float",
+            "has_edge_str"])
+    def test_non_integer_size_or_queried_vertex_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    def test_numpy_integer_size_is_held_as_an_int(self):
+        # the searches shift by n: a numpy n of 64 or more would overflow 1 << n
+        g = ring_pattern(70)
+        h = Pattern.from_pairs(np.int64(70), [(i, j) for i, j in g.edges if i < j])
+        assert type(h.n) is int and h == g
+        assert is_chordal(h) == is_chordal(g) and h._clique_sequence == g._clique_sequence
+
     def test_complete(self):
         g = Pattern.complete(4)
         assert g.is_complete
@@ -217,12 +238,22 @@ class TestMaximalCliques:
         alone = [(v,) for v in range(g.n) if not g._adjacency[v]]
         assert len(alone) >= isolated and [c for c in g._clique_sequence if len(c) == 1] == alone
 
-    @pytest.mark.parametrize("n", [5, 24, 101])
-    def test_a_chord_closing_a_triangle_takes_the_recursion(self, n):
-        g = Pattern.from_pairs(n, [*((i, i + 1) for i in range(1, n)), (n, 1), (1, 3)])
+    @pytest.mark.parametrize("planted", [
+        # vertex 1, the pivot, closes the triangle 1-2-3
+        lambda n: ([(1, 3)], (0, 1, 2)),
+        # the hub h = n // 2, the pivot, sees the triangle 1-2-3 among its neighbors
+        lambda n: ([(1, 3), *((k, n // 2) for k in (1, 2, 3))], (0, 1, 2, n // 2 - 1)),
+        # the pivot 1 (the hub of two 4-cycles) is far from the triangle n-3, n-2, n-1,
+        # which the one pass reaches last
+        lambda n: ([(1, 4), (1, 6), (n - 3, n - 1)], (n - 4, n - 3, n - 2)),
+    ], ids=["through_the_pivot", "among_its_neighbors", "late_in_the_order"])
+    @pytest.mark.parametrize("n", [10, 24, 101])
+    def test_a_chord_closing_a_triangle_takes_the_recursion(self, n, planted):
+        chords, clique = planted(n)
+        g = Pattern.from_pairs(n, [*((i, i + 1) for i in range(1, n)), (n, 1), *chords])
         assert not is_chordal(g).chordal
         assert g._clique_sequence == tuple(reference_bron_kerbosch(g))
-        assert (0, 1, 2) in g._clique_sequence
+        assert clique in g._clique_sequence
 
     @pytest.mark.parametrize("draw", ["near_complete", "dense"])
     def test_dense_sequence_matches_the_reference_recursion(self, draw):
@@ -323,10 +354,11 @@ class TestSearch:
         # over the pattern a vertex records its neighbors visited before it, over the
         # complement its non-neighbors; either way the order is the reference's
         for step, mask in ((-1, g._mask), (1, ~g._mask)):
-            lists = pattern._neighbors(mask)
-            visit, records = pattern._mcs_visit(lists, g.n, step)
+            rows = pattern._rows(mask)
+            visit, records = pattern._mcs_visit(rows, g.n, step)
             assert tuple(v + 1 for v in reversed(visit)) == reference_mcs_order(g)
             at = {v: k for k, v in enumerate(visit)}
+            lists = [pattern._members(row) for row in rows]
             for v in range(g.n):  # each vertex's list entries visited before it, in visit order
                 assert records[v] == sorted((u for u in lists[v] if at[u] < at[v]), key=at.get)
 
@@ -372,12 +404,12 @@ class TestSearch:
         n = 60
         g = Pattern.from_pairs(n, [p for p in combinations(range(1, n + 1), 2)
                                    if p not in ((1, n - 1), (1, n))])
-        read, real = [], pattern._neighbors
+        read, real = [], pattern._rows
         monkeypatch.setattr(Pattern, "_adjacency", property(lambda self: pytest.fail("adjacency")))
-        monkeypatch.setattr(pattern, "_neighbors", lambda m: read.append(m.sum()) or real(m))
+        monkeypatch.setattr(pattern, "_rows", lambda m: read.append(m.sum()) or real(m))
         assert is_chordal(g).chordal
         assert maximal_cliques(g) == [tuple(range(1, n - 1)), tuple(range(2, n + 1))]
-        assert read == [4]  # one set of lists, over the two missing pairs
+        assert read == [4]  # the complement's rows alone, over the two missing pairs
 
 
 class TestMissingPositions:
