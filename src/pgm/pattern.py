@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -273,25 +273,25 @@ def _bron_kerbosch(adj, n):
     neighbors in ``p`` is one AND and one bit count (San Segundo, Rodriguez-Losada and
     Jimenez); it has the most, the smallest on ties.  A triangle-free pattern's maximal
     cliques are its edges and isolated vertices, listed in one pass in the recursion's order:
-    the top level passes its pivot's non-neighbors ``v`` in ascending order, and ``v`` ends
-    in an edge with each neighbor not yet passed, or alone if it has none.  The pass stops at
-    an edge whose ends share a neighbor: a triangle with a vertex outside the pivot's
-    neighborhood has such an edge listed there, and one inside it makes one with the pivot."""
+    the top level passes its pivot's non-neighbors ``v`` in ascending order, and while no two
+    ends of an edge at ``v`` share a neighbor, ``v``'s frame lists an edge with each neighbor
+    not yet passed, or ``v`` alone if it has none.  At the first edge whose ends do, the
+    search takes over at ``v``, keeping what the pass listed."""
 
     def frame(r, p, x):
         pivot = max(_members(p | x), key=lambda u: ((adj[u] & p).bit_count(), -u))
         return [r, p, x, iter(_members(p & ~adj[pivot]))]
 
-    everyone, cliques, passed = (1 << n) - 1, [], 0
-    for v in frame((), everyone, 0)[3]:
-        ends = _members(adj[v] & ~passed)
-        if any(adj[v] & adj[w] for w in ends):
-            break  # a triangle: the search below lists the cliques
-        cliques += [(v, w) if v < w else (w, v) for w in ends] if adj[v] else [(v,)]
-        passed |= 1 << v
+    top, cliques, x = frame((), (1 << n) - 1, 0), [], 0  # x: the top level's passed vertices
+    for v in top[3]:
+        pairs = [(v, w) if v < w else (w, v) for w in _members(adj[v] & ~x) if not adj[v] & adj[w]]
+        if len(pairs) < (adj[v] & ~x).bit_count():
+            break  # a triangle: the search below takes over at v
+        cliques += pairs if adj[v] else [(v,)]
+        x |= 1 << v
     else:
         return cliques
-    cliques, stack = [], [frame((), everyone, 0)]
+    top[1:], stack = (top[1] & ~x, x, chain((v,), top[3])), [top]
     while stack:
         r, p, x, candidates = top = stack[-1]
         v = next(candidates, None)

@@ -238,18 +238,22 @@ class TestMaximalCliques:
         alone = [(v,) for v in range(g.n) if not g._adjacency[v]]
         assert len(alone) >= isolated and [c for c in g._clique_sequence if len(c) == 1] == alone
 
-    @pytest.mark.parametrize("planted", [
+    PLANTED = {
         # vertex 1, the pivot, closes the triangle 1-2-3
-        lambda n: ([(1, 3)], (0, 1, 2)),
+        "through_the_pivot": lambda n: ([(1, 3)], (0, 1, 2)),
         # the hub h = n // 2, the pivot, sees the triangle 1-2-3 among its neighbors
-        lambda n: ([(1, 3), *((k, n // 2) for k in (1, 2, 3))], (0, 1, 2, n // 2 - 1)),
+        "among_its_neighbors": lambda n: ([(1, 3), *((k, n // 2) for k in (1, 2, 3))],
+                                          (0, 1, 2, n // 2 - 1)),
         # the pivot 1 (the hub of two 4-cycles) is far from the triangle n-3, n-2, n-1,
         # which the one pass reaches last
-        lambda n: ([(1, 4), (1, 6), (n - 3, n - 1)], (n - 4, n - 3, n - 2)),
-    ], ids=["through_the_pivot", "among_its_neighbors", "late_in_the_order"])
-    @pytest.mark.parametrize("n", [10, 24, 101])
+        "late_in_the_order": lambda n: ([(1, 4), (1, 6), (n - 3, n - 1)], (n - 4, n - 3, n - 2)),
+    }
+
+    # the 5-ring takes only the chord (1, 3): the other two need a hub and a vertex 6
+    @pytest.mark.parametrize("n, planted", [(5, "through_the_pivot")]
+                             + [(n, k) for k in PLANTED for n in (10, 24, 101)])
     def test_a_chord_closing_a_triangle_takes_the_recursion(self, n, planted):
-        chords, clique = planted(n)
+        chords, clique = self.PLANTED[planted](n)
         g = Pattern.from_pairs(n, [*((i, i + 1) for i in range(1, n)), (n, 1), *chords])
         assert not is_chordal(g).chordal
         assert g._clique_sequence == tuple(reference_bron_kerbosch(g))
@@ -257,10 +261,10 @@ class TestMaximalCliques:
 
     @pytest.mark.parametrize("draw", ["near_complete", "dense"])
     def test_dense_sequence_matches_the_reference_recursion(self, draw):
-        # a pattern denser than its complement reads each pivot's count off the complement;
-        # the order is the reference's, whose pivot counts its neighbors in p.  Near-complete
-        # draws miss 1-6 pairs (k disjoint ones leave 2**k maximal cliques); the dense ones,
-        # at n <= 25, give vertices outside p the most neighbors in it more often
+        # on patterns denser than their complements (``_denser`` only filters the draws) the
+        # one bit-count pivot gives the reference's order.  Near-complete draws miss 1-6
+        # pairs (k disjoint ones leave 2**k maximal cliques); the dense ones, at n <= 25,
+        # give vertices outside p the most neighbors in it more often
         rng = np.random.default_rng(1)
         checked = 0
         for _ in range(300):
