@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""The weighted geometric mean A #_t B and its property suite.
+"""The weighted geometric mean A #_t B, of full and of partial matrices.
 
 A #_t B traces the unique geodesic from A to B for the Riemannian trace
 metric on the SPD cone.  The mean of two PARTIAL matrices is a set (all
@@ -13,7 +13,6 @@ from pgm import (
     Pattern,
     PartialMatrix,
     geomean,
-    geomean_properties_check,
     partial_geomean_maxdet,
     riemannian_dist,
     set_geomean,
@@ -33,17 +32,6 @@ for t in (0.0, 0.25, 0.5, 1.0):
     g = geomean(a, b, t)
     print(f"  t={t:4.2f}: delta(A, A#tB) = {riemannian_dist(a, g):.6g}"
           f"  (= t * delta exactly on a geodesic)")
-
-report = geomean_properties_check(
-    a, b, rand_spd(3), rand_spd(3), t=0.3, lam=0.6, s=rng.standard_normal((3, 3))
-)
-print("\nclassical property suite, all hold:", report.all_hold)
-for name in (
-    "commuting_power_law", "scalar_homogeneity", "reversal", "monotonicity",
-    "continuity_lipschitz", "congruence_invariance", "joint_concavity",
-    "inversion", "determinant_identity", "agm_sandwich",
-):
-    print(f"  {name}: {getattr(report, name)}")
 
 # Means of sample sets: cardinality is at most the product of the sizes.
 s = (rand_spd(3), rand_spd(3))

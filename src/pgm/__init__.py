@@ -41,15 +41,12 @@ from .linalg import (
 from .means import (
     AgmResult,
     EntropyIdentities,
-    GeomeanPropertyReport,
     KarcherResult,
     PartialGeomeanResult,
     agm_iteration,
-    block_max_property,
     entropy_identities,
     gaussian_entropy,
     geomean,
-    geomean_properties_check,
     karcher_mean,
     partial_geomean_maxdet,
     partial_geomean_sweep,

@@ -257,8 +257,8 @@ def parse_partial(path):
     """
     with open(path, "rb") as handle:
         data = handle.read().removeprefix(b"\xef\xbb\xbf")  # one byte-order mark, as utf-8-sig
-    if b"\r" in data:  # the universal newlines of a text-mode read
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if b"\r" in data:  # the universal newlines of a text-mode read, less a final newline
+        data = b"\n".join(data.splitlines())
     try:
         text = data.decode()
     except UnicodeDecodeError:

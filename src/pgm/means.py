@@ -6,10 +6,10 @@ The weighted two-variable geometric mean
 
 is the point at parameter ``t`` on the unique Riemannian geodesic from A to B; by
 congruence invariance any factor L serves, and every congruence here takes the Cholesky
-factor.  This module provides the mean (on single matrices or stacks), a numerical checker
-for its classical property suite, the means of two finite sets (plain sequences of
-matrices), the maximum-determinant representative of means of partial matrices, the sweep
-of ``A(x) #_t B(y)`` over the feasible fills of two missing entries, the Karcher mean (one
+factor.  This module computes means and nothing else: the mean (on single matrices or
+stacks), the means of two finite sets (plain sequences of matrices), the
+maximum-determinant representative of means of partial matrices, the sweep of
+``A(x) #_t B(y)`` over the feasible fills of two missing entries, the Karcher mean (one
 period of the weighted inductive mean as the start point, then a fixed-point iteration
 with the Bini-Iannazzo step size until the gradient certificate holds), the
 arithmetic-harmonic iteration, and the entropy identities for Gaussian covariances (half
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .completion import CompletionReport, _entry_bounds, _run, max_det_completio
 from .errors import DimensionMismatch, InternalNumerics, PgmError, TooManyMissing
 from .linalg import (
     DEFAULT_TOL,
-    _definite,
     _dense,
     _DeterminantFromLog,
     _eigh,
@@ -44,9 +43,6 @@ from .linalg import (
     _solve,
     _whiten,
     fro_norm,
-    is_psd,
-    op_norm,
-    riemannian_dist,
     sym,
 )
 from .partial import _require_partial_pd
@@ -132,141 +128,9 @@ def _geomean_cells(l, b, t):
     return m, ok, v
 
 
-@dataclass(frozen=True)
-class GeomeanPropertyReport:
-    """Boolean outcome of each classical geometric-mean property."""
-
-    commuting_power_law: bool
-    scalar_homogeneity: bool
-    reversal: bool
-    monotonicity: bool
-    continuity_lipschitz: bool
-    congruence_invariance: bool
-    joint_concavity: bool
-    inversion: bool
-    determinant_identity: bool
-    agm_sandwich: bool
-
-    @property
-    def all_hold(self):
-        return all(getattr(self, f.name) for f in fields(self))
-
-
 def _close(x, y, rtol):
     """x == y up to rtol times the larger Frobenius norm."""
     return fro_norm(x - y) <= rtol * max(fro_norm(x), fro_norm(y))
-
-
-def _psd_geq(x, y, rtol):
-    """x >= y up to an eigenvalue slack of rtol times the larger spectral norm."""
-    scale = max(op_norm(x), op_norm(y))
-    return bool(_definite(_eigh(sym(x - y), vectors=False), rtol, semi=True, scale=scale))
-
-
-def geomean_properties_check(a, b, c, d, t, lam, s, rtol=1e-8):
-    """Numerically verify the classical geometric-mean property suite.
-
-    The inputs pass one PD proof; a matrix built here passes no PD door: its mean takes its
-    ``_factor``, the inverses are ``L^-T L^-1`` of the factors held, and the harmonic mean is one
-    :func:`_harmonic`, exact on equal inputs.
-
-    Parameters
-    ----------
-    a, b, c, d : positive definite matrices of a common dimension.
-    t, lam : floats in [0, 1]; ``lam`` doubles as the second geodesic
-        parameter in the continuity bound and as the convex weight in
-        joint concavity.
-    s : invertible matrix for the congruence check.
-    rtol : relative tolerance of every comparison; semidefiniteness
-        checks allow an eigenvalue slack of ``rtol * scale``, and the
-        log-determinants an absolute gap of ``rtol``.
-
-    Returns
-    -------
-    GeomeanPropertyReport
-        One boolean per property:
-
-        1.  commuting pairs reduce to ``A^{1-t} B^t``
-        2.  ``(aA) #_t (bB) = a^{1-t} b^t (A #_t B)``
-        3.  reversal ``A #_t B = B #_{1-t} A``
-        4.  monotonicity in both arguments
-        5.  geodesic-parameter Lipschitz continuity bound
-        6.  congruence invariance ``S^T (A #_t B) S``
-        7.  joint concavity
-        8.  inversion ``(A #_t B)^{-1} = A^{-1} #_t B^{-1}``
-        9.  ``log det(A #_t B) = (1-t) log det A + t log det B``
-        10. harmonic/arithmetic sandwich
-    """
-    _require_tol(rtol)
-    _warn_off_geodesic(t)
-    _warn_off_geodesic(lam)
-    # one proof: a mean whose first operand is an input takes that input's factor
-    (a, b, c, d), (la, lb, lc, _) = _pd_stack((a, b, c, d))
-    g_ab = _geomean_core(la, b, t)
-
-    # the partner A^2 / w_max + w_min I has A's eigenbasis and scale, and a whitening by A of
-    # condition number near sqrt(cond A): w / w_max + w_min / w is least at w = sqrt(w_min w_max)
-    w, q = _eigh(a)
-    p1 = _close(
-        _geomean_core(la, sym(a @ a) / w[-1] + w[0] * np.eye(len(a)), t),
-        _from_spectrum(w ** (1.0 - t) * (w * w / w[-1] + w[0]) ** t, q),
-        rtol,
-    )
-
-    alpha, beta = 1.0 + lam, 2.0 - lam
-    p2 = _close(
-        _geomean_core(_factor(alpha * a), beta * b, t),
-        alpha ** (1.0 - t) * beta**t * g_ab,
-        rtol,
-    )
-
-    p3 = _close(g_ab, _geomean_core(lb, a, 1.0 - t), rtol)
-
-    p4 = _psd_geq(_geomean_core(_factor(a + c), b + d, t), g_ab, rtol)
-
-    lhs = riemannian_dist(_geomean_core(la, b, lam), _geomean_core(lc, d, t))
-    bound = (
-        abs(lam - t) * riemannian_dist(a, b)
-        + (1.0 - t) * riemannian_dist(a, c)
-        + t * riemannian_dist(b, d)
-    )
-    p5 = lhs <= bound + rtol * max(1.0, bound)
-
-    p6 = _close(
-        sym(s.T @ g_ab @ s),
-        _geomean_core(_factor(sym(s.T @ a @ s)), sym(s.T @ b @ s), t),
-        rtol,
-    )
-
-    p7 = _psd_geq(
-        _geomean_core(_factor((1.0 - lam) * a + lam * b), (1.0 - lam) * c + lam * d, t),
-        (1.0 - lam) * _geomean_core(la, c, t) + lam * _geomean_core(lb, d, t),
-        rtol,
-    )
-
-    factors = np.stack((la, lb, _factor(g_ab)))  # X^-1 = sym(L^-T I L^-1), and log det X
-    inv_a, inv_b, inv_g = _whiten(factors.swapaxes(-1, -2), np.eye(len(a)))
-    p8 = _close(inv_g, _geomean_core(_factor(inv_a), inv_b, t), rtol)
-
-    ld_a, ld_b, ld_g = _log_det(factors)
-    p9 = bool(abs(ld_g - ((1.0 - t) * ld_a + t * ld_b)) <= rtol)
-
-    harmonic = _harmonic(a, b, t)
-    arithmetic = (1.0 - t) * a + t * b
-    p10 = _psd_geq(g_ab, harmonic, rtol) and _psd_geq(arithmetic, g_ab, rtol)
-
-    return GeomeanPropertyReport(
-        commuting_power_law=p1,
-        scalar_homogeneity=p2,
-        reversal=p3,
-        monotonicity=p4,
-        continuity_lipschitz=p5,
-        congruence_invariance=p6,
-        joint_concavity=p7,
-        inversion=p8,
-        determinant_identity=p9,
-        agm_sandwich=p10,
-    )
 
 
 def set_geomean(s, t_set, t=0.5):
@@ -286,21 +150,6 @@ def set_geomean(s, t_set, t=0.5):
         if not any(_close(g, kept, 1e-12) for kept in out):
             out.append(g)
     return tuple(out)
-
-
-def block_max_property(a, b):
-    """Check that ``A # B`` is the largest symmetric block completing
-    ``[[A, X], [X, B]]`` to a positive semidefinite matrix.
-
-    Verifies the block matrix is PSD (relative tolerance 1e-8) at ``X = A # B``
-    and stops being PSD once ``X`` is pushed by ``1e-6 ||X||`` along the identity.
-    """
-    (a, b), (l, _) = _pd_stack((a, b))
-    x = _geomean_core(l, b, 0.5)
-    bumped = x + 1e-6 * op_norm(x) * np.eye(a.shape[0])
-    return is_psd(sym(np.block([[a, x], [x, b]])), 1e-8) and not is_psd(
-        sym(np.block([[a, bumped], [bumped, b]])), 1e-8
-    )
 
 
 @dataclass

@@ -31,6 +31,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.integrate import simpson
+from scipy.linalg import solve_triangular
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 
@@ -48,10 +49,14 @@ from pgm import (
     PartialMatrix,
     geomean,
     is_pd,
+    is_psd,
+    log_det,
     max_det_completion,
     missing_positions,
+    op_norm,
     partial_entry_bounds,
     project,
+    riemannian_dist,
     scale,
     sub,
     sym,
@@ -150,6 +155,90 @@ def rand_invertible(rng, n):
         s = rng.standard_normal((n, n))
         if abs(np.linalg.det(s)) > 1e-3:
             return s
+
+
+# --- the classical properties of A #_t B --------------------------------
+
+#: The ten classical properties of the weighted geometric mean, in the order of
+#: :func:`geomean_properties` (Bhatia, *Positive Definite Matrices*, ch. 4 and 6).
+GEOMEAN_PROPERTIES = (
+    "commuting_power_law", "scalar_homogeneity", "reversal", "monotonicity",
+    "continuity_lipschitz", "congruence_invariance", "joint_concavity", "inversion",
+    "determinant_identity", "agm_sandwich",
+)
+
+
+def close(x, y, rtol):
+    """``x == y`` up to ``rtol`` times the larger Frobenius norm."""
+    return bool(np.linalg.norm(x - y) <= rtol * max(np.linalg.norm(x), np.linalg.norm(y)))
+
+
+def psd_geq(x, y, rtol):
+    """``x >= y`` in the Loewner order, up to an eigenvalue slack of ``rtol`` times the
+    larger spectral norm."""
+    unit = np.abs(np.linalg.eigvalsh(np.stack((x, y)))).max()
+    return bool(np.linalg.eigvalsh(sym(x - y))[0] >= -rtol * unit)
+
+
+def factor_inverse(a):
+    """``A^-1 = L^-T L^-1`` of the Cholesky factor ``L`` of ``a``, symmetrized."""
+    li = solve_triangular(np.linalg.cholesky(a), np.eye(len(a)), lower=True)
+    return sym(li.T @ li)
+
+
+def harmonic_mean(a, b, t):
+    """``((1-t) A^-1 + t B^-1)^-1 = M - t(1-t) Z^T Z``, ``M = (1-t) A + t B``, ``Z = L^-1 (A - B)``,
+    ``L L^T = tA + (1-t)B``: no inverse of an operand, and exactly ``M`` if ``A == B``."""
+    z = solve_triangular(np.linalg.cholesky(t * a + (1.0 - t) * b), a - b, lower=True)
+    return sym((1.0 - t) * a + t * b - t * (1.0 - t) * (z.T @ z))
+
+
+def geomean_properties(a, b, c, d, t, lam, s, rtol=1e-8):
+    """Each of :data:`GEOMEAN_PROPERTIES` on PD ``a, b, c, d``, ``t`` and ``lam`` in [0, 1] and an
+    invertible ``s``, as a bool by name, through the public ``geomean``, ``log_det`` and
+    ``riemannian_dist``.  Matrices compare at ``rtol`` by :func:`close` and :func:`psd_geq`, the
+    Lipschitz bound and the log-determinants at ``rtol`` absolute.  ``lam`` is the second
+    geodesic parameter of the Lipschitz bound and the convex weight of joint concavity.  The
+    commuting partner of A is ``A^2 / w_max + w_min I``, ``w`` A's spectrum: it scales with A, and
+    whitens by A to ``w / w_max + w_min / w``, of condition number near ``sqrt(cond A)``."""
+    w, q = np.linalg.eigh(a)
+    partner = sym(a @ a) / w[-1] + w[0] * np.eye(len(a))
+    power_law = sym((q * (w ** (1.0 - t) * (w * w / w[-1] + w[0]) ** t)) @ q.T)
+    alpha, beta = 1.0 + lam, 2.0 - lam
+    inv_a, inv_b = factor_inverse(a), factor_inverse(b)
+    pairs = [(a, b), (a, partner), (alpha * a, beta * b), (a + c, b + d), (c, d),
+             (sym(s.T @ a @ s), sym(s.T @ b @ s)),
+             ((1.0 - lam) * a + lam * b, (1.0 - lam) * c + lam * d), (a, c), (b, d), (inv_a, inv_b)]
+    # every mean at t in one broadcast geomean, bit for bit the means of one call each
+    g, power, scaled, shifted, mean_cd, congruent, concave, mean_ac, mean_bd, mean_inv = geomean(
+        np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs]), t)
+    bound = (abs(lam - t) * riemannian_dist(a, b) + (1.0 - t) * riemannian_dist(a, c)
+             + t * riemannian_dist(b, d))
+    log_dets = (1.0 - t) * log_det(a) + t * log_det(b)
+    return dict(zip(GEOMEAN_PROPERTIES, (
+        close(power, power_law, rtol),
+        close(scaled, alpha ** (1.0 - t) * beta**t * g, rtol),
+        close(g, geomean(b, a, 1.0 - t), rtol),
+        psd_geq(shifted, g, rtol),
+        riemannian_dist(geomean(a, b, lam), mean_cd) <= bound + rtol * max(1.0, bound),
+        close(sym(s.T @ g @ s), congruent, rtol),
+        psd_geq(concave, (1.0 - lam) * mean_ac + lam * mean_bd, rtol),
+        close(factor_inverse(g), mean_inv, rtol),
+        abs(log_det(g) - log_dets) <= rtol,
+        psd_geq(g, harmonic_mean(a, b, t), rtol) and psd_geq((1.0 - t) * a + t * b, g, rtol),
+    )))
+
+
+def ando_block_max(a, b):
+    """Ando's characterization of ``A # B``: the largest symmetric ``X`` that completes
+    ``[[A, X], [X, B]]`` to a PSD matrix.  True iff the block is PSD at ``X = A # B`` (relative
+    tolerance 1e-8) and stops being PSD once ``X`` is pushed by ``1e-6 ||X||_2`` along the
+    identity."""
+    x = geomean(a, b)
+    bumped = x + 1e-6 * op_norm(x) * np.eye(len(a))
+    return is_psd(sym(np.block([[a, x], [x, b]])), 1e-8) and not is_psd(
+        sym(np.block([[a, bumped], [bumped, b]])), 1e-8
+    )
 
 
 def near_complete(rng, n, k):

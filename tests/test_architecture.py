@@ -160,10 +160,9 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
     to have PD-tested both operands: only ``geomean`` and ``entropy_identities`` (which prove
     their operands by ``_require_pd``), ``partial_geomean_sweep`` (the cells),
     ``partial_geomean_maxdet`` (whose Â and B̂ a converged completion certified), and
-    ``karcher_mean``, ``geomean_properties_check``, ``set_geomean`` and ``block_max_property``
-    (whose means take the factors of their ``_pd_stack`` proofs, of means of those, or of
-    matrices built from those; ``set_geomean`` proves each set once and sends no mean through a
-    door) name them, besides the core itself,
+    ``karcher_mean`` and ``set_geomean`` (whose means take the factors of their ``_pd_stack``
+    proofs, or of means of those; ``set_geomean`` proves each set once and sends no mean
+    through a door) name them, besides the core itself,
     each to call one, and each runs a PD test (``_require``, ``_definite``, ``is_pd``,
     ``_pd_factor``, ``_require_pd``, ``require_converged`` or ``_pd_stack``) on a line before."""
     tests = ("_require", "_definite", "is_pd", "_pd_factor", "_require_pd", "require_converged",
@@ -183,9 +182,8 @@ def test_unchecked_mean_core_runs_only_behind_a_pd_test():
                 if callee.rsplit(".", 1)[-1] in tests:
                     first_test[name] = min(line, first_test.get(name, line))
     assert sorted(naming) == sorted(first_call) == [
-        "means.block_max_property", "means.entropy_identities", "means.geomean",
-        "means.geomean_properties_check", "means.karcher_mean", "means.partial_geomean_maxdet",
-        "means.partial_geomean_sweep", "means.set_geomean",
+        "means.entropy_identities", "means.geomean", "means.karcher_mean",
+        "means.partial_geomean_maxdet", "means.partial_geomean_sweep", "means.set_geomean",
     ]
     assert all(first_test.get(name, line) < line for name, line in first_call.items())
 
@@ -309,10 +307,10 @@ def test_numpy_raw_kernels_named_only_in_linalg():
 
 def test_completion_solves_and_inverts_on_linalg_kernels():
     """``completion`` takes every solve and inverse from ``linalg._solve`` and ``_inv``, under
-    ``linalg._kernels``, and ``means`` every congruence (and the property check's inverses) from
-    ``linalg._whiten``, every factor of a matrix it builds from ``linalg._factor``, and its one
-    solve, the harmonic mean's, from ``linalg._solve``: neither calls ``np.linalg.solve``,
-    ``np.linalg.inv`` or ``np.linalg.cholesky``."""
+    ``linalg._kernels``, and ``means`` every congruence from ``linalg._whiten``, every factor
+    of a matrix it builds from ``linalg._factor``, and its one solve, the harmonic mean's,
+    from ``linalg._solve``: neither calls ``np.linalg.solve``, ``np.linalg.inv`` or
+    ``np.linalg.cholesky``."""
     calls, _ = _calls_and_raises()
     public = [(module, func, callee) for module, func, callee in calls
               if module in ("completion", "means") and callee in
@@ -325,10 +323,9 @@ def test_completion_solves_and_inverts_on_linalg_kernels():
     for module, func, callee in calls:
         if module == "means" and callee in ("_whiten", "_factor", "_solve"):
             means[callee].add(func)
-    assert means == {"_whiten": {"_geomean_cells", "_karcher", "_trace_integral",
-                                 "geomean_properties_check"},
+    assert means == {"_whiten": {"_geomean_cells", "_karcher", "_trace_integral"},
                      "_factor": {"partial_geomean_maxdet", "_karcher", "_trace_integral",
-                                 "entropy_identities", "geomean_properties_check", "_harmonic"},
+                                 "entropy_identities", "_harmonic"},
                      "_solve": {"_harmonic"}}
 
 
@@ -383,10 +380,9 @@ def test_pd_gates_take_no_spectral_verdict():
 
 #: Where every tolerance is relative to the operands' own scale: whole modules, and the
 #: comparisons of ``means``.  The absolute tolerances on scale-invariant quantities stay:
-#: the Lipschitz bound and the log-determinant identity of ``geomean_properties_check``,
 #: gradient norms and Newton decrements.
 SCALE_FREE = {"linalg": None, "partial": None, "completion": None,
-              "means": {"_close", "_psd_geq", "set_geomean"}}
+              "means": {"_close", "set_geomean"}}
 
 
 def test_no_absolute_unit_in_scale_free_tests():
@@ -652,15 +648,15 @@ def test_one_log_determinant_kernel():
 PUBLIC_NAMES = [
     "AgmResult", "AsymmetricPattern", "ChordalityResult", "Comparison", "CompletionReport",
     "DEFAULT_TOL", "DimensionMismatch", "EntropyIdentities", "FeasibilityInterval",
-    "GeomeanPropertyReport", "InternalNumerics", "KarcherResult", "MissingDiagonal",
-    "NotCompletable", "NotPartialPD", "NotPositiveDefinite", "OutOfRange", "ParseError",
-    "PartialGeomeanResult", "PartialMatrix", "Pattern", "PatternMismatch", "PgmError",
-    "TooManyMissing", "add", "agm_iteration", "block_max_property", "completion_with_det",
-    "entropy_identities", "fro_norm", "gaussian_entropy", "geomean", "geomean_properties_check",
+    "InternalNumerics", "KarcherResult", "MissingDiagonal", "NotCompletable", "NotPartialPD",
+    "NotPositiveDefinite", "OutOfRange", "ParseError", "PartialGeomeanResult", "PartialMatrix",
+    "Pattern", "PatternMismatch", "PgmError", "TooManyMissing", "add", "agm_iteration",
+    "completion_with_det", "entropy_identities", "fro_norm", "gaussian_entropy", "geomean",
     "is_chordal", "is_partial_pd", "is_pd", "is_psd", "karcher_mean", "log_det",
-    "max_det_completion", "maximal_cliques", "missing_positions", "offending_cliques", "op_norm",
-    "partial_entry_bounds", "partial_geomean_maxdet", "partial_geomean_sweep", "partial_order",
-    "project", "riemannian_dist", "scale", "set_geomean", "single_entry_interval", "sub", "sym",
+    "max_det_completion", "maximal_cliques", "missing_positions", "offending_cliques",
+    "op_norm", "partial_entry_bounds", "partial_geomean_maxdet", "partial_geomean_sweep",
+    "partial_order", "project", "riemannian_dist", "scale", "set_geomean",
+    "single_entry_interval", "sub", "sym",
 ]
 
 
@@ -681,7 +677,8 @@ UNCALLED_ALLOWED = {
                       "_log_det off the factors they already hold",
     "partial.project": "the paper's projection of a full matrix onto a pattern",
     "cli.format_partial": "writes the text format that parse_partial reads",
-    "means.block_max_property": "Ando's characterization of A # B, a ledger row for partial means",
+    "linalg.is_psd": "the PSD half of the public PD/PSD pair",
+    "linalg.op_norm": "the spectral norm of a user's matrix, which the test oracles take",
     "pattern.Pattern.has_edge": ORACLE_ACCESSORS,
     "partial.PartialMatrix.entry": ORACLE_ACCESSORS,
 }

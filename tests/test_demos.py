@@ -27,7 +27,6 @@ KEY_LINES = {
     ],
     "03_geometric_means.py": [
         "distance delta(A, B) = 1.36429",
-        "classical property suite, all hold: True",
         "|S| = 2, |T| = 3, |S # T| = 6",
         "det = 20.5524 = sqrt(det Ahat * det Bhat) = 20.5524",
     ],

@@ -19,12 +19,10 @@ from pgm import (
     Pattern,
     PgmError,
     agm_iteration,
-    block_max_property,
     entropy_identities,
     fro_norm,
     gaussian_entropy,
     geomean,
-    geomean_properties_check,
     is_pd,
     karcher_mean,
     linalg,
@@ -40,8 +38,11 @@ from pgm import (
 )
 from conftest import (
     GOLDEN_MEAN_DISPLAYED,
+    ando_block_max,
     ex1_partial_a,
     ex1_partial_b,
+    factor_inverse,
+    geomean_properties,
     golden_pair_completions,
     matrix_a_chordal_example,
     mp_midpoint_eigenvalues,
@@ -184,35 +185,29 @@ class TestGeomean:
 
 
 class TestPropertySuite:
+    """The classical properties of ``A #_t B``: ``conftest.geomean_properties`` reads all ten
+    through the public functions, at rtol 1e-8."""
+
     @pytest.mark.parametrize("seed", range(12))
     def test_all_properties_hold(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         a, b, c, d = (rand_spd(rng, n) for _ in range(4))
-        report = geomean_properties_check(
+        report = geomean_properties(
             a, b, c, d,
             t=float(rng.uniform(0, 1)),
             lam=float(rng.uniform(0, 1)),
             s=rand_invertible(rng, n),
         )
-        assert report.all_hold, report
+        assert all(report.values()), report
 
     def test_all_properties_hold_at_n_400(self):
         # log det of each member is about 400 log 10 > 709, so det overflows
         rng = np.random.default_rng(400)
         a, b, c, d = (10.0 * rand_spd(rng, 400) for _ in range(4))
-        report = geomean_properties_check(a, b, c, d, t=0.3, lam=0.6, s=rand_spd(rng, 400))
-        assert report.determinant_identity is True
-        assert report.all_hold, report
-
-    @pytest.mark.parametrize("rtol", [math.nan, -1.0, math.inf])
-    def test_rtol_passes_the_gate(self, rtol):
-        # a NaN or negative rtol once made every property false, an infinite one every one true
-        rng = np.random.default_rng(0)
-        a, b, c, d = (rand_spd(rng, 3) for _ in range(4))
-        message = f"^tol must be a finite number >= 0, got {rtol!r}$"
-        with pytest.raises(ValueError, match=message):
-            geomean_properties_check(a, b, c, d, t=0.5, lam=0.5, s=np.eye(3), rtol=rtol)
+        report = geomean_properties(a, b, c, d, t=0.3, lam=0.6, s=rand_spd(rng, 400))
+        assert report["determinant_identity"] is True
+        assert all(report.values()), report
 
     def test_determinant_identity_on_completions(self):
         ahat = max_det_completion(ex1_partial_a()).matrix
@@ -259,18 +254,25 @@ class TestPropertySuite:
         assert fro_norm(got - want) <= 1e-13 * fro_norm(want)
         np.testing.assert_array_equal(means._harmonic(a, a, t), (1 - t) * a + t * a)
 
-    def test_built_matrices_of_wide_congruences_pass_no_door(self):
-        # S^T A S and S^T B S, cond(S) and cond(A) up to 1e4: property 6 sent them through the
-        # PD margin of a caller's matrix, which refused draws 246, 320, 342 and 359 with
-        # NotPositiveDefinite naming a positive lambda_min (1.8e-3, 1.5e-3, 1.3e-3, 2.5e-4);
-        # round-off may still read the property False at rtol 1e-8, but nothing raises
-        rng = np.random.default_rng(5)
-        for _ in range(400):
+    def test_all_properties_hold_on_wide_congruences(self):
+        # S^T A S and S^T B S, cond(S) and cond(A) up to 1e4: geomean refuses the congruent
+        # pair of draws 246, 320, 342 and 359 at the PD margin of a caller's matrix, with
+        # NotPositiveDefinite naming a positive lambda_min (1.8e-3, 1.5e-3, 1.3e-3, 2.5e-4),
+        # and only where is_pd gives the same verdict; all ten properties hold on the other 396
+        rng, refused = np.random.default_rng(5), []
+        for draw in range(400):
             n = int(rng.integers(2, 6))
             a, b, c, d = (_log_uniform_spd(rng, n, 1e-4, 1.0) for _ in range(4))
             u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
             s = (u * np.exp(rng.uniform(0.0, math.log(1e4), n))) @ v.T
-            geomean_properties_check(a, b, c, d, 0.5, 0.3, s)
+            try:
+                report = geomean_properties(a, b, c, d, 0.5, 0.3, s)
+            except NotPositiveDefinite:
+                assert not (is_pd(sym(s.T @ a @ s)) and is_pd(sym(s.T @ b @ s)))
+                refused.append(draw)
+            else:
+                assert all(report.values()), (draw, report)
+        assert refused == [246, 320, 342, 359]
 
     def test_power_law_partner_is_scale_free(self):
         # the partner A^2 + I lost its I in the whitening once ||A||^2 cond(A) eps passed 1, and
@@ -283,8 +285,8 @@ class TestPropertySuite:
             w = np.exp(rng.uniform(math.log(2e-10), 0.0, n))
             w[-1] = 1.0
             a = sym((q * (w * 10.0 ** rng.uniform(0, 12))) @ q.T)
-            report = geomean_properties_check(a, a, a, a, 0.5, 0.5, np.eye(n))
-            assert report.commuting_power_law and report.agm_sandwich
+            report = geomean_properties(a, a, a, a, 0.5, 0.5, np.eye(n))
+            assert report["commuting_power_law"] and report["agm_sandwich"]
 
 
 def _log_uniform_spd(rng, n, lo, hi):
@@ -376,14 +378,6 @@ class TestOffGeodesicWarningUnderASpy:
         assert [w.filename for w in record] == [__file__]
         assert spy.call_count == 0
 
-    def test_property_check(self, spy):
-        rng = np.random.default_rng(5)
-        a, b, c, d = (rand_spd(rng, 3) for _ in range(4))
-        with pytest.warns(UserWarning, match="lies outside") as record:
-            geomean_properties_check(a, b, c, d, 1.5, 0.3, rand_invertible(rng, 3))
-        assert [w.filename for w in record] == [__file__]
-        assert spy.call_count == 0
-
 
 class TestScaleFree:
     """Inverses and comparisons are judged against the operands' own scale, so the means
@@ -396,7 +390,7 @@ class TestScaleFree:
         agm = agm_iteration(a, b)
         assert agm.converged
         np.testing.assert_allclose(agm.matrix, geomean(a, b), rtol=1e-10, atol=0)
-        assert geomean_properties_check(a, b, b, d, 0.3, 0.6, rand_invertible(rng, 3)).all_hold
+        assert all(geomean_properties(a, b, b, d, 0.3, 0.6, rand_invertible(rng, 3)).values())
         inverse = _inverted((a, b))
         np.testing.assert_allclose(inverse[0] @ a, np.eye(3), atol=1e-10)
 
@@ -447,9 +441,8 @@ def near_margin_general_pair(seed):
 
 
 class TestBuiltMatricesPassNoDoor:
-    """The AGM, the property check and the set mean take the inverses, harmonic sums and means
-    they build past every PD door: a caller's matrix that passes the margin is taken whole, also
-    near it."""
+    """The AGM and the set mean take the harmonic sums and means they build past every PD
+    door: a caller's matrix that passes the margin is taken whole, also near it."""
 
     def test_agm_of_a_near_margin_matrix_with_itself(self):
         assert is_pd(NEAR_MARGIN)
@@ -457,21 +450,23 @@ class TestBuiltMatricesPassNoDoor:
         assert (res.iterations, res.converged) == (1, True)
         np.testing.assert_array_equal(res.matrix, NEAR_MARGIN)
 
-    def test_property_check_of_a_near_margin_matrix(self):
-        m = NEAR_MARGIN
-        assert geomean_properties_check(m, m, m, m, 0.5, 0.5, np.eye(5)).all_hold
-
-    def test_near_margin_commuting_pairs_are_refused_nowhere(self):
-        # the first 30 draws hold two (17 and 29) whose inverses the margin refused; the solvers'
-        # own verdicts (an unconverged AGM, properties read False at rtol 1e-8) may stand
-        pairs = near_margin_commuting_pairs(30)
+    def test_near_margin_commuting_pairs_are_refused_only_at_an_inverse(self):
+        # the means of the property suite take each pair; geomean refuses an inverse of the
+        # first 30 draws where is_pd does, in two of them (17 and 29).  The verdicts of the
+        # solvers and properties (an unconverged AGM, properties read False at rtol 1e-8) stand
+        pairs, refused = near_margin_commuting_pairs(30), []
         assert len(pairs) >= 28
-        for a, b in pairs:
+        for k, (a, b) in enumerate(pairs):
             try:
-                geomean_properties_check(a, b, a, b, 0.3, 0.6, np.eye(len(a)))
+                geomean_properties(a, b, a, b, 0.3, 0.6, np.eye(len(a)))
+            except NotPositiveDefinite:
+                assert not (is_pd(factor_inverse(a)) and is_pd(factor_inverse(b)))
+                refused.append(k)
+            try:
                 agm_iteration(a, b)
             except PgmError as exc:
                 pytest.fail(f"{type(exc).__name__}: {exc}")
+        assert refused == [17, 29]
 
     @pytest.mark.parametrize("seed", [14174, 16804, 38128, 39809])
     def test_set_mean_returns_the_near_margin_means_of_geomean(self, seed):
@@ -486,12 +481,12 @@ class TestBuiltMatricesPassNoDoor:
 
 class TestBlockMaxProperty:
     def test_identity(self):
-        assert block_max_property(np.eye(2), np.eye(2))
+        assert ando_block_max(np.eye(2), np.eye(2))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random(self, seed):
         rng = np.random.default_rng(seed)
-        assert block_max_property(rand_spd(rng, 3), rand_spd(rng, 3))
+        assert ando_block_max(rand_spd(rng, 3), rand_spd(rng, 3))
 
     def test_bumped_mean_leaves_cone(self):
         rng = np.random.default_rng(9)
@@ -1143,22 +1138,15 @@ class TestPdPrecondition:
         karcher_mean((1 / 6,) * 6, [rand_spd(rng, 4) for _ in range(6)], max_steps=0)
         assert (shapes, spy.call_count) == ([(6, 4, 4)], 0)
 
-    @pytest.mark.parametrize(("entry", "factored", "eigensolved"), [
-        (lambda a, b, c, d: karcher_mean((0.3, 0.7), [a, b]), [1, 1, 0, 0], None),
-        (lambda a, b, c, d: entropy_identities(a, b), [1, 1, 0, 0], None),
-        (lambda a, b, c, d: set_geomean((a, b), (c, d), 0.3), [1, 1, 1, 1], None),
-        (lambda a, b, c, d: geomean_properties_check(a, b, c, d, 0.3, 0.6, 2.0 * np.eye(4)),
-         [3, 3, 2, 2], [1, 0, 0, 0]),
-    ], ids=["karcher_mean", "entropy_identities", "set_geomean", "geomean_properties_check"])
-    def test_each_input_is_decomposed_once(self, monkeypatch, entry, factored, eigensolved):
+    @pytest.mark.parametrize(("entry", "factored"), [
+        (lambda a, b, c, d: karcher_mean((0.3, 0.7), [a, b]), [1, 1, 0, 0]),
+        (lambda a, b, c, d: entropy_identities(a, b), [1, 1, 0, 0]),
+        (lambda a, b, c, d: set_geomean((a, b), (c, d), 0.3), [1, 1, 1, 1]),
+    ], ids=["karcher_mean", "entropy_identities", "set_geomean"])
+    def test_each_input_is_decomposed_once(self, monkeypatch, entry, factored):
         # the one PD factorization of an input is also where its log-determinant and the
         # means' factor come from: no Cholesky, eigensolve or determinant of it follows.  Every
-        # Cholesky of pgm, the PD proof's and linalg._factor's, runs on linalg._cholesky.  The
-        # property check's one _pd_stack proof factors a, b, c and d for every mean whose first
-        # operand is an input and for a's and b's log-determinants (9, 8, 4 and 4 factorizations
-        # when each mean proved its operands); riemannian_dist's own gate proves (a, b), (a, c)
-        # and (b, d) again, and only a's power-law oracle eigensolves: the inverses and the
-        # harmonic mean come from factors
+        # Cholesky of pgm, the PD proof's and linalg._factor's, runs on linalg._cholesky
         rng = np.random.default_rng(4)
         inputs = [rand_spd(rng, 4) for _ in range(4)]
         seen = {"factor": [], "eigen": []}
@@ -1176,19 +1164,13 @@ class TestPdPrecondition:
         entry(*inputs)
         counts = {kind: [sum(np.array_equal(m, x) for m in ms) for x in inputs]
                   for kind, ms in seen.items()}
-        assert counts == {"factor": factored, "eigen": eigensolved or [0, 0, 0, 0]}
+        assert counts == {"factor": factored, "eigen": [0, 0, 0, 0]}
 
     def test_members_must_be_two_dimensional(self):
         stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
         message = r"expected 2-D matrices, got shape \(2, 2, 2\)"
         with pytest.raises(DimensionMismatch, match=message):
             set_geomean((stack, stack), (np.eye(2),))
-
-    def test_property_check_rejects_mixed_sizes(self):
-        rng = np.random.default_rng(9)
-        a, b, d = (rand_spd(rng, 3) for _ in range(3))
-        with pytest.raises(DimensionMismatch):
-            geomean_properties_check(a, b, rand_spd(rng, 2), d, 0.5, 0.5, np.eye(3))
 
 
 T_ENTRY_POINTS = {

@@ -430,6 +430,40 @@ def test_line_endings_and_an_unterminated_last_row(tmp_path, tokenized, newline,
     assert got[0] == "ok"
 
 
+def respelled(text, newline):
+    """``text``, written with ``\\n``, with its line ends spelled ``\\r``, ``\\r\\n``, the cycle
+    ``\\r\\n``, ``\\n``, ``\\r`` (no lone ``\\r`` before a ``\\n``, which would join two ends),
+    or ``\\n`` with a final ``\\r`` in place of the last ``\\n``."""
+    ends = {"cr": ["\r"], "crlf": ["\r\n"], "mixed": ["\r\n", "\n", "\r"], "trailing_cr": ["\n"]}
+    lines = text.split("\n")
+    out = "".join(line + ends[newline][k % len(ends[newline])]
+                  for k, line in enumerate(lines[:-1])) + lines[-1]
+    return out.removesuffix("\n") + "\r" if newline == "trailing_cr" else out
+
+
+@pytest.mark.parametrize("fault", ["none", "bad", "short", "disagree", "extra_row"])
+@pytest.mark.parametrize("n", [3, 40])
+@pytest.mark.parametrize("newline", ["cr", "crlf", "mixed", "trailing_cr"])
+def test_line_end_spellings_read_as_the_lf_file(tmp_path, newline, n, fault):
+    # n = 3 is split per row, n = 40 (1560 "?") tokenized as one byte array; a comment and a
+    # blank line keep the row lines apart from the row numbers
+    grid = identity_grid(n)
+    if fault == "bad":
+        grid[1][2] = "x"
+    elif fault == "short":
+        del grid[2][-1]
+    elif fault == "disagree":
+        grid[0][1], grid[1][0] = "0.5", "0.25"
+    elif fault == "extra_row":
+        grid.append(["1"] * n)
+    lines = text_of(grid).split("\n")
+    lines[2:2] = ["# a comment", ""]
+    text = "\n".join(lines)
+    want = outcome(parse_partial, write(tmp_path, "lf.txt", text))
+    assert want[0] == ("ok" if fault == "none" else "error")
+    assert outcome(parse_partial, write(tmp_path, "nl.txt", respelled(text, newline))) == want
+
+
 def test_comments_blank_lines_and_signed_zero(tmp_path, tokenized, readers):
     grid = identity_grid(40)
     grid[0][1], grid[1][0] = "-0.0", "0"
