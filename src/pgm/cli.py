@@ -322,6 +322,11 @@ def _write_out(path, text):
         handle.write(text)
 
 
+def _completed(path):
+    """The converged max-det completion of the partial matrix in the file at ``path``."""
+    return max_det_completion(parse_partial(path)).require_converged()
+
+
 def cmd_check(args):
     pm = parse_partial(args.file)
     chord = is_chordal(pm.pattern)
@@ -380,10 +385,7 @@ def cmd_karcher(args):
         counts = f"{len(args.weights)} weights given for {len(args.files)} files"
         print(f"error: {counts}", file=sys.stderr)
         return 2
-    mats = []
-    for path in args.files:
-        pm = parse_partial(path)
-        mats.append(max_det_completion(pm).require_converged().matrix)
+    mats = [_completed(path).matrix for path in args.files]
     result = karcher_mean(args.weights, mats)
     print(f"karcher mean of {len(mats)} matrices:")
     print(_human_matrix(result.matrix))
@@ -398,15 +400,11 @@ def cmd_entropy(args):
         print("error: entropy takes one or two files", file=sys.stderr)
         return 2
     if len(args.files) == 1:
-        pm = parse_partial(args.files[0])
-        report = max_det_completion(pm).require_converged()
+        report = _completed(args.files[0])
         print(f"entropy of max-det completion: {gaussian_entropy(report.matrix):.{REPORT_DIGITS}g}")
         print(f"determinant: {_determinant_text(report.log_determinant)}")
         return 0
-    pa = parse_partial(args.files[0])
-    pb = parse_partial(args.files[1])
-    s0 = max_det_completion(pa).require_converged().matrix
-    s1 = max_det_completion(pb).require_converged().matrix
+    s0, s1 = (_completed(path).matrix for path in args.files)
     ids = entropy_identities(s0, s1, t=args.t)
     print(f"entropy identities for max-det completions (t = {args.t:g}):")
     print(

@@ -2,9 +2,11 @@
 
 Eigendecompositions (:func:`_eigh`, inverted by :func:`_from_spectrum`), PD proofs by Cholesky,
 log-determinants off those factors (results derive their determinant from it, in one base class)
-and norms, plus the Riemannian trace metric on the PD cone.  The means take their matrix functions
-(powers, logarithms) on ``_eigh`` of matrices proved PD or built from such, past no door.
-The metric alone uses ``scipy.linalg``, registered as a lazy module: its first call runs it.
+and norms, plus the Riemannian trace metric on the PD cone, off the singular values of the two
+factors' quotient.  The means take their matrix functions (powers, logarithms) on ``_eigh`` of
+matrices proved PD or built from such, past no door.  No pgm code runs ``scipy``: ``scipy.linalg``
+is registered as a lazy module only for perfbench's tracer, which looks it up, until ROADMAP
+items 9 and 25 drop the registration and scipy with it.
 
 All functions take and return plain ``numpy`` arrays.  Each one that runs a symmetric eigensolve
 on its argument admits it through :func:`_dense`.  Every Cholesky, solve and inverse of ``pgm``
@@ -20,12 +22,11 @@ import importlib.util
 import sys
 
 import numpy as np
-import scipy
 
 from .errors import DimensionMismatch, InternalNumerics, NotPositiveDefinite
 
 _lapack = np.linalg._umath_linalg
-if "scipy.linalg" not in sys.modules:  # a lazy module: its code runs on its first attribute read
+if "scipy.linalg" not in sys.modules:  # lazy, unread by pgm: perfbench's tracer looks it up
     _spec = importlib.util.find_spec("scipy.linalg")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     sys.modules["scipy.linalg"] = importlib.util.module_from_spec(_spec)
@@ -227,10 +228,11 @@ def op_norm(a):
 def riemannian_dist(a, b):
     """Riemannian trace metric between positive definite matrices.
 
-    delta(A, B) = || log(A^{-1/2} B A^{-1/2}) ||_F, evaluated through the generalized symmetric
-    eigenproblem ``B x = lambda A x``, whose eigenvalues equal those of A^{-1/2} B A^{-1/2}, on
-    ``scipy.linalg.eigh``: the first call loads ``scipy.linalg``, which ``import pgm`` leaves out.
+    delta(A, B) = || log(A^{-1/2} B A^{-1/2}) ||_F.  With the Cholesky factors ``L_A``, ``L_B``
+    of the PD proof, ``L_A^-1 B L_A^-T`` has the same spectrum, the squares of the singular
+    values ``s`` of ``L_A^-1 L_B``, so delta = 2 ||log s||_2, with no product formed.
     """
-    (ma, mb), _ = _pd_stack((a, b))
-    w = scipy.linalg.eigh(mb, ma, eigvals_only=True)
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+    _, (l_a, l_b) = _pd_stack((a, b))
+    with _kernels():
+        s = np.linalg.svd(_solve(l_a, l_b), compute_uv=False)
+    return float(2.0 * np.sqrt(np.sum(np.log(s) ** 2)))

@@ -39,7 +39,6 @@ def _calls_and_raises():
 
 
 def test_symmetric_eigensolvers_called_only_in_eigh():
-    # riemannian_dist keeps scipy's generalized solver for B x = lambda A x
     calls, _ = _calls_and_raises()
     sites = {
         (module, func, callee)
@@ -49,13 +48,20 @@ def test_symmetric_eigensolvers_called_only_in_eigh():
     assert sites == {
         ("linalg", "_eigh", "np.linalg.eigh"),
         ("linalg", "_eigh", "np.linalg.eigvalsh"),
-        ("linalg", "riemannian_dist", "scipy.linalg.eigh"),
     }
 
 
-def test_scipy_imported_only_by_linalg_and_called_only_by_riemannian_dist():
-    """Only ``linalg`` imports ``scipy`` (it registers ``scipy.linalg`` lazily), and only
-    ``riemannian_dist`` calls it, so no other path runs scipy's code."""
+def test_singular_values_taken_only_by_riemannian_dist():
+    """The one SVD of ``src/pgm``: the distance's, of the quotient of its two PD factors."""
+    calls, _ = _calls_and_raises()
+    sites = {(module, func, callee) for module, func, callee in calls
+             if callee.rsplit(".", 1)[-1] == "svd"}
+    assert sites == {("linalg", "riemannian_dist", "np.linalg.svd")}
+
+
+def test_no_src_module_imports_or_calls_scipy():
+    """No module of ``src/pgm`` imports ``scipy`` and no function calls it, so no path runs
+    scipy's code; ``linalg`` names ``scipy.linalg`` only in its lazy registration."""
     importers = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -69,8 +75,15 @@ def test_scipy_imported_only_by_linalg_and_called_only_by_riemannian_dist():
                 importers.add(path.stem)
     calls, _ = _calls_and_raises()
     callers = {(module, func) for module, func, callee in calls if "scipy" in callee.split(".")}
-    assert importers == {"linalg"}
-    assert callers == {("linalg", "riemannian_dist")}
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body[1:]:  # past the docstring
+            if any(isinstance(node, ast.Constant) and "scipy" in str(node.value)
+                   for node in ast.walk(stmt)):
+                named.add((path.stem, ast.unparse(stmt).split("\n")[0]))
+    assert importers == set()
+    assert callers == set()
+    assert named == {("linalg", "if 'scipy.linalg' not in sys.modules:")}
 
 
 def test_not_positive_definite_raised_only_in_linalg():

@@ -330,9 +330,6 @@ class TestRiemannianDist:
         sb = 0.5 * (s.T @ b @ s + (s.T @ b @ s).T)
         assert riemannian_dist(sa, sb) == pytest.approx(d, rel=1e-8, abs=1e-8)
 
-    @pytest.mark.xfail(strict=True, reason="CHANGES.md FOUND on linalg.riemannian_dist: "
-                       "scipy's generalized eigensolver misses by 1.6e-5 on these pairs; "
-                       "ROADMAP item 25 mends it and removes this marker")
     def test_matches_a_60_digit_reference_on_spread_pairs(self):
         errors = [abs(riemannian_dist(a, b) / mp_riemannian_dist(a, b) - 1.0)
                   for a, b in spread_pairs()]
