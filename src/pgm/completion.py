@@ -46,7 +46,7 @@ from .errors import (
     OutOfRange,
 )
 from .linalg import (DEFAULT_TOL, _cholesky, _definite, _dense, _DeterminantFromLog, _eigh, _inv,
-                     _kernels, _log_det, _pd_factor, _pd_test, _require_tol, _solve, sym)
+                     _is_count, _kernels, _log_det, _pd_factor, _pd_test, _require_tol, _solve, sym)
 from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
@@ -159,7 +159,7 @@ def max_det_completion(pm, tol=1e-10, max_cycles=500):
         Budget of IPS sweeps and Newton steps, at least 1; exceeding it returns the
         last iterate, with the specified entries written back, and ``converged=False``.
     """
-    if not (isinstance(max_cycles, (int, np.integer)) and max_cycles >= 1):
+    if not (_is_count(max_cycles) and max_cycles >= 1):
         raise ValueError(f"max_cycles must be an integer >= 1, got {max_cycles!r}")
     _require_tol(tol)
     _require_partial_pd(pm, DEFAULT_TOL)

@@ -4,9 +4,10 @@ Eigendecompositions (:func:`_eigh`, inverted by :func:`_from_spectrum`), PD proo
 log-determinants off those factors (results derive their determinant from it, in one base class)
 and norms, plus the Riemannian trace metric on the PD cone, off the singular values of the two
 factors' quotient.  The means take their matrix functions (powers, logarithms) on ``_eigh`` of
-matrices proved PD or built from such, past no door.  No pgm code runs ``scipy``: ``scipy.linalg``
-is registered as a lazy module only for perfbench's tracer, which looks it up, until ROADMAP
-items 9 and 25 drop the registration and scipy with it.
+matrices proved PD or built from such, past no door.  pgm needs numpy alone and never imports
+``scipy``: where scipy is installed, ``scipy.linalg`` is registered as a lazy module, found from
+the package's spec without running the package, only for perfbench's tracer, which looks it up,
+until ROADMAP items 9 and 25 drop the registration.
 
 All functions take and return plain ``numpy`` arrays.  Each one that runs a symmetric eigensolve
 on its argument admits it through :func:`_dense`.  Every Cholesky, solve and inverse of ``pgm``
@@ -18,6 +19,7 @@ so that downstream symmetry checks can be exact.  Eigensolves, PD tests, ``log_d
 
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
 import sys
 
@@ -27,10 +29,13 @@ from .errors import DimensionMismatch, InternalNumerics, NotPositiveDefinite
 
 _lapack = np.linalg._umath_linalg
 if "scipy.linalg" not in sys.modules:  # lazy, unread by pgm: perfbench's tracer looks it up
-    _spec = importlib.util.find_spec("scipy.linalg")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    sys.modules["scipy.linalg"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(sys.modules["scipy.linalg"])
+    _top = importlib.util.find_spec("scipy")  # the package's spec, found without running it
+    if _top is not None:  # scipy is optional: pgm runs no scipy code
+        _spec = importlib.machinery.PathFinder.find_spec(
+            "scipy.linalg", _top.submodule_search_locations)
+        _spec.loader = importlib.util.LazyLoader(_spec.loader)
+        sys.modules["scipy.linalg"] = importlib.util.module_from_spec(_spec)
+        _spec.loader.exec_module(sys.modules["scipy.linalg"])
 
 #: Default relative tolerance of every PD, PSD and symmetry test: a matrix counts as PD when
 #: lambda_min > DEFAULT_TOL * ||A||_F, with no absolute unit, so ``c A`` gets the verdict of ``A``.
@@ -72,6 +77,11 @@ def _spectrum(a):
     ``(w, e)``, in units of ``2**e``: one eigensolve of ``2**-e a``, largest entry in [1, 2)."""
     e = np.frexp(np.abs(a).max(axis=(-2, -1)))[1] - 1
     return _eigh(np.ldexp(a, -e[..., None, None]), vectors=False), e
+
+
+def _is_count(n):
+    """Whether ``n`` is an integer, Python's or numpy's, and not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def _require_tol(tol):

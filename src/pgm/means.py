@@ -33,6 +33,7 @@ from .linalg import (
     _eigh,
     _factor,
     _from_spectrum,
+    _is_count,
     _kernels,
     _log_det,
     _pd_factor,
@@ -209,7 +210,7 @@ def partial_geomean_sweep(pa, pb, grid, t, tol):
     once per block if it holds x, else once; the other's members get ``_pd_test`` verdicts only.
     A block is one :func:`_geomean_cells` on the base's factors and one eigvalsh per PD cell.
     """
-    if not isinstance(grid, (int, np.integer)):
+    if not _is_count(grid):
         raise ValueError(f"grid must be an integer, got {grid!r}")
     if grid < 2:
         raise PgmError(f"grid must be at least 2, got {grid}")
@@ -297,7 +298,7 @@ def karcher_mean(weights, mats, tol=1e-9, max_steps=200):
     :func:`_geomean_core` on its factors and their own means, and each step's spectra meet only
     :func:`_positive`, no PD margin.  ``converged`` is False if the step budget ran out first.
     """
-    if not (isinstance(max_steps, (int, np.integer)) and max_steps >= 0):
+    if not (_is_count(max_steps) and max_steps >= 0):
         raise ValueError(f"max_steps must be an integer >= 0, got {max_steps!r}")
     _require_tol(tol)
     w = tuple(float(x) for x in weights)

@@ -4,6 +4,7 @@ import ast
 import inspect
 import math
 import re
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -59,20 +60,21 @@ def test_singular_values_taken_only_by_riemannian_dist():
     assert sites == {("linalg", "riemannian_dist", "np.linalg.svd")}
 
 
+def _absolute_imports(path):
+    """The top-level modules that ``path`` imports absolutely, at any depth of its syntax tree."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
 def test_no_src_module_imports_or_calls_scipy():
     """No module of ``src/pgm`` imports ``scipy`` and no function calls it, so no path runs
     scipy's code; ``linalg`` names ``scipy.linalg`` only in its lazy registration."""
-    importers = set()
-    for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            if any(module.split(".")[0] == "scipy" for module in modules):
-                importers.add(path.stem)
+    importers = {path.stem for path in SRC.glob("*.py") if "scipy" in _absolute_imports(path)}
     calls, _ = _calls_and_raises()
     callers = {(module, func) for module, func, callee in calls if "scipy" in callee.split(".")}
     named = set()
@@ -84,6 +86,26 @@ def test_no_src_module_imports_or_calls_scipy():
     assert importers == set()
     assert callers == set()
     assert named == {("linalg", "if 'scipy.linalg' not in sys.modules:")}
+
+
+def test_pgm_depends_on_numpy_alone():
+    """``pgm`` installs on numpy alone and imports nothing else outside the standard library;
+    the ``test`` extra names exactly the other third-party modules that the tests import."""
+    tomllib = pytest.importorskip("tomllib")  # the standard library's since Python 3.11
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    project = project["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+
+    assert names(project["dependencies"]) == {"numpy"}
+    src_imports = set().union(*map(_absolute_imports, SRC.glob("*.py")))
+    assert src_imports - set(sys.stdlib_module_names) == {"numpy"}
+    tests = Path(__file__).resolve().parent
+    test_imports = set().union(*map(_absolute_imports, tests.glob("*.py")))
+    local = {"pgm"} | {path.stem for path in tests.glob("*.py")}
+    third_party = test_imports - set(sys.stdlib_module_names) - local - {"numpy"}
+    assert names(project["optional-dependencies"]["test"]) == third_party  # scipy: oracles
 
 
 def test_not_positive_definite_raised_only_in_linalg():

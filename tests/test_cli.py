@@ -823,6 +823,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="grid must be an integer, got 3.5"):
             partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), 3.5, 0.5, DEFAULT_TOL)
 
+    @pytest.mark.parametrize("grid", [True, False])
+    def test_bool_grid_named(self, grid):
+        # not "grid must be at least 2, got True", which names a bound the count never had
+        with pytest.raises(ValueError, match=f"grid must be an integer, got {grid!r}"):
+            partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), grid, 0.5, DEFAULT_TOL)
+
     def test_unequal_dimensions_rejected(self):
         pb = project(np.eye(4), Pattern.complete(4))
         with pytest.raises(DimensionMismatch, match="dimension mismatch: 3 vs 4"):
@@ -1216,9 +1222,10 @@ def _fresh_process(code, cwd=None):
 
 
 def test_import_leaves_scipy_integrate_out():
-    assert _fresh_process("import sys, pgm.cli; print('scipy.integrate' in sys.modules)") == [
-        "False"
-    ]
+    """``import pgm.cli`` runs no scipy code, not even the package: ``scipy.linalg`` is found
+    from the package's spec, and registered lazily."""
+    code = "import sys, pgm.cli; print('scipy.integrate' in sys.modules, 'scipy' in sys.modules)"
+    assert _fresh_process(code) == ["False False"]
 
 
 def test_no_pgm_call_runs_scipy_linalg():
@@ -1236,16 +1243,21 @@ print("scipy.linalg._decomp" in sys.modules)
     assert _fresh_process(code) == ["[]", "1.2990003751850048", "False"]
 
 
-def test_no_subcommand_loads_scipy_linalg(tmp_path):
-    """Every subcommand runs on the demo data without running ``scipy.linalg``: a CLI path that
-    reaches it gives back the import time that the lazy registration saves."""
+def _demo_runs():
+    """Every subcommand's argv on the demo data, the sweep writing ``out.csv``."""
     data = Path(pgm.__file__).resolve().parents[2] / "demos" / "data"
     chain_a, chain_b = str(data / "chain3_a.txt"), str(data / "chain3_b.txt")
     runs = [[command, str(path)] for command in ("check", "complete", "entropy")
             for path in sorted(data.glob("*.txt"))]
-    runs += [["geomean", chain_a, chain_b], ["entropy", chain_a, chain_b],
-             ["karcher", "--weights", "1,2", chain_a, chain_b],
-             ["sweep", chain_a, chain_b, "--grid", "5", "--out", "out.csv"]]
+    return runs + [["geomean", chain_a, chain_b], ["entropy", chain_a, chain_b],
+                   ["karcher", "--weights", "1,2", chain_a, chain_b],
+                   ["sweep", chain_a, chain_b, "--grid", "5", "--out", "out.csv"]]
+
+
+def test_no_subcommand_loads_scipy_linalg(tmp_path):
+    """Every subcommand runs on the demo data without running ``scipy.linalg``: a CLI path that
+    reaches it gives back the import time that the lazy registration saves."""
+    runs = _demo_runs()
     code = f"""
 import contextlib, io, sys
 from pgm.cli import main
@@ -1255,6 +1267,32 @@ print(codes)
 print(sorted(name for name in sys.modules if name.startswith("scipy.linalg.")))
 """
     assert _fresh_process(code, cwd=tmp_path) == [str([0] * len(runs)), "[]"]
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    """With ``scipy`` blocked, ``import pgm.cli`` registers nothing, and every subcommand on the
+    demo data gives the exit codes, stdout and sweep file of a run with scipy installed."""
+    def outputs(block):
+        cwd = tmp_path / ("blocked" if block else "installed")
+        cwd.mkdir()
+        code = f"""
+import contextlib, io, sys
+if {block}:
+    sys.modules["scipy"] = None
+from pgm.cli import main
+results = []
+for argv in {_demo_runs()!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        results.append((main(argv), out.getvalue()))
+print(repr(results))
+print("scipy.linalg" in sys.modules)
+"""
+        return _fresh_process(code, cwd=cwd) + [(cwd / "out.csv").read_text()]
+
+    blocked, installed = outputs(True), outputs(False)
+    assert blocked[1] == "False"
+    assert installed[1] == "True"  # the lazy registration, left unrun
+    assert blocked[0] == installed[0] and blocked[2] == installed[2]
 
 
 def test_scipy_linalg_imported_first_is_kept():

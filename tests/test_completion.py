@@ -211,6 +211,12 @@ class TestMaxDetCompletion:
         with pytest.raises(ValueError, match=f"max_cycles must be an integer >= 1, got {budget!r}"):
             max_det_completion(matrix_n_four_cycle(), max_cycles=budget)
 
+    @pytest.mark.parametrize("budget", [True, False])
+    def test_bool_cycle_budget_named(self, budget):
+        # True would otherwise run one cycle
+        with pytest.raises(ValueError, match=f"max_cycles must be an integer >= 1, got {budget!r}"):
+            max_det_completion(matrix_n_four_cycle(), max_cycles=budget)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_bad_tolerance_named(self, tol):
         # NaN or a negative tolerance would spend the whole budget, however small the residual

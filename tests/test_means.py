@@ -727,6 +727,12 @@ class TestKarcherMean:
         with pytest.raises(ValueError, match=f"max_steps must be an integer >= 0, got {budget!r}"):
             karcher_mean((0.5, 0.5), [np.eye(2), 2.0 * np.eye(2)], max_steps=budget)
 
+    @pytest.mark.parametrize("budget", [True, False])
+    def test_bool_step_budget_named(self, budget):
+        # both would otherwise pass the >= 0 gate as 1 and 0 steps
+        with pytest.raises(ValueError, match=f"max_steps must be an integer >= 0, got {budget!r}"):
+            karcher_mean((0.5, 0.5), [np.eye(2), 2.0 * np.eye(2)], max_steps=budget)
+
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_bad_tolerance_named(self, tol):
         # NaN or a negative tolerance would spend the whole budget, however small the gradient
