@@ -39,17 +39,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InternalNumerics,
     NotCompletable,
     NotPartialPD,
     OutOfRange,
 )
 from .linalg import (DEFAULT_TOL, _cholesky, _definite, _dense, _DeterminantFromLog, _eigh, _inv,
-                     _is_count, _kernels, _log_det, _pd_factor, _pd_test, _require_tol, _solve, sym)
+                     _kernels, _log_det, _pd_factor, _pd_test, _require_tol, _solve, sym)
 from .partial import _require_partial_pd
 from .pattern import (
     Pattern,
+    _is_count,
+    _position,
     missing_positions,
 )
 
@@ -113,16 +114,11 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
     ``tol``, else raises :class:`NotPartialPD` (no PD completion in that coordinate), and gives
     the three log-determinants: ``det C`` is that of the second factor's leading block.
     """
-    m = _dense(m)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
-        raise ValueError(f"position ({i}, {j}) has a non-integer index")
-    n = m.shape[0]
-    i0, j0 = i - 1, j - 1
-    if not (0 <= i0 < n and 0 <= j0 < n) or i0 == j0:
+    m = _dense(m, stack=False)
+    i, j = _position(i, j)
+    if not 1 <= i < j <= len(m):
         raise ValueError(f"position ({i}, {j}) is not an off-diagonal position")
-    order = [i0] + [k for k in range(n) if k != i0 and k != j0] + [j0]
+    order = [i - 1] + [k for k in range(len(m)) if k not in (i - 1, j - 1)] + [j - 1]
     mp = m[np.ix_(order, order)]
     l = _pd_factor(np.stack([mp[:-1, :-1], mp[1:, 1:]]), tol)
     if np.isnan(l[:, 0, 0]).any():
@@ -134,8 +130,7 @@ def single_entry_interval(m, i, j, tol=DEFAULT_TOL):
         center = float(mp[1:-1, 0] @ _solve(mp[1:-1, 1:-1], mp[1:-1, -1]))
     ld_a, ld_b = _log_det(l)
     half = float(np.exp(0.5 * (ld_a + ld_b) - _log_det(l[1, :-1, :-1])))
-    position = (int(min(i, j)), int(max(i, j)))
-    return FeasibilityInterval(position=position, center=center, half_width=half)
+    return FeasibilityInterval(position=(i, j), center=center, half_width=half)
 
 
 def max_det_completion(pm, tol=1e-10, max_cycles=500):
@@ -309,7 +304,8 @@ def partial_entry_bounds(pm, pos, tol=DEFAULT_TOL):
     and ``half_width`` are those of ``single_entry_interval(pm.to_dense(), *pos)``).  An input
     that is not partial PD raises :class:`NotPartialPD` naming its first offending clique.
     """
-    i, j = sorted(pos)
+    i, j = pos
+    i, j = _position(i, j, "edge")
     if (i, j) in pm.pattern.edges:
         raise ValueError(f"position ({i}, {j}) is already specified")
     _require_partial_pd(pm, tol)

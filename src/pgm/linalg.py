@@ -47,11 +47,11 @@ def sym(a):
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _dense(a):
-    """``a`` as a float ``(..., n, n)`` array, checked finite: as it is if exactly symmetric,
-    its :func:`sym` if ``max |a - a^T| <= DEFAULT_TOL * max |a|`` per matrix."""
+def _dense(a, stack=True):
+    """``a`` as a float ``(..., n, n)`` array (2-D unless ``stack``), checked finite: as it is if
+    exactly symmetric, its :func:`sym` if ``max |a - a^T| <= DEFAULT_TOL * max |a|`` per matrix."""
     m = np.asarray(a, dtype=float)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
@@ -79,11 +79,6 @@ def _spectrum(a):
     return _eigh(np.ldexp(a, -e[..., None, None]), vectors=False), e
 
 
-def _is_count(n):
-    """Whether ``n`` is an integer, Python's or numpy's, and not a bool."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-
-
 def _require_tol(tol):
     """The gate of every public tolerance: ValueError unless ``tol`` is finite and >= 0."""
     if not 0.0 <= tol < np.inf:  # NaN fails every comparison
@@ -103,16 +98,14 @@ def _definite(w, tol, semi=False, scale=None):
 
 
 def _pd_stack(mats):
-    """``(stack, factors)``: the ``k >= 1`` matrices ``mats``, each admitted by :func:`_dense`,
-    as one ``(k, n, n)`` stack, checked 2-D and of one shape, and its :func:`_require_pd`."""
-    stack = [_dense(m) for m in mats]
+    """``(stack, factors)``: the ``k >= 1`` matrices ``mats``, each admitted by :func:`_dense` as
+    2-D, as one ``(k, n, n)`` stack, checked of one shape, and its :func:`_require_pd`."""
+    stack = [_dense(m, stack=False) for m in mats]
     if not stack:
         raise ValueError("expected at least one matrix")
     if len({m.shape for m in stack}) > 1:
         raise DimensionMismatch(f"shape mismatch: {' vs '.join(str(m.shape) for m in stack)}")
     stack = np.stack(stack)
-    if stack.ndim != 3:
-        raise DimensionMismatch(f"expected 2-D matrices, got shape {stack.shape[1:]}")
     return stack, _require_pd(stack, DEFAULT_TOL)
 
 

@@ -33,7 +33,6 @@ from .linalg import (
     _eigh,
     _factor,
     _from_spectrum,
-    _is_count,
     _kernels,
     _log_det,
     _pd_factor,
@@ -47,7 +46,7 @@ from .linalg import (
     sym,
 )
 from .partial import _require_partial_pd
-from .pattern import missing_positions
+from .pattern import _is_count, missing_positions
 
 
 def geomean(a, b, t=0.5, tol=DEFAULT_TOL):
@@ -130,7 +129,9 @@ def _geomean_cells(l, b, t):
 
 
 def _close(x, y, rtol):
-    """x == y up to rtol times the larger Frobenius norm."""
+    """x == y up to rtol times the larger Frobenius norm, all taken in units of the power of two
+    at the largest entry (exact), so that no square overflows or underflows."""
+    x, y = np.ldexp((x, y), -np.frexp(np.abs((x, y)).max())[1])
     return fro_norm(x - y) <= rtol * max(fro_norm(x), fro_norm(y))
 
 
@@ -364,9 +365,9 @@ def agm_iteration(a, b):
         B_{k+1} = (A_k + B_k) / 2.
 
     Both sequences converge monotonically to the geometric mean; the iteration stops when
-    ``||A_k - B_k||_F <= 1e-12 ||B_k||_F``, or after 100 steps unconverged, and returns the
-    arithmetic midpoint of the final pair.  The pair passes one PD proof; each step's harmonic
-    mean is one :func:`_harmonic`, one Cholesky and no eigensolve, exact on equal inputs.
+    ``||A_k - B_k||_F <= 1e-12 ||B_k||_F`` (scale-free, :func:`_close`), or after 100 steps
+    unconverged, and returns the arithmetic midpoint of the final pair.  The pair passes one PD
+    proof; each step's harmonic mean is one :func:`_harmonic`: one Cholesky, exact on equal inputs.
     """
     converged, (lowers, uppers), iterations = _run(_agm(*_pd_stack((a, b))[0]), 100)
     return AgmResult(
@@ -385,7 +386,7 @@ def _agm(lower, upper):
         lower, upper = _harmonic(lower, upper, 0.5), sym(0.5 * (lower + upper))
         lowers.append(lower)
         uppers.append(upper)
-        yield fro_norm(lower - upper) <= 1e-12 * fro_norm(upper), (lowers, uppers)
+        yield _close(lower, upper, 1e-12), (lowers, uppers)
 
 
 def _trace_integral(a0, a1):

@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg
 from .errors import DimensionMismatch, NotPartialPD, PatternMismatch
 from .linalg import DEFAULT_TOL, _definite, _dense
-from .pattern import Pattern, _normalize_edge, _upper
+from .pattern import Pattern, _position, _upper
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class PartialMatrix:
     def __post_init__(self):
         vals = {}
         for (i, j), v in dict(self.values).items():
-            key = _normalize_edge(i, j)
+            key = _position(i, j)
             v = float(v)
             if not math.isfinite(v):
                 raise ValueError(f"non-finite value {v} at position {key}")
@@ -77,7 +77,7 @@ class PartialMatrix:
         return self.pattern.n
 
     def entry(self, i, j):
-        return self.values[_normalize_edge(i, j)]
+        return self.values[_position(i, j)]
 
     def to_dense(self, fill=0.0):
         """Dense symmetric array with ``fill`` at unspecified positions."""
@@ -98,9 +98,7 @@ def _entrywise(pattern, op, *args):
 def project(m, pattern):
     """Keep the entries of a full symmetric matrix at a pattern's
     specified positions (the upper triangle's, signed zeros included)."""
-    m = _dense(m)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    m = _dense(m, stack=False)
     if m.shape[0] != pattern.n:
         raise DimensionMismatch(
             f"matrix of dimension {m.shape[0]} vs pattern on {pattern.n} vertices"

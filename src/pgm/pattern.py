@@ -26,10 +26,6 @@ import numpy as np
 from .errors import InternalNumerics
 
 
-def _normalize_edge(i, j):
-    return (i, j) if i <= j else (j, i)
-
-
 @dataclass(frozen=True)
 class Pattern:
     """Undirected graph with all loops on ``{1..n}``.
@@ -44,7 +40,7 @@ class Pattern:
     def __post_init__(self):
         self.__dict__["n"] = _size(self.n)
         for i, j in self.edges:
-            _integers(i, j)
+            _position(i, j, "edge")
             if not (1 <= i <= j <= self.n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n = {self.n}")
         for i in range(1, self.n + 1):
@@ -72,17 +68,17 @@ class Pattern:
     def from_pairs(cls, n, pairs=()):
         """Build a pattern from off-diagonal pairs; loops are added."""
         edges = {(i, i) for i in range(1, _size(n) + 1)}
-        edges.update(_normalize_edge(i, j) for i, j in pairs)
+        edges.update(_position(i, j, "edge") for i, j in pairs)
         return cls(n=n, edges=frozenset(edges))
 
     @classmethod
     def complete(cls, n):
-        """Complete pattern: every entry specified."""
-        return cls.from_pairs(n, combinations(range(1, _size(n) + 1), 2))
+        """Complete pattern: every entry specified, built from its mask."""
+        n = _size(n)
+        return cls._from_mask(np.ones((n, n), dtype=bool))
 
     def has_edge(self, i, j):
-        _integers(i, j)
-        i, j = _normalize_edge(i, j)
+        i, j = _position(i, j, "edge")
         return 1 <= i and j <= self.n and bool(self._mask[i - 1, j - 1])
 
     @property
@@ -133,18 +129,27 @@ class Pattern:
         return self._mcs[1] or tuple(_bron_kerbosch(self._adjacency, self.n))
 
 
+def _is_count(n):
+    """Whether ``n`` is an integer, Python's or numpy's, not a bool: ``pgm``'s one integer test."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _size(n):
-    """``n`` as a vertex count: an integer, not a bool, of at least 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    """``n`` as a vertex count: an integer (:func:`_is_count`) of at least 1."""
+    if not _is_count(n):
         raise ValueError(f"pattern size {n!r} is not an integer")
     if n < 1:
         raise ValueError("pattern needs at least one vertex")
     return int(n)
 
 
-def _integers(i, j):
-    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
-        raise ValueError(f"edge ({i!r}, {j!r}) has a non-integer vertex")
+def _position(i, j, kind="position"):
+    """``(i, j)`` as Python ints, smaller first, if both are integers (:func:`_is_count`), else
+    a ValueError naming the pair: an edge's non-integer vertex, a position's non-integer index."""
+    if not (_is_count(i) and _is_count(j)):
+        part = "vertex" if kind == "edge" else "index"
+        raise ValueError(f"{kind} ({i!r}, {j!r}) has a non-integer {part}")
+    return (int(i), int(j)) if i <= j else (int(j), int(i))
 
 
 def _upper(mask, k=0):

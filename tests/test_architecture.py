@@ -578,20 +578,43 @@ def _functions():
     return found
 
 
+def _callers(callee):
+    """The functions of ``src/pgm`` that call ``callee`` by its bare name."""
+    return {name for name, node in _functions().items() for call in ast.walk(node)
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == callee}
+
+
 def test_edges_normalized_only_on_the_dict_input_paths():
-    """Storage is one array per matrix: only the constructors and lookups that
-    take ``(i, j)`` pairs from a caller normalize them one by one."""
-    callers = {
-        name
-        for name, node in _functions().items()
-        for call in ast.walk(node)
-        if isinstance(call, ast.Call) and ast.unparse(call.func) == "_normalize_edge"
-    }
-    assert callers == {
+    """Storage is one array per matrix: only the constructors, lookups and intervals that take
+    ``(i, j)`` pairs from a caller check and order them one by one, through the one position
+    gate ``pattern._position``."""
+    assert _callers("_position") == {
+        "pattern.Pattern.__post_init__",
         "pattern.Pattern.from_pairs",
         "pattern.Pattern.has_edge",
         "partial.PartialMatrix.__post_init__",
         "partial.PartialMatrix.entry",
+        "completion.single_entry_interval",
+        "completion.partial_entry_bounds",
+    }
+
+
+def test_one_integer_test():
+    """``pattern._is_count`` is the one place that asks whether an argument is an integer; it
+    stands behind the position gate and every count a caller gives: the pattern's size and the
+    budgets ``max_cycles``, ``max_steps`` and ``grid``."""
+    found = [(path.stem, ast.unparse(call)) for path in sorted(SRC.glob("*.py"))
+             for call in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(call, ast.Call) and ast.unparse(call.func) == "isinstance"
+             and "np.integer" in ast.unparse(call.args[1])]
+    assert found == [("pattern", "isinstance(n, (int, np.integer))")]
+    assert "isinstance(n, (int, np.integer))" in ast.unparse(_functions()["pattern._is_count"])
+    assert _callers("_is_count") == {
+        "pattern._size",
+        "pattern._position",
+        "completion.max_det_completion",
+        "means.partial_geomean_sweep",
+        "means.karcher_mean",
     }
 
 

@@ -379,6 +379,23 @@ class TestOffGeodesicWarningUnderASpy:
         assert spy.call_count == 0
 
 
+def _matrix_and(result, *names):
+    """``([result.matrix], [result.<name>, ...])``: what scales with the inputs, and what not."""
+    return [result.matrix], [getattr(result, name) for name in names]
+
+
+#: The means as ``(matrices, numbers)``: at ``c = 4^k`` the matrices are ``c`` times those of
+#: ``(A, B)`` and the numbers (distances, counts, verdicts) equal, bit for bit.
+POWER_OF_FOUR_ENTRIES = {
+    "geomean": lambda a, b: ([geomean(a, b, 0.3)], []),
+    "karcher_mean": lambda a, b: _matrix_and(
+        karcher_mean((0.25, 0.75), (a, b)), "steps", "gradient_norm", "converged"),
+    "agm_iteration": lambda a, b: _matrix_and(agm_iteration(a, b), "iterations", "converged"),
+    "riemannian_dist": lambda a, b: ([], [riemannian_dist(a, b)]),
+    "set_geomean": lambda a, b: (list(set_geomean((a,), (a, b))), []),
+}
+
+
 class TestScaleFree:
     """Inverses and comparisons are judged against the operands' own scale, so the means
     run at any scale: a floor of max(1, ||A||) would refuse the inverse of ``1e10 A`` as not PD."""
@@ -394,12 +411,24 @@ class TestScaleFree:
         inverse = _inverted((a, b))
         np.testing.assert_allclose(inverse[0] @ a, np.eye(3), atol=1e-10)
 
-    @pytest.mark.parametrize("c", [2.0**-70, 1.0, 2.0**70])
+    @pytest.mark.parametrize("c", [2.0**-70, 1.0, 2.0**70, 2.0**-600, 2.0**600])
     def test_set_geomean_duplicates_are_relative(self, c):
         # I and sqrt(2) I differ by 0.41 c: distinct at every scale, and A # A is one member
         s, t_set = (c * np.eye(2), 2.0 * c * np.eye(2)), (c * np.eye(2),)
         assert len(set_geomean(s, t_set)) == 2
         assert len(set_geomean(t_set, (c * np.eye(2), c * np.eye(2)))) == 1
+
+    @pytest.mark.parametrize("c", [4.0**-300, 4.0**300], ids=["4^-300", "4^300"])
+    @pytest.mark.parametrize("name", list(POWER_OF_FOUR_ENTRIES))
+    def test_power_of_four_scales_the_means_bit_for_bit(self, name, c):
+        # sqrt(4^k x) = 2^k sqrt(x) exactly, so each factor of c A is 2^k times that of A; a
+        # Frobenius norm of c A squares its entries past the double range, up or down
+        a, b = (rand_spd(np.random.default_rng(seed), 3) for seed in (5, 6))
+        mats, numbers = POWER_OF_FOUR_ENTRIES[name](a, b)
+        scaled_mats, scaled_numbers = POWER_OF_FOUR_ENTRIES[name](c * a, c * b)
+        assert len(scaled_mats) == len(mats)
+        assert all(np.array_equal(x, c * m) for x, m in zip(scaled_mats, mats))
+        assert scaled_numbers == numbers
 
 
 #: PD at the margin lambda_min > 1e-10 ||A||_F, while its inverse, lambda_min = 1 against a norm of
@@ -1174,7 +1203,7 @@ class TestPdPrecondition:
 
     def test_members_must_be_two_dimensional(self):
         stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
-        message = r"expected 2-D matrices, got shape \(2, 2, 2\)"
+        message = r"expected a square matrix, got shape \(2, 2, 2\)"
         with pytest.raises(DimensionMismatch, match=message):
             set_geomean((stack, stack), (np.eye(2),))
 

@@ -1,5 +1,6 @@
 """Pattern graphs: chordality witnesses, cliques, missing positions."""
 
+import re
 import sys
 from itertools import combinations
 
@@ -12,15 +13,21 @@ from pgm import (
     PartialMatrix,
     Pattern,
     is_chordal,
+    karcher_mean,
     max_det_completion,
     maximal_cliques,
     missing_positions,
+    partial_entry_bounds,
+    partial_geomean_sweep,
     pattern,
+    single_entry_interval,
 )
 from conftest import (
     brute_force_has_hole,
     brute_force_maximal_cliques,
     chordal_example_pattern,
+    ex1_partial_a,
+    ex1_partial_b,
     four_cycle_pattern,
     is_valid_chordless_cycle,
     near_complete,
@@ -125,6 +132,63 @@ class TestConstruction:
         g = Pattern.complete(4)
         assert g.is_complete
         assert missing_positions(g) == []
+        for n in (4, 70):  # the mask-built pattern is the one of every pair
+            g, full = Pattern.complete(n), Pattern.from_pairs(n, combinations(range(1, n + 1), 2))
+            assert g == full and hash(g) == hash(full) and g.edges == full.edges
+
+
+def _pair_matrix(key):
+    """The dict door on the 2-vertex pattern with its edge given as ``key``."""
+    return PartialMatrix(Pattern.from_pairs(2, [(1, 2)]), {(1, 1): 2.0, key: 0.5, (2, 2): 3.0})
+
+
+#: Every door that takes a vertex, a position or a count from a caller: how it is given a
+#: non-integer ``v``, and the ValueError that names it (``{}`` is ``repr(v)``).
+INTEGER_GATES = {
+    "Pattern": (lambda v: Pattern(n=3, edges=frozenset({(1, 1), (2, 2), (3, 3), (v, 2)})),
+                r"edge \({}, 2\) has a non-integer vertex"),
+    "from_pairs": (lambda v: Pattern.from_pairs(3, [(v, 2), (2, 3)]),
+                   r"edge \({}, 2\) has a non-integer vertex"),
+    "has_edge": (lambda v: Pattern.from_pairs(3).has_edge(v, 2),
+                 r"edge \({}, 2\) has a non-integer vertex"),
+    "PartialMatrix": (lambda v: _pair_matrix((v, 2)), r"position \({}, 2\) has a non-integer index"),
+    "entry": (lambda v: _pair_matrix((1, 2)).entry(v, 2),
+              r"position \({}, 2\) has a non-integer index"),
+    "single_entry_interval": (lambda v: single_entry_interval(np.eye(3), v, 3),
+                              r"position \({}, 3\) has a non-integer index"),
+    "partial_entry_bounds": (lambda v: partial_entry_bounds(ex1_partial_a(), (v, 3)),
+                             r"edge \({}, 3\) has a non-integer vertex"),
+    "size": (lambda v: Pattern.from_pairs(v), r"pattern size {} is not an integer"),
+    "max_cycles": (lambda v: max_det_completion(ex1_partial_a(), max_cycles=v),
+                   r"max_cycles must be an integer >= 1, got {}"),
+    "max_steps": (lambda v: karcher_mean((1.0,), (np.eye(2),), max_steps=v),
+                  r"max_steps must be an integer >= 0, got {}"),
+    "grid": (lambda v: partial_geomean_sweep(ex1_partial_a(), ex1_partial_b(), v, 0.5, 1e-10),
+             r"grid must be an integer, got {}"),
+}
+
+
+class TestIntegerGates:
+    """One integer test, ``pattern._is_count``, behind every door of ``INTEGER_GATES``: a bool
+    is refused by name, as a float is, and a numpy integer is held as a Python int."""
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, 1.5])
+    @pytest.mark.parametrize("door", list(INTEGER_GATES))
+    def test_bool_and_float_named(self, door, value):
+        build, message = INTEGER_GATES[door]
+        with pytest.raises(ValueError, match=message.format(re.escape(repr(value)))):
+            build(value)
+
+    @pytest.mark.parametrize("index", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_positions_held_as_ints(self, index):
+        g = Pattern.from_pairs(3, [(index(2), index(1)), (index(2), index(3))])
+        assert g == Pattern.from_pairs(3, [(1, 2), (2, 3)])
+        assert {type(v) for edge in g.edges for v in edge} == {int}
+        pm = _pair_matrix((index(2), index(1)))
+        assert pm == _pair_matrix((1, 2)) and hash(pm) == hash(_pair_matrix((1, 2)))
+        assert list(pm.values) == [(1, 1), (1, 2), (2, 2)]
+        assert {type(v) for key in pm.values for v in key} == {int}
+        assert pm.entry(index(2), index(1)) == 0.5
 
 
 class TestChordality:
